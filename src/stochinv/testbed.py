@@ -21,7 +21,7 @@ from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .heuristic import modified_ss_from_tables
 from .policy import check_cop, extract_thresholds
 from .sdp import DEFAULT_GRID, Grid, Instance, solve
-from .simulate import SimulationConfig, optimality_gap
+from .simulate import SimulationConfig, gap_with_estimates
 
 K_LEVELS = (250, 500, 1000)
 V_LEVELS = (2, 5, 10)
@@ -209,8 +209,14 @@ def _evaluate_point(point: DesignPoint, config: SimulationConfig,
                                        from_state=tables.exact_from(period))
             max_thr = max(max_thr, len(entry.pairs))
         heuristic = modified_ss_from_tables(tables)
-        gap = optimality_gap(point.instance, tables, heuristic, 0, config)
-        return PointResult(point, gap, max_thr, violated, None)
+        gap, opt, heur = gap_with_estimates(point.instance, tables, heuristic,
+                                            0, config)
+        # an unconverged gap is reported as an error, so the pivot skips it
+        unconverged = [f"{label} after {est.reps} reps"
+                       for label, est in (("optimal", opt), ("heuristic", heur))
+                       if not est.converged]
+        error = "unconverged: " + ", ".join(unconverged) if unconverged else None
+        return PointResult(point, gap, max_thr, violated, error)
     except Exception as exc:   # per-point failures are data, not crashes
         return PointResult(point, float("nan"), 0, (), f"{type(exc).__name__}: {exc}")
 

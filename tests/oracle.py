@@ -51,3 +51,19 @@ def brute_single_period_loss(y, support, probs, h, p):
     """Expected one-period holding/shortage cost, written the naive way."""
     return sum(pr * (h * max(y - d, 0) + p * max(d - y, 0))
                for d, pr in zip(support, probs))
+
+
+def brute_window_min(g_row, cap):
+    """Min over each capacity window [i, i+cap] and the first offset near it.
+
+    The window stops at the end of the row. An offset attains the minimum
+    when its value is within 1e-9 of it; the smallest such offset wins.
+    """
+    size = len(g_row)
+    mins, offsets = [], []
+    for i in range(size):
+        window = [float(g) for g in g_row[i:min(i + cap, size - 1) + 1]]
+        low = min(window)
+        mins.append(low)
+        offsets.append(next(j for j, g in enumerate(window) if g <= low + 1e-9))
+    return mins, offsets

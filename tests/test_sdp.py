@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from stochinv import (Grid, GridSpanError, Instance, pmf_empirical,
-                      pmf_parametric, single_period_cost, solve)
+from conftest import instance_path
+from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
+                      Instance, load_instance, pmf_empirical, pmf_parametric,
+                      random_instance, sdp, search_grid, single_period_cost,
+                      solve)
 
-from oracle import brute_cost_to_go, brute_single_period_loss
+from oracle import (brute_cost_to_go, brute_single_period_loss,
+                    brute_window_min)
 
 
 class TestExpectedHoldingShortageCost:
@@ -76,6 +80,66 @@ class TestDeterministicDemand:
         g = tables.G[row]
         i = tables.grid.index(0)
         assert tables.C[row, i] == approx(min(g[i], 1.0 + g[i:i + 11].min()))
+
+
+def sliding_window_min(g_row, cap):
+    """The O(size * cap) window minimum the sparse table replaced, kept as
+    the reference its tables must match byte for byte."""
+    padded = np.concatenate([g_row, np.full(cap, np.inf)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cap + 1)
+    w = windows.min(axis=1)
+    q = (windows <= w[:, None] + 1e-9).argmax(axis=1)
+    return w, q
+
+
+# plateaus at a few levels, each value raised by nothing, by less than, by
+# exactly, or by more than the 1e-9 tie tolerance
+near_tie = st.builds(lambda level, nudge: level + nudge,
+                     st.integers(0, 3).map(float),
+                     st.sampled_from([0.0, 5e-10, 1e-9, 2e-9]))
+
+
+class TestWindowMinimum:
+    @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
+                        min_size=1, max_size=40),
+           cap=st.integers(1, 50))
+    @example(row=[2.5], cap=7)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_exactly(self, row, cap):
+        g_row = np.array(row, dtype=np.float64)
+        w, q = sdp._window_min_finite(g_row, cap)
+        brute_w, brute_q = brute_window_min(row, cap)
+        assert np.array_equal(w, np.array(brute_w))
+        assert np.array_equal(q, np.array(brute_q))
+
+
+class TestTablesMatchSlidingWindowKernel:
+    """Solving with the sparse table gives the same bytes as the old kernel."""
+
+    @staticmethod
+    def assert_same_tables(monkeypatch, instance, grid):
+        tables = solve(instance, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_window_min_finite", sliding_window_min)
+            reference = solve(instance, grid)
+        for name in ("C", "G", "Qstar"):
+            got, want = getattr(tables, name), getattr(reference, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("name", [
+        "lumpy_discounted.json", "seasonal_poisson.json",
+        "spiky_nonstationary.json", "volatile_poisson.json"])
+    def test_instance_files_on_default_grid(self, monkeypatch, name):
+        instance = load_instance(instance_path(name))
+        self.assert_same_tables(monkeypatch, instance, DEFAULT_GRID)
+
+    def test_random_search_instances(self, monkeypatch):
+        params = CexSearchParams(seed=11, budget=200)
+        rng = np.random.default_rng(11)
+        for _ in range(params.budget):
+            instance = random_instance(params, rng)
+            self.assert_same_tables(monkeypatch, instance, search_grid(instance))
 
 
 class TestActionTableSpikyDemand:

@@ -124,3 +124,14 @@ class TestSmallBenchmarkRun:
         serial = run_benchmark(two_points, config, grid=grid, threads=1)
         threaded = run_benchmark(two_points, config, grid=grid, threads=2)
         assert [r.gap for r in serial.results] == [r.gap for r in threaded.results]
+
+    def test_unconverged_gap_is_an_error(self, two_points):
+        config = SimulationConfig(base_seed=3, target_rel_error=1e-9,
+                                  max_reps=1000)
+        report = run_benchmark(two_points, config, grid=Grid(-2000, 2500))
+        assert [key for key, _ in report.errors] == [pt.key for pt in two_points]
+        for _, error in report.errors:
+            assert error == ("unconverged: optimal after 1000 reps, "
+                             "heuristic after 1000 reps")
+        dim, level, avg, top, thr, count = report.pivot_rows()[-1]
+        assert (dim, count) == ("Overall", 0)
