@@ -11,15 +11,14 @@ from .cex import (CexSearchParams, Violation, random_instance, search_cop_violat
 from .demand import PARAMETRIC_FAMILIES, DemandPMF, pmf_empirical, pmf_parametric
 from .files import (InstanceFormatError, dump_instance, load_instance,
                     parse_instance, serialize_instance, thresholds_csv)
-from .heuristic import ModifiedSSPolicy, apply_modified_ss, modified_ss_from_tables
+from .heuristic import ModifiedSSPolicy, modified_ss_from_tables
 from .policy import (CopReport, CopViolated, KBReport, MalformedTable,
                      PeriodThresholds, QcePoint, check_cop, extract_thresholds,
                      qce_diagnostics, verify_kb_convexity)
 from .sdp import (DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables,
                   single_period_cost, solve)
 from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
-                       gap_with_estimates, modified_ss_policy, optimality_gap,
-                       simulate_policy, table_policy)
+                       gap_with_estimates, optimality_gap, simulate_policy)
 from .testbed import (BenchmarkReport, DesignPoint, PointResult, build_design,
                       demand_patterns, run_benchmark)
 
@@ -47,7 +46,6 @@ __all__ = [
     "SimulationEstimate",
     "ValueTables",
     "Violation",
-    "apply_modified_ss",
     "build_design",
     "check_cop",
     "demand_patterns",
@@ -56,7 +54,6 @@ __all__ = [
     "gap_with_estimates",
     "load_instance",
     "modified_ss_from_tables",
-    "modified_ss_policy",
     "optimality_gap",
     "parse_instance",
     "pmf_empirical",
@@ -70,7 +67,6 @@ __all__ = [
     "simulate_policy",
     "single_period_cost",
     "solve",
-    "table_policy",
     "thresholds_csv",
     "v_monotonicity_report",
     "verify_kb_convexity",

@@ -23,7 +23,7 @@ from .heuristic import modified_ss_from_tables
 from .policy import CopViolated, extract_thresholds
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
 from .simulate import (SimulationConfig, SimulationError, gap_with_estimates,
-                       modified_ss_policy, simulate_policy, table_policy)
+                       simulate_policy)
 from .testbed import build_design, run_benchmark
 
 EXIT_OK = 0
@@ -155,11 +155,12 @@ def cmd_simulate(args) -> int:
         estimates["optimal"] = opt
         estimates["modified-ss"] = heur
     elif args.policy == "optimal":
-        estimates["optimal"] = simulate_policy(instance, table_policy(tables),
+        estimates["optimal"] = simulate_policy(instance, tables.grid, tables.Qstar,
                                                x0, config)
     else:
-        policy = modified_ss_policy(modified_ss_from_tables(tables), instance.B)
-        estimates["modified-ss"] = simulate_policy(instance, policy, x0, config)
+        orders = modified_ss_from_tables(tables).orders(tables.grid, instance.B)
+        estimates["modified-ss"] = simulate_policy(instance, tables.grid, orders,
+                                                   x0, config)
 
     for name, est in estimates.items():
         print(f"{name}: mean {_fmt(est.mean_cost)} +/- {_fmt(est.half_width)} "

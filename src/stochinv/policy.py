@@ -49,7 +49,6 @@ class PeriodThresholds(NamedTuple):
     period: int
     pairs: tuple[tuple[int, int], ...]   # (s_k, S_k), k ascending
     s_m: int | None
-    cop_holds: bool
 
 
 class KBReport(NamedTuple):
@@ -116,7 +115,7 @@ def extract_thresholds(tables: ValueTables, period: int,
     if not report.holds:
         raise CopViolated(report)
     if not report.ordering_set:
-        return PeriodThresholds(period, (), None, True)
+        return PeriodThresholds(period, (), None)
 
     lo, s_m = report.ordering_set[0]
     grid = tables.grid
@@ -125,16 +124,11 @@ def extract_thresholds(tables: ValueTables, period: int,
     levels = xs + q
     cap = tables.instance.B
 
-    pairs = []
-    start = 0
-    for stop in np.append(np.flatnonzero(np.diff(levels) != 0) + 1, levels.size):
-        run_x = xs[start:stop]
-        run_q = q[start:stop]
-        top_x = int(run_x[-1])
-        saturated_single = run_x.size == 1 and run_q[0] == cap
-        if not saturated_single or top_x == s_m:
-            pairs.append((top_x, int(levels[start])))
-        start = stop
+    stops = np.append(np.flatnonzero(np.diff(levels) != 0) + 1, levels.size)
+    starts = np.append(0, stops[:-1])
+    tops = xs[stops - 1]
+    keep = (stops - starts > 1) | (q[starts] != cap) | (tops == s_m)
+    pairs = list(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
 
     for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]):
         if not (s_a < s_b and big_a < big_b):
@@ -148,7 +142,7 @@ def extract_thresholds(tables: ValueTables, period: int,
             raise MalformedTable(
                 f"period {period}: band ({s_k},{big_k}) deeper than capacity {cap}")
 
-    return PeriodThresholds(period, tuple(pairs), s_m, True)
+    return PeriodThresholds(period, tuple(pairs), s_m)
 
 
 def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,

@@ -42,10 +42,13 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "demands", tuple(self.demands))
-        if self.horizon < 1:
+        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, int)
+                or self.horizon < 1):
             raise ValueError("horizon must be a positive integer")
         if len(self.demands) != self.horizon:
             raise ValueError("need exactly one demand PMF per period")
+        if not all(math.isfinite(c) for c in (self.K, self.v, self.h, self.p)):
+            raise ValueError("K, v, h and p must be finite")
         if self.K < 0 or self.v < 0:
             raise ValueError("K and v must be nonnegative")
         if self.h <= 0 or self.p <= 0:

@@ -1,27 +1,27 @@
 """Monte Carlo policy evaluation under common random numbers.
 
-Every replication's demands come from a counter-based stream keyed by the
-base seed and the replication index alone, so any two policies simulated
-with the same config consume identical demand realizations. Sample size
-grows until a normal-approximation confidence interval meets a relative
-error target.
+A policy is an order table on the inventory grid, shaped like
+ValueTables.Qstar: the optimal policy is tables.Qstar itself and the
+modified (s, S) heuristic is ModifiedSSPolicy.orders. Every replication's
+demands come from a counter-based stream keyed by the base seed and the
+replication index alone, so any two policies simulated with the same
+config consume identical demand realizations. Sample size grows until a
+normal-approximation confidence interval meets a relative error target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from .heuristic import ModifiedSSPolicy
-from .sdp import Instance, ValueTables
+from .sdp import Grid, Instance, ValueTables
 
 _CHUNK = 10_000   # replications per stream block, and the CI check cadence
-
-PolicyFn = Callable[[np.ndarray, int], np.ndarray]
 
 
 class SimulationError(RuntimeError):
@@ -54,38 +54,12 @@ class SimulationEstimate(NamedTuple):
     converged: bool
 
 
-def table_policy(tables: ValueTables) -> PolicyFn:
-    """Vectorized lookup of the optimal action table; off-grid states clip."""
-    x_min, x_max = tables.grid.x_min, tables.grid.x_max
-
-    def policy(xs: np.ndarray, period: int) -> np.ndarray:
-        idx = np.clip(xs, x_min, x_max) - x_min
-        return tables.Qstar[period - 1, idx]
-
-    return policy
-
-
-def modified_ss_policy(policy: ModifiedSSPolicy, B: int | float) -> PolicyFn:
-    """Vectorized order-up-to-S-below-s dispatch of a modified (s, S) policy."""
-    cap = B
-
-    def fn(xs: np.ndarray, period: int) -> np.ndarray:
-        s = policy.s[period - 1]
-        if s is None:
-            return np.zeros(xs.size, dtype=np.int64)
-        big = policy.S[period - 1]
-        q = np.minimum(big - xs, cap) if cap != math.inf else big - xs
-        return np.where(xs <= s, q, 0).astype(np.int64)
-
-    return fn
-
-
 def _chunk_uniforms(base_seed: int, chunk_index: int, rows: int, cols: int) -> np.ndarray:
     seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(seq)).random((rows, cols))
 
 
-def _chunk_costs(instance: Instance, policy: PolicyFn, x0: int,
+def _chunk_costs(instance: Instance, grid: Grid, orders: np.ndarray, x0: int,
                  base_seed: int, chunk_index: int, rows: int) -> np.ndarray:
     """Total discounted cost of `rows` replications from one stream block."""
     n = instance.horizon
@@ -95,7 +69,7 @@ def _chunk_costs(instance: Instance, policy: PolicyFn, x0: int,
     factor = 1.0
     for period in range(1, n + 1):
         pmf = instance.demands[period - 1]
-        q = policy(x, period)
+        q = orders[period - 1].take(x - grid.x_min, mode="clip")
         cum = pmf.cum_probs
         d_idx = np.minimum(np.searchsorted(cum, u[:, period - 1], side="right"),
                            cum.size - 1)
@@ -110,13 +84,14 @@ def _chunk_costs(instance: Instance, policy: PolicyFn, x0: int,
     return total
 
 
-def simulate_policy(instance: Instance, policy: PolicyFn, x0: int,
-                    config: SimulationConfig) -> SimulationEstimate:
+def simulate_policy(instance: Instance, grid: Grid, orders: np.ndarray,
+                    x0: int, config: SimulationConfig) -> SimulationEstimate:
     """Estimate a policy's expected total cost from x0 by replication.
 
-    policy must be vectorized: policy(states_array, period) -> quantities.
-    Returns once the half-width is within target_rel_error of the mean, or
-    with converged=False when max_reps is exhausted first.
+    orders[t - 1, x - grid.x_min] is the order in period t at inventory x;
+    states off the grid take the order of the nearest grid edge. Returns
+    once the half-width is within target_rel_error of the mean, or with
+    converged=False when max_reps is exhausted first.
     """
     z = stats.norm.ppf(0.5 + config.confidence / 2.0)
     total = 0.0
@@ -125,7 +100,8 @@ def simulate_policy(instance: Instance, policy: PolicyFn, x0: int,
     chunk_index = 0
     while True:
         rows = min(_CHUNK, config.max_reps - reps)
-        costs = _chunk_costs(instance, policy, x0, config.base_seed, chunk_index, rows)
+        costs = _chunk_costs(instance, grid, orders, x0, config.base_seed,
+                             chunk_index, rows)
         total += costs.sum()
         total_sq += (costs * costs).sum()
         reps += rows
@@ -151,8 +127,9 @@ def gap_with_estimates(instance: Instance, tables: ValueTables,
     policy's simulated mean is cross-checked against the solved value at
     (first period, x0) within three half-widths.
     """
-    opt = simulate_policy(instance, table_policy(tables), x0, config)
-    heur = simulate_policy(instance, modified_ss_policy(heuristic, instance.B),
+    grid = tables.grid
+    opt = simulate_policy(instance, grid, tables.Qstar, x0, config)
+    heur = simulate_policy(instance, grid, heuristic.orders(grid, instance.B),
                            x0, config)
     dp_value = tables.cost_at(1, x0)
     slack = max(3.0 * opt.half_width, 1e-9)

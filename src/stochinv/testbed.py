@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .heuristic import modified_ss_from_tables
-from .policy import check_cop, extract_thresholds
+from .policy import extract_thresholds
 from .sdp import DEFAULT_GRID, Grid, Instance, solve
 from .simulate import SimulationConfig, gap_with_estimates
 
@@ -197,18 +197,14 @@ def _evaluate_point(point: DesignPoint, config: SimulationConfig,
                     grid: Grid) -> PointResult:
     try:
         tables = solve(point.instance, grid)
-        violated = tuple(
-            period for period in range(1, point.instance.horizon + 1)
-            if not check_cop(tables, period,
-                             from_state=tables.exact_from(period)).holds)
+        heuristic = modified_ss_from_tables(tables)
+        violated = heuristic.cop_violated
         max_thr = 0
         for period in range(1, point.instance.horizon + 1):
-            if period in violated:
-                continue
-            entry = extract_thresholds(tables, period,
-                                       from_state=tables.exact_from(period))
-            max_thr = max(max_thr, len(entry.pairs))
-        heuristic = modified_ss_from_tables(tables)
+            if period not in violated:
+                entry = extract_thresholds(tables, period,
+                                           from_state=tables.exact_from(period))
+                max_thr = max(max_thr, len(entry.pairs))
         gap, opt, heur = gap_with_estimates(point.instance, tables, heuristic,
                                             0, config)
         # an unconverged gap is reported as an error, so the pivot skips it

@@ -67,3 +67,34 @@ def brute_window_min(g_row, cap):
         mins.append(low)
         offsets.append(next(j for j, g in enumerate(window) if g <= low + 1e-9))
     return mins, offsets
+
+
+def modified_ss_order(x, s, S, B):
+    """Order of a modified (s, S) policy at inventory x, by its closed form.
+
+    Up to S, capped at B, when x is at or below the reorder point s;
+    nothing above it, or in a period that never orders (s is None).
+    """
+    if s is None or x > s:
+        return 0
+    return min(S - x, B)
+
+
+def threshold_pairs_by_run(xs, q, cap, s_m):
+    """Threshold pairs of one ordering interval, walked run by run.
+
+    xs are the interval's states in ascending order and q their orders. A
+    maximal run of equal order-up-to levels x + q is a band: its top state
+    and its level. A lone state ordering the full capacity is a capacity
+    slide and carries no pair, unless it is the top state s_m.
+    """
+    pairs = []
+    start = 0
+    for stop in range(1, len(xs) + 1):
+        if stop < len(xs) and xs[stop] + q[stop] == xs[start] + q[start]:
+            continue
+        saturated_single = stop - start == 1 and q[start] == cap
+        if not saturated_single or xs[stop - 1] == s_m:
+            pairs.append((xs[stop - 1], xs[start] + q[start]))
+        start = stop
+    return pairs

@@ -169,6 +169,22 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 4.0), ("horizon", True), ("h", math.nan)])
+    def test_ill_typed_instance_is_a_usage_error(self, tmp_path, capsys,
+                                                 field, value):
+        doc = fixture_doc("seasonal_poisson")
+        if field == "horizon" and value is True:
+            doc["demands"] = doc["demands"][:1]
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["solve", str(bad), "--grid-min", "-300", "--grid-max", "600",
+                   "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_grid_too_narrow(self, capsys):
         rc = main(["solve", instance_path("seasonal_poisson.json"),
                    "--grid-min", "-5", "--grid-max", "10"])

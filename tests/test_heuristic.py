@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochinv import (ModifiedSSPolicy, apply_modified_ss, extract_thresholds,
-                      modified_ss_from_tables)
+from conftest import instance_path
+from oracle import modified_ss_order
+from stochinv import (CexSearchParams, Grid, ModifiedSSPolicy, check_cop,
+                      extract_thresholds, load_instance, modified_ss_from_tables,
+                      random_instance, search_grid, solve)
 
 TOP_PAIRS = {
     35: ((46, 81), (64, 99), (61, 96), (28, 49)),
@@ -45,33 +49,95 @@ class TestFallbackOnViolation:
             assert policy.S[period - 1] == entry.pairs[-1][1]
 
 
+RULE_GRID = Grid(-200, 200)
+
+
+def rule_orders(s, S, B):
+    """One period's order row on RULE_GRID, keyed by state."""
+    row = ModifiedSSPolicy(s=(s,), S=(S,)).orders(RULE_GRID, B)[0]
+    return dict(zip(RULE_GRID.states.tolist(), row.tolist()))
+
+
 class TestApplyRule:
     def test_orders_at_the_reorder_point(self):
-        assert apply_modified_ss(5, 5, 20, 100) == 15
+        assert rule_orders(5, 20, 100)[5] == 15
 
     def test_idle_just_above(self):
-        assert apply_modified_ss(6, 5, 20, 100) == 0
+        assert rule_orders(5, 20, 100)[6] == 0
 
     def test_capacity_saturates(self):
-        assert apply_modified_ss(-30, 5, 20, 40) == 40
+        assert rule_orders(5, 20, 40)[-30] == 40
 
     def test_unbounded_capacity(self):
-        assert apply_modified_ss(-30, 5, 20, math.inf) == 50
+        assert rule_orders(5, 20, math.inf)[-30] == 50
 
     @given(
-        x=st.integers(-200, 200),
         s=st.integers(-50, 50),
         gap=st.integers(1, 80),
-        B=st.integers(1, 100),
+        B=st.one_of(st.integers(1, 100), st.just(math.inf)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bounds(self, x, s, gap, B):
+    def test_bounds(self, s, gap, B):
         S = s + gap
-        q = apply_modified_ss(x, s, S, B)
-        assert 0 <= q <= B
-        assert (q == 0) == (x > s)
-        if q:
-            assert x + q <= S
+        for x, q in rule_orders(s, S, B).items():
+            assert q == modified_ss_order(x, s, S, B)
+            assert 0 <= q <= B
+            assert (q == 0) == (x > s)
+            if q:
+                assert x + q <= S
+
+    def test_table_shape_and_type(self):
+        policy = ModifiedSSPolicy(s=(1, None, 3), S=(5, None, 9))
+        table = policy.orders(RULE_GRID, 4)
+        assert table.shape == (3, RULE_GRID.size)
+        assert table.dtype == np.int64
+        assert not table[1].any()
+
+
+def screened_tables():
+    """Solved tables of the four instance files and 200 search draws.
+
+    The draws are the first 199 of the search at seed 3 plus its index 886,
+    whose second period is the search's known order-property violation.
+    """
+    for name, grid in (("seasonal_poisson", Grid(-300, 600)),
+                       ("spiky_nonstationary", Grid(-1000, 1100)),
+                       ("lumpy_discounted", Grid(-200, 400)),
+                       ("volatile_poisson", Grid(-1200, 600))):
+        yield solve(load_instance(instance_path(name + ".json")), grid)
+    params = CexSearchParams(seed=3, budget=887)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+    for index in range(params.budget):
+        instance = random_instance(params, rng)
+        if index < 199 or index == 886:
+            yield solve(instance, search_grid(instance))
+
+
+class TestTopPairFromScreen:
+    """The heuristic's pair is extraction's top pair, or the top ordering run."""
+
+    @pytest.fixture(scope="class")
+    def all_tables(self):
+        return list(screened_tables())
+
+    @pytest.mark.parametrize("screen_grid_edge", [True, False])
+    def test_matches_extraction(self, all_tables, screen_grid_edge):
+        violations = 0
+        for tables in all_tables:
+            policy = modified_ss_from_tables(tables, screen_grid_edge)
+            for period in range(1, tables.instance.horizon + 1):
+                floor = tables.exact_from(period) if screen_grid_edge else None
+                report = check_cop(tables, period, floor)
+                pair = (policy.s[period - 1], policy.S[period - 1])
+                if report.holds:
+                    entry = extract_thresholds(tables, period, from_state=floor)
+                    assert pair == (entry.pairs[-1] if entry.pairs else (None, None))
+                    assert period not in policy.cop_violated
+                else:
+                    violations += 1
+                    assert pair[0] == report.ordering_set[-1][1]
+                    assert period in policy.cop_violated
+        assert violations >= 2
 
 
 class TestPolicyValidation:

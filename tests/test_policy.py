@@ -3,8 +3,11 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
+from oracle import threshold_pairs_by_run
 from stochinv import (CopViolated, Grid, Instance, MalformedTable, check_cop,
                       extract_thresholds, pmf_empirical, qce_diagnostics,
                       verify_kb_convexity)
@@ -35,7 +38,6 @@ class TestThresholdExtractionSeasonal:
         entry = extract_thresholds(seasonal_tables[B], period)
         assert entry.pairs == SEASONAL_PAIRS[(B, period)]
         assert entry.s_m == entry.pairs[-1][0]
-        assert entry.cop_holds
 
     def test_uncapacitated_always_single_pair(self, seasonal_tables):
         for period in range(1, 5):
@@ -229,4 +231,50 @@ class TestNeverOrdering:
         entry = extract_thresholds(solve(inst, Grid(-10, 10)), 1)
         assert entry.pairs == ()
         assert entry.s_m is None
-        assert entry.cop_holds
+
+
+def well_formed(pairs, cap):
+    """The band checks extract_thresholds applies to its pairs."""
+    rising = all(s_a < s_b and big_a < big_b
+                 for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]))
+    return rising and all(s_k < big_k and not s_k < big_k - cap
+                          for s_k, big_k in pairs)
+
+
+class TestBandsMatchRunByRunReference:
+    @given(
+        steps=st.lists(st.tuples(st.sampled_from(("same", "cap", "rise", "jump")),
+                                 st.integers(1, 8)),
+                       min_size=1, max_size=40),
+        cap=st.one_of(st.integers(1, 12), st.just(math.inf)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_ordering_intervals(self, steps, cap):
+        # every state from the bottom of the grid up orders: keep the
+        # current level, order the full capacity, raise the level within
+        # capacity, or order an arbitrary amount (often a malformed table)
+        grid = Grid(-40, 40)
+        q_row = [0] * grid.size
+        level = None
+        for i, (kind, jump) in enumerate(steps):
+            x = grid.x_min + i
+            if kind == "same" and level is not None and level - x >= 1:
+                q = level - x
+            elif kind == "cap" and cap != math.inf:
+                q = cap
+            elif kind == "rise" and level is not None:
+                q = min(max(level - x, 0) + jump, cap)
+            else:
+                q = jump
+            q_row[i] = q
+            level = x + q
+        xs = grid.states[:len(steps)].tolist()
+        want = threshold_pairs_by_run(xs, q_row[:len(steps)], cap, xs[-1])
+        try:
+            entry = extract_thresholds(fake_tables(q_row, cap, grid), 1)
+        except MalformedTable:
+            assert not well_formed(want, cap)
+            return
+        assert well_formed(want, cap)
+        assert entry.pairs == tuple(want)
+        assert entry.s_m == xs[-1]

@@ -288,6 +288,8 @@ class TestInstanceValidation:
     @pytest.mark.parametrize("field,value", [
         ("K", -1.0), ("v", -0.5), ("h", 0.0), ("p", -2.0),
         ("B", 0), ("B", 2.5), ("discount", 0.0), ("discount", 1.1),
+        ("horizon", 1.0), ("horizon", True), ("K", math.nan), ("v", math.inf),
+        ("h", math.nan), ("p", math.inf),
     ])
     def test_parameter_domains(self, field, value):
         kwargs = dict(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=5,

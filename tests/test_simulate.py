@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import seasonal_instance
-from stochinv import (Grid, Instance, SimulationConfig, SimulationError,
-                      apply_modified_ss, gap_with_estimates,
-                      modified_ss_from_tables, modified_ss_policy,
-                      optimality_gap, pmf_empirical, simulate_policy, solve,
-                      table_policy)
+from oracle import modified_ss_order
+from stochinv import (Grid, Instance, ModifiedSSPolicy, SimulationConfig,
+                      SimulationError, gap_with_estimates,
+                      modified_ss_from_tables, optimality_gap, pmf_empirical,
+                      simulate_policy, solve)
 
 
 def deterministic_instance(horizon=4):
@@ -28,7 +28,7 @@ class TestDeterministicDemand:
         instance = deterministic_instance()
         tables = solve(instance, Grid(-40, 60))
         config = SimulationConfig(base_seed=11)
-        est = simulate_policy(instance, table_policy(tables), 0, config)
+        est = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
         assert est.mean_cost == pytest.approx(tables.cost_at(1, 0), abs=1e-9)
         assert est.half_width == 0.0
         assert est.converged
@@ -54,7 +54,7 @@ class TestDeterministicDemand:
         for discount in (1.0, 0.5):
             instance = build(discount)
             tables = solve(instance, grid)
-            est = simulate_policy(instance, table_policy(tables), 0, config)
+            est = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
             assert est.mean_cost == pytest.approx(tables.cost_at(1, 0), abs=1e-9)
             results[discount] = est.mean_cost
         assert results[1.0] == pytest.approx(70.0)
@@ -68,8 +68,8 @@ class TestCommonRandomNumbers:
         config = SimulationConfig(
             base_seed=99, target_rel_error=5e-3, max_reps=200_000
         )
-        a = simulate_policy(instance, table_policy(tables), 0, config)
-        b = simulate_policy(instance, table_policy(tables), 0, config)
+        a = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
+        b = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
         assert a.mean_cost == b.mean_cost
         assert a.half_width == b.half_width
         assert a.reps == b.reps
@@ -79,10 +79,12 @@ class TestCommonRandomNumbers:
         tables = seasonal_tables[65]
         kwargs = dict(target_rel_error=5e-3, max_reps=200_000)
         a = simulate_policy(
-            instance, table_policy(tables), 0, SimulationConfig(base_seed=1, **kwargs)
+            instance, tables.grid, tables.Qstar, 0,
+            SimulationConfig(base_seed=1, **kwargs)
         )
         b = simulate_policy(
-            instance, table_policy(tables), 0, SimulationConfig(base_seed=2, **kwargs)
+            instance, tables.grid, tables.Qstar, 0,
+            SimulationConfig(base_seed=2, **kwargs)
         )
         assert a.mean_cost != b.mean_cost
 
@@ -130,36 +132,44 @@ class TestBudget:
         config = SimulationConfig(
             base_seed=5, target_rel_error=1e-9, min_reps=1000, max_reps=1000
         )
-        est = simulate_policy(instance, table_policy(tables), 0, config)
+        est = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
         assert not est.converged
         assert est.reps == 1000
 
 
+def assert_rule_on_grid(policy, grid, B):
+    """Every cell of the order table equals the closed-form rule."""
+    table = policy.orders(grid, B)
+    assert table.shape == (len(policy.s), grid.size)
+    for period, (s, big) in enumerate(zip(policy.s, policy.S), start=1):
+        want = [modified_ss_order(x, s, big, B) for x in grid.states.tolist()]
+        np.testing.assert_array_equal(table[period - 1], want)
+
+
 class TestPolicyFunctions:
     def test_modified_ss_policy_matches_scalar_rule(self, seasonal_tables):
-        policy = modified_ss_from_tables(seasonal_tables[65])
-        fn = modified_ss_policy(policy, 65)
-        xs = np.arange(-60, 130)
-        for period in range(1, 5):
-            got = fn(xs, period)
-            s, big = policy.s[period - 1], policy.S[period - 1]
-            want = np.array([apply_modified_ss(int(x), s, big, 65) for x in xs])
-            np.testing.assert_array_equal(got, want)
+        for B in (65, math.inf):
+            tables = seasonal_tables[B]
+            assert_rule_on_grid(modified_ss_from_tables(tables), tables.grid, B)
 
     def test_idle_period_orders_nothing(self):
-        from stochinv import ModifiedSSPolicy
-
         policy = ModifiedSSPolicy(s=(None,), S=(None,))
-        fn = modified_ss_policy(policy, 10)
-        np.testing.assert_array_equal(fn(np.arange(-5, 5), 1), np.zeros(10, int))
+        for B in (10, math.inf):
+            table = policy.orders(Grid(-5, 4), B)
+            np.testing.assert_array_equal(table, np.zeros((1, 10), int))
 
     def test_table_policy_clips_below_grid(self):
-        instance = deterministic_instance()
-        tables = solve(instance, Grid(-40, 60))
-        fn = table_policy(tables)
-        lo = fn(np.array([-40]), 1)
-        below = fn(np.array([-1000]), 1)
-        np.testing.assert_array_equal(below, lo)
+        # one deterministic period: order 7 at the lowest state, 3 at the
+        # highest, so the cost shows which column an off-grid state read
+        instance = deterministic_instance(horizon=1)
+        grid = Grid(-40, 60)
+        orders = np.zeros((1, grid.size), dtype=np.int64)
+        orders[0, 0], orders[0, -1] = 7, 3
+        config = SimulationConfig(base_seed=11)
+        below = simulate_policy(instance, grid, orders, -1000, config)
+        assert below.mean_cost == 30.0 + 7 + 9.0 * (1000 - 7 + 5)
+        above = simulate_policy(instance, grid, orders, 1000, config)
+        assert above.mean_cost == 30.0 + 3 + 1.0 * (1000 + 3 - 5)
 
 
 class TestConfigValidation:
@@ -182,10 +192,11 @@ class TestConfigValidation:
             SimulationConfig(base_seed=0, min_reps=2000, max_reps=1999)
 
     def test_unbounded_capacity_policy(self):
-        from stochinv import ModifiedSSPolicy
-
         policy = ModifiedSSPolicy(s=(3,), S=(20,))
-        fn = modified_ss_policy(policy, math.inf)
+        grid = Grid(-40, 40)
+        table = policy.orders(grid, math.inf)
         np.testing.assert_array_equal(
-            fn(np.array([-30, 3, 4]), 1), np.array([50, 17, 0])
+            table[0, [grid.index(-30), grid.index(3), grid.index(4)]],
+            np.array([50, 17, 0])
         )
+        assert_rule_on_grid(policy, grid, math.inf)

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from stochinv import (BenchmarkReport, Grid, PointResult, SimulationConfig,
-                      build_design, demand_patterns, run_benchmark)
+from stochinv import (BenchmarkReport, DesignPoint, Grid, PointResult,
+                      SimulationConfig, build_design, demand_patterns,
+                      run_benchmark)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -135,3 +136,18 @@ class TestSmallBenchmarkRun:
                              "heuristic after 1000 reps")
         dim, level, avg, top, thr, count = report.pivot_rows()[-1]
         assert (dim, count) == ("Overall", 0)
+
+    def test_order_property_violation_is_recorded(self, spiky_instance):
+        # the spiky fixture's first period orders, stops and orders again;
+        # the bed flags it, counts bands only in the other periods, and
+        # still prices the heuristic
+        inst = spiky_instance
+        point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
+                            None, inst)
+        config = SimulationConfig(base_seed=3, target_rel_error=5e-3)
+        (result,) = run_benchmark([point], config,
+                                  grid=Grid(-1000, 1100)).results
+        assert result.cop_violations == (1,)
+        assert result.max_thresholds == 2
+        assert result.error is None
+        assert math.isfinite(result.gap)
