@@ -2,8 +2,9 @@
 
 Backward dynamic programming over a discrete inventory grid, threshold
 policy extraction, order-property and convexity diagnostics, a modified
-(s, S) heuristic, common-random-number policy simulation, randomized
-search for order-property violations, and a benchmark test bed.
+(s, S) heuristic, exact policy evaluation with a common-random-number
+simulation cross-check, randomized search for order-property
+violations, and a benchmark test bed.
 """
 
 from .cex import (CexSearchParams, Violation, random_instance, search_cop_violations,
@@ -18,7 +19,8 @@ from .policy import (CopReport, CopViolated, KBReport, MalformedTable,
 from .sdp import (DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables,
                   single_period_cost, solve)
 from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
-                       gap_with_estimates, optimality_gap, simulate_policy)
+                       expected_cost, gap_with_estimates, optimality_gap,
+                       simulate_policy)
 from .testbed import (BenchmarkReport, DesignPoint, PointResult, build_design,
                       demand_patterns, run_benchmark)
 
@@ -50,6 +52,7 @@ __all__ = [
     "check_cop",
     "demand_patterns",
     "dump_instance",
+    "expected_cost",
     "extract_thresholds",
     "gap_with_estimates",
     "load_instance",

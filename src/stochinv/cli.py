@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--threads", type=int, default=1,
                          help="worker threads for instance evaluation")
     _add_grid_flags(p_bench)
-    _add_sim_flags(p_bench)
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser
@@ -199,10 +198,8 @@ def cmd_search_cex(args) -> int:
 
 def cmd_benchmark(args) -> int:
     design = build_design((args.family,), scale=args.scale)
-    config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
-                              target_rel_error=args.rel_error)
     grid = Grid(args.grid_min, args.grid_max)
-    report = run_benchmark(design, config, grid=grid, threads=args.threads)
+    report = run_benchmark(design, grid=grid, threads=args.threads)
 
     out = args.out if args.out is not None else f"benchmark_{args.family}.csv"
     report.to_csv(out)

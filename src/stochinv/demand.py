@@ -8,6 +8,7 @@ negligible mass, then renormalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,18 +137,19 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
                    tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPMF:
     """Build a PMF for one of the supported parametric families.
 
-    cv (coefficient of variation) is required for normal, lognormal and
-    gamma, and must be omitted for the discrete families.
+    mean must be positive and finite. cv (coefficient of variation) is
+    required for normal, lognormal and gamma, where it must be positive and
+    finite, and must be omitted for the discrete families.
     """
     if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not mean > 0:
-        raise ValueError("mean must be positive")
+    if not (mean > 0 and math.isfinite(mean)):
+        raise ValueError("mean must be positive and finite")
     if not 0 < tail_eps < 0.01:
         raise ValueError("tail_eps must be in (0, 0.01)")
     if family in _CV_FAMILIES:
-        if cv is None or not cv > 0:
-            raise ValueError(f"{family} requires cv > 0")
+        if cv is None or not (cv > 0 and math.isfinite(cv)):
+            raise ValueError(f"{family} requires cv > 0 and finite")
     elif cv is not None:
         raise ValueError(f"cv is not a parameter of the {family} family")
 

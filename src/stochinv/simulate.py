@@ -1,11 +1,18 @@
-"""Monte Carlo policy evaluation under common random numbers.
+"""Policy evaluation: exact by a forward pass, or by Monte Carlo under CRN.
 
 A policy is an order table on the inventory grid, shaped like
 ValueTables.Qstar: the optimal policy is tables.Qstar itself and the
-modified (s, S) heuristic is ModifiedSSPolicy.orders. Every replication's
-demands come from a counter-based stream keyed by the base seed and the
-replication index alone, so any two policies simulated with the same
-config consume identical demand realizations. Sample size grows until a
+modified (s, S) heuristic is ModifiedSSPolicy.orders.
+
+expected_cost prices a policy exactly. It carries the distribution of
+the inventory forward one period at a time and adds up each period's
+expected ordering, holding and shortage cost; optimality_gap uses it.
+
+simulate_policy estimates the same expectation by replication and serves
+as the independent cross-check. Every replication's demands come from a
+counter-based stream keyed by the base seed and the replication index
+alone, so any two policies simulated with the same config consume
+identical demand realizations. Sample size grows until a
 normal-approximation confidence interval meets a relative error target.
 """
 
@@ -19,13 +26,13 @@ import numpy as np
 from scipy import stats
 
 from .heuristic import ModifiedSSPolicy
-from .sdp import Grid, Instance, ValueTables
+from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
 
 _CHUNK = 10_000   # replications per stream block, and the CI check cadence
 
 
 class SimulationError(RuntimeError):
-    """Simulated optimal cost is inconsistent with the solved value table."""
+    """The optimal policy's simulated or exact cost disagrees with the solved value."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,45 @@ def simulate_policy(instance: Instance, grid: Grid, orders: np.ndarray,
             return SimulationEstimate(mean, half, reps, False)
 
 
+def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
+                  x0: int) -> float:
+    """Exact expected total discounted cost of an order table from x0.
+
+    The pre-order inventory's distribution starts as all mass at x0. Each
+    period reads the orders with the same clipped lookup as
+    simulate_policy, adds the expected ordering cost, moves the mass to the
+    post-order levels, adds the expected holding and shortage cost there
+    (the solver's closed form) and convolves with the demand PMF to get
+    the next period's distribution. States are never clamped, so this is
+    exactly the expectation that simulate_policy estimates. The work is
+    the sum over periods of the distribution's width times the demand
+    support.
+    """
+    lo = x0                  # lowest state of the distribution
+    dist = np.ones(1)        # dist[i] = P(x = lo + i)
+    total = 0.0
+    factor = 1.0
+    for period in range(1, instance.horizon + 1):
+        pmf = instance.demands[period - 1]
+        xs = np.arange(lo, lo + dist.size)
+        q = orders[period - 1].take(xs - grid.x_min, mode="clip")
+        ordering = q > 0
+        cost = dist[ordering] @ (instance.K + instance.v * q[ordering])
+        ys = xs + q
+        y_lo = int(ys.min())
+        dist_y = np.bincount(ys - y_lo, weights=dist)
+        levels = np.arange(y_lo, y_lo + dist_y.size, dtype=np.float64)
+        cost += dist_y @ _loss_row(levels, pmf, instance.h, instance.p)
+        total += factor * cost
+        factor *= instance.discount
+        # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
+        dense = np.zeros(pmf.max_value + 1)
+        dense[pmf.support_arr] = pmf.probs_arr
+        dist = np.convolve(dist_y, dense[::-1])
+        lo = y_lo - pmf.max_value
+    return float(total)
+
+
 def gap_with_estimates(instance: Instance, tables: ValueTables,
                        heuristic: ModifiedSSPolicy, x0: int,
                        config: SimulationConfig,
@@ -142,7 +188,21 @@ def gap_with_estimates(instance: Instance, tables: ValueTables,
 
 
 def optimality_gap(instance: Instance, tables: ValueTables,
-                   heuristic: ModifiedSSPolicy, x0: int,
-                   config: SimulationConfig) -> float:
-    """Percent cost excess of the heuristic over the optimal table policy."""
-    return gap_with_estimates(instance, tables, heuristic, x0, config)[0]
+                   heuristic: ModifiedSSPolicy, x0: int) -> float:
+    """Exact percent cost excess of the heuristic over the optimal table policy.
+
+    Both policies are priced by expected_cost. The optimal table's cost
+    must equal the solved value at (first period, x0) within the solver's
+    tie tolerance once per period plus the same tolerance relative to the
+    value; otherwise the tables do not belong to the instance, or the grid
+    edge reaches x0, and SimulationError is raised.
+    """
+    grid = tables.grid
+    opt = expected_cost(instance, grid, tables.Qstar, x0)
+    dp_value = tables.cost_at(1, x0)
+    if abs(opt - dp_value) > _TIE_TOL * (instance.horizon + abs(dp_value)):
+        raise SimulationError(
+            f"exact optimal cost {opt!r} differs from the solved value "
+            f"{dp_value!r}")
+    heur = expected_cost(instance, grid, heuristic.orders(grid, instance.B), x0)
+    return 100.0 * (heur - opt) / opt

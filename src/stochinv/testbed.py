@@ -4,7 +4,10 @@ Ten 20-period demand patterns crossed with fixed-cost, unit-cost, penalty
 and capacity-multiplier levels (plus coefficient-of-variation levels for
 the continuous families) yield 810 instances per discrete family and 2430
 per continuous family. A scale parameter subsamples the design
-deterministically while keeping every pivot row populated.
+deterministically while keeping every pivot row populated. Each point is
+solved, its threshold bands and order-property violations are read off
+the tables, and the modified (s, S) heuristic is priced exactly against
+the optimum, so a report does not depend on any seed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .heuristic import modified_ss_from_tables
 from .policy import extract_thresholds
 from .sdp import DEFAULT_GRID, Grid, Instance, solve
-from .simulate import SimulationConfig, gap_with_estimates
+from .simulate import SimulationConfig, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
 V_LEVELS = (2, 5, 10)
@@ -193,8 +196,7 @@ class BenchmarkReport:
                 writer.writerow([dim, level, f"{avg:.3f}", f"{top:.3f}", thr, count])
 
 
-def _evaluate_point(point: DesignPoint, config: SimulationConfig,
-                    grid: Grid) -> PointResult:
+def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     try:
         tables = solve(point.instance, grid)
         heuristic = modified_ss_from_tables(tables)
@@ -205,29 +207,24 @@ def _evaluate_point(point: DesignPoint, config: SimulationConfig,
                 entry = extract_thresholds(tables, period,
                                            from_state=tables.exact_from(period))
                 max_thr = max(max_thr, len(entry.pairs))
-        gap, opt, heur = gap_with_estimates(point.instance, tables, heuristic,
-                                            0, config)
-        # an unconverged gap is reported as an error, so the pivot skips it
-        unconverged = [f"{label} after {est.reps} reps"
-                       for label, est in (("optimal", opt), ("heuristic", heur))
-                       if not est.converged]
-        error = "unconverged: " + ", ".join(unconverged) if unconverged else None
-        return PointResult(point, gap, max_thr, violated, error)
+        gap = optimality_gap(point.instance, tables, heuristic, 0)
+        return PointResult(point, gap, max_thr, violated, None)
     except Exception as exc:   # per-point failures are data, not crashes
         return PointResult(point, float("nan"), 0, (), f"{type(exc).__name__}: {exc}")
 
 
-def run_benchmark(design, config: SimulationConfig, grid: Grid = DEFAULT_GRID,
-                  threads: int = 1) -> BenchmarkReport:
-    """Solve, analyze, and simulate every design point; aggregate a pivot.
+def run_benchmark(design, config: SimulationConfig | None = None,
+                  grid: Grid = DEFAULT_GRID, threads: int = 1) -> BenchmarkReport:
+    """Solve, analyze, and price every design point; aggregate a pivot.
 
-    Results keep design order regardless of thread count, so reports are
-    reproducible for a given config.
+    Gaps are exact (optimality_gap), so config is no longer read. It stays
+    the second parameter because perfbench/workloads.py passes it
+    positionally; dropping it waits for the next change to the benchmark.
+    Results keep design order regardless of thread count.
     """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda pt: _evaluate_point(pt, config, grid), design))
+            results = list(pool.map(lambda pt: _evaluate_point(pt, grid), design))
     else:
-        results = [_evaluate_point(pt, config, grid) for pt in design]
+        results = [_evaluate_point(pt, grid) for pt in design]
     return BenchmarkReport(tuple(results))

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from stochinv import Grid, Instance, load_instance, pmf_parametric, solve
+from stochinv import (Grid, Instance, load_instance, pmf_empirical,
+                      pmf_parametric, solve)
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
@@ -17,6 +18,28 @@ def seasonal_instance(B):
     rates = (20.0, 40.0, 60.0, 40.0)
     return Instance(horizon=4, K=100.0, v=0.0, h=1.0, p=10.0, B=B,
                     demands=tuple(pmf_parametric("poisson", r) for r in rates))
+
+
+def small_random_instance(rng):
+    """1-3 periods, capacity 1-10, demands of 1-4 points on 0..10.
+
+    Small enough for the brute-force recursions in oracle.py on
+    Grid(-40, 60).
+    """
+    horizon = int(rng.integers(1, 4))
+    cap = int(rng.integers(1, 11))
+    demands = []
+    for _ in range(horizon):
+        size = int(rng.integers(1, 5))
+        values = rng.choice(11, size=size, replace=False)
+        masses = rng.random(size)
+        demands.append(pmf_empirical(values, masses / masses.sum()))
+    return Instance(
+        horizon=horizon, K=float(rng.uniform(0, 30)),
+        v=float(rng.choice([0.0, rng.uniform(0, 3)])),
+        h=float(rng.uniform(0.1, 2)), p=float(rng.uniform(0.1, 12)),
+        B=cap, demands=tuple(demands),
+        discount=float(rng.choice([1.0, 0.9])))
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,30 @@ def brute_cost_to_go(instance, q_cap=None):
     return lambda period, x: cost(period - 1, x)
 
 
+def brute_policy_cost(instance, order):
+    """Expected cost-to-go of a fixed order rule as a plain recursion.
+
+    order(period, x) is the order quantity at inventory x in a 1-based
+    period. Returns callable (period, x) -> expected total discounted cost
+    from that period on, period 1-based, states unbounded.
+    """
+    demands = [tuple(zip(d.support, d.probs)) for d in instance.demands]
+
+    @lru_cache(maxsize=None)
+    def cost(t, x):
+        if t == instance.horizon:
+            return 0.0
+        q = order(t + 1, x)
+        y = x + q
+        total = (instance.K if q > 0 else 0.0) + instance.v * q
+        for d, pr in demands[t]:
+            total += pr * (instance.h * max(y - d, 0) + instance.p * max(d - y, 0))
+            total += pr * instance.discount * cost(t + 1, y - d)
+        return total
+
+    return lambda period, x: cost(period - 1, x)
+
+
 def brute_single_period_loss(y, support, probs, h, p):
     """Expected one-period holding/shortage cost, written the naive way."""
     return sum(pr * (h * max(y - d, 0) + p * max(d - y, 0))

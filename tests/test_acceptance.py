@@ -3,7 +3,7 @@
 Each test here pins one headline behavior of the package at its stated
 tolerance: threshold tables for the seasonal fixture at four capacities,
 the order/stop/order action table of the spiky fixture, discounted band
-structure, heuristic optimality gaps, envelope diagnostics, a property
+structure, exact heuristic optimality gaps, envelope diagnostics, a property
 suite (oracle agreement, convexity checks, policy reconstruction,
 single-period monotonicity, uncapacitated band collapse, simulation
 reproducibility), a subsampled benchmark bed, and replay of the random
@@ -17,12 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import seasonal_instance
+from conftest import seasonal_instance, small_random_instance
 from oracle import brute_cost_to_go
 from stochinv import (CexSearchParams, Grid, Instance, SimulationConfig,
                       build_design, check_cop, extract_thresholds,
                       gap_with_estimates, modified_ss_from_tables,
-                      optimality_gap, pmf_empirical, qce_diagnostics,
+                      optimality_gap, qce_diagnostics,
                       random_instance, run_benchmark, search_cop_violations,
                       search_grid, serialize_instance, solve,
                       v_monotonicity_report, verify_kb_convexity)
@@ -81,9 +81,7 @@ def test_discounted_order_quantities_and_bands(lumpy_tables):
 def test_heuristic_gap_estimates(seasonal_tables, B, target):
     instance = seasonal_instance(B)
     tables = seasonal_tables[B]
-    config = SimulationConfig(base_seed=SEED, target_rel_error=1e-4)
-    gap = optimality_gap(instance, tables, modified_ss_from_tables(tables),
-                         0, config)
+    gap = optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
     assert gap == pytest.approx(target, abs=0.05)
 
 
@@ -103,20 +101,8 @@ class TestPropertySuite:
         rng = np.random.default_rng(SEED)
         grid = Grid(-40, 60)
         for _ in range(50):
-            horizon = int(rng.integers(1, 4))
-            cap = int(rng.integers(1, 11))
-            demands = []
-            for _ in range(horizon):
-                size = int(rng.integers(1, 5))
-                values = rng.choice(11, size=size, replace=False)
-                masses = rng.random(size)
-                demands.append(pmf_empirical(values, masses / masses.sum()))
-            instance = Instance(
-                horizon=horizon, K=float(rng.uniform(0, 30)),
-                v=float(rng.choice([0.0, rng.uniform(0, 3)])),
-                h=float(rng.uniform(0.1, 2)), p=float(rng.uniform(0.1, 12)),
-                B=cap, demands=tuple(demands),
-                discount=float(rng.choice([1.0, 0.9])))
+            instance = small_random_instance(rng)
+            horizon, cap = instance.horizon, instance.B
             tables = solve(instance, grid)
             brute = brute_cost_to_go(instance)
             for period in range(1, horizon + 1):
@@ -199,9 +185,8 @@ class TestPropertySuite:
 
 def test_benchmark_bed_poisson_subsample():
     design = build_design(("poisson",), scale=0.05)
-    config = SimulationConfig(base_seed=SEED, target_rel_error=2e-4)
     start = time.perf_counter()
-    report = run_benchmark(design, config, threads=2)
+    report = run_benchmark(design, threads=2)
     elapsed = time.perf_counter() - start
     assert elapsed < 3600.0
     assert report.errors == []

@@ -185,6 +185,24 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "normal", "mean": 5, "cv": math.inf},
+        {"family": "normal", "mean": math.inf, "cv": 0.2},
+        {"family": "poisson", "mean": math.inf},
+        {"family": "discrete_uniform", "mean": math.inf},
+    ], ids=["normal-cv", "normal-mean", "poisson-mean", "uniform-mean"])
+    def test_non_finite_demand_parameter_is_a_usage_error(self, tmp_path,
+                                                          capsys, spec):
+        doc = {"horizon": 1, "K": 10.0, "v": 0.0, "h": 1.0, "p": 5.0,
+               "B": 10, "demands": [spec]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["solve", str(bad), "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: demands[0]: ") and "finite" in err
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_grid_too_narrow(self, capsys):
         rc = main(["solve", instance_path("seasonal_poisson.json"),
                    "--grid-min", "-5", "--grid-max", "10"])
@@ -244,4 +262,21 @@ class TestBenchmarkCommand:
     def test_rejects_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "--family", "weibull"])
+        assert excinfo.value.code == 2
+
+    def test_reruns_are_byte_identical(self, tmp_path, capsys):
+        pivots = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{tag}.csv"
+            rc = main(["benchmark", "--family", "poisson", "--scale", "0.001",
+                       "--out", str(out)])
+            assert rc == 0
+            pivots.append(out.read_bytes())
+        assert pivots[0] == pivots[1]
+        assert "0 error(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--seed", "--confidence", "--rel-error"])
+    def test_simulation_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["benchmark", "--family", "poisson", flag, "1"])
         assert excinfo.value.code == 2

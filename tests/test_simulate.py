@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import seasonal_instance
-from oracle import modified_ss_order
+from conftest import seasonal_instance, small_random_instance
+from oracle import brute_policy_cost, modified_ss_order
 from stochinv import (Grid, Instance, ModifiedSSPolicy, SimulationConfig,
-                      SimulationError, gap_with_estimates,
+                      SimulationError, expected_cost, gap_with_estimates,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
                       simulate_policy, solve)
 
@@ -57,6 +57,8 @@ class TestDeterministicDemand:
             est = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
             assert est.mean_cost == pytest.approx(tables.cost_at(1, 0), abs=1e-9)
             results[discount] = est.mean_cost
+            exact = expected_cost(instance, grid, tables.Qstar, 0)
+            assert exact == {1.0: 70.0, 0.5: 52.5}[discount]
         assert results[1.0] == pytest.approx(70.0)
         assert results[0.5] == pytest.approx(52.5)
 
@@ -93,8 +95,7 @@ class TestOptimalityGap:
     def test_seasonal_gap_is_small_and_nonnegative(self, seasonal_tables):
         instance = seasonal_instance(65)
         tables = seasonal_tables[65]
-        config = SimulationConfig(base_seed=7, target_rel_error=1e-3)
-        gap = optimality_gap(instance, tables, modified_ss_from_tables(tables), 0, config)
+        gap = optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
         assert -0.05 < gap < 5.0
 
     def test_gap_with_estimates_agrees(self, seasonal_tables):
@@ -103,10 +104,17 @@ class TestOptimalityGap:
         config = SimulationConfig(base_seed=7, target_rel_error=1e-3)
         heuristic = modified_ss_from_tables(tables)
         gap, opt, heur = gap_with_estimates(instance, tables, heuristic, 0, config)
-        assert gap == optimality_gap(instance, tables, heuristic, 0, config)
         assert gap == pytest.approx(
             100.0 * (heur.mean_cost - opt.mean_cost) / opt.mean_cost
         )
+        # each true cost lies within three half-widths of its estimate, so
+        # the exact gap lies between the extreme ratios of those intervals
+        h_lo = heur.mean_cost - 3.0 * heur.half_width
+        h_hi = heur.mean_cost + 3.0 * heur.half_width
+        o_lo = opt.mean_cost - 3.0 * opt.half_width
+        o_hi = opt.mean_cost + 3.0 * opt.half_width
+        exact = optimality_gap(instance, tables, heuristic, 0)
+        assert 100.0 * (h_lo / o_hi - 1.0) <= exact <= 100.0 * (h_hi / o_lo - 1.0)
 
     def test_mismatched_tables_are_rejected(self, seasonal_tables):
         instance = seasonal_instance(65)
@@ -120,9 +128,51 @@ class TestOptimalityGap:
             demands=instance.demands,
         )
         tables = solve(wrong, Grid(-300, 600))
+        with pytest.raises(SimulationError):
+            optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
         config = SimulationConfig(base_seed=7, target_rel_error=1e-3)
         with pytest.raises(SimulationError):
-            optimality_gap(instance, tables, modified_ss_from_tables(tables), 0, config)
+            gap_with_estimates(instance, tables, modified_ss_from_tables(tables),
+                               0, config)
+
+
+class TestExpectedCost:
+    def test_matches_oracle_and_value_table(self):
+        rng = np.random.default_rng(20210819)
+        grid = Grid(-40, 60)
+        for _ in range(50):
+            instance = small_random_instance(rng)
+            horizon, cap = instance.horizon, instance.B
+            tables = solve(instance, grid)
+            heuristic = modified_ss_from_tables(tables).orders(grid, cap)
+
+            def table_rule(period, x, table=tables.Qstar):
+                return int(table[period - 1, min(max(x, grid.x_min), grid.x_max)
+                                 - grid.x_min])
+
+            brute = brute_policy_cost(instance, table_rule)
+            for x in range(tables.exact_from(1), grid.x_max - cap * horizon + 1):
+                exact = expected_cost(instance, grid, tables.Qstar, x)
+                assert exact == pytest.approx(brute(1, x), abs=1e-9)
+                assert exact == pytest.approx(tables.cost_at(1, x), abs=1e-9)
+                assert expected_cost(instance, grid, heuristic, x) >= \
+                    tables.cost_at(1, x) - 1e-9
+
+    @pytest.mark.parametrize("case", ["seasonal", "lumpy"])
+    def test_simulation_brackets_exact_cost(self, case, seasonal_tables,
+                                           lumpy_instance, lumpy_tables):
+        if case == "seasonal":
+            instance, tables = seasonal_instance(65), seasonal_tables[65]
+        else:
+            instance, tables = lumpy_instance, lumpy_tables
+        config = SimulationConfig(base_seed=7, target_rel_error=1e-3)
+        grid = tables.grid
+        heuristic = modified_ss_from_tables(tables).orders(grid, instance.B)
+        for orders in (tables.Qstar, heuristic):
+            est = simulate_policy(instance, grid, orders, 0, config)
+            assert est.converged
+            exact = expected_cost(instance, grid, orders, 0)
+            assert abs(est.mean_cost - exact) <= 3.0 * est.half_width
 
 
 class TestBudget:
@@ -170,6 +220,8 @@ class TestPolicyFunctions:
         assert below.mean_cost == 30.0 + 7 + 9.0 * (1000 - 7 + 5)
         above = simulate_policy(instance, grid, orders, 1000, config)
         assert above.mean_cost == 30.0 + 3 + 1.0 * (1000 + 3 - 5)
+        assert expected_cost(instance, grid, orders, -1000) == below.mean_cost
+        assert expected_cost(instance, grid, orders, 1000) == above.mean_cost
 
 
 class TestConfigValidation:

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from stochinv import (BenchmarkReport, DesignPoint, Grid, PointResult,
-                      SimulationConfig, build_design, demand_patterns,
-                      run_benchmark)
+                      build_design, demand_patterns, run_benchmark)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -109,9 +108,7 @@ def two_points():
 class TestSmallBenchmarkRun:
 
     def test_runs_clean_and_in_order(self, two_points):
-        config = SimulationConfig(base_seed=3, target_rel_error=5e-3)
-        report = run_benchmark(two_points, config, grid=Grid(-2000, 2500),
-                               threads=2)
+        report = run_benchmark(two_points, grid=Grid(-2000, 2500), threads=2)
         assert [r.point.key for r in report.results] == [pt.key for pt in two_points]
         assert report.errors == []
         assert report.cop_violations == []
@@ -120,22 +117,10 @@ class TestSmallBenchmarkRun:
             assert 1 <= result.max_thresholds <= 5
 
     def test_thread_count_does_not_change_results(self, two_points):
-        config = SimulationConfig(base_seed=3, target_rel_error=5e-3)
         grid = Grid(-2000, 2500)
-        serial = run_benchmark(two_points, config, grid=grid, threads=1)
-        threaded = run_benchmark(two_points, config, grid=grid, threads=2)
+        serial = run_benchmark(two_points, grid=grid, threads=1)
+        threaded = run_benchmark(two_points, grid=grid, threads=2)
         assert [r.gap for r in serial.results] == [r.gap for r in threaded.results]
-
-    def test_unconverged_gap_is_an_error(self, two_points):
-        config = SimulationConfig(base_seed=3, target_rel_error=1e-9,
-                                  max_reps=1000)
-        report = run_benchmark(two_points, config, grid=Grid(-2000, 2500))
-        assert [key for key, _ in report.errors] == [pt.key for pt in two_points]
-        for _, error in report.errors:
-            assert error == ("unconverged: optimal after 1000 reps, "
-                             "heuristic after 1000 reps")
-        dim, level, avg, top, thr, count = report.pivot_rows()[-1]
-        assert (dim, count) == ("Overall", 0)
 
     def test_order_property_violation_is_recorded(self, spiky_instance):
         # the spiky fixture's first period orders, stops and orders again;
@@ -144,9 +129,7 @@ class TestSmallBenchmarkRun:
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        config = SimulationConfig(base_seed=3, target_rel_error=5e-3)
-        (result,) = run_benchmark([point], config,
-                                  grid=Grid(-1000, 1100)).results
+        (result,) = run_benchmark([point], grid=Grid(-1000, 1100)).results
         assert result.cop_violations == (1,)
         assert result.max_thresholds == 2
         assert result.error is None
