@@ -232,6 +232,12 @@ def main(argv=None) -> int:
     except (GridSpanError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # instance files are read through load_instance, which reports its
+        # own OSError as an InstanceFormatError, so this is an output file
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,13 @@ import numpy as np
 from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
+# states per write in ValueTables.to_csv: enough to amortise the per-block
+# calls, few enough that one block's text stays small in memory
+_CSV_BLOCK = 4096
+
+
+def _is_integral(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class GridSpanError(ValueError):
@@ -67,6 +74,8 @@ class Grid:
     x_max: int
 
     def __post_init__(self):
+        if not (_is_integral(self.x_min) and _is_integral(self.x_max)):
+            raise ValueError("grid bounds must be integers")
         if not self.x_min < 0 < self.x_max:
             raise ValueError("grid must satisfy x_min < 0 < x_max")
 
@@ -79,6 +88,8 @@ class Grid:
         return np.arange(self.x_min, self.x_max + 1)
 
     def index(self, x: int) -> int:
+        if not _is_integral(x):
+            raise ValueError(f"state {x!r} is not an integer")
         if not self.x_min <= x <= self.x_max:
             raise ValueError(f"state {x} off the grid [{self.x_min}, {self.x_max}]")
         return int(x) - self.x_min
@@ -114,6 +125,18 @@ class ValueTables:
         r = self.row(period)
         return self.grid.x_min + sum(d.max_value for d in self.instance.demands[r:-1])
 
+    def exact_to(self, period: int) -> int:
+        """Highest state whose values are unaffected by the upper grid edge.
+
+        From here no order in this or any later period can reach past the
+        top of the grid, so no capacity window is cut short. With B = inf
+        no finite window bounds the lookahead, so there is no such state.
+        """
+        if self.instance.B == math.inf:
+            raise ValueError("exact_to needs a finite capacity B")
+        remaining = self.instance.horizon - self.row(period)
+        return self.grid.x_max - int(self.instance.B) * remaining
+
     def qstar_at(self, period: int, x: int) -> int:
         return int(self.Qstar[self.row(period), self.grid.index(x)])
 
@@ -121,15 +144,29 @@ class ValueTables:
         return float(self.C[self.row(period), self.grid.index(x)])
 
     def to_csv(self, path) -> None:
-        """One row per (period, state): period, x, C, G, Qstar."""
+        """One row per (period, state): period, x, C, G, Qstar.
+
+        Floats are written with repr, so float() of a field gives back the
+        table entry bit for bit. Rows are built and written a block of
+        states at a time; a C entry bitwise equal to its G entry reuses G's
+        text (bits, not ==, so 0.0 and -0.0 keep their own text).
+        """
         xs = self.grid.states
         with open(path, "w") as fh:
             fh.write("period,x,C,G,Qstar\n")
             for t in range(self.instance.horizon):
-                c_row, g_row, q_row = self.C[t], self.G[t], self.Qstar[t]
-                for i in range(xs.size):
-                    fh.write(f"{t + 1},{xs[i]},{float(c_row[i])!r},"
-                             f"{float(g_row[i])!r},{q_row[i]}\n")
+                row = f"{t + 1},{{}},{{}},{{}},{{}}\n".format
+                for lo in range(0, xs.size, _CSV_BLOCK):
+                    block = slice(lo, lo + _CSV_BLOCK)
+                    c, g = self.C[t, block], self.G[t, block]
+                    g_txt = np.array(list(map(float.__repr__, g.tolist())),
+                                     dtype=object)
+                    c_txt = g_txt.copy()
+                    differ = c.view(np.int64) != g.view(np.int64)
+                    c_txt[differ] = list(map(float.__repr__, c[differ].tolist()))
+                    fh.write("".join(map(row, xs[block].tolist(), c_txt.tolist(),
+                                         g_txt.tolist(),
+                                         self.Qstar[t, block].tolist())))
 
 
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:

@@ -122,3 +122,18 @@ def threshold_pairs_by_run(xs, q, cap, s_m):
             pairs.append((xs[stop - 1], xs[start] + q[start]))
         start = stop
     return pairs
+
+
+def rowwise_tables_csv(tables, path):
+    """ValueTables.to_csv as one formatted write per (period, state).
+
+    The reference the block writer must match byte for byte.
+    """
+    xs = tables.grid.states
+    with open(path, "w") as fh:
+        fh.write("period,x,C,G,Qstar\n")
+        for t in range(tables.instance.horizon):
+            c_row, g_row, q_row = tables.C[t], tables.G[t], tables.Qstar[t]
+            for i in range(xs.size):
+                fh.write(f"{t + 1},{xs[i]},{float(c_row[i])!r},"
+                         f"{float(g_row[i])!r},{q_row[i]}\n")

@@ -102,12 +102,11 @@ class TestPropertySuite:
         grid = Grid(-40, 60)
         for _ in range(50):
             instance = small_random_instance(rng)
-            horizon, cap = instance.horizon, instance.B
             tables = solve(instance, grid)
             brute = brute_cost_to_go(instance)
-            for period in range(1, horizon + 1):
+            for period in range(1, instance.horizon + 1):
                 lo = tables.exact_from(period)
-                hi = grid.x_max - cap * (horizon - period + 1)
+                hi = tables.exact_to(period)
                 for x in range(lo, hi + 1):
                     assert tables.cost_at(period, x) == pytest.approx(
                         brute(period, x), abs=1e-9)

@@ -203,6 +203,15 @@ class TestSolveCommand:
         assert err.startswith("error: demands[0]: ") and "finite" in err
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "seasonal"
+        rc = main(["solve", instance_path("seasonal_poisson.json"),
+                   "--grid-min", "-300", "--grid-max", "600", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out}_tables.csv: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_too_narrow(self, capsys):
         rc = main(["solve", instance_path("seasonal_poisson.json"),
                    "--grid-min", "-5", "--grid-max", "10"])
@@ -274,6 +283,14 @@ class TestBenchmarkCommand:
             pivots.append(out.read_bytes())
         assert pivots[0] == pivots[1]
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "pivot.csv"
+        rc = main(["benchmark", "--family", "poisson", "--scale", "0.001",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out}: ")
 
     @pytest.mark.parametrize("flag", ["--seed", "--confidence", "--rel-error"])
     def test_simulation_flags_are_gone(self, capsys, flag):

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ from pytest import approx
 
 from conftest import instance_path
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
-                      Instance, load_instance, pmf_empirical, pmf_parametric,
-                      random_instance, sdp, search_grid, single_period_cost,
-                      solve)
+                      Instance, ValueTables, load_instance, pmf_empirical,
+                      pmf_parametric, random_instance, sdp, search_grid,
+                      single_period_cost, solve)
 
 from oracle import (brute_cost_to_go, brute_single_period_loss,
-                    brute_window_min)
+                    brute_window_min, rowwise_tables_csv)
 
 
 class TestExpectedHoldingShortageCost:
@@ -202,13 +204,7 @@ class TestBruteForceEquivalence:
         brute = brute_cost_to_go(instance, q_cap=q_cap)
         for period in range(1, instance.horizon + 1):
             lo = tables.exact_from(period)
-            if hi_cap is None:
-                # below this line no state in the decision tree can want to
-                # order past the grid top
-                hi = self.GRID.x_max - int(instance.B) * (
-                    instance.horizon - period + 1)
-            else:
-                hi = hi_cap
+            hi = tables.exact_to(period) if hi_cap is None else hi_cap
             assert lo < hi, "exactness window collapsed; widen the test grid"
             for x in range(lo, hi + 1):
                 assert tables.cost_at(period, x) == approx(
@@ -242,12 +238,29 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid(-10, 0)
 
+    @pytest.mark.parametrize("x_min,x_max", [
+        (-5.0, 5), (-5, 5.5), (-5, 5.0), (True, 5), (-5, True),
+        (np.float64(-5), 5)])
+    def test_bounds_must_be_integers(self, x_min, x_max):
+        with pytest.raises(ValueError, match="integers"):
+            Grid(x_min, x_max)
+
+    def test_numpy_integer_bounds(self):
+        assert Grid(np.int64(-5), np.int32(5)).size == 11
+
     def test_index_bounds(self):
         grid = Grid(-5, 5)
         assert grid.index(-5) == 0
         assert grid.index(5) == 10
+        assert grid.index(np.int64(2)) == 7
         with pytest.raises(ValueError):
             grid.index(6)
+
+    @pytest.mark.parametrize("x", [2.7, 2.0, np.float64(2.0), True,
+                                   np.bool_(True), "2"])
+    def test_index_rejects_non_integral_states(self, x):
+        with pytest.raises(ValueError, match="not an integer"):
+            Grid(-5, 5).index(x)
 
     def test_capacity_exceeds_width(self):
         inst = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=50,
@@ -277,6 +290,21 @@ class TestGridValidation:
         # everywhere; earlier rows lose one max demand per remaining period
         assert tables.exact_from(2) == -30
         assert tables.exact_from(1) == -30 + 3
+
+    def test_exact_to(self):
+        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=demands)
+        tables = solve(inst, Grid(-30, 30))
+        # one capacity window per remaining period must fit under the top
+        assert tables.exact_to(2) == 30 - 3
+        assert tables.exact_to(1) == 30 - 2 * 3
+        with pytest.raises(ValueError):
+            tables.exact_to(3)
+        unbounded = solve(Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0,
+                                   B=math.inf, demands=demands), Grid(-30, 30))
+        with pytest.raises(ValueError, match="finite capacity"):
+            unbounded.exact_to(1)
 
 
 class TestInstanceValidation:
@@ -313,6 +341,34 @@ class TestTailGrowth:
         assert tables.cost_at(1, -299) - tables.cost_at(1, -298) >= 10.0 - 1e-6
 
 
+def assert_csv_matches_rowwise(tables, directory):
+    """The block writer's file equals the row-wise reference byte for byte,
+    and float() of every C and G field gives back the table bit for bit."""
+    got, want = Path(directory, "block.csv"), Path(directory, "rowwise.csv")
+    tables.to_csv(got)
+    rowwise_tables_csv(tables, want)
+    assert got.read_bytes() == want.read_bytes()
+    fields = [line.split(",") for line in got.read_text().splitlines()[1:]]
+    for column, table in ((2, tables.C), (3, tables.G)):
+        parsed = np.array([float(f[column]) for f in fields]).reshape(table.shape)
+        assert parsed.tobytes() == table.tobytes()
+
+
+# values whose text a shortcut could get wrong: signed zeros, the extremes
+# of magnitude, subnormals, and integral floats (repr keeps their ".0")
+csv_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324,
+                     -1.7976931348623157e308, -123456.0, 3.0]),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(allow_nan=False))
+# (C, G) cells: bitwise equal (shared text), unrelated, or equal under ==
+# but not bitwise
+csv_cell = st.one_of(csv_value.map(lambda v: (v, v)),
+                     st.tuples(csv_value, csv_value),
+                     st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+BLOCK = sdp._CSV_BLOCK
+
+
 class TestCsvExport:
     def test_layout_and_determinism(self, tmp_path):
         inst = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
@@ -332,3 +388,40 @@ class TestCsvExport:
         assert float(g_val) == approx(float(tables.G[0, 0]))
         assert int(q) == tables.qstar_at(1, -6)
         assert text == path_b.read_text()
+
+    def test_matches_rowwise_on_instance_files(self, tmp_path, seasonal_tables,
+                                               spiky_tables, lumpy_tables,
+                                               volatile_tables):
+        seasonal = solve(load_instance(instance_path("seasonal_poisson.json")),
+                         seasonal_tables[65].grid)
+        for tables in (seasonal, spiky_tables, lumpy_tables, volatile_tables):
+            assert_csv_matches_rowwise(tables, tmp_path)
+
+    def test_matches_rowwise_at_unbounded_capacity(self, tmp_path,
+                                                   seasonal_tables):
+        assert_csv_matches_rowwise(seasonal_tables[math.inf], tmp_path)
+
+    @given(cells=st.lists(csv_cell, min_size=1, max_size=30),
+           orders=st.lists(st.integers(0, 10**12), min_size=1, max_size=5),
+           size=st.integers(3, 2 * BLOCK + 3), below=st.integers(0, 10**6),
+           horizon=st.integers(1, 3))
+    @example(cells=[(0.0, -0.0)], orders=[0], size=BLOCK, below=0, horizon=1)
+    @example(cells=[(-0.0, 0.0), (1.0, 1.0)], orders=[7], size=BLOCK + 1,
+             below=BLOCK // 2, horizon=2)
+    @example(cells=[(5e-324, 5e-324), (0.0, -0.0), (1e16, 1e-5)],
+             orders=[0, 3], size=2 * BLOCK + 1, below=10**6, horizon=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rowwise_on_hand_built_tables(self, cells, orders, size,
+                                                  below, horizon):
+        x_min = -1 - below % (size - 2)
+        grid = Grid(x_min, x_min + size - 1)
+        shape = (horizon, size)
+        pairs = np.resize(np.array(cells, dtype=np.float64), (horizon * size, 2))
+        instance = Instance(horizon=horizon, K=0.0, v=0.0, h=1.0, p=1.0, B=1,
+                            demands=(pmf_empirical([0], [1.0]),) * horizon)
+        tables = ValueTables(
+            C=pairs[:, 0].reshape(shape), G=pairs[:, 1].reshape(shape),
+            Qstar=np.resize(np.array(orders, dtype=np.int64), shape),
+            grid=grid, instance=instance)
+        with tempfile.TemporaryDirectory() as directory:
+            assert_csv_matches_rowwise(tables, directory)

@@ -142,16 +142,15 @@ class TestExpectedCost:
         grid = Grid(-40, 60)
         for _ in range(50):
             instance = small_random_instance(rng)
-            horizon, cap = instance.horizon, instance.B
             tables = solve(instance, grid)
-            heuristic = modified_ss_from_tables(tables).orders(grid, cap)
+            heuristic = modified_ss_from_tables(tables).orders(grid, instance.B)
 
             def table_rule(period, x, table=tables.Qstar):
                 return int(table[period - 1, min(max(x, grid.x_min), grid.x_max)
                                  - grid.x_min])
 
             brute = brute_policy_cost(instance, table_rule)
-            for x in range(tables.exact_from(1), grid.x_max - cap * horizon + 1):
+            for x in range(tables.exact_from(1), tables.exact_to(1) + 1):
                 exact = expected_cost(instance, grid, tables.Qstar, x)
                 assert exact == pytest.approx(brute(1, x), abs=1e-9)
                 assert exact == pytest.approx(tables.cost_at(1, x), abs=1e-9)
