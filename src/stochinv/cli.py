@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demand family to benchmark")
     p_bench.add_argument("--scale", type=float, default=1.0,
                          help="fraction of the full design to run (0, 1]")
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="worker threads for instance evaluation")
     _add_grid_flags(p_bench)
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
@@ -199,9 +197,10 @@ def cmd_search_cex(args) -> int:
 def cmd_benchmark(args) -> int:
     design = build_design((args.family,), scale=args.scale)
     grid = Grid(args.grid_min, args.grid_max)
-    report = run_benchmark(design, grid=grid, threads=args.threads)
-
     out = args.out if args.out is not None else f"benchmark_{args.family}.csv"
+    # fail on an unwritable pivot path before pricing the bed, not after
+    open(out, "a").close()
+    report = run_benchmark(design, grid=grid)
     report.to_csv(out)
 
     gaps = [r.gap for r in report.results if r.error is None]

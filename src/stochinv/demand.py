@@ -4,6 +4,13 @@ Demand in every period is a finite PMF on nonnegative integers. Continuous
 families are discretized onto the integer lattice with a continuity
 correction; unbounded supports are cut once the remaining tail carries
 negligible mass, then renormalized.
+
+Parametric PMFs are built from the scipy.special functions that
+scipy.stats' frozen distributions evaluate, in the same order, so they are
+bit-identical to a construction through scipy.stats (tests/oracle.py keeps
+that construction, and tests/test_demand.py asserts the equality) without
+importing scipy.stats. scipy.special itself is imported by the first PMF
+that needs it, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 PARAMETRIC_FAMILIES = (
     "poisson",
@@ -111,26 +117,104 @@ def pmf_empirical(values, masses) -> DemandPMF:
     return _finalize(vals, mass)
 
 
-def _discrete_tail_cut(dist, tail_eps: float) -> int:
-    """Smallest k with P(X > k) < tail_eps for an integer-valued scipy dist."""
-    k = int(dist.isf(tail_eps))
-    while dist.sf(k) >= tail_eps:
+def _discrete_tail_cut(start, sf, tail_eps: float) -> int:
+    """Smallest k >= int(start) with P(X > k) = sf(k) below tail_eps."""
+    k = int(start)
+    while sf(k) >= tail_eps:
         k += 1
     return k
 
 
-def _continuity_corrected(dist, tail_eps: float) -> DemandPMF:
-    """Discretize a continuous scipy dist: P(k) = F(k+1/2) - F(k-1/2), P(0) = F(1/2).
+def _continuity_corrected(cdf, sf, isf_eps, tail_eps: float) -> DemandPMF:
+    """Discretize a continuous law: P(k) = F(k+1/2) - F(k-1/2), P(0) = F(1/2).
 
-    Mass below 1/2 (including any negative-value mass) is folded into P(0).
+    cdf and sf are the law's F and 1 - F, isf_eps the point where the
+    upper tail holds tail_eps. Mass below 1/2 (including any negative-value
+    mass) is folded into P(0).
     """
-    k_max = max(1, int(np.ceil(dist.isf(tail_eps))))
-    while dist.sf(k_max + 0.5) >= tail_eps:
+    k_max = max(1, int(np.ceil(isf_eps)))
+    while sf(k_max + 0.5) >= tail_eps:
         k_max += 1
-    cdf_at_half = dist.cdf(np.arange(k_max + 1) + 0.5)
+    cdf_at_half = cdf(np.arange(k_max + 1) + 0.5)
     probs = np.diff(cdf_at_half, prepend=0.0)
     probs = np.maximum(probs, 0.0)
     return _finalize(np.arange(k_max + 1), probs)
+
+
+def _poisson(mu, tail_eps: float) -> DemandPMF:
+    from scipy import special
+
+    # the tail search starts where scipy.stats' isf does: its ppf at
+    # 1 - eps, ceil(pdtrik) stepped back by one where pdtr already reaches
+    q = 1.0 - tail_eps
+    above = np.ceil(special.pdtrik(q, mu))
+    below = np.maximum(above - 1, 0)
+    start = np.where(special.pdtr(below, mu) >= q, below, above)
+    # k is an integer, so this is scipy.stats' pdtrc(floor(k), mu)
+    k_max = _discrete_tail_cut(start, lambda k: special.pdtrc(k, mu), tail_eps)
+    ks = np.arange(k_max + 1)
+    log_pmf = special.xlogy(ks, mu) - special.gammaln(ks + 1) - mu
+    return _finalize(ks, np.clip(np.exp(log_pmf), 0, 1))
+
+
+def _geometric(p: float, tail_eps: float) -> DemandPMF:
+    """Failures before the first success, i.e. scipy.stats' geom(p, loc=-1).
+
+    scipy.stats counts trials n = k + 1; the formulas below keep its
+    variable and shift by one where it applies loc.
+    """
+    log_fail = np.log1p(-p)
+    q = 1.0 - tail_eps
+    n = np.ceil(np.log1p(-q) / log_fail)
+    cdf_before = -np.expm1(log_fail * np.floor(n - 1))
+    start = np.where((cdf_before >= q) & (n > 0), n - 1, n) - 1
+    # P(X > k) = 1 below the support, so the search need not start there
+    # (at p = 1, i.e. a mean under 1.2e-16, start is -1)
+    k_max = _discrete_tail_cut(max(start, 0),
+                               lambda k: np.exp((k + 1) * log_fail), tail_eps)
+    ks = np.arange(k_max + 1)
+    return _finalize(ks, np.clip(np.power(1 - p, ks) * p, 0, 1))
+
+
+def _normal(loc, scale, tail_eps: float) -> DemandPMF:
+    from scipy import special
+
+    if not scale > 0:
+        raise ValueError("normal scale cv * mean underflows to zero")
+
+    def z(x):
+        return (x - loc) / scale
+
+    return _continuity_corrected(lambda x: special.ndtr(z(x)),
+                                 lambda x: special.ndtr(-z(x)),
+                                 -special.ndtri(tail_eps) * scale + loc, tail_eps)
+
+
+def _lognormal(s, scale, tail_eps: float) -> DemandPMF:
+    from scipy import special
+
+    if not (s > 0 and scale > 0):
+        raise ValueError("lognormal shape or scale underflows to zero")
+
+    def z(x):
+        return np.log(x / scale) / s
+
+    return _continuity_corrected(lambda x: special.ndtr(z(x)),
+                                 lambda x: special.ndtr(-z(x)),
+                                 np.exp(s * -special.ndtri(tail_eps)) * scale,
+                                 tail_eps)
+
+
+def _gamma(cv2, scale, tail_eps: float) -> DemandPMF:
+    from scipy import special
+
+    if not (cv2 > 0 and scale > 0):
+        raise ValueError("gamma cv * cv or scale underflows to zero")
+    a = 1.0 / cv2
+    return _continuity_corrected(lambda x: special.gammainc(a, x / scale),
+                                 lambda x: special.gammaincc(a, x / scale),
+                                 special.gammainccinv(a, tail_eps) * scale,
+                                 tail_eps)
 
 
 def pmf_parametric(family: str, mean: float, cv: float | None = None,
@@ -140,6 +224,12 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
     mean must be positive and finite. cv (coefficient of variation) is
     required for normal, lognormal and gamma, where it must be positive and
     finite, and must be omitted for the discrete families.
+
+    The masses and the tail cut are bit-identical to building the same law
+    through scipy.stats (poisson, geom with loc=-1, norm, lognorm, gamma),
+    but come from the scipy.special functions those distributions call;
+    tests/test_demand.py holds them equal to that construction in
+    tests/oracle.py.
     """
     if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -154,10 +244,7 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
         raise ValueError(f"cv is not a parameter of the {family} family")
 
     if family == "poisson":
-        dist = stats.poisson(mean)
-        k_max = _discrete_tail_cut(dist, tail_eps)
-        ks = np.arange(k_max + 1)
-        return _finalize(ks, dist.pmf(ks))
+        return _poisson(mean, tail_eps)
     if family == "discrete_uniform":
         # uniform on the integers of [0, 2*mean)
         n_points = int(np.ceil(2.0 * mean))
@@ -165,16 +252,12 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
         return _finalize(ks, np.full(n_points, 1.0 / n_points))
     if family == "geometric":
         # support {0, 1, ...} with success probability 1/(1+mean)
-        dist = stats.geom(1.0 / (1.0 + mean), loc=-1)
-        k_max = _discrete_tail_cut(dist, tail_eps)
-        ks = np.arange(k_max + 1)
-        return _finalize(ks, dist.pmf(ks))
+        return _geometric(1.0 / (1.0 + mean), tail_eps)
     if family == "normal":
-        return _continuity_corrected(stats.norm(mean, cv * mean), tail_eps)
+        return _normal(mean, cv * mean, tail_eps)
     if family == "lognormal":
         sigma2 = np.log1p(cv * cv)
         scale = np.exp(np.log(mean) - sigma2 / 2.0)
-        return _continuity_corrected(stats.lognorm(np.sqrt(sigma2), scale=scale), tail_eps)
+        return _lognormal(np.sqrt(sigma2), scale, tail_eps)
     # gamma
-    shape = 1.0 / (cv * cv)
-    return _continuity_corrected(stats.gamma(shape, scale=mean * cv * cv), tail_eps)
+    return _gamma(cv * cv, mean * cv * cv, tail_eps)

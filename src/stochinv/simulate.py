@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .heuristic import ModifiedSSPolicy
 from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
@@ -100,7 +99,10 @@ def simulate_policy(instance: Instance, grid: Grid, orders: np.ndarray,
     once the half-width is within target_rel_error of the mean, or with
     converged=False when max_reps is exhausted first.
     """
-    z = stats.norm.ppf(0.5 + config.confidence / 2.0)
+    from scipy import special
+
+    # the normal quantile, as scipy.stats.norm.ppf computes it
+    z = special.ndtri(0.5 + config.confidence / 2.0)
     total = 0.0
     total_sq = 0.0
     reps = 0

@@ -15,16 +15,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .heuristic import modified_ss_from_tables
-from .policy import extract_thresholds
-from .sdp import DEFAULT_GRID, Grid, Instance, solve
-from .simulate import SimulationConfig, optimality_gap
+from .policy import MalformedTable, extract_thresholds
+from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, solve
+from .simulate import SimulationConfig, SimulationError, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
 V_LEVELS = (2, 5, 10)
@@ -209,22 +208,20 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
                 max_thr = max(max_thr, len(entry.pairs))
         gap = optimality_gap(point.instance, tables, heuristic, 0)
         return PointResult(point, gap, max_thr, violated, None)
-    except Exception as exc:   # per-point failures are data, not crashes
+    except (GridSpanError, SimulationError, MalformedTable) as exc:
+        # a point the grid or the numerics cannot handle is data; any other
+        # exception is a bug and reaches the caller
         return PointResult(point, float("nan"), 0, (), f"{type(exc).__name__}: {exc}")
 
 
 def run_benchmark(design, config: SimulationConfig | None = None,
-                  grid: Grid = DEFAULT_GRID, threads: int = 1) -> BenchmarkReport:
+                  grid: Grid = DEFAULT_GRID) -> BenchmarkReport:
     """Solve, analyze, and price every design point; aggregate a pivot.
 
     Gaps are exact (optimality_gap), so config is no longer read. It stays
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
-    Results keep design order regardless of thread count.
+    Results keep design order. A point whose grid is too narrow or whose
+    tables or prices are inconsistent is recorded as an error.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda pt: _evaluate_point(pt, grid), design))
-    else:
-        results = [_evaluate_point(pt, grid) for pt in design]
-    return BenchmarkReport(tuple(results))
+    return BenchmarkReport(tuple(_evaluate_point(pt, grid) for pt in design))

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,22 @@ INSTANCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
 def instance_path(name):
     return os.path.join(INSTANCE_DIR, name)
+
+
+def scipy_modules_after(code):
+    """Names of the scipy modules loaded after running code in a fresh interpreter."""
+    import stochinv
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochinv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys\n" + code + "\n"
+             "print(' '.join(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    return set(done.stdout.split())
 
 
 def seasonal_instance(B):

@@ -137,3 +137,46 @@ def rowwise_tables_csv(tables, path):
             for i in range(xs.size):
                 fh.write(f"{t + 1},{xs[i]},{float(c_row[i])!r},"
                          f"{float(g_row[i])!r},{q_row[i]}\n")
+
+
+def stats_pmf_parametric(family, mean, cv=None, tail_eps=1e-9):
+    """pmf_parametric built through scipy.stats' frozen distributions.
+
+    The reference the scipy.special construction must match bit for bit.
+    Arguments are taken as valid; pmf_parametric checks them.
+    """
+    import numpy as np
+    from scipy import stats
+
+    from stochinv.demand import _finalize
+
+    def discrete_tail_cut(dist):
+        k = int(dist.isf(tail_eps))
+        while dist.sf(k) >= tail_eps:
+            k += 1
+        return k
+
+    def continuity_corrected(dist):
+        k_max = max(1, int(np.ceil(dist.isf(tail_eps))))
+        while dist.sf(k_max + 0.5) >= tail_eps:
+            k_max += 1
+        cdf_at_half = dist.cdf(np.arange(k_max + 1) + 0.5)
+        probs = np.diff(cdf_at_half, prepend=0.0)
+        probs = np.maximum(probs, 0.0)
+        return _finalize(np.arange(k_max + 1), probs)
+
+    if family in ("poisson", "geometric"):
+        dist = (stats.poisson(mean) if family == "poisson"
+                else stats.geom(1.0 / (1.0 + mean), loc=-1))
+        ks = np.arange(discrete_tail_cut(dist) + 1)
+        return _finalize(ks, dist.pmf(ks))
+    if family == "normal":
+        return continuity_corrected(stats.norm(mean, cv * mean))
+    if family == "lognormal":
+        sigma2 = np.log1p(cv * cv)
+        scale = np.exp(np.log(mean) - sigma2 / 2.0)
+        return continuity_corrected(stats.lognorm(np.sqrt(sigma2), scale=scale))
+    if family == "gamma":
+        shape = 1.0 / (cv * cv)
+        return continuity_corrected(stats.gamma(shape, scale=mean * cv * cv))
+    raise ValueError(f"no scipy.stats reference for {family!r}")

@@ -185,7 +185,7 @@ class TestPropertySuite:
 def test_benchmark_bed_poisson_subsample():
     design = build_design(("poisson",), scale=0.05)
     start = time.perf_counter()
-    report = run_benchmark(design, threads=2)
+    report = run_benchmark(design)
     elapsed = time.perf_counter() - start
     assert elapsed < 3600.0
     assert report.errors == []

@@ -6,6 +6,7 @@ import pytest
 from conftest import instance_path
 from stochinv import (InstanceFormatError, extract_thresholds, load_instance,
                       parse_instance, serialize_instance, thresholds_csv)
+from stochinv import cli
 from stochinv.cli import main
 
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
@@ -284,13 +285,23 @@ class TestBenchmarkCommand:
         assert pivots[0] == pivots[1]
         assert "0 error(s)" in capsys.readouterr().out
 
-    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def bed_must_not_run(*args, **kwargs):
+            raise AssertionError("the bed ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_benchmark", bed_must_not_run)
         out = tmp_path / "missing" / "pivot.csv"
         rc = main(["benchmark", "--family", "poisson", "--scale", "0.001",
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {out}: ")
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["benchmark", "--family", "poisson", "--threads", "1"])
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--seed", "--confidence", "--rel-error"])
     def test_simulation_flags_are_gone(self, capsys, flag):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
-from scipy import stats
+from scipy import special, stats
 
-from stochinv import pmf_empirical, pmf_parametric
+from conftest import scipy_modules_after
+from oracle import stats_pmf_parametric
+from stochinv import (PARAMETRIC_FAMILIES, build_design, demand_patterns,
+                      pmf_empirical, pmf_parametric)
 
 
 class TestEmpirical:
@@ -148,6 +151,79 @@ class TestValidation:
     def test_tail_eps_domain(self, eps):
         with pytest.raises(ValueError, match="tail_eps"):
             pmf_parametric("poisson", 10.0, tail_eps=eps)
+
+
+_STATS_FAMILIES = ("poisson", "geometric", "normal", "lognormal", "gamma")
+
+
+class TestScipyStatsEquality:
+    """pmf_parametric is bit-identical to building the law through scipy.stats."""
+
+    def test_every_bed_pmf(self):
+        patterns = demand_patterns()
+        laws = {(pt.family, mean, pt.cv)
+                for pt in build_design(PARAMETRIC_FAMILIES)
+                if pt.family in _STATS_FAMILIES
+                for mean in patterns[pt.pattern]}
+        assert len(laws) > 500
+        differ = [law for law in sorted(laws, key=repr)
+                  if pmf_parametric(*law) != stats_pmf_parametric(*law)]
+        assert differ == []
+
+    @given(
+        family=st.sampled_from(_STATS_FAMILIES),
+        mean=st.floats(1e-3, 250.0),
+        cv=st.floats(0.05, 1.5),
+        tail_eps=st.floats(1e-9, 1e-3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_law(self, family, mean, cv, tail_eps):
+        if family in ("poisson", "geometric"):
+            cv = None
+        assert (pmf_parametric(family, mean, cv, tail_eps)
+                == stats_pmf_parametric(family, mean, cv, tail_eps))
+
+    # both constructions divide by zero or overflow on the way to these
+    # results, and numpy warns about it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family,mean,cv", [
+        ("poisson", 1e-300, None),
+        ("geometric", 1e-17, None),   # success probability rounds to 1
+        ("normal", 1.0, 1e-320),
+        ("lognormal", 5.0, 1e-9),
+        ("lognormal", 1e-300, 0.5),
+        ("gamma", 1e-300, 0.5),
+    ])
+    def test_degenerate_law(self, family, mean, cv):
+        assert pmf_parametric(family, mean, cv) == stats_pmf_parametric(family, mean, cv)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family,mean,cv", [
+        ("normal", 1e-200, 1e-200),
+        ("lognormal", 5.0, 1e-170),
+        ("gamma", 5.0, 1e-170),
+        ("gamma", 1e-300, 1e-20),
+    ])
+    def test_underflowing_scale_is_rejected(self, family, mean, cv):
+        with pytest.raises(ValueError, match="underflows"):
+            pmf_parametric(family, mean, cv)
+        # scipy.stats fails on them too: a NaN quantile or a division by zero
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            stats_pmf_parametric(family, mean, cv)
+
+    def test_confidence_quantile(self):
+        # simulate_policy's z for a two-sided interval at confidence c
+        confidences = [i / 1000 for i in range(1, 1000)] + [1e-9, 1 - 1e-9]
+        for c in confidences:
+            assert special.ndtri(0.5 + c / 2) == stats.norm.ppf(0.5 + c / 2)
+
+    def test_builds_without_scipy_stats(self):
+        loaded = scipy_modules_after(
+            "from stochinv import pmf_parametric\n"
+            "pmf_parametric('poisson', 20.0)")
+        assert "scipy.special" in loaded
+        assert not any(m == "scipy.stats" or m.startswith("scipy.stats.")
+                       for m in loaded)
 
 
 @given(

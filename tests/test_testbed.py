@@ -3,7 +3,7 @@ import math
 import pytest
 
 from stochinv import (BenchmarkReport, DesignPoint, Grid, PointResult,
-                      build_design, demand_patterns, run_benchmark)
+                      build_design, demand_patterns, run_benchmark, testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -108,7 +108,7 @@ def two_points():
 class TestSmallBenchmarkRun:
 
     def test_runs_clean_and_in_order(self, two_points):
-        report = run_benchmark(two_points, grid=Grid(-2000, 2500), threads=2)
+        report = run_benchmark(two_points, grid=Grid(-2000, 2500))
         assert [r.point.key for r in report.results] == [pt.key for pt in two_points]
         assert report.errors == []
         assert report.cop_violations == []
@@ -116,11 +116,21 @@ class TestSmallBenchmarkRun:
             assert -0.05 < result.gap < 5.0
             assert 1 <= result.max_thresholds <= 5
 
-    def test_thread_count_does_not_change_results(self, two_points):
-        grid = Grid(-2000, 2500)
-        serial = run_benchmark(two_points, grid=grid, threads=1)
-        threaded = run_benchmark(two_points, grid=grid, threads=2)
-        assert [r.gap for r in serial.results] == [r.gap for r in threaded.results]
+    def test_narrow_grid_is_a_point_error(self, two_points):
+        report = run_benchmark(two_points[:1], grid=Grid(-5, 10))
+        ((key, error),) = report.errors
+        assert key == two_points[0].key
+        assert error.startswith("GridSpanError: ")
+        assert math.isnan(report.results[0].gap)
+
+    def test_unexpected_exception_reaches_the_caller(self, two_points,
+                                                     monkeypatch):
+        def broken_solve(instance, grid):
+            raise TypeError("broken solve")
+
+        monkeypatch.setattr(testbed, "solve", broken_solve)
+        with pytest.raises(TypeError, match="broken solve"):
+            run_benchmark(two_points[:1], grid=Grid(-2000, 2500))
 
     def test_order_property_violation_is_recorded(self, spiky_instance):
         # the spiky fixture's first period orders, stops and orders again;
