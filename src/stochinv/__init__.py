@@ -1,10 +1,9 @@
 """Finite-horizon capacitated stochastic lot sizing.
 
-Backward dynamic programming over a discrete inventory grid, threshold
-policy extraction, order-property and convexity diagnostics, a modified
-(s, S) heuristic, exact policy evaluation with a common-random-number
-simulation cross-check, randomized search for order-property
-violations, and a benchmark test bed.
+Backward dynamic programming over a discrete inventory grid, modified
+multi-(s, S) policies read off the solved tables, order-property and
+convexity diagnostics, exact and common-random-number policy evaluation,
+randomized search for order-property violations, and a benchmark test bed.
 """
 
 from .cex import (CexSearchParams, Violation, random_instance, search_cop_violations,
@@ -12,10 +11,10 @@ from .cex import (CexSearchParams, Violation, random_instance, search_cop_violat
 from .demand import PARAMETRIC_FAMILIES, DemandPMF, pmf_empirical, pmf_parametric
 from .files import (InstanceFormatError, dump_instance, load_instance,
                     parse_instance, serialize_instance, thresholds_csv)
-from .heuristic import ModifiedSSPolicy, modified_ss_from_tables
-from .policy import (CopReport, CopViolated, KBReport, MalformedTable,
-                     PeriodThresholds, QcePoint, check_cop, extract_thresholds,
-                     qce_diagnostics, verify_kb_convexity)
+from .heuristic import modified_ss_from_tables
+from .policy import (CopReport, CopViolated, KBReport, MalformedTable, PeriodThresholds,
+                     QcePoint, ThresholdPolicy, check_cop, extract_thresholds,
+                     qce_diagnostics, read_policy, verify_kb_convexity)
 from .sdp import (DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables,
                   single_period_cost, solve)
 from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
@@ -38,7 +37,6 @@ __all__ = [
     "InstanceFormatError",
     "KBReport",
     "MalformedTable",
-    "ModifiedSSPolicy",
     "PARAMETRIC_FAMILIES",
     "PeriodThresholds",
     "PointResult",
@@ -46,6 +44,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationError",
     "SimulationEstimate",
+    "ThresholdPolicy",
     "ValueTables",
     "Violation",
     "build_design",
@@ -63,6 +62,7 @@ __all__ = [
     "pmf_parametric",
     "qce_diagnostics",
     "random_instance",
+    "read_policy",
     "run_benchmark",
     "search_cop_violations",
     "search_grid",

@@ -6,8 +6,8 @@ byte-identical output files.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
-instance-file errors; 3 grid or numerical errors; 4 simulation budget
-exhausted before the confidence target.
+instance-file errors; 3 grid, numerical or malformed-band errors; 4
+simulation budget exhausted before the confidence target.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .cex import CexSearchParams, search_cop_violations
 from .demand import PARAMETRIC_FAMILIES
 from .files import InstanceFormatError, dump_instance, load_instance, thresholds_csv
 from .heuristic import modified_ss_from_tables
-from .policy import CopViolated, extract_thresholds
+from .policy import CopViolated, MalformedTable, extract_thresholds
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
 from .simulate import (SimulationConfig, SimulationError, gap_with_estimates,
                        simulate_policy)
@@ -138,6 +138,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_reps < SimulationConfig.min_reps:
+        raise ValueError(f"--max-reps must be at least {SimulationConfig.min_reps}")
     instance = load_instance(args.instance)
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GridSpanError, SimulationError) as exc:
+    except (GridSpanError, SimulationError, MalformedTable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,7 +1,8 @@
 """Policy structure analysis on solved value tables.
 
 Turns the raw optimal-action table into multi-threshold (s_k, S_k) form,
-checks the continuous order property that form relies on, verifies the
+checks the continuous order property that form relies on, holds the
+resulting modified multi-(s, S) policy as a ThresholdPolicy, verifies the
 generalized convexity the cost tables are supposed to carry, and computes
 lower-envelope diagnostics that explain which local minima of G are
 reachable order-up-to levels.
@@ -10,11 +11,12 @@ reachable order-up-to levels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .sdp import ValueTables
+from .sdp import Grid, ValueTables
 
 _KB_TOL = 1e-6
 
@@ -27,8 +29,8 @@ class CopViolated(Exception):
         self.report = report
 
 
-class MalformedTable(Exception):
-    """The action table does not decompose into threshold bands."""
+class MalformedTable(ValueError):
+    """Threshold bands, given or read off an action table, are not well formed."""
 
 
 class CopReport(NamedTuple):
@@ -114,9 +116,14 @@ def extract_thresholds(tables: ValueTables, period: int,
     report = check_cop(tables, period, from_state)
     if not report.holds:
         raise CopViolated(report)
-    if not report.ordering_set:
-        return PeriodThresholds(period, (), None)
+    pairs = _read_bands(tables, period, report)
+    return PeriodThresholds(period, pairs, pairs[-1][0] if pairs else None)
 
+
+def _read_bands(tables: ValueTables, period: int, report: CopReport) -> tuple:
+    """extract_thresholds' pairs, from the period's holding order-property report."""
+    if not report.ordering_set:
+        return ()
     lo, s_m = report.ordering_set[0]
     grid = tables.grid
     q = tables.Qstar[tables.row(period), grid.index(lo):grid.index(s_m) + 1]
@@ -128,8 +135,14 @@ def extract_thresholds(tables: ValueTables, period: int,
     starts = np.append(0, stops[:-1])
     tops = xs[stops - 1]
     keep = (stops - starts > 1) | (q[starts] != cap) | (tops == s_m)
-    pairs = list(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
+    pairs = tuple(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
+    _check_bands(period, pairs, cap)
+    return pairs
 
+
+def _check_bands(period: int, pairs, cap: int | float = math.inf) -> None:
+    """Raise MalformedTable unless s_k and S_k rise strictly with k, each
+    s_k < S_k, and no band is deeper than the capacity."""
     for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]):
         if not (s_a < s_b and big_a < big_b):
             raise MalformedTable(
@@ -142,7 +155,55 @@ def extract_thresholds(tables: ValueTables, period: int,
             raise MalformedTable(
                 f"period {period}: band ({s_k},{big_k}) deeper than capacity {cap}")
 
-    return PeriodThresholds(period, tuple(pairs), s_m)
+
+@dataclass(frozen=True)
+class ThresholdPolicy:
+    """A modified multi-(s, S) policy. bands[t - 1] holds period t's
+    (s_k, S_k) pairs, k ascending; () never orders. cop_violated lists the
+    periods whose bands stand in for a table without the order property."""
+
+    bands: tuple[tuple[tuple[int, int], ...], ...]
+    cop_violated: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for period, pairs in enumerate(self.bands, start=1):
+            _check_bands(period, pairs)
+
+    def orders(self, grid: Grid, B: int | float) -> np.ndarray:
+        """Order table shaped like ValueTables.Qstar: up to the S_k of the
+        lowest band with x <= s_k, capped at B, and nothing above the top s."""
+        xs = grid.states
+        table = np.zeros((len(self.bands), grid.size), dtype=np.int64)
+        for row, pairs in enumerate(self.bands):
+            if pairs:
+                s, big = np.array(pairs, dtype=np.int64).T
+                # the first cuts[k] states lie at or below s_k
+                cuts = np.searchsorted(xs, s, side="right")
+                levels = np.repeat(big, np.diff(cuts, prepend=0))
+                table[row, :cuts[-1]] = np.minimum(levels - xs[:cuts[-1]], B)
+        return table
+
+    def top(self) -> ThresholdPolicy:
+        """The modified (s, S) policy: each period's top band alone."""
+        return ThresholdPolicy(tuple(p[-1:] for p in self.bands), self.cop_violated)
+
+
+def read_policy(tables: ValueTables) -> ThresholdPolicy:
+    """The modified multi-(s, S) policy of solved tables, one order-property
+    screen a period from exact_from(period). Where the property holds, the
+    bands are extract_thresholds' pairs; where it fails, the period is
+    flagged and keeps one band, (s_m, s_m + Q(s_m)) at the top s_m of the
+    highest ordering interval."""
+    bands, flagged = [], []
+    for period in range(1, tables.instance.horizon + 1):
+        report = check_cop(tables, period, tables.exact_from(period))
+        if report.holds:
+            bands.append(_read_bands(tables, period, report))
+        else:
+            flagged.append(period)
+            _, s_m = report.ordering_set[-1]
+            bands.append(((s_m, s_m + tables.qstar_at(period, s_m)),))
+    return ThresholdPolicy(tuple(bands), tuple(flagged))
 
 
 def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
@@ -220,8 +281,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     entry = extract_thresholds(tables, period)
     if not entry.pairs:
         return []
-    s_m = entry.s_m
-    big_s_m = entry.pairs[-1][1]
+    s_m, big_s_m = entry.pairs[-1]
     if big_s_m - s_m < 2:
         return []
 

@@ -1,8 +1,8 @@
 """Policy evaluation: exact by a forward pass, or by Monte Carlo under CRN.
 
 A policy is an order table on the inventory grid, shaped like
-ValueTables.Qstar: the optimal policy is tables.Qstar itself and the
-modified (s, S) heuristic is ModifiedSSPolicy.orders.
+ValueTables.Qstar: tables.Qstar for the optimal policy, and
+ThresholdPolicy.orders for a threshold policy such as the heuristic.
 
 expected_cost prices a policy exactly. It carries the distribution of
 the inventory forward one period at a time and adds up each period's
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .heuristic import ModifiedSSPolicy
+from .policy import ThresholdPolicy
 from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
 
 _CHUNK = 10_000   # replications per stream block, and the CI check cadence
@@ -165,8 +165,15 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     return float(total)
 
 
+def _percent_gap(cost: float, optimum: float) -> float:
+    """Percent excess of cost over optimum: 0 if equal, inf if only optimum is 0."""
+    if cost == optimum:
+        return 0.0
+    return math.inf if optimum == 0 else 100.0 * (cost - optimum) / optimum
+
+
 def gap_with_estimates(instance: Instance, tables: ValueTables,
-                       heuristic: ModifiedSSPolicy, x0: int,
+                       heuristic: ThresholdPolicy, x0: int,
                        config: SimulationConfig,
                        ) -> tuple[float, SimulationEstimate, SimulationEstimate]:
     """Heuristic-vs-optimal percent gap plus the two underlying estimates.
@@ -185,13 +192,12 @@ def gap_with_estimates(instance: Instance, tables: ValueTables,
         raise SimulationError(
             f"simulated optimal cost {opt.mean_cost:.6f} is more than three "
             f"half-widths ({opt.half_width:.6f}) from the solved value {dp_value:.6f}")
-    gap = 100.0 * (heur.mean_cost - opt.mean_cost) / opt.mean_cost
-    return gap, opt, heur
+    return _percent_gap(heur.mean_cost, opt.mean_cost), opt, heur
 
 
 def optimality_gap(instance: Instance, tables: ValueTables,
-                   heuristic: ModifiedSSPolicy, x0: int) -> float:
-    """Exact percent cost excess of the heuristic over the optimal table policy.
+                   heuristic: ThresholdPolicy, x0: int) -> float:
+    """Exact percent cost excess of a threshold policy over the optimal table.
 
     Both policies are priced by expected_cost. The optimal table's cost
     must equal the solved value at (first period, x0) within the solver's
@@ -207,4 +213,4 @@ def optimality_gap(instance: Instance, tables: ValueTables,
             f"exact optimal cost {opt!r} differs from the solved value "
             f"{dp_value!r}")
     heur = expected_cost(instance, grid, heuristic.orders(grid, instance.B), x0)
-    return 100.0 * (heur - opt) / opt
+    return _percent_gap(heur, opt)

@@ -6,8 +6,8 @@ the continuous families) yield 810 instances per discrete family and 2430
 per continuous family. A scale parameter subsamples the design
 deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
-the tables, and the modified (s, S) heuristic is priced exactly against
-the optimum, so a report does not depend on any seed.
+the tables once, and the modified (s, S) heuristic is priced exactly
+against the optimum, so a report does not depend on any seed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
-from .heuristic import modified_ss_from_tables
-from .policy import MalformedTable, extract_thresholds
+from .policy import MalformedTable, read_policy
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, solve
 from .simulate import SimulationConfig, SimulationError, optimality_gap
 
@@ -198,15 +197,11 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     try:
         tables = solve(point.instance, grid)
-        heuristic = modified_ss_from_tables(tables)
-        violated = heuristic.cop_violated
-        max_thr = 0
-        for period in range(1, point.instance.horizon + 1):
-            if period not in violated:
-                entry = extract_thresholds(tables, period,
-                                           from_state=tables.exact_from(period))
-                max_thr = max(max_thr, len(entry.pairs))
-        gap = optimality_gap(point.instance, tables, heuristic, 0)
+        policy = read_policy(tables)
+        violated = policy.cop_violated
+        max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
+                       if period not in violated), default=0)
+        gap = optimality_gap(point.instance, tables, policy.top(), 0)
         return PointResult(point, gap, max_thr, violated, None)
     except (GridSpanError, SimulationError, MalformedTable) as exc:
         # a point the grid or the numerics cannot handle is data; any other

@@ -8,6 +8,7 @@ array implementation is meaningful.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 
@@ -93,15 +94,18 @@ def brute_window_min(g_row, cap):
     return mins, offsets
 
 
-def modified_ss_order(x, s, S, B):
-    """Order of a modified (s, S) policy at inventory x, by its closed form.
+def rebuild_order_quantity(pairs, B, x):
+    """Order at inventory x of one period's threshold bands, by the band rule.
 
-    Up to S, capped at B, when x is at or below the reorder point s;
-    nothing above it, or in a period that never orders (s is None).
+    pairs are (s_k, S_k) with s_k ascending. Order up to the S_k of the
+    lowest band with x <= s_k, capped at B; order nothing above the top s,
+    or in a period without bands.
     """
-    if s is None or x > s:
+    s_values = [s for s, _ in pairs]
+    if not pairs or x > s_values[-1]:
         return 0
-    return min(S - x, B)
+    k = bisect_left(s_values, x)
+    return int(min(pairs[k][1] - x, B))
 
 
 def threshold_pairs_by_run(xs, q, cap, s_m):

@@ -3,11 +3,12 @@
 Each test here pins one headline behavior of the package at its stated
 tolerance: threshold tables for the seasonal fixture at four capacities,
 the order/stop/order action table of the spiky fixture, discounted band
-structure, exact heuristic optimality gaps, envelope diagnostics, a property
-suite (oracle agreement, convexity checks, policy reconstruction,
-single-period monotonicity, uncapacitated band collapse, simulation
-reproducibility), a subsampled benchmark bed, and replay of the random
-search that finds an order-property violation.
+structure, exact heuristic optimality gaps, envelope diagnostics, a
+property suite (oracle agreement, convexity checks, policy
+reconstruction, single-period monotonicity, uncapacitated band collapse,
+simulation reproducibility), a subsampled benchmark bed with a zero gap
+for the multi-band policy, and replay of the random search that finds an
+order-property violation.
 """
 
 import json
@@ -18,15 +19,14 @@ import numpy as np
 import pytest
 
 from conftest import seasonal_instance, small_random_instance
-from oracle import brute_cost_to_go
-from stochinv import (CexSearchParams, Grid, Instance, SimulationConfig,
-                      build_design, check_cop, extract_thresholds,
-                      gap_with_estimates, modified_ss_from_tables,
-                      optimality_gap, qce_diagnostics,
-                      random_instance, run_benchmark, search_cop_violations,
-                      search_grid, serialize_instance, solve,
-                      v_monotonicity_report, verify_kb_convexity)
-from test_policy import rebuild_order_quantity
+from oracle import brute_cost_to_go, rebuild_order_quantity
+from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, Instance,
+                      SimulationConfig, build_design, check_cop,
+                      extract_thresholds, gap_with_estimates,
+                      modified_ss_from_tables, optimality_gap, qce_diagnostics,
+                      random_instance, read_policy, run_benchmark,
+                      search_cop_violations, search_grid, serialize_instance,
+                      solve, v_monotonicity_report, verify_kb_convexity)
 
 SEED = 20210819
 
@@ -194,6 +194,19 @@ def test_benchmark_bed_poisson_subsample():
     assert max(r.max_thresholds for r in report.results) <= 5
     assert max(gaps) <= 2.0
     assert max(gaps) <= 1.918 + 0.1
+
+
+def test_multi_band_policy_is_optimal_on_the_bed():
+    # where every period has the continuous order property, the modified
+    # multi-(s, S) policy read off the tables is the optimal policy itself
+    checked = 0
+    for point in build_design(("poisson",), scale=0.05):
+        tables = solve(point.instance, DEFAULT_GRID)
+        policy = read_policy(tables)
+        if not policy.cop_violated:
+            assert optimality_gap(point.instance, tables, policy, 0) == 0.0
+            checked += 1
+    assert checked >= 40
 
 
 def test_random_search_replay_is_exact():

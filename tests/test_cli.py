@@ -4,8 +4,9 @@ import math
 import pytest
 
 from conftest import instance_path
-from stochinv import (InstanceFormatError, extract_thresholds, load_instance,
-                      parse_instance, serialize_instance, thresholds_csv)
+from stochinv import (InstanceFormatError, MalformedTable, extract_thresholds,
+                      load_instance, parse_instance, serialize_instance,
+                      thresholds_csv)
 from stochinv import cli
 from stochinv.cli import main
 
@@ -244,6 +245,33 @@ class TestSimulateCommand:
         rc = main(self.ARGS + ["--rel-error", "1e-9", "--max-reps", "1000"])
         assert rc == 4
         assert "budget exhausted" in capsys.readouterr().err
+
+    def test_max_reps_below_its_floor(self, capsys):
+        rc = main(self.ARGS + ["--max-reps", "500"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: --max-reps must be at least 1000\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_cost_gap(self, tmp_path, capsys):
+        doc = {"horizon": 2, "K": 10.0, "v": 1.0, "h": 1.0, "p": 5.0, "B": 8,
+               "demands": [{"values": [0], "probs": [1.0]}] * 2}
+        path = tmp_path / "no_demand.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", str(path), "--grid-min", "-20", "--grid-max", "20"])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "optimal: mean 0.000000 +/- 0.000000" in stdout
+        assert stdout.endswith("gap: 0.000%\n")
+
+    def test_malformed_bands_are_a_numerical_error(self, capsys, monkeypatch):
+        def malformed(tables):
+            raise MalformedTable("period 1: s=7 not below S=7")
+
+        monkeypatch.setattr(cli, "modified_ss_from_tables", malformed)
+        rc = main(self.ARGS + ["--rel-error", "1e-3"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: period 1: s=7 not below S=7\n"
 
 
 class TestSearchCexCommand:

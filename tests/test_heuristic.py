@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_path
-from oracle import modified_ss_order
-from stochinv import (CexSearchParams, Grid, ModifiedSSPolicy, check_cop,
+from oracle import rebuild_order_quantity
+from stochinv import (CexSearchParams, Grid, ThresholdPolicy, check_cop,
                       extract_thresholds, load_instance, modified_ss_from_tables,
-                      random_instance, search_grid, solve)
+                      random_instance, read_policy, search_grid, solve)
 
 TOP_PAIRS = {
     35: ((46, 81), (64, 99), (61, 96), (28, 49)),
@@ -23,15 +23,12 @@ class TestTopPairSelection:
     @pytest.mark.parametrize("B", sorted(TOP_PAIRS, key=str))
     def test_seasonal(self, seasonal_tables, B):
         policy = modified_ss_from_tables(seasonal_tables[B])
-        expected = TOP_PAIRS[B]
-        assert policy.s == tuple(s for s, _ in expected)
-        assert policy.S == tuple(S for _, S in expected)
+        assert policy.bands == tuple((pair,) for pair in TOP_PAIRS[B])
         assert policy.cop_violated == ()
 
     def test_discounted_lumpy(self, lumpy_tables):
         policy = modified_ss_from_tables(lumpy_tables)
-        assert policy.s[0] == 5
-        assert policy.S[0] == 12
+        assert policy.bands[0] == ((5, 12),)
         assert policy.cop_violated == ()
 
 
@@ -40,13 +37,11 @@ class TestFallbackOnViolation:
         policy = modified_ss_from_tables(spiky_tables)
         assert policy.cop_violated == (1,)
         # the topmost ordering run wins: its highest state and its target
-        assert policy.s[0] == 618
-        assert policy.S[0] == 618 + 41
+        assert policy.bands[0] == ((618, 618 + 41),)
         for period in (2, 3, 4):
             floor = spiky_tables.exact_from(period)
             entry = extract_thresholds(spiky_tables, period, from_state=floor)
-            assert policy.s[period - 1] == entry.pairs[-1][0]
-            assert policy.S[period - 1] == entry.pairs[-1][1]
+            assert policy.bands[period - 1] == entry.pairs[-1:]
 
 
 RULE_GRID = Grid(-200, 200)
@@ -54,7 +49,7 @@ RULE_GRID = Grid(-200, 200)
 
 def rule_orders(s, S, B):
     """One period's order row on RULE_GRID, keyed by state."""
-    row = ModifiedSSPolicy(s=(s,), S=(S,)).orders(RULE_GRID, B)[0]
+    row = ThresholdPolicy((((s, S),),)).orders(RULE_GRID, B)[0]
     return dict(zip(RULE_GRID.states.tolist(), row.tolist()))
 
 
@@ -80,14 +75,14 @@ class TestApplyRule:
     def test_bounds(self, s, gap, B):
         S = s + gap
         for x, q in rule_orders(s, S, B).items():
-            assert q == modified_ss_order(x, s, S, B)
+            assert q == rebuild_order_quantity(((s, S),), B, x)
             assert 0 <= q <= B
             assert (q == 0) == (x > s)
             if q:
                 assert x + q <= S
 
     def test_table_shape_and_type(self):
-        policy = ModifiedSSPolicy(s=(1, None, 3), S=(5, None, 9))
+        policy = ThresholdPolicy((((1, 5),), (), ((3, 9),)))
         table = policy.orders(RULE_GRID, 4)
         assert table.shape == (3, RULE_GRID.size)
         assert table.dtype == np.int64
@@ -113,46 +108,73 @@ def screened_tables():
             yield solve(instance, search_grid(instance))
 
 
+@pytest.fixture(scope="module")
+def all_tables():
+    return list(screened_tables())
+
+
 class TestTopPairFromScreen:
     """The heuristic's pair is extraction's top pair, or the top ordering run."""
 
-    @pytest.fixture(scope="class")
-    def all_tables(self):
-        return list(screened_tables())
-
-    @pytest.mark.parametrize("screen_grid_edge", [True, False])
+    # one case: the heuristic always screens from exact_from
+    @pytest.mark.parametrize("screen_grid_edge", [True])
     def test_matches_extraction(self, all_tables, screen_grid_edge):
         violations = 0
         for tables in all_tables:
-            policy = modified_ss_from_tables(tables, screen_grid_edge)
+            policy = modified_ss_from_tables(tables)
             for period in range(1, tables.instance.horizon + 1):
-                floor = tables.exact_from(period) if screen_grid_edge else None
+                floor = tables.exact_from(period)
                 report = check_cop(tables, period, floor)
-                pair = (policy.s[period - 1], policy.S[period - 1])
+                bands = policy.bands[period - 1]
                 if report.holds:
                     entry = extract_thresholds(tables, period, from_state=floor)
-                    assert pair == (entry.pairs[-1] if entry.pairs else (None, None))
+                    assert bands == entry.pairs[-1:]
                     assert period not in policy.cop_violated
                 else:
                     violations += 1
-                    assert pair[0] == report.ordering_set[-1][1]
+                    assert bands[0][0] == report.ordering_set[-1][1]
                     assert period in policy.cop_violated
         assert violations >= 2
 
 
+class TestReadPolicy:
+    """The modified multi-(s, S) policy, read with one screen a period."""
+
+    def test_orders_rebuild_qstar_where_the_property_holds(self, all_tables):
+        checked = 0
+        for tables in all_tables:
+            policy = read_policy(tables)
+            orders = policy.orders(tables.grid, tables.instance.B)
+            for period in range(1, tables.instance.horizon + 1):
+                if period in policy.cop_violated:
+                    continue
+                floor = tables.grid.index(tables.exact_from(period))
+                assert np.array_equal(orders[period - 1, floor:],
+                                      tables.Qstar[tables.row(period), floor:])
+                checked += 1
+        assert checked >= 400
+
+    def test_bands_match_extraction(self, all_tables):
+        for tables in all_tables:
+            policy = read_policy(tables)
+            for period in range(1, tables.instance.horizon + 1):
+                if period not in policy.cop_violated:
+                    entry = extract_thresholds(
+                        tables, period, from_state=tables.exact_from(period))
+                    assert policy.bands[period - 1] == entry.pairs
+
+    def test_violated_period_keeps_one_band(self, spiky_tables):
+        policy = read_policy(spiky_tables)
+        assert policy.cop_violated == (1,)
+        assert policy.bands[0] == ((618, 618 + 41),)
+
+
 class TestPolicyValidation:
-    def test_lengths_must_match(self):
-        with pytest.raises(ValueError):
-            ModifiedSSPolicy(s=(1, 2), S=(5,))
-
-    def test_none_entries_pair_up(self):
-        with pytest.raises(ValueError):
-            ModifiedSSPolicy(s=(1, None), S=(5, 9))
-
     def test_reorder_below_target(self):
         with pytest.raises(ValueError):
-            ModifiedSSPolicy(s=(7,), S=(7,))
+            ThresholdPolicy((((7, 7),),))
 
     def test_valid_policy_with_idle_period(self):
-        policy = ModifiedSSPolicy(s=(1, None), S=(5, None))
-        assert policy.s[1] is None
+        policy = ThresholdPolicy((((1, 5),), ()))
+        assert policy.bands[1] == ()
+        assert policy.top() == policy

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from oracle import threshold_pairs_by_run
-from stochinv import (CopViolated, Grid, Instance, MalformedTable, check_cop,
-                      extract_thresholds, pmf_empirical, qce_diagnostics,
-                      verify_kb_convexity)
+from oracle import rebuild_order_quantity, threshold_pairs_by_run
+from stochinv import (CopViolated, Grid, Instance, MalformedTable, ThresholdPolicy,
+                      check_cop, extract_thresholds, pmf_empirical,
+                      qce_diagnostics, verify_kb_convexity)
 
 SEASONAL_PAIRS = {
     (35, 1): ((39, 68), (46, 81)),
@@ -86,28 +85,24 @@ class TestOrderPropertyCheck:
                 assert check_cop(tables, period).holds
 
 
-def rebuild_order_quantity(pairs, B, x):
-    """Order quantity implied by threshold pairs: up to the band's level,
-    saturating at capacity."""
-    s_values = [s for s, _ in pairs]
-    if x > s_values[-1]:
-        return 0
-    k = bisect_left(s_values, x)
-    return int(min(pairs[k][1] - x, B))
-
-
 class TestPolicyReconstruction:
-    """Threshold pairs must regenerate the action table exactly."""
+    """Threshold pairs must regenerate the action table exactly, by the
+    reference band rule and through ThresholdPolicy.orders."""
 
     def check_tables(self, tables):
         instance = tables.instance
         xs = tables.grid.states
+        bands = []
         for period in range(1, instance.horizon + 1):
             pairs = extract_thresholds(tables, period).pairs
             row = tables.Qstar[tables.row(period)]
             rebuilt = np.array([rebuild_order_quantity(pairs, instance.B, x)
                                 for x in xs])
             assert np.array_equal(rebuilt, row), period
+            bands.append(pairs)
+        orders = ThresholdPolicy(tuple(bands)).orders(tables.grid, instance.B)
+        assert orders.dtype == np.int64
+        assert np.array_equal(orders, tables.Qstar)
 
     def test_seasonal_all_capacities(self, seasonal_tables):
         for tables in seasonal_tables.values():
@@ -278,3 +273,40 @@ class TestBandsMatchRunByRunReference:
         assert well_formed(want, cap)
         assert entry.pairs == tuple(want)
         assert entry.s_m == xs[-1]
+
+
+@st.composite
+def well_formed_bands(draw, cap):
+    """One period's bands: s_k and S_k strictly rising, s_k < S_k, and no
+    band deeper than the capacity cap."""
+    s_values = sorted(draw(st.sets(st.integers(-60, 60), max_size=6)))
+    pairs = []
+    for s_k in s_values:
+        lo = max(s_k + 1, pairs[-1][1] + 1 if pairs else s_k + 1)
+        hi = lo + 40 if cap == math.inf else s_k + cap
+        pairs.append((s_k, draw(st.integers(lo, hi))))
+    return tuple(pairs)
+
+
+class TestThresholdPolicyOrders:
+    GRID = Grid(-80, 80)
+
+    @given(data=st.data(), cap=st.one_of(st.integers(1, 50), st.just(math.inf)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_band_rule_oracle(self, data, cap):
+        bands = data.draw(st.lists(well_formed_bands(cap), min_size=1, max_size=3))
+        assert all(well_formed(pairs, cap) for pairs in bands)
+        table = ThresholdPolicy(tuple(bands)).orders(self.GRID, cap)
+        assert table.shape == (len(bands), self.GRID.size)
+        assert table.dtype == np.int64
+        for row, pairs in zip(table, bands):
+            want = [rebuild_order_quantity(pairs, cap, x)
+                    for x in self.GRID.states.tolist()]
+            assert row.tolist() == want
+
+    def test_constructor_shares_the_band_check(self):
+        with pytest.raises(MalformedTable, match="strictly increasing"):
+            ThresholdPolicy((((0, 5), (1, 4)),))
+        with pytest.raises(MalformedTable, match="not below"):
+            ThresholdPolicy(((), ((3, 3),)))
+        assert issubclass(MalformedTable, ValueError)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import seasonal_instance, small_random_instance
-from oracle import brute_policy_cost, modified_ss_order
-from stochinv import (Grid, Instance, ModifiedSSPolicy, SimulationConfig,
-                      SimulationError, expected_cost, gap_with_estimates,
+from oracle import brute_policy_cost, rebuild_order_quantity
+from stochinv import (Grid, Instance, SimulationConfig, SimulationError,
+                      ThresholdPolicy, expected_cost, gap_with_estimates,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
                       simulate_policy, solve)
 
@@ -136,6 +136,35 @@ class TestOptimalityGap:
                                0, config)
 
 
+class TestZeroCostGap:
+    """A gap against a zero optimum: 0 when the policy costs nothing too,
+    inf when it does not."""
+
+    @pytest.fixture(scope="class")
+    def no_demand(self):
+        instance = Instance(horizon=2, K=10.0, v=1.0, h=1.0, p=5.0, B=8,
+                            demands=(pmf_empirical([0], [1.0]),) * 2)
+        return instance, solve(instance, Grid(-20, 20))
+
+    def test_equal_zero_costs(self, no_demand):
+        instance, tables = no_demand
+        assert tables.cost_at(1, 0) == 0.0
+        heuristic = modified_ss_from_tables(tables)
+        assert optimality_gap(instance, tables, heuristic, 0) == 0.0
+        config = SimulationConfig(base_seed=1)
+        gap, opt, heur = gap_with_estimates(instance, tables, heuristic, 0, config)
+        assert (gap, opt.mean_cost, heur.mean_cost) == (0.0, 0.0, 0.0)
+
+    def test_costly_policy_against_zero_optimum(self, no_demand):
+        instance, tables = no_demand
+        ordering = ThresholdPolicy((((0, 5),), ()))
+        assert optimality_gap(instance, tables, ordering, 0) == math.inf
+        config = SimulationConfig(base_seed=1)
+        gap, opt, heur = gap_with_estimates(instance, tables, ordering, 0, config)
+        assert opt.mean_cost == 0.0 and heur.mean_cost > 0.0
+        assert gap == math.inf
+
+
 class TestExpectedCost:
     def test_matches_oracle_and_value_table(self):
         rng = np.random.default_rng(20210819)
@@ -187,12 +216,12 @@ class TestBudget:
 
 
 def assert_rule_on_grid(policy, grid, B):
-    """Every cell of the order table equals the closed-form rule."""
+    """Every cell of the order table equals the reference band rule."""
     table = policy.orders(grid, B)
-    assert table.shape == (len(policy.s), grid.size)
-    for period, (s, big) in enumerate(zip(policy.s, policy.S), start=1):
-        want = [modified_ss_order(x, s, big, B) for x in grid.states.tolist()]
-        np.testing.assert_array_equal(table[period - 1], want)
+    assert table.shape == (len(policy.bands), grid.size)
+    for row, pairs in zip(table, policy.bands):
+        want = [rebuild_order_quantity(pairs, B, x) for x in grid.states.tolist()]
+        np.testing.assert_array_equal(row, want)
 
 
 class TestPolicyFunctions:
@@ -202,7 +231,7 @@ class TestPolicyFunctions:
             assert_rule_on_grid(modified_ss_from_tables(tables), tables.grid, B)
 
     def test_idle_period_orders_nothing(self):
-        policy = ModifiedSSPolicy(s=(None,), S=(None,))
+        policy = ThresholdPolicy(((),))
         for B in (10, math.inf):
             table = policy.orders(Grid(-5, 4), B)
             np.testing.assert_array_equal(table, np.zeros((1, 10), int))
@@ -243,7 +272,7 @@ class TestConfigValidation:
             SimulationConfig(base_seed=0, min_reps=2000, max_reps=1999)
 
     def test_unbounded_capacity_policy(self):
-        policy = ModifiedSSPolicy(s=(3,), S=(20,))
+        policy = ThresholdPolicy((((3, 20),),))
         grid = Grid(-40, 40)
         table = policy.orders(grid, math.inf)
         np.testing.assert_array_equal(
