@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .demand import pmf_empirical
-from .policy import CopReport, check_cop
+from .policy import CopReport, _state_runs, check_cop
 from .sdp import Grid, Instance, ValueTables, solve
 
 
@@ -121,11 +121,5 @@ def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, 
     """
     r = tables.row(period)
     v = tables.C[r] + tables.instance.v * tables.grid.states - tables.G[r]
-    first = tables.grid.index(tables.exact_from(period))
-    dec = np.flatnonzero(np.diff(v[first:]) < -1e-9) + first
-    if dec.size == 0:
-        return ()
-    splits = np.flatnonzero(np.diff(dec) > 1) + 1
-    x_min = tables.grid.x_min
-    return tuple((x_min + int(run[0]), x_min + int(run[-1]))
-                 for run in np.split(dec, splits))
+    floor = tables.exact_from(period)
+    return _state_runs(np.diff(v[tables.grid.index(floor):]) < -1e-9, floor)

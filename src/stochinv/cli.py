@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from .cex import CexSearchParams, search_cop_violations
 from .demand import PARAMETRIC_FAMILIES
@@ -114,13 +115,15 @@ def cmd_solve(args) -> int:
         print(f"warning: continuous order property violated, period {period}")
 
     print(f"value tables: {tables_path}")
+    thresholds_path = out + "_thresholds.csv"
+    report_path = out + "_cop_report.txt"
+    for path in (thresholds_path, report_path):   # no earlier run's file stays
+        Path(path).unlink(missing_ok=True)
     if entries:
-        thresholds_path = out + "_thresholds.csv"
         with open(thresholds_path, "w") as handle:
             handle.write(thresholds_csv(entries))
         print(f"thresholds: {thresholds_path}")
     if violated:
-        report_path = out + "_cop_report.txt"
         with open(report_path, "w") as handle:
             for period, report in violated:
                 handle.write(f"period {period}: {report.describe()}\n")
@@ -138,13 +141,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.max_reps < SimulationConfig.min_reps:
-        raise ValueError(f"--max-reps must be at least {SimulationConfig.min_reps}")
+    try:   # before any solve
+        config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
+                                  target_rel_error=args.rel_error,
+                                  max_reps=args.max_reps)
+    except ValueError as exc:   # the message starts with the field: name its flag
+        field, rule = str(exc).split(" ", 1)
+        flag = {"base_seed": "--seed", "confidence": "--confidence",
+                "target_rel_error": "--rel-error", "max_reps": "--max-reps"}[field]
+        raise ValueError(f"{flag} {rule}") from None
     instance = load_instance(args.instance)
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
-    config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
-                              target_rel_error=args.rel_error,
-                              max_reps=args.max_reps)
     x0 = 0
 
     estimates = {}

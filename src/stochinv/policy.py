@@ -64,12 +64,13 @@ class QcePoint(NamedTuple):
     nontrivial: bool
 
 
-def _ordering_intervals(q_row: np.ndarray, x_min: int) -> tuple[tuple[int, int], ...]:
-    idx = np.flatnonzero(q_row > 0)
+def _state_runs(mask: np.ndarray, first: int) -> tuple[tuple[int, int], ...]:
+    """Maximal (lo, hi) state intervals where mask holds; mask[0] is state first."""
+    idx = np.flatnonzero(mask)
     if idx.size == 0:
         return ()
     splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    return tuple((x_min + int(run[0]), x_min + int(run[-1]))
+    return tuple((first + int(run[0]), first + int(run[-1]))
                  for run in np.split(idx, splits))
 
 
@@ -85,7 +86,7 @@ def check_cop(tables: ValueTables, period: int,
     """
     floor = tables.grid.x_min if from_state is None else from_state
     q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
-    intervals = _ordering_intervals(q_row, floor)
+    intervals = _state_runs(q_row > 0, floor)
     if len(intervals) == 0:
         return CopReport(True, intervals, None)
     if len(intervals) == 1 and intervals[0][0] == floor:

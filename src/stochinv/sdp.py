@@ -191,17 +191,12 @@ def single_period_cost(y: int, pmf: DemandPMF, h: float, p: float) -> float:
 
 def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
     """E[c_row(y - demand)] over the grid; reads below it clamp to the lowest state."""
-    size = c_row.size
+    size, top = c_row.size, pmf.max_value
+    # the clamp as data: max_value copies of the lowest state below the row
+    padded = np.concatenate((np.full(top, c_row[0]), c_row))
     out = np.zeros(size)
-    low = c_row[0]
     for d, pr in zip(pmf.support, pmf.probs):
-        if d == 0:
-            out += pr * c_row
-        elif d >= size:
-            out += pr * low
-        else:
-            out[d:] += pr * c_row[:size - d]
-            out[:d] += pr * low
+        out += pr * padded[top - d:top - d + size]
     return out
 
 

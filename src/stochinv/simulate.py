@@ -28,6 +28,7 @@ from .policy import ThresholdPolicy
 from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
 
 _CHUNK = 10_000   # replications per stream block, and the CI check cadence
+MIN_REPS = 1000   # replications before the first CI check; the floor of max_reps
 
 
 class SimulationError(RuntimeError):
@@ -39,18 +40,17 @@ class SimulationConfig:
     base_seed: int
     confidence: float = 0.95
     target_rel_error: float = 1e-4
-    min_reps: int = 1000
     max_reps: int = 50_000_000
 
     def __post_init__(self):
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
-        if self.target_rel_error <= 0:
+        if not self.target_rel_error > 0:
             raise ValueError("target_rel_error must be positive")
-        if self.min_reps < 1000:
-            raise ValueError("min_reps must be at least 1000")
-        if self.min_reps > self.max_reps:
-            raise ValueError("min_reps cannot exceed max_reps")
+        if self.max_reps < MIN_REPS:
+            raise ValueError(f"max_reps must be at least {MIN_REPS}")
 
 
 class SimulationEstimate(NamedTuple):
@@ -115,7 +115,7 @@ def simulate_policy(instance: Instance, grid: Grid, orders: np.ndarray,
         total_sq += (costs * costs).sum()
         reps += rows
         chunk_index += 1
-        if reps >= config.min_reps:
+        if reps >= MIN_REPS:
             mean = total / reps
             var = max(total_sq - total * total / reps, 0.0) / (reps - 1)
             half = z * math.sqrt(var / reps)

@@ -94,6 +94,28 @@ def brute_window_min(g_row, cap):
     return mins, offsets
 
 
+def branchy_expected_continuation(c_row, pmf):
+    """E[c_row(y - demand)] with a branch per demand point for the clamp.
+
+    The loop the padded kernel replaced, kept as the reference its output
+    must match bit for bit: reads below the row take its lowest entry.
+    """
+    import numpy as np
+
+    size = c_row.size
+    out = np.zeros(size)
+    low = c_row[0]
+    for d, pr in zip(pmf.support, pmf.probs):
+        if d == 0:
+            out += pr * c_row
+        elif d >= size:
+            out += pr * low
+        else:
+            out[d:] += pr * c_row[:size - d]
+            out[:d] += pr * low
+    return out
+
+
 def rebuild_order_quantity(pairs, B, x):
     """Order at inventory x of one period's threshold bands, by the band rule.
 

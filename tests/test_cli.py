@@ -4,9 +4,9 @@ import math
 import pytest
 
 from conftest import instance_path
-from stochinv import (InstanceFormatError, MalformedTable, extract_thresholds,
-                      load_instance, parse_instance, serialize_instance,
-                      thresholds_csv)
+from stochinv import (CopReport, CopViolated, InstanceFormatError,
+                      MalformedTable, extract_thresholds, load_instance,
+                      parse_instance, serialize_instance, thresholds_csv)
 from stochinv import cli
 from stochinv.cli import main
 
@@ -163,6 +163,37 @@ class TestSolveCommand:
         assert "\n1," not in csv_text
         assert "\n2," in csv_text
 
+    def test_rerun_removes_files_it_does_not_write(self, tmp_path, capsys,
+                                                   monkeypatch):
+        out = str(tmp_path / "run")
+        spiky = ["solve", instance_path("spiky_nonstationary.json"),
+                 "--grid-min", "-1000", "--grid-max", "1100", "--out", out]
+        seasonal = ["solve", instance_path("seasonal_poisson.json"),
+                    "--grid-min", "-300", "--grid-max", "600", "--out", out]
+        report = tmp_path / "run_cop_report.txt"
+        thresholds = tmp_path / "run_thresholds.csv"
+
+        assert main(seasonal) == 0
+        clean_stdout = capsys.readouterr().out
+        clean_thresholds = thresholds.read_bytes()
+        assert main(spiky) == 0
+        assert report.exists()
+        capsys.readouterr()
+        assert main(seasonal) == 0
+        assert capsys.readouterr().out == clean_stdout
+        assert not report.exists()
+        assert thresholds.read_bytes() == clean_thresholds
+
+        # every period violated: no thresholds file, so the old one goes
+        def always_violated(tables, period):
+            raise CopViolated(CopReport(False, ((0, 1), (5, 6)), (4, 5)))
+
+        monkeypatch.setattr(cli, "extract_thresholds", always_violated)
+        assert main(seasonal) == 0
+        assert "thresholds:" not in capsys.readouterr().out
+        assert not thresholds.exists()
+        assert report.read_text().startswith("period 1: ")
+
     def test_parse_failure_writes_nothing(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"horizon": 1}')
@@ -251,6 +282,24 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: --max-reps must be at least 1000\n"
+
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("--rel-error", "0", "must be positive"),
+        ("--rel-error", "nan", "must be positive"),
+        ("--confidence", "1.5", "must be in (0, 1)"),
+        ("--confidence", "0", "must be in (0, 1)"),
+        ("--max-reps", "999", "must be at least 1000"),
+        ("--seed", "-1", "must be nonnegative"),
+    ])
+    def test_bad_flag_is_rejected_before_solving(self, capsys, monkeypatch,
+                                                 flag, value, rule):
+        def must_not_solve(*args, **kwargs):
+            raise AssertionError("solved before the flags were checked")
+
+        monkeypatch.setattr(cli, "solve", must_not_solve)
+        rc = main(self.ARGS + [flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} {rule}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_zero_cost_gap(self, tmp_path, capsys):

@@ -14,8 +14,9 @@ from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       pmf_parametric, random_instance, sdp, search_grid,
                       single_period_cost, solve)
 
-from oracle import (brute_cost_to_go, brute_single_period_loss,
-                    brute_window_min, rowwise_tables_csv)
+from oracle import (branchy_expected_continuation, brute_cost_to_go,
+                    brute_single_period_loss, brute_window_min,
+                    rowwise_tables_csv)
 
 
 class TestExpectedHoldingShortageCost:
@@ -115,33 +116,71 @@ class TestWindowMinimum:
         assert np.array_equal(q, np.array(brute_q))
 
 
+def assert_same_tables(monkeypatch, instance, grid, kernel, reference_kernel):
+    """C, G and Qstar are byte-equal with sdp's kernel swapped for its reference."""
+    tables = solve(instance, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, kernel, reference_kernel)
+        reference = solve(instance, grid)
+    for name in ("C", "G", "Qstar"):
+        got, want = getattr(tables, name), getattr(reference, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestTablesMatchSlidingWindowKernel:
     """Solving with the sparse table gives the same bytes as the old kernel."""
-
-    @staticmethod
-    def assert_same_tables(monkeypatch, instance, grid):
-        tables = solve(instance, grid)
-        with monkeypatch.context() as patch:
-            patch.setattr(sdp, "_window_min_finite", sliding_window_min)
-            reference = solve(instance, grid)
-        for name in ("C", "G", "Qstar"):
-            got, want = getattr(tables, name), getattr(reference, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("name", [
         "lumpy_discounted.json", "seasonal_poisson.json",
         "spiky_nonstationary.json", "volatile_poisson.json"])
     def test_instance_files_on_default_grid(self, monkeypatch, name):
         instance = load_instance(instance_path(name))
-        self.assert_same_tables(monkeypatch, instance, DEFAULT_GRID)
+        assert_same_tables(monkeypatch, instance, DEFAULT_GRID,
+                           "_window_min_finite", sliding_window_min)
 
     def test_random_search_instances(self, monkeypatch):
         params = CexSearchParams(seed=11, budget=200)
         rng = np.random.default_rng(11)
         for _ in range(params.budget):
             instance = random_instance(params, rng)
-            self.assert_same_tables(monkeypatch, instance, search_grid(instance))
+            assert_same_tables(monkeypatch, instance, search_grid(instance),
+                               "_window_min_finite", sliding_window_min)
+
+
+class TestExpectedContinuation:
+    """The padded kernel equals the branch-per-demand-point loop bit for bit."""
+
+    # rows of 1-400 states; supports with 0, with points at or past the
+    # row's end, and of one point
+    @given(size=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           points=st.dictionaries(st.integers(0, 500), st.floats(1e-3, 1.0),
+                                  min_size=1, max_size=12))
+    @example(size=1, seed=0, points={0: 1.0})
+    @example(size=3, seed=1, points={0: 0.2, 2: 0.3, 3: 0.1, 9: 0.4})
+    @example(size=2, seed=2, points={5: 1.0})
+    @settings(max_examples=400, deadline=None)
+    def test_matches_branchy_loop_bitwise(self, size, seed, points):
+        c_row = np.random.default_rng(seed).uniform(-1e6, 1e6, size)
+        values = list(points)
+        masses = np.array([points[d] for d in values])
+        pmf = pmf_empirical(values, masses / masses.sum())
+        got = sdp._expected_continuation(c_row, pmf)
+        want = branchy_expected_continuation(c_row, pmf)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    # each instance file on the grid its tests solve it on
+    TEST_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
+                  "seasonal_poisson.json": Grid(-300, 600),
+                  "spiky_nonstationary.json": Grid(-1000, 1100),
+                  "volatile_poisson.json": Grid(-1200, 600)}
+
+    @pytest.mark.parametrize("name", sorted(TEST_GRIDS))
+    def test_instance_files_give_the_same_tables(self, monkeypatch, name):
+        instance = load_instance(instance_path(name))
+        assert_same_tables(monkeypatch, instance, self.TEST_GRIDS[name],
+                           "_expected_continuation", branchy_expected_continuation)
 
 
 class TestActionTableSpikyDemand:

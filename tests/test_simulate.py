@@ -9,6 +9,7 @@ from stochinv import (Grid, Instance, SimulationConfig, SimulationError,
                       ThresholdPolicy, expected_cost, gap_with_estimates,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
                       simulate_policy, solve)
+from stochinv.simulate import MIN_REPS
 
 
 def deterministic_instance(horizon=4):
@@ -207,9 +208,7 @@ class TestBudget:
     def test_unconverged_run_reports_it(self, seasonal_tables):
         instance = seasonal_instance(65)
         tables = seasonal_tables[65]
-        config = SimulationConfig(
-            base_seed=5, target_rel_error=1e-9, min_reps=1000, max_reps=1000
-        )
+        config = SimulationConfig(base_seed=5, target_rel_error=1e-9, max_reps=1000)
         est = simulate_policy(instance, tables.grid, tables.Qstar, 0, config)
         assert not est.converged
         assert est.reps == 1000
@@ -259,17 +258,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(base_seed=0, confidence=0.0)
 
+    def test_seed_nonnegative(self):
+        SimulationConfig(base_seed=0)
+        with pytest.raises(ValueError, match="base_seed must be nonnegative"):
+            SimulationConfig(base_seed=-1)
+
     def test_relative_error_positive(self):
         with pytest.raises(ValueError):
             SimulationConfig(base_seed=0, target_rel_error=0.0)
-
-    def test_min_reps_floor(self):
         with pytest.raises(ValueError):
-            SimulationConfig(base_seed=0, min_reps=999)
+            SimulationConfig(base_seed=0, target_rel_error=math.nan)
 
     def test_min_not_above_max(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(base_seed=0, min_reps=2000, max_reps=1999)
+        SimulationConfig(base_seed=0, max_reps=MIN_REPS)
+        with pytest.raises(ValueError, match="max_reps must be at least 1000"):
+            SimulationConfig(base_seed=0, max_reps=999)
 
     def test_unbounded_capacity_policy(self):
         policy = ThresholdPolicy((((3, 20),),))
