@@ -38,6 +38,8 @@ class CexSearchParams:
                 raise ValueError(f"{name} is empty")
         if self.points_per_pmf < 2:
             raise ValueError("points_per_pmf must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
         if self.B_range[1] + 1 > self.support_max:

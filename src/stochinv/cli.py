@@ -140,16 +140,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
+    """A config's "<field> <rule>" error, reworded to name the field's flag."""
+    field, rule = str(exc).split(" ", 1)
+    return ValueError(f"{flags[field]} {rule}")
+
+
 def cmd_simulate(args) -> int:
     try:   # before any solve
         config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
                                   target_rel_error=args.rel_error,
                                   max_reps=args.max_reps)
-    except ValueError as exc:   # the message starts with the field: name its flag
-        field, rule = str(exc).split(" ", 1)
-        flag = {"base_seed": "--seed", "confidence": "--confidence",
-                "target_rel_error": "--rel-error", "max_reps": "--max-reps"}[field]
-        raise ValueError(f"{flag} {rule}") from None
+    except ValueError as exc:
+        raise _flag_error(exc, {"base_seed": "--seed", "confidence": "--confidence",
+                                "target_rel_error": "--rel-error",
+                                "max_reps": "--max-reps"}) from None
     instance = load_instance(args.instance)
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     x0 = 0
@@ -181,8 +186,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_search_cex(args) -> int:
-    params = CexSearchParams(seed=args.seed, budget=args.budget,
-                             equal_masses=args.equal_masses)
+    try:
+        params = CexSearchParams(seed=args.seed, budget=args.budget,
+                                 equal_masses=args.equal_masses)
+    except ValueError as exc:
+        raise _flag_error(exc, {"seed": "--seed", "budget": "--budget"}) from None
     violations = search_cop_violations(params)
 
     os.makedirs(args.out, exist_ok=True)

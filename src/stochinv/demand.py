@@ -55,9 +55,15 @@ class DemandPMF:
 
     @cached_property
     def cum_probs(self) -> np.ndarray:
+        """P(d <= support[k]) at each k."""
         return np.cumsum(self.probs_arr)
 
-    @property
+    @cached_property
+    def cum_means(self) -> np.ndarray:
+        """E[d; d <= support[k]] at each k."""
+        return np.cumsum(self.probs_arr * self.support_arr)
+
+    @cached_property
     def mean(self) -> float:
         return float(self.probs_arr @ self.support_arr)
 

@@ -4,6 +4,15 @@ State is net inventory on a unit-step grid. Each period the controller may
 order up to B units before demand, paying a fixed cost K plus v per unit;
 holding and penalty costs accrue on the post-demand position. Demand is a
 finite integer PMF per period, independent across periods.
+
+solve runs one backward pass per period over the whole grid row:
+G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], then the minimum of G over
+each capacity window and C(x) = -v x + min(G(x), K + window min). Each
+kernel does only the work the tables read. The loss row L looks partial
+sums up only on the demand support and is closed form below and above it.
+The window minimum returns the minimum everywhere but searches for the
+smallest attaining order only at the states where ordering pays, since
+Qstar is zero everywhere else.
 """
 
 from __future__ import annotations
@@ -172,16 +181,26 @@ class ValueTables:
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:
     """One-period expected holding plus shortage cost at each post-order level.
 
-    Closed form via the partial sums F(y) and M1(y) = E[d; d <= y]:
+    states must be ascending. Closed form via the partial sums F(y) and
+    M1(y) = E[d; d <= y]:
     L(y) = h (y F(y) - M1(y)) + p ((mu - M1(y)) - y (1 - F(y))).
+    Below the support F = M1 = 0, so L(y) = p (mu - y) exactly; from the top
+    of the support up F and M1 are the full sums. Only the states in
+    between look their partial sums up.
     """
-    idx = np.searchsorted(pmf.support_arr, states, side="right")
-    cum_p = np.concatenate(([0.0], np.cumsum(pmf.probs_arr)))
-    cum_pv = np.concatenate(([0.0], np.cumsum(pmf.probs_arr * pmf.support_arr)))
-    big_f = cum_p[idx]
-    m1 = cum_pv[idx]
     mu = pmf.mean
-    return h * (states * big_f - m1) + p * ((mu - m1) - states * (1.0 - big_f))
+
+    def closed_form(y, big_f, m1):
+        return h * (y * big_f - m1) + p * ((mu - m1) - y * (1.0 - big_f))
+
+    lo, hi = np.searchsorted(states, (pmf.support[0], pmf.support[-1]))
+    out = np.empty(states.size)
+    out[:lo] = p * (mu - states[:lo])
+    inside = states[lo:hi]
+    k = np.searchsorted(pmf.support_arr, inside, side="right") - 1
+    out[lo:hi] = closed_form(inside, pmf.cum_probs[k], pmf.cum_means[k])
+    out[hi:] = closed_form(states[hi:], pmf.cum_probs[-1], pmf.cum_means[-1])
+    return out
 
 
 def single_period_cost(y: int, pmf: DemandPMF, h: float, p: float) -> float:
@@ -201,11 +220,13 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
 
 
 def _window_min_finite(g_row: np.ndarray, cap: int):
-    """Min of g_row over [i, i+cap] and the smallest offset attaining it.
+    """Min of g_row over [i, i+cap], and a lookup of the smallest offset attaining it.
 
-    Offsets within 1e-9 of the window minimum count as attaining it, so ties
-    resolve to the smallest order quantity. States past the end of the row
-    never attain it.
+    Returns (w, offsets): w holds the window minimum at every state, and
+    offsets(at) gives the smallest attaining offset at the state indices
+    `at` alone. Offsets within 1e-9 of the window minimum count as
+    attaining it, so ties resolve to the smallest order quantity. States
+    past the end of the row never attain it.
 
     Sparse table: level k holds the min of g_row over [j, j + 2^k), cut off
     at the row's end, for 2^k <= cap + 1. The window minimum is the min of
@@ -213,7 +234,8 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     not round, so it is exact. The offset comes from a jump search down the
     levels: from i, skip each block whose min exceeds the tie threshold,
     which lands on the first state within 1e-9 of the window minimum. Time
-    and memory are O(size log cap) instead of O(size cap).
+    and memory are O(size log cap) instead of O(size cap), and the search
+    costs O(log cap) per state looked up.
     """
     size = g_row.size
     cap = min(cap, size - 1)   # the window never reaches past the row
@@ -221,27 +243,40 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     levels = [g_row]
     for k in range(top):
         prev, half = levels[-1], 1 << k
-        level = prev.copy()
+        level = np.empty(size)
         np.minimum(prev[:-half], prev[half:], out=level[:-half])
+        level[-half:] = prev[-half:]
         levels.append(level)
-    idx = np.arange(size)
-    last = levels[-1]
-    w = np.minimum(last, last[np.minimum(idx + (cap + 1 - (1 << top)), size - 1)])
-    threshold = w + _TIE_TOL
-    pos = idx.copy()
-    for k in range(top, -1, -1):
-        pos += (levels[k][pos] > threshold) << k
-    return w, pos - idx
+    # the second top-level block starts `shift` states after i, or at the
+    # row's last state where that is past the end
+    last, shift = levels[-1], cap + 1 - (1 << top)
+    w = np.minimum(last, last[-1])
+    np.minimum(last[:size - shift], last[shift:], out=w[:size - shift])
+
+    def offsets(at: np.ndarray) -> np.ndarray:
+        threshold = w[at] + _TIE_TOL
+        pos = at.copy()
+        for k in range(top, -1, -1):
+            pos += (levels[k][pos] > threshold) << k
+        return pos - at
+
+    return w, offsets
 
 
 def _window_min_infinite(g_row: np.ndarray):
-    """Suffix min of g_row and the smallest offset attaining it within tolerance."""
+    """Suffix min of g_row, and a lookup of the smallest offset attaining it.
+
+    Same shape as _window_min_finite: (w, offsets), where offsets(at) gives
+    the smallest offset within 1e-9 of the suffix min at the indices `at`.
+    """
     size = g_row.size
     w = np.minimum.accumulate(g_row[::-1])[::-1]
-    idx = np.arange(size)
-    cand = np.where(g_row <= w + _TIE_TOL, idx, size)
-    j = np.minimum.accumulate(cand[::-1])[::-1]
-    return w, j - idx
+
+    def offsets(at: np.ndarray) -> np.ndarray:
+        cand = np.where(g_row <= w + _TIE_TOL, np.arange(size), size)
+        return np.minimum.accumulate(cand[::-1])[::-1][at] - at
+
+    return w, offsets
 
 
 def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
@@ -262,6 +297,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     size = grid.size
     states = grid.states.astype(np.float64)
     K, v = instance.K, instance.v
+    purchase = v * states
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))
@@ -271,16 +307,19 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
         cont = _expected_continuation(c_next, pmf)
-        g_row = (v * states + _loss_row(states, pmf, instance.h, instance.p)
+        g_row = (purchase + _loss_row(states, pmf, instance.h, instance.p)
                  + instance.discount * cont)
         if instance.B == math.inf:
-            w, q = _window_min_infinite(g_row)
+            w, offsets = _window_min_infinite(g_row)
         else:
-            w, q = _window_min_finite(g_row, int(instance.B))
-        order = g_row - (K + w) > _TIE_TOL
-        c_tbl[t] = -v * states + np.minimum(g_row, K + w)
+            w, offsets = _window_min_finite(g_row, int(instance.B))
+        ordered = K + w
+        # search for the smallest minimizing order only where ordering pays
+        ordering = np.flatnonzero(g_row - ordered > _TIE_TOL)
+        c_tbl[t] = np.minimum(g_row, ordered) - purchase
         g_tbl[t] = g_row
-        q_tbl[t] = np.where(order, q, 0)
+        q_tbl[t, ordering] = offsets(ordering)
+        del offsets   # frees the kernel's tables before the next period's
         c_next = c_tbl[t]
 
     return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid, instance=instance)

@@ -28,7 +28,9 @@ from .policy import ThresholdPolicy
 from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
 
 _CHUNK = 10_000   # replications per stream block, and the CI check cadence
-MIN_REPS = 1000   # replications before the first CI check; the floor of max_reps
+# the floor of max_reps; with _CHUNK above it, the first block, and so the
+# first CI check, holds at least this many replications
+MIN_REPS = 1000
 
 
 class SimulationError(RuntimeError):
@@ -115,13 +117,12 @@ def simulate_policy(instance: Instance, grid: Grid, orders: np.ndarray,
         total_sq += (costs * costs).sum()
         reps += rows
         chunk_index += 1
-        if reps >= MIN_REPS:
-            mean = total / reps
-            var = max(total_sq - total * total / reps, 0.0) / (reps - 1)
-            half = z * math.sqrt(var / reps)
-            target = config.target_rel_error * abs(mean)
-            if half <= target and (mean != 0.0 or half == 0.0):
-                return SimulationEstimate(mean, half, reps, True)
+        mean = total / reps
+        var = max(total_sq - total * total / reps, 0.0) / (reps - 1)
+        half = z * math.sqrt(var / reps)
+        target = config.target_rel_error * abs(mean)
+        if half <= target and (mean != 0.0 or half == 0.0):
+            return SimulationEstimate(mean, half, reps, True)
         if reps >= config.max_reps:
             return SimulationEstimate(mean, half, reps, False)
 

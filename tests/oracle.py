@@ -116,6 +116,62 @@ def branchy_expected_continuation(c_row, pmf):
     return out
 
 
+def searchsorted_loss_row(states, pmf, h, p):
+    """The one-period loss row with a partial-sum lookup at every state.
+
+    The kernel that evaluated the closed form on the whole row, kept as the
+    reference the support-restricted one must match bit for bit.
+    """
+    import numpy as np
+
+    idx = np.searchsorted(pmf.support_arr, states, side="right")
+    cum_p = np.concatenate(([0.0], np.cumsum(pmf.probs_arr)))
+    cum_pv = np.concatenate(([0.0], np.cumsum(pmf.probs_arr * pmf.support_arr)))
+    big_f = cum_p[idx]
+    m1 = cum_pv[idx]
+    mu = pmf.mean
+    return h * (states * big_f - m1) + p * ((mu - m1) - states * (1.0 - big_f))
+
+
+def full_row_window_min_finite(g_row, cap):
+    """Capacity-window min and smallest attaining offset at every state.
+
+    The sparse-table kernel that ran the jump search on the whole row,
+    ordering or not; returns (w, q) as arrays.
+    """
+    import numpy as np
+
+    size = g_row.size
+    cap = min(cap, size - 1)
+    top = (cap + 1).bit_length() - 1
+    levels = [g_row]
+    for k in range(top):
+        prev, half = levels[-1], 1 << k
+        level = prev.copy()
+        np.minimum(prev[:-half], prev[half:], out=level[:-half])
+        levels.append(level)
+    idx = np.arange(size)
+    last = levels[-1]
+    w = np.minimum(last, last[np.minimum(idx + (cap + 1 - (1 << top)), size - 1)])
+    threshold = w + 1e-9
+    pos = idx.copy()
+    for k in range(top, -1, -1):
+        pos += (levels[k][pos] > threshold) << k
+    return w, pos - idx
+
+
+def full_row_window_min_infinite(g_row):
+    """Suffix min and smallest attaining offset at every state, as arrays."""
+    import numpy as np
+
+    size = g_row.size
+    w = np.minimum.accumulate(g_row[::-1])[::-1]
+    idx = np.arange(size)
+    cand = np.where(g_row <= w + 1e-9, idx, size)
+    j = np.minimum.accumulate(cand[::-1])[::-1]
+    return w, j - idx
+
+
 def rebuild_order_quantity(pairs, B, x):
     """Order at inventory x of one period's threshold bands, by the band rule.
 

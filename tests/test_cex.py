@@ -92,6 +92,8 @@ class TestGeneratorContract:
             CexSearchParams(seed=0, budget=1, B_range=(20, 400), support_max=300)
         with pytest.raises(ValueError):
             CexSearchParams(seed=0, budget=1, points_per_pmf=1)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            CexSearchParams(seed=-1, budget=1)
 
 
 class TestMonotonicityReport:

@@ -344,6 +344,15 @@ class TestSearchCexCommand:
         violator = load_instance(tmp_path / "violator_886.json")
         assert violator.B == 88
 
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_negative_flag_is_named(self, tmp_path, capsys, flag):
+        args = {"--seed": "0", "--budget": "2", flag: "-1"}
+        rc = main(["search-cex", *(x for pair in args.items() for x in pair),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag} must be nonnegative\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchmarkCommand:
     def test_rejects_unknown_family(self, capsys):

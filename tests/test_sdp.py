@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -16,7 +17,14 @@ from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_window_min,
-                    rowwise_tables_csv)
+                    full_row_window_min_finite, full_row_window_min_infinite,
+                    rowwise_tables_csv, searchsorted_loss_row)
+
+# each instance file on the grid its tests solve it on
+FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
+                 "seasonal_poisson.json": Grid(-300, 600),
+                 "spiky_nonstationary.json": Grid(-1000, 1100),
+                 "volatile_poisson.json": Grid(-1200, 600)}
 
 
 class TestExpectedHoldingShortageCost:
@@ -52,6 +60,28 @@ class TestExpectedHoldingShortageCost:
         naive = brute_single_period_loss(y, pmf.support, pmf.probs, h, p)
         assert single_period_cost(y, pmf, h, p) == approx(naive, abs=1e-9)
 
+    # ascending unit-step ranges that lie below, across or above a random
+    # support of 1-8 points in [0, 300]
+    @given(points=st.dictionaries(st.integers(0, 300), st.floats(1e-3, 1.0),
+                                  min_size=1, max_size=8),
+           start=st.integers(-400, 400), length=st.integers(1, 500),
+           h=st.floats(0.01, 50.0), p=st.floats(0.01, 500.0))
+    @example(points={40: 0.5, 60: 0.5}, start=-100, length=50, h=1.0, p=10.0)
+    @example(points={40: 0.5, 60: 0.5}, start=0, length=100, h=1.0, p=10.0)
+    @example(points={40: 0.5, 60: 0.5}, start=60, length=50, h=1.0, p=10.0)
+    @example(points={0: 1.0}, start=-3, length=7, h=2.0, p=3.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted_kernel_bitwise(self, points, start, length,
+                                                 h, p):
+        values = list(points)
+        masses = np.array([points[d] for d in values])
+        pmf = pmf_empirical(values, masses / masses.sum())
+        states = np.arange(start, start + length, dtype=np.float64)
+        got = sdp._loss_row(states, pmf, h, p)
+        want = searchsorted_loss_row(states, pmf, h, p)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestDeterministicDemand:
     """Single period, demand exactly 5: order up to 5 whenever it pays."""
@@ -85,6 +115,15 @@ class TestDeterministicDemand:
         assert tables.C[row, i] == approx(min(g[i], 1.0 + g[i:i + 11].min()))
 
 
+def with_offsets(full_row_kernel):
+    """A kernel returning (w, q) over the whole row, in sdp's (w, offsets) shape."""
+    def kernel(*args):
+        w, q = full_row_kernel(*args)
+        return w, lambda at: q[at]
+    return kernel
+
+
+@with_offsets
 def sliding_window_min(g_row, cap):
     """The O(size * cap) window minimum the sparse table replaced, kept as
     the reference its tables must match byte for byte."""
@@ -110,17 +149,49 @@ class TestWindowMinimum:
     @settings(max_examples=400, deadline=None)
     def test_matches_brute_force_exactly(self, row, cap):
         g_row = np.array(row, dtype=np.float64)
-        w, q = sdp._window_min_finite(g_row, cap)
+        w, offsets = sdp._window_min_finite(g_row, cap)
+        q = offsets(np.arange(g_row.size))
         brute_w, brute_q = brute_window_min(row, cap)
         assert np.array_equal(w, np.array(brute_w))
         assert np.array_equal(q, np.array(brute_q))
 
+    @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
+                        min_size=1, max_size=40))
+    @example(row=[2.5])
+    @settings(max_examples=200, deadline=None)
+    def test_unbounded_window_matches_brute_force(self, row):
+        # with a window as long as the row, the window min is the suffix min
+        g_row = np.array(row, dtype=np.float64)
+        w, offsets = sdp._window_min_infinite(g_row)
+        q = offsets(np.arange(g_row.size))
+        brute_w, brute_q = brute_window_min(row, len(row) - 1)
+        assert np.array_equal(w, np.array(brute_w))
+        assert np.array_equal(q, np.array(brute_q))
 
-def assert_same_tables(monkeypatch, instance, grid, kernel, reference_kernel):
-    """C, G and Qstar are byte-equal with sdp's kernel swapped for its reference."""
+    @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
+                        min_size=1, max_size=60),
+           cap=st.integers(1, 70), picks=st.lists(st.booleans(), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_offsets_at_any_states_match_the_full_row(self, row, cap, picks):
+        g_row = np.array(row, dtype=np.float64)
+        at = np.flatnonzero(np.resize(np.array(picks + [True]), g_row.size))
+        for kernel, full_row in (
+                (sdp._window_min_finite(g_row, cap),
+                 full_row_window_min_finite(g_row, cap)),
+                (sdp._window_min_infinite(g_row),
+                 full_row_window_min_infinite(g_row))):
+            (w, offsets), (want_w, want_q) = kernel, full_row
+            assert w.tobytes() == want_w.tobytes()
+            assert np.array_equal(offsets(at), want_q[at])
+
+
+def assert_same_tables(monkeypatch, instance, grid, **references):
+    """C, G and Qstar are byte-equal with sdp's kernels swapped for their
+    references, given by kernel name."""
     tables = solve(instance, grid)
     with monkeypatch.context() as patch:
-        patch.setattr(sdp, kernel, reference_kernel)
+        for kernel, reference_kernel in references.items():
+            patch.setattr(sdp, kernel, reference_kernel)
         reference = solve(instance, grid)
     for name in ("C", "G", "Qstar"):
         got, want = getattr(tables, name), getattr(reference, name)
@@ -137,7 +208,7 @@ class TestTablesMatchSlidingWindowKernel:
     def test_instance_files_on_default_grid(self, monkeypatch, name):
         instance = load_instance(instance_path(name))
         assert_same_tables(monkeypatch, instance, DEFAULT_GRID,
-                           "_window_min_finite", sliding_window_min)
+                           _window_min_finite=sliding_window_min)
 
     def test_random_search_instances(self, monkeypatch):
         params = CexSearchParams(seed=11, budget=200)
@@ -145,7 +216,7 @@ class TestTablesMatchSlidingWindowKernel:
         for _ in range(params.budget):
             instance = random_instance(params, rng)
             assert_same_tables(monkeypatch, instance, search_grid(instance),
-                               "_window_min_finite", sliding_window_min)
+                               _window_min_finite=sliding_window_min)
 
 
 class TestExpectedContinuation:
@@ -170,17 +241,34 @@ class TestExpectedContinuation:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    # each instance file on the grid its tests solve it on
-    TEST_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
-                  "seasonal_poisson.json": Grid(-300, 600),
-                  "spiky_nonstationary.json": Grid(-1000, 1100),
-                  "volatile_poisson.json": Grid(-1200, 600)}
-
-    @pytest.mark.parametrize("name", sorted(TEST_GRIDS))
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
     def test_instance_files_give_the_same_tables(self, monkeypatch, name):
         instance = load_instance(instance_path(name))
-        assert_same_tables(monkeypatch, instance, self.TEST_GRIDS[name],
-                           "_expected_continuation", branchy_expected_continuation)
+        assert_same_tables(
+            monkeypatch, instance, FIXTURE_GRIDS[name],
+            _expected_continuation=branchy_expected_continuation)
+
+
+class TestTablesMatchFullRowKernels:
+    """The loss row off the support and the offset search at ordering states
+    alone give the same bytes as the kernels that ran on the whole row."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
+    def test_instance_files_on_default_grid(self, monkeypatch, name):
+        instance = load_instance(instance_path(name))
+        assert_same_tables(
+            monkeypatch, instance, DEFAULT_GRID,
+            _loss_row=searchsorted_loss_row,
+            _window_min_finite=with_offsets(full_row_window_min_finite))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
+    def test_instance_files_at_unbounded_capacity(self, monkeypatch, name):
+        instance = dataclasses.replace(load_instance(instance_path(name)),
+                                       B=math.inf)
+        assert_same_tables(
+            monkeypatch, instance, FIXTURE_GRIDS[name],
+            _loss_row=searchsorted_loss_row,
+            _window_min_infinite=with_offsets(full_row_window_min_infinite))
 
 
 class TestActionTableSpikyDemand:
