@@ -12,9 +12,8 @@ from .demand import PARAMETRIC_FAMILIES, DemandPMF, pmf_empirical, pmf_parametri
 from .files import (InstanceFormatError, dump_instance, load_instance,
                     parse_instance, serialize_instance, thresholds_csv)
 from .heuristic import modified_ss_from_tables
-from .policy import (CopReport, CopViolated, KBReport, MalformedTable, PeriodThresholds,
-                     QcePoint, ThresholdPolicy, check_cop, extract_thresholds,
-                     qce_diagnostics, read_policy, verify_kb_convexity)
+from .policy import (CopReport, KBReport, MalformedTable, QcePoint, ThresholdPolicy,
+                     check_cop, qce_diagnostics, read_policy, verify_kb_convexity)
 from .sdp import (DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables,
                   single_period_cost, solve)
 from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
@@ -27,7 +26,6 @@ __all__ = [
     "BenchmarkReport",
     "CexSearchParams",
     "CopReport",
-    "CopViolated",
     "DEFAULT_GRID",
     "DemandPMF",
     "DesignPoint",
@@ -38,7 +36,6 @@ __all__ = [
     "KBReport",
     "MalformedTable",
     "PARAMETRIC_FAMILIES",
-    "PeriodThresholds",
     "PointResult",
     "QcePoint",
     "SimulationConfig",
@@ -52,7 +49,6 @@ __all__ = [
     "demand_patterns",
     "dump_instance",
     "expected_cost",
-    "extract_thresholds",
     "gap_with_estimates",
     "load_instance",
     "modified_ss_from_tables",

@@ -6,8 +6,10 @@ byte-identical output files.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
-instance-file errors; 3 grid, numerical or malformed-band errors; 4
-simulation budget exhausted before the confidence target.
+instance-file errors; 3 grid, numerical or malformed-band errors, among
+them a period that orders only below its certified floor exact_from (the
+grid is too narrow; `solve` then writes no file); 4 simulation budget
+exhausted before the confidence target.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .cex import CexSearchParams, search_cop_violations
 from .demand import PARAMETRIC_FAMILIES
 from .files import InstanceFormatError, dump_instance, load_instance, thresholds_csv
 from .heuristic import modified_ss_from_tables
-from .policy import CopViolated, MalformedTable, extract_thresholds
+from .policy import MalformedTable, check_cop, read_policy
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
 from .simulate import (SimulationConfig, SimulationError, gap_with_estimates,
                        simulate_policy)
@@ -98,45 +100,37 @@ def _fmt(value: float) -> str:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    tables = solve(instance, Grid(args.grid_min, args.grid_max))
-
     out = args.out if args.out is not None else os.path.splitext(args.instance)[0]
     tables_path = out + "_tables.csv"
-    tables.to_csv(tables_path)
-
-    entries = []
-    violated = []
-    for period in range(1, instance.horizon + 1):
-        try:
-            entries.append(extract_thresholds(tables, period))
-        except CopViolated as exc:
-            violated.append((period, exc.report))
-    for period, _ in violated:
-        print(f"warning: continuous order property violated, period {period}")
-
-    print(f"value tables: {tables_path}")
     thresholds_path = out + "_thresholds.csv"
     report_path = out + "_cop_report.txt"
-    for path in (thresholds_path, report_path):   # no earlier run's file stays
-        Path(path).unlink(missing_ok=True)
-    if entries:
+    for path in (tables_path, thresholds_path, report_path):
+        Path(path).unlink(missing_ok=True)   # no earlier run's file stays
+    tables = solve(instance, Grid(args.grid_min, args.grid_max))
+    policy = read_policy(tables)   # a grid error stops the run before any write
+
+    tables.to_csv(tables_path)
+    for period in policy.cop_violated:
+        print(f"warning: continuous order property violated, period {period}")
+    print(f"value tables: {tables_path}")
+    if len(policy.cop_violated) < instance.horizon:
         with open(thresholds_path, "w") as handle:
-            handle.write(thresholds_csv(entries))
+            handle.write(thresholds_csv(policy))
         print(f"thresholds: {thresholds_path}")
-    if violated:
+    if policy.cop_violated:
         with open(report_path, "w") as handle:
-            for period, report in violated:
+            for period in policy.cop_violated:   # describes the whole grid row
+                report = check_cop(tables, period)
                 handle.write(f"period {period}: {report.describe()}\n")
         print(f"order-property report: {report_path}")
 
     print("period  (s_k, S_k) pairs")
-    by_period = {entry.period: entry for entry in entries}
-    for period in range(1, instance.horizon + 1):
-        if period in by_period:
-            pairs = " ".join(f"({s},{S})" for s, S in by_period[period].pairs)
-            print(f"{period:>6}  {pairs if pairs else '- never orders -'}")
-        else:
+    for period, pairs in enumerate(policy.bands, start=1):
+        if period in policy.cop_violated:
             print(f"{period:>6}  order property violated")
+        else:
+            text = " ".join(f"({s},{S})" for s, S in pairs)
+            print(f"{period:>6}  {text if text else '- never orders -'}")
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ import json
 import math
 
 from .demand import DemandPMF, pmf_empirical, pmf_parametric
+from .policy import ThresholdPolicy
 from .sdp import Instance
 
 
@@ -129,10 +130,12 @@ def dump_instance(instance: Instance, path) -> None:
         handle.write("\n")
 
 
-def thresholds_csv(entries) -> str:
-    """CSV lines (period,k,s,S) for per-period threshold tables."""
+def thresholds_csv(policy: ThresholdPolicy) -> str:
+    """CSV lines (period,k,s,S) of a policy's bands, skipping the periods
+    flagged for the continuous order property."""
     lines = ["period,k,s,S"]
-    for entry in entries:
-        for k, (s_k, big_k) in enumerate(entry.pairs, start=1):
-            lines.append(f"{entry.period},{k},{s_k},{big_k}")
+    for period, pairs in enumerate(policy.bands, start=1):
+        if period not in policy.cop_violated:
+            for k, (s_k, big_k) in enumerate(pairs, start=1):
+                lines.append(f"{period},{k},{s_k},{big_k}")
     return "\n".join(lines) + "\n"

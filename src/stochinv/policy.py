@@ -1,11 +1,13 @@
 """Policy structure analysis on solved value tables.
 
-Turns the raw optimal-action table into multi-threshold (s_k, S_k) form,
-checks the continuous order property that form relies on, holds the
-resulting modified multi-(s, S) policy as a ThresholdPolicy, verifies the
-generalized convexity the cost tables are supposed to carry, and computes
-lower-envelope diagnostics that explain which local minima of G are
-reachable order-up-to levels.
+read_policy is the one band reader: it turns each period's optimal-action
+table into multi-threshold (s_k, S_k) form from the period's certified
+floor exact_from up, checks the continuous order property that form
+relies on, and holds the resulting modified multi-(s, S) policy as a
+ThresholdPolicy. The module also verifies the generalized convexity the
+cost tables are supposed to carry, and computes lower-envelope
+diagnostics that explain which local minima of G are reachable
+order-up-to levels.
 """
 
 from __future__ import annotations
@@ -16,17 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sdp import Grid, ValueTables
+from .sdp import Grid, GridSpanError, ValueTables
 
 _KB_TOL = 1e-6
-
-
-class CopViolated(Exception):
-    """The optimal policy orders above a no-order region; carries the report."""
-
-    def __init__(self, report: "CopReport"):
-        super().__init__(f"continuous order property violated: {report.violation_witness}")
-        self.report = report
 
 
 class MalformedTable(ValueError):
@@ -45,12 +39,6 @@ class CopReport(NamedTuple):
         return (f"continuous order property violated; ordering set {parts}; "
                 f"no order at {self.violation_witness[0]} but order at "
                 f"{self.violation_witness[1]}")
-
-
-class PeriodThresholds(NamedTuple):
-    period: int
-    pairs: tuple[tuple[int, int], ...]   # (s_k, S_k), k ascending
-    s_m: int | None
 
 
 class KBReport(NamedTuple):
@@ -101,33 +89,38 @@ def check_cop(tables: ValueTables, period: int,
     return CopReport(False, intervals, (gap_hi, order_lo))
 
 
-def extract_thresholds(tables: ValueTables, period: int,
-                       from_state: int | None = None) -> PeriodThresholds:
-    """Read the (s_k, S_k) threshold pairs off the optimal-action table.
+def _read_period(tables: ValueTables,
+                 period: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """One period's (s_k, S_k) bands, k ascending, read from exact_from(period),
+    and whether the continuous order property holds there.
 
     Walking the ordering states, maximal runs with a common order-up-to
     level x + Q(x) are threshold bands: the top state of the run is s_k and
     the shared level is S_k. Isolated fully-saturated states between bands
     are capacity slides (level moves one-for-one with x) and carry no pair,
-    except at the very top where Q(s_m) = B pins S_m = s_m + B.
+    except at the very top where Q(s_m) = B pins S_m = s_m + B. Where the
+    property fails, the one stand-in band is (s_m, s_m + Q(s_m)) at the top
+    s_m of the highest ordering interval.
 
-    from_state restricts both the order-property check and the extraction
-    floor, for tables whose lowest states are distorted by the grid edge.
+    Raises GridSpanError for a period that orders only below exact_from:
+    the grid is too narrow to certify any of its orders.
     """
-    report = check_cop(tables, period, from_state)
-    if not report.holds:
-        raise CopViolated(report)
-    pairs = _read_bands(tables, period, report)
-    return PeriodThresholds(period, pairs, pairs[-1][0] if pairs else None)
-
-
-def _read_bands(tables: ValueTables, period: int, report: CopReport) -> tuple:
-    """extract_thresholds' pairs, from the period's holding order-property report."""
-    if not report.ordering_set:
-        return ()
-    lo, s_m = report.ordering_set[0]
     grid = tables.grid
-    q = tables.Qstar[tables.row(period), grid.index(lo):grid.index(s_m) + 1]
+    row = tables.Qstar[tables.row(period)]
+    floor = tables.exact_from(period)
+    report = check_cop(tables, period, floor)
+    if not report.holds:
+        _, s_m = report.ordering_set[-1]
+        return ((s_m, s_m + tables.qstar_at(period, s_m)),), False
+    if not report.ordering_set:
+        if row[:grid.index(floor)].any():
+            raise GridSpanError(
+                f"period {period} orders only below its certified floor "
+                f"exact_from = {floor}; widen the grid downward")
+        return (), True
+
+    lo, s_m = report.ordering_set[0]
+    q = row[grid.index(lo):grid.index(s_m) + 1]
     xs = np.arange(lo, s_m + 1)
     levels = xs + q
     cap = tables.instance.B
@@ -138,7 +131,7 @@ def _read_bands(tables: ValueTables, period: int, report: CopReport) -> tuple:
     keep = (stops - starts > 1) | (q[starts] != cap) | (tops == s_m)
     pairs = tuple(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
     _check_bands(period, pairs, cap)
-    return pairs
+    return pairs, True
 
 
 def _check_bands(period: int, pairs, cap: int | float = math.inf) -> None:
@@ -190,20 +183,16 @@ class ThresholdPolicy:
 
 
 def read_policy(tables: ValueTables) -> ThresholdPolicy:
-    """The modified multi-(s, S) policy of solved tables, one order-property
-    screen a period from exact_from(period). Where the property holds, the
-    bands are extract_thresholds' pairs; where it fails, the period is
-    flagged and keeps one band, (s_m, s_m + Q(s_m)) at the top s_m of the
-    highest ordering interval."""
+    """The modified multi-(s, S) policy of solved tables, read one period
+    at a time from exact_from(period) by one order-property screen. A
+    period where the property fails is flagged and keeps one stand-in band.
+    Raises GridSpanError if some period orders only below exact_from."""
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):
-        report = check_cop(tables, period, tables.exact_from(period))
-        if report.holds:
-            bands.append(_read_bands(tables, period, report))
-        else:
+        pairs, holds = _read_period(tables, period)
+        bands.append(pairs)
+        if not holds:
             flagged.append(period)
-            _, s_m = report.ordering_set[-1]
-            bands.append(((s_m, s_m + tables.qstar_at(period, s_m)),))
     return ThresholdPolicy(tuple(bands), tuple(flagged))
 
 
@@ -271,6 +260,10 @@ def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
 def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     """Classify local minima of G between s_m and S_m against its lower envelope.
 
+    (s_m, S_m) is the period's top band as read_policy reads it, the
+    stand-in band where the order property fails; a period that orders only
+    below exact_from raises GridSpanError, as in read_policy.
+
     The envelope is the running minimum of G from the left on the open
     interval (s_m, S_m). Each maximal plateau whose right neighbor is
     strictly higher is a local minimum from the right; it lies on the
@@ -279,10 +272,10 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     and also on the envelope (the left edge s_m counts: it sits strictly
     above everything in the interval).
     """
-    entry = extract_thresholds(tables, period)
-    if not entry.pairs:
+    bands, _ = _read_period(tables, period)
+    if not bands:
         return []
-    s_m, big_s_m = entry.pairs[-1]
+    s_m, big_s_m = bands[-1]
     if big_s_m - s_m < 2:
         return []
 

@@ -93,6 +93,16 @@ def volatile_instance():
     return load_instance(instance_path("volatile_poisson.json"))
 
 
+VOLATILE_CERTIFIED_GRID = Grid(-2000, 600)
+
+
 @pytest.fixture(scope="session")
 def volatile_tables(volatile_instance):
+    """Too narrow to certify periods 1 and 2: both order only below exact_from."""
     return solve(volatile_instance, Grid(-1200, 600))
+
+
+@pytest.fixture(scope="session")
+def volatile_certified_tables(volatile_instance):
+    """Wide enough that every period orders from exact_from up."""
+    return solve(volatile_instance, VOLATILE_CERTIFIED_GRID)

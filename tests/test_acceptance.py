@@ -21,8 +21,7 @@ import pytest
 from conftest import seasonal_instance, small_random_instance
 from oracle import brute_cost_to_go, rebuild_order_quantity
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, Instance,
-                      SimulationConfig, build_design, check_cop,
-                      extract_thresholds, gap_with_estimates,
+                      SimulationConfig, build_design, check_cop, gap_with_estimates,
                       modified_ss_from_tables, optimality_gap, qce_diagnostics,
                       random_instance, read_policy, run_benchmark,
                       search_cop_violations, search_grid, serialize_instance,
@@ -52,9 +51,9 @@ SEASONAL_REFERENCE = {
 
 def test_threshold_tables_for_all_capacities(seasonal_tables):
     for B, by_period in SEASONAL_REFERENCE.items():
+        policy = read_policy(seasonal_tables[B])
         for period, pairs in by_period.items():
-            entry = extract_thresholds(seasonal_tables[B], period)
-            assert entry.pairs == pairs, (B, period)
+            assert policy.bands[period - 1] == pairs, (B, period)
 
 
 def test_order_stop_order_action_table(spiky_tables):
@@ -73,8 +72,7 @@ def test_order_stop_order_action_table(spiky_tables):
 def test_discounted_order_quantities_and_bands(lumpy_tables):
     got = [lumpy_tables.qstar_at(1, x) for x in range(-3, 8)]
     assert got == [9, 8, 7, 9, 8, 7, 9, 8, 7, 0, 0]
-    entry = extract_thresholds(lumpy_tables, 1)
-    assert entry.pairs == ((-1, 6), (2, 9), (5, 12))
+    assert read_policy(lumpy_tables).bands[0] == ((-1, 6), (2, 9), (5, 12))
 
 
 @pytest.mark.parametrize("B,target", [(35, 0.000), (65, 0.123), (71, 0.192)])
@@ -126,26 +124,19 @@ class TestPropertySuite:
 
     def test_thresholds_reconstruct_the_action_table(
             self, seasonal_tables, spiky_tables, lumpy_tables,
-            volatile_tables):
-        def check(tables, period):
-            floor = tables.exact_from(period)
-            if not check_cop(tables, period, from_state=floor).holds:
-                return False
-            entry = extract_thresholds(tables, period, from_state=floor)
-            cap = tables.instance.B
-            for x in range(floor, tables.grid.x_max + 1):
-                q = tables.qstar_at(period, x)
-                if entry.pairs:
-                    assert q == rebuild_order_quantity(entry.pairs, cap, x), x
-                else:
-                    assert q == 0
-            return True
-
+            volatile_certified_tables):
         checked = 0
         for tables in (*seasonal_tables.values(), spiky_tables,
-                       lumpy_tables, volatile_tables):
-            for period in range(1, tables.instance.horizon + 1):
-                checked += check(tables, period)
+                       lumpy_tables, volatile_certified_tables):
+            policy = read_policy(tables)
+            cap = tables.instance.B
+            for period, pairs in enumerate(policy.bands, start=1):
+                if period in policy.cop_violated:
+                    continue
+                for x in range(tables.exact_from(period), tables.grid.x_max + 1):
+                    q = tables.qstar_at(period, x)
+                    assert q == rebuild_order_quantity(pairs, cap, x), x
+                checked += 1
         assert checked >= 40
 
     def test_single_period_order_advantage_is_monotone(self):
@@ -165,9 +156,8 @@ class TestPropertySuite:
             discount=lumpy_instance.discount)
         for tables in (seasonal_tables[math.inf],
                        solve(uncapped, Grid(-200, 400))):
-            for period in range(1, tables.instance.horizon + 1):
-                entry = extract_thresholds(tables, period)
-                assert len(entry.pairs) == 1
+            for pairs in read_policy(tables).bands:
+                assert len(pairs) == 1
 
     def test_simulation_reproducibility_and_consistency(self, seasonal_tables):
         instance = seasonal_instance(65)

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from conftest import instance_path
-from stochinv import (CopReport, CopViolated, InstanceFormatError,
-                      MalformedTable, extract_thresholds, load_instance,
-                      parse_instance, serialize_instance, thresholds_csv)
+from stochinv import (InstanceFormatError, MalformedTable, ThresholdPolicy,
+                      load_instance, parse_instance, read_policy,
+                      serialize_instance, thresholds_csv)
 from stochinv import cli
 from stochinv.cli import main
 
@@ -110,8 +110,7 @@ class TestStrictParsing:
 
 class TestThresholdsCsv:
     def test_seasonal_layout(self, seasonal_tables):
-        entries = [extract_thresholds(seasonal_tables[65], p) for p in range(1, 5)]
-        assert thresholds_csv(entries) == (
+        assert thresholds_csv(read_policy(seasonal_tables[65])) == (
             "period,k,s,S\n"
             "1,1,-11,31\n"
             "1,2,14,70\n"
@@ -122,6 +121,10 @@ class TestThresholdsCsv:
             "3,2,55,109\n"
             "4,1,28,49\n"
         )
+
+    def test_flagged_periods_are_skipped(self):
+        policy = ThresholdPolicy((((1, 5),), ((2, 6), (4, 9)), ()), (1,))
+        assert thresholds_csv(policy) == "period,k,s,S\n2,1,2,6\n2,2,4,9\n"
 
 
 class TestSolveCommand:
@@ -185,10 +188,10 @@ class TestSolveCommand:
         assert thresholds.read_bytes() == clean_thresholds
 
         # every period violated: no thresholds file, so the old one goes
-        def always_violated(tables, period):
-            raise CopViolated(CopReport(False, ((0, 1), (5, 6)), (4, 5)))
+        def always_violated(tables):
+            return ThresholdPolicy((((0, 1),),) * 4, (1, 2, 3, 4))
 
-        monkeypatch.setattr(cli, "extract_thresholds", always_violated)
+        monkeypatch.setattr(cli, "read_policy", always_violated)
         assert main(seasonal) == 0
         assert "thresholds:" not in capsys.readouterr().out
         assert not thresholds.exists()
@@ -243,6 +246,32 @@ class TestSolveCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {out}_tables.csv: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spiky_report_on_the_default_grid(self, tmp_path, capsys):
+        # the report describes the whole grid row, not only the certified part
+        out = tmp_path / "spiky"
+        rc = main(["solve", instance_path("spiky_nonstationary.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert (tmp_path / "spiky_cop_report.txt").read_text() == (
+            "period 1: continuous order property violated; ordering set "
+            "[-10000, 601], [616, 618]; no order at 615 but order at 616\n")
+
+    def test_uncertified_period_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "volatile")
+        stale = [tmp_path / ("volatile" + suffix) for suffix in
+                 ("_tables.csv", "_thresholds.csv", "_cop_report.txt")]
+        for path in stale:
+            path.write_text("from an earlier run\n")
+        rc = main(["solve", instance_path("volatile_poisson.json"),
+                   "--grid-min", "-1200", "--grid-max", "600", "--out", out])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: period 1 orders only below")
+        assert "exact_from = 425" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_too_narrow(self, capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_path
-from oracle import rebuild_order_quantity
-from stochinv import (CexSearchParams, Grid, ThresholdPolicy, check_cop,
-                      extract_thresholds, load_instance, modified_ss_from_tables,
+from conftest import VOLATILE_CERTIFIED_GRID, instance_path
+from oracle import rebuild_order_quantity, threshold_pairs_by_run
+from stochinv import (CexSearchParams, Grid, GridSpanError, ThresholdPolicy,
+                      check_cop, load_instance, modified_ss_from_tables,
                       random_instance, read_policy, search_grid, solve)
 
 TOP_PAIRS = {
@@ -32,6 +32,20 @@ class TestTopPairSelection:
         assert policy.cop_violated == ()
 
 
+def run_by_run_bands(tables, period):
+    """The pairs of a period whose ordering states run from exact_from up to
+    a top state s_m, walked by the run-by-run oracle."""
+    floor = tables.exact_from(period)
+    q = tables.Qstar[tables.row(period), tables.grid.index(floor):]
+    ordering = np.flatnonzero(q > 0)
+    if ordering.size == 0:
+        return ()
+    top = int(ordering[-1])
+    xs = list(range(floor, floor + top + 1))
+    return tuple(threshold_pairs_by_run(xs, q[:top + 1].tolist(),
+                                        tables.instance.B, xs[-1]))
+
+
 class TestFallbackOnViolation:
     def test_spiky_first_period(self, spiky_tables):
         policy = modified_ss_from_tables(spiky_tables)
@@ -39,9 +53,8 @@ class TestFallbackOnViolation:
         # the topmost ordering run wins: its highest state and its target
         assert policy.bands[0] == ((618, 618 + 41),)
         for period in (2, 3, 4):
-            floor = spiky_tables.exact_from(period)
-            entry = extract_thresholds(spiky_tables, period, from_state=floor)
-            assert policy.bands[period - 1] == entry.pairs[-1:]
+            assert policy.bands[period - 1] == \
+                run_by_run_bands(spiky_tables, period)[-1:]
 
 
 RULE_GRID = Grid(-200, 200)
@@ -98,7 +111,7 @@ def screened_tables():
     for name, grid in (("seasonal_poisson", Grid(-300, 600)),
                        ("spiky_nonstationary", Grid(-1000, 1100)),
                        ("lumpy_discounted", Grid(-200, 400)),
-                       ("volatile_poisson", Grid(-1200, 600))):
+                       ("volatile_poisson", VOLATILE_CERTIFIED_GRID)):
         yield solve(load_instance(instance_path(name + ".json")), grid)
     params = CexSearchParams(seed=3, budget=887)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
@@ -114,11 +127,9 @@ def all_tables():
 
 
 class TestTopPairFromScreen:
-    """The heuristic's pair is extraction's top pair, or the top ordering run."""
+    """The heuristic's pair is the reference's top pair, or the top ordering run."""
 
-    # one case: the heuristic always screens from exact_from
-    @pytest.mark.parametrize("screen_grid_edge", [True])
-    def test_matches_extraction(self, all_tables, screen_grid_edge):
+    def test_matches_run_by_run_reference(self, all_tables):
         violations = 0
         for tables in all_tables:
             policy = modified_ss_from_tables(tables)
@@ -127,8 +138,7 @@ class TestTopPairFromScreen:
                 report = check_cop(tables, period, floor)
                 bands = policy.bands[period - 1]
                 if report.holds:
-                    entry = extract_thresholds(tables, period, from_state=floor)
-                    assert bands == entry.pairs[-1:]
+                    assert bands == run_by_run_bands(tables, period)[-1:]
                     assert period not in policy.cop_violated
                 else:
                     violations += 1
@@ -154,14 +164,37 @@ class TestReadPolicy:
                 checked += 1
         assert checked >= 400
 
-    def test_bands_match_extraction(self, all_tables):
+    def test_bands_match_run_by_run_reference(self, all_tables):
+        checked = 0
         for tables in all_tables:
             policy = read_policy(tables)
             for period in range(1, tables.instance.horizon + 1):
                 if period not in policy.cop_violated:
-                    entry = extract_thresholds(
-                        tables, period, from_state=tables.exact_from(period))
-                    assert policy.bands[period - 1] == entry.pairs
+                    assert policy.bands[period - 1] == \
+                        run_by_run_bands(tables, period)
+                    checked += 1
+        assert checked >= 400
+
+    def test_uncertified_period_is_a_grid_error(self, volatile_tables):
+        # on Grid(-1200, 600) period 1 orders up to x = 164, all below
+        # exact_from(1) = 425, so no band of it can be certified
+        assert volatile_tables.exact_from(1) == 425
+        assert volatile_tables.qstar_at(1, 164) > 0
+        with pytest.raises(GridSpanError,
+                           match=r"^period 1 orders only below .* 425;"):
+            read_policy(volatile_tables)
+        with pytest.raises(GridSpanError):
+            modified_ss_from_tables(volatile_tables)
+
+    def test_certified_grid_reads_every_volatile_period(
+            self, volatile_tables, volatile_certified_tables):
+        policy = read_policy(volatile_certified_tables)
+        assert policy.cop_violated == ()
+        assert policy.bands[:2] == (((161, 268), (164, 292)), ((147, 246),))
+        # the narrow grid already certifies periods 3-12
+        for period in range(3, 13):
+            assert policy.bands[period - 1] == \
+                run_by_run_bands(volatile_tables, period)
 
     def test_violated_period_keeps_one_band(self, spiky_tables):
         policy = read_policy(spiky_tables)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from oracle import rebuild_order_quantity, threshold_pairs_by_run
-from stochinv import (CopViolated, Grid, Instance, MalformedTable, ThresholdPolicy,
-                      check_cop, extract_thresholds, pmf_empirical,
-                      qce_diagnostics, verify_kb_convexity)
+from stochinv import (Grid, GridSpanError, Instance, MalformedTable, ThresholdPolicy,
+                      check_cop, pmf_empirical, qce_diagnostics, read_policy,
+                      thresholds_csv, verify_kb_convexity)
 
 SEASONAL_PAIRS = {
     (35, 1): ((39, 68), (46, 81)),
@@ -34,24 +34,23 @@ SEASONAL_PAIRS = {
 class TestThresholdExtractionSeasonal:
     @pytest.mark.parametrize("B,period", sorted(SEASONAL_PAIRS, key=str))
     def test_pairs(self, seasonal_tables, B, period):
-        entry = extract_thresholds(seasonal_tables[B], period)
-        assert entry.pairs == SEASONAL_PAIRS[(B, period)]
-        assert entry.s_m == entry.pairs[-1][0]
+        policy = read_policy(seasonal_tables[B])
+        assert policy.bands[period - 1] == SEASONAL_PAIRS[(B, period)]
+        assert policy.cop_violated == ()
 
     def test_uncapacitated_always_single_pair(self, seasonal_tables):
-        for period in range(1, 5):
-            entry = extract_thresholds(seasonal_tables[math.inf], period)
-            assert len(entry.pairs) == 1
+        for pairs in read_policy(seasonal_tables[math.inf]).bands:
+            assert len(pairs) == 1
 
 
 class TestThresholdExtractionDiscountedLumpy:
     def test_first_period_pairs(self, lumpy_tables):
-        entry = extract_thresholds(lumpy_tables, 1)
-        assert entry.pairs == ((-1, 6), (2, 9), (5, 12))
-        assert entry.s_m == 5
+        pairs = read_policy(lumpy_tables).bands[0]
+        assert pairs == ((-1, 6), (2, 9), (5, 12))
+        assert pairs[-1][0] == 5
 
     def test_band_depth_within_capacity(self, lumpy_tables):
-        for s_k, big_k in extract_thresholds(lumpy_tables, 1).pairs:
+        for s_k, big_k in read_policy(lumpy_tables).bands[0]:
             assert big_k - 9 <= s_k < big_k
 
 
@@ -69,9 +68,13 @@ class TestOrderPropertyCheck:
             assert check_cop(spiky_tables, period).holds
 
     def test_extraction_refuses_violated_period(self, spiky_tables):
-        with pytest.raises(CopViolated) as err:
-            extract_thresholds(spiky_tables, 1)
-        assert err.value.report.violation_witness == (615, 616)
+        # the period is flagged, and its stand-in band is no threshold row
+        policy = read_policy(spiky_tables)
+        assert policy.cop_violated == (1,)
+        rows = thresholds_csv(policy).splitlines()[1:]
+        assert rows and not any(row.startswith("1,") for row in rows)
+        report = check_cop(spiky_tables, 1, spiky_tables.exact_from(1))
+        assert report.violation_witness == (615, 616)
 
     def test_floor_parameter_moves_the_anchor(self, spiky_tables):
         # screening from inside the gap still sees a detached island
@@ -92,15 +95,14 @@ class TestPolicyReconstruction:
     def check_tables(self, tables):
         instance = tables.instance
         xs = tables.grid.states
-        bands = []
-        for period in range(1, instance.horizon + 1):
-            pairs = extract_thresholds(tables, period).pairs
+        policy = read_policy(tables)
+        assert policy.cop_violated == ()
+        for period, pairs in enumerate(policy.bands, start=1):
             row = tables.Qstar[tables.row(period)]
             rebuilt = np.array([rebuild_order_quantity(pairs, instance.B, x)
                                 for x in xs])
             assert np.array_equal(rebuilt, row), period
-            bands.append(pairs)
-        orders = ThresholdPolicy(tuple(bands)).orders(tables.grid, instance.B)
+        orders = policy.orders(tables.grid, instance.B)
         assert orders.dtype == np.int64
         assert np.array_equal(orders, tables.Qstar)
 
@@ -117,10 +119,10 @@ class TestBandOptimality:
 
     def test_seasonal_windows(self, seasonal_tables):
         for B, tables in seasonal_tables.items():
-            for period in range(1, 5):
+            for period, pairs in enumerate(read_policy(tables).bands, start=1):
                 grid = tables.grid
                 g = tables.G[tables.row(period)]
-                for s_k, big_k in extract_thresholds(tables, period).pairs:
+                for s_k, big_k in pairs:
                     i, j = grid.index(s_k), grid.index(big_k)
                     hi = j + 1 if B == math.inf else grid.index(s_k) + int(B) + 1
                     window = g[i:min(hi, g.size)]
@@ -161,9 +163,11 @@ class TestConvexityCheck:
 
 
 class TestQceDiagnostics:
-    def test_volatile_period_seven(self, volatile_tables):
-        entry = extract_thresholds(volatile_tables, 7)
-        assert entry.pairs == ((3, 75), (39, 167))
+    def test_volatile_period_seven(self, volatile_tables,
+                                   volatile_certified_tables):
+        # period 7 reads the same bands on the narrow grid and the certified one
+        assert read_policy(volatile_certified_tables).bands[6] == \
+            ((3, 75), (39, 167))
         points = qce_diagnostics(volatile_tables, 7)
         by_level = {pt.S: pt for pt in points}
         assert by_level[75].on_envelope
@@ -183,9 +187,16 @@ class TestQceDiagnostics:
         keepers = sorted(pt.S for pt in points if pt.nontrivial)
         assert keepers == [51, 82]
 
-    def test_nontrivial_implies_on_envelope(self, volatile_tables):
+    def test_nontrivial_implies_on_envelope(self, volatile_tables,
+                                            volatile_certified_tables):
         for period in range(1, 13):
-            for pt in qce_diagnostics(volatile_tables, period):
+            tables = volatile_tables
+            if period <= 2:
+                # the narrow grid orders only below exact_from in periods 1-2
+                with pytest.raises(GridSpanError, match=f"period {period} "):
+                    qce_diagnostics(volatile_tables, period)
+                tables = volatile_certified_tables
+            for pt in qce_diagnostics(tables, period):
                 if pt.nontrivial:
                     assert pt.on_envelope
 
@@ -208,14 +219,43 @@ class TestMalformedTables:
         q_row = [min(5 - x, 10) if x <= 0 else 0 for x in range(-5, 6)]
         q_row[grid.index(1)] = 3
         with pytest.raises(MalformedTable, match="strictly increasing"):
-            extract_thresholds(fake_tables(q_row, 10, grid), 1)
+            read_policy(fake_tables(q_row, 10, grid))
 
     def test_band_deeper_than_capacity(self):
         grid = Grid(-5, 5)
         # every ordering state claims a quantity beyond the capacity of 2
         q_row = [7 if x <= -2 else 0 for x in range(-5, 6)]
         with pytest.raises(MalformedTable, match="capacity"):
-            extract_thresholds(fake_tables(q_row, 2, grid), 1)
+            read_policy(fake_tables(q_row, 2, grid))
+
+
+class TestUncertifiedPeriod:
+    """A period ordering only below exact_from is a grid error, not idle."""
+
+    @staticmethod
+    def tables_ordering_at(x):
+        # period 1's demand reaches 3, so exact_from(1) = x_min + 3 = -2
+        from stochinv import ValueTables
+        grid = Grid(-5, 5)
+        instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=10,
+                            demands=(pmf_empirical([3], [1.0]),
+                                     pmf_empirical([1], [1.0])))
+        q = np.zeros((2, grid.size), dtype=np.int64)
+        q[0, grid.index(x)] = 4
+        return ValueTables(C=np.zeros(q.shape), G=np.zeros(q.shape), Qstar=q,
+                           grid=grid, instance=instance)
+
+    def test_order_just_below_the_floor(self):
+        tables = self.tables_ordering_at(-3)
+        assert tables.exact_from(1) == -2
+        with pytest.raises(GridSpanError,
+                           match=r"^period 1 orders only below .* exact_from = -2;"):
+            read_policy(tables)
+        with pytest.raises(GridSpanError):
+            qce_diagnostics(tables, 1)
+
+    def test_order_at_the_floor(self):
+        assert read_policy(self.tables_ordering_at(-2)).bands == (((-2, 2),), ())
 
 
 class TestNeverOrdering:
@@ -223,13 +263,13 @@ class TestNeverOrdering:
         inst = Instance(horizon=1, K=1000.0, v=0.0, h=1.0, p=1.0, B=5,
                         demands=(pmf_empirical([2], [1.0]),))
         from stochinv import solve
-        entry = extract_thresholds(solve(inst, Grid(-10, 10)), 1)
-        assert entry.pairs == ()
-        assert entry.s_m is None
+        policy = read_policy(solve(inst, Grid(-10, 10)))
+        assert policy.bands == ((),)
+        assert policy.cop_violated == ()
 
 
 def well_formed(pairs, cap):
-    """The band checks extract_thresholds applies to its pairs."""
+    """The band checks read_policy applies to its pairs."""
     rising = all(s_a < s_b and big_a < big_b
                  for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]))
     return rising and all(s_k < big_k and not s_k < big_k - cap
@@ -266,13 +306,13 @@ class TestBandsMatchRunByRunReference:
         xs = grid.states[:len(steps)].tolist()
         want = threshold_pairs_by_run(xs, q_row[:len(steps)], cap, xs[-1])
         try:
-            entry = extract_thresholds(fake_tables(q_row, cap, grid), 1)
+            policy = read_policy(fake_tables(q_row, cap, grid))
         except MalformedTable:
             assert not well_formed(want, cap)
             return
         assert well_formed(want, cap)
-        assert entry.pairs == tuple(want)
-        assert entry.s_m == xs[-1]
+        assert policy.bands == (tuple(want),)
+        assert policy.bands[0][-1][0] == xs[-1]
 
 
 @st.composite

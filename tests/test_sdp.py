@@ -114,6 +114,15 @@ class TestDeterministicDemand:
         i = tables.grid.index(0)
         assert tables.C[row, i] == approx(min(g[i], 1.0 + g[i:i + 11].min()))
 
+    def test_order_must_beat_not_ordering_by_the_tie_tolerance(self):
+        # demand 0 and h = p = 1 give G(y) = |y|; ordering up to 0 from -10
+        # saves 10 - K = 5e-10, inside the 1e-9 tolerance, so no order there
+        inst = Instance(horizon=1, K=10.0 - 5e-10, v=0.0, h=1.0, p=1.0, B=20,
+                        demands=(pmf_empirical([0], [1.0]),))
+        tables = solve(inst, Grid(-40, 60))
+        assert tables.qstar_at(1, -10) == 0
+        assert tables.qstar_at(1, -11) == 11
+
 
 def with_offsets(full_row_kernel):
     """A kernel returning (w, q) over the whole row, in sdp's (w, offsets) shape."""
