@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sdp import Grid, GridSpanError, ValueTables
+from .sdp import Grid, GridSpanError, ValueTables, _run_edges
 
 _KB_TOL = 1e-6
 
@@ -54,12 +54,9 @@ class QcePoint(NamedTuple):
 
 def _state_runs(mask: np.ndarray, first: int) -> tuple[tuple[int, int], ...]:
     """Maximal (lo, hi) state intervals where mask holds; mask[0] is state first."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return ()
-    splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    return tuple((first + int(run[0]), first + int(run[-1]))
-                 for run in np.split(idx, splits))
+    edges = first + _run_edges(mask)
+    edges[1::2] -= 1   # each run's last state, one before it stops
+    return tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def check_cop(tables: ValueTables, period: int,

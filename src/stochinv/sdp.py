@@ -27,7 +27,7 @@ from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
 # states per write in ValueTables.to_csv: enough to amortise the per-block
-# calls, few enough that one block's text stays small in memory
+# calls, few enough that one block's pieces and texts stay small in memory
 _CSV_BLOCK = 4096
 
 
@@ -156,26 +156,67 @@ class ValueTables:
         """One row per (period, state): period, x, C, G, Qstar.
 
         Floats are written with repr, so float() of a field gives back the
-        table entry bit for bit. Rows are built and written a block of
-        states at a time; a C entry bitwise equal to its G entry reuses G's
-        text (bits, not ==, so 0.0 and -0.0 keep their own text).
+        table entry bit for bit. Each block of states is built by
+        _csv_block as one string and written at once. The x texts are
+        formatted once per call, one string per block, and split again for
+        every period; no per-state string outlives its block.
         """
-        xs = self.grid.states
+        states = range(self.grid.x_min, self.grid.x_max + 1)
+        x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
+                   for lo in range(0, len(states), _CSV_BLOCK)]
         with open(path, "w") as fh:
             fh.write("period,x,C,G,Qstar\n")
             for t in range(self.instance.horizon):
-                row = f"{t + 1},{{}},{{}},{{}},{{}}\n".format
-                for lo in range(0, xs.size, _CSV_BLOCK):
+                prefix = f"{t + 1},"
+                for lo, x_text in zip(range(0, self.grid.size, _CSV_BLOCK), x_texts):
                     block = slice(lo, lo + _CSV_BLOCK)
-                    c, g = self.C[t, block], self.G[t, block]
-                    g_txt = np.array(list(map(float.__repr__, g.tolist())),
-                                     dtype=object)
-                    c_txt = g_txt.copy()
-                    differ = c.view(np.int64) != g.view(np.int64)
-                    c_txt[differ] = list(map(float.__repr__, c[differ].tolist()))
-                    fh.write("".join(map(row, xs[block].tolist(), c_txt.tolist(),
-                                         g_txt.tolist(),
-                                         self.Qstar[t, block].tolist())))
+                    fh.write(_csv_block(prefix, x_text, self.C[t, block],
+                                        self.G[t, block], self.Qstar[t, block]))
+
+
+def _csv_block(prefix: str, x_text: str, c: np.ndarray, g: np.ndarray,
+               q: np.ndarray) -> str:
+    """The CSV rows of one block of states in one period, as one string.
+
+    A row is six pieces: prefix ("t,"), "x,", C, ",", G and ",Qstar" with
+    the line's newline.
+    The pieces list starts with the prefix and "," in place and is filled a
+    column at a time by slice assignment, so no Python code runs per row.
+    x_text holds the block's "x," texts, newline-separated. G's texts fill
+    both float columns; C's are re-formatted only on the runs of states
+    where C differs from G bitwise (bits, not ==, so 0.0 and -0.0 keep
+    their own text). The block's texts are freed when this returns, before
+    the next block's are made.
+    """
+    pieces = [prefix, None, None, ",", None, None] * g.size
+    # Qstar first: np.unique's temporaries come and go before any text exists
+    pieces[5::6] = _qstar_texts(q)
+    pieces[1::6] = x_text.split("\n")
+    pieces[2::6] = pieces[4::6] = list(map(float.__repr__, g.tolist()))
+    edges = _run_edges(c.view(np.int64) != g.view(np.int64)).tolist()
+    for i, j in zip(edges[::2], edges[1::2]):
+        pieces[6 * i + 2:6 * j:6] = map(float.__repr__, c[i:j].tolist())
+    return "".join(pieces)
+
+
+def _qstar_texts(q: np.ndarray) -> list[str]:
+    """The last piece of each row, "," + order + newline, for each order in q.
+
+    Each distinct order is formatted once.
+    """
+    values, inverse = np.unique(q, return_inverse=True)
+    texts = [f",{v}\n" for v in values.tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _run_edges(mask: np.ndarray) -> np.ndarray:
+    """Where mask flips, read as if False lay past both ends.
+
+    Edges come in pairs: a run of true entries starts at each even one and
+    stops before the next.
+    """
+    padded = np.concatenate(([False], mask, [False]))
+    return np.flatnonzero(padded[1:] != padded[:-1])
 
 
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:
@@ -303,10 +344,12 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     g_tbl = np.empty((n, size))
     q_tbl = np.zeros((n, size), dtype=np.int64)
 
-    c_next = np.zeros(size)
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
-        cont = _expected_continuation(c_next, pmf)
+        # nothing is owed after the last period, so its continuation is the
+        # zero row; adding it below still keeps every bit (-0.0 + 0.0 is 0.0)
+        cont = (np.zeros(size) if t == n - 1
+                else _expected_continuation(c_tbl[t + 1], pmf))
         g_row = (purchase + _loss_row(states, pmf, instance.h, instance.p)
                  + instance.discount * cont)
         if instance.B == math.inf:
@@ -320,6 +363,5 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
         g_tbl[t] = g_row
         q_tbl[t, ordering] = offsets(ordering)
         del offsets   # frees the kernel's tables before the next period's
-        c_next = c_tbl[t]
 
     return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid, instance=instance)

@@ -206,6 +206,21 @@ def threshold_pairs_by_run(xs, q, cap, s_m):
     return pairs
 
 
+def split_state_runs(mask, first):
+    """policy._state_runs by splitting the true states at their gaps.
+
+    The reference the mask-transition version must match tuple for tuple.
+    """
+    import numpy as np
+
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return ()
+    splits = np.flatnonzero(np.diff(idx) > 1) + 1
+    return tuple((first + int(run[0]), first + int(run[-1]))
+                 for run in np.split(idx, splits))
+
+
 def rowwise_tables_csv(tables, path):
     """ValueTables.to_csv as one formatted write per (period, state).
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from oracle import rebuild_order_quantity, threshold_pairs_by_run
+from oracle import (rebuild_order_quantity, split_state_runs,
+                    threshold_pairs_by_run)
 from stochinv import (Grid, GridSpanError, Instance, MalformedTable, ThresholdPolicy,
                       check_cop, pmf_empirical, qce_diagnostics, read_policy,
                       thresholds_csv, verify_kb_convexity)
+from stochinv.policy import _state_runs
 
 SEASONAL_PAIRS = {
     (35, 1): ((39, 68), (46, 81)),
@@ -87,6 +89,19 @@ class TestOrderPropertyCheck:
             for period in range(1, 5):
                 assert check_cop(tables, period).holds
 
+
+class TestStateRuns:
+    """Runs read from the mask's transitions equal the split of its true
+    states at their gaps, tuple for tuple and as Python ints."""
+
+    @given(mask=st.lists(st.booleans(), max_size=60),
+           first=st.integers(-10**4, 10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_split_reference(self, mask, first):
+        mask = np.array(mask, dtype=bool)
+        got = _state_runs(mask, first)
+        assert got == split_state_runs(mask, first)
+        assert all(type(end) is int for run in got for end in run)
 
 class TestPolicyReconstruction:
     """Threshold pairs must regenerate the action table exactly, by the

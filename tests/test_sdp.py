@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -546,6 +547,19 @@ class TestCsvExport:
              below=BLOCK // 2, horizon=2)
     @example(cells=[(5e-324, 5e-324), (0.0, -0.0), (1e16, 1e-5)],
              orders=[0, 3], size=2 * BLOCK + 1, below=10**6, horizon=3)
+    # the second block starts where the x text changes width: at state e,
+    # so x_min = e - BLOCK and below = BLOCK - 1 - e
+    @example(cells=[(1.5, 1.5), (-2.0, 3.0)], orders=[0, 7], size=2 * BLOCK + 2,
+             below=BLOCK - 1 + 999, horizon=2)
+    @example(cells=[(1.5, 1.5), (-2.0, 3.0)], orders=[0, 7], size=2 * BLOCK + 2,
+             below=BLOCK - 1 + 9, horizon=2)
+    @example(cells=[(1.5, 1.5), (-2.0, 3.0)], orders=[0, 7], size=2 * BLOCK + 2,
+             below=BLOCK - 1 - 10, horizon=2)
+    @example(cells=[(1.5, 1.5), (-2.0, 3.0)], orders=[0, 7], size=2 * BLOCK + 2,
+             below=BLOCK - 1 - 100, horizon=2)
+    # a block of distinct orders near the largest the strategy draws
+    @example(cells=[(0.25, -0.25)], orders=list(range(10**12, 10**12 - BLOCK, -1)),
+             size=BLOCK + 3, below=0, horizon=1)
     @settings(max_examples=60, deadline=None)
     def test_matches_rowwise_on_hand_built_tables(self, cells, orders, size,
                                                   below, horizon):
@@ -561,3 +575,15 @@ class TestCsvExport:
             grid=grid, instance=instance)
         with tempfile.TemporaryDirectory() as directory:
             assert_csv_matches_rowwise(tables, directory)
+
+    def test_transient_memory_is_bounded(self, tmp_path, lumpy_instance):
+        # one block's pieces and texts at a time: about 1.3 MB on the
+        # default grid, against about 3.2 MB for one block per whole row
+        tables = solve(lumpy_instance)
+        tracemalloc.start()
+        try:
+            tables.to_csv(tmp_path / "lumpy.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
