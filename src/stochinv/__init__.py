@@ -14,8 +14,7 @@ from .files import (InstanceFormatError, dump_instance, load_instance,
 from .heuristic import modified_ss_from_tables
 from .policy import (CopReport, KBReport, MalformedTable, QcePoint, ThresholdPolicy,
                      check_cop, qce_diagnostics, read_policy, verify_kb_convexity)
-from .sdp import (DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables,
-                  single_period_cost, solve)
+from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables, solve
 from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
                        expected_cost, gap_with_estimates, optimality_gap,
                        simulate_policy)
@@ -64,7 +63,6 @@ __all__ = [
     "search_grid",
     "serialize_instance",
     "simulate_policy",
-    "single_period_cost",
     "solve",
     "thresholds_csv",
     "v_monotonicity_report",

@@ -9,6 +9,7 @@ together with a monotonicity diagnostic on the order-advantage function V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,7 +87,10 @@ def search_grid(instance: Instance) -> Grid:
     for detection: detached ordering islands sit near later periods'
     ordering boundaries shifted up by large demand realisations, so it
     must cover sums of per-period demand maxima, not just one period's.
+    With B = inf there is no such ceiling, so it raises ValueError.
     """
+    if instance.B == math.inf:
+        raise ValueError("search_grid needs a finite capacity B")
     d_max = [d.max_value for d in instance.demands]
     return Grid(-sum(d_max), int(sum(d_max) + instance.B * instance.horizon))
 

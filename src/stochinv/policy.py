@@ -142,7 +142,7 @@ def _check_bands(period: int, pairs, cap: int | float = math.inf) -> None:
     for s_k, big_k in pairs:
         if not s_k < big_k:
             raise MalformedTable(f"period {period}: s={s_k} not below S={big_k}")
-        if cap != math.inf and s_k < big_k - cap:
+        if s_k < big_k - cap:
             raise MalformedTable(
                 f"period {period}: band ({s_k},{big_k}) deeper than capacity {cap}")
 
@@ -213,7 +213,7 @@ def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
     lo = min(max(0, center - window // 2), g_full.size - window)
     g = g_full[lo:lo + window]
     n = g.size
-    max_step = n - 1 if B == math.inf else min(int(B), n - 1)
+    max_step = int(min(B, n - 1))
 
     # t[i] = min over a of (K + g(i+a) - g(i)) / a, with the minimizing a
     t = np.full(n, np.inf)
@@ -231,12 +231,10 @@ def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
         m[step:][better] = down[better]
         m_arg[step:][better] = step
 
-    if B != math.inf and int(B) <= n - 1:
+    u = np.full(n, -np.inf)
+    if B <= n - 1:
         cap = int(B)
-        u = np.full(n, -np.inf)
         u[cap:] = (K + g[cap:] - g[:-cap]) / cap
-    else:
-        u = np.full(n, -np.inf)
 
     m_cum = np.maximum.accumulate(m)
     u_cum = np.maximum.accumulate(u)

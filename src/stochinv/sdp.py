@@ -7,9 +7,11 @@ finite integer PMF per period, independent across periods.
 
 solve runs one backward pass per period over the whole grid row:
 G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], then the minimum of G over
-each capacity window and C(x) = -v x + min(G(x), K + window min). Each
-kernel does only the work the tables read. The loss row L looks partial
-sums up only on the demand support and is closed form below and above it.
+each capacity window and C(x) = -v x + min(G(x), K + window min). With
+B = inf the window is as wide as the row, since no order can reach past
+the top of the grid, so one kernel serves both problems. Each kernel
+does only the work the tables read. The loss row L looks partial sums up
+only on the demand support and is closed form below and above it.
 The window minimum returns the minimum everywhere but searches for the
 smallest attaining order only at the states where ordering pays, since
 Qstar is zero everywhere else.
@@ -244,11 +246,6 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     return out
 
 
-def single_period_cost(y: int, pmf: DemandPMF, h: float, p: float) -> float:
-    """Expected holding plus shortage cost for one period started at level y."""
-    return float(_loss_row(np.array([y], dtype=np.float64), pmf, h, p)[0])
-
-
 def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
     """E[c_row(y - demand)] over the grid; reads below it clamp to the lowest state."""
     size, top = c_row.size, pmf.max_value
@@ -267,7 +264,8 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     offsets(at) gives the smallest attaining offset at the state indices
     `at` alone. Offsets within 1e-9 of the window minimum count as
     attaining it, so ties resolve to the smallest order quantity. States
-    past the end of the row never attain it.
+    past the end of the row never attain it, so a cap of size - 1 gives the
+    suffix minimum of the uncapacitated problem.
 
     Sparse table: level k holds the min of g_row over [j, j + 2^k), cut off
     at the row's end, for 2^k <= cap + 1. The window minimum is the min of
@@ -304,22 +302,6 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     return w, offsets
 
 
-def _window_min_infinite(g_row: np.ndarray):
-    """Suffix min of g_row, and a lookup of the smallest offset attaining it.
-
-    Same shape as _window_min_finite: (w, offsets), where offsets(at) gives
-    the smallest offset within 1e-9 of the suffix min at the indices `at`.
-    """
-    size = g_row.size
-    w = np.minimum.accumulate(g_row[::-1])[::-1]
-
-    def offsets(at: np.ndarray) -> np.ndarray:
-        cand = np.where(g_row <= w + _TIE_TOL, np.arange(size), size)
-        return np.minimum.accumulate(cand[::-1])[::-1][at] - at
-
-    return w, offsets
-
-
 def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     """Solve the instance by backward induction on the grid.
 
@@ -339,6 +321,8 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     states = grid.states.astype(np.float64)
     K, v = instance.K, instance.v
     purchase = v * states
+    # no order reaches past x_max, so B = inf is a window as wide as the row
+    cap = size - 1 if instance.B == math.inf else int(instance.B)
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))
@@ -352,10 +336,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
                 else _expected_continuation(c_tbl[t + 1], pmf))
         g_row = (purchase + _loss_row(states, pmf, instance.h, instance.p)
                  + instance.discount * cont)
-        if instance.B == math.inf:
-            w, offsets = _window_min_infinite(g_row)
-        else:
-            w, offsets = _window_min_finite(g_row, int(instance.B))
+        w, offsets = _window_min_finite(g_row, cap)
         ordered = K + w
         # search for the smallest minimizing order only where ordering pays
         ordering = np.flatnonzero(g_row - ordered > _TIE_TOL)

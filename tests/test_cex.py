@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +106,14 @@ class TestMonotonicityReport:
             instance = random_instance(params, rng)
             tables = solve(instance, search_grid(instance))
             assert v_monotonicity_report(tables, 1) == ()
+
+
+class TestSearchGrid:
+    def test_unbounded_capacity_has_no_ceiling(self):
+        instance = dataclasses.replace(
+            load_instance(instance_path("seasonal_poisson.json")), B=math.inf)
+        with pytest.raises(ValueError, match="needs a finite capacity B"):
+            search_grid(instance)
 
 
 class TestKnownViolatorRegression:

@@ -8,9 +8,9 @@ from pytest import approx
 
 from oracle import (rebuild_order_quantity, split_state_runs,
                     threshold_pairs_by_run)
-from stochinv import (Grid, GridSpanError, Instance, MalformedTable, ThresholdPolicy,
-                      check_cop, pmf_empirical, qce_diagnostics, read_policy,
-                      thresholds_csv, verify_kb_convexity)
+from stochinv import (Grid, GridSpanError, Instance, KBReport, MalformedTable,
+                      ThresholdPolicy, check_cop, pmf_empirical, qce_diagnostics,
+                      read_policy, thresholds_csv, verify_kb_convexity)
 from stochinv.policy import _state_runs
 
 SEASONAL_PAIRS = {
@@ -159,6 +159,12 @@ class TestConvexityCheck:
     def test_convex_passes_unbounded_steps(self):
         values = [(x - 5) ** 2 for x in range(21)]
         assert verify_kb_convexity(values, K=2.0, B=math.inf, window=21).ok
+
+    def test_dip_is_rejected_with_unbounded_steps(self):
+        # from state 1 the step of 9 up to the dip beats every step down
+        values = [0.0] * 10 + [-10.0] + [0.0] * 10
+        report = verify_kb_convexity(values, K=1.0, B=math.inf, window=21)
+        assert report == KBReport(False, (1, 9, 1, 1))
 
     def test_solved_curves_pass(self, seasonal_tables):
         tables = seasonal_tables[65]

@@ -14,7 +14,7 @@ from conftest import instance_path
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, ValueTables, load_instance, pmf_empirical,
                       pmf_parametric, random_instance, sdp, search_grid,
-                      single_period_cost, solve)
+                      solve)
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_window_min,
@@ -28,20 +28,25 @@ FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
                  "volatile_poisson.json": Grid(-1200, 600)}
 
 
+def loss_at(y, pmf, h, p):
+    """The loss row at one post-order level y."""
+    return float(sdp._loss_row(np.array([y], dtype=np.float64), pmf, h, p)[0])
+
+
 class TestExpectedHoldingShortageCost:
     def test_poisson_deep_backlog(self):
         # at y=0 every unit of demand is short, so the cost is p * E[d]
         pmf = pmf_parametric("poisson", 20.0)
-        assert single_period_cost(0, pmf, 1.0, 10.0) == approx(
+        assert loss_at(0, pmf, 1.0, 10.0) == approx(
             199.99999976982843, abs=1e-9)
 
     def test_degenerate_demand_exact_cover(self):
         pmf = pmf_empirical([5], [1.0])
-        assert single_period_cost(5, pmf, 1.0, 10.0) == 0.0
+        assert loss_at(5, pmf, 1.0, 10.0) == 0.0
 
     def test_two_point_demand(self):
         pmf = pmf_empirical([6, 7], [0.95, 0.05])
-        assert single_period_cost(10, pmf, 1.0, 10.0) == approx(
+        assert loss_at(10, pmf, 1.0, 10.0) == approx(
             3.950000000000001, abs=1e-12)
 
     @given(
@@ -59,7 +64,7 @@ class TestExpectedHoldingShortageCost:
         masses /= masses.sum()
         pmf = pmf_empirical(support, masses)
         naive = brute_single_period_loss(y, pmf.support, pmf.probs, h, p)
-        assert single_period_cost(y, pmf, h, p) == approx(naive, abs=1e-9)
+        assert loss_at(y, pmf, h, p) == approx(naive, abs=1e-9)
 
     # ascending unit-step ranges that lie below, across or above a random
     # support of 1-8 points in [0, 300]
@@ -172,7 +177,7 @@ class TestWindowMinimum:
     def test_unbounded_window_matches_brute_force(self, row):
         # with a window as long as the row, the window min is the suffix min
         g_row = np.array(row, dtype=np.float64)
-        w, offsets = sdp._window_min_infinite(g_row)
+        w, offsets = sdp._window_min_finite(g_row, g_row.size - 1)
         q = offsets(np.arange(g_row.size))
         brute_w, brute_q = brute_window_min(row, len(row) - 1)
         assert np.array_equal(w, np.array(brute_w))
@@ -181,18 +186,22 @@ class TestWindowMinimum:
     @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
                         min_size=1, max_size=60),
            cap=st.integers(1, 70), picks=st.lists(st.booleans(), max_size=60))
+    # a cap past the row's end, over a row holding both signed zeros
+    @example(row=[0.0, -0.0, 1.0, -0.0, 0.0], cap=9, picks=[True])
     @settings(max_examples=200, deadline=None)
     def test_offsets_at_any_states_match_the_full_row(self, row, cap, picks):
         g_row = np.array(row, dtype=np.float64)
         at = np.flatnonzero(np.resize(np.array(picks + [True]), g_row.size))
-        for kernel, full_row in (
-                (sdp._window_min_finite(g_row, cap),
-                 full_row_window_min_finite(g_row, cap)),
-                (sdp._window_min_infinite(g_row),
-                 full_row_window_min_infinite(g_row))):
-            (w, offsets), (want_w, want_q) = kernel, full_row
-            assert w.tobytes() == want_w.tobytes()
-            assert np.array_equal(offsets(at), want_q[at])
+        w, offsets = sdp._window_min_finite(g_row, cap)
+        want_w, want_q = full_row_window_min_finite(g_row, cap)
+        assert w.tobytes() == want_w.tobytes()
+        assert np.array_equal(offsets(at), want_q[at])
+        # the unbounded window: the suffix min, equal up to the sign of a
+        # zero minimum, which K + w erases for every K but -0.0
+        w, offsets = sdp._window_min_finite(g_row, g_row.size - 1)
+        want_w, want_q = full_row_window_min_infinite(g_row)
+        assert np.array_equal(w, want_w)
+        assert np.array_equal(offsets(at), want_q[at])
 
 
 def assert_same_tables(monkeypatch, instance, grid, **references):
@@ -278,7 +287,24 @@ class TestTablesMatchFullRowKernels:
         assert_same_tables(
             monkeypatch, instance, FIXTURE_GRIDS[name],
             _loss_row=searchsorted_loss_row,
-            _window_min_infinite=with_offsets(full_row_window_min_infinite))
+            _window_min_finite=with_offsets(
+                lambda g_row, cap: full_row_window_min_infinite(g_row)))
+
+
+class TestUnboundedCapacity:
+    """B = inf solves to the same bytes as a capacity as wide as the grid:
+    no order can reach past its top either way."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
+    def test_instance_files_equal_capacity_the_grid_width(self, name):
+        instance = load_instance(instance_path(name))
+        grid = FIXTURE_GRIDS[name]
+        unbounded = solve(dataclasses.replace(instance, B=math.inf), grid)
+        widest = solve(dataclasses.replace(instance, B=grid.x_max - grid.x_min),
+                       grid)
+        for table in ("C", "G", "Qstar"):
+            got, want = getattr(unbounded, table), getattr(widest, table)
+            assert got.tobytes() == want.tobytes(), table
 
 
 class TestActionTableSpikyDemand:
