@@ -93,11 +93,16 @@ def _read_period(tables: ValueTables,
 
     Walking the ordering states, maximal runs with a common order-up-to
     level x + Q(x) are threshold bands: the top state of the run is s_k and
-    the shared level is S_k. Isolated fully-saturated states between bands
-    are capacity slides (level moves one-for-one with x) and carry no pair,
-    except at the very top where Q(s_m) = B pins S_m = s_m + B. Where the
-    property fails, the one stand-in band is (s_m, s_m + Q(s_m)) at the top
-    s_m of the highest ordering interval.
+    the shared level is S_k. States ordering the full capacity B are
+    capacity slides: their level moves one-for-one with x, so each is a
+    run of its own and carries no pair, except at the very top where
+    Q(s_m) = B pins S_m = s_m + B. Most ordering states are slides below
+    the first band, so the walk starts at the first state that is not one.
+    The last leading slide may share the first band's level, but a pair is
+    the run's top state and level, which that slide does not change. An
+    interval made only of slides gives the one pair (s_m, s_m + B).
+    Where the property fails, the one stand-in band is (s_m, s_m + Q(s_m))
+    at the top s_m of the highest ordering interval.
 
     Raises GridSpanError for a period that orders only below exact_from:
     the grid is too narrow to certify any of its orders.
@@ -118,9 +123,13 @@ def _read_period(tables: ValueTables,
 
     lo, s_m = report.ordering_set[0]
     q = row[grid.index(lo):grid.index(s_m) + 1]
-    xs = np.arange(lo, s_m + 1)
-    levels = xs + q
     cap = tables.instance.B
+    skip = int(np.argmax(q != cap))   # 0 when every state is a slide
+    if q[skip] == cap:
+        skip = q.size - 1
+    q = q[skip:]
+    xs = np.arange(lo + skip, s_m + 1)
+    levels = xs + q
 
     stops = np.append(np.flatnonzero(np.diff(levels) != 0) + 1, levels.size)
     starts = np.append(0, stops[:-1])

@@ -14,7 +14,10 @@ does only the work the tables read. The loss row L looks partial sums up
 only on the demand support and is closed form below and above it.
 The window minimum returns the minimum everywhere but searches for the
 smallest attaining order only at the states where ordering pays, since
-Qstar is zero everywhere else.
+Qstar is zero everywhere else. Most of those lie far below the bands and
+are capacity slides: no smaller order comes within the tie tolerance of
+the best one, so the order is the whole capacity B. One range-minimum
+query decides a slide, and only the other ordering states are searched.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ class Instance:
             raise ValueError("K and v must be nonnegative")
         if self.h <= 0 or self.p <= 0:
             raise ValueError("h and p must be positive")
-        if not (self.B == math.inf or (float(self.B).is_integer() and self.B >= 1)):
+        if isinstance(self.B, (bool, np.bool_)) or not (
+                self.B == math.inf or (float(self.B).is_integer() and self.B >= 1)):
             raise ValueError("B must be a positive integer or math.inf")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
@@ -252,8 +256,9 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
     # the clamp as data: max_value copies of the lowest state below the row
     padded = np.concatenate((np.full(top, c_row[0]), c_row))
     out = np.zeros(size)
+    term = np.empty(size)
     for d, pr in zip(pmf.support, pmf.probs):
-        out += pr * padded[top - d:top - d + size]
+        out += np.multiply(padded[top - d:top - d + size], pr, out=term)
     return out
 
 
@@ -270,11 +275,18 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     Sparse table: level k holds the min of g_row over [j, j + 2^k), cut off
     at the row's end, for 2^k <= cap + 1. The window minimum is the min of
     the two top-level blocks that start at i and end at i + cap; min does
-    not round, so it is exact. The offset comes from a jump search down the
-    levels: from i, skip each block whose min exceeds the tie threshold,
-    which lands on the first state within 1e-9 of the window minimum. Time
-    and memory are O(size log cap) instead of O(size cap), and the search
-    costs O(log cap) per state looked up.
+    not round, so it is exact. Time and memory are O(size log cap) instead
+    of O(size cap).
+
+    offsets first picks out the capacity slides: states whose offsets
+    0..cap-1 all lie above the tie threshold, so that the smallest
+    attaining offset is cap itself. Two blocks of level floor(log2 cap)
+    cover [i, i+cap-1], so one range-minimum query decides a slide. A
+    window cut short by the row's end needs no test of its own: there the
+    two blocks cover the whole window, whose minimum is w[i]. The other
+    states take a jump search down the levels: from i, skip each block
+    whose min exceeds the threshold, which lands on the first state within
+    1e-9 of the window minimum, at O(log cap) per state.
     """
     size = g_row.size
     cap = min(cap, size - 1)   # the window never reaches past the row
@@ -294,10 +306,22 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
 
     def offsets(at: np.ndarray) -> np.ndarray:
         threshold = w[at] + _TIE_TOL
-        pos = at.copy()
-        for k in range(top, -1, -1):
-            pos += (levels[k][pos] > threshold) << k
-        return pos - at
+        found = np.full(at.size, cap)
+        searched = slice(None)
+        if cap:   # a one-state row has no slides
+            k = cap.bit_length() - 1
+            blocks = levels[k]
+            # clip: a second block past the row's end starts at its last state
+            low = np.minimum(blocks[at],
+                             blocks.take(at + (cap - (1 << k)), mode="clip"))
+            searched = np.flatnonzero(low <= threshold)
+        start, threshold = at[searched], threshold[searched]
+        if start.size:
+            pos = start.copy()
+            for k in range(top, -1, -1):
+                pos += (levels[k][pos] > threshold) << k
+            found[searched] = pos - start
+        return found
 
     return w, offsets
 
@@ -330,18 +354,22 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
 
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
-        # nothing is owed after the last period, so its continuation is the
-        # zero row; adding it below still keeps every bit (-0.0 + 0.0 is 0.0)
-        cont = (np.zeros(size) if t == n - 1
+        g_row, c_row = g_tbl[t], c_tbl[t]
+        np.add(purchase, _loss_row(states, pmf, instance.h, instance.p),
+               out=g_row)
+        # nothing is owed after the last period; adding its zero still
+        # keeps every bit (-0.0 + 0.0 is 0.0)
+        cont = (0.0 if t == n - 1
                 else _expected_continuation(c_tbl[t + 1], pmf))
-        g_row = (purchase + _loss_row(states, pmf, instance.h, instance.p)
-                 + instance.discount * cont)
+        if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
+            cont *= instance.discount
+        g_row += cont
         w, offsets = _window_min_finite(g_row, cap)
-        ordered = K + w
+        np.add(K, w, out=c_row)   # the cost of ordering, until C is done
         # search for the smallest minimizing order only where ordering pays
-        ordering = np.flatnonzero(g_row - ordered > _TIE_TOL)
-        c_tbl[t] = np.minimum(g_row, ordered) - purchase
-        g_tbl[t] = g_row
+        ordering = np.flatnonzero(g_row - c_row > _TIE_TOL)
+        np.minimum(g_row, c_row, out=c_row)
+        c_row -= purchase
         q_tbl[t, ordering] = offsets(ordering)
         del offsets   # frees the kernel's tables before the next period's
 

@@ -15,6 +15,13 @@ def instance_path(name):
     return os.path.join(INSTANCE_DIR, name)
 
 
+# each instance file on the grid its tests solve it on
+FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
+                 "seasonal_poisson.json": Grid(-300, 600),
+                 "spiky_nonstationary.json": Grid(-1000, 1100),
+                 "volatile_poisson.json": Grid(-1200, 600)}
+
+
 def scipy_modules_after(code):
     """Names of the scipy modules loaded after running code in a fresh interpreter."""
     import stochinv

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from conftest import FIXTURE_GRIDS, instance_path
 from oracle import (rebuild_order_quantity, split_state_runs,
                     threshold_pairs_by_run)
-from stochinv import (Grid, GridSpanError, Instance, KBReport, MalformedTable,
-                      ThresholdPolicy, check_cop, pmf_empirical, qce_diagnostics,
-                      read_policy, thresholds_csv, verify_kb_convexity)
-from stochinv.policy import _state_runs
+from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
+                      Instance, KBReport, MalformedTable, ThresholdPolicy,
+                      check_cop, load_instance, pmf_empirical, qce_diagnostics,
+                      random_instance, read_policy, search_grid, solve,
+                      thresholds_csv, verify_kb_convexity)
+from stochinv.policy import _read_period, _state_runs
 
 SEASONAL_PAIRS = {
     (35, 1): ((39, 68), (46, 81)),
@@ -304,6 +307,13 @@ class TestBandsMatchRunByRunReference:
                        min_size=1, max_size=40),
         cap=st.one_of(st.integers(1, 12), st.just(math.inf)),
     )
+    # an interval made only of capacity slides
+    @example(steps=[("cap", 1)] * 6, cap=4)
+    # the first band's run starts on the last leading slide
+    @example(steps=[("cap", 1)] * 3 + [("same", 1)] * 2, cap=4)
+    # B = inf: no state is a slide
+    @example(steps=[("jump", 5), ("same", 1), ("rise", 2), ("same", 1)],
+             cap=math.inf)
     @settings(max_examples=400, deadline=None)
     def test_random_ordering_intervals(self, steps, cap):
         # every state from the bottom of the grid up orders: keep the
@@ -334,6 +344,39 @@ class TestBandsMatchRunByRunReference:
         assert well_formed(want, cap)
         assert policy.bands == (tuple(want),)
         assert policy.bands[0][-1][0] == xs[-1]
+
+
+def assert_bands_walk_the_whole_interval(tables):
+    """Where the order property holds from exact_from, a period's bands
+    equal the run-by-run walk over its whole first ordering interval,
+    leading capacity slides included."""
+    grid = tables.grid
+    for period in range(1, tables.instance.horizon + 1):
+        report = check_cop(tables, period, tables.exact_from(period))
+        if not (report.holds and report.ordering_set):
+            continue
+        lo, s_m = report.ordering_set[0]
+        q = tables.Qstar[tables.row(period), grid.index(lo):grid.index(s_m) + 1]
+        want = threshold_pairs_by_run(list(range(lo, s_m + 1)), q.tolist(),
+                                      tables.instance.B, s_m)
+        assert _read_period(tables, period) == (tuple(want), True), period
+
+
+class TestBandsWalkTheWholeInterval:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
+    @pytest.mark.parametrize("grid", ["fixture", "default"])
+    def test_instance_files(self, name, grid):
+        grid = FIXTURE_GRIDS[name] if grid == "fixture" else DEFAULT_GRID
+        tables = solve(load_instance(instance_path(name)), grid)
+        assert_bands_walk_the_whole_interval(tables)
+
+    def test_random_search_instances(self):
+        params = CexSearchParams(seed=11, budget=200)
+        rng = np.random.default_rng(11)
+        for _ in range(params.budget):
+            instance = random_instance(params, rng)
+            assert_bands_walk_the_whole_interval(
+                solve(instance, search_grid(instance)))
 
 
 @st.composite

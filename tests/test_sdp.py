@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import instance_path
+from conftest import FIXTURE_GRIDS, instance_path
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, ValueTables, load_instance, pmf_empirical,
                       pmf_parametric, random_instance, sdp, search_grid,
@@ -20,13 +20,6 @@ from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_window_min,
                     full_row_window_min_finite, full_row_window_min_infinite,
                     rowwise_tables_csv, searchsorted_loss_row)
-
-# each instance file on the grid its tests solve it on
-FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
-                 "seasonal_poisson.json": Grid(-300, 600),
-                 "spiky_nonstationary.json": Grid(-1000, 1100),
-                 "volatile_poisson.json": Grid(-1200, 600)}
-
 
 def loss_at(y, pmf, h, p):
     """The loss row at one post-order level y."""
@@ -202,6 +195,32 @@ class TestWindowMinimum:
         want_w, want_q = full_row_window_min_infinite(g_row)
         assert np.array_equal(w, want_w)
         assert np.array_equal(offsets(at), want_q[at])
+
+    # rows that fall most of the way, in steps up to 5 with now and then a
+    # rise or a step near the tie tolerance, so that many windows take
+    # their minimum at their far end only: capacity slides
+    @given(row=st.lists(st.one_of(st.floats(-1.0, 5.0),
+                                  st.sampled_from([0.0, 5e-10, 1e-9, 2e-9])),
+                        min_size=1, max_size=60).map(
+                            lambda steps: (-np.cumsum(steps)).tolist()),
+           cap=st.integers(1, 12))
+    # state i + cap - 1 sits exactly at w + 1e-9, so state 0 is no slide
+    @example(row=[5.0, 1e-9, 0.0], cap=2)
+    # slides at states 0 and 1; the windows from state 2 on are cut short
+    # by the row's end
+    @example(row=[4.0, 3.0, 2.0, 1.0, 0.0], cap=3)
+    @example(row=[3.0, 2.0, 1.0, 0.0], cap=3)
+    @example(row=[3.0, 2.0, 1.0, 0.0], cap=9)
+    @example(row=[2.5], cap=7)
+    @example(row=[1.0, 0.0], cap=1)
+    @example(row=[0.0, 1.0], cap=1)
+    @settings(max_examples=300, deadline=None)
+    def test_slides_on_falling_rows_match_the_full_row(self, row, cap):
+        g_row = np.array(row, dtype=np.float64)
+        w, offsets = sdp._window_min_finite(g_row, cap)
+        want_w, want_q = full_row_window_min_finite(g_row, cap)
+        assert w.tobytes() == want_w.tobytes()
+        assert np.array_equal(offsets(np.arange(g_row.size)), want_q)
 
 
 def assert_same_tables(monkeypatch, instance, grid, **references):
@@ -478,7 +497,8 @@ class TestInstanceValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("K", -1.0), ("v", -0.5), ("h", 0.0), ("p", -2.0),
-        ("B", 0), ("B", 2.5), ("discount", 0.0), ("discount", 1.1),
+        ("B", 0), ("B", 2.5), ("B", True), ("B", np.True_),
+        ("discount", 0.0), ("discount", 1.1),
         ("horizon", 1.0), ("horizon", True), ("K", math.nan), ("v", math.inf),
         ("h", math.nan), ("p", math.inf),
     ])
