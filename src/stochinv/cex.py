@@ -43,8 +43,14 @@ class CexSearchParams:
             raise ValueError("seed must be nonnegative")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
-        if self.B_range[1] + 1 > self.support_max:
-            raise ValueError("support_max leaves no room above the capacity")
+        # each PMF draws points_per_pmf - 1 distinct values in
+        # (B, support_max], so the largest B needs that many above it
+        least = self.B_range[1] + self.points_per_pmf - 1
+        if least > self.support_max:
+            raise ValueError(
+                f"support_max must be at least {least} (B_range[1] + "
+                f"points_per_pmf - 1) to leave points_per_pmf - 1 support "
+                f"points above every capacity, got {self.support_max}")
 
 
 class Violation(NamedTuple):

@@ -35,11 +35,11 @@ EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
 
-def _add_grid_flags(parser):
+def _add_grid_flags(parser, max_help="highest inventory state on the grid"):
     parser.add_argument("--grid-min", type=int, default=DEFAULT_GRID.x_min,
                         help="lowest inventory state on the grid")
     parser.add_argument("--grid-max", type=int, default=DEFAULT_GRID.x_max,
-                        help="highest inventory state on the grid")
+                        help=max_help)
 
 
 def _add_sim_flags(parser):
@@ -88,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demand family to benchmark")
     p_bench.add_argument("--scale", type=float, default=1.0,
                          help="fraction of the full design to run (0, 1]")
-    _add_grid_flags(p_bench)
+    _add_grid_flags(p_bench, max_help=(
+        "outer bound on the highest inventory state: a point with finite "
+        "capacity B is solved only up to the sum of its per-period maximum "
+        "demands plus B - 1 when that is lower, with the same results"))
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser

@@ -97,6 +97,18 @@ class TestGeneratorContract:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             CexSearchParams(seed=-1, budget=1)
 
+    def test_support_must_leave_room_above_the_largest_capacity(self):
+        # three distinct support points above B = 200 need support_max 203;
+        # at 202 the draw would run out of values mid-search
+        with pytest.raises(ValueError, match="support_max must be at least 203"):
+            CexSearchParams(seed=0, budget=1, B_range=(200, 200), support_max=202)
+        params = CexSearchParams(seed=0, budget=20, B_range=(200, 200),
+                                 support_max=203)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+        for demand in random_instance(params, rng).demands:
+            assert demand.support[1:] == (201, 202, 203)
+        search_cop_violations(params)
+
 
 class TestMonotonicityReport:
     def test_single_period_instances_never_dip(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -308,6 +308,56 @@ class TestTablesMatchFullRowKernels:
             _loss_row=searchsorted_loss_row,
             _window_min_finite=with_offsets(
                 lambda g_row, cap: full_row_window_min_infinite(g_row)))
+
+
+def empirical_pmfs(points):
+    """One PMF per dict of support value -> unnormalized mass."""
+    pmfs = []
+    for mass_of in points:
+        masses = np.array(list(mass_of.values()))
+        pmfs.append(pmf_empirical(list(mass_of), masses / masses.sum()))
+    return tuple(pmfs)
+
+
+class TestTrimmedTop:
+    """Solving only up to top = sum_t dmax_t + B - 1, as the bed does for a
+    finite B, gives the taller grid's tables bit for bit, and the taller
+    grid never orders from D_t = sum_{s>=t} dmax_s up."""
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 10.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+           x_min=st.integers(-200, -1), extra=st.integers(100, 600))
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=50.0, v=1.0, h=1.0, p=10.0,
+             B=1, discount=1.0, x_min=-40, extra=300)
+    @example(points=[{7: 1.0}, {0: 1.0}, {12: 1.0}], K=20.0, v=2.0, h=1.0,
+             p=5.0, B=8, discount=1.0, x_min=-30, extra=300)
+    @example(points=[{0: 0.3, 20: 0.7}] * 2, K=0.0, v=0.5, h=0.5, p=8.0,
+             B=15, discount=1.0, x_min=-50, extra=300)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=25, discount=0.8, x_min=-150, extra=300)
+    @settings(max_examples=150, deadline=None)
+    def test_tables_match_a_taller_grid(self, points, K, v, h, p, B,
+                                        discount, x_min, extra):
+        demands = empirical_pmfs(points)
+        dmax = [d.max_value for d in demands]
+        top = sum(dmax) + B - 1
+        assume(top > 0)
+        instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
+                            demands=demands, discount=discount)
+        trimmed = solve(instance, Grid(x_min, top))
+        tall = solve(instance, Grid(x_min, top + extra))
+        shared = trimmed.grid.size
+        for name in ("C", "G", "Qstar"):
+            got, want = getattr(trimmed, name), getattr(tall, name)
+            assert got.tobytes() == want[:, :shared].tobytes(), name
+        for t in range(instance.horizon):
+            d_t = sum(dmax[t:])
+            assert not tall.Qstar[t, tall.grid.index(d_t):].any(), t + 1
 
 
 class TestUnboundedCapacity:

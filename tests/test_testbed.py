@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
-from stochinv import (BenchmarkReport, DesignPoint, Grid, PointResult,
-                      build_design, demand_patterns, run_benchmark, testbed)
+from stochinv import (DEFAULT_GRID, BenchmarkReport, DesignPoint, Grid,
+                      PointResult, build_design, demand_patterns,
+                      optimality_gap, read_policy, run_benchmark, solve,
+                      testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -144,3 +147,62 @@ class TestSmallBenchmarkRun:
         assert result.max_thresholds == 2
         assert result.error is None
         assert math.isfinite(result.gap)
+
+
+def direct_result(point, grid):
+    """(gap, max thresholds, COP periods) of the point solved on the whole grid."""
+    tables = solve(point.instance, grid)
+    policy = read_policy(tables)
+    violated = policy.cop_violated
+    max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
+                   if period not in violated), default=0)
+    return optimality_gap(point.instance, tables, policy.top(), 0), max_thr, violated
+
+
+class TestTrimmedTopMatchesTheWholeGrid:
+    """The bed solves a point only up to sum_t dmax_t + B - 1; its results
+    are those of the whole outer grid, exactly."""
+
+    @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
+    @pytest.mark.parametrize("K, v, p", [(250, 2, 5), (1000, 10, 15)])
+    def test_largest_capacities_on_the_default_grid(self, pattern, K, v, p):
+        (point,) = [pt for pt in build_design(("poisson",))
+                    if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
+                    == (pattern, K, v, p, 4)]
+        top = sum(d.max_value for d in point.instance.demands) + point.instance.B - 1
+        assert point.instance.B >= 393 and top < DEFAULT_GRID.x_max
+        (result,) = run_benchmark([point]).results
+        assert result.error is None
+        assert (result.gap, result.max_thresholds,
+                result.cop_violations) == direct_result(point, DEFAULT_GRID)
+
+    def test_torn_ordering_region_below_the_top(self, spiky_instance):
+        # period 1 orders again at 616-618, below the top 939 of Grid(-1000, 1100)
+        inst = spiky_instance
+        point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
+                            None, inst)
+        grid = Grid(-1000, 1100)
+        assert sum(d.max_value for d in inst.demands) + inst.B - 1 == 939
+        (result,) = run_benchmark([point], grid=grid).results
+        assert result.cop_violations == (1,)
+        assert (result.gap, result.max_thresholds,
+                result.cop_violations) == direct_result(point, grid)
+
+    def test_the_trimmed_grid_is_what_gets_solved(self, two_points, monkeypatch):
+        solved = []
+
+        def recording_solve(instance, grid):
+            solved.append(grid)
+            return solve(instance, grid)
+
+        monkeypatch.setattr(testbed, "solve", recording_solve)
+        point = two_points[0]
+        top = sum(d.max_value for d in point.instance.demands) + point.instance.B - 1
+        run_benchmark([point], grid=Grid(-2000, 2500))
+        run_benchmark([point], grid=Grid(-2000, top))
+        run_benchmark([point], grid=Grid(-2000, top + 1))
+        # an uncapacitated point has no top and keeps the given grid
+        unbounded = point._replace(
+            instance=dataclasses.replace(point.instance, B=math.inf))
+        run_benchmark([unbounded], grid=Grid(-2000, 2500))
+        assert solved == [Grid(-2000, top)] * 3 + [Grid(-2000, 2500)]
