@@ -2,8 +2,8 @@
 
 Backward dynamic programming over a discrete inventory grid, modified
 multi-(s, S) policies read off the solved tables, order-property and
-convexity diagnostics, exact and common-random-number policy evaluation,
-randomized search for order-property violations, and a benchmark test bed.
+convexity diagnostics, exact policy evaluation, randomized search for
+order-property violations, and a benchmark test bed.
 """
 
 from .cex import (CexSearchParams, Violation, random_instance, search_cop_violations,
@@ -15,9 +15,7 @@ from .heuristic import modified_ss_from_tables
 from .policy import (CopReport, KBReport, MalformedTable, QcePoint, ThresholdPolicy,
                      check_cop, qce_diagnostics, read_policy, verify_kb_convexity)
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, ValueTables, solve
-from .simulate import (SimulationConfig, SimulationError, SimulationEstimate,
-                       expected_cost, gap_with_estimates, optimality_gap,
-                       simulate_policy)
+from .simulate import SimulationError, expected_cost, optimality_gap
 from .testbed import (BenchmarkReport, DesignPoint, PointResult, build_design,
                       demand_patterns, run_benchmark)
 
@@ -37,9 +35,7 @@ __all__ = [
     "PARAMETRIC_FAMILIES",
     "PointResult",
     "QcePoint",
-    "SimulationConfig",
     "SimulationError",
-    "SimulationEstimate",
     "ThresholdPolicy",
     "ValueTables",
     "Violation",
@@ -48,7 +44,6 @@ __all__ = [
     "demand_patterns",
     "dump_instance",
     "expected_cost",
-    "gap_with_estimates",
     "load_instance",
     "modified_ss_from_tables",
     "optimality_gap",
@@ -62,7 +57,6 @@ __all__ = [
     "search_cop_violations",
     "search_grid",
     "serialize_instance",
-    "simulate_policy",
     "solve",
     "thresholds_csv",
     "v_monotonicity_report",

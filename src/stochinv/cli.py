@@ -2,14 +2,15 @@
 
 Subcommands: solve, simulate, search-cex, benchmark. All runs are
 deterministic given flags and seeds; repeated invocations produce
-byte-identical output files.
+byte-identical output files. simulate prices policies exactly and
+takes no seed.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
 instance-file errors; 3 grid, numerical or malformed-band errors, among
 them a period that orders only below its certified floor exact_from (the
-grid is too narrow; `solve` then writes no file); 4 simulation budget
-exhausted before the confidence target.
+grid is too narrow; `solve` then writes no file) and an optimal policy
+whose exact cost does not reproduce the solved value.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .files import InstanceFormatError, dump_instance, load_instance, thresholds
 from .heuristic import modified_ss_from_tables
 from .policy import MalformedTable, check_cop, read_policy
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
-from .simulate import (SimulationConfig, SimulationError, gap_with_estimates,
-                       simulate_policy)
+from .simulate import SimulationError, _percent_gap, expected_cost, optimal_cost
 from .testbed import build_design, run_benchmark
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-EXIT_BUDGET = 4
 
 
 def _add_grid_flags(parser, max_help="highest inventory state on the grid"):
@@ -42,19 +41,10 @@ def _add_grid_flags(parser, max_help="highest inventory state on the grid"):
                         help=max_help)
 
 
-def _add_sim_flags(parser):
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for the common random number streams")
-    parser.add_argument("--confidence", type=float, default=0.95,
-                        help="confidence level for the interval check")
-    parser.add_argument("--rel-error", type=float, default=1e-4,
-                        help="target half-width relative to the mean")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochinv",
-        description="Capacitated stochastic lot sizing: solve, analyze, simulate.")
+        description="Capacitated stochastic lot sizing: solve, analyze, price.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance and extract thresholds")
@@ -63,14 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None,
                          help="output prefix (default: instance path sans extension)")
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo policy evaluation")
+    p_sim = sub.add_parser("simulate", help="exact expected cost of each policy")
     p_sim.add_argument("instance", help="instance file (JSON)")
     p_sim.add_argument("--policy", choices=("optimal", "modified-ss", "both"),
-                       default="both", help="which policy to evaluate")
-    p_sim.add_argument("--max-reps", type=int, default=50_000_000,
-                       help="replication budget before giving up on the target")
+                       default="both", help="which policy to price")
     _add_grid_flags(p_sim)
-    _add_sim_flags(p_sim)
 
     p_cex = sub.add_parser("search-cex",
                            help="random search for order-property violations")
@@ -95,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def cmd_solve(args) -> int:
@@ -144,41 +127,21 @@ def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
 
 
 def cmd_simulate(args) -> int:
-    try:   # before any solve
-        config = SimulationConfig(base_seed=args.seed, confidence=args.confidence,
-                                  target_rel_error=args.rel_error,
-                                  max_reps=args.max_reps)
-    except ValueError as exc:
-        raise _flag_error(exc, {"base_seed": "--seed", "confidence": "--confidence",
-                                "target_rel_error": "--rel-error",
-                                "max_reps": "--max-reps"}) from None
     instance = load_instance(args.instance)
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     x0 = 0
 
-    estimates = {}
-    if args.policy == "both":
-        gap, opt, heur = gap_with_estimates(
-            instance, tables, modified_ss_from_tables(tables), x0, config)
-        estimates["optimal"] = opt
-        estimates["modified-ss"] = heur
-    elif args.policy == "optimal":
-        estimates["optimal"] = simulate_policy(instance, tables.grid, tables.Qstar,
-                                               x0, config)
-    else:
+    costs = {}
+    if args.policy != "modified-ss":
+        costs["optimal"] = optimal_cost(instance, tables, x0)
+    if args.policy != "optimal":
         orders = modified_ss_from_tables(tables).orders(tables.grid, instance.B)
-        estimates["modified-ss"] = simulate_policy(instance, tables.grid, orders,
-                                                   x0, config)
+        costs["modified-ss"] = expected_cost(instance, tables.grid, orders, x0)
 
-    for name, est in estimates.items():
-        print(f"{name}: mean {_fmt(est.mean_cost)} +/- {_fmt(est.half_width)} "
-              f"({est.reps} reps)")
+    for name, cost in costs.items():
+        print(f"{name}: expected cost {cost:.6f}")
     if args.policy == "both":
-        print(f"gap: {gap:.3f}%")
-    if not all(est.converged for est in estimates.values()):
-        print("budget exhausted before reaching the confidence target",
-              file=sys.stderr)
-        return EXIT_BUDGET
+        print(f"gap: {_percent_gap(costs['modified-ss'], costs['optimal']):.3f}%")
     return EXIT_OK
 
 

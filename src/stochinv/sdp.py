@@ -68,6 +68,9 @@ class Instance:
             raise ValueError("horizon must be a positive integer")
         if len(self.demands) != self.horizon:
             raise ValueError("need exactly one demand PMF per period")
+        for name in ("K", "v", "h", "p", "discount"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not all(math.isfinite(c) for c in (self.K, self.v, self.h, self.p)):
             raise ValueError("K, v, h and p must be finite")
         if self.K < 0 or self.v < 0:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately slow and structure-free: plain recursion
 with memoisation, no grids, no vectorisation, so that agreement with the
-array implementation is meaningful.
+array implementation is meaningful. The one exception is the Monte Carlo
+sampler at the end, the independent cross-check of the exact pricing in
+stochinv.simulate: it shares none of its code and samples the demands
+instead of convolving them.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def brute_cost_to_go(instance, q_cap=None):
@@ -277,3 +281,114 @@ def stats_pmf_parametric(family, mean, cv=None, tail_eps=1e-9):
         shape = 1.0 / (cv * cv)
         return continuity_corrected(stats.gamma(shape, scale=mean * cv * cv))
     raise ValueError(f"no scipy.stats reference for {family!r}")
+
+
+# Monte Carlo policy evaluation under common random numbers. Every
+# replication's demands come from a counter-based stream keyed by the base
+# seed and the replication index alone, so any two policies simulated with
+# the same config consume identical demand realizations. Sample size grows
+# until a normal-approximation confidence interval meets a relative error
+# target.
+
+# replications per stream block, and the CI check cadence; above
+# SimulationConfig's MIN_REPS, so the first check holds at least that many
+_CHUNK = 10_000
+
+
+class SimulationEstimate(NamedTuple):
+    mean_cost: float
+    half_width: float
+    reps: int
+    converged: bool
+
+
+def _chunk_uniforms(base_seed, chunk_index, rows, cols):
+    import numpy as np
+
+    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.Philox(seq)).random((rows, cols))
+
+
+def _chunk_costs(instance, grid, orders, x0, base_seed, chunk_index, rows):
+    """Total discounted cost of `rows` replications from one stream block."""
+    import numpy as np
+
+    n = instance.horizon
+    u = _chunk_uniforms(base_seed, chunk_index, rows, n)
+    x = np.full(rows, x0, dtype=np.int64)
+    total = np.zeros(rows)
+    factor = 1.0
+    for period in range(1, n + 1):
+        pmf = instance.demands[period - 1]
+        q = orders[period - 1].take(x - grid.x_min, mode="clip")
+        cum = pmf.cum_probs
+        d_idx = np.minimum(np.searchsorted(cum, u[:, period - 1], side="right"),
+                           cum.size - 1)
+        d = pmf.support_arr[d_idx]
+        level = x + q - d
+        cost = (np.where(q > 0, instance.K + instance.v * q, 0.0)
+                + instance.h * np.maximum(level, 0)
+                + instance.p * np.maximum(-level, 0))
+        total += factor * cost
+        factor *= instance.discount
+        x = level
+    return total
+
+
+def simulate_policy(instance, grid, orders, x0, config):
+    """Estimate a policy's expected total cost from x0 by replication.
+
+    orders[t - 1, x - grid.x_min] is the order in period t at inventory x;
+    states off the grid take the order of the nearest grid edge. config is
+    a stochinv.simulate.SimulationConfig. Returns a SimulationEstimate once
+    the half-width is within target_rel_error of the mean, or with
+    converged=False when max_reps is exhausted first.
+    """
+    from scipy import special
+
+    # the normal quantile, as scipy.stats.norm.ppf computes it
+    z = special.ndtri(0.5 + config.confidence / 2.0)
+    total = 0.0
+    total_sq = 0.0
+    reps = 0
+    chunk_index = 0
+    while True:
+        rows = min(_CHUNK, config.max_reps - reps)
+        costs = _chunk_costs(instance, grid, orders, x0, config.base_seed,
+                             chunk_index, rows)
+        total += costs.sum()
+        total_sq += (costs * costs).sum()
+        reps += rows
+        chunk_index += 1
+        mean = total / reps
+        var = max(total_sq - total * total / reps, 0.0) / (reps - 1)
+        half = z * math.sqrt(var / reps)
+        target = config.target_rel_error * abs(mean)
+        if half <= target and (mean != 0.0 or half == 0.0):
+            return SimulationEstimate(mean, half, reps, True)
+        if reps >= config.max_reps:
+            return SimulationEstimate(mean, half, reps, False)
+
+
+def gap_with_estimates(instance, tables, heuristic, x0, config):
+    """Heuristic-vs-optimal percent gap plus the two underlying estimates.
+
+    Both policies are simulated on the same demand streams. The optimal
+    policy's simulated mean is cross-checked against the solved value at
+    (first period, x0) within three half-widths; a miss raises
+    stochinv.SimulationError.
+    """
+    from stochinv import SimulationError
+    from stochinv.simulate import _percent_gap
+
+    grid = tables.grid
+    opt = simulate_policy(instance, grid, tables.Qstar, x0, config)
+    heur = simulate_policy(instance, grid, heuristic.orders(grid, instance.B),
+                           x0, config)
+    dp_value = tables.cost_at(1, x0)
+    slack = max(3.0 * opt.half_width, 1e-9)
+    if abs(opt.mean_cost - dp_value) > slack:
+        raise SimulationError(
+            f"simulated optimal cost {opt.mean_cost:.6f} is more than three "
+            f"half-widths ({opt.half_width:.6f}) from the solved value {dp_value:.6f}")
+    return _percent_gap(heur.mean_cost, opt.mean_cost), opt, heur

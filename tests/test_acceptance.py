@@ -6,9 +6,9 @@ the order/stop/order action table of the spiky fixture, discounted band
 structure, exact heuristic optimality gaps, envelope diagnostics, a
 property suite (oracle agreement, convexity checks, policy
 reconstruction, single-period monotonicity, uncapacitated band collapse,
-simulation reproducibility), a subsampled benchmark bed with a zero gap
-for the multi-band policy, and replay of the random search that finds an
-order-property violation.
+Monte Carlo oracle reproducibility), a subsampled benchmark bed with a
+zero gap for the multi-band policy, and replay of the random search that
+finds an order-property violation.
 """
 
 import json
@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import seasonal_instance, small_random_instance
-from oracle import brute_cost_to_go, rebuild_order_quantity
-from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, Instance,
-                      SimulationConfig, build_design, check_cop, gap_with_estimates,
-                      modified_ss_from_tables, optimality_gap, qce_diagnostics,
-                      random_instance, read_policy, run_benchmark,
+from oracle import brute_cost_to_go, gap_with_estimates, rebuild_order_quantity
+from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, Instance, build_design,
+                      check_cop, modified_ss_from_tables, optimality_gap,
+                      qce_diagnostics, random_instance, read_policy, run_benchmark,
                       search_cop_violations, search_grid, serialize_instance,
                       solve, v_monotonicity_report, verify_kb_convexity)
+from stochinv.simulate import SimulationConfig
 
 SEED = 20210819
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import instance_path
 from stochinv import (InstanceFormatError, MalformedTable, ThresholdPolicy,
                       load_instance, parse_instance, read_policy,
-                      serialize_instance, thresholds_csv)
+                      serialize_instance, solve, thresholds_csv)
 from stochinv import cli
 from stochinv.cli import main
 
@@ -206,7 +207,7 @@ class TestSolveCommand:
         assert sorted(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("field,value", [
-        ("horizon", 4.0), ("horizon", True), ("h", math.nan)])
+        ("horizon", 4.0), ("horizon", True), ("h", math.nan), ("discount", True)])
     def test_ill_typed_instance_is_a_usage_error(self, tmp_path, capsys,
                                                  field, value):
         doc = fixture_doc("seasonal_poisson")
@@ -284,51 +285,59 @@ class TestSolveCommand:
 class TestSimulateCommand:
     ARGS = ["simulate", instance_path("lumpy_discounted.json"),
             "--grid-min", "-200", "--grid-max", "400"]
+    OPTIMAL = "optimal: expected cost 223.032370\n"
+    HEURISTIC = "modified-ss: expected cost 223.775070\n"
 
     def test_both_policies_and_gap(self, capsys):
-        rc = main(self.ARGS + ["--rel-error", "1e-3", "--seed", "4"])
+        rc = main(self.ARGS)
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "optimal: mean " in stdout
-        assert "modified-ss: mean " in stdout
-        assert "gap: " in stdout and stdout.rstrip().endswith("%")
+        assert capsys.readouterr().out == (self.OPTIMAL + self.HEURISTIC
+                                           + "gap: 0.333%\n")
 
     def test_single_policy_skips_gap(self, capsys):
-        rc = main(self.ARGS + ["--rel-error", "1e-3", "--policy", "optimal"])
+        rc = main(self.ARGS + ["--policy", "optimal"])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "optimal: mean " in stdout
-        assert "modified-ss" not in stdout
-        assert "gap" not in stdout
+        assert capsys.readouterr().out == self.OPTIMAL
+        rc = main(self.ARGS + ["--policy", "modified-ss"])
+        assert rc == 0
+        assert capsys.readouterr().out == self.HEURISTIC
 
-    def test_budget_exhaustion(self, capsys):
-        rc = main(self.ARGS + ["--rel-error", "1e-9", "--max-reps", "1000"])
-        assert rc == 4
-        assert "budget exhausted" in capsys.readouterr().err
+    def test_optimal_policy_reads_no_bands(self, capsys, monkeypatch):
+        def must_not_read(tables):
+            raise AssertionError("read bands for the optimal policy")
 
-    def test_max_reps_below_its_floor(self, capsys):
-        rc = main(self.ARGS + ["--max-reps", "500"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == "error: --max-reps must be at least 1000\n"
+        monkeypatch.setattr(cli, "modified_ss_from_tables", must_not_read)
+        rc = main(self.ARGS + ["--policy", "optimal"])
+        assert rc == 0
+        assert capsys.readouterr().out == self.OPTIMAL
 
-    @pytest.mark.parametrize("flag,value,rule", [
-        ("--rel-error", "0", "must be positive"),
-        ("--rel-error", "nan", "must be positive"),
-        ("--confidence", "1.5", "must be in (0, 1)"),
-        ("--confidence", "0", "must be in (0, 1)"),
-        ("--max-reps", "999", "must be at least 1000"),
-        ("--seed", "-1", "must be nonnegative"),
-    ])
-    def test_bad_flag_is_rejected_before_solving(self, capsys, monkeypatch,
-                                                 flag, value, rule):
+    def test_optimal_cost_is_checked_against_the_tables(self, capsys,
+                                                        monkeypatch):
+        # tables solved with twice the shortage cost cannot price the file's
+        # instance at their own optimum
+        def solve_other_instance(instance, grid):
+            return solve(dataclasses.replace(instance, p=2 * instance.p), grid)
+
+        monkeypatch.setattr(cli, "solve", solve_other_instance)
+        rc = main(self.ARGS + ["--policy", "optimal"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exact optimal cost ")
+        assert "differs from the solved value" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "4"), ("--max-reps", "1000"), ("--confidence", "0.95"),
+        ("--rel-error", "1e-3")])
+    def test_sampling_flags_are_gone(self, capsys, monkeypatch, flag, value):
         def must_not_solve(*args, **kwargs):
-            raise AssertionError("solved before the flags were checked")
+            raise AssertionError("solved despite an unknown flag")
 
         monkeypatch.setattr(cli, "solve", must_not_solve)
-        rc = main(self.ARGS + [flag, value])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {flag} {rule}\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + [flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_zero_cost_gap(self, tmp_path, capsys):
@@ -339,7 +348,7 @@ class TestSimulateCommand:
         rc = main(["simulate", str(path), "--grid-min", "-20", "--grid-max", "20"])
         assert rc == 0
         stdout = capsys.readouterr().out
-        assert "optimal: mean 0.000000 +/- 0.000000" in stdout
+        assert "optimal: expected cost 0.000000\n" in stdout
         assert stdout.endswith("gap: 0.000%\n")
 
     def test_malformed_bands_are_a_numerical_error(self, capsys, monkeypatch):
@@ -347,7 +356,7 @@ class TestSimulateCommand:
             raise MalformedTable("period 1: s=7 not below S=7")
 
         monkeypatch.setattr(cli, "modified_ss_from_tables", malformed)
-        rc = main(self.ARGS + ["--rel-error", "1e-3"])
+        rc = main(self.ARGS)
         assert rc == 3
         assert capsys.readouterr().err == "error: period 1: s=7 not below S=7\n"
 

@@ -212,7 +212,8 @@ class TestScipyStatsEquality:
             stats_pmf_parametric(family, mean, cv)
 
     def test_confidence_quantile(self):
-        # simulate_policy's z for a two-sided interval at confidence c
+        # the z of the Monte Carlo oracle (oracle.simulate_policy) for a
+        # two-sided interval at confidence c
         confidences = [i / 1000 for i in range(1, 1000)] + [1e-9, 1 - 1e-9]
         for c in confidences:
             assert special.ndtri(0.5 + c / 2) == stats.norm.ppf(0.5 + c / 2)

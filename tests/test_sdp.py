@@ -551,12 +551,15 @@ class TestInstanceValidation:
         ("discount", 0.0), ("discount", 1.1),
         ("horizon", 1.0), ("horizon", True), ("K", math.nan), ("v", math.inf),
         ("h", math.nan), ("p", math.inf),
+        # a boolean would pass every numeric rule as 0 or 1
+        ("K", True), ("v", False), ("h", np.True_), ("p", True),
+        ("discount", True), ("discount", np.True_),
     ])
     def test_parameter_domains(self, field, value):
         kwargs = dict(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=5,
                       demands=(pmf_empirical([1], [1.0]),), discount=1.0)
         kwargs[field] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
             Instance(**kwargs)
 
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import seasonal_instance, small_random_instance
-from oracle import brute_policy_cost, rebuild_order_quantity
-from stochinv import (Grid, Instance, SimulationConfig, SimulationError,
-                      ThresholdPolicy, expected_cost, gap_with_estimates,
-                      modified_ss_from_tables, optimality_gap, pmf_empirical,
-                      simulate_policy, solve)
-from stochinv.simulate import MIN_REPS
+from conftest import (FIXTURE_GRIDS, instance_path, seasonal_instance,
+                      small_random_instance)
+from oracle import (brute_policy_cost, gap_with_estimates, rebuild_order_quantity,
+                    simulate_policy)
+from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
+                      ThresholdPolicy, expected_cost, load_instance,
+                      modified_ss_from_tables, optimality_gap, pmf_empirical, solve)
+from stochinv.simulate import MIN_REPS, SimulationConfig
 
 
 def deterministic_instance(horizon=4):
@@ -202,6 +203,23 @@ class TestExpectedCost:
             assert est.converged
             exact = expected_cost(instance, grid, orders, 0)
             assert abs(est.mean_cost - exact) <= 3.0 * est.half_width
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
+    def test_fixture_costs_lie_within_monte_carlo_half_widths(self, name):
+        instance = load_instance(instance_path(name))
+        tables = solve(instance, FIXTURE_GRIDS[name])
+        try:
+            heuristic = modified_ss_from_tables(tables)
+        except GridSpanError:   # a test grid too narrow to read bands on
+            tables = solve(instance, DEFAULT_GRID)
+            heuristic = modified_ss_from_tables(tables)
+        config = SimulationConfig(base_seed=4, target_rel_error=1e-3)
+        grid = tables.grid
+        for orders in (tables.Qstar, heuristic.orders(grid, instance.B)):
+            est = simulate_policy(instance, grid, orders, 0, config)
+            assert est.converged
+            exact = expected_cost(instance, grid, orders, 0)
+            assert abs(est.mean_cost - exact) <= est.half_width
 
 
 class TestBudget:
