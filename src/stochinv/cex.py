@@ -3,13 +3,14 @@
 Instances with very lumpy demand (a sizable chance of demand far above the
 order capacity) can make the optimal policy order, stop, and order again as
 inventory falls. This module generates such instances at random, solves
-them, and collects the ones where the continuous order property fails,
-together with a monotonicity diagnostic on the order-advantage function V.
+them on search_grid, from the deepest reachable backlog up to the
+structural top of stochinv.sdp.Reach, and collects the ones where the
+continuous order property fails, together with a monotonicity diagnostic
+on the order-advantage function V.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .demand import pmf_empirical
 from .policy import CopReport, _state_runs, check_cop
-from .sdp import Grid, Instance, ValueTables, solve
+from .sdp import Grid, Instance, Reach, ValueTables, solve
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,16 @@ class CexSearchParams:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} is empty")
+        # each lower end bounds every draw: a bad one would stop the search
+        # at its first instance, not here
+        if self.B_range[0] < 1:
+            raise ValueError("B_range[0] must be at least 1")
+        if self.K_range[0] < 0:
+            raise ValueError("K_range[0] must be nonnegative")
+        if self.p_range[0] <= 0:
+            raise ValueError("p_range[0] must be positive")
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if self.points_per_pmf < 2:
             raise ValueError("points_per_pmf must be at least 2")
         if self.seed < 0:
@@ -87,18 +98,18 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
 
 
 def search_grid(instance: Instance) -> Grid:
-    """A grid spanning every state where ordering structure can appear.
+    """The grid from the deepest reachable backlog up to the structural top.
 
-    The floor covers the deepest reachable backlog. The ceiling matters
-    for detection: detached ordering islands sit near later periods'
-    ordering boundaries shifted up by large demand realisations, so it
-    must cover sums of per-period demand maxima, not just one period's.
-    With B = inf there is no such ceiling, so it raises ValueError.
+    Both ends come from Reach. The floor, minus the sum of the per-period
+    maximum demands, is the lowest state any period reaches from x0 = 0.
+    No period orders above the top, and the tables below it are those of
+    any taller grid (the proof is in the Reach docstring). With B = inf
+    there is no top, so it raises ValueError.
     """
-    if instance.B == math.inf:
+    reach = Reach.of(instance)
+    if reach.top is None:
         raise ValueError("search_grid needs a finite capacity B")
-    d_max = [d.max_value for d in instance.demands]
-    return Grid(-sum(d_max), int(sum(d_max) + instance.B * instance.horizon))
+    return Grid(reach.floor(instance.horizon + 1), reach.top)
 
 
 def search_cop_violations(params: CexSearchParams) -> list[Violation]:

@@ -77,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of the full design to run (0, 1]")
     _add_grid_flags(p_bench, max_help=(
         "outer bound on the highest inventory state: a point with finite "
-        "capacity B is solved only up to the sum of its per-period maximum "
-        "demands plus B - 1 when that is lower, with the same results"))
+        "capacity B is solved only up to its structural top, the sum of its "
+        "per-period maximum demands plus B - 1 (stochinv.sdp.Reach), when "
+        "that is lower, with the same results"))
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser

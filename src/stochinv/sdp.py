@@ -18,6 +18,11 @@ Qstar is zero everywhere else. Most of those lie far below the bands and
 are capacity slides: no smaller order comes within the tie tolerance of
 the best one, so the order is the whole capacity B. One range-minimum
 query decides a slide, and only the other ordering states are searched.
+
+Reach derives, from the instance alone, each period's reachable floor and
+the structural top above which no grid orders. The certified ranges of
+ValueTables (exact_from, exact_to), solve's width check, the bed's trimmed
+grid and the COP search grid are all read off it.
 """
 
 from __future__ import annotations
@@ -117,6 +122,51 @@ DEFAULT_GRID = Grid(-10000, 10000)
 
 
 @dataclass(frozen=True)
+class Reach:
+    """Where an instance's states can go, derived from its demands alone.
+
+    floors[t - 1] is floor(t) = -sum_{s<t} dmax_s for t = 1..n+1: the
+    lowest state period t can start in from x0 = 0, the start every caller
+    uses. floor(n + 1) is minus the sum of all per-period maximum demands.
+
+    top = sum_t dmax_t + B - 1, for finite B only (None with B = inf), is
+    the structural top: on any grid that reaches it, every state's tables
+    are bit for bit those of every taller grid, and no grid orders above
+    it. Let D_t = sum_{s>=t} dmax_s.
+    - From x >= D_t no demand path goes short, so G_t rises by at least
+      h > 0 per state there. By induction from the last period: L_t rises
+      by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
+      v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
+    - So on any grid the window minimum at such x is G_t(x) at offset 0:
+      nothing orders, and C_t = G_t - v x, which reads only lower states.
+    - Below D_t every window [x, x + B] ends at or below D_1 + B - 1 = top,
+      and the continuation reads only lower states.
+    By induction over periods and ascending states, every order and value
+    on such a grid, and with them the bands, the COP flags and the exact
+    gap, are therefore those of any taller grid. top >= B >= 1, so top is
+    always a valid grid ceiling.
+    """
+
+    floors: tuple[int, ...]
+    top: int | None
+
+    @classmethod
+    def of(cls, instance: Instance) -> Reach:
+        floors = [0]
+        for pmf in instance.demands:
+            floors.append(floors[-1] - pmf.max_value)
+        top = (None if instance.B == math.inf
+               else -floors[-1] + int(instance.B) - 1)
+        return cls(tuple(floors), top)
+
+    def floor(self, period: int) -> int:
+        """Lowest state reachable at the start of period 1..n+1 from x0 = 0."""
+        if not 1 <= period <= len(self.floors):
+            raise ValueError(f"period must be in 1..{len(self.floors)}")
+        return self.floors[period - 1]
+
+
+@dataclass(frozen=True)
 class ValueTables:
     """Solved value and action tables.
 
@@ -139,20 +189,30 @@ class ValueTables:
         return period - 1
 
     def exact_from(self, period: int) -> int:
-        """Lowest state whose values are unaffected by the lower grid edge."""
-        r = self.row(period)
-        return self.grid.x_min + sum(d.max_value for d in self.instance.demands[r:-1])
+        """Lowest state whose values are unaffected by the lower grid edge.
+
+        Demand in this and the later periods before the last carries a
+        state at most floor(period) - floor(n) down, and the last row is
+        exact everywhere: it clamps against exact terminal zeros.
+        """
+        self.row(period)   # rejects a period outside 1..n
+        reach = Reach.of(self.instance)
+        return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
 
     def exact_to(self, period: int) -> int:
         """Highest state whose values are unaffected by the upper grid edge.
 
-        From here no order in this or any later period can reach past the
-        top of the grid, so no capacity window is cut short. With B = inf
-        no finite window bounds the lookahead, so there is no such state.
+        On a grid that reaches the structural top (see Reach) every state is
+        exact, so this is x_max. On a lower grid it is the state from which
+        no order in this or any later period can reach past the top of the
+        grid, so no capacity window is cut short. With B = inf no finite
+        window bounds the lookahead, so there is no such state.
         """
         if self.instance.B == math.inf:
             raise ValueError("exact_to needs a finite capacity B")
         remaining = self.instance.horizon - self.row(period)
+        if self.grid.x_max >= Reach.of(self.instance).top:
+            return self.grid.x_max
         return self.grid.x_max - int(self.instance.B) * remaining
 
     def qstar_at(self, period: int, x: int) -> int:
@@ -338,7 +398,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     width = grid.x_max - grid.x_min
     if instance.B != math.inf and instance.B > width:
         raise GridSpanError(f"capacity {instance.B} exceeds grid width {width}")
-    total_dmax = sum(d.max_value for d in instance.demands)
+    total_dmax = -Reach.of(instance).floor(instance.horizon + 1)
     if total_dmax > width:
         raise GridSpanError(
             f"cumulative max demand {total_dmax} exceeds grid width {width}")

@@ -7,21 +7,22 @@ per continuous family. A scale parameter subsamples the design
 deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
-against the optimum, so a report does not depend on any seed.
+against the optimum, so a report does not depend on any seed. A point
+with finite capacity is solved only up to its structural top
+(stochinv.sdp.Reach), with the same results as on the whole grid.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .policy import MalformedTable, read_policy
-from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, solve
+from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, Reach, solve
 from .simulate import SimulationConfig, SimulationError, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
@@ -197,26 +198,15 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    With a finite capacity B the point is solved on the grid cut off at
-    top = sum_t dmax_t + B - 1, when that lies inside the grid; the tables
-    on [x_min, top] are then bit for bit those of the whole grid, and the
-    whole grid orders nowhere above top. Let D_t = sum_{s>=t} dmax_s.
-    - From x >= D_t no demand path goes short, so G_t rises by at least
-      h > 0 per state there. By induction from the last period: L_t rises
-      by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
-      v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
-    - So on any grid the window minimum at such x is G_t(x) at offset 0:
-      nothing orders, and C_t = G_t - v x, which reads only lower states.
-    - Below D_t every window [x, x + B] ends at or below D_1 + B - 1 = top,
-      and the continuation reads only lower states.
-    The bands, the COP flags and the exact gap, which read only orders and
-    values at or below top, are therefore those of the whole grid.
+    With a finite capacity B the point is solved on the grid cut off at the
+    structural top of Reach, when that lies inside the grid: the bands, the
+    COP flags and the exact gap are then those of the whole grid (the proof
+    is in the Reach docstring).
     """
     instance = point.instance
-    if instance.B != math.inf:
-        top = sum(d.max_value for d in instance.demands) + int(instance.B) - 1
-        if 0 < top < grid.x_max:
-            grid = Grid(grid.x_min, top)
+    top = Reach.of(instance).top
+    if top is not None:
+        grid = Grid(grid.x_min, min(grid.x_max, top))
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
@@ -239,8 +229,8 @@ def run_benchmark(design, config: SimulationConfig | None = None,
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
     grid is the outer grid: a point with finite capacity B is solved only
-    up to top = sum_t dmax_t + B - 1 when that lies below grid.x_max (see
-    _evaluate_point), which gives the same results as the whole grid.
+    up to its structural top (see Reach) when that lies below grid.x_max,
+    which gives the same results as the whole grid.
     Results keep design order. A point whose grid is too narrow or whose
     tables or prices are inconsistent is recorded as an error.
     """

@@ -240,6 +240,20 @@ def rowwise_tables_csv(tables, path):
                          f"{float(g_row[i])!r},{q_row[i]}\n")
 
 
+def tall_search_grid(instance):
+    """The COP search grid with its first, hand-derived ceiling.
+
+    From minus the sum of the per-period maximum demands up to that sum
+    plus B per period. This ceiling lies above the structural top where
+    search_grid ends, and the tables below the top must not see the
+    difference.
+    """
+    from stochinv import Grid
+
+    total = sum(d.max_value for d in instance.demands)
+    return Grid(-total, total + int(instance.B) * instance.horizon)
+
+
 def stats_pmf_parametric(family, mean, cv=None, tail_eps=1e-9):
     """pmf_parametric built through scipy.stats' frozen distributions.
 

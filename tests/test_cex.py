@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import instance_path
+from oracle import tall_search_grid
 from stochinv import (CexSearchParams, check_cop, load_instance, random_instance,
                       search_cop_violations, search_grid, serialize_instance,
                       solve, v_monotonicity_report)
@@ -97,6 +98,18 @@ class TestGeneratorContract:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             CexSearchParams(seed=-1, budget=1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("B_range", (0, 30), r"B_range\[0\] must be at least 1"),
+        ("K_range", (-5.0, 1.0), r"K_range\[0\] must be nonnegative"),
+        ("p_range", (0.0, 30.0), r"p_range\[0\] must be positive"),
+        ("p_range", (-1.0, 30.0), r"p_range\[0\] must be positive"),
+        ("horizon", 0, "horizon must be at least 1"),
+    ], ids=["B_range", "K_range", "p_range-zero", "p_range-negative", "horizon"])
+    def test_rejects_a_field_no_draw_can_take(self, field, value, message):
+        # each would otherwise stop the search at its first draw
+        with pytest.raises(ValueError, match=message):
+            CexSearchParams(seed=0, budget=1, **{field: value})
+
     def test_support_must_leave_room_above_the_largest_capacity(self):
         # three distinct support points above B = 200 need support_max 203;
         # at 202 the draw would run out of values mid-search
@@ -121,6 +134,29 @@ class TestMonotonicityReport:
 
 
 class TestSearchGrid:
+    @pytest.mark.parametrize("equal_masses", [False, True])
+    def test_matches_the_tall_grid_below_the_top(self, equal_masses):
+        # seed 3's stream holds the committed violator at index 886
+        params = CexSearchParams(seed=3, budget=0, equal_masses=equal_masses)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+        for _ in range(1000):
+            instance = random_instance(params, rng)
+            grid = search_grid(instance)
+            tall_grid = tall_search_grid(instance)
+            assert grid.x_min == tall_grid.x_min and grid.x_max < tall_grid.x_max
+            tables = solve(instance, grid)
+            tall = solve(instance, tall_grid)
+            shared = grid.size
+            for name in ("C", "G", "Qstar"):
+                got, want = getattr(tables, name), getattr(tall, name)
+                assert got.tobytes() == want[:, :shared].tobytes(), name
+            assert not tall.Qstar[:, shared:].any()
+            for period in range(1, instance.horizon + 1):
+                assert (check_cop(tables, period, from_state=tables.exact_from(period))
+                        == check_cop(tall, period, from_state=tall.exact_from(period)))
+                assert (v_monotonicity_report(tables, period)
+                        == v_monotonicity_report(tall, period))
+
     def test_unbounded_capacity_has_no_ceiling(self):
         instance = dataclasses.replace(
             load_instance(instance_path("seasonal_poisson.json")), B=math.inf)

@@ -523,14 +523,32 @@ class TestGridValidation:
         assert tables.exact_from(2) == -30
         assert tables.exact_from(1) == -30 + 3
 
+    def test_reach(self):
+        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=demands)
+        reach = sdp.Reach.of(inst)
+        assert [reach.floor(t) for t in (1, 2, 3)] == [0, -3, -10]
+        assert reach.top == 3 + 7 + 3 - 1
+        for period in (0, 4):
+            with pytest.raises(ValueError, match=r"period must be in 1\.\.3"):
+                reach.floor(period)
+        assert sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).top is None
+
     def test_exact_to(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
+        # the structural top is 3 + 7 + 3 - 1 = 12; on a grid ending below
+        # it, one capacity window per remaining period must fit under x_max
+        low = solve(inst, Grid(-30, 11))
+        assert low.exact_to(2) == 11 - 3
+        assert low.exact_to(1) == 11 - 2 * 3
+        # on a grid that reaches it, every state is exact
         tables = solve(inst, Grid(-30, 30))
-        # one capacity window per remaining period must fit under the top
-        assert tables.exact_to(2) == 30 - 3
-        assert tables.exact_to(1) == 30 - 2 * 3
+        assert tables.exact_to(2) == 30
+        assert tables.exact_to(1) == 30
+        assert solve(inst, Grid(-30, 12)).exact_to(1) == 12
         with pytest.raises(ValueError):
             tables.exact_to(3)
         unbounded = solve(Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0,
