@@ -34,6 +34,12 @@ class CexSearchParams:
     equal_masses: bool = False
 
     def __post_init__(self):
+        # a float or a boolean here would pass the range checks below and
+        # stop the search mid-run
+        for name in ("seed", "budget", "horizon", "points_per_pmf"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("K_range", "p_range", "B_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -84,8 +90,10 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
     demands = []
     for _ in range(params.horizon):
         below = rng.integers(0, cap)
-        above = rng.choice(np.arange(cap + 1, params.support_max + 1),
-                           size=params.points_per_pmf - 1, replace=False)
+        # choice over support_max - cap values draws what choice over the
+        # array cap + 1..support_max draws, without building that array
+        above = cap + 1 + rng.choice(params.support_max - cap,
+                                     size=params.points_per_pmf - 1, replace=False)
         values = np.concatenate(([below], above))
         if params.equal_masses:
             masses = np.full(params.points_per_pmf, 1.0 / params.points_per_pmf)
@@ -123,13 +131,32 @@ def search_cop_violations(params: CexSearchParams) -> list[Violation]:
     for index in range(params.budget):
         instance = random_instance(params, rng)
         tables = solve(instance, search_grid(instance))
-        for period in range(1, instance.horizon + 1):
+        for period in _order_rises(tables):
             # screen out holes below the boundary-exact region: those are
             # artifacts of value clamping at the grid edge, not policy facts
             report = check_cop(tables, period, from_state=tables.exact_from(period))
             if not report.holds:
                 found.append(Violation(instance, period, report, index))
     return found
+
+
+def _order_rises(tables: ValueTables) -> list[int]:
+    """The periods whose order row rises from no order to an order at or
+    above exact_from, all periods tested at once.
+
+    These are exactly the periods where check_cop from exact_from fails:
+    the property holds there when the ordering states above the floor are
+    none, or one interval that starts at the floor, and every other layout
+    has an ordering interval starting above the floor, right after a state
+    that does not order.
+    """
+    periods = range(1, tables.instance.horizon + 1)
+    first = np.array([tables.exact_from(t) for t in periods]) - tables.grid.x_min
+    ordering = tables.Qstar > 0
+    # column j: no order at state index j, an order at j + 1
+    rises = ordering[:, 1:] > ordering[:, :-1]
+    rises &= np.arange(tables.grid.size - 1) >= first[:, None]
+    return (np.flatnonzero(rises.any(axis=1)) + 1).tolist()
 
 
 def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, int], ...]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,32 +39,24 @@ class DemandPMF:
 
     support is strictly increasing, probs are positive and sum to one.
     Instances are immutable and safe to share across solver runs.
+
+    The solver's views of the two fields are built once, at construction:
+    support_arr and probs_arr (the fields as int64 and float64 arrays),
+    cum_probs (P(d <= support[k]) at each k), cum_means (E[d; d <= support[k]]
+    at each k) and mean. Equality and hashing read the two fields alone.
     """
 
     support: tuple[int, ...]
     probs: tuple[float, ...]
 
-    @cached_property
-    def support_arr(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=np.int64)
-
-    @cached_property
-    def probs_arr(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=np.float64)
-
-    @cached_property
-    def cum_probs(self) -> np.ndarray:
-        """P(d <= support[k]) at each k."""
-        return np.cumsum(self.probs_arr)
-
-    @cached_property
-    def cum_means(self) -> np.ndarray:
-        """E[d; d <= support[k]] at each k."""
-        return np.cumsum(self.probs_arr * self.support_arr)
-
-    @cached_property
-    def mean(self) -> float:
-        return float(self.probs_arr @ self.support_arr)
+    def __post_init__(self):
+        support_arr = np.asarray(self.support, dtype=np.int64)
+        probs_arr = np.asarray(self.probs, dtype=np.float64)
+        object.__setattr__(self, "support_arr", support_arr)
+        object.__setattr__(self, "probs_arr", probs_arr)
+        object.__setattr__(self, "cum_probs", probs_arr.cumsum())
+        object.__setattr__(self, "cum_means", (probs_arr * support_arr).cumsum())
+        object.__setattr__(self, "mean", float(probs_arr @ support_arr))
 
     @property
     def std(self) -> float:
@@ -85,19 +76,19 @@ def _finalize(values: np.ndarray, probs: np.ndarray) -> DemandPMF:
     if values.size == 0:
         raise ValueError("PMF has no positive-mass support points")
     order = np.argsort(values)
-    values = values[order]
     probs = probs[order]
+    return _normalized(values[order], probs, probs.sum())
+
+
+def _normalized(values: np.ndarray, probs: np.ndarray, total) -> DemandPMF:
+    """The PMF of sorted values and their positive masses, which sum to total."""
     # skip the division when the masses already sum to one: renormalizing
     # is not bitwise idempotent, and reparsing a serialized PMF must
     # reproduce it exactly (1e-12 clears float accumulation error, which
     # stays below ~n*eps for supports of a few hundred points)
-    total = probs.sum()
     if abs(total - 1.0) > 1e-12:
         probs = probs / total
-    return DemandPMF(
-        tuple(int(v) for v in values),
-        tuple(float(p) for p in probs),
-    )
+    return DemandPMF(tuple(values.tolist()), tuple(probs.tolist()))
 
 
 def pmf_empirical(values, masses) -> DemandPMF:
@@ -108,19 +99,24 @@ def pmf_empirical(values, masses) -> DemandPMF:
         raise ValueError("values and masses must be 1-d sequences of equal length")
     if vals.size == 0:
         raise ValueError("empty PMF")
-    if not np.all(vals == np.floor(vals)):
+    # every check below reads one copy sorted by value
+    order = vals.argsort()
+    vals, mass = vals[order], mass[order]
+    # an integer array holds whole numbers already
+    if vals.dtype.kind not in "iu" and not (vals == np.floor(vals)).all():
         raise ValueError("support values must be integers")
-    vals = vals.astype(np.int64)
-    if np.any(vals < 0):
+    vals = vals.astype(np.int64, copy=False)
+    if (vals < 0).any():
         raise ValueError("support values must be nonnegative")
-    if np.unique(vals).size != vals.size:
+    if (vals[1:] == vals[:-1]).any():
         raise ValueError("support values must be distinct")
-    if np.any(mass <= 0.0):
-        raise ValueError("masses must be positive")
+    # NaN fails every comparison, so it fails this one
+    if not 0.0 < mass.min() <= mass.max() < math.inf:
+        raise ValueError("masses must be positive and finite")
     total = mass.sum()
     if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(f"masses sum to {total!r}, expected 1 within {_MASS_TOL}")
-    return _finalize(vals, mass)
+    return _normalized(vals, mass, total)
 
 
 def _discrete_tail_cut(start, sf, tail_eps: float) -> int:

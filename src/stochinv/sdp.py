@@ -181,6 +181,10 @@ class ValueTables:
     grid: Grid
     instance: Instance
 
+    @cached_property
+    def _reach(self) -> Reach:
+        return Reach.of(self.instance)
+
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
         n = self.instance.horizon
@@ -196,7 +200,7 @@ class ValueTables:
         exact everywhere: it clamps against exact terminal zeros.
         """
         self.row(period)   # rejects a period outside 1..n
-        reach = Reach.of(self.instance)
+        reach = self._reach
         return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
 
     def exact_to(self, period: int) -> int:
@@ -211,7 +215,7 @@ class ValueTables:
         if self.instance.B == math.inf:
             raise ValueError("exact_to needs a finite capacity B")
         remaining = self.instance.horizon - self.row(period)
-        if self.grid.x_max >= Reach.of(self.instance).top:
+        if self.grid.x_max >= self._reach.top:
             return self.grid.x_max
         return self.grid.x_max - int(self.instance.B) * remaining
 
@@ -294,22 +298,36 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     states must be ascending. Closed form via the partial sums F(y) and
     M1(y) = E[d; d <= y]:
     L(y) = h (y F(y) - M1(y)) + p ((mu - M1(y)) - y (1 - F(y))).
-    Below the support F = M1 = 0, so L(y) = p (mu - y) exactly; from the top
-    of the support up F and M1 are the full sums. Only the states in
-    between look their partial sums up.
+    Below the support F = M1 = 0, so L(y) = p (mu - y) exactly. From the
+    bottom of the support up, the closed form reads the partial sums at
+    the last support point at or below y, repeated over the run of states
+    that lie between that point and the next; from the top of the support
+    up those are the full sums.
     """
     mu = pmf.mean
-
-    def closed_form(y, big_f, m1):
-        return h * (y * big_f - m1) + p * ((mu - m1) - y * (1.0 - big_f))
-
-    lo, hi = np.searchsorted(states, (pmf.support[0], pmf.support[-1]))
-    out = np.empty(states.size)
-    out[:lo] = p * (mu - states[:lo])
-    inside = states[lo:hi]
-    k = np.searchsorted(pmf.support_arr, inside, side="right") - 1
-    out[lo:hi] = closed_form(inside, pmf.cum_probs[k], pmf.cum_means[k])
-    out[hi:] = closed_form(states[hi:], pmf.cum_probs[-1], pmf.cum_means[-1])
+    size = states.size
+    # the first state at or above each support point starts its run
+    starts = states.searchsorted(pmf.support_arr)
+    runs = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+    runs[-1] = size - starts[-1]
+    big_f, m1 = pmf.cum_probs.repeat(runs), pmf.cum_means.repeat(runs)
+    lo = starts[0]
+    out = np.empty(size)
+    np.subtract(mu, states[:lo], out=out[:lo])
+    out[:lo] *= p
+    # the closed form in place, term by term; a product is the same bits
+    # in either operand order
+    y = states[lo:]
+    holding = y * big_f
+    holding -= m1
+    holding *= h
+    shortage = 1.0 - big_f
+    shortage *= y
+    np.subtract(mu, m1, out=m1)
+    m1 -= shortage
+    m1 *= p
+    np.add(holding, m1, out=out[lo:])
     return out
 
 
@@ -326,11 +344,12 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
 
 
 def _window_min_finite(g_row: np.ndarray, cap: int):
-    """Min of g_row over [i, i+cap], and a lookup of the smallest offset attaining it.
+    """Min of g_row over [i, i+cap], and the smallest offset attaining it.
 
-    Returns (w, offsets): w holds the window minimum at every state, and
-    offsets(at) gives the smallest attaining offset at the state indices
-    `at` alone. Offsets within 1e-9 of the window minimum count as
+    Returns (w, orders): w holds the window minimum at every state, and
+    orders(ordering, out) writes into the int row out, at each state where
+    the boolean row ordering holds, the smallest attaining offset, and 0
+    everywhere else. Offsets within 1e-9 of the window minimum count as
     attaining it, so ties resolve to the smallest order quantity. States
     past the end of the row never attain it, so a cap of size - 1 gives the
     suffix minimum of the uncapacitated problem.
@@ -341,15 +360,18 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     not round, so it is exact. Time and memory are O(size log cap) instead
     of O(size cap).
 
-    offsets first picks out the capacity slides: states whose offsets
+    orders first picks out the capacity slides: states whose offsets
     0..cap-1 all lie above the tie threshold, so that the smallest
     attaining offset is cap itself. Two blocks of level floor(log2 cap)
-    cover [i, i+cap-1], so one range-minimum query decides a slide. A
-    window cut short by the row's end needs no test of its own: there the
-    two blocks cover the whole window, whose minimum is w[i]. The other
-    states take a jump search down the levels: from i, skip each block
-    whose min exceeds the threshold, which lands on the first state within
-    1e-9 of the window minimum, at O(log cap) per state.
+    cover [i, i+cap-1], so one range-minimum query over the whole row
+    decides every slide. A state whose second block would start past the
+    row's end needs no test: its first block already reaches the end, so
+    it covers the whole window, whose minimum is w[i], and the state is no
+    slide. Every ordering state is written cap, and the ordering
+    states that are not slides then take a jump search down the levels:
+    from i, skip each block whose min exceeds the threshold, which lands
+    on the first state within 1e-9 of the window minimum, at O(log cap)
+    per state.
     """
     size = g_row.size
     cap = min(cap, size - 1)   # the window never reaches past the row
@@ -367,26 +389,25 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     w = np.minimum(last, last[-1])
     np.minimum(last[:size - shift], last[shift:], out=w[:size - shift])
 
-    def offsets(at: np.ndarray) -> np.ndarray:
-        threshold = w[at] + _TIE_TOL
-        found = np.full(at.size, cap)
-        searched = slice(None)
-        if cap:   # a one-state row has no slides
+    def orders(ordering: np.ndarray, out: np.ndarray) -> None:
+        threshold = w + _TIE_TOL
+        # searched: the states that are no slides; a one-state row has none
+        searched = np.ones(size, dtype=bool)
+        if cap:
             k = cap.bit_length() - 1
-            blocks = levels[k]
-            # clip: a second block past the row's end starts at its last state
-            low = np.minimum(blocks[at],
-                             blocks.take(at + (cap - (1 << k)), mode="clip"))
-            searched = np.flatnonzero(low <= threshold)
-        start, threshold = at[searched], threshold[searched]
+            blocks, second = levels[k], cap - (1 << k)
+            np.less_equal(np.minimum(blocks[:size - second], blocks[second:]),
+                          threshold[:size - second], out=searched[:size - second])
+        np.multiply(ordering, cap, out=out)
+        start = (searched & ordering).nonzero()[0]
         if start.size:
+            threshold = threshold[start]
             pos = start.copy()
             for k in range(top, -1, -1):
                 pos += (levels[k][pos] > threshold) << k
-            found[searched] = pos - start
-        return found
+            out[start] = pos - start
 
-    return w, offsets
+    return w, orders
 
 
 def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
@@ -413,7 +434,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))
-    q_tbl = np.zeros((n, size), dtype=np.int64)
+    q_tbl = np.empty((n, size), dtype=np.int64)
 
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
@@ -427,13 +448,12 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
         if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
             cont *= instance.discount
         g_row += cont
-        w, offsets = _window_min_finite(g_row, cap)
+        w, orders = _window_min_finite(g_row, cap)
         np.add(K, w, out=c_row)   # the cost of ordering, until C is done
         # search for the smallest minimizing order only where ordering pays
-        ordering = np.flatnonzero(g_row - c_row > _TIE_TOL)
+        orders(g_row - c_row > _TIE_TOL, q_tbl[t])
         np.minimum(g_row, c_row, out=c_row)
         c_row -= purchase
-        q_tbl[t, ordering] = offsets(ordering)
-        del offsets   # frees the kernel's tables before the next period's
+        del orders   # frees the kernel's tables before the next period's
 
     return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid, instance=instance)

@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import instance_path
 from oracle import tall_search_grid
-from stochinv import (CexSearchParams, check_cop, load_instance, random_instance,
+from stochinv import (CexSearchParams, Grid, Instance, ValueTables, cex,
+                      check_cop, load_instance, pmf_empirical, random_instance,
                       search_cop_violations, search_grid, serialize_instance,
                       solve, v_monotonicity_report)
 
@@ -79,6 +83,21 @@ class TestGeneratorContract:
                 assert big.max() <= 300
                 assert np.asarray(demand.probs).sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("equal_masses,digest", [
+        (False, "669edcafa5ddc69ce905a1e6e030b0af80e57af60558f6be6f4bdeaab78aae24"),
+        (True, "e8a6187eaf48f99986d4ee2578218982fc3d5bb145540c5811da184d4d540dc6"),
+    ])
+    def test_draw_stream_is_pinned(self, equal_masses, digest):
+        # the first 1000 seed-3 instances, as written to violator files;
+        # any change to how a draw reads the stream moves the digest
+        params = CexSearchParams(seed=3, budget=0, equal_masses=equal_masses)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+        stream = hashlib.sha256()
+        for _ in range(1000):
+            doc = serialize_instance(random_instance(params, rng))
+            stream.update(json.dumps(doc).encode())
+        assert stream.hexdigest() == digest
+
     def test_equal_masses_option(self):
         params = CexSearchParams(seed=5, budget=0, equal_masses=True)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
@@ -104,11 +123,18 @@ class TestGeneratorContract:
         ("p_range", (0.0, 30.0), r"p_range\[0\] must be positive"),
         ("p_range", (-1.0, 30.0), r"p_range\[0\] must be positive"),
         ("horizon", 0, "horizon must be at least 1"),
-    ], ids=["B_range", "K_range", "p_range-zero", "p_range-negative", "horizon"])
+        ("budget", 2.5, "budget must be an integer"),
+        ("horizon", 2.5, "horizon must be an integer"),
+        ("horizon", True, "horizon must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("points_per_pmf", 4.0, "points_per_pmf must be an integer"),
+    ], ids=["B_range", "K_range", "p_range-zero", "p_range-negative", "horizon",
+            "budget-float", "horizon-float", "horizon-bool", "seed-bool",
+            "points_per_pmf-float"])
     def test_rejects_a_field_no_draw_can_take(self, field, value, message):
-        # each would otherwise stop the search at its first draw
+        # each would otherwise stop the search at its first draw, or mid-run
         with pytest.raises(ValueError, match=message):
-            CexSearchParams(seed=0, budget=1, **{field: value})
+            CexSearchParams(**{"seed": 0, "budget": 1, field: value})
 
     def test_support_must_leave_room_above_the_largest_capacity(self):
         # three distinct support points above B = 200 need support_max 203;
@@ -172,3 +198,46 @@ class TestKnownViolatorRegression:
         assert not report.holds
         assert report.violation_witness == (615, 616)
         assert report.ordering_set[-1] == (616, 618)
+
+
+def failing_periods(tables):
+    return [t for t in range(1, tables.instance.horizon + 1)
+            if not check_cop(tables, t, from_state=tables.exact_from(t)).holds]
+
+
+class TestOrderRiseScreen:
+    """The search screens all periods at once and calls check_cop only on
+    the periods the screen flags; it must flag exactly the failing ones."""
+
+    # one-point demands set each period's floor; the grid's lowest state
+    # lies `below` under the deepest floor, and its highest `above` over 0.
+    # Each order row is a few runs of one order each, repeated to the
+    # grid's width, so that some rows hold the property and some do not.
+    @given(dmax=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           below=st.integers(0, 4), above=st.integers(1, 6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flags_exactly_the_periods_check_cop_fails(self, dmax, below,
+                                                       above, data):
+        n = len(dmax)
+        instance = Instance(horizon=n, K=1.0, v=0.0, h=1.0, p=1.0, B=7,
+                            demands=tuple(pmf_empirical([d], [1.0]) for d in dmax))
+        grid = Grid(-sum(dmax) - below - 1, above)
+        runs = st.lists(st.tuples(st.sampled_from([0, 1, 7]), st.integers(1, 12)),
+                        min_size=1, max_size=4)
+        qstar = np.array([
+            np.resize(np.repeat(*np.array(data.draw(runs)).T), grid.size)
+            for _ in range(n)], dtype=np.int64)
+        zeros = np.zeros((n, grid.size))
+        tables = ValueTables(C=zeros, G=zeros, Qstar=qstar, grid=grid,
+                             instance=instance)
+        assert cex._order_rises(tables) == failing_periods(tables)
+
+    def test_spiky_fixture(self):
+        instance = load_instance(instance_path("spiky_nonstationary.json"))
+        tables = solve(instance, search_grid(instance))
+        assert cex._order_rises(tables) == failing_periods(tables) == [1]
+
+    def test_committed_violator(self, committed_violations):
+        instance = committed_violations[0].instance
+        tables = solve(instance, search_grid(instance))
+        assert cex._order_rises(tables) == failing_periods(tables) == [2]

@@ -227,7 +227,9 @@ class TestSolveCommand:
         {"family": "normal", "mean": math.inf, "cv": 0.2},
         {"family": "poisson", "mean": math.inf},
         {"family": "discrete_uniform", "mean": math.inf},
-    ], ids=["normal-cv", "normal-mean", "poisson-mean", "uniform-mean"])
+        {"values": [3, 4], "probs": [math.nan, 1.0]},
+    ], ids=["normal-cv", "normal-mean", "poisson-mean", "uniform-mean",
+            "empirical-nan-mass"])
     def test_non_finite_demand_parameter_is_a_usage_error(self, tmp_path,
                                                           capsys, spec):
         doc = {"horizon": 1, "K": 10.0, "v": 0.0, "h": 1.0, "p": 5.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy import special, stats
 
 from conftest import scipy_modules_after
 from oracle import stats_pmf_parametric
-from stochinv import (PARAMETRIC_FAMILIES, build_design, demand_patterns,
-                      pmf_empirical, pmf_parametric)
+from stochinv import (PARAMETRIC_FAMILIES, DemandPMF, build_design,
+                      demand_patterns, pmf_empirical, pmf_parametric)
 
 
 class TestEmpirical:
@@ -41,10 +42,51 @@ class TestEmpirical:
         ([1, 1], [0.5, 0.5]),
         ([1, 2], [0.6, -0.1]),
         ([1, 2], [0.4, 0.4]),
+        ([1, 2], [math.nan, 1.0]),
+        ([1, 2], [1.0, math.nan]),
+        ([1, 2], [math.inf, 1.0]),
     ])
     def test_rejects_malformed(self, values, masses):
         with pytest.raises(ValueError):
             pmf_empirical(values, masses)
+
+
+def assert_eager_arrays(pmf):
+    """The arrays built at construction equal those built from the fields."""
+    support = np.asarray(pmf.support, dtype=np.int64)
+    probs = np.asarray(pmf.probs, dtype=np.float64)
+    for got, want in ((pmf.support_arr, support), (pmf.probs_arr, probs),
+                      (pmf.cum_probs, np.cumsum(probs)),
+                      (pmf.cum_means, np.cumsum(probs * support))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert pmf.mean == float(probs @ support)
+
+
+class TestEagerArrays:
+    def test_every_bed_pmf(self):
+        patterns = demand_patterns()
+        laws = {(pt.family, mean, pt.cv)
+                for pt in build_design(PARAMETRIC_FAMILIES)
+                for mean in patterns[pt.pattern]}
+        for law in laws:
+            assert_eager_arrays(pmf_parametric(*law))
+
+    @given(points=st.dictionaries(st.integers(0, 500), st.floats(1e-3, 1.0),
+                                  min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_empirical(self, points):
+        masses = np.array(list(points.values()))
+        assert_eager_arrays(pmf_empirical(list(points), masses / masses.sum()))
+
+    def test_equality_and_hash_read_the_fields_alone(self):
+        pmf = pmf_empirical([3, 1, 2], [0.2, 0.5, 0.3])
+        same = DemandPMF(pmf.support, pmf.probs)
+        assert same == pmf and hash(same) == hash(pmf)
+        assert [f.name for f in dataclasses.fields(DemandPMF)] == ["support", "probs"]
+        assert repr(pmf) == "DemandPMF(support=(1, 2, 3), probs=(0.5, 0.3, 0.2))"
+        assert pmf != DemandPMF(pmf.support, (0.5, 0.2, 0.3))
+        assert_eager_arrays(dataclasses.replace(pmf, probs=(0.5, 0.2, 0.3)))
 
 
 class TestPoisson:

@@ -123,15 +123,29 @@ class TestDeterministicDemand:
         assert tables.qstar_at(1, -11) == 11
 
 
-def with_offsets(full_row_kernel):
-    """A kernel returning (w, q) over the whole row, in sdp's (w, offsets) shape."""
+def with_orders(full_row_kernel):
+    """A kernel returning (w, q) over the whole row, in sdp's (w, orders) shape."""
     def kernel(*args):
         w, q = full_row_kernel(*args)
-        return w, lambda at: q[at]
+
+        def orders(ordering, out):
+            out[...] = np.where(ordering, q, 0)
+        return w, orders
     return kernel
 
 
-@with_offsets
+def orders_at(orders, size, at):
+    """The offsets that orders writes at the state indices at, checking
+    that it writes 0 at every other state."""
+    ordering = np.zeros(size, dtype=bool)
+    ordering[at] = True
+    out = np.full(size, -1, dtype=np.int64)
+    orders(ordering, out)
+    assert not out[~ordering].any()
+    return out[at]
+
+
+@with_orders
 def sliding_window_min(g_row, cap):
     """The O(size * cap) window minimum the sparse table replaced, kept as
     the reference its tables must match byte for byte."""
@@ -157,8 +171,8 @@ class TestWindowMinimum:
     @settings(max_examples=400, deadline=None)
     def test_matches_brute_force_exactly(self, row, cap):
         g_row = np.array(row, dtype=np.float64)
-        w, offsets = sdp._window_min_finite(g_row, cap)
-        q = offsets(np.arange(g_row.size))
+        w, orders = sdp._window_min_finite(g_row, cap)
+        q = orders_at(orders, g_row.size, np.arange(g_row.size))
         brute_w, brute_q = brute_window_min(row, cap)
         assert np.array_equal(w, np.array(brute_w))
         assert np.array_equal(q, np.array(brute_q))
@@ -170,8 +184,8 @@ class TestWindowMinimum:
     def test_unbounded_window_matches_brute_force(self, row):
         # with a window as long as the row, the window min is the suffix min
         g_row = np.array(row, dtype=np.float64)
-        w, offsets = sdp._window_min_finite(g_row, g_row.size - 1)
-        q = offsets(np.arange(g_row.size))
+        w, orders = sdp._window_min_finite(g_row, g_row.size - 1)
+        q = orders_at(orders, g_row.size, np.arange(g_row.size))
         brute_w, brute_q = brute_window_min(row, len(row) - 1)
         assert np.array_equal(w, np.array(brute_w))
         assert np.array_equal(q, np.array(brute_q))
@@ -185,16 +199,16 @@ class TestWindowMinimum:
     def test_offsets_at_any_states_match_the_full_row(self, row, cap, picks):
         g_row = np.array(row, dtype=np.float64)
         at = np.flatnonzero(np.resize(np.array(picks + [True]), g_row.size))
-        w, offsets = sdp._window_min_finite(g_row, cap)
+        w, orders = sdp._window_min_finite(g_row, cap)
         want_w, want_q = full_row_window_min_finite(g_row, cap)
         assert w.tobytes() == want_w.tobytes()
-        assert np.array_equal(offsets(at), want_q[at])
+        assert np.array_equal(orders_at(orders, g_row.size, at), want_q[at])
         # the unbounded window: the suffix min, equal up to the sign of a
         # zero minimum, which K + w erases for every K but -0.0
-        w, offsets = sdp._window_min_finite(g_row, g_row.size - 1)
+        w, orders = sdp._window_min_finite(g_row, g_row.size - 1)
         want_w, want_q = full_row_window_min_infinite(g_row)
         assert np.array_equal(w, want_w)
-        assert np.array_equal(offsets(at), want_q[at])
+        assert np.array_equal(orders_at(orders, g_row.size, at), want_q[at])
 
     # rows that fall most of the way, in steps up to 5 with now and then a
     # rise or a step near the tie tolerance, so that many windows take
@@ -217,10 +231,11 @@ class TestWindowMinimum:
     @settings(max_examples=300, deadline=None)
     def test_slides_on_falling_rows_match_the_full_row(self, row, cap):
         g_row = np.array(row, dtype=np.float64)
-        w, offsets = sdp._window_min_finite(g_row, cap)
+        w, orders = sdp._window_min_finite(g_row, cap)
         want_w, want_q = full_row_window_min_finite(g_row, cap)
         assert w.tobytes() == want_w.tobytes()
-        assert np.array_equal(offsets(np.arange(g_row.size)), want_q)
+        assert np.array_equal(
+            orders_at(orders, g_row.size, np.arange(g_row.size)), want_q)
 
 
 def assert_same_tables(monkeypatch, instance, grid, **references):
@@ -297,7 +312,7 @@ class TestTablesMatchFullRowKernels:
         assert_same_tables(
             monkeypatch, instance, DEFAULT_GRID,
             _loss_row=searchsorted_loss_row,
-            _window_min_finite=with_offsets(full_row_window_min_finite))
+            _window_min_finite=with_orders(full_row_window_min_finite))
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_GRIDS))
     def test_instance_files_at_unbounded_capacity(self, monkeypatch, name):
@@ -306,7 +321,7 @@ class TestTablesMatchFullRowKernels:
         assert_same_tables(
             monkeypatch, instance, FIXTURE_GRIDS[name],
             _loss_row=searchsorted_loss_row,
-            _window_min_finite=with_offsets(
+            _window_min_finite=with_orders(
                 lambda g_row, cap: full_row_window_min_infinite(g_row)))
 
 
