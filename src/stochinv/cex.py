@@ -3,10 +3,10 @@
 Instances with very lumpy demand (a sizable chance of demand far above the
 order capacity) can make the optimal policy order, stop, and order again as
 inventory falls. This module generates such instances at random, solves
-them on search_grid, from the deepest reachable backlog up to the
-structural top of stochinv.sdp.Reach, and collects the ones where the
-continuous order property fails, together with a monotonicity diagnostic
-on the order-advantage function V.
+them on search_grid, from minus the sum of the per-period maximum demands
+up to that sum, the structural top of stochinv.sdp.Reach, and collects
+the ones where the continuous order property fails, together with a
+monotonicity diagnostic on the order-advantage function V.
 """
 
 from __future__ import annotations
@@ -110,13 +110,11 @@ def search_grid(instance: Instance) -> Grid:
 
     Both ends come from Reach. The floor, minus the sum of the per-period
     maximum demands, is the lowest state any period reaches from x0 = 0.
-    No period orders above the top, and the tables below it are those of
-    any taller grid (the proof is in the Reach docstring). With B = inf
-    there is no top, so it raises ValueError.
+    The top is that sum: no period orders above it, and the tables below
+    it are those of any taller grid, for every capacity B (the proof is in
+    the Reach docstring).
     """
     reach = Reach.of(instance)
-    if reach.top is None:
-        raise ValueError("search_grid needs a finite capacity B")
     return Grid(reach.floor(instance.horizon + 1), reach.top)
 
 

@@ -105,9 +105,14 @@ def pmf_empirical(values, masses) -> DemandPMF:
     # an integer array holds whole numbers already
     if vals.dtype.kind not in "iu" and not (vals == np.floor(vals)).all():
         raise ValueError("support values must be integers")
-    vals = vals.astype(np.int64, copy=False)
-    if (vals < 0).any():
+    # the sorted ends, as Python numbers, bound every value before the cast,
+    # which would garble an infinite or too-large one
+    lo, hi = vals[[0, -1]].tolist()
+    if lo < 0:
         raise ValueError("support values must be nonnegative")
+    if not hi < 2**63:
+        raise ValueError(f"support values must be finite and below 2**63, got {hi!r}")
+    vals = vals.astype(np.int64, copy=False)
     if (vals[1:] == vals[:-1]).any():
         raise ValueError("support values must be distinct")
     # NaN fails every comparison, so it fails this one

@@ -129,35 +129,35 @@ class Reach:
     lowest state period t can start in from x0 = 0, the start every caller
     uses. floor(n + 1) is minus the sum of all per-period maximum demands.
 
-    top = sum_t dmax_t + B - 1, for finite B only (None with B = inf), is
-    the structural top: on any grid that reaches it, every state's tables
-    are bit for bit those of every taller grid, and no grid orders above
-    it. Let D_t = sum_{s>=t} dmax_s.
+    top = max(sum_t dmax_t, 1), for every capacity B including math.inf,
+    is the structural top: on any grid that reaches it, every state's
+    tables are bit for bit those of every taller grid, and no grid orders
+    above it. Let D_t = sum_{s>=t} dmax_s <= top.
     - From x >= D_t no demand path goes short, so G_t rises by at least
       h > 0 per state there. By induction from the last period: L_t rises
       by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
       v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
-    - So on any grid the window minimum at such x is G_t(x) at offset 0:
-      nothing orders, and C_t = G_t - v x, which reads only lower states.
-    - Below D_t every window [x, x + B] ends at or below D_1 + B - 1 = top,
-      and the continuation reads only lower states.
+    - So every window [x, x + B] takes its minimum, and has its first
+      state within the tie tolerance, at or below max(x, D_t): at x itself
+      from D_t up, where nothing orders and C_t = G_t - v x, and at or
+      below D_t <= top under it. A window cut at the top of such a grid
+      therefore has the same minimum and the same smallest order.
+    - The continuation reads only lower states.
     By induction over periods and ascending states, every order and value
     on such a grid, and with them the bands, the COP flags and the exact
-    gap, are therefore those of any taller grid. top >= B >= 1, so top is
-    always a valid grid ceiling.
+    gap, are therefore those of any taller grid. The max keeps top a valid
+    grid ceiling when no period has positive demand.
     """
 
     floors: tuple[int, ...]
-    top: int | None
+    top: int
 
     @classmethod
     def of(cls, instance: Instance) -> Reach:
         floors = [0]
         for pmf in instance.demands:
             floors.append(floors[-1] - pmf.max_value)
-        top = (None if instance.B == math.inf
-               else -floors[-1] + int(instance.B) - 1)
-        return cls(tuple(floors), top)
+        return cls(tuple(floors), max(-floors[-1], 1))
 
     def floor(self, period: int) -> int:
         """Lowest state reachable at the start of period 1..n+1 from x0 = 0."""
@@ -209,14 +209,14 @@ class ValueTables:
         On a grid that reaches the structural top (see Reach) every state is
         exact, so this is x_max. On a lower grid it is the state from which
         no order in this or any later period can reach past the top of the
-        grid, so no capacity window is cut short. With B = inf no finite
-        window bounds the lookahead, so there is no such state.
+        grid, so no capacity window is cut short. With B = inf below the
+        top no finite window bounds the lookahead, so there is no such state.
         """
-        if self.instance.B == math.inf:
-            raise ValueError("exact_to needs a finite capacity B")
         remaining = self.instance.horizon - self.row(period)
         if self.grid.x_max >= self._reach.top:
             return self.grid.x_max
+        if self.instance.B == math.inf:
+            raise ValueError("below the top, exact_to needs a finite capacity B")
         return self.grid.x_max - int(self.instance.B) * remaining
 
     def qstar_at(self, period: int, x: int) -> int:
@@ -354,8 +354,10 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     past the end of the row never attain it, so a cap of size - 1 gives the
     suffix minimum of the uncapacitated problem.
 
-    Sparse table: level k holds the min of g_row over [j, j + 2^k), cut off
-    at the row's end, for 2^k <= cap + 1. The window minimum is the min of
+    Sparse table: level k holds the min of g_row over [j, j + 2^k), for
+    2^k <= cap + 1, then +inf for the 2^k states past the row's end, as
+    far as any read of the level goes, so a block or a window cut off at
+    the row's end needs no case of its own. The window minimum is the min of
     the two top-level blocks that start at i and end at i + cap; min does
     not round, so it is exact. Time and memory are O(size log cap) instead
     of O(size cap).
@@ -364,42 +366,39 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     0..cap-1 all lie above the tie threshold, so that the smallest
     attaining offset is cap itself. Two blocks of level floor(log2 cap)
     cover [i, i+cap-1], so one range-minimum query over the whole row
-    decides every slide. A state whose second block would start past the
-    row's end needs no test: its first block already reaches the end, so
-    it covers the whole window, whose minimum is w[i], and the state is no
-    slide. Every ordering state is written cap, and the ordering
-    states that are not slides then take a jump search down the levels:
-    from i, skip each block whose min exceeds the threshold, which lands
-    on the first state within 1e-9 of the window minimum, at O(log cap)
-    per state.
+    decides every slide. Every ordering state is written cap, and the
+    ordering states that are not slides then take a jump search down the
+    levels: from i, skip each block whose min exceeds the threshold, which
+    lands on the first state within 1e-9 of the window minimum, at
+    O(log cap) per state.
     """
     size = g_row.size
     cap = min(cap, size - 1)   # the window never reaches past the row
     top = (cap + 1).bit_length() - 1
-    levels = [g_row]
+    levels = [np.concatenate((g_row, [np.inf]))]
     for k in range(top):
-        prev, half = levels[-1], 1 << k
-        level = np.empty(size)
-        np.minimum(prev[:-half], prev[half:], out=level[:-half])
-        level[-half:] = prev[-half:]
+        level = np.empty(size + (2 << k))
+        level[size:] = np.inf
+        np.minimum(levels[k][:size], levels[k][1 << k:size + (1 << k)],
+                   out=level[:size])
         levels.append(level)
-    # the second top-level block starts `shift` states after i, or at the
-    # row's last state where that is past the end
-    last, shift = levels[-1], cap + 1 - (1 << top)
-    w = np.minimum(last, last[-1])
-    np.minimum(last[:size - shift], last[shift:], out=w[:size - shift])
+    # the second top-level block starts `shift` < 2^top states after i
+    shift = cap + 1 - (1 << top)
+    w = np.minimum(levels[top][:size], levels[top][shift:size + shift])
 
     def orders(ordering: np.ndarray, out: np.ndarray) -> None:
         threshold = w + _TIE_TOL
-        # searched: the states that are no slides; a one-state row has none
-        searched = np.ones(size, dtype=bool)
+        np.multiply(ordering, cap, out=out)
+        # searched: the ordering states that are no slides (with cap 0, on a
+        # one-state row, there are no slides)
+        searched = ordering
         if cap:
             k = cap.bit_length() - 1
-            blocks, second = levels[k], cap - (1 << k)
-            np.less_equal(np.minimum(blocks[:size - second], blocks[second:]),
-                          threshold[:size - second], out=searched[:size - second])
-        np.multiply(ordering, cap, out=out)
-        start = (searched & ordering).nonzero()[0]
+            second = cap - (1 << k)
+            searched = ordering & (np.minimum(levels[k][:size],
+                                              levels[k][second:size + second])
+                                   <= threshold)
+        start = searched.nonzero()[0]
         if start.size:
             threshold = threshold[start]
             pos = start.copy()

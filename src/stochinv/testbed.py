@@ -7,9 +7,9 @@ per continuous family. A scale parameter subsamples the design
 deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
-against the optimum, so a report does not depend on any seed. A point
-with finite capacity is solved only up to its structural top
-(stochinv.sdp.Reach), with the same results as on the whole grid.
+against the optimum, so a report does not depend on any seed. A point is
+solved only up to its structural top, the sum of its per-period maximum
+demands (stochinv.sdp.Reach), with the same results as on the whole grid.
 """
 
 from __future__ import annotations
@@ -198,15 +198,13 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    With a finite capacity B the point is solved on the grid cut off at the
-    structural top of Reach, when that lies inside the grid: the bands, the
-    COP flags and the exact gap are then those of the whole grid (the proof
-    is in the Reach docstring).
+    The point is solved on the grid cut off at the structural top of Reach,
+    when that lies inside the grid: the bands, the COP flags and the exact
+    gap are then those of the whole grid (the proof is in the Reach
+    docstring).
     """
     instance = point.instance
-    top = Reach.of(instance).top
-    if top is not None:
-        grid = Grid(grid.x_min, min(grid.x_max, top))
+    grid = Grid(grid.x_min, min(grid.x_max, Reach.of(instance).top))
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
@@ -228,9 +226,9 @@ def run_benchmark(design, config: SimulationConfig | None = None,
     Gaps are exact (optimality_gap), so config is no longer read. It stays
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
-    grid is the outer grid: a point with finite capacity B is solved only
-    up to its structural top (see Reach) when that lies below grid.x_max,
-    which gives the same results as the whole grid.
+    grid is the outer grid: a point is solved only up to its structural top
+    (see Reach) when that lies below grid.x_max, which gives the same
+    results as the whole grid.
     Results keep design order. A point whose grid is too narrow or whose
     tables or prices are inconsistent is recorded as an error.
     """

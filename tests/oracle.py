@@ -244,14 +244,15 @@ def tall_search_grid(instance):
     """The COP search grid with its first, hand-derived ceiling.
 
     From minus the sum of the per-period maximum demands up to that sum
-    plus B per period. This ceiling lies above the structural top where
-    search_grid ends, and the tables below the top must not see the
-    difference.
+    plus B per period, or plus the sum itself per period with B = inf.
+    This ceiling lies above the structural top where search_grid ends, and
+    the tables below the top must not see the difference.
     """
     from stochinv import Grid
 
     total = sum(d.max_value for d in instance.demands)
-    return Grid(-total, total + int(instance.B) * instance.horizon)
+    step = total if instance.B == math.inf else int(instance.B)
+    return Grid(-total, total + step * instance.horizon)
 
 
 def stats_pmf_parametric(family, mean, cv=None, tail_eps=1e-9):

@@ -183,11 +183,19 @@ class TestSearchGrid:
                 assert (v_monotonicity_report(tables, period)
                         == v_monotonicity_report(tall, period))
 
-    def test_unbounded_capacity_has_no_ceiling(self):
+    def test_unbounded_capacity_ends_at_the_demand_sum(self):
         instance = dataclasses.replace(
             load_instance(instance_path("seasonal_poisson.json")), B=math.inf)
-        with pytest.raises(ValueError, match="needs a finite capacity B"):
-            search_grid(instance)
+        total = sum(d.max_value for d in instance.demands)
+        grid = search_grid(instance)
+        assert grid == Grid(-total, total)
+        tables = solve(instance, grid)
+        tall = solve(instance, tall_search_grid(instance))
+        shared = grid.size
+        for name in ("C", "G", "Qstar"):
+            got, want = getattr(tables, name), getattr(tall, name)
+            assert got.tobytes() == want[:, :shared].tobytes(), name
+        assert not tall.Qstar[:, shared:].any()
 
 
 class TestKnownViolatorRegression:

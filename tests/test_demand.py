@@ -25,6 +25,7 @@ class TestEmpirical:
     def test_integer_valued_floats_accepted(self):
         pmf = pmf_empirical([5.0, 7.0], [0.5, 0.5])
         assert pmf.support == (5, 7)
+        assert pmf_empirical([-0.0, 1], [0.5, 0.5]).support == (0, 1)
 
     def test_cum_probs_end_at_one(self):
         pmf = pmf_empirical([0, 4, 9], [0.25, 0.25, 0.5])
@@ -49,6 +50,13 @@ class TestEmpirical:
     def test_rejects_malformed(self, values, masses):
         with pytest.raises(ValueError):
             pmf_empirical(values, masses)
+
+    # each is rejected before the cast to int64, which would warn (an error
+    # under pytest's filterwarnings) and garble the value
+    @pytest.mark.parametrize("values", [[1e300, 2], [math.inf, 2], [2**63, 1]])
+    def test_rejects_values_outside_int64(self, values):
+        with pytest.raises(ValueError, match=r"must be finite and below 2\*\*63"):
+            pmf_empirical(values, [0.5, 0.5])
 
 
 def assert_eager_arrays(pmf):

@@ -335,9 +335,10 @@ def empirical_pmfs(points):
 
 
 class TestTrimmedTop:
-    """Solving only up to top = sum_t dmax_t + B - 1, as the bed does for a
-    finite B, gives the taller grid's tables bit for bit, and the taller
-    grid never orders from D_t = sum_{s>=t} dmax_s up."""
+    """Solving only up to top = max(sum_t dmax_t, 1), as the bed and the COP
+    search do, gives the taller grid's tables bit for bit at every capacity,
+    B = inf included, and the taller grid never orders from
+    D_t = sum_{s>=t} dmax_s up."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -345,7 +346,8 @@ class TestTrimmedTop:
                            min_size=1, max_size=4),
            K=st.floats(0.0, 300.0), v=st.floats(0.0, 10.0),
            h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
-           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+           B=st.one_of(st.integers(1, 60), st.just(math.inf)),
+           discount=st.floats(0.05, 1.0),
            x_min=st.integers(-200, -1), extra=st.integers(100, 600))
     @example(points=[{3: 0.5, 9: 0.5}] * 3, K=50.0, v=1.0, h=1.0, p=10.0,
              B=1, discount=1.0, x_min=-40, extra=300)
@@ -355,13 +357,19 @@ class TestTrimmedTop:
              B=15, discount=1.0, x_min=-50, extra=300)
     @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
              p=20.0, B=25, discount=0.8, x_min=-150, extra=300)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=math.inf, discount=0.8, x_min=-150, extra=300)
+    # no demand at all: the top is 1, and a capacity of 40 spans the grid
+    @example(points=[{0: 1.0}] * 2, K=5.0, v=1.0, h=1.0, p=4.0, B=40,
+             discount=1.0, x_min=-39, extra=100)
     @settings(max_examples=150, deadline=None)
     def test_tables_match_a_taller_grid(self, points, K, v, h, p, B,
                                         discount, x_min, extra):
         demands = empirical_pmfs(points)
         dmax = [d.max_value for d in demands]
-        top = sum(dmax) + B - 1
-        assume(top > 0)
+        top = max(sum(dmax), 1)
+        # solve rejects a capacity wider than the grid
+        assume(B == math.inf or B <= top - x_min)
         instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
                             demands=demands, discount=discount)
         trimmed = solve(instance, Grid(x_min, top))
@@ -544,32 +552,39 @@ class TestGridValidation:
                         demands=demands)
         reach = sdp.Reach.of(inst)
         assert [reach.floor(t) for t in (1, 2, 3)] == [0, -3, -10]
-        assert reach.top == 3 + 7 + 3 - 1
+        # the top is the demand sum, whatever the capacity
+        assert reach.top == 3 + 7
         for period in (0, 4):
             with pytest.raises(ValueError, match=r"period must be in 1\.\.3"):
                 reach.floor(period)
-        assert sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).top is None
+        unbounded = sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).top
+        assert unbounded == 10 and type(unbounded) is int
+        # with no demand at all the top stays a valid grid ceiling
+        idle = dataclasses.replace(
+            inst, demands=(pmf_empirical([0], [1.0]),) * 2)
+        assert sdp.Reach.of(idle).top == 1
 
     def test_exact_to(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
-        # the structural top is 3 + 7 + 3 - 1 = 12; on a grid ending below
-        # it, one capacity window per remaining period must fit under x_max
-        low = solve(inst, Grid(-30, 11))
-        assert low.exact_to(2) == 11 - 3
-        assert low.exact_to(1) == 11 - 2 * 3
+        # the structural top is 3 + 7 = 10; on a grid ending below it, one
+        # capacity window per remaining period must fit under x_max
+        low = solve(inst, Grid(-30, 9))
+        assert low.exact_to(2) == 9 - 3
+        assert low.exact_to(1) == 9 - 2 * 3
         # on a grid that reaches it, every state is exact
         tables = solve(inst, Grid(-30, 30))
         assert tables.exact_to(2) == 30
         assert tables.exact_to(1) == 30
-        assert solve(inst, Grid(-30, 12)).exact_to(1) == 12
+        assert solve(inst, Grid(-30, 10)).exact_to(1) == 10
         with pytest.raises(ValueError):
             tables.exact_to(3)
-        unbounded = solve(Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0,
-                                   B=math.inf, demands=demands), Grid(-30, 30))
+        # with B = inf as well; below the top no finite window bounds it
+        unbounded = dataclasses.replace(inst, B=math.inf)
+        assert solve(unbounded, Grid(-30, 10)).exact_to(1) == 10
         with pytest.raises(ValueError, match="finite capacity"):
-            unbounded.exact_to(1)
+            solve(unbounded, Grid(-30, 9)).exact_to(1)
 
 
 class TestInstanceValidation:

@@ -160,8 +160,8 @@ def direct_result(point, grid):
 
 
 class TestTrimmedTopMatchesTheWholeGrid:
-    """The bed solves a point only up to sum_t dmax_t + B - 1; its results
-    are those of the whole outer grid, exactly."""
+    """The bed solves a point only up to sum_t dmax_t; its results are those
+    of the whole outer grid, exactly."""
 
     @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
     @pytest.mark.parametrize("K, v, p", [(250, 2, 5), (1000, 10, 15)])
@@ -169,7 +169,7 @@ class TestTrimmedTopMatchesTheWholeGrid:
         (point,) = [pt for pt in build_design(("poisson",))
                     if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
                     == (pattern, K, v, p, 4)]
-        top = sum(d.max_value for d in point.instance.demands) + point.instance.B - 1
+        top = sum(d.max_value for d in point.instance.demands)
         assert point.instance.B >= 393 and top < DEFAULT_GRID.x_max
         (result,) = run_benchmark([point]).results
         assert result.error is None
@@ -177,12 +177,12 @@ class TestTrimmedTopMatchesTheWholeGrid:
                 result.cop_violations) == direct_result(point, DEFAULT_GRID)
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
-        # period 1 orders again at 616-618, below the top 939 of Grid(-1000, 1100)
+        # period 1 orders again at 616-618, below the top 899 of Grid(-1000, 1100)
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
         grid = Grid(-1000, 1100)
-        assert sum(d.max_value for d in inst.demands) + inst.B - 1 == 939
+        assert sum(d.max_value for d in inst.demands) == 899
         (result,) = run_benchmark([point], grid=grid).results
         assert result.cop_violations == (1,)
         assert (result.gap, result.max_thresholds,
@@ -197,12 +197,14 @@ class TestTrimmedTopMatchesTheWholeGrid:
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
-        top = sum(d.max_value for d in point.instance.demands) + point.instance.B - 1
+        top = sum(d.max_value for d in point.instance.demands)
         run_benchmark([point], grid=Grid(-2000, 2500))
         run_benchmark([point], grid=Grid(-2000, top))
         run_benchmark([point], grid=Grid(-2000, top + 1))
-        # an uncapacitated point has no top and keeps the given grid
+        # an uncapacitated point is cut at the same top
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
         run_benchmark([unbounded], grid=Grid(-2000, 2500))
-        assert solved == [Grid(-2000, top)] * 3 + [Grid(-2000, 2500)]
+        # a grid below the top is kept as given
+        run_benchmark([point], grid=Grid(-2000, top - 1))
+        assert solved == [Grid(-2000, top)] * 4 + [Grid(-2000, top - 1)]
