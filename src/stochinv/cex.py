@@ -5,8 +5,11 @@ order capacity) can make the optimal policy order, stop, and order again as
 inventory falls. This module generates such instances at random, solves
 them on search_grid, from minus the sum of the per-period maximum demands
 up to that sum, the structural top of stochinv.sdp.Reach, and collects
-the ones where the continuous order property fails, together with a
-monotonicity diagnostic on the order-advantage function V.
+the periods where check_cop, run on each period from its exact_from up,
+finds the continuous order property violated, together with a
+monotonicity diagnostic on the order-advantage function V. The draw
+settings are the module constants below; a search is set only by its
+seed, its budget and its mass allocation (CexSearchParams).
 """
 
 from __future__ import annotations
@@ -18,56 +21,38 @@ import numpy as np
 
 from .demand import pmf_empirical
 from .policy import CopReport, _state_runs, check_cop
-from .sdp import Grid, Instance, Reach, ValueTables, solve
+from .sdp import Grid, Instance, ValueTables, solve
+
+
+# the draw settings: fixed cost K, penalty p and capacity B are uniform
+# over these ranges, and each of the HORIZON periods' PMFs has
+# POINTS_PER_PMF support points, one below B and the rest in
+# (B, SUPPORT_MAX], which leaves room above the largest B
+K_RANGE = (1.0, 500.0)
+P_RANGE = (1.0, 30.0)
+B_RANGE = (20, 200)
+SUPPORT_MAX = 300
+POINTS_PER_PMF = 4
+HORIZON = 4
 
 
 @dataclass(frozen=True)
 class CexSearchParams:
     seed: int
     budget: int
-    K_range: tuple[float, float] = (1.0, 500.0)
-    p_range: tuple[float, float] = (1.0, 30.0)
-    B_range: tuple[int, int] = (20, 200)
-    support_max: int = 300
-    points_per_pmf: int = 4
-    horizon: int = 4
     equal_masses: bool = False
 
     def __post_init__(self):
-        # a float or a boolean here would pass the range checks below and
+        # a float or a boolean here would pass the sign checks below and
         # stop the search mid-run
-        for name in ("seed", "budget", "horizon", "points_per_pmf"):
+        for name in ("seed", "budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("K_range", "p_range", "B_range"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} is empty")
-        # each lower end bounds every draw: a bad one would stop the search
-        # at its first instance, not here
-        if self.B_range[0] < 1:
-            raise ValueError("B_range[0] must be at least 1")
-        if self.K_range[0] < 0:
-            raise ValueError("K_range[0] must be nonnegative")
-        if self.p_range[0] <= 0:
-            raise ValueError("p_range[0] must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.points_per_pmf < 2:
-            raise ValueError("points_per_pmf must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
-        # each PMF draws points_per_pmf - 1 distinct values in
-        # (B, support_max], so the largest B needs that many above it
-        least = self.B_range[1] + self.points_per_pmf - 1
-        if least > self.support_max:
-            raise ValueError(
-                f"support_max must be at least {least} (B_range[1] + "
-                f"points_per_pmf - 1) to leave points_per_pmf - 1 support "
-                f"points above every capacity, got {self.support_max}")
 
 
 class Violation(NamedTuple):
@@ -81,27 +66,27 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
     """Draw one instance: lumpy four-point demand around a random capacity.
 
     Each period's PMF has exactly one support point below B and the rest
-    above it (but at most support_max); masses are uniform draws normalized
+    above it (but at most SUPPORT_MAX); masses are uniform draws normalized
     to one, or exactly equal under params.equal_masses.
     """
-    k_fixed = rng.uniform(*params.K_range)
-    p_cost = rng.uniform(*params.p_range)
-    cap = int(rng.integers(params.B_range[0], params.B_range[1] + 1))
+    k_fixed = rng.uniform(*K_RANGE)
+    p_cost = rng.uniform(*P_RANGE)
+    cap = int(rng.integers(B_RANGE[0], B_RANGE[1] + 1))
     demands = []
-    for _ in range(params.horizon):
+    for _ in range(HORIZON):
         below = rng.integers(0, cap)
-        # choice over support_max - cap values draws what choice over the
-        # array cap + 1..support_max draws, without building that array
-        above = cap + 1 + rng.choice(params.support_max - cap,
-                                     size=params.points_per_pmf - 1, replace=False)
+        # choice over SUPPORT_MAX - cap values draws what choice over the
+        # array cap + 1..SUPPORT_MAX draws, without building that array
+        above = cap + 1 + rng.choice(SUPPORT_MAX - cap,
+                                     size=POINTS_PER_PMF - 1, replace=False)
         values = np.concatenate(([below], above))
         if params.equal_masses:
-            masses = np.full(params.points_per_pmf, 1.0 / params.points_per_pmf)
+            masses = np.full(POINTS_PER_PMF, 1.0 / POINTS_PER_PMF)
         else:
-            masses = rng.random(params.points_per_pmf)
+            masses = rng.random(POINTS_PER_PMF)
             masses /= masses.sum()
         demands.append(pmf_empirical(values, masses))
-    return Instance(horizon=params.horizon, K=k_fixed, v=0.0, h=1.0, p=p_cost,
+    return Instance(horizon=HORIZON, K=k_fixed, v=0.0, h=1.0, p=p_cost,
                     B=cap, demands=tuple(demands))
 
 
@@ -109,18 +94,21 @@ def search_grid(instance: Instance) -> Grid:
     """The grid from the deepest reachable backlog up to the structural top.
 
     Both ends come from Reach. The floor, minus the sum of the per-period
-    maximum demands, is the lowest state any period reaches from x0 = 0.
-    The top is that sum: no period orders above it, and the tables below
-    it are those of any taller grid, for every capacity B (the proof is in
-    the Reach docstring).
+    maximum demands, is the lowest state any period reaches from x0 = 0;
+    it stays at -1 or below, as a grid needs, when every demand is 0. The
+    top is that sum: no period orders above it, and the tables below it
+    are those of any taller grid, for every capacity B (the proof is in the
+    Reach docstring).
     """
-    reach = Reach.of(instance)
-    return Grid(reach.floor(instance.horizon + 1), reach.top)
+    reach = instance.reach
+    return Grid(min(reach.floor(instance.horizon + 1), -1), reach.top)
 
 
 def search_cop_violations(params: CexSearchParams) -> list[Violation]:
-    """Generate, solve, and screen `budget` instances; return the violators.
+    """Generate, solve, and check `budget` instances; return the violators.
 
+    Every period is checked from its exact_from up: holes below it are
+    artifacts of value clamping at the grid edge, not policy facts.
     Deterministic for a given seed and budget: instance i is always built
     from the same stretch of the stream, so any violator can be regenerated.
     """
@@ -129,32 +117,11 @@ def search_cop_violations(params: CexSearchParams) -> list[Violation]:
     for index in range(params.budget):
         instance = random_instance(params, rng)
         tables = solve(instance, search_grid(instance))
-        for period in _order_rises(tables):
-            # screen out holes below the boundary-exact region: those are
-            # artifacts of value clamping at the grid edge, not policy facts
+        for period in range(1, instance.horizon + 1):
             report = check_cop(tables, period, from_state=tables.exact_from(period))
             if not report.holds:
                 found.append(Violation(instance, period, report, index))
     return found
-
-
-def _order_rises(tables: ValueTables) -> list[int]:
-    """The periods whose order row rises from no order to an order at or
-    above exact_from, all periods tested at once.
-
-    These are exactly the periods where check_cop from exact_from fails:
-    the property holds there when the ordering states above the floor are
-    none, or one interval that starts at the floor, and every other layout
-    has an ordering interval starting above the floor, right after a state
-    that does not order.
-    """
-    periods = range(1, tables.instance.horizon + 1)
-    first = np.array([tables.exact_from(t) for t in periods]) - tables.grid.x_min
-    ordering = tables.Qstar > 0
-    # column j: no order at state index j, an order at j + 1
-    rises = ordering[:, 1:] > ordering[:, :-1]
-    rises &= np.arange(tables.grid.size - 1) >= first[:, None]
-    return (np.flatnonzero(rises.any(axis=1)) + 1).tolist()
 
 
 def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, int], ...]:

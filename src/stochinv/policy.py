@@ -66,17 +66,22 @@ def check_cop(tables: ValueTables, period: int,
     The property holds when the ordering states form a single interval
     anchored at the bottom of the checked range (the whole grid unless
     from_state raises the floor, e.g. to skip states distorted by the lower
-    grid edge). On violation the witness straddles the largest no-order
-    gap: (last gap state, first ordering state above).
+    grid edge). It fails exactly where a state that does not order lies
+    right below one that does, so one pass over the row decides it, and
+    only a violated row is split into its ordering runs. On violation the
+    witness straddles the largest no-order gap: (last gap state, first
+    ordering state above).
     """
     floor = tables.grid.x_min if from_state is None else from_state
     q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
-    intervals = _state_runs(q_row > 0, floor)
-    if len(intervals) == 0:
-        return CopReport(True, intervals, None)
-    if len(intervals) == 1 and intervals[0][0] == floor:
-        return CopReport(True, intervals, None)
+    ordering = q_row > 0
+    if not (ordering[1:] > ordering[:-1]).any():
+        # with no rise, the ordering states are none or a run from the floor
+        count = int(np.count_nonzero(ordering))
+        run = ((int(floor), int(floor) + count - 1),) if count else ()
+        return CopReport(True, run, None)
 
+    intervals = _state_runs(ordering, floor)
     gaps = []   # (length, gap_hi, next_order_lo)
     if intervals[0][0] > floor:
         gaps.append((intervals[0][0] - floor, intervals[0][0] - 1, intervals[0][0]))

@@ -21,8 +21,9 @@ query decides a slide, and only the other ordering states are searched.
 
 Reach derives, from the instance alone, each period's reachable floor and
 the structural top above which no grid orders. The certified ranges of
-ValueTables (exact_from, exact_to), solve's width check, the bed's trimmed
-grid and the COP search grid are all read off it.
+ValueTables (exact_from, exact_to), solve's width checks, the bed's
+trimmed grid and the COP search grid are all read off it, once per
+instance through Instance.reach.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class Instance:
             raise ValueError("B must be a positive integer or math.inf")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
+
+    @cached_property
+    def reach(self) -> Reach:
+        """Reach.of(self), derived once per instance."""
+        return Reach.of(self)
 
 
 @dataclass(frozen=True)
@@ -181,10 +187,6 @@ class ValueTables:
     grid: Grid
     instance: Instance
 
-    @cached_property
-    def _reach(self) -> Reach:
-        return Reach.of(self.instance)
-
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
         n = self.instance.horizon
@@ -200,7 +202,7 @@ class ValueTables:
         exact everywhere: it clamps against exact terminal zeros.
         """
         self.row(period)   # rejects a period outside 1..n
-        reach = self._reach
+        reach = self.instance.reach
         return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
 
     def exact_to(self, period: int) -> int:
@@ -213,7 +215,7 @@ class ValueTables:
         top no finite window bounds the lookahead, so there is no such state.
         """
         remaining = self.instance.horizon - self.row(period)
-        if self.grid.x_max >= self._reach.top:
+        if self.grid.x_max >= self.instance.reach.top:
             return self.grid.x_max
         if self.instance.B == math.inf:
             raise ValueError("below the top, exact_to needs a finite capacity B")
@@ -414,11 +416,18 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
 
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
     smallest minimizing quantity wins ties, so Qstar is deterministic.
+
+    Raises GridSpanError when the cumulative max demand exceeds the grid
+    width, or when the capacity B does, unless the grid reaches the
+    structural top of Reach: there a window cut at the row's end is exact.
     """
     width = grid.x_max - grid.x_min
-    if instance.B != math.inf and instance.B > width:
-        raise GridSpanError(f"capacity {instance.B} exceeds grid width {width}")
-    total_dmax = -Reach.of(instance).floor(instance.horizon + 1)
+    reach = instance.reach
+    if instance.B != math.inf and instance.B > width and grid.x_max < reach.top:
+        raise GridSpanError(
+            f"capacity {instance.B} exceeds grid width {width} on a grid "
+            f"below the structural top {reach.top}")
+    total_dmax = -reach.floor(instance.horizon + 1)
     if total_dmax > width:
         raise GridSpanError(
             f"cumulative max demand {total_dmax} exceeds grid width {width}")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .policy import MalformedTable, read_policy
-from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, Reach, solve
+from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, solve
 from .simulate import SimulationConfig, SimulationError, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
@@ -204,7 +204,7 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     docstring).
     """
     instance = point.instance
-    grid = Grid(grid.x_min, min(grid.x_max, Reach.of(instance).top))
+    grid = Grid(grid.x_min, min(grid.x_max, instance.reach.top))
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)

@@ -225,6 +225,30 @@ def split_state_runs(mask, first):
                  for run in np.split(idx, splits))
 
 
+def runs_check_cop(tables, period, from_state=None):
+    """policy.check_cop by building every ordering run and gap of the row.
+
+    The reference the one-pass check must match report for report.
+    """
+    from stochinv import CopReport
+
+    floor = tables.grid.x_min if from_state is None else from_state
+    q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
+    intervals = split_state_runs(q_row > 0, floor)
+    if len(intervals) == 0:
+        return CopReport(True, intervals, None)
+    if len(intervals) == 1 and intervals[0][0] == floor:
+        return CopReport(True, intervals, None)
+
+    gaps = []   # (length, gap_hi, next_order_lo)
+    if intervals[0][0] > floor:
+        gaps.append((intervals[0][0] - floor, intervals[0][0] - 1, intervals[0][0]))
+    for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
+        gaps.append((lo - hi - 1, lo - 1, lo))
+    length, gap_hi, order_lo = max(gaps)
+    return CopReport(False, intervals, (gap_hi, order_lo))
+
+
 def rowwise_tables_csv(tables, path):
     """ValueTables.to_csv as one formatted write per (period, state).
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_path
-from oracle import tall_search_grid
+from oracle import runs_check_cop, tall_search_grid
 from stochinv import (CexSearchParams, Grid, Instance, ValueTables, cex,
                       check_cop, load_instance, pmf_empirical, random_instance,
                       search_cop_violations, search_grid, serialize_instance,
@@ -66,21 +66,21 @@ class TestGeneratorContract:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(77)))
         for _ in range(1000):
             instance = random_instance(params, rng)
-            assert instance.horizon == 4
+            assert instance.horizon == cex.HORIZON
             assert instance.v == 0.0
             assert instance.h == 1.0
-            assert 1.0 <= instance.K <= 500.0
-            assert 1.0 <= instance.p <= 30.0
+            assert cex.K_RANGE[0] <= instance.K <= cex.K_RANGE[1]
+            assert cex.P_RANGE[0] <= instance.p <= cex.P_RANGE[1]
             assert isinstance(instance.B, int)
-            assert 20 <= instance.B <= 200
+            assert cex.B_RANGE[0] <= instance.B <= cex.B_RANGE[1]
             for demand in instance.demands:
                 values = np.asarray(demand.support)
-                assert values.size == 4
-                assert len(set(values.tolist())) == 4
+                assert values.size == cex.POINTS_PER_PMF
+                assert len(set(values.tolist())) == cex.POINTS_PER_PMF
                 assert (values < instance.B).sum() == 1
                 big = values[values > instance.B]
-                assert big.size == 3
-                assert big.max() <= 300
+                assert big.size == cex.POINTS_PER_PMF - 1
+                assert big.max() <= cex.SUPPORT_MAX
                 assert np.asarray(demand.probs).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("equal_masses,digest", [
@@ -108,53 +108,34 @@ class TestGeneratorContract:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             CexSearchParams(seed=0, budget=-1)
-        with pytest.raises(ValueError):
-            CexSearchParams(seed=0, budget=1, K_range=(10.0, 1.0))
-        with pytest.raises(ValueError):
-            CexSearchParams(seed=0, budget=1, B_range=(20, 400), support_max=300)
-        with pytest.raises(ValueError):
-            CexSearchParams(seed=0, budget=1, points_per_pmf=1)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             CexSearchParams(seed=-1, budget=1)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("B_range", (0, 30), r"B_range\[0\] must be at least 1"),
-        ("K_range", (-5.0, 1.0), r"K_range\[0\] must be nonnegative"),
-        ("p_range", (0.0, 30.0), r"p_range\[0\] must be positive"),
-        ("p_range", (-1.0, 30.0), r"p_range\[0\] must be positive"),
-        ("horizon", 0, "horizon must be at least 1"),
         ("budget", 2.5, "budget must be an integer"),
-        ("horizon", 2.5, "horizon must be an integer"),
-        ("horizon", True, "horizon must be an integer"),
         ("seed", True, "seed must be an integer"),
-        ("points_per_pmf", 4.0, "points_per_pmf must be an integer"),
-    ], ids=["B_range", "K_range", "p_range-zero", "p_range-negative", "horizon",
-            "budget-float", "horizon-float", "horizon-bool", "seed-bool",
-            "points_per_pmf-float"])
+    ], ids=["budget-float", "seed-bool"])
     def test_rejects_a_field_no_draw_can_take(self, field, value, message):
         # each would otherwise stop the search at its first draw, or mid-run
         with pytest.raises(ValueError, match=message):
             CexSearchParams(**{"seed": 0, "budget": 1, field: value})
 
-    def test_support_must_leave_room_above_the_largest_capacity(self):
-        # three distinct support points above B = 200 need support_max 203;
-        # at 202 the draw would run out of values mid-search
-        with pytest.raises(ValueError, match="support_max must be at least 203"):
-            CexSearchParams(seed=0, budget=1, B_range=(200, 200), support_max=202)
-        params = CexSearchParams(seed=0, budget=20, B_range=(200, 200),
-                                 support_max=203)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        for demand in random_instance(params, rng).demands:
-            assert demand.support[1:] == (201, 202, 203)
-        search_cop_violations(params)
+    def test_search_is_set_by_seed_budget_and_masses_alone(self):
+        fields = [f.name for f in dataclasses.fields(CexSearchParams)]
+        assert fields == ["seed", "budget", "equal_masses"]
+
+
+def first_period(instance):
+    """The one-period instance of a draw's first period."""
+    return dataclasses.replace(instance, horizon=1, demands=instance.demands[:1])
 
 
 class TestMonotonicityReport:
     def test_single_period_instances_never_dip(self):
-        params = CexSearchParams(seed=11, budget=0, horizon=1)
+        params = CexSearchParams(seed=11, budget=0)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
         for _ in range(25):
-            instance = random_instance(params, rng)
+            instance = first_period(random_instance(params, rng))
             tables = solve(instance, search_grid(instance))
             assert v_monotonicity_report(tables, 1) == ()
 
@@ -183,6 +164,18 @@ class TestSearchGrid:
                 assert (v_monotonicity_report(tables, period)
                         == v_monotonicity_report(tall, period))
 
+    def test_demand_that_is_always_zero(self):
+        # the demand sum is 0: the grid keeps one state of backlog below 0
+        instance = Instance(horizon=3, K=5.0, v=0.0, h=1.0, p=2.0, B=4,
+                            demands=(pmf_empirical([0], [1.0]),) * 3)
+        grid = search_grid(instance)
+        assert grid == Grid(-1, 1)
+        tables = solve(instance, grid)
+        # from x0 = 0 no state below 0 is reached: nothing orders and
+        # nothing is owed
+        assert not tables.Qstar[:, grid.index(0):].any()
+        assert [tables.cost_at(t, 0) for t in (1, 2, 3)] == [0.0] * 3
+
     def test_unbounded_capacity_ends_at_the_demand_sum(self):
         instance = dataclasses.replace(
             load_instance(instance_path("seasonal_poisson.json")), B=math.inf)
@@ -209,43 +202,71 @@ class TestKnownViolatorRegression:
 
 
 def failing_periods(tables):
-    return [t for t in range(1, tables.instance.horizon + 1)
-            if not check_cop(tables, t, from_state=tables.exact_from(t)).holds]
+    """The periods whose order property fails from exact_from up, checked
+    by check_cop after asserting its reports equal the reference's at the
+    bottom of the grid and at exact_from."""
+    failing = []
+    for t in range(1, tables.instance.horizon + 1):
+        assert check_cop(tables, t) == runs_check_cop(tables, t)
+        report = check_cop(tables, t, tables.exact_from(t))
+        assert report == runs_check_cop(tables, t, tables.exact_from(t))
+        if not report.holds:
+            failing.append(t)
+    return failing
+
+
+def order_tables(dmax, below, above, rows):
+    """Tables that carry only the given order rows, each repeated to the
+    grid's width, on a grid `below` states under the deepest floor of
+    one-point demands dmax and `above` states over 0."""
+    n = len(dmax)
+    instance = Instance(horizon=n, K=1.0, v=0.0, h=1.0, p=1.0, B=7,
+                        demands=tuple(pmf_empirical([d], [1.0]) for d in dmax))
+    grid = Grid(-sum(dmax) - below - 1, above)
+    qstar = np.array([np.resize(row, grid.size) for row in rows], dtype=np.int64)
+    zeros = np.zeros((n, grid.size))
+    return ValueTables(C=zeros, G=zeros, Qstar=qstar, grid=grid, instance=instance)
 
 
 class TestOrderRiseScreen:
-    """The search screens all periods at once and calls check_cop only on
-    the periods the screen flags; it must flag exactly the failing ones."""
+    """check_cop decides the property by one test for a state that does not
+    order right below one that does, and builds the ordering runs only on
+    a violated row; its reports must be those of the run-by-run reference."""
 
-    # one-point demands set each period's floor; the grid's lowest state
-    # lies `below` under the deepest floor, and its highest `above` over 0.
-    # Each order row is a few runs of one order each, repeated to the
-    # grid's width, so that some rows hold the property and some do not.
+    # one-point demands set each period's floor. Each order row is a few
+    # runs of one order each, repeated to the grid's width, so that some
+    # rows hold the property and some do not.
     @given(dmax=st.lists(st.integers(0, 5), min_size=1, max_size=4),
            below=st.integers(0, 4), above=st.integers(1, 6), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_flags_exactly_the_periods_check_cop_fails(self, dmax, below,
                                                        above, data):
-        n = len(dmax)
-        instance = Instance(horizon=n, K=1.0, v=0.0, h=1.0, p=1.0, B=7,
-                            demands=tuple(pmf_empirical([d], [1.0]) for d in dmax))
-        grid = Grid(-sum(dmax) - below - 1, above)
         runs = st.lists(st.tuples(st.sampled_from([0, 1, 7]), st.integers(1, 12)),
                         min_size=1, max_size=4)
-        qstar = np.array([
-            np.resize(np.repeat(*np.array(data.draw(runs)).T), grid.size)
-            for _ in range(n)], dtype=np.int64)
-        zeros = np.zeros((n, grid.size))
-        tables = ValueTables(C=zeros, G=zeros, Qstar=qstar, grid=grid,
-                             instance=instance)
-        assert cex._order_rises(tables) == failing_periods(tables)
+        rows = [np.repeat(*np.array(data.draw(runs)).T) for _ in dmax]
+        tables = order_tables(dmax, below, above, rows)
+        grid = tables.grid
+        for t in range(1, len(dmax) + 1):
+            drawn = data.draw(st.integers(grid.x_min, grid.x_max))
+            for floor in (None, tables.exact_from(t), drawn):
+                assert check_cop(tables, t, floor) == runs_check_cop(tables, t, floor)
+
+    @pytest.mark.parametrize("order", [0, 1, 7])
+    def test_rows_that_order_everywhere_or_nowhere(self, order):
+        tables = order_tables([2, 0, 3], 2, 4, [[order]] * 3)
+        assert failing_periods(tables) == []
+        for t in (1, 2, 3):
+            floor = tables.exact_from(t)
+            report = check_cop(tables, t, floor)
+            assert report.ordering_set == (((floor, tables.grid.x_max),)
+                                           if order else ())
 
     def test_spiky_fixture(self):
         instance = load_instance(instance_path("spiky_nonstationary.json"))
         tables = solve(instance, search_grid(instance))
-        assert cex._order_rises(tables) == failing_periods(tables) == [1]
+        assert failing_periods(tables) == [1]
 
     def test_committed_violator(self, committed_violations):
         instance = committed_violations[0].instance
         tables = solve(instance, search_grid(instance))
-        assert cex._order_rises(tables) == failing_periods(tables) == [2]
+        assert failing_periods(tables) == [2]

@@ -518,10 +518,35 @@ class TestGridValidation:
             Grid(-5, 5).index(x)
 
     def test_capacity_exceeds_width(self):
+        # the grid ends below the structural top 15, so a window cut at
+        # its top is not exact
         inst = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=50,
-                        demands=(pmf_empirical([1], [1.0]),))
-        with pytest.raises(GridSpanError):
-            solve(inst, Grid(-10, 10))
+                        demands=(pmf_empirical([15], [1.0]),))
+        with pytest.raises(GridSpanError, match="capacity 50 exceeds grid width 30"):
+            solve(inst, Grid(-20, 10))
+
+    # one to four periods of demand on 0..5 and a capacity up to 30 states
+    # wider than search_grid, which ends at the structural top
+    @given(points=st.lists(st.dictionaries(st.integers(0, 5), st.floats(0.01, 1.0),
+                                           min_size=1, max_size=4),
+                           min_size=1, max_size=4),
+           extra=st.integers(1, 30), K=st.floats(0.0, 50.0), p=st.floats(0.5, 30.0))
+    @example(points=[{0: 0.5, 1: 0.5}], extra=3, K=1.0, p=5.0)
+    @settings(max_examples=200, deadline=None)
+    def test_capacity_wider_than_a_grid_that_reaches_the_top(self, points,
+                                                             extra, K, p):
+        demands = tuple(pmf_empirical(list(d), np.divide(list(d.values()),
+                                                         sum(d.values())))
+                        for d in points)
+        probe = Instance(horizon=len(demands), K=K, v=0.0, h=1.0, p=p, B=1,
+                         demands=demands)
+        grid = search_grid(probe)
+        inst = dataclasses.replace(probe, B=grid.x_max - grid.x_min + extra)
+        tables = solve(inst, grid)
+        tall = solve(inst, Grid(grid.x_min, grid.x_max + inst.B + 50))
+        for name in ("C", "G", "Qstar"):
+            got, want = getattr(tables, name), getattr(tall, name)
+            assert got.tobytes() == want[:, :grid.size].tobytes(), name
 
     def test_cumulative_demand_exceeds_width(self):
         pmf = pmf_empirical([15], [1.0])
@@ -551,6 +576,8 @@ class TestGridValidation:
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
         reach = sdp.Reach.of(inst)
+        # derived once per instance
+        assert inst.reach == reach and inst.reach is inst.reach
         assert [reach.floor(t) for t in (1, 2, 3)] == [0, -3, -10]
         # the top is the demand sum, whatever the capacity
         assert reach.top == 3 + 7
