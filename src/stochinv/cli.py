@@ -34,9 +34,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_grid_flags(parser, max_help="highest inventory state on the grid"):
+def _add_grid_flags(parser, min_help="lowest inventory state on the grid",
+                    max_help="highest inventory state on the grid"):
     parser.add_argument("--grid-min", type=int, default=DEFAULT_GRID.x_min,
-                        help="lowest inventory state on the grid")
+                        help=min_help)
     parser.add_argument("--grid-max", type=int, default=DEFAULT_GRID.x_max,
                         help=max_help)
 
@@ -75,10 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demand family to benchmark")
     p_bench.add_argument("--scale", type=float, default=1.0,
                          help="fraction of the full design to run (0, 1]")
-    _add_grid_flags(p_bench, max_help=(
-        "outer bound on the highest inventory state: a point is solved only "
-        "up to its structural top, the sum of its per-period maximum demands "
-        "(stochinv.sdp.Reach), when that is lower, with the same results"))
+    _add_grid_flags(
+        p_bench,
+        min_help=("outer bound on the lowest inventory state: a point with a "
+                  "finite capacity is solved only from its structural bottom "
+                  "(stochinv.sdp.Reach), below which each period's decision "
+                  "stays the same, when that is higher, with the same results"),
+        max_help=("outer bound on the highest inventory state: a point is "
+                  "solved only up to its structural top, the sum of its "
+                  "per-period maximum demands (stochinv.sdp.Reach), when that "
+                  "is lower, with the same results"))
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser

@@ -19,11 +19,12 @@ are capacity slides: no smaller order comes within the tie tolerance of
 the best one, so the order is the whole capacity B. One range-minimum
 query decides a slide, and only the other ordering states are searched.
 
-Reach derives, from the instance alone, each period's reachable floor and
-the structural top above which no grid orders. The certified ranges of
-ValueTables (exact_from, exact_to), solve's width checks, the bed's
-trimmed grid and the COP search grid are all read off it, once per
-instance through Instance.reach.
+Reach derives, from the instance alone, each period's reachable floor, the
+structural top above which no grid orders and, at a finite capacity, the
+structural bottom below which every period's decision stays the same. The
+certified ranges of ValueTables (exact_from, exact_to), solve's width
+checks, the bed's grid between bottom and top and the COP search grid are
+all read off it, once per instance through Instance.reach.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ DEFAULT_GRID = Grid(-10000, 10000)
 
 @dataclass(frozen=True)
 class Reach:
-    """Where an instance's states can go, derived from its demands alone.
+    """Where an instance's states can go, derived from its demands and
+    capacity alone.
 
     floors[t - 1] is floor(t) = -sum_{s<t} dmax_s for t = 1..n+1: the
     lowest state period t can start in from x0 = 0, the start every caller
@@ -153,17 +155,61 @@ class Reach:
     on such a grid, and with them the bands, the COP flags and the exact
     gap, are therefore those of any taller grid. The max keeps top a valid
     grid ceiling when no period has positive demand.
+
+    bottom, for a finite B (None at B = inf), is the structural bottom:
+    every grid whose floor lies at or below it gives the same bands, COP
+    flags and exact gap from x0 = 0 as any deeper grid. Let dmin_t be
+    period t's smallest demand, F^G_n = dmin_n, F^C_t = F^G_t - B and
+    F^G_t = dmin_t + min(0, F^C_{t+1}); then
+    bottom = min(floor(n) + min_t min(F^C_t - floor(t), 0), -1).
+    - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
+      (nothing is held, the whole demand is short), nothing follows the
+      last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
+      E[C_{t+1}(y - d)] on y <= dmin_t + F^C_{t+1}.
+    - C_t is affine on x <= F^C_t, and the decision there is the same at
+      every x. The window [x, x + B] lies on G_t's line, of slope s. With
+      s >= 0 the window minimum is G_t(x) and nothing orders. With s < 0
+      it is G_t(x + B): ordering pays when -s B - K exceeds the tie
+      tolerance, for every such x alike, and the smallest order within the
+      tolerance of the minimum is B - floor(tol / -s) at every x (B unless
+      -s <= tol). So C_t(x) is -v x + G_t(x) at every such x, or
+      -v x + K + G_t(x + B) at every one, which closes the induction.
+    - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
+      floor(n) lies at or below both floor(t) and F^C_t, and F^C_t < dmin_t
+      <= top, so period t's certified range [exact_from(t), top] holds
+      its reachable floor and a state of the constant decision. A deeper
+      grid certifies the same tables bit for bit on that range, and below
+      it only states of exact_from(t)'s decision. Such a run at the bottom
+      of a row leaves the bands (leading capacity slides carry no pair)
+      and the order-property verdict (the floor orders or not, as before)
+      unchanged, and the gap reads only states at or above floor(t).
+    The argument treats the values as exact. In floating point the rows
+    below F^G_t are lines up to rounding, so only a saving -s B - K within
+    rounding of the tie tolerance could be decided differently at
+    different states. The -1 keeps bottom a valid grid floor.
     """
 
     floors: tuple[int, ...]
     top: int
+    bottom: int | None
 
     @classmethod
     def of(cls, instance: Instance) -> Reach:
         floors = [0]
         for pmf in instance.demands:
             floors.append(floors[-1] - pmf.max_value)
-        return cls(tuple(floors), max(-floors[-1], 1))
+        bottom = None
+        if instance.B != math.inf:
+            cap, n = int(instance.B), instance.horizon
+            # below: min(0, F^C_{t+1}), 0 after the last period;
+            # lowest: min over the later periods of min(F^C_t - floor(t), 0)
+            below = lowest = 0
+            for t in range(n, 0, -1):
+                line_c = instance.demands[t - 1].support[0] + below - cap
+                lowest = min(lowest, line_c - floors[t - 1])
+                below = min(0, line_c)
+            bottom = min(floors[n - 1] + lowest, -1)
+        return cls(tuple(floors), max(-floors[-1], 1), bottom)
 
     def floor(self, period: int) -> int:
         """Lowest state reachable at the start of period 1..n+1 from x0 = 0."""

@@ -9,7 +9,9 @@ solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
 against the optimum, so a report does not depend on any seed. A point is
 solved only up to its structural top, the sum of its per-period maximum
-demands (stochinv.sdp.Reach), with the same results as on the whole grid.
+demands, and, at a finite capacity, only from its structural bottom, below
+which every period's decision stays the same (stochinv.sdp.Reach), with the
+same results as on the whole grid.
 """
 
 from __future__ import annotations
@@ -198,13 +200,15 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    The point is solved on the grid cut off at the structural top of Reach,
-    when that lies inside the grid: the bands, the COP flags and the exact
-    gap are then those of the whole grid (the proof is in the Reach
-    docstring).
+    The point is solved on the grid cut off at the structural top of Reach
+    and, at a finite capacity, raised to its structural bottom, where each
+    lies inside the grid: the bands, the COP flags and the exact gap are
+    then those of the whole grid (the proofs are in the Reach docstring).
     """
     instance = point.instance
-    grid = Grid(grid.x_min, min(grid.x_max, instance.reach.top))
+    reach = instance.reach
+    x_min = grid.x_min if reach.bottom is None else max(grid.x_min, reach.bottom)
+    grid = Grid(x_min, min(grid.x_max, reach.top))
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
@@ -227,8 +231,9 @@ def run_benchmark(design, config: SimulationConfig | None = None,
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
     grid is the outer grid: a point is solved only up to its structural top
-    (see Reach) when that lies below grid.x_max, which gives the same
-    results as the whole grid.
+    when that lies below grid.x_max, and from its structural bottom when
+    that lies above grid.x_min (see Reach), which gives the same results as
+    the whole grid.
     Results keep design order. A point whose grid is too narrow or whose
     tables or prices are inconsistent is recorded as an error.
     """

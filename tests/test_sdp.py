@@ -12,9 +12,9 @@ from pytest import approx
 
 from conftest import FIXTURE_GRIDS, instance_path
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
-                      Instance, ValueTables, load_instance, pmf_empirical,
-                      pmf_parametric, random_instance, sdp, search_grid,
-                      solve)
+                      Instance, ValueTables, load_instance, optimality_gap,
+                      pmf_empirical, pmf_parametric, random_instance,
+                      read_policy, sdp, search_grid, solve)
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_window_min,
@@ -383,6 +383,74 @@ class TestTrimmedTop:
             assert not tall.Qstar[t, tall.grid.index(d_t):].any(), t + 1
 
 
+def line_floors(instance):
+    """F^C_t for t = 1..n (see Reach): from there down, period t's capacity
+    window lies on a line of G_t."""
+    cap, below, out = int(instance.B), 0, []
+    for pmf in reversed(instance.demands):
+        out.append(pmf.support[0] + below - cap)
+        below = min(0, out[-1])
+    return out[::-1]
+
+
+def policy_outcome(tables):
+    """(bands, COP periods, exact gap from x0 = 0), or the grid error's name."""
+    try:
+        policy = read_policy(tables)
+    except GridSpanError:
+        return "GridSpanError"
+    gap = optimality_gap(tables.instance, tables, policy.top(), 0)
+    return policy.bands, policy.cop_violated, gap
+
+
+class TestStructuralBottom:
+    """Solving from Reach.bottom up, as the bed does, keeps every certified
+    table entry, band, COP flag and gap of a deeper grid, and the deeper
+    grid's certified states at or below F^C_t all take one decision: order
+    B, or never."""
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+           extra=st.integers(500, 900))
+    # no fixed cost: a deep state orders B whenever the line falls at all
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
+             B=4, discount=1.0, extra=500)
+    # v >= p: the last period never orders deep down, the earlier ones may
+    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
+             B=20, discount=1.0, extra=500)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=25, discount=0.8, extra=500)
+    # no demand before the last period: floor(n) = 0
+    @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
+             h=1.0, p=6.0, B=9, discount=1.0, extra=500)
+    @settings(max_examples=100, deadline=None)
+    def test_tables_and_policy_match_a_deeper_grid(self, points, K, v, h, p,
+                                                   B, discount, extra):
+        demands = empirical_pmfs(points)
+        instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
+                            demands=demands, discount=discount)
+        reach = instance.reach
+        shallow = solve(instance, Grid(reach.bottom, reach.top))
+        deep = solve(instance, Grid(reach.bottom - extra, reach.top))
+        for t, f_c in enumerate(line_floors(instance), start=1):
+            lo = shallow.exact_from(t)
+            assert lo <= min(reach.floor(t), f_c), t
+            row, kept = t - 1, deep.grid.index(lo)
+            for name in ("C", "G", "Qstar"):
+                got, want = getattr(shallow, name), getattr(deep, name)
+                assert got[row, lo - reach.bottom:].tobytes() == \
+                    want[row, kept:].tobytes(), (name, t)
+            decisions = np.unique(deep.Qstar[row, deep.grid.index(deep.exact_from(t)):
+                                             deep.grid.index(f_c) + 1])
+            assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
+        assert policy_outcome(shallow) == policy_outcome(deep)
+
+
 class TestUnboundedCapacity:
     """B = inf solves to the same bytes as a capacity as wide as the grid:
     no order can reach past its top either way."""
@@ -590,6 +658,36 @@ class TestGridValidation:
         idle = dataclasses.replace(
             inst, demands=(pmf_empirical([0], [1.0]),) * 2)
         assert sdp.Reach.of(idle).top == 1
+
+    def test_bottom(self):
+        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=demands)
+        # F^C_2 = 7 - 3 = 4, F^C_1 = 0 + min(0, 4) - 3 = -3 and floor(2) = -3:
+        # bottom = -3 + min(4 + 3, -3 - 0, 0) = -6
+        assert inst.reach.bottom == -6 and line_floors(inst) == [-3, 4]
+        tables = solve(inst, Grid(-6, 10))
+        assert tables.exact_from(1) == -3 and tables.exact_from(2) == -6
+        # an integral float capacity, which Instance accepts, gives an int
+        # that Grid takes
+        as_float = sdp.Reach.of(dataclasses.replace(inst, B=3.0)).bottom
+        assert as_float == -6 and type(as_float) is int
+        assert Grid(as_float, 10).x_min == -6
+        # at B = inf no finite window lies on a line
+        assert sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).bottom is None
+        # one period: floor(n) = 0, and a window above the demand keeps -1
+        one = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
+                       demands=(pmf_empirical([5], [1.0]),))
+        assert one.reach.bottom == -1 and type(one.reach.bottom) is int
+        assert sdp.Reach.of(dataclasses.replace(one, B=65.0)).bottom == -60
+        # no demand before the last period: floor(n) = 0 again
+        late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
+                        demands=(pmf_empirical([0], [1.0]),) * 2
+                        + (pmf_empirical([9], [1.0]),))
+        assert late.reach.floor(3) == 0 and line_floors(late) == [-2, -1, 8]
+        assert late.reach.bottom == -2 and type(late.reach.bottom) is int
+        idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
+        assert idle.reach.bottom == -3
 
     def test_exact_to(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from stochinv import (DEFAULT_GRID, BenchmarkReport, DesignPoint, Grid,
-                      PointResult, build_design, demand_patterns,
-                      optimality_gap, read_policy, run_benchmark, solve,
-                      testbed)
+                      GridSpanError, PointResult, build_design,
+                      demand_patterns, optimality_gap, read_policy,
+                      run_benchmark, solve, testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -150,17 +150,28 @@ class TestSmallBenchmarkRun:
 
 
 def direct_result(point, grid):
-    """(gap, max thresholds, COP periods) of the point solved on the whole grid."""
-    tables = solve(point.instance, grid)
-    policy = read_policy(tables)
+    """The point's result solved on the whole grid, without the bed's cuts."""
+    try:
+        tables = solve(point.instance, grid)
+        policy = read_policy(tables)
+    except GridSpanError as exc:
+        return PointResult(point, math.nan, 0, (), f"GridSpanError: {exc}")
     violated = policy.cop_violated
     max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                    if period not in violated), default=0)
-    return optimality_gap(point.instance, tables, policy.top(), 0), max_thr, violated
+    gap = optimality_gap(point.instance, tables, policy.top(), 0)
+    return PointResult(point, gap, max_thr, violated, None)
+
+
+def outcome(result):
+    """A point result as comparable fields, NaN-aware: the gap by its bits."""
+    return (result.gap.hex(), result.max_thresholds, result.cop_violations,
+            result.error)
 
 
 class TestTrimmedTopMatchesTheWholeGrid:
-    """The bed solves a point only up to sum_t dmax_t; its results are those
+    """The bed solves a point only from its structural bottom (at a finite
+    capacity) up to its structural top, sum_t dmax_t; its results are those
     of the whole outer grid, exactly."""
 
     @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
@@ -173,20 +184,35 @@ class TestTrimmedTopMatchesTheWholeGrid:
         assert point.instance.B >= 393 and top < DEFAULT_GRID.x_max
         (result,) = run_benchmark([point]).results
         assert result.error is None
-        assert (result.gap, result.max_thresholds,
-                result.cop_violations) == direct_result(point, DEFAULT_GRID)
+        assert outcome(result) == outcome(direct_result(point, DEFAULT_GRID))
+
+    # the smallest and the largest capacity of one pattern in each family.
+    # At B = 125 (m4) ordering the capacity saves (p - v) B = K exactly in
+    # the last period below its F^C, a tie the tolerance decides. Geometric
+    # points reach below the default grid, keep its floor and fail there.
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("b_mult", [2, 4])
+    def test_each_family_on_the_default_grid(self, family, b_mult):
+        (point,) = [pt for pt in build_design((family,))
+                    if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
+                    == ("LC1", 1000, 2, 10, b_mult) and pt.cv in (None, 0.2)]
+        raised = point.instance.reach.bottom > DEFAULT_GRID.x_min
+        assert raised == (family != "geometric")
+        (result,) = run_benchmark([point]).results
+        assert (result.error is None) == raised
+        assert outcome(result) == outcome(direct_result(point, DEFAULT_GRID))
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
-        # period 1 orders again at 616-618, below the top 899 of Grid(-1000, 1100)
+        # period 1 orders again at 616-618, between the bottom -765 and the
+        # top 899, on the default grid and inside Grid(-1000, 1100)
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        grid = Grid(-1000, 1100)
-        assert sum(d.max_value for d in inst.demands) == 899
-        (result,) = run_benchmark([point], grid=grid).results
-        assert result.cop_violations == (1,)
-        assert (result.gap, result.max_thresholds,
-                result.cop_violations) == direct_result(point, grid)
+        assert (inst.reach.bottom, inst.reach.top) == (-765, 899)
+        for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
+            (result,) = run_benchmark([point], grid=grid).results
+            assert result.cop_violations == (1,)
+            assert outcome(result) == outcome(direct_result(point, grid))
 
     def test_the_trimmed_grid_is_what_gets_solved(self, two_points, monkeypatch):
         solved = []
@@ -197,14 +223,18 @@ class TestTrimmedTopMatchesTheWholeGrid:
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
-        top = sum(d.max_value for d in point.instance.demands)
-        run_benchmark([point], grid=Grid(-2000, 2500))
-        run_benchmark([point], grid=Grid(-2000, top))
-        run_benchmark([point], grid=Grid(-2000, top + 1))
-        # an uncapacitated point is cut at the same top
+        bottom, top = -2492, 1360
+        assert (point.instance.reach.bottom, point.instance.reach.top) == (bottom, top)
+        run_benchmark([point], grid=DEFAULT_GRID)
+        run_benchmark([point], grid=Grid(bottom, top))
+        run_benchmark([point], grid=Grid(bottom - 1, top + 1))
+        # a grid below the top is kept as given there
+        run_benchmark([point], grid=Grid(-2500, top - 1))
+        # and a floor above the bottom
+        run_benchmark([point], grid=Grid(bottom + 1, 2500))
+        # an uncapacitated point is cut at the same top and keeps the floor
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
-        run_benchmark([unbounded], grid=Grid(-2000, 2500))
-        # a grid below the top is kept as given
-        run_benchmark([point], grid=Grid(-2000, top - 1))
-        assert solved == [Grid(-2000, top)] * 4 + [Grid(-2000, top - 1)]
+        run_benchmark([unbounded], grid=DEFAULT_GRID)
+        assert solved == [Grid(bottom, top)] * 3 + [
+            Grid(bottom, top - 1), Grid(bottom + 1, top), Grid(-10000, top)]
