@@ -81,11 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
         min_help=("outer bound on the lowest inventory state: a point with a "
                   "finite capacity is solved only from its structural bottom "
                   "(stochinv.sdp.Reach), below which each period's decision "
-                  "stays the same, when that is higher, with the same results"),
+                  "stays the same, when that is higher, with the same results; "
+                  "a point whose certified range starts above 0 is an error"),
         max_help=("outer bound on the highest inventory state: a point is "
                   "solved only up to its structural top, the sum of its "
                   "per-period maximum demands (stochinv.sdp.Reach), when that "
-                  "is lower, with the same results"))
+                  "is lower, with the same results, and is an error when "
+                  "that is higher"))
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser

@@ -230,7 +230,8 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
 
     mean must be positive and finite. cv (coefficient of variation) is
     required for normal, lognormal and gamma, where it must be positive and
-    finite, and must be omitted for the discrete families.
+    finite, and must be omitted for the discrete families. A boolean mean
+    or cv is rejected, not read as 1.
 
     The masses and the tail cut are bit-identical to building the same law
     through scipy.stats (poisson, geom with loc=-1, norm, lognorm, gamma),
@@ -240,6 +241,9 @@ def pmf_parametric(family: str, mean: float, cv: float | None = None,
     """
     if family not in PARAMETRIC_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    for name, value in (("mean", mean), ("cv", cv)):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, not a boolean")
     if not (mean > 0 and math.isfinite(mean)):
         raise ValueError("mean must be positive and finite")
     if not 0 < tail_eps < 0.01:

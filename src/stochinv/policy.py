@@ -4,10 +4,11 @@ read_policy is the one band reader: it turns each period's optimal-action
 table into multi-threshold (s_k, S_k) form from the period's certified
 floor exact_from up, checks the continuous order property that form
 relies on, and holds the resulting modified multi-(s, S) policy as a
-ThresholdPolicy. The module also verifies the generalized convexity the
-cost tables are supposed to carry, and computes lower-envelope
-diagnostics that explain which local minima of G are reachable
-order-up-to levels.
+ThresholdPolicy. verify_kb_convexity checks the (K, B)-convexity the cost
+tables are supposed to carry on each period's certified range
+[exact_from, exact_to], the states whose values no grid edge touches.
+qce_diagnostics computes lower-envelope diagnostics that explain which
+local minima of G are reachable order-up-to levels.
 """
 
 from __future__ import annotations
@@ -207,25 +208,45 @@ def read_policy(tables: ValueTables) -> ThresholdPolicy:
     return ThresholdPolicy(tuple(bands), tuple(flagged))
 
 
-def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
-                        center: int | None = None, x0: int = 0) -> KBReport:
-    """Check the two capacity-aware convexity inequalities on a sub-window.
+def verify_kb_convexity(tables: ValueTables,
+                        period: int) -> tuple[KBReport, KBReport]:
+    """(K, B)-convexity of the period's G and C rows on its certified range.
 
-    For all y <= x in the window and step sizes a, b in (0, B]:
+    Both rows are checked on [exact_from(period), exact_to(period)], the
+    states whose values neither grid edge touches, with the instance's K
+    and B (see _kb_convexity). Returns (g_report, c_report); a witness
+    (x, a, y, b) names states x and y. Raises GridSpanError when the grid
+    certifies no state of the period, and ValueError (from exact_to) at
+    B = inf on a grid below the structural top.
+    """
+    lo, hi = tables.exact_from(period), tables.exact_to(period)
+    if hi < lo:
+        raise GridSpanError(
+            f"period {period} has no certified state: exact_from = {lo} "
+            f"lies above exact_to = {hi}; widen the grid")
+    row, instance = tables.row(period), tables.instance
+    cols = slice(tables.grid.index(lo), tables.grid.index(hi) + 1)
+    reports = []
+    for curve in (tables.G, tables.C):
+        report = _kb_convexity(curve[row, cols], instance.K, instance.B)
+        if not report.ok:
+            x, a, y, b = report.witness
+            report = KBReport(False, (lo + x, a, lo + y, b))
+        reports.append(report)
+    return tuple(reports)
+
+
+def _kb_convexity(g: np.ndarray, K: float, B: int | float) -> KBReport:
+    """Check the two capacity-aware convexity inequalities on a whole row.
+
+    For all y <= x in the row and step sizes a, b in (0, B]:
       (K + g(x+a) - g(x)) / a >= (g(y) - g(y-b)) / b            (difference form)
       (K + g(x+a) - g(x)) / a >= (K + g(y) - g(y-B)) / B        (capacity form)
-    A defect below -1e-6 is a violation. The window defaults to 400 states
-    centered on `center` (array index; middle of the array when omitted).
-    Witness coordinates are reported as x0 + index. With B infinite the step
-    sizes are capped by the window and the capacity form is vacuous.
+    A defect below -_KB_TOL is a violation. Witness coordinates are array
+    indices. With B infinite the step sizes are capped by the row and the
+    capacity form is vacuous.
     """
-    g_full = np.asarray(values, dtype=np.float64)
-    if window > g_full.size:
-        raise ValueError(f"window {window} exceeds array of size {g_full.size}")
-    if center is None:
-        center = g_full.size // 2
-    lo = min(max(0, center - window // 2), g_full.size - window)
-    g = g_full[lo:lo + window]
+    g = np.asarray(g, dtype=np.float64)
     n = g.size
     max_step = int(min(B, n - 1))
 
@@ -259,10 +280,10 @@ def verify_kb_convexity(values, K: float, B: int | float, window: int = 400,
     i = int(np.flatnonzero(bad)[0])
     if t[i] < m_cum[i] - _KB_TOL:
         j = int(np.argmax(m[:i + 1]))
-        witness = (x0 + lo + i, int(t_arg[i]), x0 + lo + j, int(m_arg[j]))
+        witness = (i, int(t_arg[i]), j, int(m_arg[j]))
     else:
         j = int(np.argmax(u[:i + 1]))
-        witness = (x0 + lo + i, int(t_arg[i]), x0 + lo + j, int(B))
+        witness = (i, int(t_arg[i]), j, int(B))
     return KBReport(False, witness)
 
 

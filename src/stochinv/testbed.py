@@ -204,6 +204,10 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     and, at a finite capacity, raised to its structural bottom, where each
     lies inside the grid: the bands, the COP flags and the exact gap are
     then those of the whole grid (the proofs are in the Reach docstring).
+    A point is priced only on certified values: a grid whose top lies
+    below the structural top, or whose certified floor exact_from(1) lies
+    above x0 = 0, records a GridSpanError after the policy is read, so the
+    errors solve and read_policy raise keep their text.
     """
     instance = point.instance
     reach = instance.reach
@@ -212,6 +216,15 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
+        if grid.x_max < reach.top:
+            raise GridSpanError(
+                f"grid top {grid.x_max} lies below the structural top "
+                f"{reach.top}; widen the grid upward")
+        floor = tables.exact_from(1)
+        if floor > 0:
+            raise GridSpanError(
+                f"x0 = 0 lies below the certified floor exact_from(1) = "
+                f"{floor}; widen the grid downward")
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                        if period not in violated), default=0)
@@ -235,6 +248,9 @@ def run_benchmark(design, config: SimulationConfig | None = None,
     that lies above grid.x_min (see Reach), which gives the same results as
     the whole grid.
     Results keep design order. A point whose grid is too narrow or whose
-    tables or prices are inconsistent is recorded as an error.
+    tables or prices are inconsistent is recorded as an error. Too narrow
+    includes an outer grid below the point's structural top, and a floor
+    whose certified range exact_from(1) starts above x0 = 0: such a point
+    would be priced off values the grid edges distort.
     """
     return BenchmarkReport(tuple(_evaluate_point(pt, grid) for pt in design))

@@ -98,6 +98,34 @@ def brute_window_min(g_row, cap):
     return mins, offsets
 
 
+def brute_kb_violations(g, K, B, tol):
+    """Every (x, a, y, b) that breaks (K, B)-convexity by more than tol.
+
+    A plain loop over y <= x and steps a, b in 1..min(B, len(g) - 1) that
+    keep x + a and y - b on the row, testing
+      (K + g[x+a] - g[x]) / a >= (g[y] - g[y-b]) / b               always,
+      (K + g[x+a] - g[x]) / a >= (K + g[y] - g[y-b]) / b           at b = B.
+    """
+    n = len(g)
+    steps = range(1, int(min(B, n - 1)) + 1)
+    found = set()
+    for x in range(n):
+        for a in steps:
+            if x + a >= n:
+                break
+            lhs = (K + g[x + a] - g[x]) / a
+            for y in range(x + 1):
+                for b in steps:
+                    if y - b < 0:
+                        break
+                    rhs = (g[y] - g[y - b]) / b
+                    if b == B:
+                        rhs = max(rhs, (K + g[y] - g[y - b]) / b)
+                    if lhs < rhs - tol:
+                        found.add((x, a, y, b))
+    return found
+
+
 def branchy_expected_continuation(c_row, pmf):
     """E[c_row(y - demand)] with a branch per demand point for the clamp.
 

@@ -50,6 +50,12 @@ SEASONAL_REFERENCE = {
 }
 
 
+@pytest.fixture(scope="module")
+def committed_search():
+    """The seed-3 search over 1000 draws, which finds violator 886."""
+    return search_cop_violations(CexSearchParams(seed=3, budget=1000))
+
+
 def test_threshold_tables_for_all_capacities(seasonal_tables):
     for B, by_period in SEASONAL_REFERENCE.items():
         policy = read_policy(seasonal_tables[B])
@@ -113,15 +119,33 @@ class TestPropertySuite:
     def test_value_rows_pass_convexity_checks(self, seasonal_tables,
                                               spiky_tables, lumpy_tables,
                                               volatile_tables):
-        cases = [(tables, seasonal_instance(B).K, B)
-                 for B, tables in seasonal_tables.items()]
-        for tables in (spiky_tables, lumpy_tables, volatile_tables):
-            cases.append((tables, tables.instance.K, tables.instance.B))
-        for tables, k_fixed, cap in cases:
+        # each period's G and C rows on its whole certified range; the
+        # volatile grid is raised to its structural top, since below it
+        # periods 1-5 certify no state (exact_to = 600 - 128 (12 - t))
+        volatile = volatile_tables.instance
+        volatile_tall = solve(volatile,
+                              Grid(volatile_tables.grid.x_min, volatile.reach.top))
+        for tables in (*seasonal_tables.values(), spiky_tables, lumpy_tables,
+                       volatile_tall):
             for period in range(1, tables.instance.horizon + 1):
-                r = tables.row(period)
-                assert verify_kb_convexity(tables.G[r], k_fixed, cap).ok
-                assert verify_kb_convexity(tables.C[r], k_fixed, cap).ok
+                g_report, c_report = verify_kb_convexity(tables, period)
+                assert g_report.ok, (tables.instance.B, period)
+                assert c_report.ok, (tables.instance.B, period)
+
+    def test_convexity_holds_where_the_order_property_fails(
+            self, spiky_tables, committed_search):
+        # (K, B)-convexity does not imply the continuous order property: the
+        # spiky fixture's period 1 and the seed-3 violator's period 2 break
+        # the property and keep the convexity
+        violator = committed_search[0]
+        cases = [(spiky_tables, 1),
+                 (solve(violator.instance, search_grid(violator.instance)),
+                  violator.period)]
+        for tables, period in cases:
+            assert not check_cop(tables, period, tables.exact_from(period)).holds
+            g_report, c_report = verify_kb_convexity(tables, period)
+            assert g_report.ok
+            assert c_report.ok
 
     def test_thresholds_reconstruct_the_action_table(
             self, seasonal_tables, spiky_tables, lumpy_tables,
@@ -203,11 +227,10 @@ def test_multi_band_policy_is_optimal_on_the_bed():
     assert checked >= 40
 
 
-def test_random_search_replay_is_exact():
-    params = CexSearchParams(seed=3, budget=1000)
-    first = search_cop_violations(params)
+def test_random_search_replay_is_exact(committed_search):
+    first = committed_search
     assert [(v.index, v.period) for v in first] == [(886, 2)]
     assert first[0].report.violation_witness == (492, 493)
-    second = search_cop_violations(params)
+    second = search_cop_violations(CexSearchParams(seed=3, budget=1000))
     assert json.dumps(serialize_instance(first[0].instance)) == \
         json.dumps(serialize_instance(second[0].instance))

@@ -242,6 +242,17 @@ class TestSolveCommand:
         assert err.startswith("error: demands[0]: ") and "finite" in err
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    def test_boolean_demand_mean_is_a_usage_error(self, tmp_path, capsys):
+        doc = {"horizon": 1, "K": 10.0, "v": 0.0, "h": 1.0, "p": 5.0,
+               "B": 10, "demands": [{"family": "poisson", "mean": True}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["solve", str(bad), "--out", str(tmp_path / "bad")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: demands[0]: mean must be a number, not a boolean\n")
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "seasonal"
         rc = main(["solve", instance_path("seasonal_poisson.json"),

@@ -197,6 +197,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean"):
             pmf_parametric("poisson", mean)
 
+    @pytest.mark.parametrize("family,mean,cv,name", [
+        ("poisson", True, None, "mean"),
+        ("geometric", np.True_, None, "mean"),
+        ("normal", 10.0, True, "cv"),
+        ("gamma", True, 0.2, "mean"),
+    ])
+    def test_boolean_parameter_rejected(self, family, mean, cv, name):
+        # a boolean would pass every numeric rule as 1
+        with pytest.raises(ValueError, match=f"{name} must be a number, not a boolean"):
+            pmf_parametric(family, mean, cv)
+
     @pytest.mark.parametrize("eps", [0.0, 0.01, 0.5, -1e-9])
     def test_tail_eps_domain(self, eps):
         with pytest.raises(ValueError, match="tail_eps"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from conftest import FIXTURE_GRIDS, instance_path
-from oracle import (rebuild_order_quantity, split_state_runs,
-                    threshold_pairs_by_run)
+from oracle import (brute_kb_violations, rebuild_order_quantity,
+                    split_state_runs, threshold_pairs_by_run)
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, KBReport, MalformedTable, ThresholdPolicy,
-                      check_cop, load_instance, pmf_empirical, qce_diagnostics,
-                      random_instance, read_policy, search_grid, solve,
-                      thresholds_csv, verify_kb_convexity)
-from stochinv.policy import _read_period, _state_runs
+                      ValueTables, check_cop, load_instance, pmf_empirical,
+                      qce_diagnostics, random_instance, read_policy,
+                      search_grid, solve, thresholds_csv, verify_kb_convexity)
+from stochinv.policy import _KB_TOL, _kb_convexity, _read_period, _state_runs
 
 SEASONAL_PAIRS = {
     (35, 1): ((39, 68), (46, 81)),
@@ -151,39 +152,71 @@ class TestBandOptimality:
 class TestConvexityCheck:
     def test_flat_with_dip_is_rejected(self):
         values = [0.0] * 10 + [-10.0] + [0.0] * 10
-        report = verify_kb_convexity(values, K=1.0, B=1, window=21)
+        report = _kb_convexity(values, K=1.0, B=1)
         assert not report.ok
         assert report.witness == (9, 1, 1, 1)
 
     def test_convex_passes_at_zero_fixed_cost(self):
         values = [(x - 5) ** 2 for x in range(21)]
-        assert verify_kb_convexity(values, K=0.0, B=3, window=21).ok
+        assert _kb_convexity(values, K=0.0, B=3).ok
 
     def test_convex_passes_unbounded_steps(self):
         values = [(x - 5) ** 2 for x in range(21)]
-        assert verify_kb_convexity(values, K=2.0, B=math.inf, window=21).ok
+        assert _kb_convexity(values, K=2.0, B=math.inf).ok
 
     def test_dip_is_rejected_with_unbounded_steps(self):
         # from state 1 the step of 9 up to the dip beats every step down
         values = [0.0] * 10 + [-10.0] + [0.0] * 10
-        report = verify_kb_convexity(values, K=1.0, B=math.inf, window=21)
+        report = _kb_convexity(values, K=1.0, B=math.inf)
         assert report == KBReport(False, (1, 9, 1, 1))
+
+    def test_a_rise_below_x_counts(self):
+        # from state 2 a step of 3 costs (10 + 2 - 2) / 3 a unit, less than
+        # the rise of 4 into state 1; no state breaks the inequality
+        # against its own steps down
+        values = [0.0, 4.0, 2.0, 2.0, 6.0, 2.0, 4.0, 9.0]
+        assert _kb_convexity(values, K=10.0, B=3) == KBReport(False, (2, 3, 1, 1))
 
     def test_solved_curves_pass(self, seasonal_tables):
         tables = seasonal_tables[65]
         for period in range(1, 5):
-            r = tables.row(period)
-            assert verify_kb_convexity(tables.G[r], 100.0, 65).ok
-            assert verify_kb_convexity(tables.C[r], 100.0, 65).ok
+            g_report, c_report = verify_kb_convexity(tables, period)
+            assert g_report.ok
+            assert c_report.ok
 
-    def test_window_must_fit(self):
-        with pytest.raises(ValueError):
-            verify_kb_convexity([1.0, 2.0], K=1.0, B=1, window=10)
+    def test_witness_in_state_coordinates(self):
+        # one period certifies its whole grid, here states -10..10
+        instance = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
+                            demands=(pmf_empirical([0], [1.0]),))
+        grid = Grid(-10, 10)
+        g = np.array([[0.0] * 10 + [-10.0] + [0.0] * 10])
+        tables = ValueTables(np.zeros_like(g), g, np.zeros(g.shape, np.int64),
+                             grid, instance)
+        assert (tables.exact_from(1), tables.exact_to(1)) == (-10, 10)
+        assert verify_kb_convexity(tables, 1) == (
+            KBReport(False, (-1, 1, -9, 1)), KBReport(True, None))
 
-    def test_witness_offset_by_origin(self):
-        values = [0.0] * 10 + [-10.0] + [0.0] * 10
-        report = verify_kb_convexity(values, K=1.0, B=1, window=21, x0=100)
-        assert report.witness == (109, 1, 101, 1)
+    def test_a_period_without_certified_states_is_refused(self, volatile_tables):
+        # below the structural top 1704, exact_to(1) = 600 - 11 * 128 lies
+        # under exact_from(1) = 425
+        with pytest.raises(GridSpanError, match="period 1 has no certified state"):
+            verify_kb_convexity(volatile_tables, 1)
+        assert all(report.ok for report in verify_kb_convexity(volatile_tables, 12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rises=st.lists(st.integers(-20, 20), max_size=39),
+           k_fixed=st.floats(0, 6), data=st.data())
+    def test_matches_brute_force(self, rises, k_fixed, data):
+        # rises in tenths meet defects that are 0 up to rounding, where the
+        # tolerance decides, and a fixed cost of the size of the rises
+        # makes both verdicts common
+        values = list(itertools.accumulate((r / 10 for r in rises), initial=0.0))
+        cap = data.draw(st.one_of(st.integers(1, len(values)), st.just(math.inf)))
+        report = _kb_convexity(values, k_fixed, cap)
+        broken = brute_kb_violations(values, k_fixed, cap, _KB_TOL)
+        assert report.ok == (not broken)
+        if not report.ok:
+            assert report.witness in broken
 
 
 class TestQceDiagnostics:

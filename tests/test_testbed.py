@@ -126,6 +126,20 @@ class TestSmallBenchmarkRun:
         assert error.startswith("GridSpanError: ")
         assert math.isnan(report.results[0].gap)
 
+    def test_uncertified_states_are_not_priced(self, two_points):
+        # the point's structural top is 1360 and floor(20) is -1292, so
+        # exact_from(1) on a grid from -1291 is 1, above x0 = 0
+        point = two_points[0]
+        errors = [run_benchmark([point], grid=grid).errors
+                  for grid in (Grid(-2500, 1359), Grid(-1291, 2500))]
+        assert errors == [
+            [(point.key, "GridSpanError: grid top 1359 lies below the "
+              "structural top 1360; widen the grid upward")],
+            [(point.key, "GridSpanError: x0 = 0 lies below the certified "
+              "floor exact_from(1) = 1; widen the grid downward")]]
+        # one state lower, every period is certified from x0 = 0 up
+        assert run_benchmark([point], grid=Grid(-1292, 1360)).errors == []
+
     def test_unexpected_exception_reaches_the_caller(self, two_points,
                                                      monkeypatch):
         def broken_solve(instance, grid):
