@@ -8,9 +8,11 @@ takes no seed.
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
 instance-file errors; 3 grid, numerical or malformed-band errors, among
-them a period that orders only below its certified floor exact_from (the
-grid is too narrow; `solve` then writes no file) and an optimal policy
-whose exact cost does not reproduce the solved value.
+them a period that orders only below its certified floor exact_from, a
+grid that ends below the instance's structural top, x0 = 0 below the
+certified floor exact_from(1) (`simulate`), all of which leave the grid
+too narrow (`solve` then writes no file), and an optimal policy whose
+exact cost does not reproduce the solved value.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         p_bench,
         min_help=("outer bound on the lowest inventory state: a point with a "
                   "finite capacity is solved only from its structural bottom "
-                  "(stochinv.sdp.Reach), below which each period's decision "
-                  "stays the same, when that is higher, with the same results; "
-                  "a point whose certified range starts above 0 is an error"),
+                  "(stochinv.sdp.Reach), below which each period orders its "
+                  "whole capacity or keeps one decision along a line, when "
+                  "that is higher, with the same results; a point whose "
+                  "certified range starts above 0 is an error"),
         max_help=("outer bound on the highest inventory state: a point is "
                   "solved only up to its structural top, the sum of its "
                   "per-period maximum demands (stochinv.sdp.Reach), when that "
@@ -102,7 +105,9 @@ def cmd_solve(args) -> int:
     for path in (tables_path, thresholds_path, report_path):
         Path(path).unlink(missing_ok=True)   # no earlier run's file stays
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
-    policy = read_policy(tables)   # a grid error stops the run before any write
+    # grid errors stop the run before any write
+    policy = read_policy(tables)
+    tables.check_top()
 
     tables.to_csv(tables_path)
     for period in policy.cop_violated:
@@ -146,6 +151,8 @@ def cmd_simulate(args) -> int:
     if args.policy != "optimal":
         orders = modified_ss_from_tables(tables).orders(tables.grid, instance.B)
         costs["modified-ss"] = expected_cost(instance, tables.grid, orders, x0)
+    tables.check_top()
+    tables.check_start(x0)
 
     for name, cost in costs.items():
         print(f"{name}: expected cost {cost:.6f}")

@@ -21,16 +21,19 @@ query decides a slide, and only the other ordering states are searched.
 
 Reach derives, from the instance alone, each period's reachable floor, the
 structural top above which no grid orders and, at a finite capacity, the
-structural bottom below which every period's decision stays the same. The
-certified ranges of ValueTables (exact_from, exact_to), solve's width
-checks, the bed's grid between bottom and top and the COP search grid are
-all read off it, once per instance through Instance.reach.
+structural bottom below which every period's decision stays the same:
+from each period's capacity-slide level down it orders the whole capacity,
+and from its line floor down its rows are lines. The certified ranges of
+ValueTables (exact_from, exact_to), solve's width checks, the bed's grid
+between bottom and top and the COP search grid are all read off it, once
+per instance through Instance.reach; the bottom, which only the bed reads,
+is derived on its first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +41,8 @@ import numpy as np
 from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
+# a capacity slide's margin for rounding over the tie tolerance (Reach)
+_SLIDE_MARGIN = 1e-6
 # states per write in ValueTables.to_csv: enough to amortise the per-block
 # calls, few enough that one block's pieces and texts stay small in memory
 _CSV_BLOCK = 4096
@@ -92,8 +97,13 @@ class Instance:
 
     @cached_property
     def reach(self) -> Reach:
-        """Reach.of(self), derived once per instance."""
-        return Reach.of(self)
+        """Reach.of(self), derived once per instance.
+
+        The Reach keeps an equal copy of the instance, which its bottom
+        reads: a reference back to this one, which holds the Reach, would
+        make every instance a cycle that only the garbage collector frees.
+        """
+        return Reach.of(replace(self))
 
 
 @dataclass(frozen=True)
@@ -158,10 +168,13 @@ class Reach:
 
     bottom, for a finite B (None at B = inf), is the structural bottom:
     every grid whose floor lies at or below it gives the same bands, COP
-    flags and exact gap from x0 = 0 as any deeper grid. Let dmin_t be
-    period t's smallest demand, F^G_n = dmin_n, F^C_t = F^G_t - B and
-    F^G_t = dmin_t + min(0, F^C_{t+1}); then
-    bottom = min(floor(n) + min_t min(F^C_t - floor(t), 0), -1).
+    flags and exact gap from x0 = 0 as any deeper grid. It is derived on
+    first read, as only the bed reads it. Let dmin_t be period t's smallest
+    demand, F^G_n = dmin_n, F^C_t = F^G_t - B and F^G_t = dmin_t + min(0,
+    F^C_{t+1}) (the line floors), a_t period t's capacity-slide level,
+    defined below, where the bound finds one, and level_t = max(F^C_t, a_t)
+    (F^C_t where it finds none); then
+    bottom = min(floor(n) + min_t min(level_t - floor(t), 0), -1).
     - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
       (nothing is held, the whole demand is short), nothing follows the
       last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
@@ -174,15 +187,42 @@ class Reach:
       tolerance of the minimum is B - floor(tol / -s) at every x (B unless
       -s <= tol). So C_t(x) is -v x + G_t(x) at every such x, or
       -v x + K + G_t(x + B) at every one, which closes the induction.
+    - At and below a_t every state orders B: far enough down, a capacitated
+      policy orders its whole capacity (the X-Y band of Chen and
+      Lambrecht, Oper. Res. 44(6), 1996). Write Df(y) = f(y + 1) - f(y),
+      F_t(y) = P(d_t <= y) and w_t(x) for the minimum of G_t over
+      [x, x + B]. Exactly, DL_t(y) = (h + p) F_t(y) - p. As C_t + v x =
+      min(G_t, K + w_t) and a min rises by at most the larger rise of its
+      branches, DC_t(x) <= max(DG_t(x), 0) - v: if w_t(x) is attained at x,
+      w_t(x + 1) <= G_t(x + 1), and otherwise w_t(x + 1) <= w_t(x). Where
+      DG_t <= 0 on [x, x + B], w_t(x) = G_t(x + B) and w_t(x + 1) =
+      G_t(x + B + 1), so DC_t(x) <= max(DG_t(x), DG_t(x + B)) - v.
+      Let u_n(y) = v + (h + p) F_n(y) - p; for t < n, u_t(y) = v +
+      (h + p) F_t(y) - p + discount c_{t+1}(y - dmin_t); and c_t(x) =
+      u_t(x + B) - v where u_t(x + B) <= 0, max(u_t(x), 0) - v elsewhere.
+      Both are nondecreasing by induction, so E[c_{t+1}(y - d)] <=
+      c_{t+1}(y - dmin_t), and DG_t <= u_t, DC_t <= c_t. a_t is the
+      largest x with u_t(x + B - 1) < -sigma and
+      sum_{y=x}^{x+B-1} -u_t(y) > K + tau. At every x' <= a_t, G_t falls
+      by more than sigma at each step from x' to x' + B, so the window
+      minimum is G_t(x' + B), every smaller offset lies more than sigma
+      above it, and ordering saves more than K + tau: Qstar is B.
+      _slide_levels evaluates the bounds on a window of states, reading
+      c below it as its value at the window's lowest state and u above it
+      as +inf; both being nondecreasing, they stay bounds, and the window
+      decides only how tight they are. sigma = 1e-6 and tau = 1e-9 +
+      1e-6 max(1, K) exceed the tie tolerance by a margin for rounding in
+      the solved rows.
     - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
-      floor(n) lies at or below both floor(t) and F^C_t, and F^C_t < dmin_t
-      <= top, so period t's certified range [exact_from(t), top] holds
-      its reachable floor and a state of the constant decision. A deeper
-      grid certifies the same tables bit for bit on that range, and below
-      it only states of exact_from(t)'s decision. Such a run at the bottom
-      of a row leaves the bands (leading capacity slides carry no pair)
-      and the order-property verdict (the floor orders or not, as before)
-      unchanged, and the gap reads only states at or above floor(t).
+      floor(n) lies at or below both floor(t) <= 0 and level_t, so period
+      t's certified range [exact_from(t), top] holds its reachable floor
+      and a state of the decision every state at or below level_t takes.
+      A deeper grid certifies the same tables bit for bit on that range,
+      and below it only states of exact_from(t)'s decision. Such a run at
+      the bottom of a row leaves the bands (leading capacity slides carry
+      no pair) and the order-property verdict (the floor orders or not,
+      as before) unchanged, and the gap reads only states at or above
+      floor(t).
     The argument treats the values as exact. In floating point the rows
     below F^G_t are lines up to rounding, so only a saving -s B - K within
     rounding of the tie tolerance could be decided differently at
@@ -191,31 +231,89 @@ class Reach:
 
     floors: tuple[int, ...]
     top: int
-    bottom: int | None
+    instance: Instance = field(repr=False)
 
     @classmethod
     def of(cls, instance: Instance) -> Reach:
         floors = [0]
         for pmf in instance.demands:
             floors.append(floors[-1] - pmf.max_value)
-        bottom = None
-        if instance.B != math.inf:
-            cap, n = int(instance.B), instance.horizon
-            # below: min(0, F^C_{t+1}), 0 after the last period;
-            # lowest: min over the later periods of min(F^C_t - floor(t), 0)
-            below = lowest = 0
-            for t in range(n, 0, -1):
-                line_c = instance.demands[t - 1].support[0] + below - cap
-                lowest = min(lowest, line_c - floors[t - 1])
-                below = min(0, line_c)
-            bottom = min(floors[n - 1] + lowest, -1)
-        return cls(tuple(floors), max(-floors[-1], 1), bottom)
+        return cls(tuple(floors), max(-floors[-1], 1), instance)
+
+    @cached_property
+    def bottom(self) -> int | None:
+        instance = self.instance
+        if instance.B == math.inf:
+            return None
+        cap, n = int(instance.B), instance.horizon
+        slides = _slide_levels(instance)
+        # below: min(0, F^C_{t+1}), 0 after the last period;
+        # lowest: min over the later periods of min(level_t - floor(t), 0)
+        below = lowest = 0
+        for t in range(n, 0, -1):
+            line_c = instance.demands[t - 1].support[0] + below - cap
+            level = line_c if slides[t - 1] is None else max(line_c, slides[t - 1])
+            lowest = min(lowest, level - self.floors[t - 1])
+            below = min(0, line_c)
+        return min(self.floors[n - 1] + lowest, -1)
 
     def floor(self, period: int) -> int:
         """Lowest state reachable at the start of period 1..n+1 from x0 = 0."""
         if not 1 <= period <= len(self.floors):
             raise ValueError(f"period must be in 1..{len(self.floors)}")
         return self.floors[period - 1]
+
+
+def _slide_levels(instance: Instance) -> list[int | None]:
+    """a_t of Reach for t = 1..n at a finite capacity, None where none is found.
+
+    Works backward over the window [-B - 2 dmax, dmax + B + 1], dmax the
+    largest demand of any period, with u the bound u_t on the window and,
+    from the period before the last, cv = discount (c_{t+1} + v). u is
+    nondecreasing, so each condition is one binary search. On the 810
+    Poisson bed points this window finds the same levels as one from
+    bottom to top + B, at a fraction of the states.
+    """
+    cap, n = int(instance.B), instance.horizon
+    K, v, h, p = instance.K, instance.v, instance.h, instance.p
+    dmax = max(pmf.max_value for pmf in instance.demands)
+    lo = -cap - 2 * dmax
+    size = 3 * dmax + 2 * cap + 2
+    # K + tau: the tie tolerance plus a margin for rounding in the solved rows
+    saving = K + _TIE_TOL + _SLIDE_MARGIN * max(1.0, K)
+    sums = np.zeros(size + 1)   # sums[i] = u summed over the window's first i states
+    levels: list[int | None] = [None] * n
+    cv = None
+    for t in range(n - 1, -1, -1):
+        pmf = instance.demands[t]
+        rises = np.zeros(size)
+        rises[pmf.support_arr - lo] = pmf.probs_arr * (h + p)
+        u = rises.cumsum()
+        if cv is None:
+            u += v - p
+        else:
+            dmin = pmf.support[0]
+            u += v - p - instance.discount * v
+            u[:dmin] += cv[0]
+            u[dmin:] += cv[:size - dmin]
+        # the window's first `candidates` states x have u(x + B - 1) < -sigma
+        candidates = int(u.searchsorted(-_SLIDE_MARGIN)) - cap + 1
+        if candidates > 0:
+            np.cumsum(u[:candidates + cap - 1], out=sums[1:candidates + cap])
+            found = int((sums[cap:candidates + cap] - sums[:candidates])
+                        .searchsorted(-saving))
+            if found:
+                levels[t] = lo + found - 1
+        if t:
+            # c_t + v: u_t(x + B) up to the last x + B where u_t <= 0, then
+            # max(u_t(x), 0)
+            rising = int(u.searchsorted(0.0, side="right"))
+            cv = np.maximum(u, 0.0)
+            if rising > cap:
+                cv[:rising - cap] = u[cap:rising]
+            if instance.discount != 1.0:
+                cv *= instance.discount
+    return levels
 
 
 @dataclass(frozen=True)
@@ -266,6 +364,29 @@ class ValueTables:
         if self.instance.B == math.inf:
             raise ValueError("below the top, exact_to needs a finite capacity B")
         return self.grid.x_max - int(self.instance.B) * remaining
+
+    def check_top(self) -> None:
+        """Raise GridSpanError when the grid ends below the structural top.
+
+        Below it the highest states are certified only up to exact_to, and
+        a run from x0 can reach past that, so bands and costs read off the
+        tables need not be the instance's.
+        """
+        top = self.instance.reach.top
+        if self.grid.x_max < top:
+            raise GridSpanError(
+                f"grid top {self.grid.x_max} lies below the structural top "
+                f"{top}; widen the grid upward")
+
+    def check_start(self, x0: int) -> None:
+        """Raise GridSpanError when x0 lies below the certified floor
+        exact_from(1), so that a cost from x0 would read values the lower
+        grid edge distorts."""
+        floor = self.exact_from(1)
+        if floor > x0:
+            raise GridSpanError(
+                f"x0 = {x0} lies below the certified floor exact_from(1) = "
+                f"{floor}; widen the grid downward")
 
     def qstar_at(self, period: int, x: int) -> int:
         return int(self.Qstar[self.row(period), self.grid.index(x)])

@@ -10,8 +10,10 @@ the tables once, and the modified (s, S) heuristic is priced exactly
 against the optimum, so a report does not depend on any seed. A point is
 solved only up to its structural top, the sum of its per-period maximum
 demands, and, at a finite capacity, only from its structural bottom, below
-which every period's decision stays the same (stochinv.sdp.Reach), with the
-same results as on the whole grid.
+which every period's decision stays the same: far enough down each period
+either orders its whole capacity or, where the cost rows are lines, takes
+one decision throughout (stochinv.sdp.Reach). The results are those of the
+whole grid.
 """
 
 from __future__ import annotations
@@ -204,10 +206,12 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     and, at a finite capacity, raised to its structural bottom, where each
     lies inside the grid: the bands, the COP flags and the exact gap are
     then those of the whole grid (the proofs are in the Reach docstring).
-    A point is priced only on certified values: a grid whose top lies
-    below the structural top, or whose certified floor exact_from(1) lies
-    above x0 = 0, records a GridSpanError after the policy is read, so the
-    errors solve and read_policy raise keep their text.
+    The bottom is derived here, on first read, from each period's line
+    floor and capacity-slide level. A point is priced only on certified
+    values: a grid whose top lies below the structural top, or whose
+    certified floor exact_from(1) lies above x0 = 0, records a
+    GridSpanError (ValueTables.check_top and check_start) after the policy
+    is read, so the errors solve and read_policy raise keep their text.
     """
     instance = point.instance
     reach = instance.reach
@@ -216,15 +220,8 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
-        if grid.x_max < reach.top:
-            raise GridSpanError(
-                f"grid top {grid.x_max} lies below the structural top "
-                f"{reach.top}; widen the grid upward")
-        floor = tables.exact_from(1)
-        if floor > 0:
-            raise GridSpanError(
-                f"x0 = 0 lies below the certified floor exact_from(1) = "
-                f"{floor}; widen the grid downward")
+        tables.check_top()
+        tables.check_start(0)
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                        if period not in violated), default=0)

@@ -98,6 +98,39 @@ def brute_window_min(g_row, cap):
     return mins, offsets
 
 
+def brute_slide_levels(instance):
+    """The capacity-slide levels a_t of sdp.Reach, state by state.
+
+    u_t and c_t are evaluated at every state of the window
+    [-B - 2 dmax, dmax + B + 1] from their definitions (c below the window
+    reads its lowest state, u above it is +inf), and a_t is the highest
+    state x of the window with u_t(x + B - 1) < 1e-6 below zero and a sum
+    of -u_t over [x, x + B - 1] above K + 1e-9 + 1e-6 max(1, K), each
+    window summed on its own.
+    """
+    cap, n = int(instance.B), instance.horizon
+    K, v, h, p = instance.K, instance.v, instance.h, instance.p
+    dmax = max(pmf.max_value for pmf in instance.demands)
+    lo, hi = -cap - 2 * dmax, dmax + cap + 1
+    saving = K + 1e-9 + 1e-6 * max(1.0, K)
+    levels, c_next = [None] * n, None
+    for t in range(n - 1, -1, -1):
+        pmf = instance.demands[t]
+        u = {}
+        for y in range(lo, hi + 1):
+            below = sum(pr for d, pr in zip(pmf.support, pmf.probs) if d <= y)
+            u[y] = v + (h + p) * below - p
+            if c_next is not None:
+                u[y] += instance.discount * c_next[max(y - pmf.support[0], lo)]
+        for x in range(lo, hi - cap + 2):
+            if (u[x + cap - 1] < -1e-6
+                    and math.fsum(-u[y] for y in range(x, x + cap)) > saving):
+                levels[t] = x
+        c_next = {x: u[x + cap] - v if x + cap <= hi and u[x + cap] <= 0
+                  else max(u[x], 0.0) - v for x in range(lo, hi + 1)}
+    return levels
+
+
 def brute_kb_violations(g, K, B, tol):
     """Every (x, a, y, b) that breaks (K, B)-convexity by more than tol.
 

@@ -288,6 +288,22 @@ class TestSolveCommand:
         assert "exact_from = 425" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_below_the_top_writes_nothing(self, tmp_path, capsys):
+        # the structural top is 330: period 1's bands would read (-13,26)
+        # (13,60) off a grid cut at 60, where the instance's are (-11,31)
+        # (14,70)
+        out = str(tmp_path / "seasonal")
+        stale = tmp_path / "seasonal_tables.csv"
+        stale.write_text("from an earlier run\n")
+        rc = main(["solve", instance_path("seasonal_poisson.json"),
+                   "--grid-min", "-300", "--grid-max", "60", "--out", out])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: grid top 60 lies below the structural "
+                                "top 330; widen the grid upward\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_too_narrow(self, capsys):
         rc = main(["solve", instance_path("seasonal_poisson.json"),
                    "--grid-min", "-5", "--grid-max", "10"])
@@ -363,6 +379,23 @@ class TestSimulateCommand:
         stdout = capsys.readouterr().out
         assert "optimal: expected cost 0.000000\n" in stdout
         assert stdout.endswith("gap: 0.000%\n")
+
+    @pytest.mark.parametrize("args,error", [
+        # a run from 0 reaches past a grid cut below the top, 140
+        (["--grid-max", "60"],
+         "grid top 60 lies below the structural top 140; widen the grid upward"),
+        # the optimal policy reads no bands, so nothing else notices that its
+        # first period is certified only from -100 + 133 = 33 up
+        (["--grid-min", "-100", "--policy", "optimal"],
+         "x0 = 0 lies below the certified floor exact_from(1) = 33; widen "
+         "the grid downward"),
+    ], ids=["top", "floor"])
+    def test_uncertified_start_is_a_grid_error(self, capsys, args, error):
+        rc = main(["simulate", instance_path("lumpy_discounted.json"), *args])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
 
     def test_malformed_bands_are_a_numerical_error(self, capsys, monkeypatch):
         def malformed(tables):

@@ -17,9 +17,10 @@ from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       read_policy, sdp, search_grid, solve)
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
-                    brute_single_period_loss, brute_window_min,
-                    full_row_window_min_finite, full_row_window_min_infinite,
-                    rowwise_tables_csv, searchsorted_loss_row)
+                    brute_single_period_loss, brute_slide_levels,
+                    brute_window_min, full_row_window_min_finite,
+                    full_row_window_min_infinite, rowwise_tables_csv,
+                    searchsorted_loss_row)
 
 def loss_at(y, pmf, h, p):
     """The loss row at one post-order level y."""
@@ -405,9 +406,10 @@ def policy_outcome(tables):
 
 class TestStructuralBottom:
     """Solving from Reach.bottom up, as the bed does, keeps every certified
-    table entry, band, COP flag and gap of a deeper grid, and the deeper
-    grid's certified states at or below F^C_t all take one decision: order
-    B, or never."""
+    table entry, band, COP flag and gap of a deeper grid. On the deeper
+    grid the certified states at or below level_t = max(F^C_t, a_t) all
+    take one decision, order B or never, and B at or below a_t. The slide
+    levels a_t are those of a state-by-state loop over the same bounds."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -428,6 +430,10 @@ class TestStructuralBottom:
     # no demand before the last period: floor(n) = 0
     @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
              h=1.0, p=6.0, B=9, discount=1.0, extra=500)
+    # B p <= K: the last period never orders deep down, and the earlier
+    # periods' slide levels exist only through the window's fall at x + B
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, extra=500)
     @settings(max_examples=100, deadline=None)
     def test_tables_and_policy_match_a_deeper_grid(self, points, K, v, h, p,
                                                    B, discount, extra):
@@ -437,18 +443,39 @@ class TestStructuralBottom:
         reach = instance.reach
         shallow = solve(instance, Grid(reach.bottom, reach.top))
         deep = solve(instance, Grid(reach.bottom - extra, reach.top))
-        for t, f_c in enumerate(line_floors(instance), start=1):
+        slides = sdp._slide_levels(instance)
+        for t, (f_c, a_t) in enumerate(zip(line_floors(instance), slides),
+                                       start=1):
+            level = f_c if a_t is None else max(f_c, a_t)
             lo = shallow.exact_from(t)
-            assert lo <= min(reach.floor(t), f_c), t
+            assert lo <= min(reach.floor(t), level), t
             row, kept = t - 1, deep.grid.index(lo)
             for name in ("C", "G", "Qstar"):
                 got, want = getattr(shallow, name), getattr(deep, name)
                 assert got[row, lo - reach.bottom:].tobytes() == \
                     want[row, kept:].tobytes(), (name, t)
-            decisions = np.unique(deep.Qstar[row, deep.grid.index(deep.exact_from(t)):
-                                             deep.grid.index(f_c) + 1])
+            first = deep.grid.index(deep.exact_from(t))
+            decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
             assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
+            if a_t is not None and a_t >= deep.exact_from(t):
+                assert decisions[0] == B, (t, a_t)
         assert policy_outcome(shallow) == policy_outcome(deep)
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0))
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_slide_levels_match_a_state_by_state_loop(self, points, K, v, h,
+                                                      p, B, discount):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
 
 
 class TestUnboundedCapacity:
@@ -663,16 +690,21 @@ class TestGridValidation:
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
-        # F^C_2 = 7 - 3 = 4, F^C_1 = 0 + min(0, 4) - 3 = -3 and floor(2) = -3:
-        # bottom = -3 + min(4 + 3, -3 - 0, 0) = -6
-        assert inst.reach.bottom == -6 and line_floors(inst) == [-3, 4]
+        # F^C_2 = 7 - 3 = 4 and F^C_1 = 0 + min(0, 4) - 3 = -3. The bounds:
+        # u_2 = -1 up to 6, so a_2 = 4 (u_2(6) < 0, and 3 > K); c_2 + v =
+        # u_2(x + 3) = -1 up to 3, then 0 up to 6; u_1 = 2 F_1 - 1 + c_2 is
+        # -2 below 0 and -1 on 0..2, so a_1 = 0 (u_1(2) < 0, and 3 > K).
+        # With floor(2) = -3: bottom = -3 + min(0 - 0, 4 + 3, 0) = -3
+        assert line_floors(inst) == [-3, 4]
+        assert sdp._slide_levels(inst) == [0, 4]
+        assert inst.reach.bottom == -3
         tables = solve(inst, Grid(-6, 10))
         assert tables.exact_from(1) == -3 and tables.exact_from(2) == -6
         # an integral float capacity, which Instance accepts, gives an int
         # that Grid takes
         as_float = sdp.Reach.of(dataclasses.replace(inst, B=3.0)).bottom
-        assert as_float == -6 and type(as_float) is int
-        assert Grid(as_float, 10).x_min == -6
+        assert as_float == -3 and type(as_float) is int
+        assert Grid(as_float, 10).x_min == -3
         # at B = inf no finite window lies on a line
         assert sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).bottom is None
         # one period: floor(n) = 0, and a window above the demand keeps -1
@@ -680,14 +712,35 @@ class TestGridValidation:
                        demands=(pmf_empirical([5], [1.0]),))
         assert one.reach.bottom == -1 and type(one.reach.bottom) is int
         assert sdp.Reach.of(dataclasses.replace(one, B=65.0)).bottom == -60
-        # no demand before the last period: floor(n) = 0 again
+        # no demand before the last period: floor(n) = 0 again. B p = K, so
+        # the last period finds no slide level
         late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
                         demands=(pmf_empirical([0], [1.0]),) * 2
                         + (pmf_empirical([9], [1.0]),))
         assert late.reach.floor(3) == 0 and line_floors(late) == [-2, -1, 8]
+        assert sdp._slide_levels(late) == [-2, -1, None]
         assert late.reach.bottom == -2 and type(late.reach.bottom) is int
+        # no demand at all: the bound's window, [-B, B + 1], holds no level
         idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
+        assert sdp._slide_levels(idle) == [None] * 3
         assert idle.reach.bottom == -3
+        # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
+        # B p = 12 <= K = 13, so the last period never orders deep down
+        inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
+                        demands=(pmf_empirical([2], [1.0]),
+                                 pmf_empirical([1], [1.0])))
+        # u_2 = 5 F_2 - 4 is -4 up to 0: three steps save 12, not above K.
+        # c_2 = u_2(x + 3) = -4 up to -3 (both ends of the window fall),
+        # then 0 up to 0. u_1(y) = 5 F_1(y) - 4 + c_2(y - 2) is -8 up to -1
+        # and -4 at 0 and 1, so a_1 = -1: u_1(1) < 0, and 8 + 4 + 4 > K
+        assert line_floors(inst) == [-3, -2]
+        assert sdp._slide_levels(inst) == [-1, None]
+        # floor(2) = -2: bottom = -2 + min(-1 - 0, -2 + 2, 0) = -3, where
+        # the line floors alone give -5
+        assert inst.reach.bottom == -3
+        deep = solve(inst, Grid(-40, 10))
+        assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
+        assert not deep.Qstar[1].any()
 
     def test_exact_to(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))

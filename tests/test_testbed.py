@@ -217,12 +217,12 @@ class TestTrimmedTopMatchesTheWholeGrid:
         assert outcome(result) == outcome(direct_result(point, DEFAULT_GRID))
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
-        # period 1 orders again at 616-618, between the bottom -765 and the
+        # period 1 orders again at 616-618, between the bottom -689 and the
         # top 899, on the default grid and inside Grid(-1000, 1100)
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        assert (inst.reach.bottom, inst.reach.top) == (-765, 899)
+        assert (inst.reach.bottom, inst.reach.top) == (-689, 899)
         for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
             (result,) = run_benchmark([point], grid=grid).results
             assert result.cop_violations == (1,)
@@ -237,7 +237,7 @@ class TestTrimmedTopMatchesTheWholeGrid:
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
-        bottom, top = -2492, 1360
+        bottom, top = -1317, 1360
         assert (point.instance.reach.bottom, point.instance.reach.top) == (bottom, top)
         run_benchmark([point], grid=DEFAULT_GRID)
         run_benchmark([point], grid=Grid(bottom, top))
