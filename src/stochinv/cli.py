@@ -8,11 +8,12 @@ takes no seed.
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
 instance-file errors; 3 grid, numerical or malformed-band errors, among
-them a period that orders only below its certified floor exact_from, a
-grid that ends below the instance's structural top, x0 = 0 below the
-certified floor exact_from(1) (`simulate`), all of which leave the grid
-too narrow (`solve` then writes no file), and an optimal policy whose
-exact cost does not reproduce the solved value.
+them a grid that ends below the instance's structural top (refused
+before solving), x0 = 0 below the certified floor exact_from(1)
+(`simulate`, before any policy is priced) and a period that orders only
+below its certified floor exact_from, all of which leave the grid too
+narrow (`solve` then writes no file), and an optimal policy whose exact
+cost does not reproduce the solved value.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ def cmd_solve(args) -> int:
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     # grid errors stop the run before any write
     policy = read_policy(tables)
-    tables.check_top()
 
     tables.to_csv(tables_path)
     for period in policy.cop_violated:
@@ -144,6 +144,7 @@ def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     x0 = 0
+    tables.check_start(x0)   # the grid's fault, before any cost is read
 
     costs = {}
     if args.policy != "modified-ss":
@@ -151,8 +152,6 @@ def cmd_simulate(args) -> int:
     if args.policy != "optimal":
         orders = modified_ss_from_tables(tables).orders(tables.grid, instance.B)
         costs["modified-ss"] = expected_cost(instance, tables.grid, orders, x0)
-    tables.check_top()
-    tables.check_start(x0)
 
     for name, cost in costs.items():
         print(f"{name}: expected cost {cost:.6f}")

@@ -6,7 +6,7 @@ floor exact_from up, checks the continuous order property that form
 relies on, and holds the resulting modified multi-(s, S) policy as a
 ThresholdPolicy. verify_kb_convexity checks the (K, B)-convexity the cost
 tables are supposed to carry on each period's certified range
-[exact_from, exact_to], the states whose values no grid edge touches.
+[exact_from, x_max], the states whose values no grid edge touches.
 qce_diagnostics computes lower-envelope diagnostics that explain which
 local minima of G are reachable order-up-to levels.
 """
@@ -212,20 +212,16 @@ def verify_kb_convexity(tables: ValueTables,
                         period: int) -> tuple[KBReport, KBReport]:
     """(K, B)-convexity of the period's G and C rows on its certified range.
 
-    Both rows are checked on [exact_from(period), exact_to(period)], the
-    states whose values neither grid edge touches, with the instance's K
-    and B (see _kb_convexity). Returns (g_report, c_report); a witness
-    (x, a, y, b) names states x and y. Raises GridSpanError when the grid
-    certifies no state of the period, and ValueError (from exact_to) at
-    B = inf on a grid below the structural top.
+    Both rows are checked on [exact_from(period), x_max], the states whose
+    values neither grid edge touches, with the instance's K and B (see
+    _kb_convexity). Returns (g_report, c_report); a witness (x, a, y, b)
+    names states x and y. The range is never empty: the grid reaches the
+    structural top (solve refuses any other), and exact_from(period) =
+    x_min + sum_{period<=s<n} dmax_s lies at most at top - 1.
     """
-    lo, hi = tables.exact_from(period), tables.exact_to(period)
-    if hi < lo:
-        raise GridSpanError(
-            f"period {period} has no certified state: exact_from = {lo} "
-            f"lies above exact_to = {hi}; widen the grid")
+    lo = tables.exact_from(period)
     row, instance = tables.row(period), tables.instance
-    cols = slice(tables.grid.index(lo), tables.grid.index(hi) + 1)
+    cols = slice(tables.grid.index(lo), None)
     reports = []
     for curve in (tables.G, tables.C):
         report = _kb_convexity(curve[row, cols], instance.K, instance.B)

@@ -23,11 +23,12 @@ Reach derives, from the instance alone, each period's reachable floor, the
 structural top above which no grid orders and, at a finite capacity, the
 structural bottom below which every period's decision stays the same:
 from each period's capacity-slide level down it orders the whole capacity,
-and from its line floor down its rows are lines. The certified ranges of
-ValueTables (exact_from, exact_to), solve's width checks, the bed's grid
-between bottom and top and the COP search grid are all read off it, once
-per instance through Instance.reach; the bottom, which only the bed reads,
-is derived on its first read.
+and from its line floor down its rows are lines. solve refuses a grid that
+ends below the top, so every table it returns is exact up to x_max. The
+certified floor ValueTables.exact_from, the bed's grid between bottom and
+top and the COP search grid are read off it too, once per instance through
+Instance.reach; the bottom, which only the bed reads, is derived on its
+first read.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class Reach:
     top = max(sum_t dmax_t, 1), for every capacity B including math.inf,
     is the structural top: on any grid that reaches it, every state's
     tables are bit for bit those of every taller grid, and no grid orders
-    above it. Let D_t = sum_{s>=t} dmax_s <= top.
+    above it. solve refuses a grid that ends below it. Let
+    D_t = sum_{s>=t} dmax_s <= top.
     - From x >= D_t no demand path goes short, so G_t rises by at least
       h > 0 per state there. By induction from the last period: L_t rises
       by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
@@ -322,7 +324,10 @@ class ValueTables:
 
     Rows are forward periods 1..n (row 0 = first period); columns follow
     grid.states. C is the optimal cost-to-go before ordering, G the
-    order-up-to cost curve, Qstar the optimal order quantity.
+    order-up-to cost curve, Qstar the optimal order quantity. solve builds
+    them only on a grid that reaches the structural top, so the upper edge
+    touches no value: period t's certified range is
+    [exact_from(t), grid.x_max].
     """
 
     C: np.ndarray
@@ -348,35 +353,6 @@ class ValueTables:
         self.row(period)   # rejects a period outside 1..n
         reach = self.instance.reach
         return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
-
-    def exact_to(self, period: int) -> int:
-        """Highest state whose values are unaffected by the upper grid edge.
-
-        On a grid that reaches the structural top (see Reach) every state is
-        exact, so this is x_max. On a lower grid it is the state from which
-        no order in this or any later period can reach past the top of the
-        grid, so no capacity window is cut short. With B = inf below the
-        top no finite window bounds the lookahead, so there is no such state.
-        """
-        remaining = self.instance.horizon - self.row(period)
-        if self.grid.x_max >= self.instance.reach.top:
-            return self.grid.x_max
-        if self.instance.B == math.inf:
-            raise ValueError("below the top, exact_to needs a finite capacity B")
-        return self.grid.x_max - int(self.instance.B) * remaining
-
-    def check_top(self) -> None:
-        """Raise GridSpanError when the grid ends below the structural top.
-
-        Below it the highest states are certified only up to exact_to, and
-        a run from x0 can reach past that, so bands and costs read off the
-        tables need not be the instance's.
-        """
-        top = self.instance.reach.top
-        if self.grid.x_max < top:
-            raise GridSpanError(
-                f"grid top {self.grid.x_max} lies below the structural top "
-                f"{top}; widen the grid upward")
 
     def check_start(self, x0: int) -> None:
         """Raise GridSpanError when x0 lies below the certified floor
@@ -584,20 +560,16 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
     smallest minimizing quantity wins ties, so Qstar is deterministic.
 
-    Raises GridSpanError when the cumulative max demand exceeds the grid
-    width, or when the capacity B does, unless the grid reaches the
-    structural top of Reach: there a window cut at the row's end is exact.
+    Raises GridSpanError when the grid ends below the structural top of
+    Reach. A grid that reaches it needs no other width check: it spans at
+    least the cumulative max demand plus one state, and a capacity window
+    cut at the row's end is exact there.
     """
-    width = grid.x_max - grid.x_min
-    reach = instance.reach
-    if instance.B != math.inf and instance.B > width and grid.x_max < reach.top:
+    top = instance.reach.top
+    if grid.x_max < top:
         raise GridSpanError(
-            f"capacity {instance.B} exceeds grid width {width} on a grid "
-            f"below the structural top {reach.top}")
-    total_dmax = -reach.floor(instance.horizon + 1)
-    if total_dmax > width:
-        raise GridSpanError(
-            f"cumulative max demand {total_dmax} exceeds grid width {width}")
+            f"grid top {grid.x_max} lies below the structural top {top}; "
+            "widen the grid upward")
 
     n = instance.horizon
     size = grid.size

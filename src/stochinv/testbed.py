@@ -208,10 +208,11 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     then those of the whole grid (the proofs are in the Reach docstring).
     The bottom is derived here, on first read, from each period's line
     floor and capacity-slide level. A point is priced only on certified
-    values: a grid whose top lies below the structural top, or whose
-    certified floor exact_from(1) lies above x0 = 0, records a
-    GridSpanError (ValueTables.check_top and check_start) after the policy
-    is read, so the errors solve and read_policy raise keep their text.
+    values: an outer grid whose top lies below the structural top records
+    the GridSpanError solve raises before solving, and one whose certified
+    floor exact_from(1) lies above x0 = 0 records that of
+    ValueTables.check_start after the policy is read, so an error
+    read_policy raises keeps its text.
     """
     instance = point.instance
     reach = instance.reach
@@ -220,7 +221,6 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     try:
         tables = solve(instance, grid)
         policy = read_policy(tables)
-        tables.check_top()
         tables.check_start(0)
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)

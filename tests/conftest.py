@@ -19,7 +19,7 @@ def instance_path(name):
 FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
                  "seasonal_poisson.json": Grid(-300, 600),
                  "spiky_nonstationary.json": Grid(-1000, 1100),
-                 "volatile_poisson.json": Grid(-1200, 600)}
+                 "volatile_poisson.json": Grid(-1200, 1704)}
 
 
 def scipy_modules_after(code):
@@ -100,13 +100,14 @@ def volatile_instance():
     return load_instance(instance_path("volatile_poisson.json"))
 
 
-VOLATILE_CERTIFIED_GRID = Grid(-2000, 600)
+# volatile's grids end at its structural top, 1704: solve refuses a lower one
+VOLATILE_CERTIFIED_GRID = Grid(-2000, 1704)
 
 
 @pytest.fixture(scope="session")
 def volatile_tables(volatile_instance):
     """Too narrow to certify periods 1 and 2: both order only below exact_from."""
-    return solve(volatile_instance, Grid(-1200, 600))
+    return solve(volatile_instance, Grid(-1200, 1704))
 
 
 @pytest.fixture(scope="session")

@@ -110,23 +110,16 @@ class TestPropertySuite:
             tables = solve(instance, grid)
             brute = brute_cost_to_go(instance)
             for period in range(1, instance.horizon + 1):
-                lo = tables.exact_from(period)
-                hi = tables.exact_to(period)
-                for x in range(lo, hi + 1):
+                for x in range(tables.exact_from(period), grid.x_max + 1):
                     assert tables.cost_at(period, x) == pytest.approx(
                         brute(period, x), abs=1e-9)
 
     def test_value_rows_pass_convexity_checks(self, seasonal_tables,
                                               spiky_tables, lumpy_tables,
                                               volatile_tables):
-        # each period's G and C rows on its whole certified range; the
-        # volatile grid is raised to its structural top, since below it
-        # periods 1-5 certify no state (exact_to = 600 - 128 (12 - t))
-        volatile = volatile_tables.instance
-        volatile_tall = solve(volatile,
-                              Grid(volatile_tables.grid.x_min, volatile.reach.top))
+        # each period's G and C rows on its whole certified range
         for tables in (*seasonal_tables.values(), spiky_tables, lumpy_tables,
-                       volatile_tall):
+                       volatile_tables):
             for period in range(1, tables.instance.horizon + 1):
                 g_report, c_report = verify_kb_convexity(tables, period)
                 assert g_report.ok, (tables.instance.B, period)

@@ -280,7 +280,7 @@ class TestSolveCommand:
         for path in stale:
             path.write_text("from an earlier run\n")
         rc = main(["solve", instance_path("volatile_poisson.json"),
-                   "--grid-min", "-1200", "--grid-max", "600", "--out", out])
+                   "--grid-min", "-1200", "--grid-max", "1704", "--out", out])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -380,18 +380,24 @@ class TestSimulateCommand:
         assert "optimal: expected cost 0.000000\n" in stdout
         assert stdout.endswith("gap: 0.000%\n")
 
-    @pytest.mark.parametrize("args,error", [
+    @pytest.mark.parametrize("name,args,error", [
         # a run from 0 reaches past a grid cut below the top, 140
-        (["--grid-max", "60"],
+        ("lumpy_discounted.json", ["--grid-max", "60"],
          "grid top 60 lies below the structural top 140; widen the grid upward"),
         # the optimal policy reads no bands, so nothing else notices that its
         # first period is certified only from -100 + 133 = 33 up
-        (["--grid-min", "-100", "--policy", "optimal"],
+        ("lumpy_discounted.json", ["--grid-min", "-100", "--policy", "optimal"],
          "x0 = 0 lies below the certified floor exact_from(1) = 33; widen "
          "the grid downward"),
-    ], ids=["top", "floor"])
-    def test_uncertified_start_is_a_grid_error(self, capsys, args, error):
-        rc = main(["simulate", instance_path("lumpy_discounted.json"), *args])
+        # the start is checked before any cost: priced first, volatile's
+        # optimal cost, certified only from -100 + 1625 up, would miss the
+        # solved value, as if the numbers were at fault and not the grid
+        ("volatile_poisson.json", ["--grid-min", "-100", "--policy", "optimal"],
+         "x0 = 0 lies below the certified floor exact_from(1) = 1525; widen "
+         "the grid downward"),
+    ], ids=["top", "floor", "floor-before-pricing"])
+    def test_uncertified_start_is_a_grid_error(self, capsys, name, args, error):
+        rc = main(["simulate", instance_path(name), *args])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""

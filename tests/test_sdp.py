@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -339,7 +339,7 @@ class TestTrimmedTop:
     """Solving only up to top = max(sum_t dmax_t, 1), as the bed and the COP
     search do, gives the taller grid's tables bit for bit at every capacity,
     B = inf included, and the taller grid never orders from
-    D_t = sum_{s>=t} dmax_s up."""
+    D_t = sum_{s>=t} dmax_s up. solve refuses a grid below the top."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -369,8 +369,6 @@ class TestTrimmedTop:
         demands = empirical_pmfs(points)
         dmax = [d.max_value for d in demands]
         top = max(sum(dmax), 1)
-        # solve rejects a capacity wider than the grid
-        assume(B == math.inf or B <= top - x_min)
         instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
                             demands=demands, discount=discount)
         trimmed = solve(instance, Grid(x_min, top))
@@ -382,6 +380,40 @@ class TestTrimmedTop:
         for t in range(instance.horizon):
             d_t = sum(dmax[t:])
             assert not tall.Qstar[t, tall.grid.index(d_t):].any(), t + 1
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           B=st.one_of(st.integers(1, 400), st.just(math.inf)),
+           x_min=st.integers(-200, -1), x_max=st.integers(1, 200))
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, B=5, x_min=-40, x_max=26)
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, B=5, x_min=-40, x_max=27)
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, B=math.inf, x_min=-40, x_max=26)
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, B=math.inf, x_min=-40, x_max=27)
+    # no demand at all: the top is 1, the lowest top a grid can have
+    @example(points=[{0: 1.0}] * 2, B=40, x_min=-1, x_max=1)
+    @example(points=[{0: 1.0}] * 2, B=math.inf, x_min=-1, x_max=1)
+    @settings(max_examples=200, deadline=None)
+    def test_solve_refuses_exactly_the_grids_below_the_top(self, points, B,
+                                                           x_min, x_max):
+        demands = empirical_pmfs(points)
+        top = max(sum(d.max_value for d in demands), 1)
+        instance = Instance(horizon=len(demands), K=20.0, v=1.0, h=1.0,
+                            p=5.0, B=B, demands=demands)
+        assert instance.reach.top == top
+        grid = Grid(x_min, x_max)
+        if x_max < top:
+            with pytest.raises(GridSpanError) as excinfo:
+                solve(instance, grid)
+            assert str(excinfo.value) == (
+                f"grid top {x_max} lies below the structural top {top}; "
+                "widen the grid upward")
+        else:
+            tables = solve(instance, grid)
+            # every period keeps a certified state below x_max
+            assert all(tables.exact_from(t) < x_max
+                       for t in range(1, instance.horizon + 1))
 
 
 def line_floors(instance):
@@ -554,7 +586,7 @@ class TestBruteForceEquivalence:
         brute = brute_cost_to_go(instance, q_cap=q_cap)
         for period in range(1, instance.horizon + 1):
             lo = tables.exact_from(period)
-            hi = tables.exact_to(period) if hi_cap is None else hi_cap
+            hi = tables.grid.x_max if hi_cap is None else hi_cap
             assert lo < hi, "exactness window collapsed; widen the test grid"
             for x in range(lo, hi + 1):
                 assert tables.cost_at(period, x) == approx(
@@ -612,14 +644,6 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="not an integer"):
             Grid(-5, 5).index(x)
 
-    def test_capacity_exceeds_width(self):
-        # the grid ends below the structural top 15, so a window cut at
-        # its top is not exact
-        inst = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=50,
-                        demands=(pmf_empirical([15], [1.0]),))
-        with pytest.raises(GridSpanError, match="capacity 50 exceeds grid width 30"):
-            solve(inst, Grid(-20, 10))
-
     # one to four periods of demand on 0..5 and a capacity up to 30 states
     # wider than search_grid, which ends at the structural top
     @given(points=st.lists(st.dictionaries(st.integers(0, 5), st.floats(0.01, 1.0),
@@ -642,13 +666,6 @@ class TestGridValidation:
         for name in ("C", "G", "Qstar"):
             got, want = getattr(tables, name), getattr(tall, name)
             assert got.tobytes() == want[:, :grid.size].tobytes(), name
-
-    def test_cumulative_demand_exceeds_width(self):
-        pmf = pmf_empirical([15], [1.0])
-        inst = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=5,
-                        demands=(pmf,) * 3)
-        with pytest.raises(GridSpanError):
-            solve(inst, Grid(-10, 10))
 
     def test_period_bounds(self, lumpy_tables):
         with pytest.raises(ValueError):
@@ -741,28 +758,6 @@ class TestGridValidation:
         deep = solve(inst, Grid(-40, 10))
         assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()
-
-    def test_exact_to(self):
-        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
-        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
-                        demands=demands)
-        # the structural top is 3 + 7 = 10; on a grid ending below it, one
-        # capacity window per remaining period must fit under x_max
-        low = solve(inst, Grid(-30, 9))
-        assert low.exact_to(2) == 9 - 3
-        assert low.exact_to(1) == 9 - 2 * 3
-        # on a grid that reaches it, every state is exact
-        tables = solve(inst, Grid(-30, 30))
-        assert tables.exact_to(2) == 30
-        assert tables.exact_to(1) == 30
-        assert solve(inst, Grid(-30, 10)).exact_to(1) == 10
-        with pytest.raises(ValueError):
-            tables.exact_to(3)
-        # with B = inf as well; below the top no finite window bounds it
-        unbounded = dataclasses.replace(inst, B=math.inf)
-        assert solve(unbounded, Grid(-30, 10)).exact_to(1) == 10
-        with pytest.raises(ValueError, match="finite capacity"):
-            solve(unbounded, Grid(-30, 9)).exact_to(1)
 
 
 class TestInstanceValidation:
