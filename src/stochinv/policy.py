@@ -71,9 +71,16 @@ def check_cop(tables: ValueTables, period: int,
     right below one that does, so one pass over the row decides it, and
     only a violated row is split into its ordering runs. On violation the
     witness straddles the largest no-order gap: (last gap state, first
-    ordering state above).
+    ordering state above). Raises ValueError for a floor below the row's
+    first solved state (ValueTables.solved_from), whose orders
+    certified_only tables do not hold.
     """
     floor = tables.grid.x_min if from_state is None else from_state
+    solved = tables.solved_from(period)
+    if floor < solved:
+        raise ValueError(
+            f"from_state {floor} lies below period {period}'s first solved "
+            f"state {solved}")
     q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
     ordering = q_row > 0
     if not (ordering[1:] > ordering[:-1]).any():
@@ -121,7 +128,8 @@ def _read_period(tables: ValueTables,
         _, s_m = report.ordering_set[-1]
         return ((s_m, s_m + tables.qstar_at(period, s_m)),), False
     if not report.ordering_set:
-        if row[:grid.index(floor)].any():
+        # orders, not truthiness: certified_only rows hold -1 down there
+        if (row[:grid.index(floor)] > 0).any():
             raise GridSpanError(
                 f"period {period} orders only below its certified floor "
                 f"exact_from = {floor}; widen the grid downward")

@@ -5,7 +5,8 @@ order up to B units before demand, paying a fixed cost K plus v per unit;
 holding and penalty costs accrue on the post-demand position. Demand is a
 finite integer PMF per period, independent across periods.
 
-solve runs one backward pass per period over the whole grid row:
+solve runs one backward pass per period over the whole grid row, or,
+with certified_only, over the period's certified range alone:
 G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], then the minimum of G over
 each capacity window and C(x) = -v x + min(G(x), K + window min). With
 B = inf the window is as wide as the row, since no order can reach past
@@ -225,6 +226,13 @@ class Reach:
       no pair) and the order-property verdict (the floor orders or not,
       as before) unchanged, and the gap reads only states at or above
       floor(t).
+    - The certified ranges form a dependency cone: exact_from(t) - dmax_t
+      = exact_from(t + 1), so the continuation on period t's range reads
+      period t + 1 only on its range, and the window minimum reads only
+      upward. solve(certified_only=True) therefore computes each range
+      alone, bit for bit, and on a grid from bottom up what it leaves out
+      are the states the clamp below the grid distorts, which nothing
+      above reads.
     The argument treats the values as exact. In floating point the rows
     below F^G_t are lines up to rounding, so only a saving -s B - K within
     rounding of the tie tolerance could be decided differently at
@@ -327,7 +335,8 @@ class ValueTables:
     order-up-to cost curve, Qstar the optimal order quantity. solve builds
     them only on a grid that reaches the structural top, so the upper edge
     touches no value: period t's certified range is
-    [exact_from(t), grid.x_max].
+    [exact_from(t), grid.x_max]. certified_only tables were solved on that
+    range alone and hold NaN and -1 below it (see solve).
     """
 
     C: np.ndarray
@@ -335,6 +344,7 @@ class ValueTables:
     Qstar: np.ndarray
     grid: Grid
     instance: Instance
+    certified_only: bool = False
 
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
@@ -353,6 +363,14 @@ class ValueTables:
         self.row(period)   # rejects a period outside 1..n
         reach = self.instance.reach
         return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
+
+    def solved_from(self, period: int) -> int:
+        """Lowest state solve computed in this period's row: exact_from on
+        certified_only tables, x_min otherwise."""
+        if self.certified_only:
+            return self.exact_from(period)
+        self.row(period)
+        return self.grid.x_min
 
     def check_start(self, x0: int) -> None:
         """Raise GridSpanError when x0 lies below the certified floor
@@ -377,8 +395,13 @@ class ValueTables:
         table entry bit for bit. Each block of states is built by
         _csv_block as one string and written at once. The x texts are
         formatted once per call, one string per block, and split again for
-        every period; no per-state string outlives its block.
+        every period; no per-state string outlives its block. Raises
+        ValueError on certified_only tables, whose rows hold a fill below
+        the certified range.
         """
+        if self.certified_only:
+            raise ValueError("certified_only tables hold no values below "
+                             "exact_from; solve the whole rows to write them")
         states = range(self.grid.x_min, self.grid.x_max + 1)
         x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
                    for lo in range(0, len(states), _CSV_BLOCK)]
@@ -476,15 +499,24 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     return out
 
 
-def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF) -> np.ndarray:
-    """E[c_row(y - demand)] over the grid; reads below it clamp to the lowest state."""
-    size, top = c_row.size, pmf.max_value
-    # the clamp as data: max_value copies of the lowest state below the row
-    padded = np.concatenate((np.full(top, c_row[0]), c_row))
+def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
+                           clamp: bool = True) -> np.ndarray:
+    """E[c_row(y - demand)] at each state y of the row.
+
+    With clamp, y runs over the whole row and reads below it clamp to the
+    lowest state. Without, the first max_value states of c_row are read
+    only as y - demand: y runs over the states above them, no read falls
+    below the row, and the result is max_value states shorter.
+    """
+    top = pmf.max_value
+    if clamp:
+        # the clamp as data: max_value copies of the lowest state below the row
+        c_row = np.concatenate((np.full(top, c_row[0]), c_row))
+    size = c_row.size - top
     out = np.zeros(size)
     term = np.empty(size)
     for d, pr in zip(pmf.support, pmf.probs):
-        out += np.multiply(padded[top - d:top - d + size], pr, out=term)
+        out += np.multiply(c_row[top - d:top - d + size], pr, out=term)
     return out
 
 
@@ -554,7 +586,8 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     return w, orders
 
 
-def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
+def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
+          certified_only: bool = False) -> ValueTables:
     """Solve the instance by backward induction on the grid.
 
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
@@ -564,6 +597,20 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     Reach. A grid that reaches it needs no other width check: it spans at
     least the cumulative max demand plus one state, and a capacity window
     cut at the row's end is exact there.
+
+    With certified_only, period t's row is computed only on its certified
+    range [exact_from(t), x_max]; below it C and G hold NaN and Qstar -1,
+    which no order is, and the tables refuse the reads that would take
+    the fill for values (ValueTables.solved_from). Every certified entry
+    is the full solve's, bit for bit, by its dependency cone:
+    - exact_from(t) - dmax_t = exact_from(t + 1), so the expected
+      continuation of row t's range reads row t + 1 only on row t + 1's
+      range, and no read is left for the clamp below the grid;
+    - the loss row, the purchase term and the C update are state by state,
+      and the window minimum and its orders read only upward, from a state
+      to the row's end;
+    so by induction from the last period, whose range is the whole row,
+    each entry is the same float operations on the same operands.
     """
     top = instance.reach.top
     if grid.x_max < top:
@@ -578,6 +625,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
     purchase = v * states
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
+    floors = instance.reach.floors
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))
@@ -585,22 +633,33 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID) -> ValueTables:
 
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
-        g_row, c_row = g_tbl[t], c_tbl[t]
-        np.add(purchase, _loss_row(states, pmf, instance.h, instance.p),
-               out=g_row)
+        # the row's first solved column: exact_from(t + 1) - x_min
+        lo = floors[t] - floors[n - 1] if certified_only else 0
+        g_row, c_row = g_tbl[t, lo:], c_tbl[t, lo:]
+        np.add(purchase[lo:],
+               _loss_row(states[lo:], pmf, instance.h, instance.p), out=g_row)
         # nothing is owed after the last period; adding its zero still
         # keeps every bit (-0.0 + 0.0 is 0.0)
-        cont = (0.0 if t == n - 1
-                else _expected_continuation(c_tbl[t + 1], pmf))
+        if t == n - 1:
+            cont = 0.0
+        elif certified_only:
+            # row t + 1's range starts max_value states lower
+            cont = _expected_continuation(c_tbl[t + 1, lo - pmf.max_value:],
+                                          pmf, clamp=False)
+        else:
+            cont = _expected_continuation(c_tbl[t + 1], pmf)
         if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
             cont *= instance.discount
         g_row += cont
         w, orders = _window_min_finite(g_row, cap)
         np.add(K, w, out=c_row)   # the cost of ordering, until C is done
         # search for the smallest minimizing order only where ordering pays
-        orders(g_row - c_row > _TIE_TOL, q_tbl[t])
+        orders(g_row - c_row > _TIE_TOL, q_tbl[t, lo:])
         np.minimum(g_row, c_row, out=c_row)
-        c_row -= purchase
+        c_row -= purchase[lo:]
         del orders   # frees the kernel's tables before the next period's
+        c_tbl[t, :lo] = g_tbl[t, :lo] = np.nan
+        q_tbl[t, :lo] = -1
 
-    return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid, instance=instance)
+    return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid,
+                       instance=instance, certified_only=certified_only)

@@ -63,7 +63,9 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     the next period's distribution. States are never clamped, so this is
     the policy's true expectation; the Monte Carlo sampler in the tests
     estimates the same quantity. The work is the sum over periods of the
-    distribution's width times the demand support.
+    distribution's width times the demand support. Raises ValueError where
+    the distribution reads a negative order, such as the fill below the
+    certified range of certified_only tables.
     """
     lo = x0                  # lowest state of the distribution
     dist = np.ones(1)        # dist[i] = P(x = lo + i)
@@ -73,6 +75,11 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
         pmf = instance.demands[period - 1]
         xs = np.arange(lo, lo + dist.size)
         q = orders[period - 1].take(xs - grid.x_min, mode="clip")
+        if q.min() < 0:
+            raise ValueError(
+                f"period {period} reads the negative order {q.min()}: no "
+                "policy orders below zero (certified_only tables hold -1 "
+                "below their certified range)")
         ordering = q > 0
         cost = dist[ordering] @ (instance.K + instance.v * q[ordering])
         ys = xs + q

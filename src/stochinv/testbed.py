@@ -207,11 +207,16 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     lies inside the grid: the bands, the COP flags and the exact gap are
     then those of the whole grid (the proofs are in the Reach docstring).
     The bottom is derived here, on first read, from each period's line
-    floor and capacity-slide level. A point is priced only on certified
-    values: an outer grid whose top lies below the structural top records
-    the GridSpanError solve raises before solving, and one whose certified
-    floor exact_from(1) lies above x0 = 0 records that of
-    ValueTables.check_start after the policy is read, so an error
+    floor and capacity-slide level. Solved from the bottom, each period's
+    row is computed only on its certified range (solve's certified_only):
+    below it the whole grid's rows hold only clamp artifacts, which the
+    bands, the flags and the gap never read. A floor above the bottom, from
+    the outer grid, keeps whole rows, so that read_policy still sees a
+    period that orders only below its certified range. A point is priced
+    only on certified values: an outer grid whose top lies below the
+    structural top records the GridSpanError solve raises before solving,
+    and one whose certified floor exact_from(1) lies above x0 = 0 records
+    that of ValueTables.check_start after the policy is read, so an error
     read_policy raises keeps its text.
     """
     instance = point.instance
@@ -219,7 +224,7 @@ def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
     x_min = grid.x_min if reach.bottom is None else max(grid.x_min, reach.bottom)
     grid = Grid(x_min, min(grid.x_max, reach.top))
     try:
-        tables = solve(instance, grid)
+        tables = solve(instance, grid, certified_only=x_min == reach.bottom)
         policy = read_policy(tables)
         tables.check_start(0)
         violated = policy.cop_violated
@@ -243,7 +248,10 @@ def run_benchmark(design, config: SimulationConfig | None = None,
     grid is the outer grid: a point is solved only up to its structural top
     when that lies below grid.x_max, and from its structural bottom when
     that lies above grid.x_min (see Reach), which gives the same results as
-    the whole grid.
+    the whole grid. A point solved from its structural bottom, every
+    finite-capacity point on DEFAULT_GRID that reaches solve, computes each
+    period only on its certified range; one whose floor is the outer
+    grid's keeps whole rows.
     Results keep design order. A point whose grid is too narrow or whose
     tables or prices are inconsistent is recorded as an error. Too narrow
     includes an outer grid below the point's structural top, and a floor

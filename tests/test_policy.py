@@ -93,6 +93,22 @@ class TestOrderPropertyCheck:
             for period in range(1, 5):
                 assert check_cop(tables, period).holds
 
+    def test_certified_only_rows_refuse_a_floor_below_them(self):
+        # period 1's demand reaches 3, so its row is solved from -2 up
+        instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=10,
+                            demands=(pmf_empirical([3], [1.0]),
+                                     pmf_empirical([1], [1.0])))
+        tables = solve(instance, Grid(-5, 5), certified_only=True)
+        assert tables.solved_from(1) == -2
+        assert check_cop(tables, 1, from_state=-2).holds
+        for floor in (None, -3):
+            with pytest.raises(ValueError, match=(
+                    r"^from_state -[53] lies below period 1's first solved "
+                    r"state -2$")):
+                check_cop(tables, 1, from_state=floor)
+        # the last period is solved on its whole row
+        assert check_cop(tables, 2).holds
+
 
 class TestStateRuns:
     """Runs read from the mask's transitions equal the split of its true
@@ -306,6 +322,13 @@ class TestUncertifiedPeriod:
 
     def test_order_at_the_floor(self):
         assert read_policy(self.tables_ordering_at(-2)).bands == (((-2, 2),), ())
+
+    def test_the_fill_below_the_floor_is_no_order(self):
+        # certified_only tables hold -1 below exact_from: nothing orders
+        tables = self.tables_ordering_at(3)
+        tables.Qstar[0, :tables.grid.index(-2)] = -1
+        tables.Qstar[0, tables.grid.index(3)] = 0
+        assert read_policy(tables).bands == ((), ())
 
 
 class TestNeverOrdering:

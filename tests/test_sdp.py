@@ -510,6 +510,69 @@ class TestStructuralBottom:
         assert sdp._slide_levels(instance) == brute_slide_levels(instance)
 
 
+class TestCertifiedOnly:
+    """solve(certified_only=True) computes each period only on its certified
+    range [exact_from(t), x_max]: there C, G and Qstar are the full solve's
+    bit for bit, and below it they hold exactly NaN, NaN and -1. Grids run
+    from the search grid down to 300 states below the structural bottom
+    (below the search grid's floor at B = inf)."""
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.one_of(st.integers(1, 60), st.just(math.inf)),
+           discount=st.floats(0.05, 1.0), depth=st.integers(0, 10**6),
+           extra=st.integers(0, 50))
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=math.inf, discount=1.0, depth=150, extra=0)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=25, discount=0.8, depth=10**6, extra=0)
+    # v >= p: the last period never orders deep down, the earlier ones may
+    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
+             B=20, discount=1.0, depth=0, extra=7)
+    # no demand at all: every row is certified from x_min
+    @example(points=[{0: 1.0}] * 2, K=5.0, v=1.0, h=1.0, p=4.0, B=3,
+             discount=1.0, depth=300, extra=0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_solve_on_the_certified_range(
+            self, points, K, v, h, p, B, discount, depth, extra):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        reach = instance.reach
+        high = search_grid(instance).x_min
+        low = min(high, (high if reach.bottom is None else reach.bottom) - 300)
+        grid = Grid(high - depth % (high - low + 1), reach.top + extra)
+        full = solve(instance, grid)
+        certified = solve(instance, grid, certified_only=True)
+        assert certified.certified_only and not full.certified_only
+        for t in range(1, instance.horizon + 1):
+            row, lo = t - 1, grid.index(full.exact_from(t))
+            assert certified.solved_from(t) == full.exact_from(t)
+            assert full.solved_from(t) == grid.x_min
+            for name in ("C", "G", "Qstar"):
+                got, want = getattr(certified, name), getattr(full, name)
+                assert np.array_equal(got[row, lo:].view(np.int64),
+                                      want[row, lo:].view(np.int64)), (name, t)
+            assert np.isnan(certified.C[row, :lo]).all()
+            assert np.isnan(certified.G[row, :lo]).all()
+            assert (certified.Qstar[row, :lo] == -1).all()
+        if reach.bottom is not None and grid.x_min <= reach.bottom:
+            # from the bottom down, as the bed solves, the fill changes no
+            # band, flag or gap
+            assert policy_outcome(certified) == policy_outcome(full)
+
+    def test_the_fill_is_never_written(self, tmp_path):
+        instance = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
+                            demands=(pmf_empirical([2], [1.0]),) * 2)
+        tables = solve(instance, Grid(-6, 6), certified_only=True)
+        with pytest.raises(ValueError, match="certified_only tables"):
+            tables.to_csv(tmp_path / "certified.csv")
+        assert not (tmp_path / "certified.csv").exists()
+
+
 class TestUnboundedCapacity:
     """B = inf solves to the same bytes as a capacity as wide as the grid:
     no order can reach past its top either way."""

@@ -138,6 +138,21 @@ class TestOptimalityGap:
                                0, config)
 
 
+class TestNegativeOrders:
+    def test_the_fill_of_certified_only_tables_is_refused(self):
+        # period 1 is solved from exact_from(1) = -5 up, and an x0 below
+        # that reads its -1 fill
+        instance = deterministic_instance()
+        grid = Grid(-20, 20)
+        tables = solve(instance, grid, certified_only=True)
+        assert tables.solved_from(1) == -5
+        cost = expected_cost(instance, grid, tables.Qstar, -5)
+        assert cost == pytest.approx(tables.cost_at(1, -5))
+        with pytest.raises(ValueError,
+                           match=r"^period 1 reads the negative order -1: "):
+            expected_cost(instance, grid, tables.Qstar, -6)
+
+
 class TestZeroCostGap:
     """A gap against a zero optimum: 0 when the policy costs nothing too,
     inf when it does not."""

@@ -142,7 +142,7 @@ class TestSmallBenchmarkRun:
 
     def test_unexpected_exception_reaches_the_caller(self, two_points,
                                                      monkeypatch):
-        def broken_solve(instance, grid):
+        def broken_solve(instance, grid, **kwargs):
             raise TypeError("broken solve")
 
         monkeypatch.setattr(testbed, "solve", broken_solve)
@@ -231,9 +231,9 @@ class TestTrimmedTopMatchesTheWholeGrid:
     def test_the_trimmed_grid_is_what_gets_solved(self, two_points, monkeypatch):
         solved = []
 
-        def recording_solve(instance, grid):
-            solved.append(grid)
-            return solve(instance, grid)
+        def recording_solve(instance, grid, **kwargs):
+            solved.append((grid, kwargs["certified_only"]))
+            return solve(instance, grid, **kwargs)
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
@@ -244,11 +244,13 @@ class TestTrimmedTopMatchesTheWholeGrid:
         run_benchmark([point], grid=Grid(bottom - 1, top + 1))
         # a grid below the top is kept as given there
         run_benchmark([point], grid=Grid(-2500, top - 1))
-        # and a floor above the bottom
+        # and a floor above the bottom, which keeps whole rows
         run_benchmark([point], grid=Grid(bottom + 1, 2500))
         # an uncapacitated point is cut at the same top and keeps the floor
+        # and whole rows
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
         run_benchmark([unbounded], grid=DEFAULT_GRID)
-        assert solved == [Grid(bottom, top)] * 3 + [
-            Grid(bottom, top - 1), Grid(bottom + 1, top), Grid(-10000, top)]
+        assert solved == [(Grid(bottom, top), True)] * 3 + [
+            (Grid(bottom, top - 1), True), (Grid(bottom + 1, top), False),
+            (Grid(-10000, top), False)]
