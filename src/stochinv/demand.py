@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,9 @@ class DemandPMF:
     The solver's views of the two fields are built once, at construction:
     support_arr and probs_arr (the fields as int64 and float64 arrays),
     cum_probs (P(d <= support[k]) at each k), cum_means (E[d; d <= support[k]]
-    at each k) and mean. Equality and hashing read the two fields alone.
+    at each k) and mean. dense, the mass at each value 0..max_value, is
+    built on its first read, as only the convolutions read it. Equality and
+    hashing read the two fields alone.
     """
 
     support: tuple[int, ...]
@@ -57,6 +60,14 @@ class DemandPMF:
         object.__setattr__(self, "cum_probs", probs_arr.cumsum())
         object.__setattr__(self, "cum_means", (probs_arr * support_arr).cumsum())
         object.__setattr__(self, "mean", float(probs_arr @ support_arr))
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        # read-only: one array serves every solve and pricing of the PMF
+        dense = np.zeros(self.max_value + 1)
+        dense[self.support_arr] = self.probs_arr
+        dense.flags.writeable = False
+        return dense
 
     @property
     def std(self) -> float:

@@ -90,9 +90,7 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
         total += factor * cost
         factor *= instance.discount
         # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
-        dense = np.zeros(pmf.max_value + 1)
-        dense[pmf.support_arr] = pmf.probs_arr
-        dist = np.convolve(dist_y, dense[::-1])
+        dist = np.convolve(dist_y, pmf.dense[::-1])
         lo = y_lo - pmf.max_value
     return float(total)
 

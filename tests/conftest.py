@@ -22,20 +22,26 @@ FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
                  "volatile_poisson.json": Grid(-1200, 1704)}
 
 
-def scipy_modules_after(code):
-    """Names of the scipy modules loaded after running code in a fresh interpreter."""
+def run_fresh(code, **env):
+    """Stdout of code run in a fresh interpreter that imports this stochinv,
+    with the variables env added to the environment."""
     import stochinv
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(stochinv.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout
+
+
+def scipy_modules_after(code):
+    """Names of the scipy modules loaded after running code in a fresh interpreter."""
     probe = ("import sys\n" + code + "\n"
              "print(' '.join(sorted(m for m in sys.modules"
              " if m.split('.')[0] == 'scipy')))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True)
-    return set(done.stdout.split())
+    return set(run_fresh(probe).split())
 
 
 def seasonal_instance(B):

@@ -181,6 +181,25 @@ def branchy_expected_continuation(c_row, pmf):
     return out
 
 
+def padded_convolve_continuation(c_row, pmf):
+    """E[c_row(y - demand)] on the whole row through one np.convolve.
+
+    Reads below the row take its lowest entry, as in the clamp loop, but
+    each output is one dot product of the max_value + 1 states at and
+    below y with the masses on 0..max_value, as the certified-only kernel
+    computes it; for supports up to 8,192 values wide, its one tile, the
+    two give the same bits on the states they share.
+    """
+    import numpy as np
+
+    top = pmf.max_value
+    dense = np.zeros(top + 1)
+    for d, pr in zip(pmf.support, pmf.probs):
+        dense[d] = pr
+    padded = np.concatenate((np.full(top, c_row[0]), c_row))
+    return np.convolve(padded, dense, mode="valid")
+
+
 def searchsorted_loss_row(states, pmf, h, p):
     """The one-period loss row with a partial-sum lookup at every state.
 

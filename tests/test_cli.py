@@ -14,6 +14,127 @@ from stochinv.cli import main
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
             "volatile_poisson")
 
+# the workflow's four bed pivot steps (.github/workflows/tests.yml), run
+# in-process: family -> (scale, the pivot CSV's bytes, and the stdout, with
+# {out} for the pivot's path, where the step checks it)
+BED_PIVOTS = {
+    "poisson": ("0.02", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.212,1.012,3,5\r\n"
+        b"K,500,0.104,0.572,4,6\r\n"
+        b"K,1000,0.006,0.034,5,7\r\n"
+        b"v,2,0.131,1.012,4,8\r\n"
+        b"v,5,0.090,0.572,5,7\r\n"
+        b"v,10,0.016,0.047,3,3\r\n"
+        b"p,5,0.016,0.047,3,3\r\n"
+        b"p,10,0.148,1.012,4,11\r\n"
+        b"p,15,0.013,0.034,5,4\r\n"
+        b"b_mult,2,0.174,1.012,3,6\r\n"
+        b"b_mult,3,0.080,0.572,4,8\r\n"
+        b"b_mult,4,0.011,0.034,5,4\r\n"
+        b"pattern,EMP1,0.007,0.007,3,1\r\n"
+        b"pattern,EMP2,0.006,0.006,4,1\r\n"
+        b"pattern,EMP3,0.047,0.047,3,1\r\n"
+        b"pattern,EMP4,0.539,1.012,5,3\r\n"
+        b"pattern,LC1,0.009,0.019,3,2\r\n"
+        b"pattern,LC2,0.000,0.000,1,1\r\n"
+        b"pattern,RAND,0.024,0.024,2,1\r\n"
+        b"pattern,SIN1,0.002,0.005,3,4\r\n"
+        b"pattern,SIN2,0.000,0.000,1,1\r\n"
+        b"pattern,STA,0.001,0.002,2,3\r\n"
+        b"Overall,,0.096,1.012,5,18\r\n"
+    ), None),
+    "gamma": ("0.01", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.106,0.365,4,8\r\n"
+        b"K,500,0.033,0.214,4,12\r\n"
+        b"K,1000,0.008,0.029,4,5\r\n"
+        b"v,2,0.073,0.214,4,8\r\n"
+        b"v,5,0.048,0.365,4,9\r\n"
+        b"v,10,0.034,0.153,4,8\r\n"
+        b"p,5,0.007,0.029,3,4\r\n"
+        b"p,10,0.087,0.214,4,8\r\n"
+        b"p,15,0.043,0.365,4,13\r\n"
+        b"b_mult,2,0.032,0.162,2,5\r\n"
+        b"b_mult,3,0.052,0.214,4,11\r\n"
+        b"b_mult,4,0.062,0.365,4,9\r\n"
+        b"pattern,EMP1,0.111,0.214,3,2\r\n"
+        b"pattern,EMP2,0.038,0.103,4,4\r\n"
+        b"pattern,EMP3,0.213,0.365,3,2\r\n"
+        b"pattern,EMP4,0.000,0.000,3,2\r\n"
+        b"pattern,LC1,0.017,0.052,4,3\r\n"
+        b"pattern,LC2,0.000,0.000,2,1\r\n"
+        b"pattern,RAND,0.070,0.153,4,3\r\n"
+        b"pattern,SIN1,0.015,0.053,4,4\r\n"
+        b"pattern,SIN2,0.054,0.162,2,3\r\n"
+        b"pattern,STA,0.000,0.000,1,1\r\n"
+        b"cv,0.1,0.058,0.162,4,8\r\n"
+        b"cv,0.2,0.091,0.365,4,8\r\n"
+        b"cv,0.3,0.010,0.061,3,9\r\n"
+        b"Overall,,0.051,0.365,4,25\r\n"
+    ), None),
+    "normal": ("0.01", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.226,1.458,3,9\r\n"
+        b"K,500,0.014,0.113,3,9\r\n"
+        b"K,1000,0.040,0.138,4,7\r\n"
+        b"v,2,0.228,1.458,4,7\r\n"
+        b"v,5,0.045,0.115,4,5\r\n"
+        b"v,10,0.048,0.254,3,13\r\n"
+        b"p,5,0.010,0.105,3,12\r\n"
+        b"p,10,0.122,0.254,4,5\r\n"
+        b"p,15,0.215,1.458,4,8\r\n"
+        b"b_mult,2,0.033,0.214,3,10\r\n"
+        b"b_mult,3,0.186,1.458,3,10\r\n"
+        b"b_mult,4,0.051,0.138,4,5\r\n"
+        b"pattern,EMP1,0.856,1.458,3,2\r\n"
+        b"pattern,EMP2,0.155,0.214,4,3\r\n"
+        b"pattern,EMP3,0.000,0.000,2,1\r\n"
+        b"pattern,EMP4,0.062,0.113,3,4\r\n"
+        b"pattern,LC1,0.003,0.009,2,4\r\n"
+        b"pattern,LC2,0.000,0.000,1,2\r\n"
+        b"pattern,RAND,0.002,0.004,2,2\r\n"
+        b"pattern,SIN1,0.000,0.000,2,2\r\n"
+        b"pattern,SIN2,0.002,0.003,3,2\r\n"
+        b"pattern,STA,0.000,0.000,1,3\r\n"
+        b"cv,0.1,0.287,1.458,3,6\r\n"
+        b"cv,0.2,0.061,0.214,4,10\r\n"
+        b"cv,0.3,0.012,0.105,3,9\r\n"
+        b"Overall,,0.098,1.458,4,25\r\n"
+    ), None),
+    "lognormal": ("0.01", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.013,0.041,5,7\r\n"
+        b"K,500,0.027,0.062,3,5\r\n"
+        b"K,1000,0.004,0.024,3,9\r\n"
+        b"v,2,0.014,0.045,5,6\r\n"
+        b"v,5,0.019,0.062,4,5\r\n"
+        b"v,10,0.009,0.041,4,10\r\n"
+        b"p,5,0.002,0.010,4,7\r\n"
+        b"p,10,0.017,0.062,3,9\r\n"
+        b"p,15,0.020,0.045,5,5\r\n"
+        b"b_mult,2,0.021,0.062,5,10\r\n"
+        b"b_mult,3,0.002,0.004,4,4\r\n"
+        b"b_mult,4,0.007,0.041,4,7\r\n"
+        b"pattern,EMP1,0.062,0.062,3,1\r\n"
+        b"pattern,EMP2,0.002,0.004,3,2\r\n"
+        b"pattern,EMP3,0.013,0.029,2,3\r\n"
+        b"pattern,EMP4,0.012,0.024,3,2\r\n"
+        b"pattern,LC1,0.000,0.000,2,1\r\n"
+        b"pattern,LC2,0.007,0.015,5,2\r\n"
+        b"pattern,RAND,0.020,0.041,4,2\r\n"
+        b"pattern,SIN1,0.001,0.003,3,2\r\n"
+        b"pattern,SIN2,0.045,0.045,2,1\r\n"
+        b"pattern,STA,0.007,0.034,3,5\r\n"
+        b"cv,0.1,0.028,0.062,5,8\r\n"
+        b"cv,0.2,0.005,0.029,3,9\r\n"
+        b"cv,0.3,0.000,0.000,1,4\r\n"
+        b"Overall,,0.013,0.062,5,21\r\n"
+    ), ("lognormal: 25 instances, 0 order-property violation(s), 4 error(s)\n"
+        "gap avg 0.013%  max 0.062%\n"
+        "pivot: {out}\n")),
+}
+
 
 def fixture_doc(name):
     with open(instance_path(name + ".json")) as handle:
@@ -484,3 +605,20 @@ class TestBenchmarkCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "--family", "poisson", flag, "1"])
         assert excinfo.value.code == 2
+
+
+class TestBedPivots:
+    """The workflow's bed pivots, byte for byte. Each point is solved from
+    its structural bottom on each period's certified range alone, so each
+    step runs the continuation's convolution."""
+
+    @pytest.mark.parametrize("family", sorted(BED_PIVOTS))
+    def test_pivot_matches_the_workflow(self, tmp_path, capsys, family):
+        scale, pivot, stdout = BED_PIVOTS[family]
+        out = tmp_path / f"pivot_{family}.csv"
+        rc = main(["benchmark", "--family", family, "--scale", scale,
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == pivot
+        if stdout is not None:
+            assert capsys.readouterr().out == stdout.format(out=out)

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import FIXTURE_GRIDS, instance_path
+from conftest import FIXTURE_GRIDS, instance_path, run_fresh
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, ValueTables, load_instance, optimality_gap,
                       pmf_empirical, pmf_parametric, random_instance,
@@ -19,8 +21,8 @@ from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_slide_levels,
                     brute_window_min, full_row_window_min_finite,
-                    full_row_window_min_infinite, rowwise_tables_csv,
-                    searchsorted_loss_row)
+                    full_row_window_min_infinite, padded_convolve_continuation,
+                    rowwise_tables_csv, searchsorted_loss_row)
 
 def loss_at(y, pmf, h, p):
     """The loss row at one post-order level y."""
@@ -274,7 +276,8 @@ class TestTablesMatchSlidingWindowKernel:
 
 
 class TestExpectedContinuation:
-    """The padded kernel equals the branch-per-demand-point loop bit for bit."""
+    """The clamp kernel equals the branch-per-demand-point loop bit for bit;
+    the certified-only convolution agrees with it to rounding."""
 
     # rows of 1-400 states; supports with 0, with points at or past the
     # row's end, and of one point
@@ -301,6 +304,59 @@ class TestExpectedContinuation:
         assert_same_tables(
             monkeypatch, instance, FIXTURE_GRIDS[name],
             _expected_continuation=branchy_expected_continuation)
+
+    # 1-400 outputs over supports with gaps, of one point, with zero demand
+    # and with points at or past the outputs' end; the widest span three
+    # tiles of the convolution
+    @given(size=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           points=st.dictionaries(st.one_of(st.integers(0, 500),
+                                            st.integers(0, 20_000)),
+                                  st.floats(1e-3, 1.0), min_size=1,
+                                  max_size=12),
+           start=st.integers(0, 399))
+    @example(size=1, seed=0, points={0: 1.0}, start=0)
+    @example(size=2, seed=2, points={5: 1.0}, start=1)
+    @example(size=3, seed=1, points={0: 0.2, 2: 0.3, 3: 0.1, 9: 0.4}, start=2)
+    @example(size=5, seed=3, points={0: 0.1, 8191: 0.3, 8192: 0.2,
+                                     16_384: 0.1, 20_000: 0.3}, start=4)
+    @settings(max_examples=200, deadline=None)
+    def test_certified_kernel_matches_the_loop_to_rounding(self, size, seed,
+                                                           points, start):
+        """Without clamp, each output is the loop's to within 1e-13 of the
+        absolute sum it adds up, and is the same bits from any start of the
+        row, as the certified-only solve needs."""
+        values = list(points)
+        masses = np.array([points[d] for d in values])
+        pmf = pmf_empirical(values, masses / masses.sum())
+        top = pmf.max_value
+        c_row = np.random.default_rng(seed).uniform(-1e6, 1e6, top + size)
+        got = sdp._expected_continuation(c_row, pmf, clamp=False)
+        want = branchy_expected_continuation(c_row, pmf)[top:]
+        scale = branchy_expected_continuation(np.abs(c_row), pmf)[top:]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+        start %= size
+        tail = sdp._expected_continuation(c_row[start:], pmf, clamp=False)
+        assert tail.tobytes() == got[start:].tobytes()
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """A support 20,001 values wide, whose one np.convolve would be
+        summed in several threads, gives the same bits at 1 and 2 threads."""
+        code = textwrap.dedent("""
+            import numpy as np
+            from stochinv import pmf_empirical, sdp
+            rng = np.random.default_rng(7)
+            values = np.append(np.arange(0, 20_000, 3), 20_000)
+            masses = rng.uniform(0.1, 1.0, values.size)
+            pmf = pmf_empirical(values, masses / masses.sum())
+            c_row = rng.uniform(-1e6, 1e6, pmf.max_value + 64)
+            out = sdp._expected_continuation(c_row, pmf, clamp=False)
+            print(out.size, out.tobytes().hex())
+        """)
+        one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert one.startswith("64 ")
+        assert one == two
 
 
 class TestTablesMatchFullRowKernels:
@@ -512,8 +568,11 @@ class TestStructuralBottom:
 
 class TestCertifiedOnly:
     """solve(certified_only=True) computes each period only on its certified
-    range [exact_from(t), x_max]: there C, G and Qstar are the full solve's
-    bit for bit, and below it they hold exactly NaN, NaN and -1. Grids run
+    range [exact_from(t), x_max]: there C, G and Qstar are bit for bit those
+    of a full solve whose continuation is the same convolution over padded
+    rows, and below it they hold exactly NaN, NaN and -1. Against the
+    default full solve, whose continuation sums point by point, Qstar is
+    equal and C and G agree within 1e-13 of |value| + v max|x|. Grids run
     from the search grid down to 300 states below the structural bottom
     (below the search grid's floor at B = inf)."""
 
@@ -536,6 +595,11 @@ class TestCertifiedOnly:
     # no demand at all: every row is certified from x_min
     @example(points=[{0: 1.0}] * 2, K=5.0, v=1.0, h=1.0, p=4.0, B=3,
              discount=1.0, depth=300, extra=0)
+    # v > p: G(y) crosses 0 below the support, where a bound relative to
+    # |G| alone would not hold
+    @example(points=[{1: 0.0234375, 0: 1.0, 2: 0.015625}, {16: 0.5, 17: 0.25}],
+             K=0.0, v=25.5625, h=1.0, p=11.3046875, B=math.inf,
+             discount=0.375, depth=0, extra=0)
     @settings(max_examples=150, deadline=None)
     def test_matches_the_full_solve_on_the_certified_range(
             self, points, K, v, h, p, B, discount, depth, extra):
@@ -546,16 +610,30 @@ class TestCertifiedOnly:
         low = min(high, (high if reach.bottom is None else reach.bottom) - 300)
         grid = Grid(high - depth % (high - low + 1), reach.top + extra)
         full = solve(instance, grid)
+        with mock.patch.object(sdp, "_expected_continuation",
+                               padded_convolve_continuation):
+            convolved = solve(instance, grid)
         certified = solve(instance, grid, certified_only=True)
         assert certified.certified_only and not full.certified_only
+        # relative to the largest term an entry sums: G(y) adds v y to the
+        # loss and the continuation, and C(x) subtracts v x from G, so
+        # either may lie near 0 while v |y| does not
+        purchase = v * max(-grid.x_min, grid.x_max)
         for t in range(1, instance.horizon + 1):
             row, lo = t - 1, grid.index(full.exact_from(t))
             assert certified.solved_from(t) == full.exact_from(t)
             assert full.solved_from(t) == grid.x_min
             for name in ("C", "G", "Qstar"):
-                got, want = getattr(certified, name), getattr(full, name)
+                got, want = getattr(certified, name), getattr(convolved, name)
                 assert np.array_equal(got[row, lo:].view(np.int64),
                                       want[row, lo:].view(np.int64)), (name, t)
+            assert np.array_equal(certified.Qstar[row, lo:],
+                                  full.Qstar[row, lo:]), t
+            for name in ("C", "G"):
+                got = getattr(certified, name)[row, lo:]
+                want = getattr(full, name)[row, lo:]
+                assert (np.abs(got - want) <= 1e-13 * (np.abs(want) + purchase)
+                        ).all(), (name, t)
             assert np.isnan(certified.C[row, :lo]).all()
             assert np.isnan(certified.G[row, :lo]).all()
             assert (certified.Qstar[row, :lo] == -1).all()
