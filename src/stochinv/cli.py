@@ -3,7 +3,8 @@
 Subcommands: solve, simulate, search-cex, benchmark. All runs are
 deterministic given flags and seeds; repeated invocations produce
 byte-identical output files. simulate prices policies exactly and
-takes no seed.
+takes no seed. benchmark takes no grid flags: it solves each point on
+its structural grid, from stochinv.sdp.Reach's bottom to its top.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
@@ -37,12 +38,11 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_grid_flags(parser, min_help="lowest inventory state on the grid",
-                    max_help="highest inventory state on the grid"):
+def _add_grid_flags(parser):
     parser.add_argument("--grid-min", type=int, default=DEFAULT_GRID.x_min,
-                        help=min_help)
+                        help="lowest inventory state on the grid")
     parser.add_argument("--grid-max", type=int, default=DEFAULT_GRID.x_max,
-                        help=max_help)
+                        help="highest inventory state on the grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,19 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demand family to benchmark")
     p_bench.add_argument("--scale", type=float, default=1.0,
                          help="fraction of the full design to run (0, 1]")
-    _add_grid_flags(
-        p_bench,
-        min_help=("outer bound on the lowest inventory state: a point with a "
-                  "finite capacity is solved only from its structural bottom "
-                  "(stochinv.sdp.Reach), below which each period orders its "
-                  "whole capacity or keeps one decision along a line, when "
-                  "that is higher, with the same results; a point whose "
-                  "certified range starts above 0 is an error"),
-        max_help=("outer bound on the highest inventory state: a point is "
-                  "solved only up to its structural top, the sum of its "
-                  "per-period maximum demands (stochinv.sdp.Reach), when that "
-                  "is lower, with the same results, and is an error when "
-                  "that is higher"))
     p_bench.add_argument("--out", default=None,
                          help="pivot CSV path (default: benchmark_<family>.csv)")
     return parser
@@ -188,11 +175,10 @@ def cmd_search_cex(args) -> int:
 
 def cmd_benchmark(args) -> int:
     design = build_design((args.family,), scale=args.scale)
-    grid = Grid(args.grid_min, args.grid_max)
     out = args.out if args.out is not None else f"benchmark_{args.family}.csv"
     # fail on an unwritable pivot path before pricing the bed, not after
     open(out, "a").close()
-    report = run_benchmark(design, grid=grid)
+    report = run_benchmark(design)
     report.to_csv(out)
 
     gaps = [r.gap for r in report.results if r.error is None]

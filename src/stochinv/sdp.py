@@ -51,11 +51,21 @@ _SLIDE_MARGIN = 1e-6
 # states per write in ValueTables.to_csv: enough to amortise the per-block
 # calls, few enough that one block's pieces and texts stay small in memory
 _CSV_BLOCK = 4096
-# masses per np.convolve call in _expected_continuation: numpy sums each
-# output with the BLAS dot product, which OpenBLAS splits across threads
-# above 10,000 terms, so a longer call's bits would depend on the thread
-# count; the bed's widest PMF, geometric's 4,694 masses, fits in one tile
+# terms per BLAS dot product (_tile_sum), which OpenBLAS splits across
+# threads above 10,000 terms, so a longer dot's bits would depend on the
+# thread count; the bed's widest PMF, geometric's 4,694 masses, fits in
+# one tile, its widest inventory distribution, 35,191 states, does not
 _CONVOLVE_TILE = 8192
+
+
+def _tile_sum(part, size: int):
+    """part(lo, hi) added up over the tiles [lo, hi) of range(size), each at
+    most _CONVOLVE_TILE long, in tile order: part(0, size) itself when
+    size fits in one tile. Parts are floats or arrays of one shape."""
+    total = part(0, min(size, _CONVOLVE_TILE))
+    for lo in range(_CONVOLVE_TILE, size, _CONVOLVE_TILE):
+        total += part(lo, min(lo + _CONVOLVE_TILE, size))
+    return total
 
 
 def _is_integral(x) -> bool:
@@ -521,10 +531,10 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
     row, and the result is max_value states shorter. Each output is the
     dot product of the max_value + 1 states at and below y with the
     demand's masses on 0..max_value (pmf.dense), computed by np.convolve
-    in tiles of at most _CONVOLVE_TILE masses, added up in tile order; the
-    bed's PMFs fit in one tile. Neither the operands nor their order
-    depend on where the row starts, so a slice of a row gives the same
-    outputs bit for bit. They agree with the clamp loop's sums to
+    in tiles of at most _CONVOLVE_TILE masses, added up in tile order
+    (_tile_sum); the bed's PMFs fit in one tile. Neither the operands nor
+    their order depend on where the row starts, so a slice of a row gives
+    the same outputs bit for bit. They agree with the clamp loop's sums to
     rounding, not bit for bit.
 
     With clamp, y runs over the whole row and reads below it clamp to the
@@ -540,16 +550,11 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
     if not clamp:
         size = c_row.size - top
         dense = pmf.dense
-        for lo in range(0, top + 1, _CONVOLVE_TILE):
-            hi = min(lo + _CONVOLVE_TILE, top + 1)
-            # masses lo..hi-1 read the states hi-1..lo below each y
-            part = np.convolve(c_row[top - hi + 1:top - lo + size],
-                               dense[lo:hi], mode="valid")
-            if lo:
-                out += part
-            else:
-                out = part
-        return out
+        # masses lo..hi-1 read the states hi-1..lo below each y
+        return _tile_sum(
+            lambda lo, hi: np.convolve(c_row[top - hi + 1:top - lo + size],
+                                       dense[lo:hi], mode="valid"),
+            top + 1)
     # the clamp as data: max_value copies of the lowest state below the row
     c_row = np.concatenate((np.full(top, c_row[0]), c_row))
     size = c_row.size - top

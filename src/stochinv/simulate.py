@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy import ThresholdPolicy
-from .sdp import _TIE_TOL, Grid, Instance, ValueTables, _loss_row
+from .sdp import (_CONVOLVE_TILE, _TIE_TOL, Grid, Instance, ValueTables,
+                  _loss_row, _tile_sum)
 
 
 class SimulationError(RuntimeError):
@@ -63,9 +64,11 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     the next period's distribution. States are never clamped, so this is
     the policy's true expectation; the Monte Carlo sampler in the tests
     estimates the same quantity. The work is the sum over periods of the
-    distribution's width times the demand support. Raises ValueError where
-    the distribution reads a negative order, such as the fill below the
-    certified range of certified_only tables.
+    distribution's width times the demand support. Every sum is taken in
+    tiles of at most _CONVOLVE_TILE terms (sdp._tile_sum), so a price does
+    not depend on the BLAS thread count however wide the distribution.
+    Raises ValueError where the distribution reads a negative order, such
+    as the fill below the certified range of certified_only tables.
     """
     lo = x0                  # lowest state of the distribution
     dist = np.ones(1)        # dist[i] = P(x = lo + i)
@@ -81,18 +84,37 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
                 "policy orders below zero (certified_only tables hold -1 "
                 "below their certified range)")
         ordering = q > 0
-        cost = dist[ordering] @ (instance.K + instance.v * q[ordering])
+        cost = _dot(dist[ordering], instance.K + instance.v * q[ordering])
         ys = xs + q
         y_lo = int(ys.min())
         dist_y = np.bincount(ys - y_lo, weights=dist)
         levels = np.arange(y_lo, y_lo + dist_y.size, dtype=np.float64)
-        cost += dist_y @ _loss_row(levels, pmf, instance.h, instance.p)
+        cost += _dot(dist_y, _loss_row(levels, pmf, instance.h, instance.p))
         total += factor * cost
         factor *= instance.discount
         # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
-        dist = np.convolve(dist_y, pmf.dense[::-1])
+        dist = _spread(dist_y, pmf.dense[::-1])
         lo = y_lo - pmf.max_value
     return float(total)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b, summed in tiles (sdp._tile_sum) so that its bits do not depend
+    on the BLAS thread count."""
+    if a.size <= _CONVOLVE_TILE:   # one tile: the same call, without the
+        return a @ b               # closure and slices that cost more here
+    return _tile_sum(lambda lo, hi: a[lo:hi] @ b[lo:hi], a.size)
+
+
+def _spread(dist: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """np.convolve(dist, masses), summed in tiles of masses (sdp._tile_sum)
+    so that its bits do not depend on the BLAS thread count."""
+    if masses.size <= _CONVOLVE_TILE:   # one tile: the same call
+        return np.convolve(dist, masses)
+    # masses lo..hi-1 reach the outputs from lo up
+    return _tile_sum(lambda lo, hi: np.pad(np.convolve(dist, masses[lo:hi]),
+                                           (lo, masses.size - hi)),
+                     masses.size)
 
 
 def _percent_gap(cost: float, optimum: float) -> float:

@@ -8,13 +8,14 @@ deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
 against the optimum, so a report does not depend on any seed. A point is
-solved only up to its structural top, the sum of its per-period maximum
-demands, and, at a finite capacity, only from its structural bottom, below
-which every period's decision stays the same: far enough down each period
-either orders its whole capacity or, where the cost rows are lines, takes
-one decision throughout (stochinv.sdp.Reach). The results are those of the
-whole grid unless a decision lies within rounding of the tie tolerance
-(see _evaluate_point).
+solved on its structural grid: up to its structural top, the sum of its
+per-period maximum demands, and, at a finite capacity, from its
+structural bottom, below which every period's decision stays the same:
+far enough down each period either orders its whole capacity or, where
+the cost rows are lines, takes one decision throughout
+(stochinv.sdp.Reach). The results are those of any grid that holds it
+unless a decision lies within rounding of the tie tolerance (see
+_evaluate_point).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from .cex import search_grid
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .policy import MalformedTable, read_policy
-from .sdp import DEFAULT_GRID, Grid, GridSpanError, Instance, solve
+from .sdp import Grid, Instance, solve
 from .simulate import SimulationConfig, SimulationError, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
@@ -200,71 +202,54 @@ class BenchmarkReport:
                 writer.writerow([dim, level, f"{avg:.3f}", f"{top:.3f}", thr, count])
 
 
-def _evaluate_point(point: DesignPoint, grid: Grid) -> PointResult:
+def _evaluate_point(point: DesignPoint) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    The point is solved on the grid cut off at the structural top of Reach
-    and, at a finite capacity, raised to its structural bottom, where each
-    lies inside the grid: the bands, the COP flags and the exact gap are
-    then those of the whole grid (the proofs are in the Reach docstring).
-    The bottom is derived here, on first read, from each period's line
-    floor and capacity-slide level. Solved from the bottom, each period's
-    row is computed only on its certified range (solve's certified_only):
-    below it the whole grid's rows hold only clamp artifacts, which the
-    bands, the flags and the gap never read. Those ranges take the
-    expected continuation as a convolution, so their C and G are the
-    whole rows' to rounding, not bit for bit (C within 3.9e-15 relative
-    over the 810 Poisson points). Qstar, and with it the bands, the flags
-    and the gap, could then differ only at a decision within rounding of
-    the tie tolerance; on all 810 Poisson points and every fifth point of
-    the four other families that reach solve, none does, and every gap is
-    the same float. A floor above the bottom, from
-    the outer grid, keeps whole rows, so that read_policy still sees a
-    period that orders only below its certified range. A point is priced
-    only on certified values: an outer grid whose top lies below the
-    structural top records the GridSpanError solve raises before solving,
-    and one whose certified floor exact_from(1) lies above x0 = 0 records
-    that of ValueTables.check_start after the policy is read, so an error
-    read_policy raises keeps its text.
+    The point is solved on its structural grid, Grid(Reach.bottom,
+    Reach.top): by the proofs in the Reach docstring its bands, COP flags
+    and exact gap are those of any grid that holds that one. At B = inf,
+    where Reach has no bottom, it is solved on cex.search_grid, which
+    certifies every period from below its reachable floor. Each period's
+    row is computed only on its certified range (solve's certified_only),
+    which takes the expected continuation as a convolution: C and G are
+    a whole-row solve's to rounding, not bit for bit (C within 3.9e-15
+    relative over the 810 Poisson points), so Qstar, and with it the
+    bands, the flags and the gap, could differ only at a decision within
+    rounding of the tie tolerance; on all 810 Poisson points and every
+    fifth point of the discrete uniform, normal, gamma and lognormal
+    designs none does. No grid error can arise: the grid reaches the
+    top, and its certified floor exact_from(1), bottom - floor(n) or
+    -dmax_n on the search grid, lies at or below x0 = 0.
     """
     instance = point.instance
     reach = instance.reach
-    x_min = grid.x_min if reach.bottom is None else max(grid.x_min, reach.bottom)
-    grid = Grid(x_min, min(grid.x_max, reach.top))
+    grid = (search_grid(instance) if reach.bottom is None
+            else Grid(reach.bottom, reach.top))
     try:
-        tables = solve(instance, grid, certified_only=x_min == reach.bottom)
+        tables = solve(instance, grid, certified_only=True)
         policy = read_policy(tables)
-        tables.check_start(0)
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                        if period not in violated), default=0)
         gap = optimality_gap(instance, tables, policy.top(), 0)
         return PointResult(point, gap, max_thr, violated, None)
-    except (GridSpanError, SimulationError, MalformedTable) as exc:
-        # a point the grid or the numerics cannot handle is data; any other
+    except (SimulationError, MalformedTable) as exc:
+        # a point whose numerics the checks reject is data; any other
         # exception is a bug and reaches the caller
         return PointResult(point, float("nan"), 0, (), f"{type(exc).__name__}: {exc}")
 
 
-def run_benchmark(design, config: SimulationConfig | None = None,
-                  grid: Grid = DEFAULT_GRID) -> BenchmarkReport:
+def run_benchmark(design, config: SimulationConfig | None = None) -> BenchmarkReport:
     """Solve, analyze, and price every design point; aggregate a pivot.
 
     Gaps are exact (optimality_gap), so config is no longer read. It stays
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
-    grid is the outer grid: a point is solved only up to its structural top
-    when that lies below grid.x_max, and from its structural bottom when
-    that lies above grid.x_min (see Reach), which gives the same results as
-    the whole grid. A point solved from its structural bottom, every
-    finite-capacity point on DEFAULT_GRID that reaches solve, computes each
-    period only on its certified range, whose tables are the whole rows'
-    to rounding (see _evaluate_point); one whose floor is the outer grid's
-    keeps whole rows, bit for bit.
-    Results keep design order. A point whose grid is too narrow or whose
-    tables or prices are inconsistent is recorded as an error. Too narrow
-    includes an outer grid below the point's structural top, and a floor
-    whose certified range exact_from(1) starts above x0 = 0: such a point
-    would be priced off values the grid edges distort.
+    Each point is solved on its structural grid, from Reach.bottom to
+    Reach.top, one period's certified range at a time (see
+    _evaluate_point), so no outer grid bounds it and every point of the
+    six families reaches a price. Results keep design order. A point whose
+    bands are malformed or whose optimal table does not reproduce its
+    solved value is recorded as an error.
     """
-    return BenchmarkReport(tuple(_evaluate_point(pt, grid) for pt in design))
+    return BenchmarkReport(tuple(_evaluate_point(pt) for pt in design))

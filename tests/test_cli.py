@@ -14,9 +14,11 @@ from stochinv.cli import main
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
             "volatile_poisson")
 
-# the workflow's four bed pivot steps (.github/workflows/tests.yml), run
+# the workflow's five bed pivot steps (.github/workflows/tests.yml), run
 # in-process: family -> (scale, the pivot CSV's bytes, and the stdout, with
-# {out} for the pivot's path, where the step checks it)
+# {out} for the pivot's path, where the step checks it). The lognormal and
+# geometric bytes were recorded by solving every point from its structural
+# bottom to its structural top through an outer grid of +-1,000,000.
 BED_PIVOTS = {
     "poisson": ("0.02", (
         b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
@@ -104,22 +106,22 @@ BED_PIVOTS = {
     ), None),
     "lognormal": ("0.01", (
         b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
-        b"K,250,0.013,0.041,5,7\r\n"
-        b"K,500,0.027,0.062,3,5\r\n"
-        b"K,1000,0.004,0.024,3,9\r\n"
-        b"v,2,0.014,0.045,5,6\r\n"
-        b"v,5,0.019,0.062,4,5\r\n"
+        b"K,250,0.028,0.095,5,9\r\n"
+        b"K,500,0.024,0.062,3,6\r\n"
+        b"K,1000,0.005,0.024,3,10\r\n"
+        b"v,2,0.020,0.059,5,7\r\n"
+        b"v,5,0.025,0.095,4,8\r\n"
         b"v,10,0.009,0.041,4,10\r\n"
-        b"p,5,0.002,0.010,4,7\r\n"
-        b"p,10,0.017,0.062,3,9\r\n"
-        b"p,15,0.020,0.045,5,5\r\n"
-        b"b_mult,2,0.021,0.062,5,10\r\n"
-        b"b_mult,3,0.002,0.004,4,4\r\n"
-        b"b_mult,4,0.007,0.041,4,7\r\n"
+        b"p,5,0.009,0.059,4,9\r\n"
+        b"p,10,0.025,0.095,3,10\r\n"
+        b"p,15,0.018,0.045,5,6\r\n"
+        b"b_mult,2,0.028,0.095,5,11\r\n"
+        b"b_mult,3,0.013,0.059,4,6\r\n"
+        b"b_mult,4,0.007,0.041,4,8\r\n"
         b"pattern,EMP1,0.062,0.062,3,1\r\n"
-        b"pattern,EMP2,0.002,0.004,3,2\r\n"
+        b"pattern,EMP2,0.017,0.059,3,4\r\n"
         b"pattern,EMP3,0.013,0.029,2,3\r\n"
-        b"pattern,EMP4,0.012,0.024,3,2\r\n"
+        b"pattern,EMP4,0.033,0.095,3,4\r\n"
         b"pattern,LC1,0.000,0.000,2,1\r\n"
         b"pattern,LC2,0.007,0.015,5,2\r\n"
         b"pattern,RAND,0.020,0.041,4,2\r\n"
@@ -128,10 +130,38 @@ BED_PIVOTS = {
         b"pattern,STA,0.007,0.034,3,5\r\n"
         b"cv,0.1,0.028,0.062,5,8\r\n"
         b"cv,0.2,0.005,0.029,3,9\r\n"
-        b"cv,0.3,0.000,0.000,1,4\r\n"
-        b"Overall,,0.013,0.062,5,21\r\n"
-    ), ("lognormal: 25 instances, 0 order-property violation(s), 4 error(s)\n"
-        "gap avg 0.013%  max 0.062%\n"
+        b"cv,0.3,0.021,0.095,3,8\r\n"
+        b"Overall,,0.018,0.095,5,25\r\n"
+    ), ("lognormal: 25 instances, 0 order-property violation(s), 0 error(s)\n"
+        "gap avg 0.018%  max 0.095%\n"
+        "pivot: {out}\n")),
+    "geometric": ("0.01", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.000,0.000,2,2\r\n"
+        b"K,500,0.001,0.002,2,4\r\n"
+        b"K,1000,0.000,0.000,1,5\r\n"
+        b"v,2,0.000,0.000,1,2\r\n"
+        b"v,5,0.000,0.000,2,5\r\n"
+        b"v,10,0.001,0.002,2,4\r\n"
+        b"p,5,0.000,0.000,2,4\r\n"
+        b"p,10,0.000,0.000,2,3\r\n"
+        b"p,15,0.001,0.002,2,4\r\n"
+        b"b_mult,2,0.000,0.000,2,3\r\n"
+        b"b_mult,3,0.000,0.000,2,4\r\n"
+        b"b_mult,4,0.001,0.002,2,4\r\n"
+        b"pattern,EMP1,0.002,0.002,2,1\r\n"
+        b"pattern,EMP2,0.000,0.000,2,1\r\n"
+        b"pattern,EMP3,0.000,0.000,1,1\r\n"
+        b"pattern,EMP4,0.000,0.000,2,1\r\n"
+        b"pattern,LC1,0.000,0.000,1,1\r\n"
+        b"pattern,LC2,0.000,0.000,1,1\r\n"
+        b"pattern,RAND,0.000,0.000,1,2\r\n"
+        b"pattern,SIN1,0.000,0.000,2,1\r\n"
+        b"pattern,SIN2,0.000,0.000,1,1\r\n"
+        b"pattern,STA,0.000,0.000,1,1\r\n"
+        b"Overall,,0.000,0.002,2,11\r\n"
+    ), ("geometric: 11 instances, 0 order-property violation(s), 0 error(s)\n"
+        "gap avg 0.000%  max 0.002%\n"
         "pivot: {out}\n")),
 }
 
@@ -555,6 +585,17 @@ class TestSearchCexCommand:
         violator = load_instance(tmp_path / "violator_886.json")
         assert violator.B == 88
 
+    def test_second_stream_manifest(self, tmp_path, capsys):
+        rc = main(["search-cex", "--seed", "174", "--budget", "1000",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "index 610: period 2" in capsys.readouterr().out
+        manifest = (tmp_path / "manifest.csv").read_text()
+        assert manifest == ("seed,index,period,witness_lo,witness_hi\n"
+                            "174,610,2,516,517\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "manifest.csv", "violator_610.json"]
+
     @pytest.mark.parametrize("flag", ["--seed", "--budget"])
     def test_negative_flag_is_named(self, tmp_path, capsys, flag):
         args = {"--seed": "0", "--budget": "2", flag: "-1"}
@@ -600,7 +641,10 @@ class TestBenchmarkCommand:
             main(["benchmark", "--family", "poisson", "--threads", "1"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--seed", "--confidence", "--rel-error"])
+    # the grid flags left with the outer grid: each point is solved on its
+    # structural grid
+    @pytest.mark.parametrize("flag", ["--seed", "--confidence", "--rel-error",
+                                      "--grid-min", "--grid-max"])
     def test_simulation_flags_are_gone(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "--family", "poisson", flag, "1"])

@@ -1,15 +1,17 @@
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from conftest import (FIXTURE_GRIDS, instance_path, seasonal_instance,
-                      small_random_instance)
+from conftest import (FIXTURE_GRIDS, instance_path, run_fresh,
+                      seasonal_instance, small_random_instance)
 from oracle import (brute_policy_cost, gap_with_estimates, rebuild_order_quantity,
                     simulate_policy)
 from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
                       ThresholdPolicy, expected_cost, load_instance,
-                      modified_ss_from_tables, optimality_gap, pmf_empirical, solve)
+                      modified_ss_from_tables, optimality_gap, pmf_empirical,
+                      pmf_parametric, solve)
 from stochinv.simulate import MIN_REPS, SimulationConfig
 
 
@@ -235,6 +237,35 @@ class TestExpectedCost:
             assert est.converged
             exact = expected_cost(instance, grid, orders, 0)
             assert abs(est.mean_cost - exact) <= est.half_width
+
+    def test_price_does_not_depend_on_the_blas_thread_count(self):
+        """A geometric demand of mean 1,000 has 20,734 masses and spreads the
+        inventory over 41,467 states by the last period, where one BLAS dot
+        product would be summed in several threads: the price has the same
+        bits at 1 and 2 threads, and is the closed form's to rounding. So
+        does a forward step whose dots are 12,000 terms long."""
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from stochinv import Grid, Instance, expected_cost, pmf_parametric
+            from stochinv.simulate import _spread
+            pmf = pmf_parametric("geometric", 1000, None)
+            instance = Instance(horizon=3, K=100.0, v=1.0, h=1.0, p=10.0,
+                                B=500, demands=(pmf,) * 3)
+            orders = np.zeros((3, 3), dtype=np.int64)
+            print(expected_cost(instance, Grid(-1, 1), orders, 0).hex())
+            rng = np.random.default_rng(7)
+            step = _spread(rng.random(12_000), rng.random(12_000))
+            print(step.size, hashlib.sha256(step.tobytes()).hexdigest())
+        """)
+        one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert one == two
+        # nothing is ordered, so period t's post-order level is minus the
+        # earlier demands, where the loss is p (mu - y): 10 mu (1 + 2 + 3)
+        mean = pmf_parametric("geometric", 1000, None).mean
+        price = float.fromhex(one.split()[0])
+        assert price == pytest.approx(60 * mean, rel=1e-13)
 
 
 class TestBudget:

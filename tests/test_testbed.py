@@ -4,9 +4,10 @@ import math
 import pytest
 
 from stochinv import (DEFAULT_GRID, BenchmarkReport, DesignPoint, Grid,
-                      GridSpanError, PointResult, build_design,
-                      demand_patterns, optimality_gap, read_policy,
-                      run_benchmark, solve, testbed)
+                      GridSpanError, PointResult, SimulationError,
+                      ValueTables, build_design, demand_patterns,
+                      optimality_gap, read_policy, run_benchmark,
+                      search_grid, solve, testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -76,7 +77,7 @@ class TestReportAggregation:
         results = (
             PointResult(points[0], 1.0, 2, (), None),
             PointResult(points[1], 3.0, 4, (5,), None),
-            PointResult(points[2], math.nan, 0, (), "GridSpanError: too narrow"),
+            PointResult(points[2], math.nan, 0, (), "SimulationError: mismatch"),
         )
         return BenchmarkReport(results)
 
@@ -93,7 +94,7 @@ class TestReportAggregation:
         report = self.build_report()
         assert [periods for _, periods in report.cop_violations] == [(5,)]
         assert len(report.errors) == 1
-        assert "GridSpanError" in report.errors[0][1]
+        assert "SimulationError" in report.errors[0][1]
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "pivot.csv"
@@ -111,7 +112,7 @@ def two_points():
 class TestSmallBenchmarkRun:
 
     def test_runs_clean_and_in_order(self, two_points):
-        report = run_benchmark(two_points, grid=Grid(-2000, 2500))
+        report = run_benchmark(two_points)
         assert [r.point.key for r in report.results] == [pt.key for pt in two_points]
         assert report.errors == []
         assert report.cop_violations == []
@@ -119,26 +120,46 @@ class TestSmallBenchmarkRun:
             assert -0.05 < result.gap < 5.0
             assert 1 <= result.max_thresholds <= 5
 
-    def test_narrow_grid_is_a_point_error(self, two_points):
-        report = run_benchmark(two_points[:1], grid=Grid(-5, 10))
-        ((key, error),) = report.errors
-        assert key == two_points[0].key
-        assert error.startswith("GridSpanError: ")
-        assert math.isnan(report.results[0].gap)
+    def test_simulation_error_is_a_point_error(self, two_points, monkeypatch):
+        def mismatched_gap(instance, tables, heuristic, x0):
+            raise SimulationError("exact optimal cost 1.0 differs from the "
+                                  "solved value 2.0")
 
-    def test_uncertified_states_are_not_priced(self, two_points):
-        # the point's structural top is 1360 and floor(20) is -1292, so
-        # exact_from(1) on a grid from -1291 is 1, above x0 = 0
-        point = two_points[0]
-        errors = [run_benchmark([point], grid=grid).errors
-                  for grid in (Grid(-2500, 1359), Grid(-1291, 2500))]
-        assert errors == [
-            [(point.key, "GridSpanError: grid top 1359 lies below the "
-              "structural top 1360; widen the grid upward")],
-            [(point.key, "GridSpanError: x0 = 0 lies below the certified "
-              "floor exact_from(1) = 1; widen the grid downward")]]
-        # one state lower, every period is certified from x0 = 0 up
-        assert run_benchmark([point], grid=Grid(-1292, 1360)).errors == []
+        monkeypatch.setattr(testbed, "optimality_gap", mismatched_gap)
+        report = run_benchmark(two_points)
+        assert report.errors == [
+            (point.key, "SimulationError: exact optimal cost 1.0 differs "
+             "from the solved value 2.0") for point in two_points]
+        assert all(math.isnan(r.gap) for r in report.results)
+        assert report.pivot_rows()[-1][-1] == 0
+
+    def test_every_point_is_priced_from_certified_states(self, monkeypatch):
+        # on the bed's grid x0 = 0 lies at or above the certified floor
+        # exact_from(1), bottom - floor(n) at a finite capacity and -dmax_n
+        # on the search grid at B = inf, and the grid reaches the top
+        class Solved(Exception):
+            pass
+
+        floors = []
+
+        def recording_solve(instance, grid, **kwargs):
+            tables = ValueTables(None, None, None, grid, instance,
+                                 kwargs["certified_only"])
+            floors.append((tables.exact_from(1),
+                           grid.x_max - instance.reach.top))
+            raise Solved
+
+        monkeypatch.setattr(testbed, "solve", recording_solve)
+        points = build_design(ALL_FAMILIES)[::10]
+        for point in points:
+            unbounded = point._replace(
+                instance=dataclasses.replace(point.instance, B=math.inf))
+            for pt in (point, unbounded):
+                with pytest.raises(Solved):
+                    run_benchmark([pt])
+        assert len(floors) == 2 * 972
+        assert max(floor for floor, _ in floors) <= 0
+        assert {over for _, over in floors} == {0}
 
     def test_unexpected_exception_reaches_the_caller(self, two_points,
                                                      monkeypatch):
@@ -147,7 +168,7 @@ class TestSmallBenchmarkRun:
 
         monkeypatch.setattr(testbed, "solve", broken_solve)
         with pytest.raises(TypeError, match="broken solve"):
-            run_benchmark(two_points[:1], grid=Grid(-2000, 2500))
+            run_benchmark(two_points[:1])
 
     def test_order_property_violation_is_recorded(self, spiky_instance):
         # the spiky fixture's first period orders, stops and orders again;
@@ -156,7 +177,7 @@ class TestSmallBenchmarkRun:
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        (result,) = run_benchmark([point], grid=Grid(-1000, 1100)).results
+        (result,) = run_benchmark([point]).results
         assert result.cop_violations == (1,)
         assert result.max_thresholds == 2
         assert result.error is None
@@ -186,7 +207,7 @@ def outcome(result):
 class TestTrimmedTopMatchesTheWholeGrid:
     """The bed solves a point only from its structural bottom (at a finite
     capacity) up to its structural top, sum_t dmax_t; its results are those
-    of the whole outer grid, exactly."""
+    of any grid that holds both, exactly."""
 
     @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
     @pytest.mark.parametrize("K, v, p", [(250, 2, 5), (1000, 10, 15)])
@@ -203,18 +224,23 @@ class TestTrimmedTopMatchesTheWholeGrid:
     # the smallest and the largest capacity of one pattern in each family.
     # At B = 125 (m4) ordering the capacity saves (p - v) B = K exactly in
     # the last period below its F^C, a tie the tolerance decides. Geometric
-    # points reach below the default grid, keep its floor and fail there.
+    # points reach past both edges of the default grid, so they are held
+    # to a grid 300 states wider than theirs at each edge.
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("b_mult", [2, 4])
     def test_each_family_on_the_default_grid(self, family, b_mult):
         (point,) = [pt for pt in build_design((family,))
                     if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
                     == ("LC1", 1000, 2, 10, b_mult) and pt.cv in (None, 0.2)]
-        raised = point.instance.reach.bottom > DEFAULT_GRID.x_min
-        assert raised == (family != "geometric")
+        reach = point.instance.reach
+        inside = (reach.bottom > DEFAULT_GRID.x_min
+                  and reach.top <= DEFAULT_GRID.x_max)
+        assert inside == (family != "geometric")
+        grid = (DEFAULT_GRID if inside
+                else Grid(reach.bottom - 300, reach.top + 300))
         (result,) = run_benchmark([point]).results
-        assert (result.error is None) == raised
-        assert outcome(result) == outcome(direct_result(point, DEFAULT_GRID))
+        assert result.error is None
+        assert outcome(result) == outcome(direct_result(point, grid))
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
         # period 1 orders again at 616-618, between the bottom -689 and the
@@ -223,9 +249,9 @@ class TestTrimmedTopMatchesTheWholeGrid:
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
         assert (inst.reach.bottom, inst.reach.top) == (-689, 899)
+        (result,) = run_benchmark([point]).results
+        assert result.cop_violations == (1,)
         for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
-            (result,) = run_benchmark([point], grid=grid).results
-            assert result.cop_violations == (1,)
             assert outcome(result) == outcome(direct_result(point, grid))
 
     def test_the_trimmed_grid_is_what_gets_solved(self, two_points, monkeypatch):
@@ -239,18 +265,11 @@ class TestTrimmedTopMatchesTheWholeGrid:
         point = two_points[0]
         bottom, top = -1317, 1360
         assert (point.instance.reach.bottom, point.instance.reach.top) == (bottom, top)
-        run_benchmark([point], grid=DEFAULT_GRID)
-        run_benchmark([point], grid=Grid(bottom, top))
-        run_benchmark([point], grid=Grid(bottom - 1, top + 1))
-        # a grid below the top is kept as given there
-        run_benchmark([point], grid=Grid(-2500, top - 1))
-        # and a floor above the bottom, which keeps whole rows
-        run_benchmark([point], grid=Grid(bottom + 1, 2500))
-        # an uncapacitated point is cut at the same top and keeps the floor
-        # and whole rows
+        run_benchmark([point])
+        # an uncapacitated point, which has no bottom, is solved on the
+        # search grid, from the deepest state reachable from x0 = 0
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
-        run_benchmark([unbounded], grid=DEFAULT_GRID)
-        assert solved == [(Grid(bottom, top), True)] * 3 + [
-            (Grid(bottom, top - 1), True), (Grid(bottom + 1, top), False),
-            (Grid(-10000, top), False)]
+        run_benchmark([unbounded])
+        assert solved == [(Grid(bottom, top), True),
+                          (search_grid(unbounded.instance), True)]
