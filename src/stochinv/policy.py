@@ -69,11 +69,11 @@ def check_cop(tables: ValueTables, period: int,
     from_state raises the floor, e.g. to skip states distorted by the lower
     grid edge). It fails exactly where a state that does not order lies
     right below one that does, so one pass over the row decides it, and
-    only a violated row is split into its ordering runs. On violation the
-    witness straddles the largest no-order gap: (last gap state, first
-    ordering state above). Raises ValueError for a floor below the row's
-    first solved state (ValueTables.solved_from), whose orders
-    certified_only tables do not hold.
+    only a violated row is split into its ordering runs (_screen). On
+    violation the witness straddles the largest no-order gap: (last gap
+    state, first ordering state above). Raises ValueError for a floor
+    below the row's first solved state (ValueTables.solved_from), whose
+    orders certified_only tables do not hold.
     """
     floor = tables.grid.x_min if from_state is None else from_state
     solved = tables.solved_from(period)
@@ -81,12 +81,18 @@ def check_cop(tables: ValueTables, period: int,
         raise ValueError(
             f"from_state {floor} lies below period {period}'s first solved "
             f"state {solved}")
-    q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
+    return _screen(tables.Qstar[tables.row(period), tables.grid.index(floor):],
+                   floor)
+
+
+def _screen(q_row: np.ndarray, floor: int) -> CopReport:
+    """check_cop's verdict on the orders q_row of the states from floor up."""
+    floor = int(floor)
     ordering = q_row > 0
     if not (ordering[1:] > ordering[:-1]).any():
         # with no rise, the ordering states are none or a run from the floor
         count = int(np.count_nonzero(ordering))
-        run = ((int(floor), int(floor) + count - 1),) if count else ()
+        run = ((floor, floor + count - 1),) if count else ()
         return CopReport(True, run, None)
 
     intervals = _state_runs(ordering, floor)
@@ -99,10 +105,11 @@ def check_cop(tables: ValueTables, period: int,
     return CopReport(False, intervals, (gap_hi, order_lo))
 
 
-def _read_period(tables: ValueTables,
-                 period: int) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """One period's (s_k, S_k) bands, k ascending, read from exact_from(period),
-    and whether the continuous order property holds there.
+def _read_period(tables: ValueTables, period: int,
+                 floor: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """One period's (s_k, S_k) bands, k ascending, read from its certified
+    floor exact_from(period), and whether the continuous order property
+    holds there.
 
     Walking the ordering states, maximal runs with a common order-up-to
     level x + Q(x) are threshold bands: the top state of the run is s_k and
@@ -120,23 +127,22 @@ def _read_period(tables: ValueTables,
     Raises GridSpanError for a period that orders only below exact_from:
     the grid is too narrow to certify any of its orders.
     """
-    grid = tables.grid
-    row = tables.Qstar[tables.row(period)]
-    floor = tables.exact_from(period)
-    report = check_cop(tables, period, floor)
+    row = tables.Qstar[period - 1]
+    x_min = tables.grid.x_min
+    report = _screen(row[floor - x_min:], floor)
     if not report.holds:
         _, s_m = report.ordering_set[-1]
-        return ((s_m, s_m + tables.qstar_at(period, s_m)),), False
+        return ((s_m, s_m + int(row[s_m - x_min])),), False
     if not report.ordering_set:
         # orders, not truthiness: certified_only rows hold -1 down there
-        if (row[:grid.index(floor)] > 0).any():
+        if (row[:floor - x_min] > 0).any():
             raise GridSpanError(
                 f"period {period} orders only below its certified floor "
                 f"exact_from = {floor}; widen the grid downward")
         return (), True
 
-    lo, s_m = report.ordering_set[0]
-    q = row[grid.index(lo):grid.index(s_m) + 1]
+    ((lo, s_m),) = report.ordering_set
+    q = row[lo - x_min:s_m - x_min + 1]
     cap = tables.instance.B
     skip = int(np.argmax(q != cap))   # 0 when every state is a slide
     if q[skip] == cap:
@@ -145,8 +151,10 @@ def _read_period(tables: ValueTables,
     xs = np.arange(lo + skip, s_m + 1)
     levels = xs + q
 
-    stops = np.append(np.flatnonzero(np.diff(levels) != 0) + 1, levels.size)
-    starts = np.append(0, stops[:-1])
+    # runs of equal levels lie between consecutive edges
+    edges = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1],
+                                           [True])))
+    starts, stops = edges[:-1], edges[1:]
     tops = xs[stops - 1]
     keep = (stops - starts > 1) | (q[starts] != cap) | (tops == s_m)
     pairs = tuple(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
@@ -185,17 +193,27 @@ class ThresholdPolicy:
 
     def orders(self, grid: Grid, B: int | float) -> np.ndarray:
         """Order table shaped like ValueTables.Qstar: up to the S_k of the
-        lowest band with x <= s_k, capped at B, and nothing above the top s."""
+        lowest band with x <= s_k, capped at B, and nothing above the top s.
+
+        The table is built flat in one step: each period's band levels
+        and then the level x_min, which orders nothing, each repeated over
+        the states it covers, minus the states and clipped to [0, B]. A
+        band's states lie below its level, so only that filler meets the
+        lower clip.
+        """
         xs = grid.states
-        table = np.zeros((len(self.bands), grid.size), dtype=np.int64)
-        for row, pairs in enumerate(self.bands):
-            if pairs:
-                s, big = np.array(pairs, dtype=np.int64).T
-                # the first cuts[k] states lie at or below s_k
-                cuts = np.searchsorted(xs, s, side="right")
-                levels = np.repeat(big, np.diff(cuts, prepend=0))
-                table[row, :cuts[-1]] = np.minimum(levels - xs[:cuts[-1]], B)
-        return table
+        # (row start, s, level): each entry covers its period's states up
+        # to its s, above the entry before it
+        entries = [(row * grid.size, s, big)
+                   for row, pairs in enumerate(self.bands)
+                   for s, big in (*pairs, (grid.x_max, grid.x_min))]
+        start, s, big = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        ends = start + np.searchsorted(xs, s, side="right")
+        table = np.repeat(big, np.diff(ends, prepend=0)).reshape(-1, grid.size)
+        table -= xs
+        # in place: against a float B (inf, 9.0) the orders are clipped as
+        # floats and cast back, exactly below 2**53
+        return np.clip(table, 0, B, out=table, casting="unsafe")
 
     def top(self) -> ThresholdPolicy:
         """The modified (s, S) policy: each period's top band alone."""
@@ -207,9 +225,12 @@ def read_policy(tables: ValueTables) -> ThresholdPolicy:
     at a time from exact_from(period) by one order-property screen. A
     period where the property fails is flagged and keeps one stand-in band.
     Raises GridSpanError if some period orders only below exact_from."""
+    # exact_from(t) for t = 1..n, from the instance's reachable floors
+    floors = tables.instance.reach.floors
+    shift = tables.grid.x_min - floors[tables.instance.horizon - 1]
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):
-        pairs, holds = _read_period(tables, period)
+        pairs, holds = _read_period(tables, period, floors[period - 1] + shift)
         bands.append(pairs)
         if not holds:
             flagged.append(period)
@@ -306,7 +327,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     and also on the envelope (the left edge s_m counts: it sits strictly
     above everything in the interval).
     """
-    bands, _ = _read_period(tables, period)
+    bands, _ = _read_period(tables, period, tables.exact_from(period))
     if not bands:
         return []
     s_m, big_s_m = bands[-1]

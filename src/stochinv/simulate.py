@@ -7,14 +7,20 @@ ThresholdPolicy.orders for a threshold policy such as the heuristic.
 expected_cost prices a policy exactly. It carries the distribution of
 the inventory forward one period at a time and adds up each period's
 expected ordering, holding and shortage cost. optimal_cost prices
-tables.Qstar and checks it against the solved value; optimality_gap
-uses both.
+tables.Qstar and checks it against the solved value. optimality_gap
+prices both policies in one such pass: the threshold policy shares the
+optimal pass for as long as both tables order alike at every state the
+distribution covers, and splits off in the first period where they do
+not, to continue alone from that period's shared state. Up to the split
+both passes take the same float operations on the same operands, so
+each price keeps the bits of its own expected_cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +76,49 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     Raises ValueError where the distribution reads a negative order, such
     as the fill below the certified range of certified_only tables.
     """
-    lo = x0                  # lowest state of the distribution
-    dist = np.ones(1)        # dist[i] = P(x = lo + i)
-    total = 0.0
-    factor = 1.0
-    for period in range(1, instance.horizon + 1):
+    return _forward(instance, grid, orders, _start(x0))[0]
+
+
+class _PassState(NamedTuple):
+    """A forward pass at the start of a period: the inventory distribution,
+    dist[i] = P(x = lo + i), and the discounted cost and discount factor
+    of the periods before."""
+
+    period: int
+    lo: int
+    dist: np.ndarray
+    total: float
+    factor: float
+
+
+def _start(x0: int) -> _PassState:
+    """All mass at x0 before the first period, nothing spent."""
+    return _PassState(1, x0, np.ones(1), 0.0, 1.0)
+
+
+def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
+             state: _PassState, rival: np.ndarray | None = None
+             ) -> tuple[float, _PassState | None]:
+    """expected_cost's pass under orders from state to the horizon.
+
+    Returns the cost and, given a rival order table, the state at the
+    start of the first period where the rival orders differently at some
+    state the distribution covers, or None where it never does. Up to
+    that period a pass under the rival takes the same operations on the
+    same operands, so continuing it from the returned state gives the
+    rival's expected_cost bit for bit.
+    """
+    first, lo, dist, total, factor = state
+    fork = None
+    for period in range(first, instance.horizon + 1):
         pmf = instance.demands[period - 1]
         xs = np.arange(lo, lo + dist.size)
-        q = orders[period - 1].take(xs - grid.x_min, mode="clip")
+        cols = xs - grid.x_min
+        q = orders[period - 1].take(cols, mode="clip")
+        if rival is not None and (
+                q != rival[period - 1].take(cols, mode="clip")).any():
+            fork = _PassState(period, lo, dist, total, factor)
+            rival = None
         if q.min() < 0:
             raise ValueError(
                 f"period {period} reads the negative order {q.min()}: no "
@@ -95,7 +136,7 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
         # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
         dist = _spread(dist_y, pmf.dense[::-1])
         lo = y_lo - pmf.max_value
-    return float(total)
+    return float(total), fork
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -133,23 +174,38 @@ def optimal_cost(instance: Instance, tables: ValueTables, x0: int) -> float:
     instance, or the grid edge reaches x0, and SimulationError is raised.
     """
     opt = expected_cost(instance, tables.grid, tables.Qstar, x0)
+    _check_optimum(instance, tables, x0, opt)
+    return opt
+
+
+def _check_optimum(instance: Instance, tables: ValueTables, x0: int,
+                   opt: float) -> None:
+    """optimal_cost's check of the price opt of tables.Qstar from x0."""
     dp_value = tables.cost_at(1, x0)
     if abs(opt - dp_value) > _TIE_TOL * (instance.horizon + abs(dp_value)):
         raise SimulationError(
             f"exact optimal cost {opt!r} differs from the solved value "
             f"{dp_value!r}")
-    return opt
 
 
 def optimality_gap(instance: Instance, tables: ValueTables,
                    heuristic: ThresholdPolicy, x0: int) -> float:
     """Exact percent cost excess of a threshold policy over the optimal table.
 
-    The optimal table is priced by optimal_cost, which raises
-    SimulationError when it does not reproduce the solved value, and the
-    threshold policy by expected_cost.
+    Both policies are priced in one forward pass. It runs under
+    tables.Qstar and carries the threshold policy's order table along
+    while both tables order alike at every state the distribution
+    covers; where they first differ, the threshold policy's pass splits
+    off and continues alone from that period's shared state. Up to the
+    split the two passes take the same operations on the same operands,
+    so each price is expected_cost's bit for bit, and a policy that never
+    splits off costs exactly the optimum. The optimal price is checked as
+    in optimal_cost, which raises SimulationError when it does not
+    reproduce the solved value, before the threshold policy's pass goes on.
     """
-    opt = optimal_cost(instance, tables, x0)
     grid = tables.grid
-    heur = expected_cost(instance, grid, heuristic.orders(grid, instance.B), x0)
+    orders = heuristic.orders(grid, instance.B)
+    opt, fork = _forward(instance, grid, tables.Qstar, _start(x0), orders)
+    _check_optimum(instance, tables, x0, opt)
+    heur = opt if fork is None else _forward(instance, grid, orders, fork)[0]
     return _percent_gap(heur, opt)

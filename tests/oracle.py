@@ -270,6 +270,27 @@ def rebuild_order_quantity(pairs, B, x):
     return int(min(pairs[k][1] - x, B))
 
 
+def periodwise_orders(policy, grid, B):
+    """ThresholdPolicy.orders built one period at a time.
+
+    The reference the one-step table must match entry for entry: in each
+    period with bands, the states up to each s_k order up to their band's
+    S_k, capped at B, and the states above the top s order nothing.
+    """
+    import numpy as np
+
+    xs = grid.states
+    table = np.zeros((len(policy.bands), grid.size), dtype=np.int64)
+    for row, pairs in enumerate(policy.bands):
+        if pairs:
+            s, big = np.array(pairs, dtype=np.int64).T
+            # the first cuts[k] states lie at or below s_k
+            cuts = np.searchsorted(xs, s, side="right")
+            levels = np.repeat(big, np.diff(cuts, prepend=0))
+            table[row, :cuts[-1]] = np.minimum(levels - xs[:cuts[-1]], B)
+    return table
+
+
 def threshold_pairs_by_run(xs, q, cap, s_m):
     """Threshold pairs of one ordering interval, walked run by run.
 

@@ -166,6 +166,40 @@ BED_PIVOTS = {
 }
 
 
+def fixture_text(name):
+    with open(instance_path(name)) as handle:
+        return handle.read()
+
+
+# the workflow's sed of the seasonal file to B = inf, and its printf of a
+# one-period file whose capacity is wider than its grid
+SEASONAL_INF = fixture_text("seasonal_poisson.json").replace('"B": 65', '"B": "inf"')
+WIDE_CAP = ('{"horizon": 1, "K": 1.0, "v": 0.0, "h": 1.0, "p": 5.0, "B": 5, '
+            '"demands": [{"values": [0, 1], "probs": [0.5, 0.5]}]}\n')
+SEASONAL_INF_BANDS = (b"period,k,s,S\n1,1,15,67\n2,1,28,49\n3,1,55,109\n"
+                      b"4,1,28,49\n")
+
+# the workflow's simulate step and its three pinned thresholds.csv steps,
+# run in-process: step -> (the instance file's text, the command and its
+# grid flags, and the bytes the step diffs: simulate's stdout, or the
+# thresholds.csv that solve writes)
+WORKFLOW_PINS = {
+    "simulate": (fixture_text("seasonal_poisson.json"),
+                 ["simulate", "--grid-min", "-300", "--grid-max", "600"],
+                 b"optimal: expected cost 395.372397\n"
+                 b"modified-ss: expected cost 395.850626\n"
+                 b"gap: 0.121%\n"),
+    "seasonal_inf": (SEASONAL_INF,
+                     ["solve", "--grid-min", "-300", "--grid-max", "600"],
+                     SEASONAL_INF_BANDS),
+    "seasonal_inf_top": (SEASONAL_INF,
+                         ["solve", "--grid-min", "-300", "--grid-max", "330"],
+                         SEASONAL_INF_BANDS),
+    "wide_cap": (WIDE_CAP, ["solve", "--grid-min", "-1", "--grid-max", "1"],
+                 b"period,k,s,S\n1,1,0,1\n"),
+}
+
+
 def fixture_doc(name):
     with open(instance_path(name + ".json")) as handle:
         return json.load(handle)
@@ -666,3 +700,21 @@ class TestBedPivots:
         assert out.read_bytes() == pivot
         if stdout is not None:
             assert capsys.readouterr().out == stdout.format(out=out)
+
+
+class TestWorkflowPins:
+    """The workflow's simulate step and thresholds.csv steps, byte for byte."""
+
+    @pytest.mark.parametrize("step", sorted(WORKFLOW_PINS))
+    def test_step_matches_the_workflow(self, tmp_path, capsys, step):
+        text, (command, *flags), pinned = WORKFLOW_PINS[step]
+        path = tmp_path / f"{step}.json"
+        path.write_text(text)
+        if command == "solve":
+            flags += ["--out", str(tmp_path / step)]
+        rc = main([command, str(path), *flags])
+        assert rc == 0
+        if command == "simulate":
+            assert capsys.readouterr().out.encode() == pinned
+        else:
+            assert (tmp_path / f"{step}_thresholds.csv").read_bytes() == pinned

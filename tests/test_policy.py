@@ -401,14 +401,15 @@ def assert_bands_walk_the_whole_interval(tables):
     leading capacity slides included."""
     grid = tables.grid
     for period in range(1, tables.instance.horizon + 1):
-        report = check_cop(tables, period, tables.exact_from(period))
+        floor = tables.exact_from(period)
+        report = check_cop(tables, period, floor)
         if not (report.holds and report.ordering_set):
             continue
         lo, s_m = report.ordering_set[0]
         q = tables.Qstar[tables.row(period), grid.index(lo):grid.index(s_m) + 1]
         want = threshold_pairs_by_run(list(range(lo, s_m + 1)), q.tolist(),
                                       tables.instance.B, s_m)
-        assert _read_period(tables, period) == (tuple(want), True), period
+        assert _read_period(tables, period, floor) == (tuple(want), True), period
 
 
 class TestBandsWalkTheWholeInterval:

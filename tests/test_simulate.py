@@ -1,18 +1,21 @@
 import math
 import textwrap
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (FIXTURE_GRIDS, instance_path, run_fresh,
                       seasonal_instance, small_random_instance)
-from oracle import (brute_policy_cost, gap_with_estimates, rebuild_order_quantity,
-                    simulate_policy)
+from oracle import (brute_policy_cost, gap_with_estimates, periodwise_orders,
+                    rebuild_order_quantity, simulate_policy)
 from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
                       ThresholdPolicy, expected_cost, load_instance,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
                       pmf_parametric, solve)
-from stochinv.simulate import MIN_REPS, SimulationConfig
+from stochinv.simulate import MIN_REPS, SimulationConfig, _percent_gap
 
 
 def deterministic_instance(horizon=4):
@@ -268,6 +271,112 @@ class TestExpectedCost:
         assert price == pytest.approx(60 * mean, rel=1e-13)
 
 
+class PricedTables(NamedTuple):
+    """What optimality_gap reads of ValueTables: the grid, the optimal
+    order table and the solved value at (1, x0), here the table's own
+    price, so that any table passes the optimal check from any start,
+    on or off the grid."""
+
+    grid: Grid
+    Qstar: np.ndarray
+    value: float
+
+    def cost_at(self, period, x):
+        return self.value
+
+
+@st.composite
+def bands_on(draw, lo, hi):
+    """One period's (s_k, S_k) pairs, s and S strictly rising, s_k < S_k,
+    with thresholds from below lo to above hi; often none."""
+    s_values = sorted(draw(st.sets(st.integers(lo - 8, hi + 8), max_size=3)))
+    pairs, level = [], -math.inf
+    for s in s_values:
+        level = max(s + draw(st.integers(1, 12)), level + 1)
+        pairs.append((s, level))
+    return tuple(pairs)
+
+
+@st.composite
+def priced_instances(draw):
+    """A small instance, a grid and a threshold policy on it. B is finite,
+    inf or held as a float, and the discount may lie below 1."""
+    horizon = draw(st.integers(1, 4))
+    demands = []
+    for _ in range(horizon):
+        values = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3,
+                               unique=True))
+        masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values),
+                               max_size=len(values)))
+        demands.append(pmf_empirical(values, np.array(masses) / sum(masses)))
+    instance = Instance(
+        horizon=horizon, K=draw(st.floats(0.0, 30.0)), v=draw(st.floats(0.0, 3.0)),
+        h=draw(st.floats(0.1, 2.0)), p=draw(st.floats(0.1, 12.0)),
+        B=draw(st.one_of(st.integers(1, 8), st.integers(1, 8).map(float),
+                         st.just(math.inf))),
+        demands=tuple(demands), discount=draw(st.sampled_from([1.0, 0.9, 0.5])))
+    grid = Grid(-draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    policy = ThresholdPolicy(tuple(draw(bands_on(grid.x_min, grid.x_max))
+                                   for _ in range(horizon)))
+    return instance, grid, policy
+
+
+class TestOnePassPricesBothPolicies:
+    """optimality_gap prices the optimal table and the threshold policy in
+    one pass that forks where their orders first differ; each price must
+    be that of its own expected_cost bit for bit. The optimal table is the
+    policy's own table with a fork planted in one period: in every state
+    of period 1 or of the last period, in none of the states period 1
+    reads, or in some states of some period, which the pass may or may
+    not read."""
+
+    @pytest.mark.parametrize("fork", ["first", "last", "never", "some"])
+    @given(case=priced_instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gap_is_that_of_two_separate_prices(self, fork, case, data):
+        instance, grid, policy = case
+        # starts off the grid read the clipped edge columns
+        x0 = data.draw(st.integers(grid.x_min - 15, grid.x_max + 15))
+        orders = policy.orders(grid, instance.B)
+        qstar = orders.copy()
+        if fork == "never":
+            # period 1 reads x0's column alone: differ everywhere else
+            read = min(max(x0, grid.x_min), grid.x_max) - grid.x_min
+            qstar[0, np.arange(grid.size) != read] += 1
+        elif fork == "some":
+            period = data.draw(st.integers(0, instance.horizon - 1))
+            cols = data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1))
+            qstar[period, cols] += 1
+        else:
+            qstar[0 if fork == "first" else -1] += 1
+        opt = expected_cost(instance, grid, qstar, x0)
+        heur = expected_cost(instance, grid, orders, x0)
+        gap = optimality_gap(instance, PricedTables(grid, qstar, opt), policy, x0)
+        assert gap.hex() == _percent_gap(heur, opt).hex()
+        if fork == "never":
+            assert gap == 0.0
+
+    @given(case=priced_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_negative_order_after_the_fork_is_refused(self, case, data):
+        instance, grid, policy = case
+        horizon = instance.horizon
+        assume(horizon > 1)
+        fork = data.draw(st.integers(1, horizon - 1))
+        negative = data.draw(st.integers(fork + 1, horizon))
+        x0 = data.draw(st.integers(grid.x_min - 15, grid.x_max + 15))
+        qstar = policy.orders(grid, instance.B)
+        qstar[fork - 1] += 1
+        qstar[negative - 1] = -1
+        with pytest.raises(ValueError) as alone:
+            expected_cost(instance, grid, qstar, x0)
+        assert str(alone.value).startswith(f"period {negative} reads the "
+                                           "negative order -1: ")
+        with pytest.raises(ValueError) as joint:
+            optimality_gap(instance, PricedTables(grid, qstar, 0.0), policy, x0)
+        assert str(joint.value) == str(alone.value)
+
+
 class TestBudget:
     def test_unconverged_run_reports_it(self, seasonal_tables):
         instance = seasonal_instance(65)
@@ -313,6 +422,58 @@ class TestPolicyFunctions:
         assert above.mean_cost == 30.0 + 3 + 1.0 * (1000 + 3 - 5)
         assert expected_cost(instance, grid, orders, -1000) == below.mean_cost
         assert expected_cost(instance, grid, orders, 1000) == above.mean_cost
+
+
+class Span(NamedTuple):
+    """The parts of Grid that ThresholdPolicy.orders reads, for spans Grid
+    refuses, such as a single state."""
+
+    x_min: int
+    x_max: int
+
+    @property
+    def size(self):
+        return self.x_max - self.x_min + 1
+
+    @property
+    def states(self):
+        return np.arange(self.x_min, self.x_max + 1)
+
+
+class TestOrderTable:
+    """The one-step order table against the period-by-period reference."""
+
+    @given(data=st.data(),
+           grid=st.one_of(
+               st.builds(Grid, st.integers(-12, -1), st.integers(1, 12)),
+               st.builds(lambda x: Span(x, x), st.integers(-5, 5))),
+           B=st.one_of(st.integers(1, 20), st.integers(1, 20).map(float),
+                       st.just(math.inf)),
+           horizon=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_periodwise_table(self, data, grid, B, horizon):
+        # bands reach from wholly below x_min to above x_max; many periods
+        # have none
+        policy = ThresholdPolicy(tuple(data.draw(bands_on(grid.x_min, grid.x_max))
+                                       for _ in range(horizon)))
+        table = policy.orders(grid, B)
+        want = periodwise_orders(policy, grid, B)
+        assert table.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(table, want)
+
+    @pytest.mark.parametrize("B", [4, 9.0, math.inf])
+    def test_edge_bands(self, B):
+        grid = Grid(-5, 5)
+        policy = ThresholdPolicy((
+            ((-9, -7),),            # wholly below x_min: orders nothing
+            ((-9, -6), (7, 12)),    # s above x_max: every state orders
+            (),
+            ((-3, 1), (2, 8)),
+        ))
+        table = policy.orders(grid, B)
+        np.testing.assert_array_equal(table, periodwise_orders(policy, grid, B))
+        assert not table[0].any() and not table[2].any()
+        assert (table[1] > 0).all()
 
 
 class TestConfigValidation:
