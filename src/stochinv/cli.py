@@ -30,7 +30,8 @@ from .files import InstanceFormatError, dump_instance, load_instance, thresholds
 from .heuristic import modified_ss_from_tables
 from .policy import MalformedTable, check_cop, read_policy
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
-from .simulate import SimulationError, _percent_gap, expected_cost, optimal_cost
+from .simulate import (SimulationError, _percent_gap, _price_both, expected_cost,
+                       optimal_cost)
 from .testbed import build_design, run_benchmark
 
 EXIT_OK = 0
@@ -133,12 +134,16 @@ def cmd_simulate(args) -> int:
     x0 = 0
     tables.check_start(x0)   # the grid's fault, before any cost is read
 
-    costs = {}
-    if args.policy != "modified-ss":
-        costs["optimal"] = optimal_cost(instance, tables, x0)
-    if args.policy != "optimal":
-        orders = modified_ss_from_tables(tables).orders(tables.grid, instance.B)
-        costs["modified-ss"] = expected_cost(instance, tables.grid, orders, x0)
+    if args.policy == "optimal":
+        costs = {"optimal": optimal_cost(instance, tables, x0)}
+    else:
+        heuristic = modified_ss_from_tables(tables)
+        if args.policy == "both":   # one forward pass prices both policies
+            opt, heur = _price_both(instance, tables, heuristic, x0)
+            costs = {"optimal": opt, "modified-ss": heur}
+        else:
+            orders = heuristic.orders(tables.grid, instance.B)
+            costs = {"modified-ss": expected_cost(instance, tables.grid, orders, x0)}
 
     for name, cost in costs.items():
         print(f"{name}: expected cost {cost:.6f}")

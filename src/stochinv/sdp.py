@@ -7,15 +7,19 @@ finite integer PMF per period, independent across periods.
 
 solve runs one backward pass per period over the whole grid row, or,
 with certified_only, over the period's certified range alone:
-G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], then the minimum of G over
-each capacity window and C(x) = -v x + min(G(x), K + window min). With
-B = inf the window is as wide as the row, since no order can reach past
-the top of the grid, so one kernel serves both problems. Each kernel
-does only the work the tables read. The loss row L looks partial sums up
-only on the demand support and is closed form below and above it. The
-expected continuation adds the demand points up one at a time over a
-whole row, and on a certified range takes each state as one dot product
-through np.convolve.
+G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], where L(y) = E[l(y - d)]
+is the expected holding and shortage cost l(x') = h x'+ + p x'- on the
+end-of-period inventory, then the minimum of G over each capacity window
+and C(x) = -v x + min(G(x), K + window min). With B = inf the window is
+as wide as the row, since no order can reach past the top of the grid,
+so one kernel serves both problems. Each kernel does only the work the
+tables read. On a whole row the loss row L is a closed form that looks
+partial sums up only on the demand support, and the expected
+continuation adds the demand points up one at a time. On a certified
+range each state of a row before the last is one dot product through
+np.convolve, which takes L and the continuation together:
+G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)]. The last row, which
+has no continuation, takes the closed form.
 The window minimum returns the minimum everywhere but searches for the
 smallest attaining order only at the states where ordering pays, since
 Qstar is zero everywhere else. Most of those lie far below the bands and
@@ -250,12 +254,14 @@ class Reach:
       upward. solve(certified_only=True) therefore computes each range
       alone, with no read left for the clamp, and on a grid from bottom up
       what it leaves out are the states the clamp below the grid distorts,
-      which nothing above reads. Its continuation sums each state as one
-      dot product (_expected_continuation), so its entries are bit for
-      bit those of a whole-row solve with that continuation, and agree
-      with the default whole-row solve, which sums demand point by demand
-      point, to rounding: the bands, flags and gap are the same unless a
-      decision lies within rounding of the tie tolerance.
+      which nothing above reads. Before the last row it sums each state's
+      holding and shortage cost and continuation as one dot product
+      (_expected_continuation over l + discount C_{t+1}), so its entries
+      are bit for bit those of a whole-row solve that sums the same way,
+      and agree with the default whole-row solve, which adds the
+      closed-form loss row and sums demand point by demand point, to
+      rounding: the bands, flags and gap are the same unless a decision
+      lies within rounding of the tie tolerance.
     The argument treats the values as exact. In floating point the rows
     below F^G_t are lines up to rounding, so only a saving -s B - K within
     rounding of the tie tolerance could be decided differently at
@@ -486,8 +492,11 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:
     """One-period expected holding plus shortage cost at each post-order level.
 
-    states must be ascending. Closed form via the partial sums F(y) and
-    M1(y) = E[d; d <= y]:
+    solve adds it on whole rows and on the last row of certified_only
+    tables; the certified rows before the last take it inside their
+    continuation's convolution instead (_end_cost). states must be
+    ascending. Closed form via the partial sums F(y) and M1(y) =
+    E[d; d <= y]:
     L(y) = h (y F(y) - M1(y)) + p ((mu - M1(y)) - y (1 - F(y))).
     Below the support F = M1 = 0, so L(y) = p (mu - y) exactly. From the
     bottom of the support up, the closed form reads the partial sums at
@@ -522,6 +531,18 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     return out
 
 
+def _end_cost(levels: np.ndarray, h: float, p: float) -> np.ndarray:
+    """l(x') = h x'+ + p x'-, the holding and shortage cost of one period
+    at each end-of-period inventory level x' = y - d.
+
+    Each entry is one product, the larger of -p x' and h x' as h, p > 0:
+    h x' from 0 up (0.0 at 0) and p (-x') below. Its expectation over the
+    demand, L(y) = E[l(y - d)], thus takes the rounding of one dot
+    product alone.
+    """
+    return np.maximum(-p * levels, h * levels)
+
+
 def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
                            clamp: bool = True) -> np.ndarray:
     """E[c_row(y - demand)] at each state y of the row.
@@ -535,7 +556,9 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
     (_tile_sum); the bed's PMFs fit in one tile. Neither the operands nor
     their order depend on where the row starts, so a slice of a row gives
     the same outputs bit for bit. They agree with the clamp loop's sums to
-    rounding, not bit for bit.
+    rounding, not bit for bit. solve passes the certified rows' sums of
+    the holding and shortage cost and the discounted cost-to-go, so that
+    one convolution takes both expectations.
 
     With clamp, y runs over the whole row and reads below it clamp to the
     lowest state, and the sum runs over the support one demand point at a
@@ -646,24 +669,32 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     With certified_only, period t's row is computed only on its certified
     range [exact_from(t), x_max]; below it C and G hold NaN and Qstar -1,
     which no order is, and the tables refuse the reads that would take
-    the fill for values (ValueTables.solved_from). The continuation there
-    is the convolution of _expected_continuation (clamp=False), which
-    sums each state as one dot product, where the full solve sums the
-    demand points one at a time over the whole row. Every certified entry
-    is, by its dependency cone, bit for bit that of a full solve whose
-    continuation is the same convolution over rows padded with the clamp:
+    the fill for values (ValueTables.solved_from). Each row before the
+    last takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], with
+    l(x') = h x'+ + p x'- evaluated once per solve on the grid (_end_cost):
+    the convolution of _expected_continuation (clamp=False) over
+    l + discount C_{t+1} sums each state's holding and shortage cost and
+    continuation as one dot product, where the full solve adds the
+    closed-form loss row and sums the demand points one at a time over
+    the whole row. The last row, whose range is the whole row and which
+    has no continuation, adds the closed-form loss row as the full solve
+    does. Every certified entry is, by its dependency cone, bit for bit
+    that of a whole-row solve that folds l the same way over rows padded
+    with the clamp:
     - exact_from(t) - dmax_t = exact_from(t + 1), so the expected
-      continuation of row t's range reads row t + 1 only on row t + 1's
-      range, and no read is left for the clamp below the grid;
+      continuation of row t's range reads row t + 1, and l, only on row
+      t + 1's range, and no read is left for the clamp below the grid;
     - each continuation output is one dot product over the same
       max_value + 1 operands, in the same order, wherever its row starts;
-    - the loss row, the purchase term and the C update are state by state,
-      and the window minimum and its orders read only upward, from a state
-      to the row's end;
-    so by induction from the last period, whose range is the whole row,
-    each entry is the same float operations on the same operands. Against
-    the default full solve, the entries agree to rounding: over the 810
-    Poisson bed points C is within 3.9e-15 relative and Qstar equal.
+    - l, the sum l + discount C_{t+1}, the loss row, the purchase term
+      and the C update are state by state, and the window minimum and its
+      orders read only upward, from a state to the row's end;
+    so by induction from the last period each entry is the same float
+    operations on the same operands. Against the default full solve, the
+    entries agree to rounding: over the 810 Poisson bed points C is
+    within 1.4e-14 relative and Qstar equal. Of the two, the fold is the
+    nearer to the exact values, as the closed form subtracts a partial
+    sum from a mean rounded on its own.
     """
     top = instance.reach.top
     if grid.x_max < top:
@@ -684,26 +715,34 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     g_tbl = np.empty((n, size))
     q_tbl = np.empty((n, size), dtype=np.int64)
 
+    # the one-period cost on end-of-period inventory, which every certified
+    # row before the last takes inside its continuation's convolution
+    ell = _end_cost(states, instance.h, instance.p) if certified_only else None
+
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
         # the row's first solved column: exact_from(t + 1) - x_min
         lo = floors[t] - floors[n - 1] if certified_only else 0
         g_row, c_row = g_tbl[t, lo:], c_tbl[t, lo:]
-        np.add(purchase[lo:],
-               _loss_row(states[lo:], pmf, instance.h, instance.p), out=g_row)
-        # nothing is owed after the last period; adding its zero still
-        # keeps every bit (-0.0 + 0.0 is 0.0)
-        if t == n - 1:
-            cont = 0.0
-        elif certified_only:
-            # row t + 1's range starts max_value states lower
-            cont = _expected_continuation(c_tbl[t + 1, lo - pmf.max_value:],
-                                          pmf, clamp=False)
+        if certified_only and t < n - 1:
+            # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)]; row t + 1's
+            # range starts max_value states lower
+            nxt = lo - pmf.max_value
+            ahead = c_tbl[t + 1, nxt:]
+            if instance.discount != 1.0:
+                ahead = ahead * instance.discount
+            np.add(purchase[lo:],
+                   _expected_continuation(ell[nxt:] + ahead, pmf, clamp=False),
+                   out=g_row)
         else:
-            cont = _expected_continuation(c_tbl[t + 1], pmf)
-        if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
-            cont *= instance.discount
-        g_row += cont
+            np.add(purchase[lo:],
+                   _loss_row(states[lo:], pmf, instance.h, instance.p), out=g_row)
+            # nothing is owed after the last period; adding its zero still
+            # keeps every bit (-0.0 + 0.0 is 0.0)
+            cont = 0.0 if t == n - 1 else _expected_continuation(c_tbl[t + 1], pmf)
+            if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
+                cont *= instance.discount
+            g_row += cont
         w, orders = _window_min_finite(g_row, cap)
         np.add(K, w, out=c_row)   # the cost of ordering, until C is done
         # search for the smallest minimizing order only where ordering pays

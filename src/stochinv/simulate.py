@@ -6,10 +6,12 @@ ThresholdPolicy.orders for a threshold policy such as the heuristic.
 
 expected_cost prices a policy exactly. It carries the distribution of
 the inventory forward one period at a time and adds up each period's
-expected ordering, holding and shortage cost. optimal_cost prices
-tables.Qstar and checks it against the solved value. optimality_gap
-prices both policies in one such pass: the threshold policy shares the
-optimal pass for as long as both tables order alike at every state the
+expected ordering cost, and its holding and shortage cost as one dot
+product over the end-of-period distribution that the next period starts
+from. optimal_cost prices tables.Qstar and checks it against the solved
+value. _price_both, which optimality_gap and CLI simulate call, prices
+both policies in one such pass: the threshold policy shares the optimal
+pass for as long as both tables order alike at every state the
 distribution covers, and splits off in the first period where they do
 not, to continue alone from that period's shared state. Up to the split
 both passes take the same float operations on the same operands, so
@@ -26,7 +28,7 @@ import numpy as np
 
 from .policy import ThresholdPolicy
 from .sdp import (_CONVOLVE_TILE, _TIE_TOL, Grid, Instance, ValueTables,
-                  _loss_row, _tile_sum)
+                  _end_cost, _tile_sum)
 
 
 class SimulationError(RuntimeError):
@@ -65,9 +67,12 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     states off the grid take the order of the nearest grid edge. The
     pre-order inventory's distribution starts as all mass at x0. Each
     period adds the expected ordering cost, moves the mass to the
-    post-order levels, adds the expected holding and shortage cost there
-    (the solver's closed form) and convolves with the demand PMF to get
-    the next period's distribution. States are never clamped, so this is
+    post-order levels and convolves with the demand PMF to get the
+    end-of-period distribution, which the next period starts from. On it
+    the period adds the expected holding and shortage cost, one dot
+    product with l(x') = h x'+ + p x'- at each level (sdp._end_cost),
+    which the certified rows of solve fold into their continuation the
+    same way. States are never clamped, so this is
     the policy's true expectation; the Monte Carlo sampler in the tests
     estimates the same quantity. The work is the sum over periods of the
     distribution's width times the demand support. Every sum is taken in
@@ -129,13 +134,14 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
         ys = xs + q
         y_lo = int(ys.min())
         dist_y = np.bincount(ys - y_lo, weights=dist)
-        levels = np.arange(y_lo, y_lo + dist_y.size, dtype=np.float64)
-        cost += _dot(dist_y, _loss_row(levels, pmf, instance.h, instance.p))
-        total += factor * cost
-        factor *= instance.discount
         # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
         dist = _spread(dist_y, pmf.dense[::-1])
         lo = y_lo - pmf.max_value
+        # the holding and shortage cost, charged on the end-of-period levels
+        levels = np.arange(lo, lo + dist.size, dtype=np.float64)
+        cost += _dot(dist, _end_cost(levels, instance.h, instance.p))
+        total += factor * cost
+        factor *= instance.discount
     return float(total), fork
 
 
@@ -192,20 +198,32 @@ def optimality_gap(instance: Instance, tables: ValueTables,
                    heuristic: ThresholdPolicy, x0: int) -> float:
     """Exact percent cost excess of a threshold policy over the optimal table.
 
-    Both policies are priced in one forward pass. It runs under
-    tables.Qstar and carries the threshold policy's order table along
-    while both tables order alike at every state the distribution
-    covers; where they first differ, the threshold policy's pass splits
-    off and continues alone from that period's shared state. Up to the
-    split the two passes take the same operations on the same operands,
-    so each price is expected_cost's bit for bit, and a policy that never
-    splits off costs exactly the optimum. The optimal price is checked as
-    in optimal_cost, which raises SimulationError when it does not
-    reproduce the solved value, before the threshold policy's pass goes on.
+    Both policies are priced in one forward pass (_price_both), each to
+    expected_cost's bits; SimulationError is raised when the optimal price
+    does not reproduce the solved value, as in optimal_cost.
+    """
+    opt, heur = _price_both(instance, tables, heuristic, x0)
+    return _percent_gap(heur, opt)
+
+
+def _price_both(instance: Instance, tables: ValueTables,
+                heuristic: ThresholdPolicy, x0: int) -> tuple[float, float]:
+    """The exact costs of tables.Qstar and of a threshold policy from x0.
+
+    Both are priced in one forward pass. It runs under tables.Qstar and
+    carries the threshold policy's order table along while both tables
+    order alike at every state the distribution covers; where they first
+    differ, the threshold policy's pass splits off and continues alone
+    from that period's shared state. Up to the split the two passes take
+    the same operations on the same operands, so each price is
+    expected_cost's bit for bit, and a policy that never splits off costs
+    exactly the optimum. The optimal price is checked as in optimal_cost,
+    which raises SimulationError when it does not reproduce the solved
+    value, before the threshold policy's pass goes on.
     """
     grid = tables.grid
     orders = heuristic.orders(grid, instance.B)
     opt, fork = _forward(instance, grid, tables.Qstar, _start(x0), orders)
     _check_optimum(instance, tables, x0, opt)
     heur = opt if fork is None else _forward(instance, grid, orders, fork)[0]
-    return _percent_gap(heur, opt)
+    return opt, heur

@@ -211,15 +211,16 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     where Reach has no bottom, it is solved on cex.search_grid, which
     certifies every period from below its reachable floor. Each period's
     row is computed only on its certified range (solve's certified_only),
-    which takes the expected continuation as a convolution: C and G are
-    a whole-row solve's to rounding, not bit for bit (C within 3.9e-15
-    relative over the 810 Poisson points), so Qstar, and with it the
-    bands, the flags and the gap, could differ only at a decision within
-    rounding of the tie tolerance; on all 810 Poisson points and every
-    fifth point of the discrete uniform, normal, gamma and lognormal
-    designs none does. No grid error can arise: the grid reaches the
-    top, and its certified floor exact_from(1), bottom - floor(n) or
-    -dmax_n on the search grid, lies at or below x0 = 0.
+    which takes the expected holding and shortage cost and the expected
+    continuation together as one convolution: C and G are a whole-row
+    solve's to rounding, not bit for bit (C within 1.4e-14 relative over
+    the 810 Poisson points), so Qstar, and with it the bands, the flags
+    and the gap, could differ only at a decision within rounding of the
+    tie tolerance; on all 810 Poisson points and every fifth point of
+    the discrete uniform, normal, gamma and lognormal designs none does.
+    No grid error can arise: the grid reaches the top, and its certified
+    floor exact_from(1), bottom - floor(n) or -dmax_n on the search grid,
+    lies at or below x0 = 0.
     """
     instance = point.instance
     reach = instance.reach

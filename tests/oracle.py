@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,6 +72,86 @@ def brute_policy_cost(instance, order):
         for d, pr in demands[t]:
             total += pr * (instance.h * max(y - d, 0) + instance.p * max(d - y, 0))
             total += pr * instance.discount * cost(t + 1, y - d)
+        return total
+
+    return lambda period, x: cost(period - 1, x)
+
+
+class ExactTables(NamedTuple):
+    """Exact tables of exact_cost_to_go: callables (period, x) -> Fraction."""
+
+    C: object
+    G: object
+
+
+def _exact_terms(instance):
+    """The instance's costs and demands as the rationals its floats are."""
+    costs = [Fraction(c) for c in (instance.K, instance.v, instance.h,
+                                   instance.p, instance.discount)]
+    demands = [tuple((d, Fraction(pr)) for d, pr in zip(pmf.support, pmf.probs))
+               for pmf in instance.demands]
+    return costs, demands
+
+
+def exact_cost_to_go(instance, q_cap=None):
+    """brute_cost_to_go in exact rational arithmetic.
+
+    Every float of the instance is read as the rational it is, and no sum
+    or product rounds. Returns ExactTables: C(period, x), the optimal
+    cost-to-go before ordering, and G(period, y) = v y + E[h (y - d)+ +
+    p (d - y)+] + discount E[C(period + 1, y - d)], the order-up-to cost,
+    so that C(period, x) = -v x + min(G(period, x), K + min over orders
+    q = 1..B of G(period, x + q)). Periods are 1-based and states
+    unbounded; q_cap bounds the order size when capacity is infinite.
+    """
+    (K, v, h, p, discount), demands = _exact_terms(instance)
+    if instance.B == math.inf:
+        if q_cap is None:
+            raise ValueError("q_cap is required when capacity is infinite")
+        max_q = q_cap
+    else:
+        max_q = int(instance.B)
+    n = instance.horizon
+
+    @lru_cache(maxsize=None)
+    def order_up_to(t, y):
+        total = v * y
+        for d, pr in demands[t]:
+            total += pr * (h * max(y - d, 0) + p * max(d - y, 0))
+            if t + 1 < n:
+                total += pr * discount * cost(t + 1, y - d)
+        return total
+
+    @lru_cache(maxsize=None)
+    def cost(t, x):
+        best = order_up_to(t, x)
+        for q in range(1, max_q + 1):
+            best = min(best, K + order_up_to(t, x + q))
+        return best - v * x
+
+    return ExactTables(lambda period, x: cost(period - 1, x),
+                       lambda period, y: order_up_to(period - 1, y))
+
+
+def exact_policy_cost(instance, order):
+    """brute_policy_cost in exact rational arithmetic.
+
+    order(period, x) is the order quantity at inventory x in a 1-based
+    period. Returns callable (period, x) -> Fraction, the expected total
+    discounted cost from that period on.
+    """
+    (K, v, h, p, discount), demands = _exact_terms(instance)
+
+    @lru_cache(maxsize=None)
+    def cost(t, x):
+        if t == instance.horizon:
+            return Fraction(0)
+        q = order(t + 1, x)
+        y = x + q
+        total = (K if q > 0 else 0) + v * q
+        for d, pr in demands[t]:
+            total += pr * (h * max(y - d, 0) + p * max(d - y, 0))
+            total += pr * discount * cost(t + 1, y - d)
         return total
 
     return lambda period, x: cost(period - 1, x)
@@ -198,6 +279,46 @@ def padded_convolve_continuation(c_row, pmf):
         dense[d] = pr
     padded = np.concatenate((np.full(top, c_row[0]), c_row))
     return np.convolve(padded, dense, mode="valid")
+
+
+def folded_whole_row_solve(instance, grid):
+    """C, G and Qstar on whole rows, with the one-period cost folded into
+    the continuation as solve(certified_only=True) folds it.
+
+    Each row before the last takes G(y) = v y + E[l(y - d) + discount
+    C_{t+1}(y - d)], l(x) = h x+ + p x-, as padded_convolve_continuation
+    sums it: one dot product per state, over the row padded below with
+    its lowest entry (the clamp). The last row adds the closed-form loss
+    row (searchsorted_loss_row), and the window minimum and its orders are
+    full_row_window_min_finite's. The reference certified_only tables must
+    match bit for bit on each period's certified range.
+    """
+    import numpy as np
+
+    n = instance.horizon
+    xs = grid.states.astype(np.float64)
+    purchase = instance.v * xs
+    cap = grid.size - 1 if instance.B == math.inf else int(instance.B)
+    ell = np.array([instance.h * x if x >= 0 else instance.p * -x
+                    for x in xs.tolist()])
+    c_tbl, g_tbl = np.empty((n, grid.size)), np.empty((n, grid.size))
+    q_tbl = np.empty((n, grid.size), dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        pmf = instance.demands[t]
+        if t == n - 1:
+            g_row = purchase + searchsorted_loss_row(xs, pmf, instance.h,
+                                                     instance.p)
+        else:
+            ahead = c_tbl[t + 1]
+            if instance.discount != 1.0:
+                ahead = ahead * instance.discount
+            g_row = purchase + padded_convolve_continuation(ell + ahead, pmf)
+        w, offsets = full_row_window_min_finite(g_row, cap)
+        ordering = instance.K + w
+        g_tbl[t] = g_row
+        c_tbl[t] = np.minimum(g_row, ordering) - purchase
+        q_tbl[t] = np.where(g_row - ordering > 1e-9, offsets, 0)
+    return c_tbl, g_tbl, q_tbl
 
 
 def searchsorted_loss_row(states, pmf, h, p):

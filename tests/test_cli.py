@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -197,6 +198,39 @@ WORKFLOW_PINS = {
                          SEASONAL_INF_BANDS),
     "wide_cap": (WIDE_CAP, ["solve", "--grid-min", "-1", "--grid-max", "1"],
                  b"period,k,s,S\n1,1,0,1\n"),
+}
+
+
+# the workflow's plain solve step and its three error steps, run
+# in-process: step -> (the instance file's text, the command and its grid
+# flags, the exit code, stdout with {out} for the --out prefix, and
+# stderr). Where a step checks only the exit code (lumpy_nan) or greps
+# stderr for a part (lumpy_huge), the twin pins the whole text, which
+# holds the step's. A failing step writes no file, and no step warns.
+LUMPY = fixture_text("lumpy_discounted.json")
+WORKFLOW_EXITS = {
+    "seasonal": (fixture_text("seasonal_poisson.json"),
+                 ["solve", "--grid-min", "-300", "--grid-max", "600"], 0,
+                 "value tables: {out}_tables.csv\n"
+                 "thresholds: {out}_thresholds.csv\n"
+                 "period  (s_k, S_k) pairs\n"
+                 "     1  (-11,31) (14,70)\n"
+                 "     2  (-5,51) (28,82) (35,100)\n"
+                 "     3  (18,71) (55,109)\n"
+                 "     4  (28,49)\n", ""),
+    "volatile_low": (fixture_text("volatile_poisson.json"),
+                     ["solve", "--grid-min", "-1200", "--grid-max", "600"], 3,
+                     "", "error: grid top 600 lies below the structural top "
+                         "1704; widen the grid upward\n"),
+    # sed's s/"probs": \[0.95/"probs": [NaN/, on every line
+    "lumpy_nan": (LUMPY.replace('"probs": [0.95', '"probs": [NaN'), ["solve"],
+                  2, "", "error: demands[0]: masses must be positive and "
+                         "finite\n"),
+    # sed's 0,/"values": \[6,/s//"values": [1e300,/, on the first match
+    "lumpy_huge": (LUMPY.replace('"values": [6,', '"values": [1e300,', 1),
+                   ["solve"], 2, "",
+                   "error: demands[0]: support values must be finite and "
+                   "below 2**63, got 1e+300\n"),
 }
 
 
@@ -508,6 +542,16 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == (self.OPTIMAL + self.HEURISTIC
                                            + "gap: 0.333%\n")
 
+    def test_both_policies_take_one_pass(self, capsys, monkeypatch):
+        def must_not_price(*args):
+            raise AssertionError("priced a policy in a pass of its own")
+
+        monkeypatch.setattr(cli, "optimal_cost", must_not_price)
+        monkeypatch.setattr(cli, "expected_cost", must_not_price)
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == (self.OPTIMAL + self.HEURISTIC
+                                           + "gap: 0.333%\n")
+
     def test_single_policy_skips_gap(self, capsys):
         rc = main(self.ARGS + ["--policy", "optimal"])
         assert rc == 0
@@ -718,3 +762,27 @@ class TestWorkflowPins:
             assert capsys.readouterr().out.encode() == pinned
         else:
             assert (tmp_path / f"{step}_thresholds.csv").read_bytes() == pinned
+
+
+class TestWorkflowExits:
+    """The workflow's plain solve step and its error steps: exit code,
+    stdout and stderr byte for byte, no file from a failing step and no
+    warning from any."""
+
+    @pytest.mark.parametrize("step", sorted(WORKFLOW_EXITS))
+    def test_step_matches_the_workflow(self, tmp_path, capsys, step):
+        text, (command, *flags), code, stdout, stderr = WORKFLOW_EXITS[step]
+        path = tmp_path / f"{step}.json"
+        path.write_text(text)
+        out = tmp_path / step
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, str(path), *flags, "--out", str(out)])
+        assert [w.message for w in caught] == []
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == stdout.format(out=out)
+        assert captured.err == stderr
+        written = sorted(p.name for p in tmp_path.iterdir() if p != path)
+        assert written == ([] if code else
+                           [f"{step}_tables.csv", f"{step}_thresholds.csv"])

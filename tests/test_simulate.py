@@ -1,5 +1,6 @@
 import math
 import textwrap
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (FIXTURE_GRIDS, instance_path, run_fresh,
                       seasonal_instance, small_random_instance)
-from oracle import (brute_policy_cost, gap_with_estimates, periodwise_orders,
-                    rebuild_order_quantity, simulate_policy)
+from oracle import (brute_policy_cost, exact_policy_cost, gap_with_estimates,
+                    periodwise_orders, rebuild_order_quantity, simulate_policy)
 from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
                       ThresholdPolicy, expected_cost, load_instance,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
@@ -375,6 +376,42 @@ class TestOnePassPricesBothPolicies:
         with pytest.raises(ValueError) as joint:
             optimality_gap(instance, PricedTables(grid, qstar, 0.0), policy, x0)
         assert str(joint.value) == str(alone.value)
+
+
+class TestExactPrice:
+    """expected_cost against the exact rational price (exact_policy_cost):
+    within ULPS n eps of the largest term the price sums, an order's
+    K + v q at a state the distribution reaches or the holding and
+    shortage cost l(x') = h x'+ + p x'- at a level it reaches, over the
+    n periods. Measured: at most 0.9 of it."""
+
+    ULPS = 4
+
+    @given(case=priced_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_price_is_exact_to_a_few_ulps(self, case, data):
+        instance, grid, policy = case
+        x0 = data.draw(st.integers(grid.x_min - 15, grid.x_max + 15))
+        orders = policy.orders(grid, instance.B)
+
+        def rule(period, x):
+            return int(orders[period - 1].take(x - grid.x_min, mode="clip"))
+
+        got = expected_cost(instance, grid, orders, x0)
+        exact = exact_policy_cost(instance, rule)(1, x0)
+        largest, states = 0.0, {x0}
+        for period, pmf in enumerate(instance.demands, start=1):
+            levels = set()
+            for x in states:
+                q = rule(period, x)
+                if q:
+                    largest = max(largest, instance.K + instance.v * q)
+                levels.update(x + q - d for d in pmf.support)
+            largest = max([largest] + [max(instance.h * x, -instance.p * x)
+                                       for x in levels])
+            states = levels
+        bound = self.ULPS * instance.horizon * np.finfo(float).eps * largest
+        assert abs(Fraction(got) - exact) <= Fraction(bound)
 
 
 class TestBudget:
