@@ -4,7 +4,7 @@ Instances with very lumpy demand (a sizable chance of demand far above the
 order capacity) can make the optimal policy order, stop, and order again as
 inventory falls. This module generates such instances at random, solves
 them on search_grid, from minus the sum of the per-period maximum demands
-up to that sum, the structural top of stochinv.sdp.Reach, and collects
+up to that sum, the structural top stochinv.sdp.Instance.top, and collects
 the periods where check_cop, run on each period from its exact_from up,
 finds the continuous order property violated, together with a
 monotonicity diagnostic on the order-advantage function V. The draw
@@ -93,15 +93,14 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
 def search_grid(instance: Instance) -> Grid:
     """The grid from the deepest reachable backlog up to the structural top.
 
-    Both ends come from Reach. The floor, minus the sum of the per-period
-    maximum demands, is the lowest state any period reaches from x0 = 0;
-    it stays at -1 or below, as a grid needs, when every demand is 0. The
-    top is that sum: no period orders above it, and the tables below it
-    are those of any taller grid, for every capacity B (the proof is in the
-    Reach docstring).
+    Both ends come from the instance. The floor, minus the sum of the
+    per-period maximum demands, is the lowest state any period reaches
+    from x0 = 0; it stays at -1 or below, as a grid needs, when every
+    demand is 0. The top is that sum: no period orders above it, and the
+    tables below it are those of any taller grid, for every capacity B
+    (the proof is in the Instance.top docstring).
     """
-    reach = instance.reach
-    return Grid(min(reach.floor(instance.horizon + 1), -1), reach.top)
+    return Grid(min(instance.floors[-1], -1), instance.top)
 
 
 def search_cop_violations(params: CexSearchParams) -> list[Violation]:

@@ -4,7 +4,7 @@ Subcommands: solve, simulate, search-cex, benchmark. All runs are
 deterministic given flags and seeds; repeated invocations produce
 byte-identical output files. simulate prices policies exactly and
 takes no seed. benchmark takes no grid flags: it solves each point on
-its structural grid, from stochinv.sdp.Reach's bottom to its top.
+its structural grid, from its Instance.bottom to its Instance.top.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or

@@ -226,7 +226,7 @@ def read_policy(tables: ValueTables) -> ThresholdPolicy:
     period where the property fails is flagged and keeps one stand-in band.
     Raises GridSpanError if some period orders only below exact_from."""
     # exact_from(t) for t = 1..n, from the instance's reachable floors
-    floors = tables.instance.reach.floors
+    floors = tables.instance.floors
     shift = tables.grid.x_min - floors[tables.instance.horizon - 1]
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):

@@ -20,29 +20,31 @@ range each state of a row before the last is one dot product through
 np.convolve, which takes L and the continuation together:
 G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)]. The last row, which
 has no continuation, takes the closed form.
-The window minimum returns the minimum everywhere but searches for the
-smallest attaining order only at the states where ordering pays, since
-Qstar is zero everywhere else. Most of those lie far below the bands and
-are capacity slides: no smaller order comes within the tie tolerance of
-the best one, so the order is the whole capacity B. One range-minimum
-query decides a slide, and only the other ordering states are searched.
+One window kernel call then finishes the period: it takes the window
+minimum w, writes C + v x = min(G, K + w) and the order row in place, and
+searches for the smallest attaining order only at the states where
+ordering pays, since Qstar is zero everywhere else. Most of those lie far
+below the bands and are capacity slides: no smaller order comes within
+the tie tolerance of the best one, so the order is the whole capacity B.
+One range-minimum query decides a slide, and only the other ordering
+states are searched.
 
-Reach derives, from the instance alone, each period's reachable floor, the
-structural top above which no grid orders and, at a finite capacity, the
-structural bottom below which every period's decision stays the same:
-from each period's capacity-slide level down it orders the whole capacity,
-and from its line floor down its rows are lines. solve refuses a grid that
-ends below the top, so every table it returns is exact up to x_max. The
-certified floor ValueTables.exact_from, the bed's grid between bottom and
-top and the COP search grid are read off it too, once per instance through
-Instance.reach; the bottom, which only the bed reads, is derived on its
-first read.
+An Instance derives, from itself alone, each period's reachable floor
+(floors), the structural top above which no grid orders (top) and, at a
+finite capacity, the structural bottom below which every period's
+decision stays the same (bottom): from each period's capacity-slide level
+down it orders the whole capacity, and from its line floor down its rows
+are lines. solve refuses a grid that ends below the top, so every table
+it returns is exact up to x_max. The certified floor
+ValueTables.exact_from, the bed's grid between bottom and top and the COP
+search grid are read off them too, each derived once per instance; the
+bottom, which only the bed reads, is derived on its first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +52,8 @@ import numpy as np
 from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
-# a capacity slide's margin for rounding over the tie tolerance (Reach)
+# a capacity slide's margin for rounding over the tie tolerance
+# (Instance.bottom)
 _SLIDE_MARGIN = 1e-6
 # states per write in ValueTables.to_csv: enough to amortise the per-block
 # calls, few enough that one block's pieces and texts stay small in memory
@@ -86,6 +89,10 @@ class Instance:
 
     Periods are indexed 1..horizon in forward time; demands[0] is the first
     period's PMF. B may be math.inf for the uncapacitated problem.
+
+    floors, top and bottom say where the instance's states can go. Each is
+    derived from the instance alone on its first read and cached on it, so
+    no copy of the instance is kept and no reference cycle is made.
     """
 
     horizon: int
@@ -120,14 +127,137 @@ class Instance:
             raise ValueError("discount must be in (0, 1]")
 
     @cached_property
-    def reach(self) -> Reach:
-        """Reach.of(self), derived once per instance.
+    def floors(self) -> tuple[int, ...]:
+        """Lowest state reachable at the start of each period from x0 = 0.
 
-        The Reach keeps an equal copy of the instance, which its bottom
-        reads: a reference back to this one, which holds the Reach, would
-        make every instance a cycle that only the garbage collector frees.
+        floors[t - 1] is floor(t) = -sum_{s<t} dmax_s for t = 1..n+1: the
+        lowest state period t can start in from x0 = 0, the start every caller
+        uses. floor(n + 1) is minus the sum of all per-period maximum demands.
         """
-        return Reach.of(replace(self))
+        floors = [0]
+        for pmf in self.demands:
+            floors.append(floors[-1] - pmf.max_value)
+        return tuple(floors)
+
+    @cached_property
+    def top(self) -> int:
+        """The structural top, derived from the demands alone.
+
+        top = max(sum_t dmax_t, 1), for every capacity B including math.inf,
+        is the structural top: on any grid that reaches it, every state's
+        tables are bit for bit those of every taller grid, and no grid orders
+        above it. solve refuses a grid that ends below it. Let
+        D_t = sum_{s>=t} dmax_s <= top.
+        - From x >= D_t no demand path goes short, so G_t rises by at least
+          h > 0 per state there. By induction from the last period: L_t rises
+          by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
+          v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
+        - So every window [x, x + B] takes its minimum, and has its first
+          state within the tie tolerance, at or below max(x, D_t): at x itself
+          from D_t up, where nothing orders and C_t = G_t - v x, and at or
+          below D_t <= top under it. A window cut at the top of such a grid
+          therefore has the same minimum and the same smallest order.
+        - The continuation reads only lower states.
+        By induction over periods and ascending states, every order and value
+        on such a grid, and with them the bands, the COP flags and the exact
+        gap, are therefore those of any taller grid. The max keeps top a valid
+        grid ceiling when no period has positive demand.
+        """
+        return max(-self.floors[-1], 1)
+
+    @cached_property
+    def bottom(self) -> int | None:
+        """The structural bottom, derived from the instance alone.
+
+        bottom, for a finite B (None at B = inf), is the structural bottom:
+        every grid whose floor lies at or below it gives the same bands, COP
+        flags and exact gap from x0 = 0 as any deeper grid. It is derived on
+        first read, as only the bed reads it. Let dmin_t be period t's smallest
+        demand, F^G_n = dmin_n, F^C_t = F^G_t - B and F^G_t = dmin_t + min(0,
+        F^C_{t+1}) (the line floors), a_t period t's capacity-slide level,
+        defined below, where the bound finds one, and level_t = max(F^C_t, a_t)
+        (F^C_t where it finds none); then
+        bottom = min(floor(n) + min_t min(level_t - floor(t), 0), -1).
+        - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
+          (nothing is held, the whole demand is short), nothing follows the
+          last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
+          E[C_{t+1}(y - d)] on y <= dmin_t + F^C_{t+1}.
+        - C_t is affine on x <= F^C_t, and the decision there is the same at
+          every x. The window [x, x + B] lies on G_t's line, of slope s. With
+          s >= 0 the window minimum is G_t(x) and nothing orders. With s < 0
+          it is G_t(x + B): ordering pays when -s B - K exceeds the tie
+          tolerance, for every such x alike, and the smallest order within the
+          tolerance of the minimum is B - floor(tol / -s) at every x (B unless
+          -s <= tol). So C_t(x) is -v x + G_t(x) at every such x, or
+          -v x + K + G_t(x + B) at every one, which closes the induction.
+        - At and below a_t every state orders B: far enough down, a capacitated
+          policy orders its whole capacity (the X-Y band of Chen and
+          Lambrecht, Oper. Res. 44(6), 1996). Write Df(y) = f(y + 1) - f(y),
+          F_t(y) = P(d_t <= y) and w_t(x) for the minimum of G_t over
+          [x, x + B]. Exactly, DL_t(y) = (h + p) F_t(y) - p. As C_t + v x =
+          min(G_t, K + w_t) and a min rises by at most the larger rise of its
+          branches, DC_t(x) <= max(DG_t(x), 0) - v: if w_t(x) is attained at x,
+          w_t(x + 1) <= G_t(x + 1), and otherwise w_t(x + 1) <= w_t(x). Where
+          DG_t <= 0 on [x, x + B], w_t(x) = G_t(x + B) and w_t(x + 1) =
+          G_t(x + B + 1), so DC_t(x) <= max(DG_t(x), DG_t(x + B)) - v.
+          Let u_n(y) = v + (h + p) F_n(y) - p; for t < n, u_t(y) = v +
+          (h + p) F_t(y) - p + discount c_{t+1}(y - dmin_t); and c_t(x) =
+          u_t(x + B) - v where u_t(x + B) <= 0, max(u_t(x), 0) - v elsewhere.
+          Both are nondecreasing by induction, so E[c_{t+1}(y - d)] <=
+          c_{t+1}(y - dmin_t), and DG_t <= u_t, DC_t <= c_t. a_t is the
+          largest x with u_t(x + B - 1) < -sigma and
+          sum_{y=x}^{x+B-1} -u_t(y) > K + tau. At every x' <= a_t, G_t falls
+          by more than sigma at each step from x' to x' + B, so the window
+          minimum is G_t(x' + B), every smaller offset lies more than sigma
+          above it, and ordering saves more than K + tau: Qstar is B.
+          _slide_levels evaluates the bounds on a window of states, reading
+          c below it as its value at the window's lowest state and u above it
+          as +inf; both being nondecreasing, they stay bounds, and the window
+          decides only how tight they are. sigma = 1e-6 and tau = 1e-9 +
+          1e-6 max(1, K) exceed the tie tolerance by a margin for rounding in
+          the solved rows.
+        - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
+          floor(n) lies at or below both floor(t) <= 0 and level_t, so period
+          t's certified range [exact_from(t), top] holds its reachable floor
+          and a state of the decision every state at or below level_t takes.
+          A deeper grid certifies the same tables bit for bit on that range,
+          and below it only states of exact_from(t)'s decision. Such a run at
+          the bottom of a row leaves the bands (leading capacity slides carry
+          no pair) and the order-property verdict (the floor orders or not,
+          as before) unchanged, and the gap reads only states at or above
+          floor(t).
+        - The certified ranges form a dependency cone: exact_from(t) - dmax_t
+          = exact_from(t + 1), so the continuation on period t's range reads
+          period t + 1 only on its range, and the window minimum reads only
+          upward. solve(certified_only=True) therefore computes each range
+          alone, with no read left for the clamp, and on a grid from bottom up
+          what it leaves out are the states the clamp below the grid distorts,
+          which nothing above reads. Before the last row it sums each state's
+          holding and shortage cost and continuation as one dot product
+          (_expected_continuation over l + discount C_{t+1}), so its entries
+          are bit for bit those of a whole-row solve that sums the same way,
+          and agree with the default whole-row solve, which adds the
+          closed-form loss row and sums demand point by demand point, to
+          rounding: the bands, flags and gap are the same unless a decision
+          lies within rounding of the tie tolerance.
+        The argument treats the values as exact. In floating point the rows
+        below F^G_t are lines up to rounding, so only a saving -s B - K within
+        rounding of the tie tolerance could be decided differently at
+        different states. The -1 keeps bottom a valid grid floor.
+        """
+        if self.B == math.inf:
+            return None
+        cap, n = int(self.B), self.horizon
+        slides = _slide_levels(self)
+        # below: min(0, F^C_{t+1}), 0 after the last period;
+        # lowest: min over the later periods of min(level_t - floor(t), 0)
+        below = lowest = 0
+        for t in range(n, 0, -1):
+            line_c = self.demands[t - 1].support[0] + below - cap
+            level = line_c if slides[t - 1] is None else max(line_c, slides[t - 1])
+            lowest = min(lowest, level - self.floors[t - 1])
+            below = min(0, line_c)
+        return min(self.floors[n - 1] + lowest, -1)
 
 
 @dataclass(frozen=True)
@@ -162,149 +292,9 @@ class Grid:
 DEFAULT_GRID = Grid(-10000, 10000)
 
 
-@dataclass(frozen=True)
-class Reach:
-    """Where an instance's states can go, derived from its demands and
-    capacity alone.
-
-    floors[t - 1] is floor(t) = -sum_{s<t} dmax_s for t = 1..n+1: the
-    lowest state period t can start in from x0 = 0, the start every caller
-    uses. floor(n + 1) is minus the sum of all per-period maximum demands.
-
-    top = max(sum_t dmax_t, 1), for every capacity B including math.inf,
-    is the structural top: on any grid that reaches it, every state's
-    tables are bit for bit those of every taller grid, and no grid orders
-    above it. solve refuses a grid that ends below it. Let
-    D_t = sum_{s>=t} dmax_s <= top.
-    - From x >= D_t no demand path goes short, so G_t rises by at least
-      h > 0 per state there. By induction from the last period: L_t rises
-      by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
-      v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
-    - So every window [x, x + B] takes its minimum, and has its first
-      state within the tie tolerance, at or below max(x, D_t): at x itself
-      from D_t up, where nothing orders and C_t = G_t - v x, and at or
-      below D_t <= top under it. A window cut at the top of such a grid
-      therefore has the same minimum and the same smallest order.
-    - The continuation reads only lower states.
-    By induction over periods and ascending states, every order and value
-    on such a grid, and with them the bands, the COP flags and the exact
-    gap, are therefore those of any taller grid. The max keeps top a valid
-    grid ceiling when no period has positive demand.
-
-    bottom, for a finite B (None at B = inf), is the structural bottom:
-    every grid whose floor lies at or below it gives the same bands, COP
-    flags and exact gap from x0 = 0 as any deeper grid. It is derived on
-    first read, as only the bed reads it. Let dmin_t be period t's smallest
-    demand, F^G_n = dmin_n, F^C_t = F^G_t - B and F^G_t = dmin_t + min(0,
-    F^C_{t+1}) (the line floors), a_t period t's capacity-slide level,
-    defined below, where the bound finds one, and level_t = max(F^C_t, a_t)
-    (F^C_t where it finds none); then
-    bottom = min(floor(n) + min_t min(level_t - floor(t), 0), -1).
-    - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
-      (nothing is held, the whole demand is short), nothing follows the
-      last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
-      E[C_{t+1}(y - d)] on y <= dmin_t + F^C_{t+1}.
-    - C_t is affine on x <= F^C_t, and the decision there is the same at
-      every x. The window [x, x + B] lies on G_t's line, of slope s. With
-      s >= 0 the window minimum is G_t(x) and nothing orders. With s < 0
-      it is G_t(x + B): ordering pays when -s B - K exceeds the tie
-      tolerance, for every such x alike, and the smallest order within the
-      tolerance of the minimum is B - floor(tol / -s) at every x (B unless
-      -s <= tol). So C_t(x) is -v x + G_t(x) at every such x, or
-      -v x + K + G_t(x + B) at every one, which closes the induction.
-    - At and below a_t every state orders B: far enough down, a capacitated
-      policy orders its whole capacity (the X-Y band of Chen and
-      Lambrecht, Oper. Res. 44(6), 1996). Write Df(y) = f(y + 1) - f(y),
-      F_t(y) = P(d_t <= y) and w_t(x) for the minimum of G_t over
-      [x, x + B]. Exactly, DL_t(y) = (h + p) F_t(y) - p. As C_t + v x =
-      min(G_t, K + w_t) and a min rises by at most the larger rise of its
-      branches, DC_t(x) <= max(DG_t(x), 0) - v: if w_t(x) is attained at x,
-      w_t(x + 1) <= G_t(x + 1), and otherwise w_t(x + 1) <= w_t(x). Where
-      DG_t <= 0 on [x, x + B], w_t(x) = G_t(x + B) and w_t(x + 1) =
-      G_t(x + B + 1), so DC_t(x) <= max(DG_t(x), DG_t(x + B)) - v.
-      Let u_n(y) = v + (h + p) F_n(y) - p; for t < n, u_t(y) = v +
-      (h + p) F_t(y) - p + discount c_{t+1}(y - dmin_t); and c_t(x) =
-      u_t(x + B) - v where u_t(x + B) <= 0, max(u_t(x), 0) - v elsewhere.
-      Both are nondecreasing by induction, so E[c_{t+1}(y - d)] <=
-      c_{t+1}(y - dmin_t), and DG_t <= u_t, DC_t <= c_t. a_t is the
-      largest x with u_t(x + B - 1) < -sigma and
-      sum_{y=x}^{x+B-1} -u_t(y) > K + tau. At every x' <= a_t, G_t falls
-      by more than sigma at each step from x' to x' + B, so the window
-      minimum is G_t(x' + B), every smaller offset lies more than sigma
-      above it, and ordering saves more than K + tau: Qstar is B.
-      _slide_levels evaluates the bounds on a window of states, reading
-      c below it as its value at the window's lowest state and u above it
-      as +inf; both being nondecreasing, they stay bounds, and the window
-      decides only how tight they are. sigma = 1e-6 and tau = 1e-9 +
-      1e-6 max(1, K) exceed the tie tolerance by a margin for rounding in
-      the solved rows.
-    - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
-      floor(n) lies at or below both floor(t) <= 0 and level_t, so period
-      t's certified range [exact_from(t), top] holds its reachable floor
-      and a state of the decision every state at or below level_t takes.
-      A deeper grid certifies the same tables bit for bit on that range,
-      and below it only states of exact_from(t)'s decision. Such a run at
-      the bottom of a row leaves the bands (leading capacity slides carry
-      no pair) and the order-property verdict (the floor orders or not,
-      as before) unchanged, and the gap reads only states at or above
-      floor(t).
-    - The certified ranges form a dependency cone: exact_from(t) - dmax_t
-      = exact_from(t + 1), so the continuation on period t's range reads
-      period t + 1 only on its range, and the window minimum reads only
-      upward. solve(certified_only=True) therefore computes each range
-      alone, with no read left for the clamp, and on a grid from bottom up
-      what it leaves out are the states the clamp below the grid distorts,
-      which nothing above reads. Before the last row it sums each state's
-      holding and shortage cost and continuation as one dot product
-      (_expected_continuation over l + discount C_{t+1}), so its entries
-      are bit for bit those of a whole-row solve that sums the same way,
-      and agree with the default whole-row solve, which adds the
-      closed-form loss row and sums demand point by demand point, to
-      rounding: the bands, flags and gap are the same unless a decision
-      lies within rounding of the tie tolerance.
-    The argument treats the values as exact. In floating point the rows
-    below F^G_t are lines up to rounding, so only a saving -s B - K within
-    rounding of the tie tolerance could be decided differently at
-    different states. The -1 keeps bottom a valid grid floor.
-    """
-
-    floors: tuple[int, ...]
-    top: int
-    instance: Instance = field(repr=False)
-
-    @classmethod
-    def of(cls, instance: Instance) -> Reach:
-        floors = [0]
-        for pmf in instance.demands:
-            floors.append(floors[-1] - pmf.max_value)
-        return cls(tuple(floors), max(-floors[-1], 1), instance)
-
-    @cached_property
-    def bottom(self) -> int | None:
-        instance = self.instance
-        if instance.B == math.inf:
-            return None
-        cap, n = int(instance.B), instance.horizon
-        slides = _slide_levels(instance)
-        # below: min(0, F^C_{t+1}), 0 after the last period;
-        # lowest: min over the later periods of min(level_t - floor(t), 0)
-        below = lowest = 0
-        for t in range(n, 0, -1):
-            line_c = instance.demands[t - 1].support[0] + below - cap
-            level = line_c if slides[t - 1] is None else max(line_c, slides[t - 1])
-            lowest = min(lowest, level - self.floors[t - 1])
-            below = min(0, line_c)
-        return min(self.floors[n - 1] + lowest, -1)
-
-    def floor(self, period: int) -> int:
-        """Lowest state reachable at the start of period 1..n+1 from x0 = 0."""
-        if not 1 <= period <= len(self.floors):
-            raise ValueError(f"period must be in 1..{len(self.floors)}")
-        return self.floors[period - 1]
-
-
 def _slide_levels(instance: Instance) -> list[int | None]:
-    """a_t of Reach for t = 1..n at a finite capacity, None where none is found.
+    """a_t of Instance.bottom for t = 1..n at a finite capacity, None where
+    none is found.
 
     Works backward over the window [-B - 2 dmax, dmax + B + 1], dmax the
     largest demand of any period, with u the bound u_t on the window and,
@@ -390,8 +380,8 @@ class ValueTables:
         exact everywhere: it clamps against exact terminal zeros.
         """
         self.row(period)   # rejects a period outside 1..n
-        reach = self.instance.reach
-        return self.grid.x_min + reach.floor(period) - reach.floor(self.instance.horizon)
+        floors = self.instance.floors
+        return self.grid.x_min + floors[period - 1] - floors[self.instance.horizon - 1]
 
     def solved_from(self, period: int) -> int:
         """Lowest state solve computed in this period's row: exact_from on
@@ -588,16 +578,18 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
     return out
 
 
-def _window_min_finite(g_row: np.ndarray, cap: int):
-    """Min of g_row over [i, i+cap], and the smallest offset attaining it.
+def _window_min_finite(g_row: np.ndarray, cap: int, K: float,
+                       c_row: np.ndarray, q_row: np.ndarray) -> None:
+    """One period's order step on a row: c_row = min(G, K + w) and q_row,
+    the smallest order that attains w where ordering pays, 0 elsewhere.
 
-    Returns (w, orders): w holds the window minimum at every state, and
-    orders(ordering, out) writes into the int row out, at each state where
-    the boolean row ordering holds, the smallest attaining offset, and 0
-    everywhere else. Offsets within 1e-9 of the window minimum count as
-    attaining it, so ties resolve to the smallest order quantity. States
-    past the end of the row never attain it, so a cap of size - 1 gives the
-    suffix minimum of the uncapacitated problem.
+    w is the min of g_row over the capacity window [i, i + cap]. Ordering
+    pays where G - (K + w) exceeds the tie tolerance 1e-9, and offsets
+    within 1e-9 of w count as attaining it, so ties resolve to the smallest
+    order quantity. States past the end of the row never attain it, so a
+    cap of size - 1 gives the suffix minimum of the uncapacitated problem.
+    c_row and q_row are written in place; solve subtracts the purchase
+    term v x from c_row.
 
     Sparse table: level k holds the min of g_row over [j, j + 2^k), for
     2^k <= cap + 1, then +inf for the 2^k states past the row's end, as
@@ -605,9 +597,9 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
     the row's end needs no case of its own. The window minimum is the min of
     the two top-level blocks that start at i and end at i + cap; min does
     not round, so it is exact. Time and memory are O(size log cap) instead
-    of O(size cap).
+    of O(size cap), and the table is freed when the call returns.
 
-    orders first picks out the capacity slides: states whose offsets
+    The orders first pick out the capacity slides: states whose offsets
     0..cap-1 all lie above the tie threshold, so that the smallest
     attaining offset is cap itself. Two blocks of level floor(log2 cap)
     cover [i, i+cap-1], so one range-minimum query over the whole row
@@ -629,29 +621,28 @@ def _window_min_finite(g_row: np.ndarray, cap: int):
         levels.append(level)
     # the second top-level block starts `shift` < 2^top states after i
     shift = cap + 1 - (1 << top)
-    w = np.minimum(levels[top][:size], levels[top][shift:size + shift])
-
-    def orders(ordering: np.ndarray, out: np.ndarray) -> None:
-        threshold = w + _TIE_TOL
-        np.multiply(ordering, cap, out=out)
-        # searched: the ordering states that are no slides (with cap 0, on a
-        # one-state row, there are no slides)
-        searched = ordering
-        if cap:
-            k = cap.bit_length() - 1
-            second = cap - (1 << k)
-            searched = ordering & (np.minimum(levels[k][:size],
-                                              levels[k][second:size + second])
-                                   <= threshold)
-        start = searched.nonzero()[0]
-        if start.size:
-            threshold = threshold[start]
-            pos = start.copy()
-            for k in range(top, -1, -1):
-                pos += (levels[k][pos] > threshold) << k
-            out[start] = pos - start
-
-    return w, orders
+    np.minimum(levels[top][:size], levels[top][shift:size + shift], out=c_row)
+    threshold = c_row + _TIE_TOL
+    c_row += K   # the cost of ordering, until C is done
+    ordering = g_row - c_row > _TIE_TOL
+    np.multiply(ordering, cap, out=q_row)
+    # searched: the ordering states that are no slides (with cap 0, on a
+    # one-state row, there are no slides)
+    searched = ordering
+    if cap:
+        k = cap.bit_length() - 1
+        second = cap - (1 << k)
+        searched = ordering & (np.minimum(levels[k][:size],
+                                          levels[k][second:size + second])
+                               <= threshold)
+    start = searched.nonzero()[0]
+    if start.size:
+        threshold = threshold[start]
+        pos = start.copy()
+        for k in range(top, -1, -1):
+            pos += (levels[k][pos] > threshold) << k
+        q_row[start] = pos - start
+    np.minimum(g_row, c_row, out=c_row)
 
 
 def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
@@ -661,10 +652,14 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
     smallest minimizing quantity wins ties, so Qstar is deterministic.
 
-    Raises GridSpanError when the grid ends below the structural top of
-    Reach. A grid that reaches it needs no other width check: it spans at
-    least the cumulative max demand plus one state, and a capacity window
-    cut at the row's end is exact there.
+    Raises GridSpanError when the grid ends below the structural top
+    Instance.top. A grid that reaches it needs no other width check: it
+    spans at least the cumulative max demand plus one state, and a capacity
+    window cut at the row's end is exact there.
+
+    Each period takes its G row, then one _window_min_finite call, which
+    writes min(G, K + window min) into the C row and the smallest optimal
+    order into the Qstar row, and last subtracts the purchase term v x.
 
     With certified_only, period t's row is computed only on its certified
     range [exact_from(t), x_max]; below it C and G hold NaN and Qstar -1,
@@ -696,7 +691,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     nearer to the exact values, as the closed form subtracts a partial
     sum from a mean rounded on its own.
     """
-    top = instance.reach.top
+    top = instance.top
     if grid.x_max < top:
         raise GridSpanError(
             f"grid top {grid.x_max} lies below the structural top {top}; "
@@ -705,11 +700,10 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     n = instance.horizon
     size = grid.size
     states = grid.states.astype(np.float64)
-    K, v = instance.K, instance.v
-    purchase = v * states
+    purchase = instance.v * states
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
-    floors = instance.reach.floors
+    floors = instance.floors
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))
@@ -743,13 +737,8 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
             if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
                 cont *= instance.discount
             g_row += cont
-        w, orders = _window_min_finite(g_row, cap)
-        np.add(K, w, out=c_row)   # the cost of ordering, until C is done
-        # search for the smallest minimizing order only where ordering pays
-        orders(g_row - c_row > _TIE_TOL, q_tbl[t, lo:])
-        np.minimum(g_row, c_row, out=c_row)
+        _window_min_finite(g_row, cap, instance.K, c_row, q_tbl[t, lo:])
         c_row -= purchase[lo:]
-        del orders   # frees the kernel's tables before the next period's
         c_tbl[t, :lo] = g_tbl[t, :lo] = np.nan
         q_tbl[t, :lo] = -1
 

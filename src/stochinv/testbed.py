@@ -13,8 +13,8 @@ per-period maximum demands, and, at a finite capacity, from its
 structural bottom, below which every period's decision stays the same:
 far enough down each period either orders its whole capacity or, where
 the cost rows are lines, takes one decision throughout
-(stochinv.sdp.Reach). The results are those of any grid that holds it
-unless a decision lies within rounding of the tie tolerance (see
+(stochinv.sdp.Instance.bottom). The results are those of any grid that
+holds it unless a decision lies within rounding of the tie tolerance (see
 _evaluate_point).
 """
 
@@ -205,11 +205,11 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    The point is solved on its structural grid, Grid(Reach.bottom,
-    Reach.top): by the proofs in the Reach docstring its bands, COP flags
+    The point is solved on its structural grid, Grid(instance.bottom,
+    instance.top): by the proofs in their docstrings its bands, COP flags
     and exact gap are those of any grid that holds that one. At B = inf,
-    where Reach has no bottom, it is solved on cex.search_grid, which
-    certifies every period from below its reachable floor. Each period's
+    where the instance has no bottom, it is solved on cex.search_grid,
+    which certifies every period from below its reachable floor. Each period's
     row is computed only on its certified range (solve's certified_only),
     which takes the expected holding and shortage cost and the expected
     continuation together as one convolution: C and G are a whole-row
@@ -223,9 +223,8 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     lies at or below x0 = 0.
     """
     instance = point.instance
-    reach = instance.reach
-    grid = (search_grid(instance) if reach.bottom is None
-            else Grid(reach.bottom, reach.top))
+    grid = (search_grid(instance) if instance.bottom is None
+            else Grid(instance.bottom, instance.top))
     try:
         tables = solve(instance, grid, certified_only=True)
         policy = read_policy(tables)
@@ -246,8 +245,8 @@ def run_benchmark(design, config: SimulationConfig | None = None) -> BenchmarkRe
     Gaps are exact (optimality_gap), so config is no longer read. It stays
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
-    Each point is solved on its structural grid, from Reach.bottom to
-    Reach.top, one period's certified range at a time (see
+    Each point is solved on its structural grid, from Instance.bottom to
+    Instance.top, one period's certified range at a time (see
     _evaluate_point), so no outer grid bounds it and every point of the
     six families reaches a price. Results keep design order. A point whose
     bands are malformed or whose optimal table does not reproduce its

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import tempfile
 import textwrap
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +16,9 @@ from pytest import approx
 
 from conftest import FIXTURE_GRIDS, instance_path, run_fresh
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
-                      Instance, ValueTables, load_instance, optimality_gap,
-                      pmf_empirical, pmf_parametric, random_instance,
-                      read_policy, sdp, search_grid, solve)
+                      Instance, ValueTables, check_cop, load_instance,
+                      optimality_gap, pmf_empirical, pmf_parametric,
+                      random_instance, read_policy, sdp, search_grid, solve)
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_slide_levels,
@@ -126,29 +128,26 @@ class TestDeterministicDemand:
         assert tables.qstar_at(1, -11) == 11
 
 
-def with_orders(full_row_kernel):
-    """A kernel returning (w, q) over the whole row, in sdp's (w, orders) shape."""
-    def kernel(*args):
-        w, q = full_row_kernel(*args)
-
-        def orders(ordering, out):
-            out[...] = np.where(ordering, q, 0)
-        return w, orders
+def with_orders(window_min):
+    """A window-minimum oracle returning (w, q) as a kernel of sdp's shape:
+    the same ordering rule, G - (K + w) > 1e-9, writes q where ordering
+    pays and 0 elsewhere, and min(G, K + w) into the C row."""
+    def kernel(g_row, cap, K, c_row, q_row):
+        w, q = window_min(g_row, cap)
+        np.add(K, np.asarray(w, dtype=np.float64), out=c_row)
+        q_row[...] = np.where(g_row - c_row > 1e-9, q, 0)
+        np.minimum(g_row, c_row, out=c_row)
     return kernel
 
 
-def orders_at(orders, size, at):
-    """The offsets that orders writes at the state indices at, checking
-    that it writes 0 at every other state."""
-    ordering = np.zeros(size, dtype=bool)
-    ordering[at] = True
-    out = np.full(size, -1, dtype=np.int64)
-    orders(ordering, out)
-    assert not out[~ordering].any()
-    return out[at]
+def window_rows(kernel, g_row, cap, K):
+    """The C and Q rows a window kernel writes for one row of G."""
+    c_row = np.full(g_row.size, np.nan)
+    q_row = np.full(g_row.size, -1, dtype=np.int64)
+    kernel(g_row, cap, K, c_row, q_row)
+    return c_row, q_row
 
 
-@with_orders
 def sliding_window_min(g_row, cap):
     """The O(size * cap) window minimum the sparse table replaced, kept as
     the reference its tables must match byte for byte."""
@@ -161,84 +160,106 @@ def sliding_window_min(g_row, cap):
 
 # plateaus at a few levels, each value raised by nothing, by less than, by
 # exactly, or by more than the 1e-9 tie tolerance
+NUDGES = [0.0, 5e-10, 1e-9, 2e-9]
 near_tie = st.builds(lambda level, nudge: level + nudge,
-                     st.integers(0, 3).map(float),
-                     st.sampled_from([0.0, 5e-10, 1e-9, 2e-9]))
+                     st.integers(0, 3).map(float), st.sampled_from(NUDGES))
+# fixed costs at, near and past the tie tolerance, and one that forbids
+# every order on rows within [-1e3, 1e3]
+fixed_costs = st.sampled_from(NUDGES + [1e3])
+
+
+def assert_smallest_offsets(row, cap, q_row):
+    """With K = 0, each state's order is the brute force's smallest
+    attaining offset wherever G - w is exact in floating point. Where it
+    rounds, a saving just above 1e-9 can round to 1e-9 and not order."""
+    w, offsets = brute_window_min(row, cap)
+    for g, low, got, want in zip(row, w, q_row.tolist(), offsets):
+        if Fraction(g) - Fraction(low) == Fraction(g - low):
+            assert got == want
+
+
+def assert_rows_match(g_row, cap, K, window_min):
+    """sdp's kernel writes the C and Q rows of window_min under the
+    ordering rule, bit for bit, and returns them."""
+    c_row, q_row = window_rows(sdp._window_min_finite, g_row, cap, K)
+    want_c, want_q = window_rows(with_orders(window_min), g_row, cap, K)
+    assert c_row.tobytes() == want_c.tobytes()
+    assert np.array_equal(q_row, want_q)
+    return c_row, q_row
 
 
 class TestWindowMinimum:
-    @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
-                        min_size=1, max_size=40),
-           cap=st.integers(1, 50))
-    @example(row=[2.5], cap=7)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_brute_force_exactly(self, row, cap):
-        g_row = np.array(row, dtype=np.float64)
-        w, orders = sdp._window_min_finite(g_row, cap)
-        q = orders_at(orders, g_row.size, np.arange(g_row.size))
-        brute_w, brute_q = brute_window_min(row, cap)
-        assert np.array_equal(w, np.array(brute_w))
-        assert np.array_equal(q, np.array(brute_q))
+    """The kernel writes C = min(G, K + w) and the smallest attaining order
+    where G - (K + w) > 1e-9, 0 elsewhere, as the oracles do under that rule;
+    with K = 0 every state's order is its smallest attaining offset
+    (assert_smallest_offsets)."""
 
     @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
-                        min_size=1, max_size=40))
-    @example(row=[2.5])
-    @settings(max_examples=200, deadline=None)
-    def test_unbounded_window_matches_brute_force(self, row):
-        # with a window as long as the row, the window min is the suffix min
+                        min_size=1, max_size=40),
+           cap=st.integers(1, 50), K=fixed_costs)
+    @example(row=[2.5], cap=7, K=0.0)
+    # K + w - G is exactly -1e-9 at state 0: ordering saves exactly the
+    # tolerance, so nothing is ordered although offset 1 attains w
+    @example(row=[2e-9, 0.0], cap=1, K=1e-9)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_exactly(self, row, cap, K):
         g_row = np.array(row, dtype=np.float64)
-        w, orders = sdp._window_min_finite(g_row, g_row.size - 1)
-        q = orders_at(orders, g_row.size, np.arange(g_row.size))
-        brute_w, brute_q = brute_window_min(row, len(row) - 1)
-        assert np.array_equal(w, np.array(brute_w))
-        assert np.array_equal(q, np.array(brute_q))
+        c_row, q_row = assert_rows_match(g_row, cap, K, brute_window_min)
+        if K == 0.0:
+            assert_smallest_offsets(row, cap, q_row)
+
+    @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
+                        min_size=1, max_size=40),
+           past=st.integers(0, 5), K=fixed_costs)
+    @example(row=[2.5], past=0, K=0.0)
+    @example(row=[2e-9, 1e-9, 0.0], past=3, K=1e-9)
+    @settings(max_examples=200, deadline=None)
+    def test_unbounded_window_matches_brute_force(self, row, past, K):
+        # with a window as long as the row or longer (B = inf), the window
+        # min is the suffix min
+        g_row = np.array(row, dtype=np.float64)
+        cap = g_row.size - 1 + past
+        c_row, q_row = assert_rows_match(g_row, cap, K, brute_window_min)
+        if K == 0.0:
+            assert_smallest_offsets(row, cap, q_row)
 
     @given(row=st.lists(st.one_of(near_tie, st.floats(-1e3, 1e3)),
                         min_size=1, max_size=60),
-           cap=st.integers(1, 70), picks=st.lists(st.booleans(), max_size=60))
+           cap=st.integers(1, 70), K=fixed_costs)
     # a cap past the row's end, over a row holding both signed zeros
-    @example(row=[0.0, -0.0, 1.0, -0.0, 0.0], cap=9, picks=[True])
+    @example(row=[0.0, -0.0, 1.0, -0.0, 0.0], cap=9, K=0.0)
     @settings(max_examples=200, deadline=None)
-    def test_offsets_at_any_states_match_the_full_row(self, row, cap, picks):
+    def test_offsets_at_any_states_match_the_full_row(self, row, cap, K):
         g_row = np.array(row, dtype=np.float64)
-        at = np.flatnonzero(np.resize(np.array(picks + [True]), g_row.size))
-        w, orders = sdp._window_min_finite(g_row, cap)
-        want_w, want_q = full_row_window_min_finite(g_row, cap)
-        assert w.tobytes() == want_w.tobytes()
-        assert np.array_equal(orders_at(orders, g_row.size, at), want_q[at])
+        assert_rows_match(g_row, cap, K, full_row_window_min_finite)
+        assert_rows_match(g_row, cap, K, sliding_window_min)
         # the unbounded window: the suffix min, equal up to the sign of a
         # zero minimum, which K + w erases for every K but -0.0
-        w, orders = sdp._window_min_finite(g_row, g_row.size - 1)
-        want_w, want_q = full_row_window_min_infinite(g_row)
-        assert np.array_equal(w, want_w)
-        assert np.array_equal(orders_at(orders, g_row.size, at), want_q[at])
+        assert_rows_match(g_row, g_row.size - 1, K,
+                          lambda g, cap: full_row_window_min_infinite(g))
 
     # rows that fall most of the way, in steps up to 5 with now and then a
     # rise or a step near the tie tolerance, so that many windows take
     # their minimum at their far end only: capacity slides
-    @given(row=st.lists(st.one_of(st.floats(-1.0, 5.0),
-                                  st.sampled_from([0.0, 5e-10, 1e-9, 2e-9])),
+    @given(row=st.lists(st.one_of(st.floats(-1.0, 5.0), st.sampled_from(NUDGES)),
                         min_size=1, max_size=60).map(
                             lambda steps: (-np.cumsum(steps)).tolist()),
-           cap=st.integers(1, 12))
+           cap=st.integers(1, 12), K=fixed_costs)
     # state i + cap - 1 sits exactly at w + 1e-9, so state 0 is no slide
-    @example(row=[5.0, 1e-9, 0.0], cap=2)
+    @example(row=[5.0, 1e-9, 0.0], cap=2, K=0.0)
     # slides at states 0 and 1; the windows from state 2 on are cut short
     # by the row's end
-    @example(row=[4.0, 3.0, 2.0, 1.0, 0.0], cap=3)
-    @example(row=[3.0, 2.0, 1.0, 0.0], cap=3)
-    @example(row=[3.0, 2.0, 1.0, 0.0], cap=9)
-    @example(row=[2.5], cap=7)
-    @example(row=[1.0, 0.0], cap=1)
-    @example(row=[0.0, 1.0], cap=1)
+    @example(row=[4.0, 3.0, 2.0, 1.0, 0.0], cap=3, K=0.0)
+    @example(row=[3.0, 2.0, 1.0, 0.0], cap=3, K=0.0)
+    @example(row=[3.0, 2.0, 1.0, 0.0], cap=9, K=0.0)
+    @example(row=[2.5], cap=7, K=0.0)
+    @example(row=[1.0, 0.0], cap=1, K=0.0)
+    @example(row=[0.0, 1.0], cap=1, K=0.0)
     @settings(max_examples=300, deadline=None)
-    def test_slides_on_falling_rows_match_the_full_row(self, row, cap):
+    def test_slides_on_falling_rows_match_the_full_row(self, row, cap, K):
         g_row = np.array(row, dtype=np.float64)
-        w, orders = sdp._window_min_finite(g_row, cap)
-        want_w, want_q = full_row_window_min_finite(g_row, cap)
-        assert w.tobytes() == want_w.tobytes()
-        assert np.array_equal(
-            orders_at(orders, g_row.size, np.arange(g_row.size)), want_q)
+        assert_rows_match(g_row, cap, K, full_row_window_min_finite)
+        assert_rows_match(g_row, cap, K, sliding_window_min)
 
 
 def assert_same_tables(monkeypatch, instance, grid, **references):
@@ -264,15 +285,16 @@ class TestTablesMatchSlidingWindowKernel:
     def test_instance_files_on_default_grid(self, monkeypatch, name):
         instance = load_instance(instance_path(name))
         assert_same_tables(monkeypatch, instance, DEFAULT_GRID,
-                           _window_min_finite=sliding_window_min)
+                           _window_min_finite=with_orders(sliding_window_min))
 
     def test_random_search_instances(self, monkeypatch):
         params = CexSearchParams(seed=11, budget=200)
         rng = np.random.default_rng(11)
         for _ in range(params.budget):
             instance = random_instance(params, rng)
-            assert_same_tables(monkeypatch, instance, search_grid(instance),
-                               _window_min_finite=sliding_window_min)
+            assert_same_tables(
+                monkeypatch, instance, search_grid(instance),
+                _window_min_finite=with_orders(sliding_window_min))
 
 
 class TestExpectedContinuation:
@@ -457,7 +479,7 @@ class TestTrimmedTop:
         top = max(sum(d.max_value for d in demands), 1)
         instance = Instance(horizon=len(demands), K=20.0, v=1.0, h=1.0,
                             p=5.0, B=B, demands=demands)
-        assert instance.reach.top == top
+        assert instance.top == top
         grid = Grid(x_min, x_max)
         if x_max < top:
             with pytest.raises(GridSpanError) as excinfo:
@@ -473,7 +495,7 @@ class TestTrimmedTop:
 
 
 def line_floors(instance):
-    """F^C_t for t = 1..n (see Reach): from there down, period t's capacity
+    """F^C_t for t = 1..n (see Instance.bottom): from there down, period t's capacity
     window lies on a line of G_t."""
     cap, below, out = int(instance.B), 0, []
     for pmf in reversed(instance.demands):
@@ -493,7 +515,7 @@ def policy_outcome(tables):
 
 
 class TestStructuralBottom:
-    """Solving from Reach.bottom up, as the bed does, keeps every certified
+    """Solving from Instance.bottom up, as the bed does, keeps every certified
     table entry, band, COP flag and gap of a deeper grid. On the deeper
     grid the certified states at or below level_t = max(F^C_t, a_t) all
     take one decision, order B or never, and B at or below a_t. The slide
@@ -528,19 +550,19 @@ class TestStructuralBottom:
         demands = empirical_pmfs(points)
         instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
                             demands=demands, discount=discount)
-        reach = instance.reach
-        shallow = solve(instance, Grid(reach.bottom, reach.top))
-        deep = solve(instance, Grid(reach.bottom - extra, reach.top))
+        bottom, top = instance.bottom, instance.top
+        shallow = solve(instance, Grid(bottom, top))
+        deep = solve(instance, Grid(bottom - extra, top))
         slides = sdp._slide_levels(instance)
         for t, (f_c, a_t) in enumerate(zip(line_floors(instance), slides),
                                        start=1):
             level = f_c if a_t is None else max(f_c, a_t)
             lo = shallow.exact_from(t)
-            assert lo <= min(reach.floor(t), level), t
+            assert lo <= min(instance.floors[t - 1], level), t
             row, kept = t - 1, deep.grid.index(lo)
             for name in ("C", "G", "Qstar"):
                 got, want = getattr(shallow, name), getattr(deep, name)
-                assert got[row, lo - reach.bottom:].tobytes() == \
+                assert got[row, lo - bottom:].tobytes() == \
                     want[row, kept:].tobytes(), (name, t)
             first = deep.grid.index(deep.exact_from(t))
             decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
@@ -614,10 +636,10 @@ class TestCertifiedOnly:
             self, points, K, v, h, p, B, discount, depth, extra):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        reach = instance.reach
+        bottom = instance.bottom
         high = search_grid(instance).x_min
-        low = min(high, (high if reach.bottom is None else reach.bottom) - 300)
-        grid = Grid(high - depth % (high - low + 1), reach.top + extra)
+        low = min(high, (high if bottom is None else bottom) - 300)
+        grid = Grid(high - depth % (high - low + 1), instance.top + extra)
         full = solve(instance, grid)
         folded = dict(zip(("C", "G", "Qstar"),
                           folded_whole_row_solve(instance, grid)))
@@ -647,7 +669,7 @@ class TestCertifiedOnly:
                 for i in np.flatnonzero(np.abs(got - want) > bound).tolist():
                     if exact is None:
                         exact = exact_cost_to_go(
-                            instance, q_cap=reach.top - grid.x_min)
+                            instance, q_cap=instance.top - grid.x_min)
                     value = getattr(exact, name)(t, full.exact_from(t) + i)
                     off = abs(Fraction(want[i]) - value)
                     assert (abs(Fraction(got[i]) - Fraction(want[i]))
@@ -655,7 +677,7 @@ class TestCertifiedOnly:
             assert np.isnan(certified.C[row, :lo]).all()
             assert np.isnan(certified.G[row, :lo]).all()
             assert (certified.Qstar[row, :lo] == -1).all()
-        if reach.bottom is not None and grid.x_min <= reach.bottom:
+        if bottom is not None and grid.x_min <= bottom:
             # from the bottom down, as the bed solves, the fill changes no
             # band, flag or gap
             assert policy_outcome(certified) == policy_outcome(full)
@@ -697,11 +719,10 @@ class TestExactTables:
                                              discount):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        reach = instance.reach
-        grid = (search_grid(instance) if reach.bottom is None
-                else Grid(reach.bottom, reach.top))
+        grid = (search_grid(instance) if instance.bottom is None
+                else Grid(instance.bottom, instance.top))
         tables = solve(instance, grid, certified_only=True)
-        exact = exact_cost_to_go(instance, q_cap=reach.top - grid.x_min)
+        exact = exact_cost_to_go(instance, q_cap=instance.top - grid.x_min)
         n, largest = instance.horizon, K
         for t in range(n, 0, -1):
             row, lo = t - 1, grid.index(tables.exact_from(t))
@@ -899,21 +920,46 @@ class TestGridValidation:
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
-        reach = sdp.Reach.of(inst)
-        # derived once per instance
-        assert inst.reach == reach and inst.reach is inst.reach
-        assert [reach.floor(t) for t in (1, 2, 3)] == [0, -3, -10]
+        assert inst.floors == (0, -3, -10)
         # the top is the demand sum, whatever the capacity
-        assert reach.top == 3 + 7
-        for period in (0, 4):
-            with pytest.raises(ValueError, match=r"period must be in 1\.\.3"):
-                reach.floor(period)
-        unbounded = sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).top
+        assert inst.top == 3 + 7
+        # derived once per instance, and kept on it
+        assert inst.floors is inst.floors
+        assert {"floors", "top"} <= vars(inst).keys()
+        unbounded = dataclasses.replace(inst, B=math.inf).top
         assert unbounded == 10 and type(unbounded) is int
         # with no demand at all the top stays a valid grid ceiling
         idle = dataclasses.replace(
             inst, demands=(pmf_empirical([0], [1.0]),) * 2)
-        assert sdp.Reach.of(idle).top == 1
+        assert idle.top == 1
+
+    def test_the_search_never_derives_the_bottom(self):
+        """A COP-search instance, solved on search_grid and checked in
+        every period, leaves its bottom underived."""
+        instance = random_instance(CexSearchParams(seed=3, budget=1),
+                                   np.random.default_rng(3))
+        tables = solve(instance, search_grid(instance))
+        for period in range(1, instance.horizon + 1):
+            check_cop(tables, period, from_state=tables.exact_from(period))
+        assert {"floors", "top"} <= vars(instance).keys()
+        assert "bottom" not in vars(instance)
+
+    def test_an_instance_is_freed_without_the_collector(self):
+        """Reading floors, top and bottom makes no reference cycle: with
+        the garbage collector off, the last reference frees the instance."""
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=(pmf_empirical([0, 3], [0.5, 0.5]),
+                                 pmf_empirical([7], [1.0])))
+        assert (inst.floors, inst.top, inst.bottom) == ((0, -3, -10), 10, -3)
+        ref = weakref.ref(inst)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del inst
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_bottom(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
@@ -926,33 +972,33 @@ class TestGridValidation:
         # With floor(2) = -3: bottom = -3 + min(0 - 0, 4 + 3, 0) = -3
         assert line_floors(inst) == [-3, 4]
         assert sdp._slide_levels(inst) == [0, 4]
-        assert inst.reach.bottom == -3
+        assert inst.bottom == -3
         tables = solve(inst, Grid(-6, 10))
         assert tables.exact_from(1) == -3 and tables.exact_from(2) == -6
         # an integral float capacity, which Instance accepts, gives an int
         # that Grid takes
-        as_float = sdp.Reach.of(dataclasses.replace(inst, B=3.0)).bottom
+        as_float = dataclasses.replace(inst, B=3.0).bottom
         assert as_float == -3 and type(as_float) is int
         assert Grid(as_float, 10).x_min == -3
         # at B = inf no finite window lies on a line
-        assert sdp.Reach.of(dataclasses.replace(inst, B=math.inf)).bottom is None
+        assert dataclasses.replace(inst, B=math.inf).bottom is None
         # one period: floor(n) = 0, and a window above the demand keeps -1
         one = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
                        demands=(pmf_empirical([5], [1.0]),))
-        assert one.reach.bottom == -1 and type(one.reach.bottom) is int
-        assert sdp.Reach.of(dataclasses.replace(one, B=65.0)).bottom == -60
+        assert one.bottom == -1 and type(one.bottom) is int
+        assert dataclasses.replace(one, B=65.0).bottom == -60
         # no demand before the last period: floor(n) = 0 again. B p = K, so
         # the last period finds no slide level
         late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
                         demands=(pmf_empirical([0], [1.0]),) * 2
                         + (pmf_empirical([9], [1.0]),))
-        assert late.reach.floor(3) == 0 and line_floors(late) == [-2, -1, 8]
+        assert late.floors[2] == 0 and line_floors(late) == [-2, -1, 8]
         assert sdp._slide_levels(late) == [-2, -1, None]
-        assert late.reach.bottom == -2 and type(late.reach.bottom) is int
+        assert late.bottom == -2 and type(late.bottom) is int
         # no demand at all: the bound's window, [-B, B + 1], holds no level
         idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
         assert sdp._slide_levels(idle) == [None] * 3
-        assert idle.reach.bottom == -3
+        assert idle.bottom == -3
         # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
         # B p = 12 <= K = 13, so the last period never orders deep down
         inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
@@ -966,7 +1012,7 @@ class TestGridValidation:
         assert sdp._slide_levels(inst) == [-1, None]
         # floor(2) = -2: bottom = -2 + min(-1 - 0, -2 + 2, 0) = -3, where
         # the line floors alone give -5
-        assert inst.reach.bottom == -3
+        assert inst.bottom == -3
         deep = solve(inst, Grid(-40, 10))
         assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()

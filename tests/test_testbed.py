@@ -146,7 +146,7 @@ class TestSmallBenchmarkRun:
             tables = ValueTables(None, None, None, grid, instance,
                                  kwargs["certified_only"])
             floors.append((tables.exact_from(1),
-                           grid.x_max - instance.reach.top))
+                           grid.x_max - instance.top))
             raise Solved
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
@@ -232,12 +232,12 @@ class TestTrimmedTopMatchesTheWholeGrid:
         (point,) = [pt for pt in build_design((family,))
                     if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
                     == ("LC1", 1000, 2, 10, b_mult) and pt.cv in (None, 0.2)]
-        reach = point.instance.reach
-        inside = (reach.bottom > DEFAULT_GRID.x_min
-                  and reach.top <= DEFAULT_GRID.x_max)
+        instance = point.instance
+        inside = (instance.bottom > DEFAULT_GRID.x_min
+                  and instance.top <= DEFAULT_GRID.x_max)
         assert inside == (family != "geometric")
         grid = (DEFAULT_GRID if inside
-                else Grid(reach.bottom - 300, reach.top + 300))
+                else Grid(instance.bottom - 300, instance.top + 300))
         (result,) = run_benchmark([point]).results
         assert result.error is None
         assert outcome(result) == outcome(direct_result(point, grid))
@@ -248,7 +248,7 @@ class TestTrimmedTopMatchesTheWholeGrid:
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        assert (inst.reach.bottom, inst.reach.top) == (-689, 899)
+        assert (inst.bottom, inst.top) == (-689, 899)
         (result,) = run_benchmark([point]).results
         assert result.cop_violations == (1,)
         for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
@@ -264,7 +264,7 @@ class TestTrimmedTopMatchesTheWholeGrid:
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
         bottom, top = -1317, 1360
-        assert (point.instance.reach.bottom, point.instance.reach.top) == (bottom, top)
+        assert (point.instance.bottom, point.instance.top) == (bottom, top)
         run_benchmark([point])
         # an uncapacitated point, which has no bottom, is solved on the
         # search grid, from the deepest state reachable from x0 = 0
