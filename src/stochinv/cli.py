@@ -2,9 +2,11 @@
 
 Subcommands: solve, simulate, search-cex, benchmark. All runs are
 deterministic given flags and seeds; repeated invocations produce
-byte-identical output files. simulate prices policies exactly and
-takes no seed. benchmark takes no grid flags: it solves each point on
-its structural grid, from its Instance.bottom to its Instance.top.
+byte-identical output files. simulate prices policies exactly, in one
+forward pass that checks the optimal price against the solved value
+whichever --policy is asked for, and takes no seed. benchmark takes no
+grid flags: it solves each point on its structural grid, from its
+Instance.bottom to its Instance.top.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
@@ -27,11 +29,9 @@ from pathlib import Path
 from .cex import CexSearchParams, search_cop_violations
 from .demand import PARAMETRIC_FAMILIES
 from .files import InstanceFormatError, dump_instance, load_instance, thresholds_csv
-from .heuristic import modified_ss_from_tables
 from .policy import MalformedTable, check_cop, read_policy
 from .sdp import DEFAULT_GRID, Grid, GridSpanError, solve
-from .simulate import (SimulationError, _percent_gap, _price_both, expected_cost,
-                       optimal_cost)
+from .simulate import SimulationError, _percent_gap, _price
 from .testbed import build_design, run_benchmark
 
 EXIT_OK = 0
@@ -134,21 +134,15 @@ def cmd_simulate(args) -> int:
     x0 = 0
     tables.check_start(x0)   # the grid's fault, before any cost is read
 
-    if args.policy == "optimal":
-        costs = {"optimal": optimal_cost(instance, tables, x0)}
-    else:
-        heuristic = modified_ss_from_tables(tables)
-        if args.policy == "both":   # one forward pass prices both policies
-            opt, heur = _price_both(instance, tables, heuristic, x0)
-            costs = {"optimal": opt, "modified-ss": heur}
-        else:
-            orders = heuristic.orders(tables.grid, instance.B)
-            costs = {"modified-ss": expected_cost(instance, tables.grid, orders, x0)}
-
-    for name, cost in costs.items():
-        print(f"{name}: expected cost {cost:.6f}")
+    # one checked forward pass; the optimal policy alone reads no bands
+    policy = None if args.policy == "optimal" else read_policy(tables).top()
+    opt, heur = _price(instance, tables, policy, x0)
+    if args.policy != "modified-ss":
+        print(f"optimal: expected cost {opt:.6f}")
+    if heur is not None:
+        print(f"modified-ss: expected cost {heur:.6f}")
     if args.policy == "both":
-        print(f"gap: {_percent_gap(costs['modified-ss'], costs['optimal']):.3f}%")
+        print(f"gap: {_percent_gap(heur, opt):.3f}%")
     return EXIT_OK
 
 

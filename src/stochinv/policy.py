@@ -13,7 +13,6 @@ local minima of G are reachable order-up-to levels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,7 +124,9 @@ def _read_period(tables: ValueTables, period: int,
     at the top s_m of the highest ordering interval.
 
     Raises GridSpanError for a period that orders only below exact_from:
-    the grid is too narrow to certify any of its orders.
+    the grid is too narrow to certify any of its orders, and
+    MalformedTable for a band deeper than the capacity; the bands' order
+    is left to the caller (_check_bands).
     """
     row = tables.Qstar[period - 1]
     x_min = tables.grid.x_min
@@ -158,13 +159,17 @@ def _read_period(tables: ValueTables, period: int,
     tops = xs[stops - 1]
     keep = (stops - starts > 1) | (q[starts] != cap) | (tops == s_m)
     pairs = tuple(zip(tops[keep].tolist(), levels[starts][keep].tolist()))
-    _check_bands(period, pairs, cap)
+    # the one check that needs the capacity; ThresholdPolicy makes the rest
+    for s_k, big_k in pairs:
+        if s_k < big_k - cap:
+            raise MalformedTable(
+                f"period {period}: band ({s_k},{big_k}) deeper than capacity {cap}")
     return pairs, True
 
 
-def _check_bands(period: int, pairs, cap: int | float = math.inf) -> None:
-    """Raise MalformedTable unless s_k and S_k rise strictly with k, each
-    s_k < S_k, and no band is deeper than the capacity."""
+def _check_bands(period: int, pairs) -> None:
+    """Raise MalformedTable unless s_k and S_k rise strictly with k and
+    each s_k < S_k."""
     for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]):
         if not (s_a < s_b and big_a < big_b):
             raise MalformedTable(
@@ -173,9 +178,6 @@ def _check_bands(period: int, pairs, cap: int | float = math.inf) -> None:
     for s_k, big_k in pairs:
         if not s_k < big_k:
             raise MalformedTable(f"period {period}: s={s_k} not below S={big_k}")
-        if s_k < big_k - cap:
-            raise MalformedTable(
-                f"period {period}: band ({s_k},{big_k}) deeper than capacity {cap}")
 
 
 @dataclass(frozen=True)
@@ -224,13 +226,11 @@ def read_policy(tables: ValueTables) -> ThresholdPolicy:
     """The modified multi-(s, S) policy of solved tables, read one period
     at a time from exact_from(period) by one order-property screen. A
     period where the property fails is flagged and keeps one stand-in band.
-    Raises GridSpanError if some period orders only below exact_from."""
-    # exact_from(t) for t = 1..n, from the instance's reachable floors
-    floors = tables.instance.floors
-    shift = tables.grid.x_min - floors[tables.instance.horizon - 1]
+    Raises GridSpanError if some period orders only below exact_from, and
+    MalformedTable for bands that are not well formed, each checked once."""
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):
-        pairs, holds = _read_period(tables, period, floors[period - 1] + shift)
+        pairs, holds = _read_period(tables, period, tables.exact_from(period))
         bands.append(pairs)
         if not holds:
             flagged.append(period)
@@ -317,7 +317,8 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
 
     (s_m, S_m) is the period's top band as read_policy reads it, the
     stand-in band where the order property fails; a period that orders only
-    below exact_from raises GridSpanError, as in read_policy.
+    below exact_from raises GridSpanError, and malformed bands raise
+    MalformedTable, as in read_policy.
 
     The envelope is the running minimum of G from the left on the open
     interval (s_m, S_m). Each maximal plateau whose right neighbor is
@@ -328,6 +329,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     above everything in the interval).
     """
     bands, _ = _read_period(tables, period, tables.exact_from(period))
+    _check_bands(period, bands)
     if not bands:
         return []
     s_m, big_s_m = bands[-1]

@@ -584,9 +584,11 @@ def _window_min_finite(g_row: np.ndarray, cap: int, K: float,
     the smallest order that attains w where ordering pays, 0 elsewhere.
 
     w is the min of g_row over the capacity window [i, i + cap]. Ordering
-    pays where G - (K + w) exceeds the tie tolerance 1e-9, and offsets
-    within 1e-9 of w count as attaining it, so ties resolve to the smallest
-    order quantity. States past the end of the row never attain it, so a
+    pays where G > (K + w) + 1e-9, and offsets at or below w + 1e-9 count
+    as attaining it, so ties resolve to the smallest order quantity. Both
+    tests round the same way, a threshold added to w: at K = 0 an ordering
+    state never attains w at offset 0, and every order is the smallest
+    attaining offset. States past the end of the row never attain it, so a
     cap of size - 1 gives the suffix minimum of the uncapacitated problem.
     c_row and q_row are written in place; solve subtracts the purchase
     term v x from c_row.
@@ -624,7 +626,7 @@ def _window_min_finite(g_row: np.ndarray, cap: int, K: float,
     np.minimum(levels[top][:size], levels[top][shift:size + shift], out=c_row)
     threshold = c_row + _TIE_TOL
     c_row += K   # the cost of ordering, until C is done
-    ordering = g_row - c_row > _TIE_TOL
+    ordering = g_row > c_row + _TIE_TOL
     np.multiply(ordering, cap, out=q_row)
     # searched: the ordering states that are no slides (with cap 0, on a
     # one-state row, there are no slides)

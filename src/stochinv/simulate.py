@@ -8,14 +8,15 @@ expected_cost prices a policy exactly. It carries the distribution of
 the inventory forward one period at a time and adds up each period's
 expected ordering cost, and its holding and shortage cost as one dot
 product over the end-of-period distribution that the next period starts
-from. optimal_cost prices tables.Qstar and checks it against the solved
-value. _price_both, which optimality_gap and CLI simulate call, prices
-both policies in one such pass: the threshold policy shares the optimal
-pass for as long as both tables order alike at every state the
-distribution covers, and splits off in the first period where they do
-not, to continue alone from that period's shared state. Up to the split
-both passes take the same float operations on the same operands, so
-each price keeps the bits of its own expected_cost.
+from. _price, which optimality_gap and CLI simulate call, is the one
+pricing entry for solved tables: it prices tables.Qstar in one such
+pass, checks it against the solved value and, given a threshold policy,
+prices that too. The threshold policy shares the optimal pass for as
+long as both tables order alike at every state the distribution covers,
+and splits off in the first period where they do not, to continue alone
+from that period's shared state. Up to the split both passes take the
+same float operations on the same operands, so each price keeps the
+bits of its own expected_cost.
 """
 
 from __future__ import annotations
@@ -171,44 +172,22 @@ def _percent_gap(cost: float, optimum: float) -> float:
     return math.inf if optimum == 0 else 100.0 * (cost - optimum) / optimum
 
 
-def optimal_cost(instance: Instance, tables: ValueTables, x0: int) -> float:
-    """Exact expected cost of tables.Qstar from x0, checked against the tables.
-
-    The cost must equal the solved value at (first period, x0) within the
-    solver's tie tolerance once per period plus the same tolerance
-    relative to the value; otherwise the tables do not belong to the
-    instance, or the grid edge reaches x0, and SimulationError is raised.
-    """
-    opt = expected_cost(instance, tables.grid, tables.Qstar, x0)
-    _check_optimum(instance, tables, x0, opt)
-    return opt
-
-
-def _check_optimum(instance: Instance, tables: ValueTables, x0: int,
-                   opt: float) -> None:
-    """optimal_cost's check of the price opt of tables.Qstar from x0."""
-    dp_value = tables.cost_at(1, x0)
-    if abs(opt - dp_value) > _TIE_TOL * (instance.horizon + abs(dp_value)):
-        raise SimulationError(
-            f"exact optimal cost {opt!r} differs from the solved value "
-            f"{dp_value!r}")
-
-
 def optimality_gap(instance: Instance, tables: ValueTables,
                    heuristic: ThresholdPolicy, x0: int) -> float:
     """Exact percent cost excess of a threshold policy over the optimal table.
 
-    Both policies are priced in one forward pass (_price_both), each to
+    Both policies are priced in one forward pass (_price), each to
     expected_cost's bits; SimulationError is raised when the optimal price
-    does not reproduce the solved value, as in optimal_cost.
+    does not reproduce the solved value.
     """
-    opt, heur = _price_both(instance, tables, heuristic, x0)
+    opt, heur = _price(instance, tables, heuristic, x0)
     return _percent_gap(heur, opt)
 
 
-def _price_both(instance: Instance, tables: ValueTables,
-                heuristic: ThresholdPolicy, x0: int) -> tuple[float, float]:
-    """The exact costs of tables.Qstar and of a threshold policy from x0.
+def _price(instance: Instance, tables: ValueTables,
+           policy: ThresholdPolicy | None, x0: int) -> tuple[float, float | None]:
+    """The exact costs of tables.Qstar and of a threshold policy from x0;
+    the second is None when no policy is given.
 
     Both are priced in one forward pass. It runs under tables.Qstar and
     carries the threshold policy's order table along while both tables
@@ -217,13 +196,21 @@ def _price_both(instance: Instance, tables: ValueTables,
     from that period's shared state. Up to the split the two passes take
     the same operations on the same operands, so each price is
     expected_cost's bit for bit, and a policy that never splits off costs
-    exactly the optimum. The optimal price is checked as in optimal_cost,
-    which raises SimulationError when it does not reproduce the solved
-    value, before the threshold policy's pass goes on.
+    exactly the optimum. The optimal price must equal the solved value at
+    (first period, x0) within the solver's tie tolerance once per period
+    plus the same tolerance relative to the value; otherwise the tables do
+    not belong to the instance, or the grid edge reaches x0, and
+    SimulationError is raised before the threshold policy's pass goes on.
     """
     grid = tables.grid
-    orders = heuristic.orders(grid, instance.B)
+    orders = None if policy is None else policy.orders(grid, instance.B)
     opt, fork = _forward(instance, grid, tables.Qstar, _start(x0), orders)
-    _check_optimum(instance, tables, x0, opt)
+    dp_value = tables.cost_at(1, x0)
+    if abs(opt - dp_value) > _TIE_TOL * (instance.horizon + abs(dp_value)):
+        raise SimulationError(
+            f"exact optimal cost {opt!r} differs from the solved value "
+            f"{dp_value!r}")
+    if policy is None:
+        return opt, None
     heur = opt if fork is None else _forward(instance, grid, orders, fork)[0]
     return opt, heur

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_path
-from oracle import runs_check_cop, tall_search_grid
+from oracle import (exact_cost_to_go, runs_check_cop, split_state_runs,
+                    tall_search_grid)
 from stochinv import (CexSearchParams, Grid, Instance, ValueTables, cex,
                       check_cop, load_instance, pmf_empirical, random_instance,
                       search_cop_violations, search_grid, serialize_instance,
@@ -199,6 +201,55 @@ class TestKnownViolatorRegression:
         assert not report.holds
         assert report.violation_witness == (615, 616)
         assert report.ordering_set[-1] == (616, 618)
+
+
+def stream_instance(seed, index):
+    """The search's instance at index of the seed's stream (equal_masses
+    off), as search_cop_violations regenerates it."""
+    params = CexSearchParams(seed=seed, budget=0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    for _ in range(index):
+        random_instance(params, rng)
+    return random_instance(params, rng)
+
+
+# case -> (instance, flagged period, check_cop's ordering runs there)
+KNOWN_VIOLATORS = {
+    "seed3-886": (lambda: stream_instance(3, 886), 2,
+                  ((-495, 491), (493, 493))),
+    "seed174-610": (lambda: stream_instance(174, 610), 2,
+                    ((-499, 510), (517, 519))),
+    "spiky": (lambda: load_instance(instance_path("spiky_nonstationary.json")),
+              1, ((-210, 601), (616, 618))),
+}
+
+
+class TestExactCertificates:
+    """Each known violator decided in exact arithmetic: on [exact_from(t),
+    last ordering state + B] the states where the rational advantage
+    G - K - w of ordering exceeds the tie tolerance 1e-9 (as the rational
+    that float is) are check_cop's runs, and the island above the hole
+    saves more than K exactly."""
+
+    @pytest.mark.parametrize("case", sorted(KNOWN_VIOLATORS))
+    def test_ordering_runs_are_exact(self, case):
+        build, period, runs = KNOWN_VIOLATORS[case]
+        instance = build()
+        tables = solve(instance, search_grid(instance))
+        lo = tables.exact_from(period)
+        report = check_cop(tables, period, from_state=lo)
+        assert report.ordering_set == runs
+        cap = int(instance.B)
+        hi = runs[-1][1] + cap
+        G = exact_cost_to_go(instance).G
+        g = [G(period, y) for y in range(lo, hi + cap + 1)]
+        K = Fraction(instance.K)
+        advantage = [g[i] - K - min(g[i:i + cap + 1])
+                     for i in range(hi - lo + 1)]
+        ordering = np.array([a > Fraction(1e-9) for a in advantage])
+        assert split_state_runs(ordering, lo) == runs
+        island_lo, island_hi = runs[-1]
+        assert all(a > 0 for a in advantage[island_lo - lo:island_hi - lo + 1])
 
 
 def failing_periods(tables):

@@ -9,7 +9,7 @@ from conftest import instance_path
 from stochinv import (InstanceFormatError, MalformedTable, ThresholdPolicy,
                       load_instance, parse_instance, read_policy,
                       serialize_instance, solve, thresholds_csv)
-from stochinv import cli
+from stochinv import cli, simulate
 from stochinv.cli import main
 
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
@@ -180,7 +180,7 @@ WIDE_CAP = ('{"horizon": 1, "K": 1.0, "v": 0.0, "h": 1.0, "p": 5.0, "B": 5, '
 SEASONAL_INF_BANDS = (b"period,k,s,S\n1,1,15,67\n2,1,28,49\n3,1,55,109\n"
                       b"4,1,28,49\n")
 
-# the workflow's simulate step and its three pinned thresholds.csv steps,
+# the workflow's three simulate steps and three pinned thresholds.csv steps,
 # run in-process: step -> (the instance file's text, the command and its
 # grid flags, and the bytes the step diffs: simulate's stdout, or the
 # thresholds.csv that solve writes)
@@ -190,6 +190,14 @@ WORKFLOW_PINS = {
                  b"optimal: expected cost 395.372397\n"
                  b"modified-ss: expected cost 395.850626\n"
                  b"gap: 0.121%\n"),
+    "simulate_optimal": (fixture_text("seasonal_poisson.json"),
+                         ["simulate", "--grid-min", "-300", "--grid-max",
+                          "600", "--policy", "optimal"],
+                         b"optimal: expected cost 395.372397\n"),
+    "simulate_modified_ss": (fixture_text("seasonal_poisson.json"),
+                             ["simulate", "--grid-min", "-300", "--grid-max",
+                              "600", "--policy", "modified-ss"],
+                             b"modified-ss: expected cost 395.850626\n"),
     "seasonal_inf": (SEASONAL_INF,
                      ["solve", "--grid-min", "-300", "--grid-max", "600"],
                      SEASONAL_INF_BANDS),
@@ -542,15 +550,43 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == (self.OPTIMAL + self.HEURISTIC
                                            + "gap: 0.333%\n")
 
-    def test_both_policies_take_one_pass(self, capsys, monkeypatch):
-        def must_not_price(*args):
-            raise AssertionError("priced a policy in a pass of its own")
+    def forward_calls(self, monkeypatch):
+        """Each simulate._forward call's start state and the fork it
+        returns, as the calls are made."""
+        calls = []
+        forward = simulate._forward
 
-        monkeypatch.setattr(cli, "optimal_cost", must_not_price)
-        monkeypatch.setattr(cli, "expected_cost", must_not_price)
+        def spy(*args):
+            cost, fork = forward(*args)
+            calls.append((args[3], fork))
+            return cost, fork
+
+        monkeypatch.setattr(simulate, "_forward", spy)
+        return calls
+
+    def test_both_policies_take_one_pass(self, capsys, monkeypatch):
+        # one pass from x0; the heuristic, which orders differently here,
+        # goes on alone from the state where it splits off
+        calls = self.forward_calls(monkeypatch)
         assert main(self.ARGS) == 0
         assert capsys.readouterr().out == (self.OPTIMAL + self.HEURISTIC
                                            + "gap: 0.333%\n")
+        (start, fork), (resumed, _) = calls
+        assert (start.period, start.lo, start.total) == (1, 0, 0.0)
+        assert resumed is fork
+
+    @pytest.mark.parametrize("policy,passes", [("optimal", 1),
+                                               ("modified-ss", 2)])
+    def test_single_policy_rides_the_same_pass(self, capsys, monkeypatch,
+                                               policy, passes):
+        calls = self.forward_calls(monkeypatch)
+        assert main(self.ARGS + ["--policy", policy]) == 0
+        assert capsys.readouterr().out == (
+            self.OPTIMAL if policy == "optimal" else self.HEURISTIC)
+        assert len(calls) == passes
+        assert calls[0][0].period == 1
+        if passes == 2:
+            assert calls[1][0] is calls[0][1]
 
     def test_single_policy_skips_gap(self, capsys):
         rc = main(self.ARGS + ["--policy", "optimal"])
@@ -564,25 +600,33 @@ class TestSimulateCommand:
         def must_not_read(tables):
             raise AssertionError("read bands for the optimal policy")
 
-        monkeypatch.setattr(cli, "modified_ss_from_tables", must_not_read)
+        monkeypatch.setattr(cli, "read_policy", must_not_read)
         rc = main(self.ARGS + ["--policy", "optimal"])
         assert rc == 0
         assert capsys.readouterr().out == self.OPTIMAL
 
-    def test_optimal_cost_is_checked_against_the_tables(self, capsys,
-                                                        monkeypatch):
+    def assert_optimum_refused(self, capsys, monkeypatch, policy):
         # tables solved with twice the shortage cost cannot price the file's
         # instance at their own optimum
         def solve_other_instance(instance, grid):
             return solve(dataclasses.replace(instance, p=2 * instance.p), grid)
 
         monkeypatch.setattr(cli, "solve", solve_other_instance)
-        rc = main(self.ARGS + ["--policy", "optimal"])
+        rc = main(self.ARGS + ["--policy", policy])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: exact optimal cost ")
         assert "differs from the solved value" in captured.err
+
+    def test_optimal_cost_is_checked_against_the_tables(self, capsys,
+                                                        monkeypatch):
+        self.assert_optimum_refused(capsys, monkeypatch, "optimal")
+
+    def test_heuristic_price_checks_the_optimum(self, capsys, monkeypatch):
+        # the heuristic rides the optimal pass, so its price is refused
+        # with the tables whose optimum it fails to reproduce
+        self.assert_optimum_refused(capsys, monkeypatch, "modified-ss")
 
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "4"), ("--max-reps", "1000"), ("--confidence", "0.95"),
@@ -636,7 +680,7 @@ class TestSimulateCommand:
         def malformed(tables):
             raise MalformedTable("period 1: s=7 not below S=7")
 
-        monkeypatch.setattr(cli, "modified_ss_from_tables", malformed)
+        monkeypatch.setattr(cli, "read_policy", malformed)
         rc = main(self.ARGS)
         assert rc == 3
         assert capsys.readouterr().err == "error: period 1: s=7 not below S=7\n"
@@ -747,7 +791,7 @@ class TestBedPivots:
 
 
 class TestWorkflowPins:
-    """The workflow's simulate step and thresholds.csv steps, byte for byte."""
+    """The workflow's simulate steps and thresholds.csv steps, byte for byte."""
 
     @pytest.mark.parametrize("step", sorted(WORKFLOW_PINS))
     def test_step_matches_the_workflow(self, tmp_path, capsys, step):

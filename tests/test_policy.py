@@ -10,11 +10,13 @@ from pytest import approx
 from conftest import FIXTURE_GRIDS, instance_path
 from oracle import (brute_kb_violations, rebuild_order_quantity,
                     split_state_runs, threshold_pairs_by_run)
+from stochinv import policy as policy_module
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, KBReport, MalformedTable, ThresholdPolicy,
-                      ValueTables, check_cop, load_instance, pmf_empirical,
-                      qce_diagnostics, random_instance, read_policy,
-                      search_grid, solve, thresholds_csv, verify_kb_convexity)
+                      ValueTables, build_design, check_cop, load_instance,
+                      pmf_empirical, qce_diagnostics, random_instance,
+                      read_policy, search_grid, solve, thresholds_csv,
+                      verify_kb_convexity)
 from stochinv.policy import _KB_TOL, _kb_convexity, _read_period, _state_runs
 
 SEASONAL_PAIRS = {
@@ -347,6 +349,39 @@ def well_formed(pairs, cap):
                  for (s_a, big_a), (s_b, big_b) in zip(pairs, pairs[1:]))
     return rising and all(s_k < big_k and not s_k < big_k - cap
                           for s_k, big_k in pairs)
+
+
+class TestBandsAreCheckedOnce:
+    def test_two_checks_per_period_for_the_heuristic(self, monkeypatch):
+        # read_policy's policy and its top() each check every period once;
+        # the reader itself makes only the depth test
+        calls = []
+        check = policy_module._check_bands
+
+        def counting(period, *args):
+            calls.append(period)
+            check(period, *args)
+
+        monkeypatch.setattr(policy_module, "_check_bands", counting)
+        for point in build_design(("poisson",))[::10]:
+            instance = point.instance
+            tables = solve(instance, Grid(instance.bottom, instance.top),
+                           certified_only=True)
+            calls.clear()
+            read_policy(tables).top()
+            periods = range(1, instance.horizon + 1)
+            assert sorted(calls) == sorted([*periods, *periods]), point.key
+
+    def test_depth_is_reported_before_the_order(self):
+        # capacity slides up to -1, then bands (0,5) and (1,4): they run
+        # backwards, and (0,5) is deeper than B = 4
+        grid = Grid(-5, 5)
+        q_row = [4 if x < 0 else 0 for x in grid.states.tolist()]
+        q_row[grid.index(0)] = 5
+        q_row[grid.index(1)] = 3
+        with pytest.raises(MalformedTable, match=r"band \(0,5\) deeper than "
+                                                 "capacity 4"):
+            read_policy(fake_tables(q_row, 4, grid))
 
 
 class TestBandsMatchRunByRunReference:

@@ -130,12 +130,12 @@ class TestDeterministicDemand:
 
 def with_orders(window_min):
     """A window-minimum oracle returning (w, q) as a kernel of sdp's shape:
-    the same ordering rule, G - (K + w) > 1e-9, writes q where ordering
+    the same ordering rule, G > (K + w) + 1e-9, writes q where ordering
     pays and 0 elsewhere, and min(G, K + w) into the C row."""
     def kernel(g_row, cap, K, c_row, q_row):
         w, q = window_min(g_row, cap)
         np.add(K, np.asarray(w, dtype=np.float64), out=c_row)
-        q_row[...] = np.where(g_row - c_row > 1e-9, q, 0)
+        q_row[...] = np.where(g_row > c_row + 1e-9, q, 0)
         np.minimum(g_row, c_row, out=c_row)
     return kernel
 
@@ -170,12 +170,10 @@ fixed_costs = st.sampled_from(NUDGES + [1e3])
 
 def assert_smallest_offsets(row, cap, q_row):
     """With K = 0, each state's order is the brute force's smallest
-    attaining offset wherever G - w is exact in floating point. Where it
-    rounds, a saving just above 1e-9 can round to 1e-9 and not order."""
-    w, offsets = brute_window_min(row, cap)
-    for g, low, got, want in zip(row, w, q_row.tolist(), offsets):
-        if Fraction(g) - Fraction(low) == Fraction(g - low):
-            assert got == want
+    attaining offset: the ordering test and the attaining test compare G
+    with the same w + 1e-9, so a state that orders never attains at
+    offset 0, and one that does not order attains there."""
+    assert q_row.tolist() == brute_window_min(row, cap)[1]
 
 
 def assert_rows_match(g_row, cap, K, window_min):
@@ -190,7 +188,7 @@ def assert_rows_match(g_row, cap, K, window_min):
 
 class TestWindowMinimum:
     """The kernel writes C = min(G, K + w) and the smallest attaining order
-    where G - (K + w) > 1e-9, 0 elsewhere, as the oracles do under that rule;
+    where G > (K + w) + 1e-9, 0 elsewhere, as the oracles do under that rule;
     with K = 0 every state's order is its smallest attaining offset
     (assert_smallest_offsets)."""
 
@@ -201,6 +199,9 @@ class TestWindowMinimum:
     # K + w - G is exactly -1e-9 at state 0: ordering saves exactly the
     # tolerance, so nothing is ordered although offset 1 attains w
     @example(row=[2e-9, 0.0], cap=1, K=1e-9)
+    # at K = 0, G - w = 1e-9 + 1e-26 rounds to the tolerance, but G lies
+    # above w + 1e-9 = 0, where offset 1 attains: the state orders 1
+    @example(row=[1e-26, -1e-9], cap=1, K=0.0)
     @settings(max_examples=400, deadline=None)
     def test_matches_brute_force_exactly(self, row, cap, K):
         g_row = np.array(row, dtype=np.float64)
