@@ -4,12 +4,12 @@ Instances with very lumpy demand (a sizable chance of demand far above the
 order capacity) can make the optimal policy order, stop, and order again as
 inventory falls. This module generates such instances at random, solves
 them on search_grid, from minus the sum of the per-period maximum demands
-up to that sum, the structural top stochinv.sdp.Instance.top, and collects
-the periods where check_cop, run on each period from its exact_from up,
-finds the continuous order property violated, together with a
-monotonicity diagnostic on the order-advantage function V. The draw
-settings are the module constants below; a search is set only by its
-seed, its budget and its mass allocation (CexSearchParams).
+up to that sum, which holds the structural top stochinv.sdp.Instance.top
+without deriving it, and collects the periods where check_cop, run on each
+period from its exact_from up, finds the continuous order property
+violated, together with a monotonicity diagnostic on the order-advantage
+function V. The draw settings are the module constants below; a search is
+set only by its seed, its budget and its mass allocation (CexSearchParams).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .demand import pmf_empirical
 from .policy import CopReport, _state_runs, check_cop
-from .sdp import Grid, Instance, ValueTables, solve
+from .sdp import Grid, Instance, ValueTables, _demand_ceiling, solve
 
 
 # the draw settings: fixed cost K, penalty p and capacity B are uniform
@@ -91,16 +91,21 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
 
 
 def search_grid(instance: Instance) -> Grid:
-    """The grid from the deepest reachable backlog up to the structural top.
+    """The grid from the deepest reachable backlog up to the demand ceiling.
 
-    Both ends come from the instance. The floor, minus the sum of the
+    Both ends come from the demands. The floor, minus the sum of the
     per-period maximum demands, is the lowest state any period reaches
     from x0 = 0; it stays at -1 or below, as a grid needs, when every
-    demand is 0. The top is that sum: no period orders above it, and the
-    tables below it are those of any taller grid, for every capacity B
-    (the proof is in the Instance.top docstring).
+    demand is 0. The ceiling is that sum (at least 1): above it no demand
+    path goes short, so it holds the structural top Instance.top, and the
+    tables below the top are those of any taller grid, for every capacity
+    B (the proof is in the Instance.top docstring). The search keeps the
+    ceiling rather than the top: deriving the top costs about 46 us an
+    instance and would cut its small grids only 1.13x, so solving and
+    checking 1,000 search instances up to the top took 305 ms against
+    250 ms up to the ceiling.
     """
-    return Grid(min(instance.floors[-1], -1), instance.top)
+    return Grid(min(instance.floors[-1], -1), _demand_ceiling(instance))
 
 
 def search_cop_violations(params: CexSearchParams) -> list[Violation]:

@@ -11,8 +11,9 @@ Instance.bottom to its Instance.top.
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or
 instance-file errors; 3 grid, numerical or malformed-band errors, among
-them a grid that ends below the instance's structural top (refused
-before solving), x0 = 0 below the certified floor exact_from(1)
+them a grid that ends below the instance's structural top or whose
+certified floor exact_from(1) lies above its top (both refused before
+solving), x0 = 0 below the certified floor exact_from(1)
 (`simulate`, before any policy is priced) and a period that orders only
 below its certified floor exact_from, all of which leave the grid too
 narrow (`solve` then writes no file), and an optimal policy whose exact

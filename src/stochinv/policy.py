@@ -244,9 +244,10 @@ def verify_kb_convexity(tables: ValueTables,
     Both rows are checked on [exact_from(period), x_max], the states whose
     values neither grid edge touches, with the instance's K and B (see
     _kb_convexity). Returns (g_report, c_report); a witness (x, a, y, b)
-    names states x and y. The range is never empty: the grid reaches the
-    structural top (solve refuses any other), and exact_from(period) =
-    x_min + sum_{period<=s<n} dmax_s lies at most at top - 1.
+    names states x and y. The range is never empty: solve refuses a grid
+    whose certified floor exact_from(1) lies above x_max, and
+    exact_from(period) = x_min + sum_{period<=s<n} dmax_s lies at most
+    at exact_from(1).
     """
     lo = tables.exact_from(period)
     row, instance = tables.row(period), tables.instance

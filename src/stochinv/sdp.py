@@ -30,15 +30,17 @@ One range-minimum query decides a slide, and only the other ordering
 states are searched.
 
 An Instance derives, from itself alone, each period's reachable floor
-(floors), the structural top above which no grid orders (top) and, at a
-finite capacity, the structural bottom below which every period's
-decision stays the same (bottom): from each period's capacity-slide level
-down it orders the whole capacity, and from its line floor down its rows
-are lines. solve refuses a grid that ends below the top, so every table
-it returns is exact up to x_max. The certified floor
+(floors), the structural top above which every G row rises, so that no
+grid orders there (top), and, at a finite capacity, the structural
+bottom below which every period's decision stays the same (bottom): from
+each period's capacity-slide level down it orders the whole capacity,
+and from its line floor down its rows are lines. solve refuses a grid
+that ends below both the top and the demand ceiling sum_t dmax_t, so
+every table it returns is exact up to x_max. The certified floor
 ValueTables.exact_from, the bed's grid between bottom and top and the COP
-search grid are read off them too, each derived once per instance; the
-bottom, which only the bed reads, is derived on its first read.
+search grid, which ends at the demand ceiling, are read off them too,
+each derived once per instance; the top and the bottom, which only the
+bed and grids below the ceiling read, are derived on their first read.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
 # a capacity slide's margin for rounding over the tie tolerance
-# (Instance.bottom)
+# (Instance.bottom), and the least rise of G above the structural top
+# (Instance.top)
 _SLIDE_MARGIN = 1e-6
+# the lattice step on which _rise_levels bounds the rises of G
+_RISE_STEP = 8
 # states per write in ValueTables.to_csv: enough to amortise the per-block
 # calls, few enough that one block's pieces and texts stay small in memory
 _CSV_BLOCK = 4096
@@ -141,29 +146,60 @@ class Instance:
 
     @cached_property
     def top(self) -> int:
-        """The structural top, derived from the demands alone.
+        """The structural top, derived from the instance alone.
 
-        top = max(sum_t dmax_t, 1), for every capacity B including math.inf,
-        is the structural top: on any grid that reaches it, every state's
-        tables are bit for bit those of every taller grid, and no grid orders
-        above it. solve refuses a grid that ends below it. Let
-        D_t = sum_{s>=t} dmax_s <= top.
+        top = max(max_t a'_t, 1), for every capacity B including math.inf,
+        is the structural top: from a'_t up G_t rises by more than sigma =
+        1e-6 at every state, so on any grid that reaches the top every
+        state's tables are bit for bit those of every taller grid, and no
+        grid orders above it. It is derived on first read: solve refuses a
+        grid that ends below both the top and the demand ceiling
+        max(sum_t dmax_t, 1), so a grid that reaches the ceiling never
+        derives it. K and B never enter. Let D_t = sum_{s>=t} dmax_s.
         - From x >= D_t no demand path goes short, so G_t rises by at least
           h > 0 per state there. By induction from the last period: L_t rises
           by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
           v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
-        - So every window [x, x + B] takes its minimum, and has its first
-          state within the tie tolerance, at or below max(x, D_t): at x itself
-          from D_t up, where nothing orders and C_t = G_t - v x, and at or
-          below D_t <= top under it. A window cut at the top of such a grid
-          therefore has the same minimum and the same smallest order.
+        - Below D_t the rises are bounded from below, as Instance.bottom
+          bounds them from above. Write Df(y) = f(y + 1) - f(y) and F_t(y) =
+          P(d_t <= y); exactly, DL_t(y) = (h + p) F_t(y) - p. As C_t + v x =
+          min(G_t, K + w_t) and a min rises by at least the smaller rise of
+          its branches, with w_t(x + 1) >= min(w_t(x), G_t(x + B + 1)) and
+          G_t(x + B + 1) >= w_t(x) + DG_t(x + B), DC_t(x) + v >=
+          min(DG_t(x), 0, DG_t(x + B)). Where G_t rises at every state from
+          x up, nothing orders at x or x + 1 and DC_t(x) + v = DG_t(x).
+        - Let beta_t(y) = v - p + (h + p) F_t(y) + discount (E[g_{t+1}(y - d)]
+          - v), with g_{n+1} = v (nothing is owed after the last period),
+          and g_t = beta_t from a'_t up and min(beta_t, 0) below it. If
+          g_{t+1} is nondecreasing and at most DC_{t+1} + v, beta_t is
+          nondecreasing and at most DG_t; then from a'_t up, where beta_t >
+          sigma, G_t rises, and below it min(DG_t(x), 0, DG_t(x + B)) >=
+          min(beta_t(x), 0), so g_t is nondecreasing and at most DC_t + v.
+          Below the grid's floor the clamp makes DC_{t+1} + v = v, and there
+          g_{t+1} < v holds too, as F_{t+1} = 0 below 0.
+        - _rise_levels evaluates beta_t on a lattice of step 8 and reads g as
+          a step function, constant on each lattice cell. Each demand block
+          (8(k - 1), 8k] then moves its mass to its top, 8k, where it reads g
+          at the cell the block's states all fall in, so the moves keep
+          beta_t a bound. Below the lattice g is read as its global floor
+          m_t = min(v - p + discount (m_{t+1} - v), 0), m_{n+1} = v, and
+          above it as its value at the lattice's last state; both being
+          nondecreasing, they stay bounds. a'_t is the first lattice state
+          where beta_t > sigma, capped at D_t.
+        - So every window [x, x + B] that reaches above the top loses only
+          states more than sigma above its minimum, which neither set the
+          minimum nor lie within the tie tolerance of it: a window cut at
+          the top of a grid has the same minimum and the same smallest
+          order as on any taller grid.
         - The continuation reads only lower states.
         By induction over periods and ascending states, every order and value
         on such a grid, and with them the bands, the COP flags and the exact
-        gap, are therefore those of any taller grid. The max keeps top a valid
-        grid ceiling when no period has positive demand.
+        gap, are therefore those of any taller grid. The argument treats the
+        values as exact; sigma is the margin for rounding in the solved rows,
+        as for the bottom's slides. The max keeps top a valid grid ceiling
+        when no period has positive demand.
         """
-        return max(-self.floors[-1], 1)
+        return max(*_rise_levels(self), 1)
 
     @cached_property
     def bottom(self) -> int | None:
@@ -292,6 +328,76 @@ class Grid:
 DEFAULT_GRID = Grid(-10000, 10000)
 
 
+def _demand_ceiling(instance: Instance) -> int:
+    """max(sum_t dmax_t, 1): above it no demand path goes short (D_1 of
+    Instance.top), and it is a valid grid ceiling even with no demand."""
+    return max(-instance.floors[-1], 1)
+
+
+def _rise_levels(instance: Instance) -> list[int]:
+    """a'_t of Instance.top for t = 1..n.
+
+    Works backward over the lattice states lo + _RISE_STEP i, lo the largest
+    demand of any period rounded up to a whole step below 0. Period t's
+    lattice ends at its first state at or above D_t or, if lower, one step
+    past the first state that reads g_{t+1} only from a'_{t+1} up and has
+    F_t = 1, where beta_t exceeds sigma as soon as h does: the earlier
+    period reads g_t past the lattice at its last value. The mass at 0 and each demand block (8(k - 1), 8k] are the weights of
+    one np.convolve over the lattice, which takes (h + p) F_t and
+    discount E[g_{t+1}(y - d)] together: the weights up to k add up to
+    F_t(8k), so the step up at 0 times h + p, plus discount g_{t+1},
+    convolves to both. On the 810 Poisson bed points this takes about
+    0.16 ms a point.
+    """
+    n, step = instance.horizon, _RISE_STEP
+    v, h, p, discount = instance.v, instance.h, instance.p, instance.discount
+    dmax_all = max(pmf.max_value for pmf in instance.demands)
+    # the lattice's first state: the multiple of step at or just below
+    # -dmax_all
+    cells = -(-dmax_all // step)
+    lo = -step * cells
+    levels = [0] * n
+    # g_{n+1} = v, its floor and D_{t+1}
+    g, floor_g, reach = np.full(1, float(v)), float(v), 0
+    level = lo
+    for t in range(n - 1, -1, -1):
+        pmf = instance.demands[t]
+        dmax = pmf.max_value
+        reach += dmax
+        blocks = -(-dmax // step)
+        # the mass at 0, then each block (8(k - 1), 8k]
+        starts = np.arange(1 - step, dmax + 1, step)
+        starts[0] = 0
+        weights = np.add.reduceat(pmf.dense, starts)
+        # the lattice's last state: the first at or above D_t, or lower
+        last = min(-step * (-reach // step),
+                   max(level, 0) + step * (blocks + 1))
+        size = (last - lo) // step + 1
+        # (h + p) F_t(y) + discount E[g_{t+1}(y - d)] as one convolution:
+        # (h + p) times the step up at 0 plus discount g_{t+1}, padded
+        # below with g's floor and above with its last value
+        ahead = np.empty(size + blocks)
+        ahead[:blocks] = floor_g
+        kept = min(g.size, size)
+        ahead[blocks:blocks + kept] = g[:kept]
+        ahead[blocks + kept:] = g[-1]
+        if discount != 1.0:
+            ahead *= discount
+        ahead[blocks + cells:] += h + p
+        beta = np.convolve(ahead, weights, mode="valid")
+        beta += v - p - discount * v
+        first = int((beta > _SLIDE_MARGIN).argmax())
+        if beta[first] <= _SLIDE_MARGIN:
+            first = size
+        # capped at D_t, from where G_t rises by at least h
+        level = reach if first == size else min(lo + step * first, reach)
+        levels[t] = level
+        np.minimum(beta[:first], 0.0, out=beta[:first])
+        g = beta
+        floor_g = min(v - p + discount * (floor_g - v), 0.0)
+    return levels
+
+
 def _slide_levels(instance: Instance) -> list[int | None]:
     """a_t of Instance.bottom for t = 1..n at a finite capacity, None where
     none is found.
@@ -352,10 +458,11 @@ class ValueTables:
     Rows are forward periods 1..n (row 0 = first period); columns follow
     grid.states. C is the optimal cost-to-go before ordering, G the
     order-up-to cost curve, Qstar the optimal order quantity. solve builds
-    them only on a grid that reaches the structural top, so the upper edge
-    touches no value: period t's certified range is
-    [exact_from(t), grid.x_max]. certified_only tables were solved on that
-    range alone and hold NaN and -1 below it (see solve).
+    them only on a grid that reaches the structural top Instance.top, so
+    the upper edge touches no value, and whose exact_from(1) lies at or
+    below x_max: period t's certified range [exact_from(t), grid.x_max]
+    is never empty. certified_only tables were solved on that range alone
+    and hold NaN and -1 below it (see solve).
     """
 
     C: np.ndarray
@@ -654,10 +761,13 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
     smallest minimizing quantity wins ties, so Qstar is deterministic.
 
-    Raises GridSpanError when the grid ends below the structural top
-    Instance.top. A grid that reaches it needs no other width check: it
-    spans at least the cumulative max demand plus one state, and a capacity
-    window cut at the row's end is exact there.
+    Raises GridSpanError, before solving, when the grid ends below both
+    the demand ceiling max(sum_t dmax_t, 1) and the structural top
+    Instance.top, which is derived only then, so a grid that reaches the
+    ceiling never derives it; and when the certified floor exact_from(1)
+    lies above x_max, which would leave a period's certified range empty;
+    no grid that reaches the ceiling does, as x_min <= -1. A capacity
+    window cut at the row's end is exact on a grid that reaches the top.
 
     Each period takes its G row, then one _window_min_finite call, which
     writes min(G, K + window min) into the C row and the smallest optimal
@@ -693,19 +803,25 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     nearer to the exact values, as the closed form subtracts a partial
     sum from a mean rounded on its own.
     """
-    top = instance.top
-    if grid.x_max < top:
+    if grid.x_max < _demand_ceiling(instance) and grid.x_max < instance.top:
         raise GridSpanError(
-            f"grid top {grid.x_max} lies below the structural top {top}; "
-            "widen the grid upward")
-
+            f"grid top {grid.x_max} lies below the structural top "
+            f"{instance.top}; widen the grid upward")
     n = instance.horizon
+    floors = instance.floors
+    # exact_from(1): below a top lower than the demand ceiling, a period's
+    # certified range could otherwise be empty
+    certified = grid.x_min + floors[0] - floors[n - 1]
+    if certified > grid.x_max:
+        raise GridSpanError(
+            f"the certified floor exact_from(1) = {certified} lies above the "
+            f"grid top {grid.x_max}; widen the grid downward")
+
     size = grid.size
     states = grid.states.astype(np.float64)
     purchase = instance.v * states
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
-    floors = instance.floors
 
     c_tbl = np.empty((n, size))
     g_tbl = np.empty((n, size))

@@ -116,9 +116,15 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
     """
     first, lo, dist, total, factor = state
     fork = None
+    # the levels of the pass, and l on each, built once: demand takes a
+    # level at most the later periods' max demands down, and the orders of
+    # solved tables and of the threshold policies read off them, never
+    # below zero, take it no higher than x_max or where it started
+    base = lo + instance.floors[-1] - instance.floors[first - 1]
+    levels, ell = _levels(base, max(lo + dist.size - 1, grid.x_max), instance)
     for period in range(first, instance.horizon + 1):
         pmf = instance.demands[period - 1]
-        xs = np.arange(lo, lo + dist.size)
+        xs = levels[lo - base:lo - base + dist.size]
         cols = xs - grid.x_min
         q = orders[period - 1].take(cols, mode="clip")
         if rival is not None and (
@@ -138,12 +144,24 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
         # x' = y - d: offset (y - y_lo) + (max_value - d) from the new lowest state
         dist = _spread(dist_y, pmf.dense[::-1])
         lo = y_lo - pmf.max_value
+        if lo + dist.size > base + levels.size:
+            # an order past x_max, which only a table of the caller's own
+            # makes: the levels reach up to the new ones
+            levels, ell = _levels(base, lo + dist.size - 1, instance)
         # the holding and shortage cost, charged on the end-of-period levels
-        levels = np.arange(lo, lo + dist.size, dtype=np.float64)
-        cost += _dot(dist, _end_cost(levels, instance.h, instance.p))
+        cost += _dot(dist, ell[lo - base:lo - base + dist.size])
         total += factor * cost
         factor *= instance.discount
     return float(total), fork
+
+
+def _levels(lo: int, hi: int, instance: Instance
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The levels lo..hi and l(x') = h x'+ + p x'- at each (sdp._end_cost),
+    which is state by state, so a slice of it holds the bits of l on the
+    slice's levels alone."""
+    levels = np.arange(lo, hi + 1)
+    return levels, _end_cost(levels.astype(np.float64), instance.h, instance.p)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,14 +8,14 @@ deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
 against the optimum, so a report does not depend on any seed. A point is
-solved on its structural grid: up to its structural top, the sum of its
-per-period maximum demands, and, at a finite capacity, from its
-structural bottom, below which every period's decision stays the same:
-far enough down each period either orders its whole capacity or, where
-the cost rows are lines, takes one decision throughout
-(stochinv.sdp.Instance.bottom). The results are those of any grid that
-holds it unless a decision lies within rounding of the tie tolerance (see
-_evaluate_point).
+solved on its structural grid: up to its structural top, above which
+every cost row G rises (stochinv.sdp.Instance.top), and, at a finite
+capacity, from its structural bottom, below which every period's
+decision stays the same: far enough down each period either orders its
+whole capacity or, where the cost rows are lines, takes one decision
+throughout (stochinv.sdp.Instance.bottom). The results are those of any
+grid that holds it unless a decision lies within rounding of the tie
+tolerance (see _evaluate_point).
 """
 
 from __future__ import annotations
@@ -208,23 +208,25 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     The point is solved on its structural grid, Grid(instance.bottom,
     instance.top): by the proofs in their docstrings its bands, COP flags
     and exact gap are those of any grid that holds that one. At B = inf,
-    where the instance has no bottom, it is solved on cex.search_grid,
-    which certifies every period from below its reachable floor. Each period's
-    row is computed only on its certified range (solve's certified_only),
-    which takes the expected holding and shortage cost and the expected
-    continuation together as one convolution: C and G are a whole-row
+    where the instance has no bottom, it is solved from the floor of
+    cex.search_grid, which certifies every period from below its
+    reachable floor, up to the same top. Each period's row is computed
+    only on its certified range (solve's certified_only), which takes the
+    expected holding and shortage cost and the expected continuation
+    together as one convolution: C and G are a whole-row
     solve's to rounding, not bit for bit (C within 1.4e-14 relative over
     the 810 Poisson points), so Qstar, and with it the bands, the flags
     and the gap, could differ only at a decision within rounding of the
     tie tolerance; on all 810 Poisson points and every fifth point of
     the discrete uniform, normal, gamma and lognormal designs none does.
     No grid error can arise: the grid reaches the top, and its certified
-    floor exact_from(1), bottom - floor(n) or -dmax_n on the search grid,
-    lies at or below x0 = 0.
+    floor exact_from(1), bottom - floor(n) or -dmax_n from the search
+    grid's floor, lies at or below x0 = 0 < top.
     """
     instance = point.instance
-    grid = (search_grid(instance) if instance.bottom is None
-            else Grid(instance.bottom, instance.top))
+    floor = (search_grid(instance).x_min if instance.bottom is None
+             else instance.bottom)
+    grid = Grid(floor, instance.top)
     try:
         tables = solve(instance, grid, certified_only=True)
         policy = read_policy(tables)

@@ -106,7 +106,8 @@ def volatile_instance():
     return load_instance(instance_path("volatile_poisson.json"))
 
 
-# volatile's grids end at its structural top, 1704: solve refuses a lower one
+# volatile's grids end at its demand ceiling, 1704 (sum_t dmax_t), above
+# its structural top, 1048: solve refuses a grid that ends below both
 VOLATILE_CERTIFIED_GRID = Grid(-2000, 1704)
 
 

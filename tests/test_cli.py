@@ -229,7 +229,7 @@ WORKFLOW_EXITS = {
     "volatile_low": (fixture_text("volatile_poisson.json"),
                      ["solve", "--grid-min", "-1200", "--grid-max", "600"], 3,
                      "", "error: grid top 600 lies below the structural top "
-                         "1704; widen the grid upward\n"),
+                         "1048; widen the grid upward\n"),
     # sed's s/"probs": \[0.95/"probs": [NaN/, on every line
     "lumpy_nan": (LUMPY.replace('"probs": [0.95', '"probs": [NaN'), ["solve"],
                   2, "", "error: demands[0]: masses must be positive and "
@@ -516,7 +516,7 @@ class TestSolveCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_below_the_top_writes_nothing(self, tmp_path, capsys):
-        # the structural top is 330: period 1's bands would read (-13,26)
+        # the structural top is 176: period 1's bands would read (-13,26)
         # (13,60) off a grid cut at 60, where the instance's are (-11,31)
         # (14,70)
         out = str(tmp_path / "seasonal")
@@ -528,7 +528,7 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: grid top 60 lies below the structural "
-                                "top 330; widen the grid upward\n")
+                                "top 176; widen the grid upward\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_too_narrow(self, capsys):
@@ -654,9 +654,9 @@ class TestSimulateCommand:
         assert stdout.endswith("gap: 0.000%\n")
 
     @pytest.mark.parametrize("name,args,error", [
-        # a run from 0 reaches past a grid cut below the top, 140
+        # a run from 0 reaches past a grid cut below the top, 120
         ("lumpy_discounted.json", ["--grid-max", "60"],
-         "grid top 60 lies below the structural top 140; widen the grid upward"),
+         "grid top 60 lies below the structural top 120; widen the grid upward"),
         # the optimal policy reads no bands, so nothing else notices that its
         # first period is certified only from -100 + 133 = 33 up
         ("lumpy_discounted.json", ["--grid-min", "-100", "--policy", "optimal"],
@@ -806,6 +806,27 @@ class TestWorkflowPins:
             assert capsys.readouterr().out.encode() == pinned
         else:
             assert (tmp_path / f"{step}_thresholds.csv").read_bytes() == pinned
+
+
+class TestStructuralTopStep:
+    """The workflow's step that solves the seasonal file on a grid that
+    ends at its structural top, 176, below its demand ceiling, 330: its
+    thresholds.csv and its stdout, but for the --out paths, are those of
+    the --grid-max 600 step, byte for byte."""
+
+    def test_top_grid_matches_the_tall_step(self, tmp_path, capsys):
+        path = instance_path("seasonal_poisson.json")
+        assert load_instance(path).top == 176
+        written = {}
+        for step, x_max in (("seasonal", "600"), ("seasonal_top", "176")):
+            out = str(tmp_path / step)
+            assert main(["solve", path, "--grid-min", "-300", "--grid-max",
+                         x_max, "--out", out]) == 0
+            thresholds = tmp_path / f"{step}_thresholds.csv"
+            written[step] = (thresholds.read_bytes(),
+                             capsys.readouterr().out.replace(out, "{out}"))
+        assert written["seasonal_top"] == written["seasonal"]
+        assert written["seasonal"][1] == WORKFLOW_EXITS["seasonal"][3]
 
 
 class TestWorkflowExits:

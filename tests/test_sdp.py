@@ -16,7 +16,7 @@ from pytest import approx
 
 from conftest import FIXTURE_GRIDS, instance_path, run_fresh
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
-                      Instance, ValueTables, check_cop, load_instance,
+                      Instance, ValueTables, check_cop, cli, load_instance,
                       optimality_gap, pmf_empirical, pmf_parametric,
                       random_instance, read_policy, sdp, search_grid, solve)
 
@@ -415,10 +415,12 @@ def empirical_pmfs(points):
 
 
 class TestTrimmedTop:
-    """Solving only up to top = max(sum_t dmax_t, 1), as the bed and the COP
-    search do, gives the taller grid's tables bit for bit at every capacity,
-    B = inf included, and the taller grid never orders from
-    D_t = sum_{s>=t} dmax_s up. solve refuses a grid below the top."""
+    """Solving only up to the structural top Instance.top, as the bed does,
+    gives a taller grid's tables bit for bit at every capacity, B = inf
+    included: on a grid that reaches the demand ceiling max(sum_t dmax_t,
+    1), every G_t rises by more than sigma from a'_t up, and nothing
+    orders there. solve refuses a grid that ends below both the top and the
+    ceiling, and one whose certified floor exact_from(1) lies above it."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -427,38 +429,71 @@ class TestTrimmedTop:
            K=st.floats(0.0, 300.0), v=st.floats(0.0, 10.0),
            h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
            B=st.one_of(st.integers(1, 60), st.just(math.inf)),
-           discount=st.floats(0.05, 1.0),
-           x_min=st.integers(-200, -1), extra=st.integers(100, 600))
+           discount=st.floats(0.05, 1.0), x_min=st.integers(-200, -1))
     @example(points=[{3: 0.5, 9: 0.5}] * 3, K=50.0, v=1.0, h=1.0, p=10.0,
-             B=1, discount=1.0, x_min=-40, extra=300)
+             B=1, discount=1.0, x_min=-40)
+    # single-point PMFs
     @example(points=[{7: 1.0}, {0: 1.0}, {12: 1.0}], K=20.0, v=2.0, h=1.0,
-             p=5.0, B=8, discount=1.0, x_min=-30, extra=300)
+             p=5.0, B=8, discount=1.0, x_min=-30)
+    # no fixed cost
     @example(points=[{0: 0.3, 20: 0.7}] * 2, K=0.0, v=0.5, h=0.5, p=8.0,
-             B=15, discount=1.0, x_min=-50, extra=300)
+             B=15, discount=1.0, x_min=-50)
     @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
-             p=20.0, B=25, discount=0.8, x_min=-150, extra=300)
+             p=20.0, B=25, discount=0.8, x_min=-150)
     @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
-             p=20.0, B=math.inf, discount=0.8, x_min=-150, extra=300)
+             p=20.0, B=math.inf, discount=0.8, x_min=-150)
+    # a rare large demand: the top lies far below the ceiling
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, K=0.0, v=1.0, h=1.0,
+             p=5.0, B=4, discount=0.9, x_min=-1)
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, K=30.0, v=1.0, h=1.0,
+             p=5.0, B=math.inf, discount=1.0, x_min=-1)
     # no demand at all: the top is 1, and a capacity of 40 spans the grid
     @example(points=[{0: 1.0}] * 2, K=5.0, v=1.0, h=1.0, p=4.0, B=40,
-             discount=1.0, x_min=-39, extra=100)
+             discount=1.0, x_min=-39)
     @settings(max_examples=150, deadline=None)
     def test_tables_match_a_taller_grid(self, points, K, v, h, p, B,
-                                        discount, x_min, extra):
+                                        discount, x_min):
         demands = empirical_pmfs(points)
-        dmax = [d.max_value for d in demands]
-        top = max(sum(dmax), 1)
         instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
                             demands=demands, discount=discount)
+        top = instance.top
+        # deep enough that period 1 keeps a certified state
+        x_min = min(x_min, top + instance.floors[-2])
         trimmed = solve(instance, Grid(x_min, top))
-        tall = solve(instance, Grid(x_min, top + extra))
+        # 300 states above the top lie above the ceiling, at most 160 here
+        tall = solve(instance, Grid(x_min, top + 300))
         shared = trimmed.grid.size
         for name in ("C", "G", "Qstar"):
             got, want = getattr(trimmed, name), getattr(tall, name)
             assert got.tobytes() == want[:, :shared].tobytes(), name
-        for t in range(instance.horizon):
-            d_t = sum(dmax[t:])
-            assert not tall.Qstar[t, tall.grid.index(d_t):].any(), t + 1
+        for t, level in enumerate(sdp._rise_levels(instance)):
+            above = tall.grid.index(max(level, x_min))
+            assert not tall.Qstar[t, above:].any(), t + 1
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 10.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.one_of(st.integers(1, 60), st.just(math.inf)),
+           discount=st.floats(0.05, 1.0), x_min=st.integers(-200, -1))
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, K=0.0, v=1.0, h=1.0,
+             p=5.0, B=4, discount=0.9, x_min=-1)
+    @example(points=[{2: 0.45, 5: 0.45, 40: 0.1}] * 3, K=30.0, v=0.0, h=1.0,
+             p=5.0, B=math.inf, discount=1.0, x_min=-1)
+    @settings(max_examples=150, deadline=None)
+    def test_g_rises_from_each_rise_level(self, points, K, v, h, p, B,
+                                          discount, x_min):
+        """On a grid that reaches the demand ceiling, every solved G_t
+        rises by more than sigma at every state from a'_t up."""
+        demands = empirical_pmfs(points)
+        instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
+                            demands=demands, discount=discount)
+        tables = solve(instance, Grid(x_min, sdp._demand_ceiling(instance)))
+        for t, level in enumerate(sdp._rise_levels(instance)):
+            rises = np.diff(tables.G[t, tables.grid.index(max(level, x_min)):])
+            assert (rises > sdp._SLIDE_MARGIN).all(), (t + 1, level)
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -470,6 +505,16 @@ class TestTrimmedTop:
     @example(points=[{3: 0.5, 9: 0.5}] * 3, B=5, x_min=-40, x_max=27)
     @example(points=[{3: 0.5, 9: 0.5}] * 3, B=math.inf, x_min=-40, x_max=26)
     @example(points=[{3: 0.5, 9: 0.5}] * 3, B=math.inf, x_min=-40, x_max=27)
+    # the top, 32, lies below the ceiling, 120, and below exact_from(1) on
+    # a grid from -1
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, B=5, x_min=-100,
+             x_max=31)
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, B=5, x_min=-100,
+             x_max=32)
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, B=math.inf, x_min=-48,
+             x_max=32)
+    @example(points=[{3: 0.5, 9: 0.5, 40: 1e-3}] * 3, B=math.inf, x_min=-47,
+             x_max=32)
     # no demand at all: the top is 1, the lowest top a grid can have
     @example(points=[{0: 1.0}] * 2, B=40, x_min=-1, x_max=1)
     @example(points=[{0: 1.0}] * 2, B=math.inf, x_min=-1, x_max=1)
@@ -477,22 +522,48 @@ class TestTrimmedTop:
     def test_solve_refuses_exactly_the_grids_below_the_top(self, points, B,
                                                            x_min, x_max):
         demands = empirical_pmfs(points)
-        top = max(sum(d.max_value for d in demands), 1)
+        ceiling = max(sum(d.max_value for d in demands), 1)
+        certified = x_min + sum(d.max_value for d in demands[:-1])
         instance = Instance(horizon=len(demands), K=20.0, v=1.0, h=1.0,
                             p=5.0, B=B, demands=demands)
-        assert instance.top == top
         grid = Grid(x_min, x_max)
-        if x_max < top:
+        if x_max >= ceiling:
+            tables = solve(instance, grid)
+            # a grid that reaches the ceiling never derives the top
+            assert "top" not in vars(instance)
+        elif x_max < instance.top:
             with pytest.raises(GridSpanError) as excinfo:
                 solve(instance, grid)
             assert str(excinfo.value) == (
-                f"grid top {x_max} lies below the structural top {top}; "
-                "widen the grid upward")
+                f"grid top {x_max} lies below the structural top "
+                f"{instance.top}; widen the grid upward")
+            return
+        elif certified > x_max:
+            with pytest.raises(GridSpanError) as excinfo:
+                solve(instance, grid)
+            assert str(excinfo.value) == (
+                f"the certified floor exact_from(1) = {certified} lies above "
+                f"the grid top {x_max}; widen the grid downward")
+            return
         else:
             tables = solve(instance, grid)
-            # every period keeps a certified state below x_max
-            assert all(tables.exact_from(t) < x_max
-                       for t in range(1, instance.horizon + 1))
+        # every period keeps a certified state
+        assert all(tables.exact_from(t) <= x_max
+                   for t in range(1, instance.horizon + 1))
+
+    def test_a_certified_floor_above_the_top_is_refused(self):
+        """The seasonal fixture's top, 176, lies below its exact_from(1) on
+        a grid from -1, 246: refused before solving, as too shallow, even
+        though no period would have to order below its certified floor."""
+        instance = load_instance(instance_path("seasonal_poisson.json"))
+        assert (instance.top, sdp._demand_ceiling(instance)) == (176, 330)
+        with pytest.raises(GridSpanError) as excinfo:
+            solve(instance, Grid(-1, 176))
+        assert str(excinfo.value) == (
+            "the certified floor exact_from(1) = 246 lies above the grid top "
+            "176; widen the grid downward")
+        # from 70 states deeper, period 1 certifies its top state alone
+        assert solve(instance, Grid(-71, 176)).exact_from(1) == 176
 
 
 def line_floors(instance):
@@ -516,11 +587,13 @@ def policy_outcome(tables):
 
 
 class TestStructuralBottom:
-    """Solving from Instance.bottom up, as the bed does, keeps every certified
-    table entry, band, COP flag and gap of a deeper grid. On the deeper
-    grid the certified states at or below level_t = max(F^C_t, a_t) all
-    take one decision, order B or never, and B at or below a_t. The slide
-    levels a_t are those of a state-by-state loop over the same bounds."""
+    """Solving from Instance.bottom up to Instance.top, as the bed does,
+    keeps every certified table entry, band, COP flag and gap of a deeper
+    grid that reaches the demand ceiling. On the deeper grid the certified
+    states at or below level_t = max(F^C_t, a_t) all take one decision,
+    order B or never, and B at or below a_t; a line floor F^C_t may lie
+    above the top. The slide levels a_t are those of a state-by-state loop
+    over the same bounds."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -553,18 +626,20 @@ class TestStructuralBottom:
                             demands=demands, discount=discount)
         bottom, top = instance.bottom, instance.top
         shallow = solve(instance, Grid(bottom, top))
-        deep = solve(instance, Grid(bottom - extra, top))
+        deep = solve(instance, Grid(bottom - extra,
+                                    sdp._demand_ceiling(instance)))
         slides = sdp._slide_levels(instance)
         for t, (f_c, a_t) in enumerate(zip(line_floors(instance), slides),
                                        start=1):
             level = f_c if a_t is None else max(f_c, a_t)
             lo = shallow.exact_from(t)
             assert lo <= min(instance.floors[t - 1], level), t
-            row, kept = t - 1, deep.grid.index(lo)
+            row = t - 1
+            kept = slice(deep.grid.index(lo), deep.grid.index(top) + 1)
             for name in ("C", "G", "Qstar"):
                 got, want = getattr(shallow, name), getattr(deep, name)
                 assert got[row, lo - bottom:].tobytes() == \
-                    want[row, kept:].tobytes(), (name, t)
+                    want[row, kept].tobytes(), (name, t)
             first = deep.grid.index(deep.exact_from(t))
             decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
             assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
@@ -922,13 +997,15 @@ class TestGridValidation:
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
         assert inst.floors == (0, -3, -10)
-        # the top is the demand sum, whatever the capacity
-        assert inst.top == 3 + 7
+        # below the demand sum 3 + 7, whatever the capacity: period 2's G
+        # rises from 7 = D_2 up, and period 1's from the lattice state 8
+        assert sdp._rise_levels(inst) == [8, 7]
+        assert inst.top == 8
         # derived once per instance, and kept on it
         assert inst.floors is inst.floors
         assert {"floors", "top"} <= vars(inst).keys()
         unbounded = dataclasses.replace(inst, B=math.inf).top
-        assert unbounded == 10 and type(unbounded) is int
+        assert unbounded == 8 and type(unbounded) is int
         # with no demand at all the top stays a valid grid ceiling
         idle = dataclasses.replace(
             inst, demands=(pmf_empirical([0], [1.0]),) * 2)
@@ -936,14 +1013,29 @@ class TestGridValidation:
 
     def test_the_search_never_derives_the_bottom(self):
         """A COP-search instance, solved on search_grid and checked in
-        every period, leaves its bottom underived."""
+        every period, leaves both its top and its bottom underived: the
+        search grid ends at the demand ceiling."""
         instance = random_instance(CexSearchParams(seed=3, budget=1),
                                    np.random.default_rng(3))
         tables = solve(instance, search_grid(instance))
         for period in range(1, instance.horizon + 1):
             check_cop(tables, period, from_state=tables.exact_from(period))
-        assert {"floors", "top"} <= vars(instance).keys()
-        assert "bottom" not in vars(instance)
+        assert "floors" in vars(instance)
+        assert not {"top", "bottom"} & vars(instance).keys()
+
+    def test_cli_solve_on_the_default_grid_never_derives_the_top(
+            self, tmp_path, monkeypatch, capsys):
+        """CLI solve on DEFAULT_GRID, which reaches the seasonal fixture's
+        demand ceiling, 330, never derives its top, 176."""
+        def derived(instance):
+            raise AssertionError("the top was derived")
+
+        path = instance_path("seasonal_poisson.json")
+        assert sdp._demand_ceiling(load_instance(path)) <= DEFAULT_GRID.x_max
+        monkeypatch.setattr(sdp, "_rise_levels", derived)
+        out = str(tmp_path / "seasonal")
+        assert cli.main(["solve", path, "--out", out]) == 0
+        assert "(s_k, S_k) pairs" in capsys.readouterr().out
 
     def test_an_instance_is_freed_without_the_collector(self):
         """Reading floors, top and bottom makes no reference cycle: with
@@ -951,7 +1043,7 @@ class TestGridValidation:
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=(pmf_empirical([0, 3], [0.5, 0.5]),
                                  pmf_empirical([7], [1.0])))
-        assert (inst.floors, inst.top, inst.bottom) == ((0, -3, -10), 10, -3)
+        assert (inst.floors, inst.top, inst.bottom) == ((0, -3, -10), 8, -3)
         ref = weakref.ref(inst)
         enabled = gc.isenabled()
         gc.disable()

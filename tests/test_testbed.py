@@ -206,8 +206,8 @@ def outcome(result):
 
 class TestTrimmedTopMatchesTheWholeGrid:
     """The bed solves a point only from its structural bottom (at a finite
-    capacity) up to its structural top, sum_t dmax_t; its results are those
-    of any grid that holds both, exactly."""
+    capacity) up to its structural top, at or below sum_t dmax_t; its
+    results are those of any grid that holds both, exactly."""
 
     @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
     @pytest.mark.parametrize("K, v, p", [(250, 2, 5), (1000, 10, 15)])
@@ -244,11 +244,12 @@ class TestTrimmedTopMatchesTheWholeGrid:
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
         # period 1 orders again at 616-618, between the bottom -689 and the
-        # top 899, on the default grid and inside Grid(-1000, 1100)
+        # top 728 (the demand ceiling is 899), on the default grid and
+        # inside Grid(-1000, 1100)
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        assert (inst.bottom, inst.top) == (-689, 899)
+        assert (inst.bottom, inst.top) == (-689, 728)
         (result,) = run_benchmark([point]).results
         assert result.cop_violations == (1,)
         for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
@@ -263,13 +264,15 @@ class TestTrimmedTopMatchesTheWholeGrid:
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
-        bottom, top = -1317, 1360
+        # the top lies well below the demand ceiling, 1360
+        bottom, top = -1317, 560
         assert (point.instance.bottom, point.instance.top) == (bottom, top)
         run_benchmark([point])
-        # an uncapacitated point, which has no bottom, is solved on the
-        # search grid, from the deepest state reachable from x0 = 0
+        # an uncapacitated point, which has no bottom, is solved from the
+        # search grid's floor, the deepest state reachable from x0 = 0, up
+        # to the same top: K and B never enter it
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
         run_benchmark([unbounded])
-        assert solved == [(Grid(bottom, top), True),
-                          (search_grid(unbounded.instance), True)]
+        assert search_grid(unbounded.instance).x_min == -1360
+        assert solved == [(Grid(bottom, top), True), (Grid(-1360, top), True)]
