@@ -2,11 +2,13 @@
 
 read_policy is the one band reader: it turns each period's optimal-action
 table into multi-threshold (s_k, S_k) form from the period's certified
-floor exact_from up, checks the continuous order property that form
+floor up (exact_from, or on certified_only tables the cone's first solved
+state, solved_from), checks the continuous order property that form
 relies on, and holds the resulting modified multi-(s, S) policy as a
 ThresholdPolicy. verify_kb_convexity checks the (K, B)-convexity the cost
 tables are supposed to carry on each period's certified range
-[exact_from, x_max], the states whose values no grid edge touches.
+[exact_from, x_max], the states whose values no grid edge touches, as
+far down as solve computed each row.
 qce_diagnostics computes lower-envelope diagnostics that explain which
 local minima of G are reachable order-up-to levels.
 """
@@ -107,8 +109,8 @@ def _screen(q_row: np.ndarray, floor: int) -> CopReport:
 def _read_period(tables: ValueTables, period: int,
                  floor: int) -> tuple[tuple[tuple[int, int], ...], bool]:
     """One period's (s_k, S_k) bands, k ascending, read from its certified
-    floor exact_from(period), and whether the continuous order property
-    holds there.
+    floor (_floor), and whether the continuous order property holds
+    there.
 
     Walking the ordering states, maximal runs with a common order-up-to
     level x + Q(x) are threshold bands: the top state of the run is s_k and
@@ -123,7 +125,7 @@ def _read_period(tables: ValueTables, period: int,
     Where the property fails, the one stand-in band is (s_m, s_m + Q(s_m))
     at the top s_m of the highest ordering interval.
 
-    Raises GridSpanError for a period that orders only below exact_from:
+    Raises GridSpanError for a period that orders only below the floor:
     the grid is too narrow to certify any of its orders, and
     MalformedTable for a band deeper than the capacity; the bands' order
     is left to the caller (_check_bands).
@@ -222,15 +224,24 @@ class ThresholdPolicy:
         return ThresholdPolicy(tuple(p[-1:] for p in self.bands), self.cop_violated)
 
 
+def _floor(tables: ValueTables, period: int) -> int:
+    """The lowest state whose order and value a reader takes: exact_from
+    on whole rows, the cone's R_t = solved_from, at or above it, on
+    certified_only tables (sdp.Instance.cone proves both give the same
+    bands and verdict)."""
+    return max(tables.exact_from(period), tables.solved_from(period))
+
+
 def read_policy(tables: ValueTables) -> ThresholdPolicy:
     """The modified multi-(s, S) policy of solved tables, read one period
-    at a time from exact_from(period) by one order-property screen. A
-    period where the property fails is flagged and keeps one stand-in band.
-    Raises GridSpanError if some period orders only below exact_from, and
+    at a time from its certified floor (exact_from, or solved_from on
+    certified_only tables) by one order-property screen. A period where
+    the property fails is flagged and keeps one stand-in band. Raises
+    GridSpanError if some period orders only below that floor, and
     MalformedTable for bands that are not well formed, each checked once."""
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):
-        pairs, holds = _read_period(tables, period, tables.exact_from(period))
+        pairs, holds = _read_period(tables, period, _floor(tables, period))
         bands.append(pairs)
         if not holds:
             flagged.append(period)
@@ -243,18 +254,24 @@ def verify_kb_convexity(tables: ValueTables,
 
     Both rows are checked on [exact_from(period), x_max], the states whose
     values neither grid edge touches, with the instance's K and B (see
-    _kb_convexity). Returns (g_report, c_report); a witness (x, a, y, b)
-    names states x and y. The range is never empty: solve refuses a grid
-    whose certified floor exact_from(1) lies above x_max, and
-    exact_from(period) = x_min + sum_{period<=s<n} dmax_s lies at most
-    at exact_from(1).
+    _kb_convexity). On certified_only tables each row is checked only
+    from where solve computed it, G from g_solved_from and C from
+    solved_from, so no NaN of the fill below, which compares false and
+    would pass any inequality, enters a check. Returns (g_report,
+    c_report); a witness (x, a, y, b) names states x and y. The range is
+    never empty: solve refuses a grid whose certified floor exact_from(1)
+    lies above x_max, and exact_from(period) = x_min + sum_{period<=s<n}
+    dmax_s lies at most at exact_from(1); the cone's starts lie at or
+    below x_max.
     """
-    lo = tables.exact_from(period)
     row, instance = tables.row(period), tables.instance
-    cols = slice(tables.grid.index(lo), None)
+    exact = tables.exact_from(period)
     reports = []
-    for curve in (tables.G, tables.C):
-        report = _kb_convexity(curve[row, cols], instance.K, instance.B)
+    for curve, solved in ((tables.G, tables.g_solved_from(period)),
+                          (tables.C, tables.solved_from(period))):
+        lo = max(exact, solved)
+        report = _kb_convexity(curve[row, tables.grid.index(lo):],
+                               instance.K, instance.B)
         if not report.ok:
             x, a, y, b = report.witness
             report = KBReport(False, (lo + x, a, lo + y, b))
@@ -318,8 +335,10 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
 
     (s_m, S_m) is the period's top band as read_policy reads it, the
     stand-in band where the order property fails; a period that orders only
-    below exact_from raises GridSpanError, and malformed bands raise
-    MalformedTable, as in read_policy.
+    below its certified floor raises GridSpanError, and malformed bands
+    raise MalformedTable, as in read_policy. G is read only from s_m + 1
+    up, which on certified_only tables lies at or above g_solved_from; a
+    band below it raises ValueError rather than read the fill.
 
     The envelope is the running minimum of G from the left on the open
     interval (s_m, S_m). Each maximal plateau whose right neighbor is
@@ -329,7 +348,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     and also on the envelope (the left edge s_m counts: it sits strictly
     above everything in the interval).
     """
-    bands, _ = _read_period(tables, period, tables.exact_from(period))
+    bands, _ = _read_period(tables, period, _floor(tables, period))
     _check_bands(period, bands)
     if not bands:
         return []
@@ -339,6 +358,12 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
 
     grid = tables.grid
     g_row = tables.G[tables.row(period)]
+    g_from = tables.g_solved_from(period)
+    if s_m + 1 < g_from:
+        # the cone puts every top band's s_m at or above g_t - 1
+        # (sdp.Instance.cone); a NaN of the fill would pass every test here
+        raise ValueError(f"period {period}: G is solved only from {g_from}, "
+                         f"above s_m + 1 = {s_m + 1}")
     dom = slice(grid.index(s_m + 1), grid.index(big_s_m - 1) + 1)
     g = g_row[dom]
     env = np.minimum.accumulate(g)

@@ -6,20 +6,22 @@ holding and penalty costs accrue on the post-demand position. Demand is a
 finite integer PMF per period, independent across periods.
 
 solve runs one backward pass per period over the whole grid row, or,
-with certified_only, over the period's certified range alone:
-G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], where L(y) = E[l(y - d)]
-is the expected holding and shortage cost l(x') = h x'+ + p x'- on the
-end-of-period inventory, then the minimum of G over each capacity window
-and C(x) = -v x + min(G(x), K + window min). With B = inf the window is
-as wide as the row, since no order can reach past the top of the grid,
-so one kernel serves both problems. Each kernel does only the work the
-tables read. On a whole row the loss row L is a closed form that looks
-partial sums up only on the demand support, and the expected
-continuation adds the demand points up one at a time. On a certified
-range each state of a row before the last is one dot product through
-np.convolve, which takes L and the continuation together:
-G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)]. The last row, which
-has no continuation, takes the closed form.
+with certified_only, over the period's slide-aware cone alone
+(Instance.cone): G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], where
+L(y) = E[l(y - d)] is the expected holding and shortage cost l(x') = h
+x'+ + p x'- on the end-of-period inventory, then the minimum of G over
+each capacity window and C(x) = -v x + min(G(x), K + window min). With B
+= inf the window is as wide as the row, since no order can reach past
+the top of the grid, so one kernel serves both problems. Each kernel
+does only the work the tables read. On a whole row the loss row L is a
+closed form that looks partial sums up only on the demand support, and
+the expected continuation adds the demand points up one at a time. On a
+certified range each state of a row before the last is one dot product
+through np.convolve, which takes L and the continuation together: G(y) =
+v y + E[l(y - d) + discount C_{t+1}(y - d)]. The last row, which has no
+continuation, takes the closed form. The cone starts each row's G at
+g_t, above the proven capacity slides [R_t, g_t) that order the whole
+capacity; their C is K + G(x + B) - v x, read from G above g_t.
 One window kernel call then finishes the period: it takes the window
 minimum w, writes C + v x = min(G, K + w) and the order row in place, and
 searches for the smallest attaining order only at the states where
@@ -37,10 +39,12 @@ each period's capacity-slide level down it orders the whole capacity,
 and from its line floor down its rows are lines. solve refuses a grid
 that ends below both the top and the demand ceiling sum_t dmax_t, so
 every table it returns is exact up to x_max. The certified floor
-ValueTables.exact_from, the bed's grid between bottom and top and the COP
-search grid, which ends at the demand ceiling, are read off them too,
-each derived once per instance; the top and the bottom, which only the
-bed and grids below the ceiling read, are derived on their first read.
+ValueTables.exact_from, the bed's grid between bottom and top, the COP
+search grid, which ends at the demand ceiling, and the cone of a
+certified solve are read off them too, each derived once per instance;
+the top and the bottom, with the slide levels that the bottom and the
+cone share, are derived on their first read, as only the bed and grids
+below the ceiling read them.
 """
 
 from __future__ import annotations
@@ -214,6 +218,8 @@ class Instance:
         defined below, where the bound finds one, and level_t = max(F^C_t, a_t)
         (F^C_t where it finds none); then
         bottom = min(floor(n) + min_t min(level_t - floor(t), 0), -1).
+        level_t and a_t are derived once per instance (_levels), for the
+        bottom and for the cone of a certified solve (cone).
         - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
           (nothing is held, the whole demand is short), nothing follows the
           last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
@@ -265,12 +271,17 @@ class Instance:
         - The certified ranges form a dependency cone: exact_from(t) - dmax_t
           = exact_from(t + 1), so the continuation on period t's range reads
           period t + 1 only on its range, and the window minimum reads only
-          upward. solve(certified_only=True) therefore computes each range
-          alone, with no read left for the clamp, and on a grid from bottom up
-          what it leaves out are the states the clamp below the grid distorts,
-          which nothing above reads. Before the last row it sums each state's
-          holding and shortage cost and continuation as one dot product
-          (_expected_continuation over l + discount C_{t+1}), so its entries
+          upward. solve(certified_only=True) computes only a narrower cone
+          inside them (cone): R_t rises from exact_from(t) to what the
+          pricing passes from x0 = 0 reach and the band reading needs, at
+          most level_t, and G_t starts at g_t, above the capacity slides
+          below a_t, whose C reads G_t at x + B alone. It leaves no read for
+          the clamp, and on a grid from bottom up what it leaves out are the
+          states the clamp below the grid distorts, the states no pass
+          reaches and G below the slides, which nothing it keeps reads.
+          Before the last row it sums each state's holding and shortage
+          cost and continuation as one dot product (_expected_continuation
+          over l + discount C_{t+1}), so its entries
           are bit for bit those of a whole-row solve that sums the same way,
           and agree with the default whole-row solve, which adds the
           closed-form loss row and sums demand point by demand point, to
@@ -283,17 +294,86 @@ class Instance:
         """
         if self.B == math.inf:
             return None
-        cap, n = int(self.B), self.horizon
+        lowest = min(min(level - floor, 0)
+                     for (level, _), floor in zip(self._levels, self.floors))
+        return min(self.floors[self.horizon - 1] + lowest, -1)
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[int, int | None], ...]:
+        """(level_t, a_t) of Instance.bottom for t = 1..n at a finite
+        capacity, a_t None where _slide_levels finds none: the level at and
+        below which period t takes one decision, and the level at and below
+        which that decision is the whole capacity. Derived once per
+        instance for both readers, bottom and cone."""
+        cap = int(self.B)
         slides = _slide_levels(self)
-        # below: min(0, F^C_{t+1}), 0 after the last period;
-        # lowest: min over the later periods of min(level_t - floor(t), 0)
-        below = lowest = 0
-        for t in range(n, 0, -1):
-            line_c = self.demands[t - 1].support[0] + below - cap
-            level = line_c if slides[t - 1] is None else max(line_c, slides[t - 1])
-            lowest = min(lowest, level - self.floors[t - 1])
+        levels = []
+        below = 0   # min(0, F^C_{t+1}), 0 after the last period
+        for t in range(self.horizon - 1, -1, -1):
+            line_c = self.demands[t].support[0] + below - cap
+            slide = slides[t]
+            levels.append((line_c if slide is None else max(line_c, slide), slide))
             below = min(0, line_c)
-        return min(self.floors[n - 1] + lowest, -1)
+        return tuple(levels[::-1])
+
+    def cone(self, x_min: int) -> tuple[tuple[int, int], ...]:
+        """The slide-aware certified cone of a grid whose floor is x_min:
+        (R_t, g_t) for t = 1..n, the first state of period t's C and Qstar
+        rows and the first state of its G row that solve(certified_only=True)
+        computes.
+
+        Let e_t = x_min + floor(t) - floor(n) be the grid's plain
+        ValueTables.exact_from(t), and a_t and level_t those of
+        Instance.bottom (_levels). Then
+        R_1 = max(e_1, min(0, level_1)),
+        g_t = min(R_t + B, a_t + 1) where a_t exists and R_t <= a_t, else R_t,
+        R_{t+1} = max(e_{t+1}, min(g_t - dmax_t, level_{t+1})).
+        At B = inf, R_t = g_t = e_t: the plain cone of exact_from.
+        - R_t >= e_t, and g_t - dmax_t >= R_t - dmax_t >= e_t - dmax_t =
+          e_{t+1}, so g_t - dmax_t >= R_{t+1}: row t's continuation from g_t
+          reads row t + 1 only where that row is solved, and, as e_t lies
+          above the lower grid edge's reach, every solved entry is the
+          certified entry of the plain cone.
+        - Every state x of [R_t, g_t) is a proven capacity slide: x <= a_t,
+          so G_t falls by more than sigma at each step from x to x + B, its
+          window minimum is G_t(x + B) and Qstar is B (Instance.bottom). As
+          x + B >= R_t + B >= g_t, C_t(x) = (G_t(x + B) + K) - v x reads G_t
+          only from g_t up, and the window minimum of a state from g_t up
+          reads only upward: G_t below g_t is read by nothing.
+        - The pricing passes stay in the cone. Period 1 starts at x0 = 0 >=
+          R_1 on any grid whose exact_from(1) lies at or below 0. Under
+          Qstar, every post-order level in period t is at or above g_t: a
+          state of [R_t, g_t) orders B, to x + B >= g_t, and a state from
+          g_t up orders nothing negative. Under the modified (s, S) policy
+          read off the tables, where a_t >= R_t the states [R_t, a_t] all
+          order, so the top band has S_m > s_m >= a_t: a state x <= s_m
+          orders up to min(S_m, x + B) >= min(a_t + 1, R_t + B) >= g_t, and
+          a state above s_m lies above a_t; where g_t = R_t every level is
+          at least the state itself. So period t + 1's states lie at or
+          above g_t - dmax_t >= R_{t+1} under both, and a pass that read
+          below R_{t+1} would read the -1 fill and raise.
+        - Reading bands and the order property from R_t gives the result of
+          reading them from e_t. R_t > level_t only where R_t = e_t; else
+          every state of [e_t, R_t] lies at or below level_t and takes the
+          decision R_t takes. Leading capacity slides carry no pair, and the
+          decision at the floor, ordering or not, is the same.
+        The argument treats the values as exact, as Instance.bottom does:
+        sigma and tau exceed the rounding in the solved rows, so the float
+        window minimum of a slide is G_t(x + B) too, and the slide's C is
+        the same float operations the window kernel performs there.
+        """
+        floors, n = self.floors, self.horizon
+        exact = [x_min + floor - floors[n - 1] for floor in floors[:n]]
+        if self.B == math.inf:
+            return tuple((e, e) for e in exact)
+        cap, reach, starts = int(self.B), 0, []
+        for pmf, (level, slide), e in zip(self.demands, self._levels, exact):
+            first = max(e, min(reach, level))
+            g_first = (min(first + cap, slide + 1)
+                       if slide is not None and first <= slide else first)
+            starts.append((first, g_first))
+            reach = g_first - pmf.max_value
+        return tuple(starts)
 
 
 @dataclass(frozen=True)
@@ -461,8 +541,10 @@ class ValueTables:
     them only on a grid that reaches the structural top Instance.top, so
     the upper edge touches no value, and whose exact_from(1) lies at or
     below x_max: period t's certified range [exact_from(t), grid.x_max]
-    is never empty. certified_only tables were solved on that range alone
-    and hold NaN and -1 below it (see solve).
+    is never empty. certified_only tables were solved on the slide-aware
+    cone inside that range alone (Instance.cone): C and Qstar from
+    solved_from(t), G from g_solved_from(t), and they hold NaN and -1
+    below those states (see solve).
     """
 
     C: np.ndarray
@@ -484,19 +566,35 @@ class ValueTables:
 
         Demand in this and the later periods before the last carries a
         state at most floor(period) - floor(n) down, and the last row is
-        exact everywhere: it clamps against exact terminal zeros.
+        exact everywhere: it clamps against exact terminal zeros. It is a
+        property of the grid alone; certified_only tables solve only the
+        states from solved_from(period) up, which lies at or above it.
         """
         self.row(period)   # rejects a period outside 1..n
         floors = self.instance.floors
         return self.grid.x_min + floors[period - 1] - floors[self.instance.horizon - 1]
 
     def solved_from(self, period: int) -> int:
-        """Lowest state solve computed in this period's row: exact_from on
-        certified_only tables, x_min otherwise."""
-        if self.certified_only:
-            return self.exact_from(period)
-        self.row(period)
-        return self.grid.x_min
+        """Lowest state solve computed in this period's C and Qstar rows:
+        on certified_only tables the cone's R_t (Instance.cone), at or above
+        exact_from, from where every band, flag and price reads the row;
+        x_min otherwise."""
+        row = self.row(period)
+        return self._starts[row][0] if self.certified_only else self.grid.x_min
+
+    def g_solved_from(self, period: int) -> int:
+        """Lowest state solve computed in this period's G row: on
+        certified_only tables the cone's g_t (Instance.cone), at or above
+        solved_from, as the capacity slides below it take C from G(x + B)
+        alone; x_min otherwise."""
+        row = self.row(period)
+        return self._starts[row][1] if self.certified_only else self.grid.x_min
+
+    @cached_property
+    def _starts(self) -> tuple[tuple[int, int], ...]:
+        """(solved_from(t), g_solved_from(t)) for t = 1..n on certified_only
+        tables: the cone of their grid."""
+        return self.instance.cone(self.grid.x_min)
 
     def check_start(self, x0: int) -> None:
         """Raise GridSpanError when x0 lies below the certified floor
@@ -523,11 +621,11 @@ class ValueTables:
         formatted once per call, one string per block, and split again for
         every period; no per-state string outlives its block. Raises
         ValueError on certified_only tables, whose rows hold a fill below
-        the certified range.
+        the states solve computed (solved_from, g_solved_from).
         """
         if self.certified_only:
             raise ValueError("certified_only tables hold no values below "
-                             "exact_from; solve the whole rows to write them")
+                             "solved_from; solve the whole rows to write them")
         states = range(self.grid.x_min, self.grid.x_max + 1)
         x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
                    for lo in range(0, len(states), _CSV_BLOCK)]
@@ -773,34 +871,41 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     writes min(G, K + window min) into the C row and the smallest optimal
     order into the Qstar row, and last subtracts the purchase term v x.
 
-    With certified_only, period t's row is computed only on its certified
-    range [exact_from(t), x_max]; below it C and G hold NaN and Qstar -1,
-    which no order is, and the tables refuse the reads that would take
-    the fill for values (ValueTables.solved_from). Each row before the
-    last takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], with
+    With certified_only, period t's rows are computed only on the
+    slide-aware cone (Instance.cone), inside its certified range
+    [exact_from(t), x_max]: C and Qstar from R_t = solved_from(t) and G
+    from g_t = g_solved_from(t) up; below them C and G hold NaN and Qstar
+    -1, which no order is, and the tables refuse the reads that would
+    take the fill for values. G is computed on [g_t, x_max] and the window
+    kernel runs on that slice. The states of [R_t, g_t) are proven
+    capacity slides and take Qstar = B and C = (G(x + B) + K) - v x, the
+    float operations the kernel performs there. Each row before the last
+    takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], with
     l(x') = h x'+ + p x'- evaluated once per solve on the grid (_end_cost):
     the convolution of _expected_continuation (clamp=False) over
     l + discount C_{t+1} sums each state's holding and shortage cost and
     continuation as one dot product, where the full solve adds the
     closed-form loss row and sums the demand points one at a time over
-    the whole row. The last row, whose range is the whole row and which
-    has no continuation, adds the closed-form loss row as the full solve
-    does. Every certified entry is, by its dependency cone, bit for bit
-    that of a whole-row solve that folds l the same way over rows padded
-    with the clamp:
-    - exact_from(t) - dmax_t = exact_from(t + 1), so the expected
-      continuation of row t's range reads row t + 1, and l, only on row
-      t + 1's range, and no read is left for the clamp below the grid;
+    the whole row. The last row, which has no continuation, adds the
+    closed-form loss row as the full solve does. Every solved entry is,
+    by the cone, bit for bit that of a whole-row solve that folds l the
+    same way over rows padded with the clamp:
+    - g_t - dmax_t >= R_{t+1} >= exact_from(t + 1), so the expected
+      continuation of row t from g_t reads row t + 1, and l, only where
+      row t + 1 is solved, and no read is left for the clamp below the
+      grid;
     - each continuation output is one dot product over the same
       max_value + 1 operands, in the same order, wherever its row starts;
     - l, the sum l + discount C_{t+1}, the loss row, the purchase term
       and the C update are state by state, and the window minimum and its
       orders read only upward, from a state to the row's end;
+    - a slide's window minimum is G(x + B), x + B >= g_t, in floats too;
     so by induction from the last period each entry is the same float
-    operations on the same operands. Against the default full solve, the
-    entries agree to rounding: over the 810 Poisson bed points C is
-    within 1.4e-14 relative and Qstar equal. Of the two, the fold is the
-    nearer to the exact values, as the closed form subtracts a partial
+    operations on the same operands. At B = inf the cone is the plain
+    certified range, R_t = g_t = exact_from(t). Against the default full
+    solve, the entries agree to rounding: over the 810 Poisson bed points
+    C is within 1.4e-14 relative and Qstar equal. Of the two, the fold is
+    the nearer to the exact values, as the closed form subtracts a partial
     sum from a mean rounded on its own.
     """
     if grid.x_max < _demand_ceiling(instance) and grid.x_max < instance.top:
@@ -823,42 +928,53 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
 
-    c_tbl = np.empty((n, size))
-    g_tbl = np.empty((n, size))
-    q_tbl = np.empty((n, size), dtype=np.int64)
+    tables = ValueTables(C=np.empty((n, size)), G=np.empty((n, size)),
+                         Qstar=np.empty((n, size), dtype=np.int64), grid=grid,
+                         instance=instance, certified_only=certified_only)
+    c_tbl, g_tbl, q_tbl = tables.C, tables.G, tables.Qstar
 
     # the one-period cost on end-of-period inventory, which every certified
     # row before the last takes inside its continuation's convolution
     ell = _end_cost(states, instance.h, instance.p) if certified_only else None
 
+    # each row's first solved columns: R_t and g_t of the cone, less x_min
+    starts = ([(first - grid.x_min, g_first - grid.x_min)
+               for first, g_first in tables._starts]
+              if certified_only else [(0, 0)] * n)
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
-        # the row's first solved column: exact_from(t + 1) - x_min
-        lo = floors[t] - floors[n - 1] if certified_only else 0
-        g_row, c_row = g_tbl[t, lo:], c_tbl[t, lo:]
+        lo, g_lo = starts[t]
+        g_row, c_row = g_tbl[t, g_lo:], c_tbl[t, lo:]
         if certified_only and t < n - 1:
-            # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)]; row t + 1's
-            # range starts max_value states lower
-            nxt = lo - pmf.max_value
+            # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], read from
+            # g_t - max_value, at or above row t + 1's R_{t + 1}
+            nxt = g_lo - pmf.max_value
             ahead = c_tbl[t + 1, nxt:]
             if instance.discount != 1.0:
                 ahead = ahead * instance.discount
-            np.add(purchase[lo:],
+            np.add(purchase[g_lo:],
                    _expected_continuation(ell[nxt:] + ahead, pmf, clamp=False),
                    out=g_row)
         else:
-            np.add(purchase[lo:],
-                   _loss_row(states[lo:], pmf, instance.h, instance.p), out=g_row)
+            np.add(purchase[g_lo:],
+                   _loss_row(states[g_lo:], pmf, instance.h, instance.p),
+                   out=g_row)
             # nothing is owed after the last period; adding its zero still
             # keeps every bit (-0.0 + 0.0 is 0.0)
             cont = 0.0 if t == n - 1 else _expected_continuation(c_tbl[t + 1], pmf)
             if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
                 cont *= instance.discount
             g_row += cont
-        _window_min_finite(g_row, cap, instance.K, c_row, q_tbl[t, lo:])
+        if g_lo > lo:
+            # the capacity slides [R_t, g_t) take the kernel's own operations
+            # there, with the window minimum G(x + B): C + v x = G(x + B) + K
+            np.add(g_tbl[t, lo + cap:g_lo + cap], instance.K,
+                   out=c_row[:g_lo - lo])
+            q_tbl[t, lo:g_lo] = cap
+        _window_min_finite(g_row, cap, instance.K, c_row[g_lo - lo:],
+                           q_tbl[t, g_lo:])
         c_row -= purchase[lo:]
-        c_tbl[t, :lo] = g_tbl[t, :lo] = np.nan
+        c_tbl[t, :lo] = g_tbl[t, :g_lo] = np.nan
         q_tbl[t, :lo] = -1
 
-    return ValueTables(C=c_tbl, G=g_tbl, Qstar=q_tbl, grid=grid,
-                       instance=instance, certified_only=certified_only)
+    return tables

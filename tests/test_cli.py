@@ -15,7 +15,7 @@ from stochinv.cli import main
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
             "volatile_poisson")
 
-# the workflow's five bed pivot steps (.github/workflows/tests.yml), run
+# the workflow's six bed pivot steps (.github/workflows/tests.yml), run
 # in-process: family -> (scale, the pivot CSV's bytes, and the stdout, with
 # {out} for the pivot's path, where the step checks it). The lognormal and
 # geometric bytes were recorded by solving every point from its structural
@@ -163,6 +163,35 @@ BED_PIVOTS = {
         b"Overall,,0.000,0.002,2,11\r\n"
     ), ("geometric: 11 instances, 0 order-property violation(s), 0 error(s)\n"
         "gap avg 0.000%  max 0.002%\n"
+        "pivot: {out}\n")),
+    "discrete_uniform": ("0.01", (
+        b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
+        b"K,250,0.003,0.012,2,4\r\n"
+        b"K,500,0.003,0.013,3,5\r\n"
+        b"K,1000,0.000,0.000,2,4\r\n"
+        b"v,2,0.003,0.012,2,4\r\n"
+        b"v,5,0.000,0.000,1,3\r\n"
+        b"v,10,0.002,0.013,3,6\r\n"
+        b"p,5,0.000,0.000,2,4\r\n"
+        b"p,10,0.003,0.013,3,5\r\n"
+        b"p,15,0.003,0.012,2,4\r\n"
+        b"b_mult,2,0.000,0.000,1,3\r\n"
+        b"b_mult,3,0.002,0.012,3,6\r\n"
+        b"b_mult,4,0.003,0.013,2,4\r\n"
+        b"pattern,EMP1,0.000,0.000,1,1\r\n"
+        b"pattern,EMP2,0.000,0.000,3,3\r\n"
+        b"pattern,EMP3,0.013,0.013,2,1\r\n"
+        b"pattern,EMP4,0.012,0.012,2,1\r\n"
+        b"pattern,LC1,0.000,0.000,1,1\r\n"
+        b"pattern,LC2,0.000,0.000,1,1\r\n"
+        b"pattern,RAND,0.000,0.000,1,2\r\n"
+        b"pattern,SIN1,0.000,0.000,1,1\r\n"
+        b"pattern,SIN2,0.000,0.000,1,1\r\n"
+        b"pattern,STA,0.000,0.000,1,1\r\n"
+        b"Overall,,0.002,0.013,3,13\r\n"
+    ), ("discrete_uniform: 13 instances, 0 order-property violation(s), "
+        "0 error(s)\n"
+        "gap avg 0.002%  max 0.013%\n"
         "pivot: {out}\n")),
 }
 
@@ -775,8 +804,9 @@ class TestBenchmarkCommand:
 
 class TestBedPivots:
     """The workflow's bed pivots, byte for byte. Each point is solved from
-    its structural bottom on each period's certified range alone, so each
-    step runs the continuation's convolution."""
+    its structural bottom on each period's slide-aware cone alone
+    (Instance.cone), so each step runs the continuation's convolution and
+    prices the capacity slides below each G row from G(x + B)."""
 
     @pytest.mark.parametrize("family", sorted(BED_PIVOTS))
     def test_pivot_matches_the_workflow(self, tmp_path, capsys, family):

@@ -202,6 +202,34 @@ class TestConvexityCheck:
             assert g_report.ok
             assert c_report.ok
 
+    def test_certified_rows_are_checked_only_where_solved(self, monkeypatch):
+        # certified_only tables hold NaN below each row's solved states;
+        # NaN compares false, so a check that read it would pass it
+        rows = []
+        check = policy_module._kb_convexity
+
+        def recording(g, K, B):
+            rows.append(np.asarray(g))
+            return check(g, K, B)
+
+        monkeypatch.setattr(policy_module, "_kb_convexity", recording)
+        point = next(pt for pt in build_design(("poisson",))
+                     if pt.pattern == "STA" and pt.b_mult == 2)
+        instance = point.instance
+        grid = Grid(instance.bottom, instance.top)
+        tables = solve(instance, grid, certified_only=True)
+        sliding = 0
+        for period in range(1, instance.horizon + 1):
+            rows.clear()
+            verify_kb_convexity(tables, period)
+            g_row, c_row = rows
+            assert not np.isnan(g_row).any() and not np.isnan(c_row).any()
+            assert g_row.size == grid.x_max - tables.g_solved_from(period) + 1
+            assert c_row.size == grid.x_max - tables.solved_from(period) + 1
+            sliding += tables.g_solved_from(period) > tables.solved_from(period)
+        # some rows' G starts above their C, past the capacity slides
+        assert sliding
+
     def test_witness_in_state_coordinates(self):
         # one period certifies its whole grid, here states -10..10
         instance = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
@@ -254,6 +282,23 @@ class TestQceDiagnostics:
         points = qce_diagnostics(seasonal_tables[65], 2)
         keepers = sorted(pt.S for pt in points if pt.nontrivial)
         assert keepers == [51, 82]
+
+    def test_a_band_below_the_solved_g_row_is_refused(self):
+        # period 2 of this instance is solved from R_2 = -2, its G row from
+        # g_2 = 1 (Instance.cone); a band (-2, 0) there would read G at -1,
+        # a NaN of the fill, which passes every comparison
+        instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                            demands=(pmf_empirical([0, 3], [0.5, 0.5]),
+                                     pmf_empirical([7], [1.0])))
+        grid = Grid(-6, 10)
+        tables = solve(instance, grid, certified_only=True)
+        assert (tables.solved_from(2), tables.g_solved_from(2)) == (-2, 1)
+        row = tables.Qstar[1]
+        row[grid.index(-2):] = 0
+        row[grid.index(-2)] = 2
+        with pytest.raises(ValueError, match=(
+                r"^period 2: G is solved only from 1, above s_m \+ 1 = -1$")):
+            qce_diagnostics(tables, 2)
 
     def test_nontrivial_implies_on_envelope(self, volatile_tables,
                                             volatile_certified_tables):

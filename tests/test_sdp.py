@@ -665,17 +665,19 @@ class TestStructuralBottom:
 
 
 class TestCertifiedOnly:
-    """solve(certified_only=True) computes each period only on its certified
-    range [exact_from(t), x_max], folding the one-period cost into the
-    continuation: there C, G and Qstar are bit for bit those of the
-    whole-row reference that folds it the same way over rows padded with
-    the clamp (folded_whole_row_solve), and below it they hold exactly NaN,
-    NaN and -1. Against the default full solve, which adds the closed-form
-    loss row and sums the continuation point by point, Qstar is equal, and
-    C and G agree within 1e-13 of |value| + v max|x| wherever the exact
-    rational tables do not show the full solve itself off by more than
-    that. Grids run from the search grid down to 300 states below the
-    structural bottom (below the search grid's floor at B = inf)."""
+    """solve(certified_only=True) computes each period only on its cone
+    inside the certified range [exact_from(t), x_max]: C and Qstar from
+    solved_from(t), G from g_solved_from(t) (Instance.cone), folding the
+    one-period cost into the continuation. There C, G and Qstar are bit for
+    bit those of the whole-row reference that folds it the same way over
+    rows padded with the clamp (folded_whole_row_solve), and below those
+    starts they hold exactly NaN, NaN and -1. Against the default full
+    solve, which adds the closed-form loss row and sums the continuation
+    point by point, Qstar is equal, and C and G agree within 1e-13 of
+    |value| + v max|x| wherever the exact rational tables do not show the
+    full solve itself off by more than that. Grids run from the search
+    grid down to 300 states below the structural bottom (below the search
+    grid's floor at B = inf)."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -727,18 +729,26 @@ class TestCertifiedOnly:
         purchase = v * max(-grid.x_min, grid.x_max)
         exact = None
         for t in range(1, instance.horizon + 1):
-            row, lo = t - 1, grid.index(full.exact_from(t))
-            assert certified.solved_from(t) == full.exact_from(t)
-            assert full.solved_from(t) == grid.x_min
-            for name in ("C", "G", "Qstar"):
+            row = t - 1
+            first, g_first = certified.solved_from(t), certified.g_solved_from(t)
+            # the cone lies inside the certified range; at B = inf it is
+            # the certified range
+            assert full.exact_from(t) <= first <= g_first <= grid.x_max
+            if B == math.inf:
+                assert first == g_first == full.exact_from(t)
+            assert full.solved_from(t) == full.g_solved_from(t) == grid.x_min
+            lo, g_lo = grid.index(first), grid.index(g_first)
+            starts = {"C": lo, "G": g_lo, "Qstar": lo}
+            for name, start in starts.items():
                 got, want = getattr(certified, name), folded[name]
-                assert np.array_equal(got[row, lo:].view(np.int64),
-                                      want[row, lo:].view(np.int64)), (name, t)
+                assert np.array_equal(got[row, start:].view(np.int64),
+                                      want[row, start:].view(np.int64)), (name, t)
             assert np.array_equal(certified.Qstar[row, lo:],
                                   full.Qstar[row, lo:]), t
             for name in ("C", "G"):
-                got = getattr(certified, name)[row, lo:]
-                want = getattr(full, name)[row, lo:]
+                start = starts[name]
+                got = getattr(certified, name)[row, start:]
+                want = getattr(full, name)[row, start:]
                 bound = 1e-13 * (np.abs(want) + purchase)
                 # past the bound only as far as the full solve is itself off
                 # the exact value
@@ -746,12 +756,12 @@ class TestCertifiedOnly:
                     if exact is None:
                         exact = exact_cost_to_go(
                             instance, q_cap=instance.top - grid.x_min)
-                    value = getattr(exact, name)(t, full.exact_from(t) + i)
+                    value = getattr(exact, name)(t, grid.x_min + start + i)
                     off = abs(Fraction(want[i]) - value)
                     assert (abs(Fraction(got[i]) - Fraction(want[i]))
                             <= Fraction(bound[i]) + off), (name, t, i)
             assert np.isnan(certified.C[row, :lo]).all()
-            assert np.isnan(certified.G[row, :lo]).all()
+            assert np.isnan(certified.G[row, :g_lo]).all()
             assert (certified.Qstar[row, :lo] == -1).all()
         if bottom is not None and grid.x_min <= bottom:
             # from the bottom down, as the bed solves, the fill changes no
@@ -767,15 +777,70 @@ class TestCertifiedOnly:
         assert not (tmp_path / "certified.csv").exists()
 
 
+class TestSlideCone:
+    """On grids from the structural bottom down to 300 states below it,
+    solve(certified_only=True) starts each period's C and Qstar rows at
+    the cone's R_t and its G row at g_t (Instance.cone), and those starts
+    do not depend on the grid. From them C, Qstar and G are bit for bit
+    those of the folded whole-row reference (folded_whole_row_solve), the
+    states [R_t, g_t) all order B, and the bands, COP flags and exact gap
+    are those of a deep grid solved on whole rows."""
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+           depth=st.integers(0, 300))
+    # TestStructuralBottom's examples: no fixed cost, v >= p, a discount,
+    # no demand before the last period, and B p <= K
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
+             B=4, discount=1.0, depth=0)
+    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
+             B=20, discount=1.0, depth=300)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=25, discount=0.8, depth=17)
+    @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
+             h=1.0, p=6.0, B=9, discount=1.0, depth=0)
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, depth=300)
+    @settings(max_examples=100, deadline=None)
+    def test_cone_tables_and_policy(self, points, K, v, h, p, B, discount,
+                                    depth):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        bottom, top = instance.bottom, instance.top
+        grid = Grid(bottom - depth, top)
+        tables = solve(instance, grid, certified_only=True)
+        cone = instance.cone(bottom)
+        assert [(tables.solved_from(t), tables.g_solved_from(t))
+                for t in range(1, instance.horizon + 1)] == list(cone)
+        folded = dict(zip(("C", "G", "Qstar"),
+                          folded_whole_row_solve(instance, grid)))
+        for row, (first, g_first) in enumerate(cone):
+            lo, g_lo = grid.index(first), grid.index(g_first)
+            for name, start in (("C", lo), ("G", g_lo), ("Qstar", lo)):
+                got, want = getattr(tables, name), folded[name]
+                assert np.array_equal(got[row, start:].view(np.int64),
+                                      want[row, start:].view(np.int64)), (
+                    name, row + 1)
+            assert (tables.Qstar[row, lo:g_lo] == B).all(), row + 1
+        deep = solve(instance, Grid(bottom - 800, sdp._demand_ceiling(instance)))
+        assert policy_outcome(tables) == policy_outcome(deep)
+
+
 class TestExactTables:
     """Certified tables, as the bed solves them, against the exact rational
     tables (exact_cost_to_go). Let S_t be the largest magnitude of a term
-    that rows t..n sum on their certified ranges: K, v x, l(x') = h x'+ +
-    p x'- at each level x' = y - d read, C and G. Each certified entry of
-    C and G in row t lies within ULPS (n - t + 1) eps S_t of the exact
-    value, as each period's rounding carries into the earlier ones.
-    Measured: at most 0.74 of it on the rows that fold l into the
-    continuation, 1.8 on the last row's closed-form loss row."""
+    that rows t..n sum on the states solve computes (C from solved_from, G
+    from g_solved_from): K, v x, l(x') = h x'+ + p x'- at each level
+    x' = y - d read, C and G. Each solved entry of C and G in row t lies
+    within ULPS (n - t + 1) eps S_t of the exact value, as each period's
+    rounding carries into the earlier ones. Measured: at most 0.74 of it
+    on the rows that fold l into the continuation, 1.8 on the last row's
+    closed-form loss row."""
 
     ULPS = 4
 
@@ -801,20 +866,22 @@ class TestExactTables:
         exact = exact_cost_to_go(instance, q_cap=instance.top - grid.x_min)
         n, largest = instance.horizon, K
         for t in range(n, 0, -1):
-            row, lo = t - 1, grid.index(tables.exact_from(t))
+            row = t - 1
+            lo = grid.index(tables.solved_from(t))
+            g_lo = grid.index(tables.g_solved_from(t))
             states = grid.states[lo:]
-            reads = np.arange(states[0] - instance.demands[row].max_value,
+            reads = np.arange(grid.states[g_lo] - instance.demands[row].max_value,
                               grid.x_max + 1, dtype=np.float64)
             largest = max(largest, np.abs(v * states).max(),
                           np.maximum(h * reads, -p * reads).max(),
                           np.abs(tables.C[row, lo:]).max(),
-                          np.abs(tables.G[row, lo:]).max())
+                          np.abs(tables.G[row, g_lo:]).max())
             bound = Fraction(self.ULPS * (n - t + 1) * np.finfo(float).eps
                              * largest)
-            for name in ("C", "G"):
-                got = getattr(tables, name)[row, lo:].tolist()
+            for name, start in (("C", lo), ("G", g_lo)):
+                got = getattr(tables, name)[row, start:].tolist()
                 value = getattr(exact, name)
-                for x, entry in zip(states.tolist(), got):
+                for x, entry in zip(grid.states[start:].tolist(), got):
                     assert abs(Fraction(entry) - value(t, x)) <= bound, (
                         name, t, x)
 
@@ -1109,6 +1176,35 @@ class TestGridValidation:
         deep = solve(inst, Grid(-40, 10))
         assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()
+
+    def test_cone(self):
+        # test_bottom's first instance: level_1 = a_1 = 0, level_2 = a_2 =
+        # 4, dmax_1 = 3 and B = 3, so bottom = -3
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=(pmf_empirical([0, 3], [0.5, 0.5]),
+                                 pmf_empirical([7], [1.0])))
+        assert inst._levels == ((0, 0), (4, 4))
+        # from x_min = -3, e = (0, -3): R_1 = max(0, min(0, 0)) = 0 <= a_1,
+        # so g_1 = min(0 + 3, 0 + 1) = 1; R_2 = max(-3, min(1 - 3, 4)) = -2
+        # <= a_2, so g_2 = min(-2 + 3, 4 + 1) = 1. A deeper grid keeps them
+        assert inst.cone(-3) == inst.cone(-6) == ((0, 1), (-2, 1))
+        # above the bottom, e_1 = 1 lies above level_1 = a_1 = 0
+        assert inst.cone(-2) == ((1, 1), (-2, 1))
+        tables = solve(inst, Grid(-6, 10), certified_only=True)
+        assert [(tables.solved_from(t), tables.g_solved_from(t))
+                for t in (1, 2)] == [(0, 1), (-2, 1)]
+        # the slides [R_t, g_t) order B and cost K + G(x + B) - v x
+        assert tables.qstar_at(1, 0) == 3
+        assert tables.cost_at(1, 0) == 1.0 + tables.G[0, tables.grid.index(3)]
+        assert (tables.Qstar[1, tables.grid.index(-2):tables.grid.index(1)]
+                == 3).all()
+        assert np.isnan(tables.G[0, :tables.grid.index(1)]).all()
+        whole = solve(inst, Grid(-6, 10))
+        assert [(whole.solved_from(t), whole.g_solved_from(t))
+                for t in (1, 2)] == [(-6, -6)] * 2
+        # at B = inf the cone is the plain certified range exact_from
+        unbounded = dataclasses.replace(inst, B=math.inf)
+        assert unbounded.cone(-6) == ((-3, -3), (-6, -6))
 
 
 class TestInstanceValidation:

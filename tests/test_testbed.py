@@ -7,7 +7,7 @@ from stochinv import (DEFAULT_GRID, BenchmarkReport, DesignPoint, Grid,
                       GridSpanError, PointResult, SimulationError,
                       ValueTables, build_design, demand_patterns,
                       optimality_gap, read_policy, run_benchmark,
-                      search_grid, solve, testbed)
+                      sdp, search_grid, solve, testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -160,6 +160,23 @@ class TestSmallBenchmarkRun:
         assert len(floors) == 2 * 972
         assert max(floor for floor, _ in floors) <= 0
         assert {over for _, over in floors} == {0}
+
+    def test_slide_levels_are_derived_once_per_point(self, monkeypatch):
+        # Instance.bottom and the cone of the certified solve both read the
+        # slide levels, which the instance derives once for both
+        calls = []
+        derive = sdp._slide_levels
+
+        def counting(instance):
+            calls.append(instance)
+            return derive(instance)
+
+        monkeypatch.setattr(sdp, "_slide_levels", counting)
+        for point in build_design(("poisson",))[::45]:
+            calls.clear()
+            (result,) = run_benchmark([point]).results
+            assert result.error is None, point.key
+            assert len(calls) == 1 and calls[0] is point.instance, point.key
 
     def test_unexpected_exception_reaches_the_caller(self, two_points,
                                                      monkeypatch):
