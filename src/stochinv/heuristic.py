@@ -1,11 +1,10 @@
 """Modified (s, S) heuristic, the one-band case of the modified multi-(s, S)
 policy: each period keeps only the top band that read_policy reads off the
-solved tables from the period's certified floor (exact_from, or
-solved_from on certified_only tables), so it orders up to S, or as close
-as capacity allows, whenever inventory is at or below s. Like
-read_policy, it raises GridSpanError when a period orders only below
-that floor. It is read_policy(tables).top() by name, which CLI
-simulate takes directly; the name stays public.
+solved tables from the period's certified floor exact_from, so it orders
+up to S, or as close as capacity allows, whenever inventory is at or
+below s. Like read_policy, it raises GridSpanError when a period orders
+only below that floor. It is read_policy(tables).top() by name, which
+CLI simulate takes directly; the name stays public.
 """
 
 from __future__ import annotations

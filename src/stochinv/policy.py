@@ -2,13 +2,13 @@
 
 read_policy is the one band reader: it turns each period's optimal-action
 table into multi-threshold (s_k, S_k) form from the period's certified
-floor up (exact_from, or on certified_only tables the cone's first solved
-state, solved_from), checks the continuous order property that form
-relies on, and holds the resulting modified multi-(s, S) policy as a
-ThresholdPolicy. verify_kb_convexity checks the (K, B)-convexity the cost
-tables are supposed to carry on each period's certified range
-[exact_from, x_max], the states whose values no grid edge touches, as
-far down as solve computed each row.
+floor exact_from up (on certified_only tables the cone's first solved
+state), checks the continuous order property that form relies on, and
+holds the resulting modified multi-(s, S) policy as a ThresholdPolicy.
+verify_kb_convexity checks the (K, B)-convexity the cost tables are
+supposed to carry on each period's certified range [exact_from, x_max],
+the states whose values no grid edge touches, as far down as solve
+computed each row.
 qce_diagnostics computes lower-envelope diagnostics that explain which
 local minima of G are reachable order-up-to levels.
 """
@@ -72,18 +72,13 @@ def check_cop(tables: ValueTables, period: int,
     right below one that does, so one pass over the row decides it, and
     only a violated row is split into its ordering runs (_screen). On
     violation the witness straddles the largest no-order gap: (last gap
-    state, first ordering state above). Raises ValueError for a floor
-    below the row's first solved state (ValueTables.solved_from), whose
-    orders certified_only tables do not hold.
+    state, first ordering state above). On certified_only tables, which
+    hold no orders below exact_from, a floor below it raises ValueError
+    (ValueTables.column).
     """
     floor = tables.grid.x_min if from_state is None else from_state
-    solved = tables.solved_from(period)
-    if floor < solved:
-        raise ValueError(
-            f"from_state {floor} lies below period {period}'s first solved "
-            f"state {solved}")
-    return _screen(tables.Qstar[tables.row(period), tables.grid.index(floor):],
-                   floor)
+    return _screen(
+        tables.Qstar[tables.row(period), tables.column(period, floor):], floor)
 
 
 def _screen(q_row: np.ndarray, floor: int) -> CopReport:
@@ -109,7 +104,7 @@ def _screen(q_row: np.ndarray, floor: int) -> CopReport:
 def _read_period(tables: ValueTables, period: int,
                  floor: int) -> tuple[tuple[tuple[int, int], ...], bool]:
     """One period's (s_k, S_k) bands, k ascending, read from its certified
-    floor (_floor), and whether the continuous order property holds
+    floor exact_from, and whether the continuous order property holds
     there.
 
     Walking the ordering states, maximal runs with a common order-up-to
@@ -224,24 +219,16 @@ class ThresholdPolicy:
         return ThresholdPolicy(tuple(p[-1:] for p in self.bands), self.cop_violated)
 
 
-def _floor(tables: ValueTables, period: int) -> int:
-    """The lowest state whose order and value a reader takes: exact_from
-    on whole rows, the cone's R_t = solved_from, at or above it, on
-    certified_only tables (sdp.Instance.cone proves both give the same
-    bands and verdict)."""
-    return max(tables.exact_from(period), tables.solved_from(period))
-
-
 def read_policy(tables: ValueTables) -> ThresholdPolicy:
     """The modified multi-(s, S) policy of solved tables, read one period
-    at a time from its certified floor (exact_from, or solved_from on
-    certified_only tables) by one order-property screen. A period where
-    the property fails is flagged and keeps one stand-in band. Raises
-    GridSpanError if some period orders only below that floor, and
-    MalformedTable for bands that are not well formed, each checked once."""
+    at a time from its certified floor exact_from by one order-property
+    screen. A period where the property fails is flagged and keeps one
+    stand-in band. Raises GridSpanError if some period orders only below
+    that floor, and MalformedTable for bands that are not well formed,
+    each checked once."""
     bands, flagged = [], []
     for period in range(1, tables.instance.horizon + 1):
-        pairs, holds = _read_period(tables, period, _floor(tables, period))
+        pairs, holds = _read_period(tables, period, tables.exact_from(period))
         bands.append(pairs)
         if not holds:
             flagged.append(period)
@@ -254,22 +241,21 @@ def verify_kb_convexity(tables: ValueTables,
 
     Both rows are checked on [exact_from(period), x_max], the states whose
     values neither grid edge touches, with the instance's K and B (see
-    _kb_convexity). On certified_only tables each row is checked only
-    from where solve computed it, G from g_solved_from and C from
-    solved_from, so no NaN of the fill below, which compares false and
+    _kb_convexity). On certified_only tables, where exact_from is the
+    first state solve computed in the C row, G is checked only from
+    g_solved_from, so no NaN of the fill below, which compares false and
     would pass any inequality, enters a check. Returns (g_report,
     c_report); a witness (x, a, y, b) names states x and y. The range is
     never empty: solve refuses a grid whose certified floor exact_from(1)
-    lies above x_max, and exact_from(period) = x_min + sum_{period<=s<n}
-    dmax_s lies at most at exact_from(1); the cone's starts lie at or
-    below x_max.
+    lies above x_max, and on whole rows exact_from(period) = x_min +
+    sum_{period<=s<n} dmax_s lies at most at exact_from(1); the cone's
+    starts lie at or below x_max.
     """
     row, instance = tables.row(period), tables.instance
     exact = tables.exact_from(period)
     reports = []
-    for curve, solved in ((tables.G, tables.g_solved_from(period)),
-                          (tables.C, tables.solved_from(period))):
-        lo = max(exact, solved)
+    for curve, lo in ((tables.G, max(exact, tables.g_solved_from(period))),
+                      (tables.C, exact)):
         report = _kb_convexity(curve[row, tables.grid.index(lo):],
                                instance.K, instance.B)
         if not report.ok:
@@ -348,7 +334,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     and also on the envelope (the left edge s_m counts: it sits strictly
     above everything in the interval).
     """
-    bands, _ = _read_period(tables, period, _floor(tables, period))
+    bands, _ = _read_period(tables, period, tables.exact_from(period))
     _check_bands(period, bands)
     if not bands:
         return []

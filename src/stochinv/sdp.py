@@ -7,13 +7,14 @@ finite integer PMF per period, independent across periods.
 
 solve runs one backward pass per period over the whole grid row, or,
 with certified_only, over the period's slide-aware cone alone
-(Instance.cone): G(y) = v y + L(y) + discount E[C_{t+1}(y - d)], where
-L(y) = E[l(y - d)] is the expected holding and shortage cost l(x') = h
-x'+ + p x'- on the end-of-period inventory, then the minimum of G over
-each capacity window and C(x) = -v x + min(G(x), K + window min). With B
-= inf the window is as wide as the row, since no order can reach past
-the top of the grid, so one kernel serves both problems. Each kernel
-does only the work the tables read. On a whole row the loss row L is a
+(Instance.cone), on tables that span only the cone: G(y) = v y + L(y) +
+discount E[C_{t+1}(y - d)], where L(y) = E[l(y - d)] is the expected
+holding and shortage cost l(x') = h x'+ + p x'- on the end-of-period
+inventory, then the minimum of G over each capacity window and C(x) =
+-v x + min(G(x), K + window min). With B = inf the window is as wide
+as the row, since no order can reach past the top of the grid, so one
+kernel serves both problems. Each kernel does only the work the tables
+read. On a whole row the loss row L is a
 closed form that looks partial sums up only on the demand support, and
 the expected continuation adds the demand points up one at a time. On a
 certified range each state of a row before the last is one dot product
@@ -259,9 +260,10 @@ class Instance:
           1e-6 max(1, K) exceed the tie tolerance by a margin for rounding in
           the solved rows.
         - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
-          floor(n) lies at or below both floor(t) <= 0 and level_t, so period
-          t's certified range [exact_from(t), top] holds its reachable floor
-          and a state of the decision every state at or below level_t takes.
+          floor(n) of its whole rows (e_t of cone) lies at or below both
+          floor(t) <= 0 and level_t, so period t's certified range
+          [exact_from(t), top] holds its reachable floor and a state of the
+          decision every state at or below level_t takes.
           A deeper grid certifies the same tables bit for bit on that range,
           and below it only states of exact_from(t)'s decision. Such a run at
           the bottom of a row leaves the bands (leading capacity slides carry
@@ -278,7 +280,8 @@ class Instance:
           below a_t, whose C reads G_t at x + B alone. It leaves no read for
           the clamp, and on a grid from bottom up what it leaves out are the
           states the clamp below the grid distorts, the states no pass
-          reaches and G below the slides, which nothing it keeps reads.
+          reaches and G below the slides, which nothing it keeps reads; its
+          tables hold no state below the lowest R_t (or -1).
           Before the last row it sums each state's holding and shortage
           cost and continuation as one dot product (_expected_continuation
           over l + discount C_{t+1}), so its entries
@@ -320,11 +323,13 @@ class Instance:
         """The slide-aware certified cone of a grid whose floor is x_min:
         (R_t, g_t) for t = 1..n, the first state of period t's C and Qstar
         rows and the first state of its G row that solve(certified_only=True)
-        computes.
+        computes. solve stores it on the tables it returns, which span only
+        Grid(min(min_t R_t, -1), x_max): their exact_from(t) is R_t and
+        their g_solved_from(t) is g_t, so no reader derives the cone again.
 
         Let e_t = x_min + floor(t) - floor(n) be the grid's plain
-        ValueTables.exact_from(t), and a_t and level_t those of
-        Instance.bottom (_levels). Then
+        certified floor, ValueTables.exact_from(t) of its whole rows, and
+        a_t and level_t those of Instance.bottom (_levels). Then
         R_1 = max(e_1, min(0, level_1)),
         g_t = min(R_t + B, a_t + 1) where a_t exists and R_t <= a_t, else R_t,
         R_{t+1} = max(e_{t+1}, min(g_t - dmax_t, level_{t+1})).
@@ -351,7 +356,8 @@ class Instance:
           a state above s_m lies above a_t; where g_t = R_t every level is
           at least the state itself. So period t + 1's states lie at or
           above g_t - dmax_t >= R_{t+1} under both, and a pass that read
-          below R_{t+1} would read the -1 fill and raise.
+          below R_{t+1} would read the -1 fill and raise, where the tables
+          hold a column there.
         - Reading bands and the order property from R_t gives the result of
           reading them from e_t. R_t > level_t only where R_t = e_t; else
           every state of [e_t, R_t] lies at or below level_t and takes the
@@ -539,12 +545,14 @@ class ValueTables:
     grid.states. C is the optimal cost-to-go before ordering, G the
     order-up-to cost curve, Qstar the optimal order quantity. solve builds
     them only on a grid that reaches the structural top Instance.top, so
-    the upper edge touches no value, and whose exact_from(1) lies at or
+    the upper edge touches no value, and whose certified floor lies at or
     below x_max: period t's certified range [exact_from(t), grid.x_max]
-    is never empty. certified_only tables were solved on the slide-aware
-    cone inside that range alone (Instance.cone): C and Qstar from
-    solved_from(t), G from g_solved_from(t), and they hold NaN and -1
-    below those states (see solve).
+    is never empty. Tables that carry a cone, (R_t, g_t) for t = 1..n,
+    are certified_only: solve computed them on the slide-aware cone of the
+    caller's grid alone (Instance.cone), C and Qstar from R_t =
+    exact_from(t), G from g_t = g_solved_from(t), and their grid spans
+    only Grid(min(min_t R_t, -1), x_max). Below those starts their rows
+    hold NaN and -1, which no reader takes for values (see solve).
     """
 
     C: np.ndarray
@@ -552,7 +560,11 @@ class ValueTables:
     Qstar: np.ndarray
     grid: Grid
     instance: Instance
-    certified_only: bool = False
+    cone: tuple[tuple[int, int], ...] | None = None
+
+    @property
+    def certified_only(self) -> bool:
+        return self.cone is not None
 
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
@@ -562,39 +574,30 @@ class ValueTables:
         return period - 1
 
     def exact_from(self, period: int) -> int:
-        """Lowest state whose values are unaffected by the lower grid edge.
+        """Lowest state whose values are unaffected by the lower grid edge,
+        from where every band, flag and price reads the period's rows.
 
-        Demand in this and the later periods before the last carries a
-        state at most floor(period) - floor(n) down, and the last row is
-        exact everywhere: it clamps against exact terminal zeros. It is a
-        property of the grid alone; certified_only tables solve only the
-        states from solved_from(period) up, which lies at or above it.
+        On whole rows, demand in this and the later periods before the
+        last carries a state at most floor(period) - floor(n) down, and
+        the last row is exact everywhere: it clamps against exact terminal
+        zeros. On certified_only tables it is the cone's R_t, the first
+        state solve computed in the period's C and Qstar rows: at or above
+        that plain floor of the caller's grid, and reading from either
+        gives the same bands, verdict and prices (Instance.cone).
         """
-        self.row(period)   # rejects a period outside 1..n
+        row = self.row(period)   # rejects a period outside 1..n
+        if self.cone is not None:
+            return self.cone[row][0]
         floors = self.instance.floors
-        return self.grid.x_min + floors[period - 1] - floors[self.instance.horizon - 1]
-
-    def solved_from(self, period: int) -> int:
-        """Lowest state solve computed in this period's C and Qstar rows:
-        on certified_only tables the cone's R_t (Instance.cone), at or above
-        exact_from, from where every band, flag and price reads the row;
-        x_min otherwise."""
-        row = self.row(period)
-        return self._starts[row][0] if self.certified_only else self.grid.x_min
+        return self.grid.x_min + floors[row] - floors[self.instance.horizon - 1]
 
     def g_solved_from(self, period: int) -> int:
         """Lowest state solve computed in this period's G row: on
         certified_only tables the cone's g_t (Instance.cone), at or above
-        solved_from, as the capacity slides below it take C from G(x + B)
+        exact_from, as the capacity slides below it take C from G(x + B)
         alone; x_min otherwise."""
         row = self.row(period)
-        return self._starts[row][1] if self.certified_only else self.grid.x_min
-
-    @cached_property
-    def _starts(self) -> tuple[tuple[int, int], ...]:
-        """(solved_from(t), g_solved_from(t)) for t = 1..n on certified_only
-        tables: the cone of their grid."""
-        return self.instance.cone(self.grid.x_min)
+        return self.grid.x_min if self.cone is None else self.cone[row][1]
 
     def check_start(self, x0: int) -> None:
         """Raise GridSpanError when x0 lies below the certified floor
@@ -606,11 +609,24 @@ class ValueTables:
                 f"x0 = {x0} lies below the certified floor exact_from(1) = "
                 f"{floor}; widen the grid downward")
 
+    def column(self, period: int, x: int) -> int:
+        """The column of state x in the period's rows. On certified_only
+        tables a state below exact_from(period) holds only the fill, NaN
+        or -1, so it raises ValueError rather than give its column."""
+        if self.cone is not None:
+            floor = self.exact_from(period)
+            if x < floor:
+                raise ValueError(
+                    f"state {x} lies below period {period}'s certified floor "
+                    f"exact_from({period}) = {floor}, below which "
+                    "certified_only tables hold no values")
+        return self.grid.index(x)
+
     def qstar_at(self, period: int, x: int) -> int:
-        return int(self.Qstar[self.row(period), self.grid.index(x)])
+        return int(self.Qstar[self.row(period), self.column(period, x)])
 
     def cost_at(self, period: int, x: int) -> float:
-        return float(self.C[self.row(period), self.grid.index(x)])
+        return float(self.C[self.row(period), self.column(period, x)])
 
     def to_csv(self, path) -> None:
         """One row per (period, state): period, x, C, G, Qstar.
@@ -621,11 +637,11 @@ class ValueTables:
         formatted once per call, one string per block, and split again for
         every period; no per-state string outlives its block. Raises
         ValueError on certified_only tables, whose rows hold a fill below
-        the states solve computed (solved_from, g_solved_from).
+        the states solve computed (exact_from, g_solved_from).
         """
         if self.certified_only:
             raise ValueError("certified_only tables hold no values below "
-                             "solved_from; solve the whole rows to write them")
+                             "exact_from; solve the whole rows to write them")
         states = range(self.grid.x_min, self.grid.x_max + 1)
         x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
                    for lo in range(0, len(states), _CSV_BLOCK)]
@@ -872,11 +888,15 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     order into the Qstar row, and last subtracts the purchase term v x.
 
     With certified_only, period t's rows are computed only on the
-    slide-aware cone (Instance.cone), inside its certified range
-    [exact_from(t), x_max]: C and Qstar from R_t = solved_from(t) and G
-    from g_t = g_solved_from(t) up; below them C and G hold NaN and Qstar
-    -1, which no order is, and the tables refuse the reads that would
-    take the fill for values. G is computed on [g_t, x_max] and the window
+    slide-aware cone of the grid (Instance.cone), inside the grid's
+    certified range: C and Qstar from R_t and G from g_t up. The tables,
+    and the states, purchase terms and l the solve evaluates, span only
+    Grid(min(min_t R_t, -1), x_max), the cone's span (-1 keeps 0 on the
+    grid), and carry the cone, so that their exact_from(t) is R_t and
+    their g_solved_from(t) is g_t. Below those starts, in the rows whose
+    cone starts above the tables' floor, C and G hold NaN and Qstar -1,
+    which no order is, and the tables refuse the reads that would take
+    the fill for values. G is computed on [g_t, x_max] and the window
     kernel runs on that slice. The states of [R_t, g_t) are proven
     capacity slides and take Qstar = B and C = (G(x + B) + K) - v x, the
     float operations the kernel performs there. Each row before the last
@@ -890,10 +910,10 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     closed-form loss row as the full solve does. Every solved entry is,
     by the cone, bit for bit that of a whole-row solve that folds l the
     same way over rows padded with the clamp:
-    - g_t - dmax_t >= R_{t+1} >= exact_from(t + 1), so the expected
-      continuation of row t from g_t reads row t + 1, and l, only where
-      row t + 1 is solved, and no read is left for the clamp below the
-      grid;
+    - g_t - dmax_t >= R_{t+1} >= e_{t+1}, the grid's plain certified
+      floor (Instance.cone), so the expected continuation of row t from
+      g_t reads row t + 1, and l, only where row t + 1 is solved, and no
+      read is left for the clamp below the grid;
     - each continuation output is one dot product over the same
       max_value + 1 operands, in the same order, wherever its row starts;
     - l, the sum l + discount C_{t+1}, the loss row, the purchase term
@@ -902,8 +922,8 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     - a slide's window minimum is G(x + B), x + B >= g_t, in floats too;
     so by induction from the last period each entry is the same float
     operations on the same operands. At B = inf the cone is the plain
-    certified range, R_t = g_t = exact_from(t). Against the default full
-    solve, the entries agree to rounding: over the 810 Poisson bed points
+    certified range, R_t = g_t = e_t. Against the default full solve,
+    the entries agree to rounding: over the 810 Poisson bed points
     C is within 1.4e-14 relative and Qstar equal. Of the two, the fold is
     the nearer to the exact values, as the closed form subtracts a partial
     sum from a mean rounded on its own.
@@ -922,6 +942,12 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
             f"the certified floor exact_from(1) = {certified} lies above the "
             f"grid top {grid.x_max}; widen the grid downward")
 
+    cone = None
+    if certified_only:
+        cone = instance.cone(grid.x_min)
+        # the tables span the cone alone, from its lowest state (or -1, as
+        # a grid holds 0) up to the caller's x_max
+        grid = Grid(min(min(first for first, _ in cone), -1), grid.x_max)
     size = grid.size
     states = grid.states.astype(np.float64)
     purchase = instance.v * states
@@ -930,7 +956,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
 
     tables = ValueTables(C=np.empty((n, size)), G=np.empty((n, size)),
                          Qstar=np.empty((n, size), dtype=np.int64), grid=grid,
-                         instance=instance, certified_only=certified_only)
+                         instance=instance, cone=cone)
     c_tbl, g_tbl, q_tbl = tables.C, tables.G, tables.Qstar
 
     # the one-period cost on end-of-period inventory, which every certified
@@ -939,7 +965,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
 
     # each row's first solved columns: R_t and g_t of the cone, less x_min
     starts = ([(first - grid.x_min, g_first - grid.x_min)
-               for first, g_first in tables._starts]
+               for first, g_first in cone]
               if certified_only else [(0, 0)] * n)
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]

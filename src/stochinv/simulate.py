@@ -79,8 +79,10 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     distribution's width times the demand support. Every sum is taken in
     tiles of at most _CONVOLVE_TILE terms (sdp._tile_sum), so a price does
     not depend on the BLAS thread count however wide the distribution.
-    Raises ValueError where the distribution reads a negative order, such
-    as the fill below the certified range of certified_only tables.
+    Raises ValueError unless orders is shaped (horizon, grid.size), as an
+    order table of another grid would price other states' orders, and
+    where the distribution reads a negative order, such as the fill
+    below the certified range of certified_only tables.
     """
     return _forward(instance, grid, orders, _start(x0))[0]
 
@@ -112,8 +114,14 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
     state the distribution covers, or None where it never does. Up to
     that period a pass under the rival takes the same operations on the
     same operands, so continuing it from the returned state gives the
-    rival's expected_cost bit for bit.
+    rival's expected_cost bit for bit. Raises ValueError for an order
+    table not shaped (horizon, grid.size).
     """
+    if orders.shape != (instance.horizon, grid.size):
+        raise ValueError(
+            f"an order table of shape {orders.shape} does not fit "
+            f"{instance.horizon} periods on the grid [{grid.x_min}, "
+            f"{grid.x_max}] of {grid.size} states")
     first, lo, dist, total, factor = state
     fork = None
     # the levels of the pass, and l on each, built once: demand takes a

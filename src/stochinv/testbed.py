@@ -15,7 +15,8 @@ decision stays the same: far enough down each period either orders its
 whole capacity or, where the cost rows are lines, takes one decision
 throughout (stochinv.sdp.Instance.bottom). Each period is solved only on
 the states the pricing and the band reading need, and its G row only
-above its capacity slides (stochinv.sdp.Instance.cone). The results are
+above its capacity slides (stochinv.sdp.Instance.cone), on tables that
+span only that cone, and priced on the tables' own grid. The results are
 those of any grid that holds it unless a decision lies within rounding
 of the tie tolerance (see _evaluate_point).
 """
@@ -219,7 +220,13 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     G only above the capacity slides, which order B and take their C from
     G(x + B). That cuts the G states of a Poisson point 1.78-fold (39,892
     to 22,451 a point, every tenth point) and changes no bit of any solved
-    entry. Each G row takes the expected holding and shortage cost and
+    entry. The tables, and the heuristic's order table that prices
+    against them, span only the cone, from its lowest state up: over the
+    810 Poisson points the structural grids are 2.26 times as wide in
+    sum (5,253 states against 2,384 at the widest, EMP4 with B = 394).
+    read_policy reads each period from the tables' exact_from, the cone's
+    first state, and optimality_gap prices both policies on the tables'
+    grid. Each G row takes the expected holding and shortage cost and
     the expected continuation together as one convolution: C and G are a
     whole-row solve's to rounding, not bit for bit (C within 1.4e-14
     relative over the 810 Poisson points), so Qstar, and with it the
@@ -227,9 +234,9 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     rounding of the tie tolerance; on all 810 Poisson points and every
     fifth point of the discrete uniform, normal, gamma and lognormal
     designs none does. No grid error can arise: the grid reaches the top,
-    and its certified floor exact_from(1), bottom - floor(n) or -dmax_n
-    from the search grid's floor, lies at or below x0 = 0 < top, and with
-    it the cone's first state R_1.
+    and its plain certified floor, bottom - floor(n) or -dmax_n from the
+    search grid's floor, lies at or below x0 = 0 < top, and with it the
+    cone's first state R_1, the tables' exact_from(1).
     """
     instance = point.instance
     floor = (search_grid(instance).x_min if instance.bottom is None

@@ -101,12 +101,13 @@ class TestOrderPropertyCheck:
                             demands=(pmf_empirical([3], [1.0]),
                                      pmf_empirical([1], [1.0])))
         tables = solve(instance, Grid(-5, 5), certified_only=True)
-        assert tables.solved_from(1) == -2
+        assert tables.exact_from(1) == -2 and tables.grid.x_min == -5
         assert check_cop(tables, 1, from_state=-2).holds
         for floor in (None, -3):
             with pytest.raises(ValueError, match=(
-                    r"^from_state -[53] lies below period 1's first solved "
-                    r"state -2$")):
+                    r"^state -[53] lies below period 1's certified floor "
+                    r"exact_from\(1\) = -2, below which certified_only "
+                    r"tables hold no values$")):
                 check_cop(tables, 1, from_state=floor)
         # the last period is solved on its whole row
         assert check_cop(tables, 2).holds
@@ -225,8 +226,8 @@ class TestConvexityCheck:
             g_row, c_row = rows
             assert not np.isnan(g_row).any() and not np.isnan(c_row).any()
             assert g_row.size == grid.x_max - tables.g_solved_from(period) + 1
-            assert c_row.size == grid.x_max - tables.solved_from(period) + 1
-            sliding += tables.g_solved_from(period) > tables.solved_from(period)
+            assert c_row.size == grid.x_max - tables.exact_from(period) + 1
+            sliding += tables.g_solved_from(period) > tables.exact_from(period)
         # some rows' G starts above their C, past the capacity slides
         assert sliding
 
@@ -290,9 +291,10 @@ class TestQceDiagnostics:
         instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                             demands=(pmf_empirical([0, 3], [0.5, 0.5]),
                                      pmf_empirical([7], [1.0])))
-        grid = Grid(-6, 10)
-        tables = solve(instance, grid, certified_only=True)
-        assert (tables.solved_from(2), tables.g_solved_from(2)) == (-2, 1)
+        tables = solve(instance, Grid(-6, 10), certified_only=True)
+        assert (tables.exact_from(2), tables.g_solved_from(2)) == (-2, 1)
+        # the tables' own grid, which starts at the cone's lowest R_t
+        grid = tables.grid
         row = tables.Qstar[1]
         row[grid.index(-2):] = 0
         row[grid.index(-2)] = 2

@@ -16,9 +16,10 @@ from pytest import approx
 
 from conftest import FIXTURE_GRIDS, instance_path, run_fresh
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
-                      Instance, ValueTables, check_cop, cli, load_instance,
-                      optimality_gap, pmf_empirical, pmf_parametric,
-                      random_instance, read_policy, sdp, search_grid, solve)
+                      Instance, ValueTables, build_design, check_cop, cli,
+                      load_instance, optimality_gap, pmf_empirical,
+                      pmf_parametric, random_instance, read_policy, sdp,
+                      search_grid, solve)
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_slide_levels,
@@ -666,12 +667,14 @@ class TestStructuralBottom:
 
 class TestCertifiedOnly:
     """solve(certified_only=True) computes each period only on its cone
-    inside the certified range [exact_from(t), x_max]: C and Qstar from
-    solved_from(t), G from g_solved_from(t) (Instance.cone), folding the
-    one-period cost into the continuation. There C, G and Qstar are bit for
-    bit those of the whole-row reference that folds it the same way over
-    rows padded with the clamp (folded_whole_row_solve), and below those
-    starts they hold exactly NaN, NaN and -1. Against the default full
+    inside the grid's certified range [exact_from(t), x_max] of whole
+    rows: C and Qstar from the cone's R_t, its exact_from(t), G from
+    g_solved_from(t) (Instance.cone), folding the one-period cost into the
+    continuation, on tables that span Grid(min(min_t R_t, -1), x_max).
+    There C, G and Qstar are, state for state, bit for bit those of the
+    whole-row reference that folds it the same way over rows padded with
+    the clamp (folded_whole_row_solve), and below those starts they hold
+    exactly NaN, NaN and -1. Against the default full
     solve, which adds the closed-form loss row and sums the continuation
     point by point, Qstar is equal, and C and G agree within 1e-13 of
     |value| + v max|x| wherever the exact rational tables do not show the
@@ -723,6 +726,11 @@ class TestCertifiedOnly:
                           folded_whole_row_solve(instance, grid)))
         certified = solve(instance, grid, certified_only=True)
         assert certified.certified_only and not full.certified_only
+        cone = instance.cone(grid.x_min)
+        assert certified.cone == cone and full.cone is None
+        narrow = certified.grid
+        assert narrow == Grid(min(min(first for first, _ in cone), -1),
+                              grid.x_max)
         # relative to the largest term an entry sums: G(y) adds v y to the
         # loss and the continuation, and C(x) subtracts v x from G, so
         # either may lie near 0 while v |y| does not
@@ -730,24 +738,29 @@ class TestCertifiedOnly:
         exact = None
         for t in range(1, instance.horizon + 1):
             row = t - 1
-            first, g_first = certified.solved_from(t), certified.g_solved_from(t)
+            first, g_first = certified.exact_from(t), certified.g_solved_from(t)
             # the cone lies inside the certified range; at B = inf it is
             # the certified range
             assert full.exact_from(t) <= first <= g_first <= grid.x_max
             if B == math.inf:
                 assert first == g_first == full.exact_from(t)
-            assert full.solved_from(t) == full.g_solved_from(t) == grid.x_min
+            assert full.g_solved_from(t) == grid.x_min
+            # each table's column of the state, from the cone's starts up
             lo, g_lo = grid.index(first), grid.index(g_first)
             starts = {"C": lo, "G": g_lo, "Qstar": lo}
+            narrow_lo, narrow_g_lo = narrow.index(first), narrow.index(g_first)
+            narrow_starts = {"C": narrow_lo, "G": narrow_g_lo,
+                             "Qstar": narrow_lo}
             for name, start in starts.items():
-                got, want = getattr(certified, name), folded[name]
-                assert np.array_equal(got[row, start:].view(np.int64),
-                                      want[row, start:].view(np.int64)), (name, t)
-            assert np.array_equal(certified.Qstar[row, lo:],
+                got = getattr(certified, name)[row, narrow_starts[name]:]
+                want = folded[name][row, start:]
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (name, t)
+            assert np.array_equal(certified.Qstar[row, narrow_lo:],
                                   full.Qstar[row, lo:]), t
             for name in ("C", "G"):
                 start = starts[name]
-                got = getattr(certified, name)[row, start:]
+                got = getattr(certified, name)[row, narrow_starts[name]:]
                 want = getattr(full, name)[row, start:]
                 bound = 1e-13 * (np.abs(want) + purchase)
                 # past the bound only as far as the full solve is itself off
@@ -760,13 +773,34 @@ class TestCertifiedOnly:
                     off = abs(Fraction(want[i]) - value)
                     assert (abs(Fraction(got[i]) - Fraction(want[i]))
                             <= Fraction(bound[i]) + off), (name, t, i)
-            assert np.isnan(certified.C[row, :lo]).all()
-            assert np.isnan(certified.G[row, :g_lo]).all()
-            assert (certified.Qstar[row, :lo] == -1).all()
+            assert np.isnan(certified.C[row, :narrow_lo]).all()
+            assert np.isnan(certified.G[row, :narrow_g_lo]).all()
+            assert (certified.Qstar[row, :narrow_lo] == -1).all()
         if bottom is not None and grid.x_min <= bottom:
             # from the bottom down, as the bed solves, the fill changes no
             # band, flag or gap
             assert policy_outcome(certified) == policy_outcome(full)
+
+    def test_readers_refuse_the_fill(self):
+        # the first Poisson bed point: period 1 is solved from R_1 = -25,
+        # on tables that start at -236, and its grid starts at -1317; a
+        # read below R_1 would return the fill, NaN or -1, as a value
+        instance = build_design(("poisson",))[0].instance
+        grid = Grid(instance.bottom, instance.top)
+        tables = solve(instance, grid, certified_only=True)
+        assert (grid.x_min, tables.grid.x_min, tables.exact_from(1)) == (
+            -1317, -236, -25)
+        for x in (-1317, -236, -26):
+            for read in (tables.cost_at, tables.qstar_at):
+                with pytest.raises(ValueError, match=(
+                        rf"^state {x} lies below period 1's certified floor "
+                        r"exact_from\(1\) = -25, below which certified_only "
+                        r"tables hold no values$")):
+                    read(1, x)
+        assert tables.qstar_at(1, -25) == instance.B
+        assert math.isfinite(tables.cost_at(1, -25))
+        # whole rows hold a value at every state of their grid
+        assert math.isfinite(solve(instance, grid).cost_at(1, -1317))
 
     def test_the_fill_is_never_written(self, tmp_path):
         instance = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
@@ -777,36 +811,59 @@ class TestCertifiedOnly:
         assert not (tmp_path / "certified.csv").exists()
 
 
+def assert_cone_matches_folded(tables, grid):
+    """Certified tables, solved on grid, hold from each row's cone starts
+    up the bits of folded_whole_row_solve on grid, state for state: C
+    and Qstar from R_t, G from g_t, each read at its own table's column."""
+    folded = dict(zip(("C", "G", "Qstar"),
+                      folded_whole_row_solve(tables.instance, grid)))
+    for row, (first, g_first) in enumerate(tables.cone):
+        for name, start in (("C", first), ("G", g_first), ("Qstar", first)):
+            got = getattr(tables, name)[row, tables.grid.index(start):]
+            want = folded[name][row, grid.index(start):]
+            assert np.array_equal(got.view(np.int64),
+                                  want.view(np.int64)), (name, row + 1)
+
+
+def slide_cone_cases(test):
+    """TestSlideCone's instances and grid depths, as Hypothesis draws them."""
+    test = settings(max_examples=100, deadline=None)(test)
+    # TestStructuralBottom's examples: no fixed cost, v >= p, a discount,
+    # no demand before the last period, and B p <= K
+    for case in reversed((
+            dict(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
+                 B=4, discount=1.0, depth=0),
+            dict(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0,
+                 p=8.0, B=20, discount=1.0, depth=300),
+            dict(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+                 p=20.0, B=25, discount=0.8, depth=17),
+            dict(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0,
+                 v=1.0, h=1.0, p=6.0, B=9, discount=1.0, depth=0),
+            dict(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+                 K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, depth=300))):
+        test = example(**case)(test)
+    return given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                                 st.floats(1e-3, 1.0),
+                                                 min_size=1, max_size=5),
+                                 min_size=1, max_size=4),
+                 K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+                 h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+                 B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+                 depth=st.integers(0, 300))(test)
+
+
 class TestSlideCone:
     """On grids from the structural bottom down to 300 states below it,
     solve(certified_only=True) starts each period's C and Qstar rows at
     the cone's R_t and its G row at g_t (Instance.cone), and those starts
-    do not depend on the grid. From them C, Qstar and G are bit for bit
-    those of the folded whole-row reference (folded_whole_row_solve), the
-    states [R_t, g_t) all order B, and the bands, COP flags and exact gap
-    are those of a deep grid solved on whole rows."""
+    do not depend on the grid. Its tables span the cone alone, from
+    min(min_t R_t, -1). From the starts C, Qstar and G are, state for
+    state, bit for bit those of the folded whole-row reference
+    (folded_whole_row_solve) on the solve's own grid, the states
+    [R_t, g_t) all order B, and the bands, COP flags and exact gap are
+    those of a deep grid solved on whole rows."""
 
-    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
-                                           st.floats(1e-3, 1.0),
-                                           min_size=1, max_size=5),
-                           min_size=1, max_size=4),
-           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
-           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
-           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
-           depth=st.integers(0, 300))
-    # TestStructuralBottom's examples: no fixed cost, v >= p, a discount,
-    # no demand before the last period, and B p <= K
-    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
-             B=4, discount=1.0, depth=0)
-    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
-             B=20, discount=1.0, depth=300)
-    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
-             p=20.0, B=25, discount=0.8, depth=17)
-    @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
-             h=1.0, p=6.0, B=9, discount=1.0, depth=0)
-    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
-             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, depth=300)
-    @settings(max_examples=100, deadline=None)
+    @slide_cone_cases
     def test_cone_tables_and_policy(self, points, K, v, h, p, B, discount,
                                     depth):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
@@ -815,26 +872,46 @@ class TestSlideCone:
         grid = Grid(bottom - depth, top)
         tables = solve(instance, grid, certified_only=True)
         cone = instance.cone(bottom)
-        assert [(tables.solved_from(t), tables.g_solved_from(t))
+        assert [(tables.exact_from(t), tables.g_solved_from(t))
                 for t in range(1, instance.horizon + 1)] == list(cone)
-        folded = dict(zip(("C", "G", "Qstar"),
-                          folded_whole_row_solve(instance, grid)))
+        assert_cone_matches_folded(tables, grid)
+        narrow = tables.grid
         for row, (first, g_first) in enumerate(cone):
-            lo, g_lo = grid.index(first), grid.index(g_first)
-            for name, start in (("C", lo), ("G", g_lo), ("Qstar", lo)):
-                got, want = getattr(tables, name), folded[name]
-                assert np.array_equal(got[row, start:].view(np.int64),
-                                      want[row, start:].view(np.int64)), (
-                    name, row + 1)
-            assert (tables.Qstar[row, lo:g_lo] == B).all(), row + 1
+            assert (tables.Qstar[row, narrow.index(first):narrow.index(g_first)]
+                    == B).all(), row + 1
         deep = solve(instance, Grid(bottom - 800, sdp._demand_ceiling(instance)))
         assert policy_outcome(tables) == policy_outcome(deep)
+
+    @slide_cone_cases
+    def test_tables_span_only_the_cone(self, points, K, v, h, p, B, discount,
+                                       depth):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        grid = Grid(instance.bottom - depth, instance.top)
+        tables = solve(instance, grid, certified_only=True)
+        cone = tables.cone
+        lowest = min(first for first, _ in cone)
+        narrow = tables.grid
+        assert cone == instance.cone(grid.x_min)
+        assert narrow.x_min == min(lowest, -1) and narrow.x_max == grid.x_max
+        assert_cone_matches_folded(tables, grid)
+        for row, (first, g_first) in enumerate(cone):
+            # below the starts, the fill alone
+            assert np.isnan(tables.C[row, :narrow.index(first)]).all()
+            assert np.isnan(tables.G[row, :narrow.index(g_first)]).all()
+            assert (tables.Qstar[row, :narrow.index(first)] == -1).all()
+        # no column lies below the cone: the first column some row solved
+        # is the lowest R_t, and only the -1 that keeps 0 on the grid lies
+        # below it
+        solved = np.flatnonzero((tables.Qstar >= 0).any(axis=0))
+        assert narrow.x_min + int(solved[0]) == lowest
+        assert solved[0] == 0 or narrow.x_min == -1
 
 
 class TestExactTables:
     """Certified tables, as the bed solves them, against the exact rational
     tables (exact_cost_to_go). Let S_t be the largest magnitude of a term
-    that rows t..n sum on the states solve computes (C from solved_from, G
+    that rows t..n sum on the states solve computes (C from exact_from, G
     from g_solved_from): K, v x, l(x') = h x'+ + p x'- at each level
     x' = y - d read, C and G. Each solved entry of C and G in row t lies
     within ULPS (n - t + 1) eps S_t of the exact value, as each period's
@@ -865,9 +942,11 @@ class TestExactTables:
         tables = solve(instance, grid, certified_only=True)
         exact = exact_cost_to_go(instance, q_cap=instance.top - grid.x_min)
         n, largest = instance.horizon, K
+        # the tables' own grid, which spans only the cone
+        grid = tables.grid
         for t in range(n, 0, -1):
             row = t - 1
-            lo = grid.index(tables.solved_from(t))
+            lo = grid.index(tables.exact_from(t))
             g_lo = grid.index(tables.g_solved_from(t))
             states = grid.states[lo:]
             reads = np.arange(grid.states[g_lo] - instance.demands[row].max_value,
@@ -1191,8 +1270,10 @@ class TestGridValidation:
         # above the bottom, e_1 = 1 lies above level_1 = a_1 = 0
         assert inst.cone(-2) == ((1, 1), (-2, 1))
         tables = solve(inst, Grid(-6, 10), certified_only=True)
-        assert [(tables.solved_from(t), tables.g_solved_from(t))
+        assert [(tables.exact_from(t), tables.g_solved_from(t))
                 for t in (1, 2)] == [(0, 1), (-2, 1)]
+        # the tables start at the lowest R_t, -2
+        assert tables.grid == Grid(-2, 10)
         # the slides [R_t, g_t) order B and cost K + G(x + B) - v x
         assert tables.qstar_at(1, 0) == 3
         assert tables.cost_at(1, 0) == 1.0 + tables.G[0, tables.grid.index(3)]
@@ -1200,8 +1281,9 @@ class TestGridValidation:
                 == 3).all()
         assert np.isnan(tables.G[0, :tables.grid.index(1)]).all()
         whole = solve(inst, Grid(-6, 10))
-        assert [(whole.solved_from(t), whole.g_solved_from(t))
-                for t in (1, 2)] == [(-6, -6)] * 2
+        assert whole.grid == Grid(-6, 10)
+        assert [(whole.exact_from(t), whole.g_solved_from(t))
+                for t in (1, 2)] == [(-3, -6), (-6, -6)]
         # at B = inf the cone is the plain certified range exact_from
         unbounded = dataclasses.replace(inst, B=math.inf)
         assert unbounded.cone(-6) == ((-3, -3), (-6, -6))

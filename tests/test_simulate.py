@@ -13,7 +13,7 @@ from conftest import (FIXTURE_GRIDS, instance_path, run_fresh,
 from oracle import (brute_policy_cost, exact_policy_cost, gap_with_estimates,
                     periodwise_orders, rebuild_order_quantity, simulate_policy)
 from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
-                      ThresholdPolicy, expected_cost, load_instance,
+                      ThresholdPolicy, build_design, expected_cost, load_instance,
                       modified_ss_from_tables, optimality_gap, pmf_empirical,
                       pmf_parametric, solve)
 from stochinv.simulate import MIN_REPS, SimulationConfig, _percent_gap
@@ -146,17 +146,40 @@ class TestOptimalityGap:
 
 class TestNegativeOrders:
     def test_the_fill_of_certified_only_tables_is_refused(self):
-        # period 1 is solved from exact_from(1) = -5 up, and an x0 below
-        # that reads its -1 fill
+        # period 1 is solved from exact_from(1) = -5 up, on tables that
+        # start at the lowest R_t, -11, and an x0 below -5 reads the -1 fill
         instance = deterministic_instance()
-        grid = Grid(-20, 20)
-        tables = solve(instance, grid, certified_only=True)
-        assert tables.solved_from(1) == -5
+        tables = solve(instance, Grid(-20, 20), certified_only=True)
+        grid = tables.grid
+        assert tables.exact_from(1) == -5 and grid == Grid(-11, 20)
         cost = expected_cost(instance, grid, tables.Qstar, -5)
         assert cost == pytest.approx(tables.cost_at(1, -5))
         with pytest.raises(ValueError,
                            match=r"^period 1 reads the negative order -1: "):
             expected_cost(instance, grid, tables.Qstar, -6)
+
+
+class TestMismatchedGrid:
+    def test_an_order_table_of_another_grid_is_refused(self):
+        # the first Poisson bed point's whole rows on its structural grid,
+        # priced on a grid 50 states wider each side, would read each
+        # state's order 50 columns off and cost 6511.07
+        instance = build_design(("poisson",))[0].instance
+        grid = Grid(instance.bottom, instance.top)
+        tables = solve(instance, grid)
+        assert expected_cost(instance, grid, tables.Qstar, 0) == \
+            pytest.approx(4184.898467226087, abs=1e-9)
+        wider = Grid(grid.x_min - 50, grid.x_max + 50)
+        with pytest.raises(ValueError, match=(
+                r"^an order table of shape \(20, 1878\) does not fit 20 "
+                r"periods on the grid \[-1367, 610\] of 1978 states$")):
+            expected_cost(instance, wider, tables.Qstar, 0)
+        # the certified tables' order table fits their own grid alone
+        certified = solve(instance, grid, certified_only=True)
+        with pytest.raises(ValueError, match="does not fit"):
+            expected_cost(instance, grid, certified.Qstar, 0)
+        assert expected_cost(instance, certified.grid, certified.Qstar, 0) == \
+            pytest.approx(4184.898467226087, abs=1e-9)
 
 
 class TestZeroCostGap:

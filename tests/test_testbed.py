@@ -135,16 +135,19 @@ class TestSmallBenchmarkRun:
 
     def test_every_point_is_priced_from_certified_states(self, monkeypatch):
         # on the bed's grid x0 = 0 lies at or above the certified floor
-        # exact_from(1), bottom - floor(n) at a finite capacity and -dmax_n
-        # on the search grid at B = inf, and the grid reaches the top
+        # exact_from(1) of its certified tables, the cone's R_1: the grid's
+        # plain floor, bottom - floor(n) at a finite capacity and -dmax_n
+        # on the search grid at B = inf, lies at or below 0, and with it
+        # R_1; and the grid reaches the top
         class Solved(Exception):
             pass
 
         floors = []
 
-        def recording_solve(instance, grid, **kwargs):
-            tables = ValueTables(None, None, None, grid, instance,
-                                 kwargs["certified_only"])
+        def recording_solve(instance, grid, *, certified_only):
+            assert certified_only
+            cone = instance.cone(grid.x_min)
+            tables = ValueTables(None, None, None, grid, instance, cone)
             floors.append((tables.exact_from(1),
                            grid.x_max - instance.top))
             raise Solved
@@ -219,6 +222,24 @@ def outcome(result):
     """A point result as comparable fields, NaN-aware: the gap by its bits."""
     return (result.gap.hex(), result.max_thresholds, result.cop_violations,
             result.error)
+
+
+class TestTablesSpanTheCone:
+    def test_the_widest_point(self):
+        # the Poisson point with the widest structural grid, EMP4 at
+        # b_mult 4 (B = 394) with v = 2 and p = 15 (K does not move its
+        # grid), holds tables less than half as wide as that grid
+        design = build_design(("poisson",))
+        widest = max(design, key=lambda pt: pt.instance.top - pt.instance.bottom)
+        instance = widest.instance
+        assert (widest.pattern, widest.v, widest.p, widest.b_mult,
+                instance.B) == ("EMP4", 2, 15, 4, 394)
+        grid = Grid(instance.bottom, instance.top)
+        tables = solve(instance, grid, certified_only=True)
+        assert grid.size == 5253
+        assert tables.grid == Grid(min(first for first, _ in tables.cone),
+                                   grid.x_max)
+        assert tables.grid.size == tables.C.shape[1] == 2384
 
 
 class TestTrimmedTopMatchesTheWholeGrid:
