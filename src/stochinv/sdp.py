@@ -14,15 +14,15 @@ inventory, then the minimum of G over each capacity window and C(x) =
 -v x + min(G(x), K + window min). With B = inf the window is as wide
 as the row, since no order can reach past the top of the grid, so one
 kernel serves both problems. Each kernel does only the work the tables
-read. On a whole row the loss row L is a
-closed form that looks partial sums up only on the demand support, and
-the expected continuation adds the demand points up one at a time. On a
-certified range each state of a row before the last is one dot product
-through np.convolve, which takes L and the continuation together: G(y) =
-v y + E[l(y - d) + discount C_{t+1}(y - d)]. The last row, which has no
-continuation, takes the closed form. The cone starts each row's G at
-g_t, above the proven capacity slides [R_t, g_t) that order the whole
-capacity; their C is K + G(x + B) - v x, read from G above g_t.
+read. On a whole row the loss row L is a closed form that looks partial
+sums up only on the demand support, and the expected continuation adds
+the demand points up one at a time. On a certified range each state of
+every row is one dot product through np.convolve, which takes L and the
+continuation together: G(y) = v y + E[l(y - d) + discount C_{t+1}(y -
+d)], with C_{n+1} = 0, so the last row convolves l alone. The cone
+starts each row's G at g_t, above the proven capacity slides [R_t, g_t)
+that order the whole capacity; their C is K + G(x + B) - v x, read from
+G above g_t.
 One window kernel call then finishes the period: it takes the window
 minimum w, writes C + v x = min(G, K + w) and the order row in place, and
 searches for the smallest attaining order only at the states where
@@ -282,14 +282,14 @@ class Instance:
           states the clamp below the grid distorts, the states no pass
           reaches and G below the slides, which nothing it keeps reads; its
           tables hold no state below the lowest R_t (or -1).
-          Before the last row it sums each state's holding and shortage
-          cost and continuation as one dot product (_expected_continuation
-          over l + discount C_{t+1}), so its entries
-          are bit for bit those of a whole-row solve that sums the same way,
-          and agree with the default whole-row solve, which adds the
-          closed-form loss row and sums demand point by demand point, to
-          rounding: the bands, flags and gap are the same unless a decision
-          lies within rounding of the tie tolerance.
+          On every row, the last included (C_{n+1} = 0), it sums each
+          state's holding and shortage cost and continuation as one dot
+          product (_expected_continuation over l + discount C_{t+1}), so
+          its entries are bit for bit those of a whole-row solve that sums
+          the same way, and agree with the default whole-row solve, which
+          adds the closed-form loss row and sums demand point by demand
+          point, to rounding: the bands, flags and gap are the same unless
+          a decision lies within rounding of the tie tolerance.
         The argument treats the values as exact. In floating point the rows
         below F^G_t are lines up to rounding, so only a saving -s B - K within
         rounding of the tie tolerance could be decided differently at
@@ -428,7 +428,8 @@ def _rise_levels(instance: Instance) -> list[int]:
     lattice ends at its first state at or above D_t or, if lower, one step
     past the first state that reads g_{t+1} only from a'_{t+1} up and has
     F_t = 1, where beta_t exceeds sigma as soon as h does: the earlier
-    period reads g_t past the lattice at its last value. The mass at 0 and each demand block (8(k - 1), 8k] are the weights of
+    period reads g_t past the lattice at its last value. The mass at 0
+    and each demand block (8(k - 1), 8k] are the weights of
     one np.convolve over the lattice, which takes (h + p) F_t and
     discount E[g_{t+1}(y - d)] together: the weights up to k add up to
     F_t(8k), so the step up at 0 times h + p, plus discount g_{t+1},
@@ -703,11 +704,10 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:
     """One-period expected holding plus shortage cost at each post-order level.
 
-    solve adds it on whole rows and on the last row of certified_only
-    tables; the certified rows before the last take it inside their
-    continuation's convolution instead (_end_cost). states must be
-    ascending. Closed form via the partial sums F(y) and M1(y) =
-    E[d; d <= y]:
+    solve adds it on whole rows only; every certified_only row, the last
+    included, takes it inside its continuation's convolution instead
+    (_end_cost). states must be ascending. Closed form via the partial
+    sums F(y) and M1(y) = E[d; d <= y]:
     L(y) = h (y F(y) - M1(y)) + p ((mu - M1(y)) - y (1 - F(y))).
     Below the support F = M1 = 0, so L(y) = p (mu - y) exactly. From the
     bottom of the support up, the closed form reads the partial sums at
@@ -769,7 +769,8 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
     the same outputs bit for bit. They agree with the clamp loop's sums to
     rounding, not bit for bit. solve passes the certified rows' sums of
     the holding and shortage cost and the discounted cost-to-go, so that
-    one convolution takes both expectations.
+    one convolution takes both expectations; on the last row, the holding
+    and shortage cost alone.
 
     With clamp, y runs over the whole row and reads below it clamp to the
     lowest state, and the sum runs over the support one demand point at a
@@ -890,7 +891,7 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     With certified_only, period t's rows are computed only on the
     slide-aware cone of the grid (Instance.cone), inside the grid's
     certified range: C and Qstar from R_t and G from g_t up. The tables,
-    and the states, purchase terms and l the solve evaluates, span only
+    and the states and purchase terms the solve evaluates, span only
     Grid(min(min_t R_t, -1), x_max), the cone's span (-1 keeps 0 on the
     grid), and carry the cone, so that their exact_from(t) is R_t and
     their g_solved_from(t) is g_t. Below those starts, in the rows whose
@@ -899,32 +900,33 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     the fill for values. G is computed on [g_t, x_max] and the window
     kernel runs on that slice. The states of [R_t, g_t) are proven
     capacity slides and take Qstar = B and C = (G(x + B) + K) - v x, the
-    float operations the kernel performs there. Each row before the last
-    takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], with
-    l(x') = h x'+ + p x'- evaluated once per solve on the grid (_end_cost):
-    the convolution of _expected_continuation (clamp=False) over
-    l + discount C_{t+1} sums each state's holding and shortage cost and
-    continuation as one dot product, where the full solve adds the
-    closed-form loss row and sums the demand points one at a time over
-    the whole row. The last row, which has no continuation, adds the
-    closed-form loss row as the full solve does. Every solved entry is,
-    by the cone, bit for bit that of a whole-row solve that folds l the
-    same way over rows padded with the clamp:
+    float operations the kernel performs there. Every row takes G(y) =
+    v y + E[l(y - d) + discount C_{t+1}(y - d)], with C_{n+1} = 0 and
+    l(x') = h x'+ + p x'- evaluated once per solve (_end_cost) on every
+    level a row reads, [x_min - dmax_n, x_max]: the last row reads l from
+    g_n - dmax_n, which may lie below the tables. The convolution of
+    _expected_continuation (clamp=False) over l + discount C_{t+1}, or
+    over l alone on the last row, sums each state's holding and shortage
+    cost and continuation as one dot product, where the full solve adds
+    the closed-form loss row and sums the demand points one at a time
+    over the whole row. Every solved entry is, by the cone, bit for bit
+    that of a whole-row solve that folds l the same way over rows padded
+    below with the clamp, and the last row over l itself:
     - g_t - dmax_t >= R_{t+1} >= e_{t+1}, the grid's plain certified
-      floor (Instance.cone), so the expected continuation of row t from
-      g_t reads row t + 1, and l, only where row t + 1 is solved, and no
-      read is left for the clamp below the grid;
+      floor (Instance.cone), so the expected continuation of row t < n
+      from g_t reads row t + 1, and l, only where row t + 1 is solved,
+      and no read is left for the clamp below the grid;
     - each continuation output is one dot product over the same
       max_value + 1 operands, in the same order, wherever its row starts;
-    - l, the sum l + discount C_{t+1}, the loss row, the purchase term
-      and the C update are state by state, and the window minimum and its
+    - l, the sum l + discount C_{t+1}, the purchase term and the C
+      update are state by state, and the window minimum and its
       orders read only upward, from a state to the row's end;
     - a slide's window minimum is G(x + B), x + B >= g_t, in floats too;
     so by induction from the last period each entry is the same float
     operations on the same operands. At B = inf the cone is the plain
     certified range, R_t = g_t = e_t. Against the default full solve,
     the entries agree to rounding: over the 810 Poisson bed points
-    C is within 1.4e-14 relative and Qstar equal. Of the two, the fold is
+    C is within 5.1e-14 relative and Qstar equal. Of the two, the fold is
     the nearer to the exact values, as the closed form subtracts a partial
     sum from a mean rounded on its own.
     """
@@ -942,14 +944,19 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
             f"the certified floor exact_from(1) = {certified} lies above the "
             f"grid top {grid.x_max}; widen the grid downward")
 
-    cone = None
+    cone, below = None, 0
     if certified_only:
         cone = instance.cone(grid.x_min)
         # the tables span the cone alone, from its lowest state (or -1, as
         # a grid holds 0) up to the caller's x_max
         grid = Grid(min(min(first for first, _ in cone), -1), grid.x_max)
+        # the last row reads l from g_n - dmax_n, which may lie below them
+        below = instance.demands[n - 1].max_value
     size = grid.size
-    states = grid.states.astype(np.float64)
+    # the levels l is read at, [x_min - below, x_max]; the tables' states
+    # are the last size of them
+    levels = np.arange(grid.x_min - below, grid.x_max + 1, dtype=np.float64)
+    states = levels[below:]
     purchase = instance.v * states
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
@@ -960,8 +967,8 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
     c_tbl, g_tbl, q_tbl = tables.C, tables.G, tables.Qstar
 
     # the one-period cost on end-of-period inventory, which every certified
-    # row before the last takes inside its continuation's convolution
-    ell = _end_cost(states, instance.h, instance.p) if certified_only else None
+    # row takes inside its continuation's convolution
+    ell = _end_cost(levels, instance.h, instance.p) if certified_only else None
 
     # each row's first solved columns: R_t and g_t of the cone, less x_min
     starts = ([(first - grid.x_min, g_first - grid.x_min)
@@ -971,16 +978,19 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
         pmf = instance.demands[t]
         lo, g_lo = starts[t]
         g_row, c_row = g_tbl[t, g_lo:], c_tbl[t, lo:]
-        if certified_only and t < n - 1:
-            # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], read from
-            # g_t - max_value, at or above row t + 1's R_{t + 1}
+        if certified_only:
+            # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], C_{n+1} = 0,
+            # read from g_t - max_value: at or above row t + 1's R_{t + 1}
+            # before the last row, at or above x_min - below on it
             nxt = g_lo - pmf.max_value
-            ahead = c_tbl[t + 1, nxt:]
-            if instance.discount != 1.0:
-                ahead = ahead * instance.discount
+            folded = ell[below + nxt:]
+            if t < n - 1:
+                ahead = c_tbl[t + 1, nxt:]
+                if instance.discount != 1.0:
+                    ahead = ahead * instance.discount
+                folded = folded + ahead
             np.add(purchase[g_lo:],
-                   _expected_continuation(ell[nxt:] + ahead, pmf, clamp=False),
-                   out=g_row)
+                   _expected_continuation(folded, pmf, clamp=False), out=g_row)
         else:
             np.add(purchase[g_lo:],
                    _loss_row(states[g_lo:], pmf, instance.h, instance.p),

@@ -226,9 +226,10 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     sum (5,253 states against 2,384 at the widest, EMP4 with B = 394).
     read_policy reads each period from the tables' exact_from, the cone's
     first state, and optimality_gap prices both policies on the tables'
-    grid. Each G row takes the expected holding and shortage cost and
-    the expected continuation together as one convolution: C and G are a
-    whole-row solve's to rounding, not bit for bit (C within 1.4e-14
+    grid. Each G row, the last included, takes the expected holding and
+    shortage cost and the expected continuation together as one
+    convolution (l alone on the last row): C and G are a whole-row
+    solve's to rounding, not bit for bit (C within 5.1e-14
     relative over the 810 Poisson points), so Qstar, and with it the
     bands, the flags and the gap, could differ only at a decision within
     rounding of the tie tolerance; on all 810 Poisson points and every

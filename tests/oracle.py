@@ -262,14 +262,15 @@ def branchy_expected_continuation(c_row, pmf):
     return out
 
 
-def padded_convolve_continuation(c_row, pmf):
+def padded_convolve_continuation(c_row, pmf, below=None):
     """E[c_row(y - demand)] on the whole row through one np.convolve.
 
-    Reads below the row take its lowest entry, as in the clamp loop, but
-    each output is one dot product of the max_value + 1 states at and
-    below y with the masses on 0..max_value, as the certified-only kernel
-    computes it; for supports up to 8,192 values wide, its one tile, the
-    two give the same bits on the states they share.
+    Reads below the row take below, the max_value values under its lowest
+    state, or, by default, its lowest entry, as in the clamp loop. Each
+    output is one dot product of the max_value + 1 states at and below y
+    with the masses on 0..max_value, as the certified-only kernel computes
+    it; for supports up to 8,192 values wide, its one tile, the two give
+    the same bits on the states they share.
     """
     import numpy as np
 
@@ -277,7 +278,9 @@ def padded_convolve_continuation(c_row, pmf):
     dense = np.zeros(top + 1)
     for d, pr in zip(pmf.support, pmf.probs):
         dense[d] = pr
-    padded = np.concatenate((np.full(top, c_row[0]), c_row))
+    if below is None:
+        below = np.full(top, c_row[0])
+    padded = np.concatenate((below, c_row))
     return np.convolve(padded, dense, mode="valid")
 
 
@@ -285,29 +288,32 @@ def folded_whole_row_solve(instance, grid):
     """C, G and Qstar on whole rows, with the one-period cost folded into
     the continuation as solve(certified_only=True) folds it.
 
-    Each row before the last takes G(y) = v y + E[l(y - d) + discount
-    C_{t+1}(y - d)], l(x) = h x+ + p x-, as padded_convolve_continuation
-    sums it: one dot product per state, over the row padded below with
-    its lowest entry (the clamp). The last row adds the closed-form loss
-    row (searchsorted_loss_row), and the window minimum and its orders are
-    full_row_window_min_finite's. The reference certified_only tables must
-    match bit for bit on each period's certified range.
+    Every row takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)],
+    l(x) = h x+ + p x-, C_{n+1} = 0, as padded_convolve_continuation sums
+    it: one dot product per state. The rows before the last are padded
+    below with their lowest entry (the clamp); the last row reads l itself
+    on the max_value levels below the grid. The window minimum and its
+    orders are full_row_window_min_finite's. The reference certified_only
+    tables must match bit for bit on each period's certified range.
     """
     import numpy as np
+
+    def end_cost(levels):
+        return np.array([instance.h * x if x >= 0 else instance.p * -x
+                         for x in levels], dtype=np.float64)
 
     n = instance.horizon
     xs = grid.states.astype(np.float64)
     purchase = instance.v * xs
     cap = grid.size - 1 if instance.B == math.inf else int(instance.B)
-    ell = np.array([instance.h * x if x >= 0 else instance.p * -x
-                    for x in xs.tolist()])
+    ell = end_cost(xs.tolist())
     c_tbl, g_tbl = np.empty((n, grid.size)), np.empty((n, grid.size))
     q_tbl = np.empty((n, grid.size), dtype=np.int64)
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
         if t == n - 1:
-            g_row = purchase + searchsorted_loss_row(xs, pmf, instance.h,
-                                                     instance.p)
+            below = end_cost(range(grid.x_min - pmf.max_value, grid.x_min))
+            g_row = purchase + padded_convolve_continuation(ell, pmf, below)
         else:
             ahead = c_tbl[t + 1]
             if instance.discount != 1.0:

@@ -271,6 +271,22 @@ WORKFLOW_EXITS = {
 }
 
 
+# the workflow's spiky step, run in-process: stdout, with {out} for the
+# --out prefix, and the thresholds.csv it diffs. Period 1 is flagged, so
+# stdout names it in place of its bands and thresholds.csv skips it.
+SPIKY_STDOUT = ("warning: continuous order property violated, period 1\n"
+                "value tables: {out}_tables.csv\n"
+                "thresholds: {out}_thresholds.csv\n"
+                "order-property report: {out}_cop_report.txt\n"
+                "period  (s_k, S_k) pairs\n"
+                "     1  order property violated\n"
+                "     2  (457,475) (458,499)\n"
+                "     3  (272,284)\n"
+                "     4  (199,210)\n")
+SPIKY_BANDS = (b"period,k,s,S\n2,1,457,475\n2,2,458,499\n3,1,272,284\n"
+               b"4,1,199,210\n")
+
+
 def fixture_doc(name):
     with open(instance_path(name + ".json")) as handle:
         return json.load(handle)
@@ -519,12 +535,14 @@ class TestSolveCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_spiky_report_on_the_default_grid(self, tmp_path, capsys):
-        # the report describes the whole grid row, not only the certified part
+        # the workflow's spiky step, byte for byte: the report describes
+        # the whole grid row, not only the certified part
         out = tmp_path / "spiky"
         rc = main(["solve", instance_path("spiky_nonstationary.json"),
                    "--out", str(out)])
         assert rc == 0
-        capsys.readouterr()
+        assert capsys.readouterr().out == SPIKY_STDOUT.format(out=out)
+        assert (tmp_path / "spiky_thresholds.csv").read_bytes() == SPIKY_BANDS
         assert (tmp_path / "spiky_cop_report.txt").read_text() == (
             "period 1: continuous order property violated; ordering set "
             "[-10000, 601], [616, 618]; no order at 615 but order at 616\n")

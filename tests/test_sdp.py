@@ -802,6 +802,22 @@ class TestCertifiedOnly:
         # whole rows hold a value at every state of their grid
         assert math.isfinite(solve(instance, grid).cost_at(1, -1317))
 
+    def test_only_whole_rows_take_the_closed_form_loss_row(self, monkeypatch):
+        # a certified row folds l into its one convolution, the last row too
+        # (C_{n+1} = 0); a whole row adds the closed form, once per period
+        calls = []
+        loss_row = sdp._loss_row
+        monkeypatch.setattr(sdp, "_loss_row",
+                            lambda *args: calls.append(1) or loss_row(*args))
+        pmf = pmf_empirical([0, 2, 3], [0.2, 0.5, 0.3])
+        instance = Instance(horizon=3, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
+                            demands=(pmf,) * 3)
+        grid = Grid(instance.bottom, instance.top)
+        solve(instance, grid, certified_only=True)
+        assert calls == []
+        solve(instance, grid)
+        assert len(calls) == instance.horizon
+
     def test_the_fill_is_never_written(self, tmp_path):
         instance = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
                             demands=(pmf_empirical([2], [1.0]),) * 2)
@@ -915,9 +931,10 @@ class TestExactTables:
     from g_solved_from): K, v x, l(x') = h x'+ + p x'- at each level
     x' = y - d read, C and G. Each solved entry of C and G in row t lies
     within ULPS (n - t + 1) eps S_t of the exact value, as each period's
-    rounding carries into the earlier ones. Measured: at most 0.74 of it
-    on the rows that fold l into the continuation, 1.8 on the last row's
-    closed-form loss row."""
+    rounding carries into the earlier ones. Every row folds l into its
+    continuation's convolution. Measured over 3,000 draws and the examples
+    below, in units of (n - t + 1) eps S_t: at most 0.70 on the rows before
+    the last and 1.23 on the last row."""
 
     ULPS = 4
 
@@ -932,6 +949,11 @@ class TestExactTables:
     # TestCertifiedOnly's instance where the closed-form loss row is off
     @example(points=[{22: 0.032, 39: 0.929, 31: 0.043}, {5: 1.0}], K=0.0,
              v=0.0, h=0.0625, p=10.0, B=math.inf, discount=1.0)
+    # a closed-form loss row on the last row put C(1, 0) 4451/2^64 off the
+    # exact value, over the bound 2^-52: it subtracts terms of magnitude 1
+    # (y F(y), mu, M1(y)) that S_1 = 0.25 does not count
+    @example(points=[{1: 1.0, 0: 0.001}], K=0.0, v=0.0, h=0.25, p=1.0, B=1,
+             discount=1.0)
     @settings(max_examples=60, deadline=None)
     def test_entries_are_exact_to_a_few_ulps(self, points, K, v, h, p, B,
                                              discount):
