@@ -21,7 +21,8 @@ import numpy as np
 
 from .demand import pmf_empirical
 from .policy import CopReport, _state_runs, check_cop
-from .sdp import Grid, Instance, ValueTables, _demand_ceiling, solve
+from .sdp import (_TIE_TOL, Grid, Instance, ValueTables, _demand_ceiling,
+                  solve)
 
 
 # the draw settings: fixed cost K, penalty p and capacity B are uniform
@@ -134,11 +135,11 @@ def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, 
     V(x) = C(x) + vx - G(x) = min(0, K + min over the reachable window of G
     minus G(x)) is nondecreasing whenever the continuous order property
     mechanism works; a decreasing run pinpoints where capacity breaks it.
-    Returns (lo, hi) pairs such that V(x+1) < V(x) - 1e-9 for x in [lo, hi],
-    restricted to states unaffected by the lower grid edge. Single-period
-    tables always produce an empty report.
+    Returns (lo, hi) pairs such that V(x+1) < V(x) - 1e-9, the solver's tie
+    tolerance, for x in [lo, hi], restricted to states unaffected by the
+    lower grid edge. Single-period tables always produce an empty report.
     """
     r = tables.row(period)
     v = tables.C[r] + tables.instance.v * tables.grid.states - tables.G[r]
     floor = tables.exact_from(period)
-    return _state_runs(np.diff(v[tables.grid.index(floor):]) < -1e-9, floor)
+    return _state_runs(np.diff(v[tables.grid.index(floor):]) < -_TIE_TOL, floor)

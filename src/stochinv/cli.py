@@ -6,10 +6,10 @@ byte-identical output files. simulate prices policies exactly, in one
 forward pass that checks the optimal price against the solved value
 whichever --policy is asked for, and takes no seed. solve and simulate
 solve whole grid rows, which the tables CSV writes. benchmark takes no
-grid flags: it solves each point on its structural grid, from its
-Instance.bottom to its Instance.top, and each period only on the
-slide-aware cone of Instance.cone, the states its pricing and band
-reading need, with G above the period's capacity slides.
+grid flags: it solves each point on its certified tables alone, each
+period only on its row of the slide-aware cone of Instance.cone, the
+states its pricing and band reading need, with G above the period's
+capacity slides, up to the point's Instance.top.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, not fatal); 2 usage or

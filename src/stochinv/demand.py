@@ -16,6 +16,7 @@ that needs it, so importing the package loads numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,14 +103,32 @@ def _normalized(values: np.ndarray, probs: np.ndarray, total) -> DemandPMF:
     return DemandPMF(tuple(values.tolist()), tuple(probs.tolist()))
 
 
+def _all_real(seq, arr: np.ndarray) -> bool:
+    """Whether every element of seq, which numpy reads as arr, is a real
+    number and not a boolean, as Instance and pmf_parametric require.
+    numpy reads False and True as 0 and 1, and a list that mixes them with
+    numbers as a number array, so a list's elements are read one by one,
+    as are an object array's; a numeric array's dtype speaks for all of
+    them. A text is no number either, though a float cast would parse it.
+    """
+    if isinstance(seq, np.ndarray) and arr.dtype.kind != "O":
+        return arr.dtype.kind in "iuf"
+    return all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               for x in (arr.tolist() if isinstance(seq, np.ndarray) else seq))
+
+
 def pmf_empirical(values, masses) -> DemandPMF:
     """Build a PMF from explicit support values and probability masses."""
-    vals = np.asarray(values)
-    mass = np.asarray(masses, dtype=np.float64)
+    vals, mass = np.asarray(values), np.asarray(masses)
     if vals.ndim != 1 or mass.ndim != 1 or vals.size != mass.size:
         raise ValueError("values and masses must be 1-d sequences of equal length")
     if vals.size == 0:
         raise ValueError("empty PMF")
+    if not _all_real(values, vals):
+        raise ValueError("support values must be integers")
+    if not _all_real(masses, mass):
+        raise ValueError("masses must be numbers")
+    mass = mass.astype(np.float64, copy=False)
     # every check below reads one copy sorted by value
     order = vals.argsort()
     vals, mass = vals[order], mass[order]

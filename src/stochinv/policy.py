@@ -2,7 +2,7 @@
 
 read_policy is the one band reader: it turns each period's optimal-action
 table into multi-threshold (s_k, S_k) form from the period's certified
-floor exact_from up (on certified_only tables the cone's first solved
+floor exact_from up (on certified tables the cone's first solved
 state), checks the continuous order property that form relies on, and
 holds the resulting modified multi-(s, S) policy as a ThresholdPolicy.
 verify_kb_convexity checks the (K, B)-convexity the cost tables are
@@ -72,7 +72,7 @@ def check_cop(tables: ValueTables, period: int,
     right below one that does, so one pass over the row decides it, and
     only a violated row is split into its ordering runs (_screen). On
     violation the witness straddles the largest no-order gap: (last gap
-    state, first ordering state above). On certified_only tables, which
+    state, first ordering state above). On certified tables, which
     hold no orders below exact_from, a floor below it raises ValueError
     (ValueTables.column).
     """
@@ -132,7 +132,7 @@ def _read_period(tables: ValueTables, period: int,
         _, s_m = report.ordering_set[-1]
         return ((s_m, s_m + int(row[s_m - x_min])),), False
     if not report.ordering_set:
-        # orders, not truthiness: certified_only rows hold -1 down there
+        # orders, not truthiness: certified rows hold -1 down there
         if (row[:floor - x_min] > 0).any():
             raise GridSpanError(
                 f"period {period} orders only below its certified floor "
@@ -241,7 +241,7 @@ def verify_kb_convexity(tables: ValueTables,
 
     Both rows are checked on [exact_from(period), x_max], the states whose
     values neither grid edge touches, with the instance's K and B (see
-    _kb_convexity). On certified_only tables, where exact_from is the
+    _kb_convexity). On certified tables, where exact_from is the
     first state solve computed in the C row, G is checked only from
     g_solved_from, so no NaN of the fill below, which compares false and
     would pass any inequality, enters a check. Returns (g_report,
@@ -323,7 +323,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     stand-in band where the order property fails; a period that orders only
     below its certified floor raises GridSpanError, and malformed bands
     raise MalformedTable, as in read_policy. G is read only from s_m + 1
-    up, which on certified_only tables lies at or above g_solved_from; a
+    up, which on certified tables lies at or above g_solved_from; a
     band below it raises ValueError rather than read the fill.
 
     The envelope is the running minimum of G from the left on the open

@@ -5,13 +5,14 @@ order up to B units before demand, paying a fixed cost K plus v per unit;
 holding and penalty costs accrue on the post-demand position. Demand is a
 finite integer PMF per period, independent across periods.
 
-solve runs one backward pass per period over the whole grid row, or,
-with certified_only, over the period's slide-aware cone alone
-(Instance.cone), on tables that span only the cone: G(y) = v y + L(y) +
-discount E[C_{t+1}(y - d)], where L(y) = E[l(y - d)] is the expected
-holding and shortage cost l(x') = h x'+ + p x'- on the end-of-period
-inventory, then the minimum of G over each capacity window and C(x) =
--v x + min(G(x), K + window min). With B = inf the window is as wide
+solve runs one backward pass per period over the whole row of a
+caller's grid or, given the instance alone, over the period's row of the
+instance's slide-aware cone (Instance.cone), on certified tables that
+span only the cone: G(y) = v y + L(y) + discount E[C_{t+1}(y - d)],
+where L(y) = E[l(y - d)] is the expected holding and shortage cost
+l(x') = h x'+ + p x'- on the end-of-period inventory, then the minimum
+of G over each capacity window and C(x) = -v x + min(G(x), K + window
+min). With B = inf the window is as wide
 as the row, since no order can reach past the top of the grid, so one
 kernel serves both problems. Each kernel does only the work the tables
 read. On a whole row the loss row L is a closed form that looks partial
@@ -34,18 +35,18 @@ states are searched.
 
 An Instance derives, from itself alone, each period's reachable floor
 (floors), the structural top above which every G row rises, so that no
-grid orders there (top), and, at a finite capacity, the structural
-bottom below which every period's decision stays the same (bottom): from
-each period's capacity-slide level down it orders the whole capacity,
-and from its line floor down its rows are lines. solve refuses a grid
-that ends below both the top and the demand ceiling sum_t dmax_t, so
-every table it returns is exact up to x_max. The certified floor
-ValueTables.exact_from, the bed's grid between bottom and top, the COP
-search grid, which ends at the demand ceiling, and the cone of a
-certified solve are read off them too, each derived once per instance;
-the top and the bottom, with the slide levels that the bottom and the
-cone share, are derived on their first read, as only the bed and grids
-below the ceiling read them.
+grid orders there (top), and the cone of its certified tables (cone),
+which rests, at a finite capacity, on the levels below which each
+period's decision stays the same (_levels): from its capacity-slide
+level down it orders the whole capacity, and from its line floor down
+its rows are lines. The certified tables span Grid(min(min_t R_t, -1),
+top). solve refuses a caller's grid that ends below both the top and
+the demand ceiling sum_t dmax_t, so every table it returns is exact up
+to x_max. The certified floor ValueTables.exact_from and the COP search
+grid, which ends at the demand ceiling, are read off them too, each
+derived once per instance; the top and the cone, with the slide levels
+the cone reads, are derived on their first read, as only the certified
+tables and grids below the ceiling read them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .demand import DemandPMF
 
 _TIE_TOL = 1e-9
 # a capacity slide's margin for rounding over the tie tolerance
-# (Instance.bottom), and the least rise of G above the structural top
+# (Instance._levels), and the least rise of G above the structural top
 # (Instance.top)
 _SLIDE_MARGIN = 1e-6
 # the lattice step on which _rise_levels bounds the rises of G
@@ -100,9 +101,10 @@ class Instance:
     Periods are indexed 1..horizon in forward time; demands[0] is the first
     period's PMF. B may be math.inf for the uncapacitated problem.
 
-    floors, top and bottom say where the instance's states can go. Each is
-    derived from the instance alone on its first read and cached on it, so
-    no copy of the instance is kept and no reference cycle is made.
+    floors, top and cone say where the instance's states can go and which
+    of them its certified tables hold. Each is derived from the instance
+    alone on its first read and cached on it, so no copy of the instance is
+    kept and no reference cycle is made.
     """
 
     horizon: int
@@ -165,7 +167,7 @@ class Instance:
           h > 0 per state there. By induction from the last period: L_t rises
           by h, C_{t+1} = G_{t+1} - v x by at least h - v, so G_t by at least
           v + h + discount (h - v) >= h, as v >= 0 and discount <= 1.
-        - Below D_t the rises are bounded from below, as Instance.bottom
+        - Below D_t the rises are bounded from below, as Instance._levels
           bounds them from above. Write Df(y) = f(y + 1) - f(y) and F_t(y) =
           P(d_t <= y); exactly, DL_t(y) = (h + p) F_t(y) - p. As C_t + v x =
           min(G_t, K + w_t) and a min rises by at least the smaller rise of
@@ -201,26 +203,23 @@ class Instance:
         on such a grid, and with them the bands, the COP flags and the exact
         gap, are therefore those of any taller grid. The argument treats the
         values as exact; sigma is the margin for rounding in the solved rows,
-        as for the bottom's slides. The max keeps top a valid grid ceiling
+        as for the slides of _levels. The max keeps top a valid grid ceiling
         when no period has positive demand.
         """
         return max(*_rise_levels(self), 1)
 
     @cached_property
-    def bottom(self) -> int | None:
-        """The structural bottom, derived from the instance alone.
+    def _levels(self) -> tuple[tuple[int, int | None], ...]:
+        """(level_t, a_t) for t = 1..n at a finite capacity, a_t None where
+        _slide_levels finds none: the level at and below which period t
+        takes one decision, and the level at and below which that decision
+        is the whole capacity. Derived once per instance, on the first read
+        of its one reader, the cone.
 
-        bottom, for a finite B (None at B = inf), is the structural bottom:
-        every grid whose floor lies at or below it gives the same bands, COP
-        flags and exact gap from x0 = 0 as any deeper grid. It is derived on
-        first read, as only the bed reads it. Let dmin_t be period t's smallest
-        demand, F^G_n = dmin_n, F^C_t = F^G_t - B and F^G_t = dmin_t + min(0,
-        F^C_{t+1}) (the line floors), a_t period t's capacity-slide level,
-        defined below, where the bound finds one, and level_t = max(F^C_t, a_t)
-        (F^C_t where it finds none); then
-        bottom = min(floor(n) + min_t min(level_t - floor(t), 0), -1).
-        level_t and a_t are derived once per instance (_levels), for the
-        bottom and for the cone of a certified solve (cone).
+        Let dmin_t be period t's smallest demand, F^G_n = dmin_n, F^C_t =
+        F^G_t - B and F^G_t = dmin_t + min(0, F^C_{t+1}) (the line floors),
+        a_t period t's capacity-slide level, defined below, where the bound
+        finds one, and level_t = max(F^C_t, a_t) (F^C_t where it finds none).
         - G_t is affine on y <= F^G_t. L_t(y) = p (mu_t - y) on y <= dmin_t
           (nothing is held, the whole demand is short), nothing follows the
           last period, and, if C_{t+1} is affine on x <= F^C_{t+1}, so is
@@ -259,55 +258,12 @@ class Instance:
           decides only how tight they are. sigma = 1e-6 and tau = 1e-9 +
           1e-6 max(1, K) exceed the tie tolerance by a margin for rounding in
           the solved rows.
-        - On a grid with x_min <= bottom, exact_from(t) = x_min + floor(t) -
-          floor(n) of its whole rows (e_t of cone) lies at or below both
-          floor(t) <= 0 and level_t, so period t's certified range
-          [exact_from(t), top] holds its reachable floor and a state of the
-          decision every state at or below level_t takes.
-          A deeper grid certifies the same tables bit for bit on that range,
-          and below it only states of exact_from(t)'s decision. Such a run at
-          the bottom of a row leaves the bands (leading capacity slides carry
-          no pair) and the order-property verdict (the floor orders or not,
-          as before) unchanged, and the gap reads only states at or above
-          floor(t).
-        - The certified ranges form a dependency cone: exact_from(t) - dmax_t
-          = exact_from(t + 1), so the continuation on period t's range reads
-          period t + 1 only on its range, and the window minimum reads only
-          upward. solve(certified_only=True) computes only a narrower cone
-          inside them (cone): R_t rises from exact_from(t) to what the
-          pricing passes from x0 = 0 reach and the band reading needs, at
-          most level_t, and G_t starts at g_t, above the capacity slides
-          below a_t, whose C reads G_t at x + B alone. It leaves no read for
-          the clamp, and on a grid from bottom up what it leaves out are the
-          states the clamp below the grid distorts, the states no pass
-          reaches and G below the slides, which nothing it keeps reads; its
-          tables hold no state below the lowest R_t (or -1).
-          On every row, the last included (C_{n+1} = 0), it sums each
-          state's holding and shortage cost and continuation as one dot
-          product (_expected_continuation over l + discount C_{t+1}), so
-          its entries are bit for bit those of a whole-row solve that sums
-          the same way, and agree with the default whole-row solve, which
-          adds the closed-form loss row and sums demand point by demand
-          point, to rounding: the bands, flags and gap are the same unless
-          a decision lies within rounding of the tie tolerance.
-        The argument treats the values as exact. In floating point the rows
-        below F^G_t are lines up to rounding, so only a saving -s B - K within
-        rounding of the tie tolerance could be decided differently at
-        different states. The -1 keeps bottom a valid grid floor.
+        So every state at or below level_t takes the decision level_t takes,
+        and at or below a_t that decision is B. The argument treats the
+        values as exact. In floating point the rows below F^G_t are lines up
+        to rounding, so only a saving -s B - K within rounding of the tie
+        tolerance could be decided differently at different states.
         """
-        if self.B == math.inf:
-            return None
-        lowest = min(min(level - floor, 0)
-                     for (level, _), floor in zip(self._levels, self.floors))
-        return min(self.floors[self.horizon - 1] + lowest, -1)
-
-    @cached_property
-    def _levels(self) -> tuple[tuple[int, int | None], ...]:
-        """(level_t, a_t) of Instance.bottom for t = 1..n at a finite
-        capacity, a_t None where _slide_levels finds none: the level at and
-        below which period t takes one decision, and the level at and below
-        which that decision is the whole capacity. Derived once per
-        instance for both readers, bottom and cone."""
         cap = int(self.B)
         slides = _slide_levels(self)
         levels = []
@@ -319,62 +275,73 @@ class Instance:
             below = min(0, line_c)
         return tuple(levels[::-1])
 
-    def cone(self, x_min: int) -> tuple[tuple[int, int], ...]:
-        """The slide-aware certified cone of a grid whose floor is x_min:
-        (R_t, g_t) for t = 1..n, the first state of period t's C and Qstar
-        rows and the first state of its G row that solve(certified_only=True)
-        computes. solve stores it on the tables it returns, which span only
-        Grid(min(min_t R_t, -1), x_max): their exact_from(t) is R_t and
-        their g_solved_from(t) is g_t, so no reader derives the cone again.
+    @cached_property
+    def cone(self) -> tuple[tuple[int, int], ...]:
+        """The slide-aware certified cone: (R_t, g_t) for t = 1..n, the
+        first state of period t's C and Qstar rows and the first state of
+        its G row that solve(instance) computes. solve stores it on the
+        certified tables it returns, which span Grid(min(min_t R_t, -1),
+        top): their exact_from(t) is R_t and their g_solved_from(t) is g_t,
+        so no reader derives the cone again.
 
-        Let e_t = x_min + floor(t) - floor(n) be the grid's plain
-        certified floor, ValueTables.exact_from(t) of its whole rows, and
-        a_t and level_t those of Instance.bottom (_levels). Then
-        R_1 = max(e_1, min(0, level_1)),
+        At a finite capacity, with a_t and level_t of _levels,
+        R_1 = min(0, level_1),
         g_t = min(R_t + B, a_t + 1) where a_t exists and R_t <= a_t, else R_t,
-        R_{t+1} = max(e_{t+1}, min(g_t - dmax_t, level_{t+1})).
-        At B = inf, R_t = g_t = e_t: the plain cone of exact_from.
-        - R_t >= e_t, and g_t - dmax_t >= R_t - dmax_t >= e_t - dmax_t =
-          e_{t+1}, so g_t - dmax_t >= R_{t+1}: row t's continuation from g_t
-          reads row t + 1 only where that row is solved, and, as e_t lies
-          above the lower grid edge's reach, every solved entry is the
-          certified entry of the plain cone.
+        R_{t+1} = min(g_t - dmax_t, level_{t+1}).
+        At B = inf, R_t = g_t = min(floor(n + 1), -1) + floor(t) - floor(n):
+        the plain certified floor of whole rows on cex.search_grid, whose
+        floor is the deepest state reachable from x0 = 0.
+        - Each row reads only inside the cone. g_t - dmax_t >= R_{t+1}, so
+          row t's continuation from g_t reads row t + 1 only where that row
+          is solved, and the last row reads the holding and shortage cost l
+          itself; no read is left for a clamp below the tables.
         - Every state x of [R_t, g_t) is a proven capacity slide: x <= a_t,
           so G_t falls by more than sigma at each step from x to x + B, its
-          window minimum is G_t(x + B) and Qstar is B (Instance.bottom). As
+          window minimum is G_t(x + B) and Qstar is B (_levels). As
           x + B >= R_t + B >= g_t, C_t(x) = (G_t(x + B) + K) - v x reads G_t
           only from g_t up, and the window minimum of a state from g_t up
           reads only upward: G_t below g_t is read by nothing.
         - The pricing passes stay in the cone. Period 1 starts at x0 = 0 >=
-          R_1 on any grid whose exact_from(1) lies at or below 0. Under
-          Qstar, every post-order level in period t is at or above g_t: a
-          state of [R_t, g_t) orders B, to x + B >= g_t, and a state from
-          g_t up orders nothing negative. Under the modified (s, S) policy
-          read off the tables, where a_t >= R_t the states [R_t, a_t] all
-          order, so the top band has S_m > s_m >= a_t: a state x <= s_m
-          orders up to min(S_m, x + B) >= min(a_t + 1, R_t + B) >= g_t, and
-          a state above s_m lies above a_t; where g_t = R_t every level is
-          at least the state itself. So period t + 1's states lie at or
-          above g_t - dmax_t >= R_{t+1} under both, and a pass that read
-          below R_{t+1} would read the -1 fill and raise, where the tables
-          hold a column there.
-        - Reading bands and the order property from R_t gives the result of
-          reading them from e_t. R_t > level_t only where R_t = e_t; else
-          every state of [e_t, R_t] lies at or below level_t and takes the
-          decision R_t takes. Leading capacity slides carry no pair, and the
-          decision at the floor, ordering or not, is the same.
-        The argument treats the values as exact, as Instance.bottom does:
-        sigma and tau exceed the rounding in the solved rows, so the float
-        window minimum of a slide is G_t(x + B) too, and the slide's C is
-        the same float operations the window kernel performs there.
+          R_1. Under Qstar, every post-order level in period t is at or
+          above g_t: a state of [R_t, g_t) orders B, to x + B >= g_t, and a
+          state from g_t up orders nothing negative. Under the modified
+          (s, S) policy read off the tables, where a_t >= R_t the states
+          [R_t, a_t] all order, so the top band has S_m > s_m >= a_t: a
+          state x <= s_m orders up to min(S_m, x + B) >= min(a_t + 1,
+          R_t + B) >= g_t, and a state above s_m lies above a_t; where
+          g_t = R_t every level is at least the state itself. So period
+          t + 1's states lie at or above g_t - dmax_t >= R_{t+1} under
+          both, and a pass that read below R_{t+1} would read the -1 fill
+          and raise, where the tables hold a column there.
+        - The cone's tables are those of every whole-row grid that
+          certifies it: one that reaches top and whose plain certified floor
+          e_t = x_min + floor(t) - floor(n), its exact_from(t), lies at or
+          below R_t in every period, which is x_min <= min_t (R_t - floor(t))
+          + floor(n) (at most -1 as a grid's floor). Its rows from e_t up
+          are unaffected by the lower grid edge, and each solved entry is,
+          state for state, the one a whole-row solve computes there when it
+          sums as the cone does (see solve). At a finite capacity, reading
+          bands and the order property from R_t gives the result of
+          reading them from e_t: R_t <= level_t, so every state of
+          [e_t, R_t] lies at or below level_t and takes the decision R_t
+          takes. Leading capacity slides carry no pair, and the decision at
+          the floor, ordering or not, is the same. At B = inf no level
+          bounds the decisions below R_t: a period whose ordering states
+          all lie below R_t reads as never ordering, where a deeper grid
+          reads a band.
+        The argument treats the values as exact, as _levels does: sigma and
+        tau exceed the rounding in the solved rows, so the float window
+        minimum of a slide is G_t(x + B) too, and the slide's C is the same
+        float operations the window kernel performs there.
         """
         floors, n = self.floors, self.horizon
-        exact = [x_min + floor - floors[n - 1] for floor in floors[:n]]
         if self.B == math.inf:
-            return tuple((e, e) for e in exact)
+            x_min = min(floors[n], -1)
+            return tuple((e, e) for e in
+                         (x_min + floor - floors[n - 1] for floor in floors[:n]))
         cap, reach, starts = int(self.B), 0, []
-        for pmf, (level, slide), e in zip(self.demands, self._levels, exact):
-            first = max(e, min(reach, level))
+        for pmf, (level, slide) in zip(self.demands, self._levels):
+            first = min(reach, level)
             g_first = (min(first + cap, slide + 1)
                        if slide is not None and first <= slide else first)
             starts.append((first, g_first))
@@ -486,7 +453,7 @@ def _rise_levels(instance: Instance) -> list[int]:
 
 
 def _slide_levels(instance: Instance) -> list[int | None]:
-    """a_t of Instance.bottom for t = 1..n at a finite capacity, None where
+    """a_t of Instance._levels for t = 1..n at a finite capacity, None where
     none is found.
 
     Works backward over the window [-B - 2 dmax, dmax + B + 1], dmax the
@@ -494,7 +461,9 @@ def _slide_levels(instance: Instance) -> list[int | None]:
     from the period before the last, cv = discount (c_{t+1} + v). u is
     nondecreasing, so each condition is one binary search. On the 810
     Poisson bed points this window finds the same levels as one from
-    bottom to top + B, at a fraction of the states.
+    min(floor(n) + min_t min(level_t - floor(t), 0), -1), below every
+    level and every reachable floor, up to top + B, at a fraction of the
+    states.
     """
     cap, n = int(instance.B), instance.horizon
     K, v, h, p = instance.K, instance.v, instance.h, instance.p
@@ -549,11 +518,12 @@ class ValueTables:
     the upper edge touches no value, and whose certified floor lies at or
     below x_max: period t's certified range [exact_from(t), grid.x_max]
     is never empty. Tables that carry a cone, (R_t, g_t) for t = 1..n,
-    are certified_only: solve computed them on the slide-aware cone of the
-    caller's grid alone (Instance.cone), C and Qstar from R_t =
-    exact_from(t), G from g_t = g_solved_from(t), and their grid spans
-    only Grid(min(min_t R_t, -1), x_max). Below those starts their rows
-    hold NaN and -1, which no reader takes for values (see solve).
+    are the instance's certified tables: solve(instance) computed them on
+    the instance's slide-aware cone alone (Instance.cone), C and Qstar
+    from R_t = exact_from(t), G from g_t = g_solved_from(t), and their
+    grid is Grid(min(min_t R_t, -1), Instance.top). Below those starts
+    their rows hold NaN and -1, which no reader takes for values (see
+    solve).
     """
 
     C: np.ndarray
@@ -562,10 +532,6 @@ class ValueTables:
     grid: Grid
     instance: Instance
     cone: tuple[tuple[int, int], ...] | None = None
-
-    @property
-    def certified_only(self) -> bool:
-        return self.cone is not None
 
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
@@ -581,10 +547,11 @@ class ValueTables:
         On whole rows, demand in this and the later periods before the
         last carries a state at most floor(period) - floor(n) down, and
         the last row is exact everywhere: it clamps against exact terminal
-        zeros. On certified_only tables it is the cone's R_t, the first
-        state solve computed in the period's C and Qstar rows: at or above
-        that plain floor of the caller's grid, and reading from either
-        gives the same bands, verdict and prices (Instance.cone).
+        zeros. On certified tables it is the cone's R_t, the first state
+        solve computed in the period's C and Qstar rows: at or above the
+        plain floor of every whole-row grid that certifies the cone, and
+        reading from either gives the same bands, verdict and prices
+        (Instance.cone).
         """
         row = self.row(period)   # rejects a period outside 1..n
         if self.cone is not None:
@@ -594,7 +561,7 @@ class ValueTables:
 
     def g_solved_from(self, period: int) -> int:
         """Lowest state solve computed in this period's G row: on
-        certified_only tables the cone's g_t (Instance.cone), at or above
+        certified tables the cone's g_t (Instance.cone), at or above
         exact_from, as the capacity slides below it take C from G(x + B)
         alone; x_min otherwise."""
         row = self.row(period)
@@ -611,7 +578,7 @@ class ValueTables:
                 f"{floor}; widen the grid downward")
 
     def column(self, period: int, x: int) -> int:
-        """The column of state x in the period's rows. On certified_only
+        """The column of state x in the period's rows. On certified
         tables a state below exact_from(period) holds only the fill, NaN
         or -1, so it raises ValueError rather than give its column."""
         if self.cone is not None:
@@ -620,7 +587,7 @@ class ValueTables:
                 raise ValueError(
                     f"state {x} lies below period {period}'s certified floor "
                     f"exact_from({period}) = {floor}, below which "
-                    "certified_only tables hold no values")
+                    "certified tables hold no values")
         return self.grid.index(x)
 
     def qstar_at(self, period: int, x: int) -> int:
@@ -637,11 +604,11 @@ class ValueTables:
         _csv_block as one string and written at once. The x texts are
         formatted once per call, one string per block, and split again for
         every period; no per-state string outlives its block. Raises
-        ValueError on certified_only tables, whose rows hold a fill below
-        the states solve computed (exact_from, g_solved_from).
+        ValueError on certified tables, whose rows hold a fill below the
+        states solve computed (exact_from, g_solved_from).
         """
-        if self.certified_only:
-            raise ValueError("certified_only tables hold no values below "
+        if self.cone is not None:
+            raise ValueError("certified tables hold no values below "
                              "exact_from; solve the whole rows to write them")
         states = range(self.grid.x_min, self.grid.x_max + 1)
         x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
@@ -704,7 +671,7 @@ def _run_edges(mask: np.ndarray) -> np.ndarray:
 def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndarray:
     """One-period expected holding plus shortage cost at each post-order level.
 
-    solve adds it on whole rows only; every certified_only row, the last
+    solve adds it on whole rows only; every certified row, the last
     included, takes it inside its continuation's convolution instead
     (_end_cost). states must be ascending. Closed form via the partial
     sums F(y) and M1(y) = E[d; d <= y]:
@@ -869,89 +836,94 @@ def _window_min_finite(g_row: np.ndarray, cap: int, K: float,
     np.minimum(g_row, c_row, out=c_row)
 
 
-def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
-          certified_only: bool = False) -> ValueTables:
-    """Solve the instance by backward induction on the grid.
+def solve(instance: Instance, grid: Grid | None = None) -> ValueTables:
+    """Solve the instance by backward induction: on the whole rows of a
+    grid, or, with no grid, on the instance's certified tables alone.
 
     Ordering is chosen only on strict cost improvement (beyond 1e-9), and the
     smallest minimizing quantity wins ties, so Qstar is deterministic.
 
-    Raises GridSpanError, before solving, when the grid ends below both
-    the demand ceiling max(sum_t dmax_t, 1) and the structural top
+    Each period takes its G row, then one _window_min_finite call, which
+    writes min(G, K + window min) into the C row and the smallest optimal
+    order into the Qstar row, and last subtracts the purchase term v x.
+
+    Given a grid, every period is solved on the grid's whole row. Raises
+    GridSpanError, before solving, when the grid ends below both the
+    demand ceiling max(sum_t dmax_t, 1) and the structural top
     Instance.top, which is derived only then, so a grid that reaches the
     ceiling never derives it; and when the certified floor exact_from(1)
     lies above x_max, which would leave a period's certified range empty;
     no grid that reaches the ceiling does, as x_min <= -1. A capacity
     window cut at the row's end is exact on a grid that reaches the top.
 
-    Each period takes its G row, then one _window_min_finite call, which
-    writes min(G, K + window min) into the C row and the smallest optimal
-    order into the Qstar row, and last subtracts the purchase term v x.
-
-    With certified_only, period t's rows are computed only on the
-    slide-aware cone of the grid (Instance.cone), inside the grid's
-    certified range: C and Qstar from R_t and G from g_t up. The tables,
+    With no grid, solve returns the instance's certified tables: period
+    t's rows are computed only on the instance's slide-aware cone
+    (Instance.cone), C and Qstar from R_t and G from g_t up. The tables,
     and the states and purchase terms the solve evaluates, span only
-    Grid(min(min_t R_t, -1), x_max), the cone's span (-1 keeps 0 on the
-    grid), and carry the cone, so that their exact_from(t) is R_t and
-    their g_solved_from(t) is g_t. Below those starts, in the rows whose
-    cone starts above the tables' floor, C and G hold NaN and Qstar -1,
-    which no order is, and the tables refuse the reads that would take
-    the fill for values. G is computed on [g_t, x_max] and the window
-    kernel runs on that slice. The states of [R_t, g_t) are proven
-    capacity slides and take Qstar = B and C = (G(x + B) + K) - v x, the
-    float operations the kernel performs there. Every row takes G(y) =
-    v y + E[l(y - d) + discount C_{t+1}(y - d)], with C_{n+1} = 0 and
-    l(x') = h x'+ + p x'- evaluated once per solve (_end_cost) on every
-    level a row reads, [x_min - dmax_n, x_max]: the last row reads l from
-    g_n - dmax_n, which may lie below the tables. The convolution of
-    _expected_continuation (clamp=False) over l + discount C_{t+1}, or
-    over l alone on the last row, sums each state's holding and shortage
-    cost and continuation as one dot product, where the full solve adds
-    the closed-form loss row and sums the demand points one at a time
-    over the whole row. Every solved entry is, by the cone, bit for bit
-    that of a whole-row solve that folds l the same way over rows padded
-    below with the clamp, and the last row over l itself:
-    - g_t - dmax_t >= R_{t+1} >= e_{t+1}, the grid's plain certified
-      floor (Instance.cone), so the expected continuation of row t < n
-      from g_t reads row t + 1, and l, only where row t + 1 is solved,
-      and no read is left for the clamp below the grid;
+    Grid(min(min_t R_t, -1), Instance.top), the cone's span up to the
+    structural top (-1 keeps 0 on the grid), and carry the cone, so that
+    their exact_from(t) is R_t and their g_solved_from(t) is g_t. No grid
+    error can arise: the tables reach the top, and R_1 <= 0 < top. Below
+    those starts, in the rows whose cone starts above the tables' floor,
+    C and G hold NaN and Qstar -1, which no order is, and the tables
+    refuse the reads that would take the fill for values. G is computed
+    on [g_t, top] and the window kernel runs on that slice. The states of
+    [R_t, g_t) are proven capacity slides and take Qstar = B and
+    C = (G(x + B) + K) - v x, the float operations the kernel performs
+    there. Every row takes G(y) = v y + E[l(y - d) + discount
+    C_{t+1}(y - d)], with C_{n+1} = 0 and l(x') = h x'+ + p x'- evaluated
+    once per solve (_end_cost) on every level a row reads, [x_min -
+    dmax_n, top]: the last row reads l from g_n - dmax_n, which may lie
+    below the tables. The convolution of _expected_continuation
+    (clamp=False) over l + discount C_{t+1}, or over l alone on the last
+    row, sums each state's holding and shortage cost and continuation as
+    one dot product, where a whole-row solve adds the closed-form loss row
+    and sums the demand points one at a time over the whole row. Every
+    solved entry is, by the cone, bit for bit that of a whole-row solve
+    that folds l the same way over rows padded below with the clamp, and
+    the last row over l itself, on any grid that certifies the cone (its
+    plain certified floor e_t at or below R_t, reaching the top):
+    - g_t - dmax_t >= R_{t+1} >= e_{t+1} (Instance.cone), so the expected
+      continuation of row t < n from g_t reads row t + 1, and l, only
+      where row t + 1 is solved, and no read is left for the clamp below
+      the grid;
     - each continuation output is one dot product over the same
       max_value + 1 operands, in the same order, wherever its row starts;
     - l, the sum l + discount C_{t+1}, the purchase term and the C
       update are state by state, and the window minimum and its
-      orders read only upward, from a state to the row's end;
+      orders read only upward, from a state to the row's end, which a
+      row cut at the top leaves the same (Instance.top);
     - a slide's window minimum is G(x + B), x + B >= g_t, in floats too;
     so by induction from the last period each entry is the same float
     operations on the same operands. At B = inf the cone is the plain
-    certified range, R_t = g_t = e_t. Against the default full solve,
-    the entries agree to rounding: over the 810 Poisson bed points
-    C is within 5.1e-14 relative and Qstar equal. Of the two, the fold is
-    the nearer to the exact values, as the closed form subtracts a partial
-    sum from a mean rounded on its own.
+    certified range of whole rows on cex.search_grid, R_t = g_t.
+    Against a whole-row solve, the entries agree to rounding: over the
+    810 Poisson bed points C is within 5.1e-14 relative and Qstar equal.
+    Of the two, the fold is the nearer to the exact values, as the closed
+    form subtracts a partial sum from a mean rounded on its own.
     """
-    if grid.x_max < _demand_ceiling(instance) and grid.x_max < instance.top:
-        raise GridSpanError(
-            f"grid top {grid.x_max} lies below the structural top "
-            f"{instance.top}; widen the grid upward")
     n = instance.horizon
-    floors = instance.floors
-    # exact_from(1): below a top lower than the demand ceiling, a period's
-    # certified range could otherwise be empty
-    certified = grid.x_min + floors[0] - floors[n - 1]
-    if certified > grid.x_max:
-        raise GridSpanError(
-            f"the certified floor exact_from(1) = {certified} lies above the "
-            f"grid top {grid.x_max}; widen the grid downward")
-
     cone, below = None, 0
-    if certified_only:
-        cone = instance.cone(grid.x_min)
+    if grid is None:
+        cone = instance.cone
         # the tables span the cone alone, from its lowest state (or -1, as
-        # a grid holds 0) up to the caller's x_max
-        grid = Grid(min(min(first for first, _ in cone), -1), grid.x_max)
+        # a grid holds 0) up to the structural top
+        grid = Grid(min(min(first for first, _ in cone), -1), instance.top)
         # the last row reads l from g_n - dmax_n, which may lie below them
         below = instance.demands[n - 1].max_value
+    else:
+        if grid.x_max < _demand_ceiling(instance) and grid.x_max < instance.top:
+            raise GridSpanError(
+                f"grid top {grid.x_max} lies below the structural top "
+                f"{instance.top}; widen the grid upward")
+        floors = instance.floors
+        # exact_from(1): below a top lower than the demand ceiling, a
+        # period's certified range could otherwise be empty
+        certified = grid.x_min + floors[0] - floors[n - 1]
+        if certified > grid.x_max:
+            raise GridSpanError(
+                f"the certified floor exact_from(1) = {certified} lies above "
+                f"the grid top {grid.x_max}; widen the grid downward")
     size = grid.size
     # the levels l is read at, [x_min - below, x_max]; the tables' states
     # are the last size of them
@@ -968,17 +940,17 @@ def solve(instance: Instance, grid: Grid = DEFAULT_GRID, *,
 
     # the one-period cost on end-of-period inventory, which every certified
     # row takes inside its continuation's convolution
-    ell = _end_cost(levels, instance.h, instance.p) if certified_only else None
+    ell = None if cone is None else _end_cost(levels, instance.h, instance.p)
 
     # each row's first solved columns: R_t and g_t of the cone, less x_min
-    starts = ([(first - grid.x_min, g_first - grid.x_min)
-               for first, g_first in cone]
-              if certified_only else [(0, 0)] * n)
+    starts = ([(0, 0)] * n if cone is None else
+              [(first - grid.x_min, g_first - grid.x_min)
+               for first, g_first in cone])
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
         lo, g_lo = starts[t]
         g_row, c_row = g_tbl[t, g_lo:], c_tbl[t, lo:]
-        if certified_only:
+        if cone is not None:
             # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], C_{n+1} = 0,
             # read from g_t - max_value: at or above row t + 1's R_{t + 1}
             # before the last row, at or above x_min - below on it

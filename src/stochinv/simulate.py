@@ -82,7 +82,7 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     Raises ValueError unless orders is shaped (horizon, grid.size), as an
     order table of another grid would price other states' orders, and
     where the distribution reads a negative order, such as the fill
-    below the certified range of certified_only tables.
+    below the certified range of certified tables.
     """
     return _forward(instance, grid, orders, _start(x0))[0]
 
@@ -142,7 +142,7 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
         if q.min() < 0:
             raise ValueError(
                 f"period {period} reads the negative order {q.min()}: no "
-                "policy orders below zero (certified_only tables hold -1 "
+                "policy orders below zero (certified tables hold -1 "
                 "below their certified range)")
         ordering = q > 0
         cost = _dot(dist[ordering], instance.K + instance.v * q[ordering])

@@ -8,17 +8,17 @@ deterministically while keeping every pivot row populated. Each point is
 solved, its threshold bands and order-property violations are read off
 the tables once, and the modified (s, S) heuristic is priced exactly
 against the optimum, so a report does not depend on any seed. A point is
-solved on its structural grid: up to its structural top, above which
-every cost row G rises (stochinv.sdp.Instance.top), and, at a finite
-capacity, from its structural bottom, below which every period's
-decision stays the same: far enough down each period either orders its
-whole capacity or, where the cost rows are lines, takes one decision
-throughout (stochinv.sdp.Instance.bottom). Each period is solved only on
-the states the pricing and the band reading need, and its G row only
-above its capacity slides (stochinv.sdp.Instance.cone), on tables that
-span only that cone, and priced on the tables' own grid. The results are
-those of any grid that holds it unless a decision lies within rounding
-of the tie tolerance (see _evaluate_point).
+solved on its certified tables alone (stochinv.sdp.solve with no grid):
+each period only on the states the pricing and the band reading need,
+its slide-aware cone (stochinv.sdp.Instance.cone), and its G row only
+above its capacity slides, which at a finite capacity rest on the levels
+below which each period's decision stays the same: far enough down each
+period either orders its whole capacity or, where the cost rows are
+lines, takes one decision throughout. The tables end at the structural
+top, above which every cost row G rises (stochinv.sdp.Instance.top), and
+each point is priced on the tables' own grid. The results are those of
+any whole-row grid that certifies the cone unless a decision lies within
+rounding of the tie tolerance (see _evaluate_point).
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cex import search_grid
 from .demand import PARAMETRIC_FAMILIES, pmf_parametric
 from .policy import MalformedTable, read_policy
-from .sdp import Grid, Instance, solve
+from .sdp import Instance, solve
 from .simulate import SimulationConfig, SimulationError, optimality_gap
 
 K_LEVELS = (250, 500, 1000)
@@ -208,43 +207,34 @@ class BenchmarkReport:
 def _evaluate_point(point: DesignPoint) -> PointResult:
     """Solve one point, read its policy and price the heuristic exactly.
 
-    The point is solved on its structural grid, Grid(instance.bottom,
-    instance.top): by the proofs in their docstrings its bands, COP flags
-    and exact gap are those of any grid that holds that one. At B = inf,
-    where the instance has no bottom, it is solved from the floor of
-    cex.search_grid, which certifies every period from below its
-    reachable floor, up to the same top. Each period's rows are computed
-    only on the slide-aware cone inside its certified range (solve's
-    certified_only, Instance.cone): C and Qstar from the lowest state that
-    the pricing passes from x0 = 0 reach or the band reading needs, and
-    G only above the capacity slides, which order B and take their C from
-    G(x + B). That cuts the G states of a Poisson point 1.78-fold (39,892
-    to 22,451 a point, every tenth point) and changes no bit of any solved
-    entry. The tables, and the heuristic's order table that prices
-    against them, span only the cone, from its lowest state up: over the
-    810 Poisson points the structural grids are 2.26 times as wide in
-    sum (5,253 states against 2,384 at the widest, EMP4 with B = 394).
-    read_policy reads each period from the tables' exact_from, the cone's
-    first state, and optimality_gap prices both policies on the tables'
-    grid. Each G row, the last included, takes the expected holding and
-    shortage cost and the expected continuation together as one
-    convolution (l alone on the last row): C and G are a whole-row
-    solve's to rounding, not bit for bit (C within 5.1e-14
-    relative over the 810 Poisson points), so Qstar, and with it the
-    bands, the flags and the gap, could differ only at a decision within
-    rounding of the tie tolerance; on all 810 Poisson points and every
-    fifth point of the discrete uniform, normal, gamma and lognormal
-    designs none does. No grid error can arise: the grid reaches the top,
-    and its plain certified floor, bottom - floor(n) or -dmax_n from the
-    search grid's floor, lies at or below x0 = 0 < top, and with it the
-    cone's first state R_1, the tables' exact_from(1).
+    The point is solved on its certified tables, solve(instance): each
+    period's rows only on the instance's slide-aware cone (Instance.cone),
+    C and Qstar from the lowest state that the pricing passes from x0 = 0
+    reach or the band reading needs, and G only above the capacity slides,
+    which order B and take their C from G(x + B). By the proofs of
+    Instance.cone and Instance.top its bands, COP flags and exact gap are
+    those of every whole-row grid that certifies the cone, and solving
+    the cone alone changes no bit of any entry such a grid solves the same
+    way. The tables, and the heuristic's order table that prices against
+    them, span only the cone, from its lowest state up to the structural
+    top: over the 810 Poisson points the widest is 2,384 states, EMP4 with
+    B = 394. read_policy reads each
+    period from the tables' exact_from, the cone's first state, and
+    optimality_gap prices both policies on the tables' grid. Each G row,
+    the last included, takes the expected holding and shortage cost and
+    the expected continuation together as one convolution (l alone on the
+    last row): C and G are a whole-row solve's to rounding, not bit for
+    bit (C within 5.1e-14 relative over the 810 Poisson points), so
+    Qstar, and with it the bands, the flags and the gap, could differ only
+    at a decision within rounding of the tie tolerance; on all 810 Poisson
+    points and every fifth point of the discrete uniform, normal, gamma
+    and lognormal designs none does. No grid error can arise: the tables
+    reach the top, and the cone's first state R_1, the tables'
+    exact_from(1), lies at or below x0 = 0.
     """
     instance = point.instance
-    floor = (search_grid(instance).x_min if instance.bottom is None
-             else instance.bottom)
-    grid = Grid(floor, instance.top)
     try:
-        tables = solve(instance, grid, certified_only=True)
+        tables = solve(instance)
         policy = read_policy(tables)
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
@@ -263,11 +253,11 @@ def run_benchmark(design, config: SimulationConfig | None = None) -> BenchmarkRe
     Gaps are exact (optimality_gap), so config is no longer read. It stays
     the second parameter because perfbench/workloads.py passes it
     positionally; dropping it waits for the next change to the benchmark.
-    Each point is solved on its structural grid, from Instance.bottom to
-    Instance.top, one period's certified range at a time (see
-    _evaluate_point), so no outer grid bounds it and every point of the
-    six families reaches a price. Results keep design order. A point whose
-    bands are malformed or whose optimal table does not reproduce its
-    solved value is recorded as an error.
+    Each point is solved on its certified tables alone, one period's cone
+    at a time, up to its Instance.top (see _evaluate_point), so no outer
+    grid bounds it and every point of the six families reaches a price.
+    Results keep design order. A point whose bands are malformed or whose
+    optimal table does not reproduce its solved value is recorded as an
+    error.
     """
     return BenchmarkReport(tuple(_evaluate_point(pt) for pt in design))

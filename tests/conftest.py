@@ -22,6 +22,16 @@ FIXTURE_GRIDS = {"lumpy_discounted.json": Grid(-200, 400),
                  "volatile_poisson.json": Grid(-1200, 1704)}
 
 
+def certifying_floor(instance):
+    """The highest floor of a whole-row grid that certifies the instance's
+    cone, min(min_t (R_t - floor(t)) + floor(n), -1): the grid's plain
+    certified floor e_t lies at or below R_t in every period
+    (stochinv.sdp.Instance.cone)."""
+    floors, n = instance.floors, instance.horizon
+    return min(min(first - floor for (first, _), floor
+                   in zip(instance.cone, floors)) + floors[n - 1], -1)
+
+
 def run_fresh(code, **env):
     """Stdout of code run in a fresh interpreter that imports this stochinv,
     with the variables env added to the environment."""

@@ -18,8 +18,9 @@ FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
 # the workflow's six bed pivot steps (.github/workflows/tests.yml), run
 # in-process: family -> (scale, the pivot CSV's bytes, and the stdout, with
 # {out} for the pivot's path, where the step checks it). The lognormal and
-# geometric bytes were recorded by solving every point from its structural
-# bottom to its structural top through an outer grid of +-1,000,000.
+# geometric bytes were recorded by solving every point on whole rows, up to
+# its structural top, through an outer grid of +-1,000,000 that held a
+# floor certifying each point's cone.
 BED_PIVOTS = {
     "poisson": ("0.02", (
         b"dimension,level,avg_gap_pct,max_gap_pct,max_thresholds,instances\r\n"
@@ -268,6 +269,10 @@ WORKFLOW_EXITS = {
                    ["solve"], 2, "",
                    "error: demands[0]: support values must be finite and "
                    "below 2**63, got 1e+300\n"),
+    # sed's 0,/"values": \[6,/s//"values": [true,/, on the first match
+    "lumpy_bool": (LUMPY.replace('"values": [6,', '"values": [true,', 1),
+                   ["solve"], 2, "",
+                   "error: demands[0]: support values must be integers\n"),
 }
 
 
@@ -821,8 +826,8 @@ class TestBenchmarkCommand:
 
 
 class TestBedPivots:
-    """The workflow's bed pivots, byte for byte. Each point is solved from
-    its structural bottom on each period's slide-aware cone alone
+    """The workflow's bed pivots, byte for byte. Each point is solved on
+    its certified tables, each period's slide-aware cone alone
     (Instance.cone), so each step runs the continuation's convolution and
     prices the capacity slides below each G row from G(x + B)."""
 

@@ -51,6 +51,33 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             pmf_empirical(values, masses)
 
+    # numpy reads False and True as 0 and 1, and a list that mixes one with
+    # numbers as a number array, which Instance and pmf_parametric refuse;
+    # a float cast would parse a text
+    @pytest.mark.parametrize("values,masses,message", [
+        ([False, True], [0.5, 0.5], "support values must be integers"),
+        ([0, True], [0.5, 0.5], "support values must be integers"),
+        ([np.True_, 2], [0.5, 0.5], "support values must be integers"),
+        (np.array([False, True]), [0.5, 0.5], "support values must be integers"),
+        (np.array([0, True], dtype=object), [0.5, 0.5],
+         "support values must be integers"),
+        (["0", "1"], [0.5, 0.5], "support values must be integers"),
+        ([3], [True], "masses must be numbers"),
+        ([1, 2], [0.5, np.True_], "masses must be numbers"),
+        ([1, 2], np.array([True, False]), "masses must be numbers"),
+        ([1, 2], ["0.5", "0.5"], "masses must be numbers"),
+    ])
+    def test_rejects_booleans_and_texts(self, values, masses, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pmf_empirical(values, masses)
+
+    def test_numpy_numbers_are_accepted(self):
+        want = pmf_empirical([1, 2], [0.25, 0.75])
+        assert pmf_empirical(np.array([1, 2]), np.array([0.25, 0.75])) == want
+        assert pmf_empirical([np.int64(1), np.uint8(2)],
+                             [np.float32(0.25), 0.75]) == want
+        assert pmf_empirical(np.array([2.0]), [1]).probs == (1.0,)
+
     # each is rejected before the cast to int64, which would warn (an error
     # under pytest's filterwarnings) and garble the value
     @pytest.mark.parametrize("values", [[1e300, 2], [math.inf, 2], [2**63, 1]])

@@ -96,20 +96,21 @@ class TestOrderPropertyCheck:
                 assert check_cop(tables, period).holds
 
     def test_certified_only_rows_refuse_a_floor_below_them(self):
-        # period 1's demand reaches 3, so its row is solved from -2 up
+        # period 1 is a capacity slide from its level -7 down, so its row
+        # is solved from R_1 = -7 up, on tables that start at R_2 = -9
         instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=10,
                             demands=(pmf_empirical([3], [1.0]),
                                      pmf_empirical([1], [1.0])))
-        tables = solve(instance, Grid(-5, 5), certified_only=True)
-        assert tables.exact_from(1) == -2 and tables.grid.x_min == -5
-        assert check_cop(tables, 1, from_state=-2).holds
-        for floor in (None, -3):
+        tables = solve(instance)
+        assert tables.exact_from(1) == -7 and tables.grid.x_min == -9
+        assert check_cop(tables, 1, from_state=-7).holds
+        for floor in (None, -8):
             with pytest.raises(ValueError, match=(
-                    r"^state -[53] lies below period 1's certified floor "
-                    r"exact_from\(1\) = -2, below which certified_only "
+                    r"^state -[98] lies below period 1's certified floor "
+                    r"exact_from\(1\) = -7, below which certified "
                     r"tables hold no values$")):
                 check_cop(tables, 1, from_state=floor)
-        # the last period is solved on its whole row
+        # the last period is solved from the tables' floor up
         assert check_cop(tables, 2).holds
 
 
@@ -204,7 +205,7 @@ class TestConvexityCheck:
             assert c_report.ok
 
     def test_certified_rows_are_checked_only_where_solved(self, monkeypatch):
-        # certified_only tables hold NaN below each row's solved states;
+        # certified tables hold NaN below each row's solved states;
         # NaN compares false, so a check that read it would pass it
         rows = []
         check = policy_module._kb_convexity
@@ -217,8 +218,8 @@ class TestConvexityCheck:
         point = next(pt for pt in build_design(("poisson",))
                      if pt.pattern == "STA" and pt.b_mult == 2)
         instance = point.instance
-        grid = Grid(instance.bottom, instance.top)
-        tables = solve(instance, grid, certified_only=True)
+        tables = solve(instance)
+        grid = tables.grid
         sliding = 0
         for period in range(1, instance.horizon + 1):
             rows.clear()
@@ -291,7 +292,7 @@ class TestQceDiagnostics:
         instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                             demands=(pmf_empirical([0, 3], [0.5, 0.5]),
                                      pmf_empirical([7], [1.0])))
-        tables = solve(instance, Grid(-6, 10), certified_only=True)
+        tables = solve(instance)
         assert (tables.exact_from(2), tables.g_solved_from(2)) == (-2, 1)
         # the tables' own grid, which starts at the cone's lowest R_t
         grid = tables.grid
@@ -373,7 +374,7 @@ class TestUncertifiedPeriod:
         assert read_policy(self.tables_ordering_at(-2)).bands == (((-2, 2),), ())
 
     def test_the_fill_below_the_floor_is_no_order(self):
-        # certified_only tables hold -1 below exact_from: nothing orders
+        # certified tables hold -1 below exact_from: nothing orders
         tables = self.tables_ordering_at(3)
         tables.Qstar[0, :tables.grid.index(-2)] = -1
         tables.Qstar[0, tables.grid.index(3)] = 0
@@ -412,8 +413,7 @@ class TestBandsAreCheckedOnce:
         monkeypatch.setattr(policy_module, "_check_bands", counting)
         for point in build_design(("poisson",))[::10]:
             instance = point.instance
-            tables = solve(instance, Grid(instance.bottom, instance.top),
-                           certified_only=True)
+            tables = solve(instance)
             calls.clear()
             read_policy(tables).top()
             periods = range(1, instance.horizon + 1)

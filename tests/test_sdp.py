@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import FIXTURE_GRIDS, instance_path, run_fresh
+from conftest import (FIXTURE_GRIDS, certifying_floor, instance_path,
+                      run_fresh)
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, ValueTables, build_design, check_cop, cli,
                       load_instance, optimality_gap, pmf_empirical,
@@ -568,8 +569,8 @@ class TestTrimmedTop:
 
 
 def line_floors(instance):
-    """F^C_t for t = 1..n (see Instance.bottom): from there down, period t's capacity
-    window lies on a line of G_t."""
+    """F^C_t for t = 1..n (see Instance._levels): from there down, period t's
+    capacity window lies on a line of G_t."""
     cap, below, out = int(instance.B), 0, []
     for pmf in reversed(instance.demands):
         out.append(pmf.support[0] + below - cap)
@@ -587,100 +588,23 @@ def policy_outcome(tables):
     return policy.bands, policy.cop_violated, gap
 
 
-class TestStructuralBottom:
-    """Solving from Instance.bottom up to Instance.top, as the bed does,
-    keeps every certified table entry, band, COP flag and gap of a deeper
-    grid that reaches the demand ceiling. On the deeper grid the certified
-    states at or below level_t = max(F^C_t, a_t) all take one decision,
-    order B or never, and B at or below a_t; a line floor F^C_t may lie
-    above the top. The slide levels a_t are those of a state-by-state loop
-    over the same bounds."""
-
-    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
-                                           st.floats(1e-3, 1.0),
-                                           min_size=1, max_size=5),
-                           min_size=1, max_size=4),
-           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
-           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
-           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
-           extra=st.integers(500, 900))
-    # no fixed cost: a deep state orders B whenever the line falls at all
-    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
-             B=4, discount=1.0, extra=500)
-    # v >= p: the last period never orders deep down, the earlier ones may
-    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
-             B=20, discount=1.0, extra=500)
-    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
-             p=20.0, B=25, discount=0.8, extra=500)
-    # no demand before the last period: floor(n) = 0
-    @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
-             h=1.0, p=6.0, B=9, discount=1.0, extra=500)
-    # B p <= K: the last period never orders deep down, and the earlier
-    # periods' slide levels exist only through the window's fall at x + B
-    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
-             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, extra=500)
-    @settings(max_examples=100, deadline=None)
-    def test_tables_and_policy_match_a_deeper_grid(self, points, K, v, h, p,
-                                                   B, discount, extra):
-        demands = empirical_pmfs(points)
-        instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
-                            demands=demands, discount=discount)
-        bottom, top = instance.bottom, instance.top
-        shallow = solve(instance, Grid(bottom, top))
-        deep = solve(instance, Grid(bottom - extra,
-                                    sdp._demand_ceiling(instance)))
-        slides = sdp._slide_levels(instance)
-        for t, (f_c, a_t) in enumerate(zip(line_floors(instance), slides),
-                                       start=1):
-            level = f_c if a_t is None else max(f_c, a_t)
-            lo = shallow.exact_from(t)
-            assert lo <= min(instance.floors[t - 1], level), t
-            row = t - 1
-            kept = slice(deep.grid.index(lo), deep.grid.index(top) + 1)
-            for name in ("C", "G", "Qstar"):
-                got, want = getattr(shallow, name), getattr(deep, name)
-                assert got[row, lo - bottom:].tobytes() == \
-                    want[row, kept].tobytes(), (name, t)
-            first = deep.grid.index(deep.exact_from(t))
-            decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
-            assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
-            if a_t is not None and a_t >= deep.exact_from(t):
-                assert decisions[0] == B, (t, a_t)
-        assert policy_outcome(shallow) == policy_outcome(deep)
-
-    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
-                                           st.floats(1e-3, 1.0),
-                                           min_size=1, max_size=5),
-                           min_size=1, max_size=4),
-           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
-           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
-           B=st.integers(1, 60), discount=st.floats(0.05, 1.0))
-    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
-             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=0.9)
-    @settings(max_examples=100, deadline=None)
-    def test_slide_levels_match_a_state_by_state_loop(self, points, K, v, h,
-                                                      p, B, discount):
-        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
-                            demands=empirical_pmfs(points), discount=discount)
-        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
-
-
 class TestCertifiedOnly:
-    """solve(certified_only=True) computes each period only on its cone
-    inside the grid's certified range [exact_from(t), x_max] of whole
-    rows: C and Qstar from the cone's R_t, its exact_from(t), G from
-    g_solved_from(t) (Instance.cone), folding the one-period cost into the
-    continuation, on tables that span Grid(min(min_t R_t, -1), x_max).
-    There C, G and Qstar are, state for state, bit for bit those of the
-    whole-row reference that folds it the same way over rows padded with
-    the clamp (folded_whole_row_solve), and below those starts they hold
-    exactly NaN, NaN and -1. Against the default full
-    solve, which adds the closed-form loss row and sums the continuation
-    point by point, Qstar is equal, and C and G agree within 1e-13 of
-    |value| + v max|x| wherever the exact rational tables do not show the
-    full solve itself off by more than that. Grids run from the search
-    grid down to 300 states below the structural bottom (below the search
-    grid's floor at B = inf)."""
+    """solve(instance), with no grid, computes each period only on the
+    instance's cone: C and Qstar from the cone's R_t, its exact_from(t), G
+    from g_solved_from(t) (Instance.cone), folding the one-period cost
+    into the continuation, on tables that span Grid(min(min_t R_t, -1),
+    Instance.top). There C, G and Qstar are, state for state, bit for bit
+    those of the whole-row reference that folds it the same way over rows
+    padded with the clamp (folded_whole_row_solve) on every grid that
+    certifies the cone, and below those starts they hold exactly NaN, NaN
+    and -1. Against the whole-row solve on such a grid, which adds the
+    closed-form loss row and sums the continuation point by point, Qstar
+    is equal, C and G agree within 1e-13 of |value| + v max|x| wherever
+    the exact rational tables do not show the whole-row solve itself off
+    by more than that, and at a finite capacity the bands, COP flags and
+    exact gap are the same.
+    Grids run from the cone's certifying floor down to 300 states below
+    it, and up to 50 states above the structural top."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -689,12 +613,12 @@ class TestCertifiedOnly:
            K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
            h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
            B=st.one_of(st.integers(1, 60), st.just(math.inf)),
-           discount=st.floats(0.05, 1.0), depth=st.integers(0, 10**6),
+           discount=st.floats(0.05, 1.0), depth=st.integers(0, 300),
            extra=st.integers(0, 50))
     @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
              p=20.0, B=math.inf, discount=1.0, depth=150, extra=0)
     @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
-             p=20.0, B=25, discount=0.8, depth=10**6, extra=0)
+             p=20.0, B=25, discount=0.8, depth=300, extra=0)
     # v >= p: the last period never orders deep down, the earlier ones may
     @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
              B=20, discount=1.0, depth=0, extra=7)
@@ -706,7 +630,7 @@ class TestCertifiedOnly:
     @example(points=[{1: 0.0234375, 0: 1.0, 2: 0.015625}, {16: 0.5, 17: 0.25}],
              K=0.0, v=25.5625, h=1.0, p=11.3046875, B=math.inf,
              discount=0.375, depth=0, extra=0)
-    # the full solve's closed-form loss row is 7.1e-14 off the exact
+    # the whole-row solve's closed-form loss row is 7.1e-14 off the exact
     # C(1, x) = G(1, 39) = 0.0872..., 8.2 times the 1e-13 bound, where the
     # folded value is 4.8e-18 off
     @example(points=[{22: 0.032, 39: 0.929, 31: 0.043}, {5: 1.0}], K=0.0,
@@ -717,33 +641,31 @@ class TestCertifiedOnly:
             self, points, K, v, h, p, B, discount, depth, extra):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        bottom = instance.bottom
-        high = search_grid(instance).x_min
-        low = min(high, (high if bottom is None else bottom) - 300)
-        grid = Grid(high - depth % (high - low + 1), instance.top + extra)
+        top = instance.top
+        grid = Grid(certifying_floor(instance) - depth, top + extra)
         full = solve(instance, grid)
         folded = dict(zip(("C", "G", "Qstar"),
                           folded_whole_row_solve(instance, grid)))
-        certified = solve(instance, grid, certified_only=True)
-        assert certified.certified_only and not full.certified_only
-        cone = instance.cone(grid.x_min)
+        certified = solve(instance)
+        cone = instance.cone
         assert certified.cone == cone and full.cone is None
         narrow = certified.grid
-        assert narrow == Grid(min(min(first for first, _ in cone), -1),
-                              grid.x_max)
+        assert narrow == Grid(min(min(first for first, _ in cone), -1), top)
         # relative to the largest term an entry sums: G(y) adds v y to the
         # loss and the continuation, and C(x) subtracts v x from G, so
         # either may lie near 0 while v |y| does not
         purchase = v * max(-grid.x_min, grid.x_max)
         exact = None
+        # each whole-row table's columns up to the certified tables' top
+        end = grid.index(top) + 1
         for t in range(1, instance.horizon + 1):
             row = t - 1
             first, g_first = certified.exact_from(t), certified.g_solved_from(t)
-            # the cone lies inside the certified range; at B = inf it is
-            # the certified range
-            assert full.exact_from(t) <= first <= g_first <= grid.x_max
+            # the grid certifies the cone; at B = inf the cone is the
+            # certified range of the grid's floor raised by depth
+            assert full.exact_from(t) <= first <= g_first <= top
             if B == math.inf:
-                assert first == g_first == full.exact_from(t)
+                assert first == g_first == full.exact_from(t) + depth
             assert full.g_solved_from(t) == grid.x_min
             # each table's column of the state, from the cone's starts up
             lo, g_lo = grid.index(first), grid.index(g_first)
@@ -753,22 +675,22 @@ class TestCertifiedOnly:
                              "Qstar": narrow_lo}
             for name, start in starts.items():
                 got = getattr(certified, name)[row, narrow_starts[name]:]
-                want = folded[name][row, start:]
+                want = folded[name][row, start:end]
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (name, t)
             assert np.array_equal(certified.Qstar[row, narrow_lo:],
-                                  full.Qstar[row, lo:]), t
+                                  full.Qstar[row, lo:end]), t
             for name in ("C", "G"):
                 start = starts[name]
                 got = getattr(certified, name)[row, narrow_starts[name]:]
-                want = getattr(full, name)[row, start:]
+                want = getattr(full, name)[row, start:end]
                 bound = 1e-13 * (np.abs(want) + purchase)
-                # past the bound only as far as the full solve is itself off
-                # the exact value
+                # past the bound only as far as the whole-row solve is
+                # itself off the exact value
                 for i in np.flatnonzero(np.abs(got - want) > bound).tolist():
                     if exact is None:
                         exact = exact_cost_to_go(
-                            instance, q_cap=instance.top - grid.x_min)
+                            instance, q_cap=top - grid.x_min)
                     value = getattr(exact, name)(t, grid.x_min + start + i)
                     off = abs(Fraction(want[i]) - value)
                     assert (abs(Fraction(got[i]) - Fraction(want[i]))
@@ -776,31 +698,32 @@ class TestCertifiedOnly:
             assert np.isnan(certified.C[row, :narrow_lo]).all()
             assert np.isnan(certified.G[row, :narrow_g_lo]).all()
             assert (certified.Qstar[row, :narrow_lo] == -1).all()
-        if bottom is not None and grid.x_min <= bottom:
-            # from the bottom down, as the bed solves, the fill changes no
-            # band, flag or gap
+        if B != math.inf:
+            # the fill changes no band, flag or gap: every state below R_t
+            # takes R_t's decision (Instance._levels). At B = inf the cone
+            # is the search grid's certified range, below which a period
+            # may still order, and a deeper grid may read a band there
             assert policy_outcome(certified) == policy_outcome(full)
 
     def test_readers_refuse_the_fill(self):
         # the first Poisson bed point: period 1 is solved from R_1 = -25,
-        # on tables that start at -236, and its grid starts at -1317; a
-        # read below R_1 would return the fill, NaN or -1, as a value
+        # on tables that start at -236; a read below R_1, on the tables or
+        # below them, would return the fill, NaN or -1, as a value
         instance = build_design(("poisson",))[0].instance
-        grid = Grid(instance.bottom, instance.top)
-        tables = solve(instance, grid, certified_only=True)
-        assert (grid.x_min, tables.grid.x_min, tables.exact_from(1)) == (
-            -1317, -236, -25)
+        tables = solve(instance)
+        assert (tables.grid.x_min, tables.exact_from(1)) == (-236, -25)
         for x in (-1317, -236, -26):
             for read in (tables.cost_at, tables.qstar_at):
                 with pytest.raises(ValueError, match=(
                         rf"^state {x} lies below period 1's certified floor "
-                        r"exact_from\(1\) = -25, below which certified_only "
+                        r"exact_from\(1\) = -25, below which certified "
                         r"tables hold no values$")):
                     read(1, x)
         assert tables.qstar_at(1, -25) == instance.B
         assert math.isfinite(tables.cost_at(1, -25))
         # whole rows hold a value at every state of their grid
-        assert math.isfinite(solve(instance, grid).cost_at(1, -1317))
+        whole = solve(instance, Grid(-1317, instance.top))
+        assert math.isfinite(whole.cost_at(1, -1317))
 
     def test_only_whole_rows_take_the_closed_form_loss_row(self, monkeypatch):
         # a certified row folds l into its one convolution, the last row too
@@ -812,31 +735,32 @@ class TestCertifiedOnly:
         pmf = pmf_empirical([0, 2, 3], [0.2, 0.5, 0.3])
         instance = Instance(horizon=3, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
                             demands=(pmf,) * 3)
-        grid = Grid(instance.bottom, instance.top)
-        solve(instance, grid, certified_only=True)
+        solve(instance)
         assert calls == []
-        solve(instance, grid)
+        solve(instance, search_grid(instance))
         assert len(calls) == instance.horizon
 
     def test_the_fill_is_never_written(self, tmp_path):
         instance = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
                             demands=(pmf_empirical([2], [1.0]),) * 2)
-        tables = solve(instance, Grid(-6, 6), certified_only=True)
-        with pytest.raises(ValueError, match="certified_only tables"):
+        tables = solve(instance)
+        with pytest.raises(ValueError, match="certified tables hold no values"):
             tables.to_csv(tmp_path / "certified.csv")
         assert not (tmp_path / "certified.csv").exists()
 
 
 def assert_cone_matches_folded(tables, grid):
-    """Certified tables, solved on grid, hold from each row's cone starts
-    up the bits of folded_whole_row_solve on grid, state for state: C
-    and Qstar from R_t, G from g_t, each read at its own table's column."""
+    """Certified tables hold from each row's cone starts up the bits of
+    folded_whole_row_solve on grid, a whole-row grid that certifies the
+    cone, state for state: C and Qstar from R_t, G from g_t, each read at
+    its own table's column, up to the certified tables' top."""
     folded = dict(zip(("C", "G", "Qstar"),
                       folded_whole_row_solve(tables.instance, grid)))
+    end = grid.index(tables.grid.x_max) + 1
     for row, (first, g_first) in enumerate(tables.cone):
         for name, start in (("C", first), ("G", g_first), ("Qstar", first)):
             got = getattr(tables, name)[row, tables.grid.index(start):]
-            want = folded[name][row, grid.index(start):]
+            want = folded[name][row, grid.index(start):end]
             assert np.array_equal(got.view(np.int64),
                                   want.view(np.int64)), (name, row + 1)
 
@@ -844,8 +768,8 @@ def assert_cone_matches_folded(tables, grid):
 def slide_cone_cases(test):
     """TestSlideCone's instances and grid depths, as Hypothesis draws them."""
     test = settings(max_examples=100, deadline=None)(test)
-    # TestStructuralBottom's examples: no fixed cost, v >= p, a discount,
-    # no demand before the last period, and B p <= K
+    # no fixed cost, v >= p, a discount, no demand before the last period,
+    # and B p <= K
     for case in reversed((
             dict(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
                  B=4, discount=1.0, depth=0),
@@ -869,33 +793,42 @@ def slide_cone_cases(test):
 
 
 class TestSlideCone:
-    """On grids from the structural bottom down to 300 states below it,
-    solve(certified_only=True) starts each period's C and Qstar rows at
-    the cone's R_t and its G row at g_t (Instance.cone), and those starts
-    do not depend on the grid. Its tables span the cone alone, from
-    min(min_t R_t, -1). From the starts C, Qstar and G are, state for
-    state, bit for bit those of the folded whole-row reference
-    (folded_whole_row_solve) on the solve's own grid, the states
-    [R_t, g_t) all order B, and the bands, COP flags and exact gap are
-    those of a deep grid solved on whole rows."""
+    """solve(instance) starts each period's C and Qstar rows at the cone's
+    R_t and its G row at g_t (Instance.cone), on tables that span the cone
+    alone, from min(min_t R_t, -1) to the structural top. From the starts
+    C, Qstar and G are, state for state, bit for bit those of the folded
+    whole-row reference (folded_whole_row_solve) on grids from the cone's
+    certifying floor down to 300 states below it, the states [R_t, g_t)
+    all order B, and the bands, COP flags and exact gap are those of a
+    deep grid solved on whole rows. On that deep grid every certified
+    state at or below level_t = max(F^C_t, a_t) takes one decision, order
+    B or never, and B at or below a_t; the slide levels a_t are those of
+    a state-by-state loop over the same bounds."""
 
     @slide_cone_cases
     def test_cone_tables_and_policy(self, points, K, v, h, p, B, discount,
                                     depth):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        bottom, top = instance.bottom, instance.top
-        grid = Grid(bottom - depth, top)
-        tables = solve(instance, grid, certified_only=True)
-        cone = instance.cone(bottom)
+        floor, top = certifying_floor(instance), instance.top
+        tables = solve(instance)
+        cone = instance.cone
         assert [(tables.exact_from(t), tables.g_solved_from(t))
                 for t in range(1, instance.horizon + 1)] == list(cone)
-        assert_cone_matches_folded(tables, grid)
+        assert_cone_matches_folded(tables, Grid(floor - depth, top))
         narrow = tables.grid
         for row, (first, g_first) in enumerate(cone):
             assert (tables.Qstar[row, narrow.index(first):narrow.index(g_first)]
                     == B).all(), row + 1
-        deep = solve(instance, Grid(bottom - 800, sdp._demand_ceiling(instance)))
+        deep = solve(instance, Grid(floor - 800, sdp._demand_ceiling(instance)))
+        for t, (level, a_t) in enumerate(instance._levels, start=1):
+            row = t - 1
+            lo = deep.exact_from(t)
+            decisions = np.unique(
+                deep.Qstar[row, deep.grid.index(lo):deep.grid.index(level) + 1])
+            assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
+            if a_t is not None and a_t >= lo:
+                assert decisions[0] == B, (t, a_t)
         assert policy_outcome(tables) == policy_outcome(deep)
 
     @slide_cone_cases
@@ -903,14 +836,14 @@ class TestSlideCone:
                                        depth):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        grid = Grid(instance.bottom - depth, instance.top)
-        tables = solve(instance, grid, certified_only=True)
+        tables = solve(instance)
         cone = tables.cone
         lowest = min(first for first, _ in cone)
         narrow = tables.grid
-        assert cone == instance.cone(grid.x_min)
-        assert narrow.x_min == min(lowest, -1) and narrow.x_max == grid.x_max
-        assert_cone_matches_folded(tables, grid)
+        assert cone == instance.cone
+        assert narrow == Grid(min(lowest, -1), instance.top)
+        assert_cone_matches_folded(
+            tables, Grid(certifying_floor(instance) - depth, instance.top))
         for row, (first, g_first) in enumerate(cone):
             # below the starts, the fill alone
             assert np.isnan(tables.C[row, :narrow.index(first)]).all()
@@ -922,6 +855,22 @@ class TestSlideCone:
         solved = np.flatnonzero((tables.Qstar >= 0).any(axis=0))
         assert narrow.x_min + int(solved[0]) == lowest
         assert solved[0] == 0 or narrow.x_min == -1
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0))
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_slide_levels_match_a_state_by_state_loop(self, points, K, v, h,
+                                                      p, B, discount):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
 
 
 class TestExactTables:
@@ -959,13 +908,11 @@ class TestExactTables:
                                              discount):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        grid = (search_grid(instance) if instance.bottom is None
-                else Grid(instance.bottom, instance.top))
-        tables = solve(instance, grid, certified_only=True)
-        exact = exact_cost_to_go(instance, q_cap=instance.top - grid.x_min)
-        n, largest = instance.horizon, K
+        tables = solve(instance)
         # the tables' own grid, which spans only the cone
         grid = tables.grid
+        exact = exact_cost_to_go(instance, q_cap=instance.top - grid.x_min)
+        n, largest = instance.horizon, K
         for t in range(n, 0, -1):
             row = t - 1
             lo = grid.index(tables.exact_from(t))
@@ -1179,17 +1126,17 @@ class TestGridValidation:
             inst, demands=(pmf_empirical([0], [1.0]),) * 2)
         assert idle.top == 1
 
-    def test_the_search_never_derives_the_bottom(self):
+    def test_the_search_never_derives_the_top_or_the_cone(self):
         """A COP-search instance, solved on search_grid and checked in
-        every period, leaves both its top and its bottom underived: the
-        search grid ends at the demand ceiling."""
+        every period, leaves its top, its cone and the levels the cone
+        rests on underived: the search grid ends at the demand ceiling."""
         instance = random_instance(CexSearchParams(seed=3, budget=1),
                                    np.random.default_rng(3))
         tables = solve(instance, search_grid(instance))
         for period in range(1, instance.horizon + 1):
             check_cop(tables, period, from_state=tables.exact_from(period))
         assert "floors" in vars(instance)
-        assert not {"top", "bottom"} & vars(instance).keys()
+        assert not {"top", "cone", "_levels"} & vars(instance).keys()
 
     def test_cli_solve_on_the_default_grid_never_derives_the_top(
             self, tmp_path, monkeypatch, capsys):
@@ -1206,12 +1153,13 @@ class TestGridValidation:
         assert "(s_k, S_k) pairs" in capsys.readouterr().out
 
     def test_an_instance_is_freed_without_the_collector(self):
-        """Reading floors, top and bottom makes no reference cycle: with
+        """Reading floors, top and cone makes no reference cycle: with
         the garbage collector off, the last reference frees the instance."""
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=(pmf_empirical([0, 3], [0.5, 0.5]),
                                  pmf_empirical([7], [1.0])))
-        assert (inst.floors, inst.top, inst.bottom) == ((0, -3, -10), 8, -3)
+        assert (inst.floors, inst.top, inst.cone) == (
+            (0, -3, -10), 8, ((0, 1), (-2, 1)))
         ref = weakref.ref(inst)
         enabled = gc.isenabled()
         gc.disable()
@@ -1222,32 +1170,54 @@ class TestGridValidation:
             if enabled:
                 gc.enable()
 
-    def test_bottom(self):
+    def test_cone(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
         # F^C_2 = 7 - 3 = 4 and F^C_1 = 0 + min(0, 4) - 3 = -3. The bounds:
         # u_2 = -1 up to 6, so a_2 = 4 (u_2(6) < 0, and 3 > K); c_2 + v =
         # u_2(x + 3) = -1 up to 3, then 0 up to 6; u_1 = 2 F_1 - 1 + c_2 is
-        # -2 below 0 and -1 on 0..2, so a_1 = 0 (u_1(2) < 0, and 3 > K).
-        # With floor(2) = -3: bottom = -3 + min(0 - 0, 4 + 3, 0) = -3
+        # -2 below 0 and -1 on 0..2, so a_1 = 0 (u_1(2) < 0, and 3 > K)
         assert line_floors(inst) == [-3, 4]
         assert sdp._slide_levels(inst) == [0, 4]
-        assert inst.bottom == -3
-        tables = solve(inst, Grid(-6, 10))
-        assert tables.exact_from(1) == -3 and tables.exact_from(2) == -6
-        # an integral float capacity, which Instance accepts, gives an int
-        # that Grid takes
-        as_float = dataclasses.replace(inst, B=3.0).bottom
-        assert as_float == -3 and type(as_float) is int
-        assert Grid(as_float, 10).x_min == -3
-        # at B = inf no finite window lies on a line
-        assert dataclasses.replace(inst, B=math.inf).bottom is None
-        # one period: floor(n) = 0, and a window above the demand keeps -1
+        assert inst._levels == ((0, 0), (4, 4))
+        # R_1 = min(0, level_1) = 0 <= a_1, so g_1 = min(0 + 3, 0 + 1) = 1;
+        # R_2 = min(1 - 3, 4) = -2 <= a_2, so g_2 = min(-2 + 3, 4 + 1) = 1
+        assert inst.cone == ((0, 1), (-2, 1))
+        # derived once per instance, and kept on it
+        assert inst.cone is inst.cone and "cone" in vars(inst)
+        tables = solve(inst)
+        assert [(tables.exact_from(t), tables.g_solved_from(t))
+                for t in (1, 2)] == [(0, 1), (-2, 1)]
+        # the tables start at the lowest R_t, -2, and end at the top, 8
+        assert tables.grid == Grid(-2, 8)
+        # the slides [R_t, g_t) order B and cost K + G(x + B) - v x
+        assert tables.qstar_at(1, 0) == 3
+        assert tables.cost_at(1, 0) == 1.0 + tables.G[0, tables.grid.index(3)]
+        assert (tables.Qstar[1, tables.grid.index(-2):tables.grid.index(1)]
+                == 3).all()
+        assert np.isnan(tables.G[0, :tables.grid.index(1)]).all()
+        whole = solve(inst, Grid(-6, 10))
+        assert whole.grid == Grid(-6, 10) and whole.cone is None
+        assert [(whole.exact_from(t), whole.g_solved_from(t))
+                for t in (1, 2)] == [(-3, -6), (-6, -6)]
+        # an integral float capacity, which Instance accepts, gives int
+        # starts that Grid takes
+        as_float = dataclasses.replace(inst, B=3.0)
+        assert as_float.cone == inst.cone
+        assert all(type(x) is int for pair in as_float.cone for x in pair)
+        # at B = inf the cone is the plain certified range of whole rows
+        # on search_grid, from min(floor(3), -1) = -10
+        unbounded = dataclasses.replace(inst, B=math.inf)
+        assert unbounded.cone == ((-7, -7), (-10, -10))
+        assert solve(unbounded).grid == Grid(-10, 8)
+        assert solve(unbounded, search_grid(unbounded)).exact_from(1) == -7
+        # one period: level_1 = a_1 = 5 - 2 = 3 lies above x0 = 0, so R_1 =
+        # 0 and g_1 = min(0 + 2, 3 + 1) = 2; -1 keeps 0 on the tables' grid
         one = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
                        demands=(pmf_empirical([5], [1.0]),))
-        assert one.bottom == -1 and type(one.bottom) is int
-        assert dataclasses.replace(one, B=65.0).bottom == -60
+        assert one._levels == ((3, 3),) and one.cone == ((0, 2),)
+        assert solve(one).grid == Grid(-1, 5)
         # no demand before the last period: floor(n) = 0 again. B p = K, so
         # the last period finds no slide level
         late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
@@ -1255,11 +1225,14 @@ class TestGridValidation:
                         + (pmf_empirical([9], [1.0]),))
         assert late.floors[2] == 0 and line_floors(late) == [-2, -1, 8]
         assert sdp._slide_levels(late) == [-2, -1, None]
-        assert late.bottom == -2 and type(late.bottom) is int
-        # no demand at all: the bound's window, [-B, B + 1], holds no level
+        # R_1 = -2 = a_1, g_1 = min(-1, -1); R_2 = min(-1, -1) = a_2, g_2 =
+        # min(0, 0); R_3 = min(0, 8) = 0, with no slide below it
+        assert late.cone == ((-2, -1), (-1, 0), (0, 0))
+        # no demand at all: the bound's window, [-B, B + 1], holds no level,
+        # and the line floors -3, -2, -1 keep every R_t at -3
         idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
         assert sdp._slide_levels(idle) == [None] * 3
-        assert idle.bottom == -3
+        assert idle.cone == ((-3, -3),) * 3
         # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
         # B p = 12 <= K = 13, so the last period never orders deep down
         inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
@@ -1271,44 +1244,12 @@ class TestGridValidation:
         # and -4 at 0 and 1, so a_1 = -1: u_1(1) < 0, and 8 + 4 + 4 > K
         assert line_floors(inst) == [-3, -2]
         assert sdp._slide_levels(inst) == [-1, None]
-        # floor(2) = -2: bottom = -2 + min(-1 - 0, -2 + 2, 0) = -3, where
-        # the line floors alone give -5
-        assert inst.bottom == -3
+        # R_1 = min(0, -1) = -1 = a_1, so g_1 = min(2, 0) = 0; R_2 =
+        # min(0 - 2, -2) = -2
+        assert inst.cone == ((-1, 0), (-2, -2))
         deep = solve(inst, Grid(-40, 10))
         assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()
-
-    def test_cone(self):
-        # test_bottom's first instance: level_1 = a_1 = 0, level_2 = a_2 =
-        # 4, dmax_1 = 3 and B = 3, so bottom = -3
-        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
-                        demands=(pmf_empirical([0, 3], [0.5, 0.5]),
-                                 pmf_empirical([7], [1.0])))
-        assert inst._levels == ((0, 0), (4, 4))
-        # from x_min = -3, e = (0, -3): R_1 = max(0, min(0, 0)) = 0 <= a_1,
-        # so g_1 = min(0 + 3, 0 + 1) = 1; R_2 = max(-3, min(1 - 3, 4)) = -2
-        # <= a_2, so g_2 = min(-2 + 3, 4 + 1) = 1. A deeper grid keeps them
-        assert inst.cone(-3) == inst.cone(-6) == ((0, 1), (-2, 1))
-        # above the bottom, e_1 = 1 lies above level_1 = a_1 = 0
-        assert inst.cone(-2) == ((1, 1), (-2, 1))
-        tables = solve(inst, Grid(-6, 10), certified_only=True)
-        assert [(tables.exact_from(t), tables.g_solved_from(t))
-                for t in (1, 2)] == [(0, 1), (-2, 1)]
-        # the tables start at the lowest R_t, -2
-        assert tables.grid == Grid(-2, 10)
-        # the slides [R_t, g_t) order B and cost K + G(x + B) - v x
-        assert tables.qstar_at(1, 0) == 3
-        assert tables.cost_at(1, 0) == 1.0 + tables.G[0, tables.grid.index(3)]
-        assert (tables.Qstar[1, tables.grid.index(-2):tables.grid.index(1)]
-                == 3).all()
-        assert np.isnan(tables.G[0, :tables.grid.index(1)]).all()
-        whole = solve(inst, Grid(-6, 10))
-        assert whole.grid == Grid(-6, 10)
-        assert [(whole.exact_from(t), whole.g_solved_from(t))
-                for t in (1, 2)] == [(-3, -6), (-6, -6)]
-        # at B = inf the cone is the plain certified range exact_from
-        unbounded = dataclasses.replace(inst, B=math.inf)
-        assert unbounded.cone(-6) == ((-3, -3), (-6, -6))
 
 
 class TestInstanceValidation:
@@ -1450,7 +1391,7 @@ class TestCsvExport:
     def test_transient_memory_is_bounded(self, tmp_path, lumpy_instance):
         # one block's pieces and texts at a time: about 1.3 MB on the
         # default grid, against about 3.2 MB for one block per whole row
-        tables = solve(lumpy_instance)
+        tables = solve(lumpy_instance, DEFAULT_GRID)
         tracemalloc.start()
         try:
             tables.to_csv(tmp_path / "lumpy.csv")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (FIXTURE_GRIDS, instance_path, run_fresh,
-                      seasonal_instance, small_random_instance)
+from conftest import (FIXTURE_GRIDS, certifying_floor, instance_path,
+                      run_fresh, seasonal_instance, small_random_instance)
 from oracle import (brute_policy_cost, exact_policy_cost, gap_with_estimates,
                     periodwise_orders, rebuild_order_quantity, simulate_policy)
 from stochinv import (DEFAULT_GRID, Grid, GridSpanError, Instance, SimulationError,
@@ -146,26 +146,27 @@ class TestOptimalityGap:
 
 class TestNegativeOrders:
     def test_the_fill_of_certified_only_tables_is_refused(self):
-        # period 1 is solved from exact_from(1) = -5 up, on tables that
-        # start at the lowest R_t, -11, and an x0 below -5 reads the -1 fill
+        # period 1 is solved from exact_from(1) = -7 up, on tables that
+        # start at the lowest R_t, -11, and an x0 below -7 reads the -1 fill
         instance = deterministic_instance()
-        tables = solve(instance, Grid(-20, 20), certified_only=True)
+        tables = solve(instance)
         grid = tables.grid
-        assert tables.exact_from(1) == -5 and grid == Grid(-11, 20)
-        cost = expected_cost(instance, grid, tables.Qstar, -5)
-        assert cost == pytest.approx(tables.cost_at(1, -5))
+        assert tables.exact_from(1) == -7 and grid == Grid(-11, 20)
+        cost = expected_cost(instance, grid, tables.Qstar, -7)
+        assert cost == pytest.approx(tables.cost_at(1, -7))
         with pytest.raises(ValueError,
                            match=r"^period 1 reads the negative order -1: "):
-            expected_cost(instance, grid, tables.Qstar, -6)
+            expected_cost(instance, grid, tables.Qstar, -8)
 
 
 class TestMismatchedGrid:
     def test_an_order_table_of_another_grid_is_refused(self):
-        # the first Poisson bed point's whole rows on its structural grid,
-        # priced on a grid 50 states wider each side, would read each
-        # state's order 50 columns off and cost 6511.07
+        # the first Poisson bed point's whole rows on a grid that certifies
+        # its cone, priced on a grid 50 states wider each side, would read
+        # each state's order 50 columns off and cost 6511.07
         instance = build_design(("poisson",))[0].instance
-        grid = Grid(instance.bottom, instance.top)
+        grid = Grid(certifying_floor(instance), instance.top)
+        assert grid == Grid(-1317, 560)
         tables = solve(instance, grid)
         assert expected_cost(instance, grid, tables.Qstar, 0) == \
             pytest.approx(4184.898467226087, abs=1e-9)
@@ -175,7 +176,7 @@ class TestMismatchedGrid:
                 r"periods on the grid \[-1367, 610\] of 1978 states$")):
             expected_cost(instance, wider, tables.Qstar, 0)
         # the certified tables' order table fits their own grid alone
-        certified = solve(instance, grid, certified_only=True)
+        certified = solve(instance)
         with pytest.raises(ValueError, match="does not fit"):
             expected_cost(instance, grid, certified.Qstar, 0)
         assert expected_cost(instance, certified.grid, certified.Qstar, 0) == \

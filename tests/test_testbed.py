@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+from conftest import certifying_floor
 from stochinv import (DEFAULT_GRID, BenchmarkReport, DesignPoint, Grid,
                       GridSpanError, PointResult, SimulationError,
-                      ValueTables, build_design, demand_patterns,
-                      optimality_gap, read_policy, run_benchmark,
-                      sdp, search_grid, solve, testbed)
+                      build_design, demand_patterns, optimality_gap,
+                      read_policy, run_benchmark, sdp, search_grid, solve,
+                      testbed)
 
 ALL_FAMILIES = ("poisson", "discrete_uniform", "geometric",
                 "normal", "lognormal", "gamma")
@@ -134,22 +135,18 @@ class TestSmallBenchmarkRun:
         assert report.pivot_rows()[-1][-1] == 0
 
     def test_every_point_is_priced_from_certified_states(self, monkeypatch):
-        # on the bed's grid x0 = 0 lies at or above the certified floor
-        # exact_from(1) of its certified tables, the cone's R_1: the grid's
-        # plain floor, bottom - floor(n) at a finite capacity and -dmax_n
-        # on the search grid at B = inf, lies at or below 0, and with it
-        # R_1; and the grid reaches the top
+        # the bed solves the instance alone, and x0 = 0 lies at or above
+        # the certified floor exact_from(1) of its certified tables, the
+        # cone's R_1: min(0, level_1) at a finite capacity, and -dmax_n
+        # from the search grid's floor at B = inf
         class Solved(Exception):
             pass
 
         floors = []
 
-        def recording_solve(instance, grid, *, certified_only):
-            assert certified_only
-            cone = instance.cone(grid.x_min)
-            tables = ValueTables(None, None, None, grid, instance, cone)
-            floors.append((tables.exact_from(1),
-                           grid.x_max - instance.top))
+        def recording_solve(instance, *args, **kwargs):
+            assert not args and not kwargs
+            floors.append(instance.cone[0][0])
             raise Solved
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
@@ -161,12 +158,11 @@ class TestSmallBenchmarkRun:
                 with pytest.raises(Solved):
                     run_benchmark([pt])
         assert len(floors) == 2 * 972
-        assert max(floor for floor, _ in floors) <= 0
-        assert {over for _, over in floors} == {0}
+        assert max(floors) <= 0
 
     def test_slide_levels_are_derived_once_per_point(self, monkeypatch):
-        # Instance.bottom and the cone of the certified solve both read the
-        # slide levels, which the instance derives once for both
+        # the cone of the certified solve reads the slide levels, which the
+        # instance derives once
         calls = []
         derive = sdp._slide_levels
 
@@ -183,7 +179,7 @@ class TestSmallBenchmarkRun:
 
     def test_unexpected_exception_reaches_the_caller(self, two_points,
                                                      monkeypatch):
-        def broken_solve(instance, grid, **kwargs):
+        def broken_solve(*args, **kwargs):
             raise TypeError("broken solve")
 
         monkeypatch.setattr(testbed, "solve", broken_solve)
@@ -226,26 +222,24 @@ def outcome(result):
 
 class TestTablesSpanTheCone:
     def test_the_widest_point(self):
-        # the Poisson point with the widest structural grid, EMP4 at
-        # b_mult 4 (B = 394) with v = 2 and p = 15 (K does not move its
-        # grid), holds tables less than half as wide as that grid
+        # the Poisson point with the widest certified tables, EMP4 at
+        # b_mult 4 (B = 394) with v = 10 and p = 5, first at K = 250, holds
+        # tables of 2,599 states, from its lowest R_t to its top
         design = build_design(("poisson",))
-        widest = max(design, key=lambda pt: pt.instance.top - pt.instance.bottom)
+        widest = max(design, key=lambda pt: solve(pt.instance).grid.size)
         instance = widest.instance
-        assert (widest.pattern, widest.v, widest.p, widest.b_mult,
-                instance.B) == ("EMP4", 2, 15, 4, 394)
-        grid = Grid(instance.bottom, instance.top)
-        tables = solve(instance, grid, certified_only=True)
-        assert grid.size == 5253
+        assert (widest.pattern, widest.K, widest.v, widest.p, widest.b_mult,
+                instance.B) == ("EMP4", 250, 10, 5, 4, 394)
+        tables = solve(instance)
         assert tables.grid == Grid(min(first for first, _ in tables.cone),
-                                   grid.x_max)
-        assert tables.grid.size == tables.C.shape[1] == 2384
+                                   instance.top)
+        assert tables.grid.size == tables.C.shape[1] == 2599
 
 
 class TestTrimmedTopMatchesTheWholeGrid:
-    """The bed solves a point only from its structural bottom (at a finite
-    capacity) up to its structural top, at or below sum_t dmax_t; its
-    results are those of any grid that holds both, exactly."""
+    """The bed solves a point only on its cone, up to its structural top,
+    at or below sum_t dmax_t; its results are those of any whole-row grid
+    that certifies the cone, exactly."""
 
     @pytest.mark.parametrize("pattern", ["EMP2", "EMP4"])
     @pytest.mark.parametrize("K, v, p", [(250, 2, 5), (1000, 10, 15)])
@@ -271,23 +265,24 @@ class TestTrimmedTopMatchesTheWholeGrid:
                     if (pt.pattern, pt.K, pt.v, pt.p, pt.b_mult)
                     == ("LC1", 1000, 2, 10, b_mult) and pt.cv in (None, 0.2)]
         instance = point.instance
-        inside = (instance.bottom > DEFAULT_GRID.x_min
+        floor = certifying_floor(instance)
+        inside = (floor > DEFAULT_GRID.x_min
                   and instance.top <= DEFAULT_GRID.x_max)
         assert inside == (family != "geometric")
         grid = (DEFAULT_GRID if inside
-                else Grid(instance.bottom - 300, instance.top + 300))
+                else Grid(floor - 300, instance.top + 300))
         (result,) = run_benchmark([point]).results
         assert result.error is None
         assert outcome(result) == outcome(direct_result(point, grid))
 
     def test_torn_ordering_region_below_the_top(self, spiky_instance):
-        # period 1 orders again at 616-618, between the bottom -689 and the
-        # top 728 (the demand ceiling is 899), on the default grid and
-        # inside Grid(-1000, 1100)
+        # period 1 orders again at 616-618, between the cone's certifying
+        # floor -689 and the top 728 (the demand ceiling is 899), on the
+        # default grid and inside Grid(-1000, 1100)
         inst = spiky_instance
         point = DesignPoint("empirical", "spiky", inst.K, inst.v, inst.p, 1,
                             None, inst)
-        assert (inst.bottom, inst.top) == (-689, 728)
+        assert (certifying_floor(inst), inst.top) == (-689, 728)
         (result,) = run_benchmark([point]).results
         assert result.cop_violations == (1,)
         for grid in (DEFAULT_GRID, Grid(-1000, 1100)):
@@ -296,21 +291,23 @@ class TestTrimmedTopMatchesTheWholeGrid:
     def test_the_trimmed_grid_is_what_gets_solved(self, two_points, monkeypatch):
         solved = []
 
-        def recording_solve(instance, grid, **kwargs):
-            solved.append((grid, kwargs["certified_only"]))
-            return solve(instance, grid, **kwargs)
+        def recording_solve(*args):
+            tables = solve(*args)
+            solved.append((args[1:], tables.grid))
+            return tables
 
         monkeypatch.setattr(testbed, "solve", recording_solve)
         point = two_points[0]
-        # the top lies well below the demand ceiling, 1360
-        bottom, top = -1317, 560
-        assert (point.instance.bottom, point.instance.top) == (bottom, top)
+        # the top lies well below the demand ceiling, 1360, and the cone's
+        # lowest R_t at -236
+        top = 560
+        assert point.instance.top == top
         run_benchmark([point])
-        # an uncapacitated point, which has no bottom, is solved from the
-        # search grid's floor, the deepest state reachable from x0 = 0, up
-        # to the same top: K and B never enter it
+        # an uncapacitated point's cone is the certified range of the
+        # search grid's whole rows, from its floor, the deepest state
+        # reachable from x0 = 0, up to the same top: K and B never enter it
         unbounded = point._replace(
             instance=dataclasses.replace(point.instance, B=math.inf))
         run_benchmark([unbounded])
         assert search_grid(unbounded.instance).x_min == -1360
-        assert solved == [(Grid(bottom, top), True), (Grid(-1360, top), True)]
+        assert solved == [((), Grid(-236, top)), ((), Grid(-1360, top))]
