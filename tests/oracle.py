@@ -180,7 +180,7 @@ def brute_window_min(g_row, cap):
 
 
 def brute_slide_levels(instance):
-    """The capacity-slide levels a_t of sdp.Instance.bottom, state by state.
+    """The capacity-slide levels a_t of sdp.Instance._levels, state by state.
 
     u_t and c_t are evaluated at every state of the window
     [-B - 2 dmax, dmax + B + 1] from their definitions (c below the window

@@ -588,6 +588,84 @@ def policy_outcome(tables):
     return policy.bands, policy.cop_violated, gap
 
 
+class TestStructuralBottom:
+    """Solving whole rows from the cone's certifying floor up to
+    Instance.top keeps every certified table entry, band, COP flag and gap
+    of a deeper grid that reaches the demand ceiling, and its certified
+    floor exact_from(t) lies at or below the cone's R_t. On the deeper
+    grid the certified states at or below level_t = max(F^C_t, a_t)
+    (Instance._levels) all take one decision, order B or never, and B at
+    or below a_t; a line floor F^C_t may lie above the top. The slide
+    levels a_t are those of a state-by-state loop over the same bounds."""
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0),
+           extra=st.integers(500, 900))
+    # no fixed cost: a deep state orders B whenever the line falls at all
+    @example(points=[{3: 0.5, 9: 0.5}] * 3, K=0.0, v=1.0, h=1.0, p=10.0,
+             B=4, discount=1.0, extra=500)
+    # v >= p: the last period never orders deep down, the earlier ones may
+    @example(points=[{2: 0.4, 15: 0.6}] * 3, K=30.0, v=12.0, h=1.0, p=8.0,
+             B=20, discount=1.0, extra=500)
+    @example(points=[{4: 0.25, 30: 0.75}] * 4, K=120.0, v=3.0, h=1.0,
+             p=20.0, B=25, discount=0.8, extra=500)
+    # no demand before the last period: floor(n) = 0
+    @example(points=[{0: 1.0}, {0: 1.0}, {5: 0.5, 12: 0.5}], K=40.0, v=1.0,
+             h=1.0, p=6.0, B=9, discount=1.0, extra=500)
+    # B p <= K: the last period never orders deep down, and the earlier
+    # periods' slide levels exist only through the window's fall at x + B
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=1.0, extra=500)
+    @settings(max_examples=100, deadline=None)
+    def test_tables_and_policy_match_a_deeper_grid(self, points, K, v, h, p,
+                                                   B, discount, extra):
+        demands = empirical_pmfs(points)
+        instance = Instance(horizon=len(demands), K=K, v=v, h=h, p=p, B=B,
+                            demands=demands, discount=discount)
+        floor, top = certifying_floor(instance), instance.top
+        shallow = solve(instance, Grid(floor, top))
+        deep = solve(instance, Grid(floor - extra,
+                                    sdp._demand_ceiling(instance)))
+        for t, ((level, a_t), (start, _)) in enumerate(
+                zip(instance._levels, instance.cone), start=1):
+            lo = shallow.exact_from(t)
+            assert lo <= start, t
+            row = t - 1
+            kept = slice(deep.grid.index(lo), deep.grid.index(top) + 1)
+            for name in ("C", "G", "Qstar"):
+                got, want = getattr(shallow, name), getattr(deep, name)
+                assert got[row, lo - floor:].tobytes() == \
+                    want[row, kept].tobytes(), (name, t)
+            first = deep.grid.index(deep.exact_from(t))
+            decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
+            assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
+            if a_t is not None and a_t >= deep.exact_from(t):
+                assert decisions[0] == B, (t, a_t)
+        assert policy_outcome(shallow) == policy_outcome(deep)
+
+    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
+                                           st.floats(1e-3, 1.0),
+                                           min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
+           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
+           B=st.integers(1, 60), discount=st.floats(0.05, 1.0))
+    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
+             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_slide_levels_match_a_state_by_state_loop(self, points, K, v, h,
+                                                      p, B, discount):
+        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
+                            demands=empirical_pmfs(points), discount=discount)
+        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
+
+
+
 class TestCertifiedOnly:
     """solve(instance), with no grid, computes each period only on the
     instance's cone: C and Qstar from the cone's R_t, its exact_from(t), G
@@ -800,10 +878,7 @@ class TestSlideCone:
     whole-row reference (folded_whole_row_solve) on grids from the cone's
     certifying floor down to 300 states below it, the states [R_t, g_t)
     all order B, and the bands, COP flags and exact gap are those of a
-    deep grid solved on whole rows. On that deep grid every certified
-    state at or below level_t = max(F^C_t, a_t) takes one decision, order
-    B or never, and B at or below a_t; the slide levels a_t are those of
-    a state-by-state loop over the same bounds."""
+    deep grid solved on whole rows."""
 
     @slide_cone_cases
     def test_cone_tables_and_policy(self, points, K, v, h, p, B, discount,
@@ -821,14 +896,6 @@ class TestSlideCone:
             assert (tables.Qstar[row, narrow.index(first):narrow.index(g_first)]
                     == B).all(), row + 1
         deep = solve(instance, Grid(floor - 800, sdp._demand_ceiling(instance)))
-        for t, (level, a_t) in enumerate(instance._levels, start=1):
-            row = t - 1
-            lo = deep.exact_from(t)
-            decisions = np.unique(
-                deep.Qstar[row, deep.grid.index(lo):deep.grid.index(level) + 1])
-            assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
-            if a_t is not None and a_t >= lo:
-                assert decisions[0] == B, (t, a_t)
         assert policy_outcome(tables) == policy_outcome(deep)
 
     @slide_cone_cases
@@ -855,22 +922,6 @@ class TestSlideCone:
         solved = np.flatnonzero((tables.Qstar >= 0).any(axis=0))
         assert narrow.x_min + int(solved[0]) == lowest
         assert solved[0] == 0 or narrow.x_min == -1
-
-    @given(points=st.lists(st.dictionaries(st.integers(0, 40),
-                                           st.floats(1e-3, 1.0),
-                                           min_size=1, max_size=5),
-                           min_size=1, max_size=4),
-           K=st.floats(0.0, 300.0), v=st.floats(0.0, 30.0),
-           h=st.floats(0.01, 5.0), p=st.floats(0.01, 30.0),
-           B=st.integers(1, 60), discount=st.floats(0.05, 1.0))
-    @example(points=[{2: 0.5, 6: 0.5}, {1: 0.7, 4: 0.3}, {3: 0.5, 5: 0.5}],
-             K=60.0, v=1.0, h=1.0, p=6.0, B=8, discount=0.9)
-    @settings(max_examples=100, deadline=None)
-    def test_slide_levels_match_a_state_by_state_loop(self, points, K, v, h,
-                                                      p, B, discount):
-        instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
-                            demands=empirical_pmfs(points), discount=discount)
-        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
 
 
 class TestExactTables:
@@ -1170,7 +1221,10 @@ class TestGridValidation:
             if enabled:
                 gc.enable()
 
-    def test_cone(self):
+    def test_bottom(self):
+        """The levels the cone rests on (Instance._levels): the line floors
+        F^C_t, the slide levels a_t and level_t = max(F^C_t, a_t), at and
+        below which a whole-row grid takes one decision in period t."""
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
         inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                         demands=demands)
@@ -1181,6 +1235,46 @@ class TestGridValidation:
         assert line_floors(inst) == [-3, 4]
         assert sdp._slide_levels(inst) == [0, 4]
         assert inst._levels == ((0, 0), (4, 4))
+        # an integral float capacity, which Instance accepts, gives the same
+        # int levels
+        as_float = dataclasses.replace(inst, B=3.0)._levels
+        assert as_float == inst._levels
+        assert all(type(x) is int for pair in as_float for x in pair)
+        # one period: F^C_1 = 5 - 2 = 3, and a_1 = 3
+        one = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
+                       demands=(pmf_empirical([5], [1.0]),))
+        assert line_floors(one) == [3] and one._levels == ((3, 3),)
+        # no demand before the last period: floor(n) = 0 again. B p = K, so
+        # the last period finds no slide level
+        late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
+                        demands=(pmf_empirical([0], [1.0]),) * 2
+                        + (pmf_empirical([9], [1.0]),))
+        assert late.floors[2] == 0 and line_floors(late) == [-2, -1, 8]
+        assert sdp._slide_levels(late) == [-2, -1, None]
+        # no demand at all: the bound's window, [-B, B + 1], holds no level
+        idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
+        assert line_floors(idle) == [-3, -2, -1]
+        assert sdp._slide_levels(idle) == [None] * 3
+        # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
+        # B p = 12 <= K = 13, so the last period never orders deep down
+        inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
+                        demands=(pmf_empirical([2], [1.0]),
+                                 pmf_empirical([1], [1.0])))
+        # u_2 = 5 F_2 - 4 is -4 up to 0: three steps save 12, not above K.
+        # c_2 = u_2(x + 3) = -4 up to -3 (both ends of the window fall),
+        # then 0 up to 0. u_1(y) = 5 F_1(y) - 4 + c_2(y - 2) is -8 up to -1
+        # and -4 at 0 and 1, so a_1 = -1: u_1(1) < 0, and 8 + 4 + 4 > K
+        assert line_floors(inst) == [-3, -2]
+        assert sdp._slide_levels(inst) == [-1, None]
+        deep = solve(inst, Grid(-40, 10))
+        assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
+        assert not deep.Qstar[1].any()
+
+    def test_cone(self):
+        # test_bottom's first instance: level_1 = a_1 = 0, level_2 = a_2 = 4
+        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
+        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                        demands=demands)
         # R_1 = min(0, level_1) = 0 <= a_1, so g_1 = min(0 + 3, 0 + 1) = 1;
         # R_2 = min(1 - 3, 4) = -2 <= a_2, so g_2 = min(-2 + 3, 4 + 1) = 1
         assert inst.cone == ((0, 1), (-2, 1))
@@ -1216,41 +1310,25 @@ class TestGridValidation:
         # 0 and g_1 = min(0 + 2, 3 + 1) = 2; -1 keeps 0 on the tables' grid
         one = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
                        demands=(pmf_empirical([5], [1.0]),))
-        assert one._levels == ((3, 3),) and one.cone == ((0, 2),)
+        assert one.cone == ((0, 2),)
         assert solve(one).grid == Grid(-1, 5)
-        # no demand before the last period: floor(n) = 0 again. B p = K, so
-        # the last period finds no slide level
+        # test_bottom's late instance: a = (-2, -1, None), F^C_3 = 8.
+        # R_1 = -2 = a_1, g_1 = min(-1, -1); R_2 = min(-1, -1) = a_2, g_2 =
+        # min(0, 0); R_3 = min(0, 8) = 0, with no slide below it
         late = Instance(horizon=3, K=1.0, v=0.0, h=1.0, p=1.0, B=1,
                         demands=(pmf_empirical([0], [1.0]),) * 2
                         + (pmf_empirical([9], [1.0]),))
-        assert late.floors[2] == 0 and line_floors(late) == [-2, -1, 8]
-        assert sdp._slide_levels(late) == [-2, -1, None]
-        # R_1 = -2 = a_1, g_1 = min(-1, -1); R_2 = min(-1, -1) = a_2, g_2 =
-        # min(0, 0); R_3 = min(0, 8) = 0, with no slide below it
         assert late.cone == ((-2, -1), (-1, 0), (0, 0))
-        # no demand at all: the bound's window, [-B, B + 1], holds no level,
-        # and the line floors -3, -2, -1 keep every R_t at -3
+        # no demand at all: no slide level, and the line floors -3, -2, -1
+        # keep every R_t at -3
         idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
-        assert sdp._slide_levels(idle) == [None] * 3
         assert idle.cone == ((-3, -3),) * 3
-        # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
-        # B p = 12 <= K = 13, so the last period never orders deep down
+        # test_bottom's two-period instance, a = (-1, None): R_1 = min(0,
+        # -1) = -1 = a_1, so g_1 = min(2, 0) = 0; R_2 = min(0 - 2, -2) = -2
         inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
                         demands=(pmf_empirical([2], [1.0]),
                                  pmf_empirical([1], [1.0])))
-        # u_2 = 5 F_2 - 4 is -4 up to 0: three steps save 12, not above K.
-        # c_2 = u_2(x + 3) = -4 up to -3 (both ends of the window fall),
-        # then 0 up to 0. u_1(y) = 5 F_1(y) - 4 + c_2(y - 2) is -8 up to -1
-        # and -4 at 0 and 1, so a_1 = -1: u_1(1) < 0, and 8 + 4 + 4 > K
-        assert line_floors(inst) == [-3, -2]
-        assert sdp._slide_levels(inst) == [-1, None]
-        # R_1 = min(0, -1) = -1 = a_1, so g_1 = min(2, 0) = 0; R_2 =
-        # min(0 - 2, -2) = -2
         assert inst.cone == ((-1, 0), (-2, -2))
-        deep = solve(inst, Grid(-40, 10))
-        assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
-        assert not deep.Qstar[1].any()
-
 
 class TestInstanceValidation:
     def test_demand_count_must_match_horizon(self):
