@@ -12,11 +12,12 @@ states its pricing and band reading need, with G above the period's
 capacity slides, up to the point's Instance.top.
 
 Exit codes: 0 success (including a solve whose policy violates the
-continuous order property, which is reported, not fatal); 2 usage or
-instance-file errors; 3 grid, numerical or malformed-band errors, among
-them a grid that ends below the instance's structural top or whose
-certified floor exact_from(1) lies above its top (both refused before
-solving), x0 = 0 below the certified floor exact_from(1)
+continuous order property, which is reported, not fatal); 2 usage,
+instance-file and output-file errors (a `solve` whose write fails
+removes the files it wrote); 3 grid, numerical or malformed-band
+errors, among them a grid that ends below the instance's structural top
+or whose certified floor exact_from(1) lies above its top (both refused
+before solving), x0 = 0 below the certified floor exact_from(1)
 (`simulate`, before any policy is priced) and a period that orders only
 below its certified floor exact_from, all of which leave the grid too
 narrow (`solve` then writes no file), and an optimal policy whose exact
@@ -95,26 +96,32 @@ def cmd_solve(args) -> int:
     tables_path = out + "_tables.csv"
     thresholds_path = out + "_thresholds.csv"
     report_path = out + "_cop_report.txt"
-    for path in (tables_path, thresholds_path, report_path):
+    outputs = (tables_path, thresholds_path, report_path)
+    for path in outputs:
         Path(path).unlink(missing_ok=True)   # no earlier run's file stays
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     # grid errors stop the run before any write
     policy = read_policy(tables)
 
-    tables.to_csv(tables_path)
-    for period in policy.cop_violated:
-        print(f"warning: continuous order property violated, period {period}")
-    print(f"value tables: {tables_path}")
-    if len(policy.cop_violated) < instance.horizon:
-        with open(thresholds_path, "w") as handle:
-            handle.write(thresholds_csv(policy))
-        print(f"thresholds: {thresholds_path}")
-    if policy.cop_violated:
-        with open(report_path, "w") as handle:
-            for period in policy.cop_violated:   # describes the whole grid row
-                report = check_cop(tables, period)
-                handle.write(f"period {period}: {report.describe()}\n")
-        print(f"order-property report: {report_path}")
+    try:
+        tables.to_csv(tables_path)
+        for period in policy.cop_violated:
+            print(f"warning: continuous order property violated, period {period}")
+        print(f"value tables: {tables_path}")
+        if len(policy.cop_violated) < instance.horizon:
+            with open(thresholds_path, "w") as handle:
+                handle.write(thresholds_csv(policy))
+            print(f"thresholds: {thresholds_path}")
+        if policy.cop_violated:
+            with open(report_path, "w") as handle:
+                for period in policy.cop_violated:   # describes the whole grid row
+                    report = check_cop(tables, period)
+                    handle.write(f"period {period}: {report.describe()}\n")
+            print(f"order-property report: {report_path}")
+    except OSError:
+        for path in outputs:
+            Path(path).unlink(missing_ok=True)   # nor a partly written one
+        raise
 
     print("period  (s_k, S_k) pairs")
     for period, pairs in enumerate(policy.bands, start=1):

@@ -68,7 +68,9 @@ _SLIDE_MARGIN = 1e-6
 _RISE_STEP = 8
 # states per write in ValueTables.to_csv: enough to amortise the per-block
 # calls, few enough that one block's pieces and texts stay small in memory
-_CSV_BLOCK = 4096
+# (writing the lumpy fixture peaks at 1.1 MB; 4096 is no faster and peaks
+# at 2.1 MB)
+_CSV_BLOCK = 2048
 # terms per BLAS dot product (_tile_sum), which OpenBLAS splits across
 # threads above 10,000 terms, so a longer dot's bits would depend on the
 # thread count; the bed's widest PMF, geometric's 4,694 masses, fits in
@@ -600,7 +602,8 @@ class ValueTables:
         """One row per (period, state): period, x, C, G, Qstar.
 
         Floats are written with repr, so float() of a field gives back the
-        table entry bit for bit. Each block of states is built by
+        table entry bit for bit; _float_texts calls repr once for each class
+        of values that differ by integers. Each block of states is built by
         _csv_block as one string and written at once. The x texts are
         formatted once per call, one string per block, and split again for
         every period; no per-state string outlives its block. Raises
@@ -627,25 +630,89 @@ def _csv_block(prefix: str, x_text: str, c: np.ndarray, g: np.ndarray,
                q: np.ndarray) -> str:
     """The CSV rows of one block of states in one period, as one string.
 
-    A row is six pieces: prefix ("t,"), "x,", C, ",", G and ",Qstar" with
-    the line's newline.
+    A row is eight pieces: prefix ("t,"), "x,", C as two pieces, ",", G
+    as two pieces, and ",Qstar" with the line's newline. A float's two
+    pieces are its text split by _float_texts.
     The pieces list starts with the prefix and "," in place and is filled a
     column at a time by slice assignment, so no Python code runs per row.
     x_text holds the block's "x," texts, newline-separated. G's texts fill
-    both float columns; C's are re-formatted only on the runs of states
-    where C differs from G bitwise (bits, not ==, so 0.0 and -0.0 keep
-    their own text). The block's texts are freed when this returns, before
-    the next block's are made.
+    both float columns; C's are taken from _float_texts only on the runs
+    of states where C differs from G bitwise (bits, not ==, so 0.0 and
+    -0.0 keep their own text). The block's texts are freed when this
+    returns, before the next block's are made.
     """
-    pieces = [prefix, None, None, ",", None, None] * g.size
-    # Qstar first: np.unique's temporaries come and go before any text exists
-    pieces[5::6] = _qstar_texts(q)
-    pieces[1::6] = x_text.split("\n")
-    pieces[2::6] = pieces[4::6] = list(map(float.__repr__, g.tolist()))
-    edges = _run_edges(c.view(np.int64) != g.view(np.int64)).tolist()
+    differ = c.view(np.int64) != g.view(np.int64)
+    # G, then C where it differs; before any other piece exists, so that
+    # the numpy temporaries come and go first
+    heads, tails = _float_texts(np.concatenate((g, c[differ])))
+    size = g.size
+    pieces = [prefix, None, None, None, ",", None, None, None] * size
+    pieces[7::8] = _qstar_texts(q)
+    pieces[1::8] = x_text.split("\n")
+    pieces[2::8] = pieces[5::8] = heads[:size]
+    pieces[3::8] = pieces[6::8] = tails[:size]
+    edges = _run_edges(differ).tolist()
+    at = size
     for i, j in zip(edges[::2], edges[1::2]):
-        pieces[6 * i + 2:6 * j:6] = map(float.__repr__, c[i:j].tolist())
+        pieces[8 * i + 2:8 * j:8] = heads[at:at + j - i]
+        pieces[8 * i + 3:8 * j:8] = tails[at:at + j - i]
+        at += j - i
     return "".join(pieces)
+
+
+def _float_texts(values: np.ndarray) -> tuple[list[str], list[str]]:
+    """Each value's repr as two pieces, heads[i] + tails[i] == repr(values[i]),
+    with float.__repr__ called once per class rather than once per value.
+
+    A class is the values in [2, 2**52) that share their binade (IEEE
+    exponent) and their fractional part, so that any two differ by an
+    integer. A member y of a class of two or more is written as
+    str(floor(y)) and the tail of the class: the text after the integer
+    part in the repr of one member. Every other value (a class of one,
+    negatives, signed zeros, subnormals, values below 2 or from 2**52 up,
+    whose repr may take an exponent, and non-finite values) keeps its
+    whole repr as its head, with an empty tail.
+
+    Why repr(y) == str(floor(y)) + tail. repr gives the decimal with the
+    fewest significant digits that reads back as the float; of several,
+    the nearest; of two as near, the one whose last digit is even. Let x
+    in [2, 2**52) be a non-integer and n = floor(x). The integers n and
+    n + 1 are floats, and reading back is monotone, so the decimals that
+    read back as x lie strictly between them: repr(x) is str(n), ".",
+    then fraction digits, and every candidate has the integer digits of
+    n. An integral x prints as str(x) + ".0". Let y = x + k, k a nonzero
+    integer, in x's binade. The two share their ulp, a power of two at
+    most 1/2, so k is an even number of ulps and their significands have
+    one parity; neither is a power of two, as those are integers here.
+    So a decimal reads back as y exactly when it is k more than one that
+    reads back as x: within half an ulp, or at half an ulp with an even
+    significand. The shift by k keeps each candidate's fraction digits,
+    last digit and distance to the float, and each side's candidates
+    share their integer digits, so repr picks the same fraction digits
+    for both. No condition on decades or powers of two is needed.
+    """
+    fits = (values >= 2.0) & (values < 2.0 ** 52)   # NaN compares False
+    at = np.flatnonzero(fits)
+    x = values[at]
+    floor = np.floor(x)
+    # the binade's exponent bits, then the fraction in units of 2**-51
+    key = ((x.view(np.int64) >> 52 << 52)
+           | ((x - floor) * 2.0 ** 51).astype(np.int64))
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    shared = counts > 1
+    member = shared[inverse]
+    # each class text holds one "." and no exponent, so "12.5,34.25" splits
+    # into "12", ".5", "34", ".25": the tails are every second piece
+    texts = ",".join(map(float.__repr__, x[first[shared]].tolist()))
+    tails = np.array(["", *texts.replace(".", ",.").split(",")[1::2]],
+                     dtype=object)
+    which = np.zeros(values.size, dtype=np.intp)
+    which[at[member]] = np.cumsum(shared)[inverse[member]]
+    # a float's repr is its whole text, an int's that of its integer part
+    heads = values.astype(object)
+    heads[at[member]] = floor[member].astype(np.int64)
+    return list(map(repr, heads.tolist())), tails[which].tolist()
 
 
 def _qstar_texts(q: np.ndarray) -> list[str]:
@@ -654,8 +721,8 @@ def _qstar_texts(q: np.ndarray) -> list[str]:
     Each distinct order is formatted once.
     """
     values, inverse = np.unique(q, return_inverse=True)
-    texts = [f",{v}\n" for v in values.tolist()]
-    return list(map(texts.__getitem__, inverse.tolist()))
+    texts = np.array([f",{v}\n" for v in values.tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def _run_edges(mask: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -9,7 +11,7 @@ from conftest import instance_path
 from stochinv import (InstanceFormatError, MalformedTable, ThresholdPolicy,
                       load_instance, parse_instance, read_policy,
                       serialize_instance, solve, thresholds_csv)
-from stochinv import cli, simulate
+from stochinv import cli, sdp, simulate
 from stochinv.cli import main
 
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
@@ -537,6 +539,29 @@ class TestSolveCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {out}_tables.csv: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the disk fills after the first block of the tables CSV is written
+        blocks = []
+        write_block = sdp._csv_block
+
+        def disk_full(*args):
+            blocks.append(args)
+            if len(blocks) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_block(*args)
+
+        monkeypatch.setattr(sdp, "_csv_block", disk_full)
+        rc = main(["solve", instance_path("seasonal_poisson.json"),
+                   "--grid-min", "-300", "--grid-max", "600",
+                   "--out", str(tmp_path / "seasonal")])
+        assert rc == 2
+        assert len(blocks) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write output: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_spiky_report_on_the_default_grid(self, tmp_path, capsys):

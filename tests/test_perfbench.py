@@ -4,14 +4,21 @@ The tracer still finds every stage it spans but the two the package no
 longer has, and one bed point and one search batch, at the seed their
 outputs were recorded at, pass the workload's own output check, which
 solves each violator the search finds again through the public solve.
-perfbench/ is only read: its modules are loaded from their files, and no
-workload that writes files is run.
+Each instance file, solved by the CLI on the default grid, gives the
+exit code, stdout and files whose sha256 the fixtures workload pins.
+perfbench/ is only read: its modules are loaded from their files, and
+the CLI writes its files under the test's own temporary directory.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from conftest import INSTANCE_DIR
+from stochinv import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +61,18 @@ def test_one_search_batch_passes_its_check(workloads):
     times, found = search.run_unit(params)
     assert len(times) == params.budget
     assert search.check(params, found) == []
+
+
+FIXTURES = json.loads((PERFBENCH / "reference.json").read_text())["fixtures"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_each_fixture_matches_its_pins(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["solve", str(Path(INSTANCE_DIR, name)),
+                     "--out", Path(name).stem])
+    stdout = capsys.readouterr().out
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(tmp_path.iterdir())}
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    assert {"exit": code, "stdout": digest, "files": files} == FIXTURES[name]

@@ -1381,11 +1381,39 @@ def assert_csv_matches_rowwise(tables, directory):
         assert parsed.tobytes() == table.tobytes()
 
 
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+# floats at the edges of the rule by which _float_texts shares a class's
+# text between values that differ by integers
+ONE_ULP_BELOW_AN_INTEGER = [below(n) for n in (3.0, 5.0, 10.0, 101.0, 1e15)]
+NEIGHBOURS = (below, float, above)
+POWERS_OF_TWO = [f(2.0 ** e) for e in (1, 2, 3, 10, 50) for f in NEIGHBOURS]
+DECADE_EDGES = ([f(10.0 ** d - 1) for d in (1, 2, 3, 15, 16) for f in NEIGHBOURS]
+                + [10.0 ** d - 0.5 for d in (1, 2, 3, 15)])
+BOUNDS = ([f(b) for b in (1.0, 2.0) for f in NEIGHBOURS] + [below(below(2.0))]
+          + [2.0 ** 51, 2.0 ** 52 - 0.5, 2.0 ** 52, 2.0 ** 53])
+# one fraction in two binades: 4.1 and 4.1 - 2 differ by 2, yet print
+# different fraction digits
+ACROSS_BINADES = [4.1 - 2.0, 4.1, 1000.1 - 512.0, 1000.1]
+EDGE_FLOATS = (ONE_ULP_BELOW_AN_INTEGER + POWERS_OF_TWO + DECADE_EDGES + BOUNDS
+               + ACROSS_BINADES)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, below(2.2250738585072014e-308),
+                  math.inf, -math.inf, math.nan]
+EDGE_SHIFTS = [1, -1, 2, 9, -10]
+
 # values whose text a shortcut could get wrong: signed zeros, the extremes
-# of magnitude, subnormals, and integral floats (repr keeps their ".0")
+# of magnitude, subnormals, integral floats (repr keeps their ".0"), and
+# the edges above with their negatives
 csv_value = st.one_of(
     st.sampled_from([0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324,
-                     -1.7976931348623157e308, -123456.0, 3.0]),
+                     -1.7976931348623157e308, -123456.0, 3.0, *EDGE_FLOATS,
+                     *(-v for v in EDGE_FLOATS), *SPECIAL_FLOATS]),
     st.integers(-10**17, 10**17).map(float),
     st.floats(allow_nan=False))
 # (C, G) cells: bitwise equal (shared text), unrelated, or equal under ==
@@ -1466,9 +1494,31 @@ class TestCsvExport:
         with tempfile.TemporaryDirectory() as directory:
             assert_csv_matches_rowwise(tables, directory)
 
+    # values x and x + k for each k, in one array: a value in [2, 2**52)
+    # shares its class with those of its binade that differ by an integer
+    @given(shifted=st.lists(
+        st.tuples(st.one_of(csv_value, st.floats(2, 2.0 ** 52)),
+                  st.lists(st.one_of(st.integers(-10, 10),
+                                     st.integers(-2**52, 2**52)), max_size=4)),
+        min_size=1, max_size=30))
+    @example(shifted=[(x, EDGE_SHIFTS) for x in ONE_ULP_BELOW_AN_INTEGER])
+    @example(shifted=[(x, EDGE_SHIFTS) for x in POWERS_OF_TWO])
+    @example(shifted=[(x, EDGE_SHIFTS) for x in DECADE_EDGES])
+    @example(shifted=[(x, EDGE_SHIFTS) for x in BOUNDS])
+    @example(shifted=[(x, [2]) for x in ACROSS_BINADES])
+    @example(shifted=[(-x, EDGE_SHIFTS) for x in EDGE_FLOATS])
+    @example(shifted=[(x, EDGE_SHIFTS) for x in SPECIAL_FLOATS])
+    @settings(max_examples=200, deadline=None)
+    def test_float_texts_give_each_repr(self, shifted):
+        values = [x + k for x, shifts in shifted for k in [0, *shifts]]
+        heads, tails = sdp._float_texts(np.array(values))
+        assert list(map(str.__add__, heads, tails)) == \
+               list(map(float.__repr__, values))
+
     def test_transient_memory_is_bounded(self, tmp_path, lumpy_instance):
-        # one block's pieces and texts at a time: about 1.3 MB on the
-        # default grid, against about 3.2 MB for one block per whole row
+        # one block of 2048 states' pieces and texts at a time: about
+        # 1.1 MB on the default grid, against about 2.1 MB for blocks of
+        # 4096 states
         tables = solve(lumpy_instance, DEFAULT_GRID)
         tracemalloc.start()
         try:
