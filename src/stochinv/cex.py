@@ -137,9 +137,10 @@ def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, 
     mechanism works; a decreasing run pinpoints where capacity breaks it.
     Returns (lo, hi) pairs such that V(x+1) < V(x) - 1e-9, the solver's tie
     tolerance, for x in [lo, hi], restricted to states unaffected by the
-    lower grid edge. Single-period tables always produce an empty report.
+    lower grid edge where G was solved: on certified tables from
+    g_solved_from up. Single-period tables always produce an empty report.
     """
     r = tables.row(period)
     v = tables.C[r] + tables.instance.v * tables.grid.states - tables.G[r]
-    floor = tables.exact_from(period)
+    floor = max(tables.exact_from(period), tables.g_solved_from(period))
     return _state_runs(np.diff(v[tables.grid.index(floor):]) < -_TIE_TOL, floor)

@@ -2,31 +2,30 @@
 
 Subcommands: solve, simulate, search-cex, benchmark. All runs are
 deterministic given flags and seeds; repeated invocations produce
-byte-identical output files. simulate prices policies exactly, in one
-forward pass that checks the optimal price against the solved value
-whichever --policy is asked for, and takes no seed. solve and simulate
-solve whole grid rows, which the tables CSV writes. benchmark takes no
-grid flags: it solves each point on its certified tables alone, each
-period only on its row of the slide-aware cone of Instance.cone, the
-states its pricing and band reading need, with G above the period's
-capacity slides, up to the point's Instance.top.
+byte-identical output files. solve solves whole grid rows, which the
+tables CSV writes. simulate and benchmark take no grid flags: they solve
+each instance on its certified tables alone, each period only on its row
+of the slide-aware cone of Instance.cone, up to the instance's
+Instance.top. simulate prices policies exactly, in one forward pass that
+checks the optimal price against the solved value whichever --policy is
+asked for, and takes no seed.
 
 Exit codes: 0 success (including a solve whose policy violates the
-continuous order property, which is reported, not fatal); 2 usage,
-instance-file and output-file errors (a `solve` whose write fails
-removes the files it wrote); 3 grid, numerical or malformed-band
-errors, among them a grid that ends below the instance's structural top
-or whose certified floor exact_from(1) lies above its top (both refused
-before solving), x0 = 0 below the certified floor exact_from(1)
-(`simulate`, before any policy is priced) and a period that orders only
-below its certified floor exact_from, all of which leave the grid too
-narrow (`solve` then writes no file), and an optimal policy whose exact
-cost does not reproduce the solved value.
+continuous order property, which is reported, or whose grid may miss a
+band, which is warned of on stderr); 2 usage, instance-file and
+output-file errors (a `solve` whose write fails removes the files it
+wrote); 3 grid, numerical or malformed-band errors: a grid that ends
+below the instance's structural top or whose certified floor
+exact_from(1) lies above its top (both refused before solving) and a
+period that orders only below its certified floor exact_from (`solve`
+then writes no file), and an optimal policy whose exact cost does not
+reproduce the solved value.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,13 +43,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_grid_flags(parser):
-    parser.add_argument("--grid-min", type=int, default=DEFAULT_GRID.x_min,
-                        help="lowest inventory state on the grid")
-    parser.add_argument("--grid-max", type=int, default=DEFAULT_GRID.x_max,
-                        help="highest inventory state on the grid")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochinv",
@@ -59,7 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance and extract thresholds")
     p_solve.add_argument("instance", help="instance file (JSON)")
-    _add_grid_flags(p_solve)
+    p_solve.add_argument("--grid-min", type=int, default=DEFAULT_GRID.x_min,
+                         help="lowest inventory state on the grid")
+    p_solve.add_argument("--grid-max", type=int, default=DEFAULT_GRID.x_max,
+                         help="highest inventory state on the grid")
     p_solve.add_argument("--out", default=None,
                          help="output prefix (default: instance path sans extension)")
 
@@ -67,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("instance", help="instance file (JSON)")
     p_sim.add_argument("--policy", choices=("optimal", "modified-ss", "both"),
                        default="both", help="which policy to price")
-    _add_grid_flags(p_sim)
 
     p_cex = sub.add_parser("search-cex",
                            help="random search for order-property violations")
@@ -90,6 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, write) -> None:
+    """write(path); an OSError naming no file (ENOSPC) is given the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise
+
+
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     out = args.out if args.out is not None else os.path.splitext(args.instance)[0]
@@ -102,21 +105,29 @@ def cmd_solve(args) -> int:
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     # grid errors stop the run before any write
     policy = read_policy(tables)
+    if instance.B != math.inf:
+        # at and below its decision level a period takes one decision, so
+        # only a floor above the level can miss a band (Instance._levels)
+        for period, (level, _) in enumerate(instance._levels, start=1):
+            if tables.exact_from(period) > level:
+                print(f"warning: period {period} is certified only from "
+                      f"exact_from = {tables.exact_from(period)}, above its "
+                      f"decision level {level}; its bands may be incomplete, "
+                      "widen the grid downward", file=sys.stderr)
 
     try:
-        tables.to_csv(tables_path)
+        _write(tables_path, tables.to_csv)
         for period in policy.cop_violated:
             print(f"warning: continuous order property violated, period {period}")
         print(f"value tables: {tables_path}")
         if len(policy.cop_violated) < instance.horizon:
-            with open(thresholds_path, "w") as handle:
-                handle.write(thresholds_csv(policy))
+            _write(thresholds_path,
+                   lambda path: Path(path).write_text(thresholds_csv(policy)))
             print(f"thresholds: {thresholds_path}")
-        if policy.cop_violated:
-            with open(report_path, "w") as handle:
-                for period in policy.cop_violated:   # describes the whole grid row
-                    report = check_cop(tables, period)
-                    handle.write(f"period {period}: {report.describe()}\n")
+        if policy.cop_violated:   # each line describes the whole grid row
+            report = "".join(f"period {t}: {check_cop(tables, t).describe()}\n"
+                             for t in policy.cop_violated)
+            _write(report_path, lambda path: Path(path).write_text(report))
             print(f"order-property report: {report_path}")
     except OSError:
         for path in outputs:
@@ -141,13 +152,10 @@ def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
 
 def cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    tables = solve(instance, Grid(args.grid_min, args.grid_max))
-    x0 = 0
-    tables.check_start(x0)   # the grid's fault, before any cost is read
-
+    tables = solve(instance)
     # one checked forward pass; the optimal policy alone reads no bands
     policy = None if args.policy == "optimal" else read_policy(tables).top()
-    opt, heur = _price(instance, tables, policy, x0)
+    opt, heur = _price(instance, tables, policy, 0)
     if args.policy != "modified-ss":
         print(f"optimal: expected cost {opt:.6f}")
     if heur is not None:

@@ -44,9 +44,9 @@ top). solve refuses a caller's grid that ends below both the top and
 the demand ceiling sum_t dmax_t, so every table it returns is exact up
 to x_max. The certified floor ValueTables.exact_from and the COP search
 grid, which ends at the demand ceiling, are read off them too, each
-derived once per instance; the top and the cone, with the slide levels
-the cone reads, are derived on their first read, as only the certified
-tables and grids below the ceiling read them.
+derived once per instance; the top and the cone, with the levels the
+cone and CLI solve's floor warning read, are derived on their first
+read, as only those and grids below the ceiling read them.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ class Instance:
         """(level_t, a_t) for t = 1..n at a finite capacity, a_t None where
         _slide_levels finds none: the level at and below which period t
         takes one decision, and the level at and below which that decision
-        is the whole capacity. Derived once per instance, on the first read
-        of its one reader, the cone.
+        is the whole capacity. Derived once per instance, on its first read
+        by the cone or by CLI solve's floor warning.
 
         Let dmin_t be period t's smallest demand, F^G_n = dmin_n, F^C_t =
         F^G_t - B and F^G_t = dmin_t + min(0, F^C_{t+1}) (the line floors),
@@ -569,16 +569,6 @@ class ValueTables:
         row = self.row(period)
         return self.grid.x_min if self.cone is None else self.cone[row][1]
 
-    def check_start(self, x0: int) -> None:
-        """Raise GridSpanError when x0 lies below the certified floor
-        exact_from(1), so that a cost from x0 would read values the lower
-        grid edge distorts."""
-        floor = self.exact_from(1)
-        if floor > x0:
-            raise GridSpanError(
-                f"x0 = {x0} lies below the certified floor exact_from(1) = "
-                f"{floor}; widen the grid downward")
-
     def column(self, period: int, x: int) -> int:
         """The column of state x in the period's rows. On certified
         tables a state below exact_from(period) holds only the fill, NaN
@@ -808,9 +798,9 @@ def _expected_continuation(c_row: np.ndarray, pmf: DemandPMF, *,
 
     With clamp, y runs over the whole row and reads below it clamp to the
     lowest state, and the sum runs over the support one demand point at a
-    time. That loop keeps the whole-row tables, which CLI solve and
-    simulate and the COP search read, and with them the tables CSV,
-    thresholds and order-property report, bit for bit as recorded. It
+    time. That loop keeps the whole-row tables, which CLI solve and the
+    COP search read, and with them the tables CSV, thresholds and
+    order-property report, bit for bit as recorded. It
     leaves with ROADMAP item 17, which computes only certified ranges, or
     with item 3's declared benchmark change, which re-records those bytes
     under the convolution.

@@ -16,6 +16,7 @@ from stochinv import (CexSearchParams, Grid, Instance, ValueTables, cex,
                       check_cop, load_instance, pmf_empirical, random_instance,
                       search_cop_violations, search_grid, serialize_instance,
                       solve, v_monotonicity_report)
+from stochinv.testbed import _point_instance
 
 COMMITTED = CexSearchParams(seed=3, budget=1000)
 
@@ -140,6 +141,28 @@ class TestMonotonicityReport:
             instance = first_period(random_instance(params, rng))
             tables = solve(instance, search_grid(instance))
             assert v_monotonicity_report(tables, 1) == ()
+
+    def test_certified_tables_read_no_fill(self):
+        # the bed point poisson|EMP3|K500|v10|p5|m3|cv-: in 18 of its 20
+        # periods the certified G row starts above the C row, and the
+        # capacity slides between hold the NaN fill in G
+        instance = _point_instance("poisson", "EMP3", 500.0, 10.0, 5.0, 3, None)
+        tables = solve(instance)
+        slides = {t: (tables.exact_from(t), tables.g_solved_from(t))
+                  for t in range(1, instance.horizon + 1)}
+        slides = {t: ends for t, ends in slides.items() if ends[0] < ends[1]}
+        assert len(slides) == 18
+        # a fill that rose 1e9 a state would make V fall at each slide, so
+        # the report is the same only if it reads no G below g_solved_from
+        poisoned = tables.G.copy()
+        for t, (lo, hi) in slides.items():
+            poisoned[t - 1, tables.grid.index(lo):tables.grid.index(hi)] = (
+                1e9 * np.arange(hi - lo))
+        other = dataclasses.replace(tables, G=poisoned)
+        for t in range(1, instance.horizon + 1):
+            report = v_monotonicity_report(tables, t)
+            assert v_monotonicity_report(other, t) == report
+            assert all(lo >= tables.g_solved_from(t) for lo, _ in report)
 
 
 class TestSearchGrid:

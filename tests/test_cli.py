@@ -214,21 +214,18 @@ SEASONAL_INF_BANDS = (b"period,k,s,S\n1,1,15,67\n2,1,28,49\n3,1,55,109\n"
 
 # the workflow's three simulate steps and three pinned thresholds.csv steps,
 # run in-process: step -> (the instance file's text, the command and its
-# grid flags, and the bytes the step diffs: simulate's stdout, or the
+# flags, and the bytes the step diffs: simulate's stdout, or the
 # thresholds.csv that solve writes)
 WORKFLOW_PINS = {
-    "simulate": (fixture_text("seasonal_poisson.json"),
-                 ["simulate", "--grid-min", "-300", "--grid-max", "600"],
+    "simulate": (fixture_text("seasonal_poisson.json"), ["simulate"],
                  b"optimal: expected cost 395.372397\n"
                  b"modified-ss: expected cost 395.850626\n"
                  b"gap: 0.121%\n"),
     "simulate_optimal": (fixture_text("seasonal_poisson.json"),
-                         ["simulate", "--grid-min", "-300", "--grid-max",
-                          "600", "--policy", "optimal"],
+                         ["simulate", "--policy", "optimal"],
                          b"optimal: expected cost 395.372397\n"),
     "simulate_modified_ss": (fixture_text("seasonal_poisson.json"),
-                             ["simulate", "--grid-min", "-300", "--grid-max",
-                              "600", "--policy", "modified-ss"],
+                             ["simulate", "--policy", "modified-ss"],
                              b"modified-ss: expected cost 395.850626\n"),
     "seasonal_inf": (SEASONAL_INF,
                      ["solve", "--grid-min", "-300", "--grid-max", "600"],
@@ -560,8 +557,10 @@ class TestSolveCommand:
         assert len(blocks) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: cannot write output: "
-                                f"{os.strerror(errno.ENOSPC)}\n")
+        # the write names no file; the command knows which one it was
+        assert captured.err == (
+            f"error: cannot write {tmp_path / 'seasonal'}_tables.csv: "
+            f"{os.strerror(errno.ENOSPC)}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_spiky_report_on_the_default_grid(self, tmp_path, capsys):
@@ -614,10 +613,40 @@ class TestSolveCommand:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,grid_min,level,period_1", [
+        # the default grid reads (-11,31) (14,70)
+        ("seasonal_poisson.json", "-247", -39, "(14,70)"),
+        # the default grid reads (-1,6) (2,9) (5,12)
+        ("lumpy_discounted.json", "-133", -3, "(2,9) (5,12)"),
+    ], ids=["seasonal", "lumpy"])
+    def test_floor_above_the_decision_level_warns(self, tmp_path, capsys,
+                                                  name, grid_min, level,
+                                                  period_1):
+        # exact_from(1) = 0 lies above period 1's decision level, so the
+        # grid cannot show the band below its floor; the run still exits 0
+        rc = main(["solve", instance_path(name), "--grid-min", grid_min,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: period 1 is certified only from exact_from = 0, above "
+            f"its decision level {level}; its bands may be incomplete, widen "
+            "the grid downward\n")
+        assert f"\n     1  {period_1}\n" in captured.out
+
+    def test_unbounded_capacity_never_warns(self, tmp_path, capsys):
+        # no decision level is derived at B = inf: the run reads its
+        # bands from exact_from(1) = -3 without a warning
+        path = tmp_path / "seasonal_inf.json"
+        path.write_text(SEASONAL_INF)
+        rc = main(["solve", str(path), "--grid-min", "-250",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSimulateCommand:
-    ARGS = ["simulate", instance_path("lumpy_discounted.json"),
-            "--grid-min", "-200", "--grid-max", "400"]
+    ARGS = ["simulate", instance_path("lumpy_discounted.json")]
     OPTIMAL = "optimal: expected cost 223.032370\n"
     HEURISTIC = "modified-ss: expected cost 223.775070\n"
 
@@ -685,8 +714,8 @@ class TestSimulateCommand:
     def assert_optimum_refused(self, capsys, monkeypatch, policy):
         # tables solved with twice the shortage cost cannot price the file's
         # instance at their own optimum
-        def solve_other_instance(instance, grid):
-            return solve(dataclasses.replace(instance, p=2 * instance.p), grid)
+        def solve_other_instance(instance):
+            return solve(dataclasses.replace(instance, p=2 * instance.p))
 
         monkeypatch.setattr(cli, "solve", solve_other_instance)
         rc = main(self.ARGS + ["--policy", policy])
@@ -705,9 +734,11 @@ class TestSimulateCommand:
         # with the tables whose optimum it fails to reproduce
         self.assert_optimum_refused(capsys, monkeypatch, "modified-ss")
 
+    # the grid flags left with the whole rows: simulate prices the
+    # instance's certified tables
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "4"), ("--max-reps", "1000"), ("--confidence", "0.95"),
-        ("--rel-error", "1e-3")])
+        ("--rel-error", "1e-3"), ("--grid-min", "-300"), ("--grid-max", "600")])
     def test_sampling_flags_are_gone(self, capsys, monkeypatch, flag, value):
         def must_not_solve(*args, **kwargs):
             raise AssertionError("solved despite an unknown flag")
@@ -724,34 +755,33 @@ class TestSimulateCommand:
                "demands": [{"values": [0], "probs": [1.0]}] * 2}
         path = tmp_path / "no_demand.json"
         path.write_text(json.dumps(doc))
-        rc = main(["simulate", str(path), "--grid-min", "-20", "--grid-max", "20"])
+        rc = main(["simulate", str(path)])
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "optimal: expected cost 0.000000\n" in stdout
         assert stdout.endswith("gap: 0.000%\n")
 
-    @pytest.mark.parametrize("name,args,error", [
-        # a run from 0 reaches past a grid cut below the top, 120
-        ("lumpy_discounted.json", ["--grid-max", "60"],
-         "grid top 60 lies below the structural top 120; widen the grid upward"),
-        # the optimal policy reads no bands, so nothing else notices that its
-        # first period is certified only from -100 + 133 = 33 up
-        ("lumpy_discounted.json", ["--grid-min", "-100", "--policy", "optimal"],
-         "x0 = 0 lies below the certified floor exact_from(1) = 33; widen "
-         "the grid downward"),
-        # the start is checked before any cost: priced first, volatile's
-        # optimal cost, certified only from -100 + 1625 up, would miss the
-        # solved value, as if the numbers were at fault and not the grid
-        ("volatile_poisson.json", ["--grid-min", "-100", "--policy", "optimal"],
-         "x0 = 0 lies below the certified floor exact_from(1) = 1525; widen "
-         "the grid downward"),
-    ], ids=["top", "floor", "floor-before-pricing"])
-    def test_uncertified_start_is_a_grid_error(self, capsys, name, args, error):
-        rc = main(["simulate", instance_path(name), *args])
-        assert rc == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {error}\n"
+    @pytest.mark.parametrize("text,stdout", [
+        (fixture_text("lumpy_discounted.json"), ("223.032370", "223.775070",
+                                                 "0.333")),
+        (fixture_text("seasonal_poisson.json"), ("395.372397", "395.850626",
+                                                 "0.121")),
+        (fixture_text("spiky_nonstationary.json"), ("36079.705418",
+                                                    "36079.705418", "0.000")),
+        (fixture_text("volatile_poisson.json"), ("5662.571366", "5667.070595",
+                                                 "0.079")),
+        (SEASONAL_INF, ("332.176742", "332.176742", "0.000")),
+    ], ids=["lumpy", "seasonal", "spiky", "volatile", "seasonal_inf"])
+    def test_prices_each_file_on_its_certified_tables(self, tmp_path, capsys,
+                                                      text, stdout):
+        # the lines that +-10000 whole rows price too: both certify the
+        # states the passes from x0 = 0 reach
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "optimal: expected cost {}\nmodified-ss: expected cost {}\n"
+            "gap: {}%\n".format(*stdout))
 
     def test_malformed_bands_are_a_numerical_error(self, capsys, monkeypatch):
         def malformed(tables):

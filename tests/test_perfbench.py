@@ -71,7 +71,9 @@ def test_each_fixture_matches_its_pins(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.main(["solve", str(Path(INSTANCE_DIR, name)),
                      "--out", Path(name).stem])
-    stdout = capsys.readouterr().out
+    captured = capsys.readouterr()
+    stdout = captured.out
+    assert captured.err == ""   # no period's floor lies above its decision level
     files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(tmp_path.iterdir())}
     digest = hashlib.sha256(stdout.encode()).hexdigest()
