@@ -138,9 +138,11 @@ def v_monotonicity_report(tables: ValueTables, period: int) -> tuple[tuple[int, 
     Returns (lo, hi) pairs such that V(x+1) < V(x) - 1e-9, the solver's tie
     tolerance, for x in [lo, hi], restricted to states unaffected by the
     lower grid edge where G was solved: on certified tables from
-    g_solved_from up. Single-period tables always produce an empty report.
+    g_solved_from up, where a C row that starts above raises ValueError.
+    Single-period tables always produce an empty report.
     """
     r = tables.row(period)
-    v = tables.C[r] + tables.instance.v * tables.grid.states - tables.G[r]
     floor = max(tables.exact_from(period), tables.g_solved_from(period))
-    return _state_runs(np.diff(v[tables.grid.index(floor):]) < -_TIE_TOL, floor)
+    c = tables.C[r][tables.column(period, floor):]
+    v = c + tables.instance.v * tables.grid.states[-c.size:] - tables.G[r][-c.size:]
+    return _state_runs(np.diff(v) < -_TIE_TOL, floor)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sdp import Grid, GridSpanError, ValueTables, _run_edges
+from .sdp import Grid, GridSpanError, ValueTables, _column, _run_edges
 
 _KB_TOL = 1e-6
 
@@ -72,13 +72,13 @@ def check_cop(tables: ValueTables, period: int,
     right below one that does, so one pass over the row decides it, and
     only a violated row is split into its ordering runs (_screen). On
     violation the witness straddles the largest no-order gap: (last gap
-    state, first ordering state above). On certified tables, which
-    hold no orders below exact_from, a floor below it raises ValueError
-    (ValueTables.column).
+    state, first ordering state above). A floor outside the period's row,
+    such as x_min below a certified row that starts above it, raises
+    ValueError (ValueTables.column).
     """
     floor = tables.grid.x_min if from_state is None else from_state
     return _screen(
-        tables.Qstar[tables.row(period), tables.column(period, floor):], floor)
+        tables.Qstar[tables.row(period)][tables.column(period, floor):], floor)
 
 
 def _screen(q_row: np.ndarray, floor: int) -> CopReport:
@@ -125,22 +125,22 @@ def _read_period(tables: ValueTables, period: int,
     MalformedTable for a band deeper than the capacity; the bands' order
     is left to the caller (_check_bands).
     """
-    row = tables.Qstar[period - 1]
-    x_min = tables.grid.x_min
-    report = _screen(row[floor - x_min:], floor)
+    q_row = tables.Qstar[period - 1]
+    below = tables.column(period, floor)   # the row's states under the floor
+    row = q_row[below:]
+    report = _screen(row, floor)
     if not report.holds:
         _, s_m = report.ordering_set[-1]
-        return ((s_m, s_m + int(row[s_m - x_min])),), False
+        return ((s_m, s_m + int(row[s_m - floor])),), False
     if not report.ordering_set:
-        # orders, not truthiness: certified rows hold -1 down there
-        if (row[:floor - x_min] > 0).any():
+        if q_row[:below].any():
             raise GridSpanError(
                 f"period {period} orders only below its certified floor "
                 f"exact_from = {floor}; widen the grid downward")
         return (), True
 
     ((lo, s_m),) = report.ordering_set
-    q = row[lo - x_min:s_m - x_min + 1]
+    q = row[lo - floor:s_m - floor + 1]
     cap = tables.instance.B
     skip = int(np.argmax(q != cap))   # 0 when every state is a slide
     if q[skip] == cap:
@@ -191,7 +191,7 @@ class ThresholdPolicy:
             _check_bands(period, pairs)
 
     def orders(self, grid: Grid, B: int | float) -> np.ndarray:
-        """Order table shaped like ValueTables.Qstar: up to the S_k of the
+        """Order table shaped (horizon, grid.size): up to the S_k of the
         lowest band with x <= s_k, capped at B, and nothing above the top s.
 
         The table is built flat in one step: each period's band levels
@@ -241,23 +241,23 @@ def verify_kb_convexity(tables: ValueTables,
 
     Both rows are checked on [exact_from(period), x_max], the states whose
     values neither grid edge touches, with the instance's K and B (see
-    _kb_convexity). On certified tables, where exact_from is the
-    first state solve computed in the C row, G is checked only from
-    g_solved_from, so no NaN of the fill below, which compares false and
-    would pass any inequality, enters a check. Returns (g_report,
-    c_report); a witness (x, a, y, b) names states x and y. The range is
-    never empty: solve refuses a grid whose certified floor exact_from(1)
-    lies above x_max, and on whole rows exact_from(period) = x_min +
-    sum_{period<=s<n} dmax_s lies at most at exact_from(1); the cone's
-    starts lie at or below x_max.
+    _kb_convexity); on certified tables G only from g_solved_from, where
+    its row starts, above the capacity slides. A C row that starts above
+    exact_from raises ValueError. Returns (g_report, c_report); a witness
+    (x, a, y, b) names states x and y. The range is never empty: solve
+    refuses a grid whose certified floor exact_from(1) lies above x_max,
+    and on whole rows exact_from(period) = x_min + sum_{period<=s<n}
+    dmax_s lies at most at exact_from(1); the cone's starts lie at or
+    below x_max.
     """
     row, instance = tables.row(period), tables.instance
     exact = tables.exact_from(period)
+    g_from = tables.g_solved_from(period)
+    g_lo = max(exact, g_from)
     reports = []
-    for curve, lo in ((tables.G, max(exact, tables.g_solved_from(period))),
-                      (tables.C, exact)):
-        report = _kb_convexity(curve[row, tables.grid.index(lo):],
-                               instance.K, instance.B)
+    for curve, lo in ((tables.G[row][g_lo - g_from:], g_lo),
+                      (tables.C[row][tables.column(period, exact):], exact)):
+        report = _kb_convexity(curve, instance.K, instance.B)
         if not report.ok:
             x, a, y, b = report.witness
             report = KBReport(False, (lo + x, a, lo + y, b))
@@ -323,8 +323,9 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     stand-in band where the order property fails; a period that orders only
     below its certified floor raises GridSpanError, and malformed bands
     raise MalformedTable, as in read_policy. G is read only from s_m + 1
-    up, which on certified tables lies at or above g_solved_from; a
-    band below it raises ValueError rather than read the fill.
+    up, which on certified tables lies at or above g_solved_from, as the
+    cone puts every top band's s_m at or above g_t - 1 (sdp.Instance.cone);
+    an s_m + 1 below the G row raises ValueError.
 
     The envelope is the running minimum of G from the left on the open
     interval (s_m, S_m). Each maximal plateau whose right neighbor is
@@ -342,24 +343,18 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     if big_s_m - s_m < 2:
         return []
 
-    grid = tables.grid
     g_row = tables.G[tables.row(period)]
-    g_from = tables.g_solved_from(period)
-    if s_m + 1 < g_from:
-        # the cone puts every top band's s_m at or above g_t - 1
-        # (sdp.Instance.cone); a NaN of the fill would pass every test here
-        raise ValueError(f"period {period}: G is solved only from {g_from}, "
-                         f"above s_m + 1 = {s_m + 1}")
-    dom = slice(grid.index(s_m + 1), grid.index(big_s_m - 1) + 1)
-    g = g_row[dom]
+    lo = _column(tables.g_solved_from(period), tables.grid.x_max, s_m + 1,
+                 f"period {period}'s G row")
+    n = big_s_m - s_m - 1
+    g = g_row[lo:lo + n]
     env = np.minimum.accumulate(g)
 
     points = []
     start = 0
-    n = g.size
     for stop in np.append(np.flatnonzero(np.diff(g) != 0) + 1, n):
         # right neighbor of the plateau, falling back to the raw row at S_m
-        right = g[stop] if stop < n else g_row[grid.index(big_s_m)]
+        right = g[stop] if stop < n else g_row[lo + n]
         if right > g[start]:
             on_env = bool(g[start] == env[start])
             if not on_env:

@@ -40,9 +40,10 @@ which rests, at a finite capacity, on the levels below which each
 period's decision stays the same (_levels): from its capacity-slide
 level down it orders the whole capacity, and from its line floor down
 its rows are lines. The certified tables span Grid(min(min_t R_t, -1),
-top). solve refuses a caller's grid that ends below both the top and
-the demand ceiling sum_t dmax_t, so every table it returns is exact up
-to x_max. The certified floor ValueTables.exact_from and the COP search
+top), each row only from where it is solved: C and Qstar from R_t, G
+from g_t. solve refuses a caller's grid that ends below both the top
+and the demand ceiling sum_t dmax_t, so every table it returns is exact
+up to x_max. The certified floor ValueTables.exact_from and the COP search
 grid, which ends at the demand ceiling, are read off them too, each
 derived once per instance; the top and the cone, with the levels the
 cone and CLI solve's floor warning read, are derived on their first
@@ -90,6 +91,16 @@ def _tile_sum(part, size: int):
 
 def _is_integral(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _column(first: int, last: int, x, name: str) -> int:
+    """The index of state x among the states [first, last] of name, a row
+    or a grid; ValueError unless x is an integer among them."""
+    if not _is_integral(x):
+        raise ValueError(f"state {x!r} is not an integer")
+    if not first <= x <= last:
+        raise ValueError(f"state {x} lies outside {name} [{first}, {last}]")
+    return int(x) - first
 
 
 class GridSpanError(ValueError):
@@ -313,8 +324,8 @@ class Instance:
           R_t + B) >= g_t, and a state above s_m lies above a_t; where
           g_t = R_t every level is at least the state itself. So period
           t + 1's states lie at or above g_t - dmax_t >= R_{t+1} under
-          both, and a pass that read below R_{t+1} would read the -1 fill
-          and raise, where the tables hold a column there.
+          both. A pass that read below R_{t+1} would read below period
+          t + 1's row, which raises (simulate._forward).
         - The cone's tables are those of every whole-row grid that
           certifies it: one that reaches top and whose plain certified floor
           e_t = x_min + floor(t) - floor(n), its exact_from(t), lies at or
@@ -373,11 +384,7 @@ class Grid:
         return np.arange(self.x_min, self.x_max + 1)
 
     def index(self, x: int) -> int:
-        if not _is_integral(x):
-            raise ValueError(f"state {x!r} is not an integer")
-        if not self.x_min <= x <= self.x_max:
-            raise ValueError(f"state {x} off the grid [{self.x_min}, {self.x_max}]")
-        return int(x) - self.x_min
+        return _column(self.x_min, self.x_max, x, "the grid")
 
 
 DEFAULT_GRID = Grid(-10000, 10000)
@@ -513,24 +520,24 @@ def _slide_levels(instance: Instance) -> list[int | None]:
 class ValueTables:
     """Solved value and action tables.
 
-    Rows are forward periods 1..n (row 0 = first period); columns follow
-    grid.states. C is the optimal cost-to-go before ordering, G the
-    order-up-to cost curve, Qstar the optimal order quantity. solve builds
-    them only on a grid that reaches the structural top Instance.top, so
-    the upper edge touches no value, and whose certified floor lies at or
-    below x_max: period t's certified range [exact_from(t), grid.x_max]
-    is never empty. Tables that carry a cone, (R_t, g_t) for t = 1..n,
-    are the instance's certified tables: solve(instance) computed them on
-    the instance's slide-aware cone alone (Instance.cone), C and Qstar
-    from R_t = exact_from(t), G from g_t = g_solved_from(t), and their
-    grid is Grid(min(min_t R_t, -1), Instance.top). Below those starts
-    their rows hold NaN and -1, which no reader takes for values (see
-    solve).
+    C, G and Qstar hold one row per forward period 1..n (row 0 = first
+    period): the states solve computed, from the row's first state,
+    x_max + 1 - row.size, up to grid.x_max. C is the optimal cost-to-go
+    before ordering, G the order-up-to cost curve, Qstar the optimal order
+    quantity. solve builds them only on a grid that reaches the structural
+    top Instance.top, so the upper edge touches no value, and whose
+    certified floor lies at or below x_max: period t's certified range
+    [exact_from(t), grid.x_max] is never empty. Whole rows start at x_min.
+    Tables that carry a cone, (R_t, g_t) for t = 1..n, are the instance's
+    certified tables: solve(instance) computed them on the instance's
+    slide-aware cone alone (Instance.cone), C and Qstar rows from R_t =
+    exact_from(t), G rows from g_t = g_solved_from(t), and their grid is
+    Grid(min(min_t R_t, -1), Instance.top).
     """
 
-    C: np.ndarray
-    G: np.ndarray
-    Qstar: np.ndarray
+    C: tuple[np.ndarray, ...]
+    G: tuple[np.ndarray, ...]
+    Qstar: tuple[np.ndarray, ...]
     grid: Grid
     instance: Instance
     cone: tuple[tuple[int, int], ...] | None = None
@@ -538,9 +545,9 @@ class ValueTables:
     def row(self, period: int) -> int:
         """0-based row index for a 1-based forward period."""
         n = self.instance.horizon
-        if not 1 <= period <= n:
-            raise ValueError(f"period must be in 1..{n}")
-        return period - 1
+        if not (_is_integral(period) and 1 <= period <= n):
+            raise ValueError(f"period must be an integer in 1..{n}, not {period!r}")
+        return int(period) - 1
 
     def exact_from(self, period: int) -> int:
         """Lowest state whose values are unaffected by the lower grid edge,
@@ -549,11 +556,10 @@ class ValueTables:
         On whole rows, demand in this and the later periods before the
         last carries a state at most floor(period) - floor(n) down, and
         the last row is exact everywhere: it clamps against exact terminal
-        zeros. On certified tables it is the cone's R_t, the first state
-        solve computed in the period's C and Qstar rows: at or above the
-        plain floor of every whole-row grid that certifies the cone, and
-        reading from either gives the same bands, verdict and prices
-        (Instance.cone).
+        zeros. On certified tables it is the cone's R_t, where solve
+        starts the period's C and Qstar rows: at or above the plain floor
+        of every whole-row grid that certifies the cone, and reading from
+        either gives the same bands, verdict and prices (Instance.cone).
         """
         row = self.row(period)   # rejects a period outside 1..n
         if self.cone is not None:
@@ -562,31 +568,23 @@ class ValueTables:
         return self.grid.x_min + floors[row] - floors[self.instance.horizon - 1]
 
     def g_solved_from(self, period: int) -> int:
-        """Lowest state solve computed in this period's G row: on
-        certified tables the cone's g_t (Instance.cone), at or above
-        exact_from, as the capacity slides below it take C from G(x + B)
-        alone; x_min otherwise."""
-        row = self.row(period)
-        return self.grid.x_min if self.cone is None else self.cone[row][1]
+        """The first state of the period's G row: on certified tables the
+        cone's g_t (Instance.cone), at or above exact_from, as the
+        capacity slides below it take C from G(x + B) alone; x_min on
+        whole rows."""
+        return self.grid.x_max + 1 - self.G[self.row(period)].size
 
     def column(self, period: int, x: int) -> int:
-        """The column of state x in the period's rows. On certified
-        tables a state below exact_from(period) holds only the fill, NaN
-        or -1, so it raises ValueError rather than give its column."""
-        if self.cone is not None:
-            floor = self.exact_from(period)
-            if x < floor:
-                raise ValueError(
-                    f"state {x} lies below period {period}'s certified floor "
-                    f"exact_from({period}) = {floor}, below which "
-                    "certified tables hold no values")
-        return self.grid.index(x)
+        """The index of state x in the period's C and Qstar rows; a state
+        outside them raises ValueError."""
+        return _column(self.grid.x_max + 1 - self.C[self.row(period)].size,
+                       self.grid.x_max, x, f"period {period}'s rows")
 
     def qstar_at(self, period: int, x: int) -> int:
-        return int(self.Qstar[self.row(period), self.column(period, x)])
+        return int(self.Qstar[self.row(period)][self.column(period, x)])
 
     def cost_at(self, period: int, x: int) -> float:
-        return float(self.C[self.row(period), self.column(period, x)])
+        return float(self.C[self.row(period)][self.column(period, x)])
 
     def to_csv(self, path) -> None:
         """One row per (period, state): period, x, C, G, Qstar.
@@ -597,12 +595,12 @@ class ValueTables:
         _csv_block as one string and written at once. The x texts are
         formatted once per call, one string per block, and split again for
         every period; no per-state string outlives its block. Raises
-        ValueError on certified tables, whose rows hold a fill below the
-        states solve computed (exact_from, g_solved_from).
+        ValueError on certified tables, whose capacity slides hold C and
+        Qstar but no G (exact_from, g_solved_from).
         """
         if self.cone is not None:
-            raise ValueError("certified tables hold no values below "
-                             "exact_from; solve the whole rows to write them")
+            raise ValueError("certified tables hold no G on their capacity "
+                             "slides; solve the whole rows to write them")
         states = range(self.grid.x_min, self.grid.x_max + 1)
         x_texts = [",\n".join(map(str, states[lo:lo + _CSV_BLOCK])) + ","
                    for lo in range(0, len(states), _CSV_BLOCK)]
@@ -612,8 +610,8 @@ class ValueTables:
                 prefix = f"{t + 1},"
                 for lo, x_text in zip(range(0, self.grid.size, _CSV_BLOCK), x_texts):
                     block = slice(lo, lo + _CSV_BLOCK)
-                    fh.write(_csv_block(prefix, x_text, self.C[t, block],
-                                        self.G[t, block], self.Qstar[t, block]))
+                    fh.write(_csv_block(prefix, x_text, self.C[t][block],
+                                        self.G[t][block], self.Qstar[t][block]))
 
 
 def _csv_block(prefix: str, x_text: str, c: np.ndarray, g: np.ndarray,
@@ -913,33 +911,30 @@ def solve(instance: Instance, grid: Grid | None = None) -> ValueTables:
     no grid that reaches the ceiling does, as x_min <= -1. A capacity
     window cut at the row's end is exact on a grid that reaches the top.
 
-    With no grid, solve returns the instance's certified tables: period
-    t's rows are computed only on the instance's slide-aware cone
-    (Instance.cone), C and Qstar from R_t and G from g_t up. The tables,
-    and the states and purchase terms the solve evaluates, span only
+    With no grid, solve returns the instance's certified tables: period t's
+    rows are computed only on the instance's slide-aware cone
+    (Instance.cone), C and Qstar from R_t and G from g_t up. The tables, and
+    the states and purchase terms the solve evaluates, span only
     Grid(min(min_t R_t, -1), Instance.top), the cone's span up to the
-    structural top (-1 keeps 0 on the grid), and carry the cone, so that
-    their exact_from(t) is R_t and their g_solved_from(t) is g_t. No grid
-    error can arise: the tables reach the top, and R_1 <= 0 < top. Below
-    those starts, in the rows whose cone starts above the tables' floor,
-    C and G hold NaN and Qstar -1, which no order is, and the tables
-    refuse the reads that would take the fill for values. G is computed
-    on [g_t, top] and the window kernel runs on that slice. The states of
-    [R_t, g_t) are proven capacity slides and take Qstar = B and
-    C = (G(x + B) + K) - v x, the float operations the kernel performs
-    there. Every row takes G(y) = v y + E[l(y - d) + discount
-    C_{t+1}(y - d)], with C_{n+1} = 0 and l(x') = h x'+ + p x'- evaluated
-    once per solve (_end_cost) on every level a row reads, [x_min -
-    dmax_n, top]: the last row reads l from g_n - dmax_n, which may lie
-    below the tables. The convolution of _expected_continuation
-    (clamp=False) over l + discount C_{t+1}, or over l alone on the last
-    row, sums each state's holding and shortage cost and continuation as
-    one dot product, where a whole-row solve adds the closed-form loss row
-    and sums the demand points one at a time over the whole row. Every
-    solved entry is, by the cone, bit for bit that of a whole-row solve
-    that folds l the same way over rows padded below with the clamp, and
-    the last row over l itself, on any grid that certifies the cone (its
-    plain certified floor e_t at or below R_t, reaching the top):
+    structural top (-1 keeps 0 on the grid), and carry the cone. Each row
+    holds only the states it solved, C and Qstar [R_t, top] and G [g_t,
+    top], so their exact_from(t) is R_t and their g_solved_from(t) is g_t.
+    No grid error can arise: the tables reach the top, and R_1 <= 0 < top.
+    The states of [R_t, g_t) are proven capacity slides and take Qstar = B
+    and C = (G(x + B) + K) - v x, the float operations the kernel performs
+    there. Every row takes G(y) = v y + E[l(y - d) + discount C_{t+1}(y -
+    d)], with C_{n+1} = 0 and l(x') = h x'+ + p x'- evaluated once per solve
+    (_end_cost) on every level a row reads, [x_min - dmax_n, top]: the last
+    row reads l from g_n - dmax_n, which may lie below the tables. The
+    convolution of _expected_continuation (clamp=False) over l + discount
+    C_{t+1}, or over l alone on the last row, sums each state's holding and
+    shortage cost and continuation as one dot product, where a whole-row
+    solve adds the closed-form loss row and sums the demand points one at a
+    time over the whole row. Every solved entry is, by the cone, bit for bit
+    that of a whole-row solve that folds l the same way over rows padded
+    below with the clamp, and the last row over l itself, on any grid that
+    certifies the cone (its plain certified floor e_t at or below R_t,
+    reaching the top):
     - g_t - dmax_t >= R_{t+1} >= e_{t+1} (Instance.cone), so the expected
       continuation of row t < n from g_t reads row t + 1, and l, only
       where row t + 1 is solved, and no read is left for the clamp below
@@ -990,11 +985,6 @@ def solve(instance: Instance, grid: Grid | None = None) -> ValueTables:
     # no order reaches past x_max, so B = inf is a window as wide as the row
     cap = size - 1 if instance.B == math.inf else int(instance.B)
 
-    tables = ValueTables(C=np.empty((n, size)), G=np.empty((n, size)),
-                         Qstar=np.empty((n, size), dtype=np.int64), grid=grid,
-                         instance=instance, cone=cone)
-    c_tbl, g_tbl, q_tbl = tables.C, tables.G, tables.Qstar
-
     # the one-period cost on end-of-period inventory, which every certified
     # row takes inside its continuation's convolution
     ell = None if cone is None else _end_cost(levels, instance.h, instance.p)
@@ -1003,10 +993,13 @@ def solve(instance: Instance, grid: Grid | None = None) -> ValueTables:
     starts = ([(0, 0)] * n if cone is None else
               [(first - grid.x_min, g_first - grid.x_min)
                for first, g_first in cone])
+    c_rows, g_rows, q_rows = [None] * n, [None] * n, [None] * n
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
         lo, g_lo = starts[t]
-        g_row, c_row = g_tbl[t, g_lo:], c_tbl[t, lo:]
+        slides = g_lo - lo
+        g_row, c_row = np.empty(size - g_lo), np.empty(size - lo)
+        q_row = np.empty(size - lo, dtype=np.int64)
         if cone is not None:
             # G(y) = v y + E[l(y - d) + discount C_{t+1}(y - d)], C_{n+1} = 0,
             # read from g_t - max_value: at or above row t + 1's R_{t + 1}
@@ -1014,32 +1007,29 @@ def solve(instance: Instance, grid: Grid | None = None) -> ValueTables:
             nxt = g_lo - pmf.max_value
             folded = ell[below + nxt:]
             if t < n - 1:
-                ahead = c_tbl[t + 1, nxt:]
+                ahead = c_rows[t + 1][nxt - starts[t + 1][0]:]
                 if instance.discount != 1.0:
                     ahead = ahead * instance.discount
                 folded = folded + ahead
             np.add(purchase[g_lo:],
                    _expected_continuation(folded, pmf, clamp=False), out=g_row)
         else:
-            np.add(purchase[g_lo:],
-                   _loss_row(states[g_lo:], pmf, instance.h, instance.p),
+            np.add(purchase, _loss_row(states, pmf, instance.h, instance.p),
                    out=g_row)
             # nothing is owed after the last period; adding its zero still
             # keeps every bit (-0.0 + 0.0 is 0.0)
-            cont = 0.0 if t == n - 1 else _expected_continuation(c_tbl[t + 1], pmf)
+            cont = 0.0 if t == n - 1 else _expected_continuation(c_rows[t + 1], pmf)
             if instance.discount != 1.0:   # x * 1.0 is x, bit for bit
                 cont *= instance.discount
             g_row += cont
-        if g_lo > lo:
-            # the capacity slides [R_t, g_t) take the kernel's own operations
-            # there, with the window minimum G(x + B): C + v x = G(x + B) + K
-            np.add(g_tbl[t, lo + cap:g_lo + cap], instance.K,
-                   out=c_row[:g_lo - lo])
-            q_tbl[t, lo:g_lo] = cap
-        _window_min_finite(g_row, cap, instance.K, c_row[g_lo - lo:],
-                           q_tbl[t, g_lo:])
+        # the capacity slides [R_t, g_t) take the kernel's own operations
+        # there, with the window minimum G(x + B): C + v x = G(x + B) + K
+        if slides:   # none on whole rows, nor at B = inf
+            np.add(g_row[cap - slides:cap], instance.K, out=c_row[:slides])
+            q_row[:slides] = cap
+        _window_min_finite(g_row, cap, instance.K, c_row[slides:], q_row[slides:])
         c_row -= purchase[lo:]
-        c_tbl[t, :lo] = g_tbl[t, :g_lo] = np.nan
-        q_tbl[t, :lo] = -1
+        c_rows[t], g_rows[t], q_rows[t] = c_row, g_row, q_row
 
-    return tables
+    return ValueTables(C=tuple(c_rows), G=tuple(g_rows), Qstar=tuple(q_rows),
+                       grid=grid, instance=instance, cone=cone)

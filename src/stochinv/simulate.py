@@ -1,7 +1,7 @@
 """Exact policy evaluation by a forward pass over the inventory distribution.
 
-A policy is an order table on the inventory grid, shaped like
-ValueTables.Qstar: tables.Qstar for the optimal policy, and
+A policy is a row of orders per period, each ending at the grid's top:
+tables.Qstar for the optimal policy, and the table of
 ThresholdPolicy.orders for a threshold policy such as the heuristic.
 
 expected_cost prices a policy exactly. It carries the distribution of
@@ -29,7 +29,7 @@ import numpy as np
 
 from .policy import ThresholdPolicy
 from .sdp import (_CONVOLVE_TILE, _TIE_TOL, Grid, Instance, ValueTables,
-                  _end_cost, _tile_sum)
+                  _end_cost, _is_integral, _tile_sum)
 
 
 class SimulationError(RuntimeError):
@@ -64,8 +64,10 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
                   x0: int) -> float:
     """Exact expected total discounted cost of an order table from x0.
 
-    orders[t - 1, x - grid.x_min] is the order in period t at inventory x;
-    states off the grid take the order of the nearest grid edge. The
+    orders[t - 1] is period t's row of orders (ThresholdPolicy.orders,
+    ValueTables.Qstar), which ends at grid.x_max: its entry i is the order
+    at x_max + 1 - row.size + i, and states above x_max, or below a row
+    from x_min, take the order at the row's nearest end. The
     pre-order inventory's distribution starts as all mass at x0. Each
     period adds the expected ordering cost, moves the mass to the
     post-order levels and convolves with the demand PMF to get the
@@ -79,10 +81,11 @@ def expected_cost(instance: Instance, grid: Grid, orders: np.ndarray,
     distribution's width times the demand support. Every sum is taken in
     tiles of at most _CONVOLVE_TILE terms (sdp._tile_sum), so a price does
     not depend on the BLAS thread count however wide the distribution.
-    Raises ValueError unless orders is shaped (horizon, grid.size), as an
-    order table of another grid would price other states' orders, and
-    where the distribution reads a negative order, such as the fill
-    below the certified range of certified tables.
+    Raises ValueError unless x0 is an integer; unless orders has a row per
+    period on the grid, the widest from x_min (or from 0 on a grid from
+    -1, as certified tables may), as orders of another grid would price
+    other states' orders; where the distribution reads below a row that
+    starts above x_min; and where it reads a negative order.
     """
     return _forward(instance, grid, orders, _start(x0))[0]
 
@@ -101,6 +104,8 @@ class _PassState(NamedTuple):
 
 def _start(x0: int) -> _PassState:
     """All mass at x0 before the first period, nothing spent."""
+    if not _is_integral(x0):
+        raise ValueError(f"state {x0!r} is not an integer")
     return _PassState(1, x0, np.ones(1), 0.0, 1.0)
 
 
@@ -114,12 +119,15 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
     state the distribution covers, or None where it never does. Up to
     that period a pass under the rival takes the same operations on the
     same operands, so continuing it from the returned state gives the
-    rival's expected_cost bit for bit. Raises ValueError for an order
-    table not shaped (horizon, grid.size).
+    rival's expected_cost bit for bit. Raises ValueError for orders that
+    do not fit the grid (expected_cost).
     """
-    if orders.shape != (instance.horizon, grid.size):
+    # the rows' grid: from the widest row's start, or -1 above it (solve)
+    widest = max((row.size for row in orders), default=0)
+    if (len(orders) != instance.horizon
+            or grid.x_min != min(grid.x_max + 1 - widest, -1)):
         raise ValueError(
-            f"an order table of shape {orders.shape} does not fit "
+            f"an order table of shape {(len(orders), widest)} does not fit "
             f"{instance.horizon} periods on the grid [{grid.x_min}, "
             f"{grid.x_max}] of {grid.size} states")
     first, lo, dist, total, factor = state
@@ -133,17 +141,21 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
     for period in range(first, instance.horizon + 1):
         pmf = instance.demands[period - 1]
         xs = levels[lo - base:lo - base + dist.size]
-        cols = xs - grid.x_min
-        q = orders[period - 1].take(cols, mode="clip")
+        row = orders[period - 1]
+        start = grid.x_max + 1 - row.size
+        if lo < start and row.size < grid.size:
+            raise ValueError(
+                f"period {period} reads the state {lo}, below its row of "
+                f"orders, which starts at {start}")
+        q = row.take(xs - start, mode="clip")
         if rival is not None and (
-                q != rival[period - 1].take(cols, mode="clip")).any():
+                q != rival[period - 1].take(xs - grid.x_min, mode="clip")).any():
             fork = _PassState(period, lo, dist, total, factor)
             rival = None
         if q.min() < 0:
             raise ValueError(
                 f"period {period} reads the negative order {q.min()}: no "
-                "policy orders below zero (certified tables hold -1 "
-                "below their certified range)")
+                "policy orders below zero")
         ordering = q > 0
         cost = _dot(dist[ordering], instance.K + instance.v * q[ordering])
         ys = xs + q

@@ -461,7 +461,10 @@ def runs_check_cop(tables, period, from_state=None):
     from stochinv import CopReport
 
     floor = tables.grid.x_min if from_state is None else from_state
-    q_row = tables.Qstar[tables.row(period), tables.grid.index(floor):]
+    q_row = tables.Qstar[tables.row(period)]
+    first = tables.grid.x_max + 1 - q_row.size   # each row ends at x_max
+    assert first <= floor
+    q_row = q_row[floor - first:]
     intervals = split_state_runs(q_row > 0, floor)
     if len(intervals) == 0:
         return CopReport(True, intervals, None)
@@ -587,7 +590,8 @@ def _chunk_costs(instance, grid, orders, x0, base_seed, chunk_index, rows):
     factor = 1.0
     for period in range(1, n + 1):
         pmf = instance.demands[period - 1]
-        q = orders[period - 1].take(x - grid.x_min, mode="clip")
+        row = orders[period - 1]
+        q = row.take(x - (grid.x_max + 1 - row.size), mode="clip")
         cum = pmf.cum_probs
         d_idx = np.minimum(np.searchsorted(cum, u[:, period - 1], side="right"),
                            cum.size - 1)
@@ -605,8 +609,9 @@ def _chunk_costs(instance, grid, orders, x0, base_seed, chunk_index, rows):
 def simulate_policy(instance, grid, orders, x0, config):
     """Estimate a policy's expected total cost from x0 by replication.
 
-    orders[t - 1, x - grid.x_min] is the order in period t at inventory x;
-    states off the grid take the order of the nearest grid edge. config is
+    orders[t - 1] is period t's row of orders, which ends at grid.x_max:
+    its entry i is the order at inventory x_max + 1 - row.size + i, and
+    states off the row take the order of its nearest end. config is
     a stochinv.simulate.SimulationConfig. Returns a SimulationEstimate once
     the half-width is within target_rel_error of the mean, or with
     converged=False when max_reps is exhausted first.

@@ -144,25 +144,24 @@ class TestMonotonicityReport:
 
     def test_certified_tables_read_no_fill(self):
         # the bed point poisson|EMP3|K500|v10|p5|m3|cv-: in 18 of its 20
-        # periods the certified G row starts above the C row, and the
-        # capacity slides between hold the NaN fill in G
+        # periods the certified G row starts above the C row, past the
+        # capacity slides, and holds nothing below; so the two rows'
+        # entries i are different states, and read by entry, V would fall
+        # in each of those 18 periods
         instance = _point_instance("poisson", "EMP3", 500.0, 10.0, 5.0, 3, None)
         tables = solve(instance)
-        slides = {t: (tables.exact_from(t), tables.g_solved_from(t))
-                  for t in range(1, instance.horizon + 1)}
-        slides = {t: ends for t, ends in slides.items() if ends[0] < ends[1]}
+        x_max = tables.grid.x_max
+        slides = [t for t in range(1, instance.horizon + 1)
+                  if tables.exact_from(t) < tables.g_solved_from(t)]
         assert len(slides) == 18
-        # a fill that rose 1e9 a state would make V fall at each slide, so
-        # the report is the same only if it reads no G below g_solved_from
-        poisoned = tables.G.copy()
-        for t, (lo, hi) in slides.items():
-            poisoned[t - 1, tables.grid.index(lo):tables.grid.index(hi)] = (
-                1e9 * np.arange(hi - lo))
-        other = dataclasses.replace(tables, G=poisoned)
         for t in range(1, instance.horizon + 1):
+            # V(x) = C(x) + v x - G(x), state by state from G's first state
+            floor = tables.g_solved_from(t)
+            g_row = tables.G[t - 1]
+            v = np.array([tables.cost_at(t, x) + instance.v * x
+                          - g_row[x - floor] for x in range(floor, x_max + 1)])
             report = v_monotonicity_report(tables, t)
-            assert v_monotonicity_report(other, t) == report
-            assert all(lo >= tables.g_solved_from(t) for lo, _ in report)
+            assert report == split_state_runs(np.diff(v) < -1e-9, floor)
 
 
 class TestSearchGrid:
@@ -181,8 +180,9 @@ class TestSearchGrid:
             shared = grid.size
             for name in ("C", "G", "Qstar"):
                 got, want = getattr(tables, name), getattr(tall, name)
-                assert got.tobytes() == want[:, :shared].tobytes(), name
-            assert not tall.Qstar[:, shared:].any()
+                assert (np.stack(got).tobytes()
+                        == np.stack(want)[:, :shared].tobytes()), name
+            assert not np.stack(tall.Qstar)[:, shared:].any()
             for period in range(1, instance.horizon + 1):
                 assert (check_cop(tables, period, from_state=tables.exact_from(period))
                         == check_cop(tall, period, from_state=tall.exact_from(period)))
@@ -198,7 +198,7 @@ class TestSearchGrid:
         tables = solve(instance, grid)
         # from x0 = 0 no state below 0 is reached: nothing orders and
         # nothing is owed
-        assert not tables.Qstar[:, grid.index(0):].any()
+        assert not np.stack(tables.Qstar)[:, grid.index(0):].any()
         assert [tables.cost_at(t, 0) for t in (1, 2, 3)] == [0.0] * 3
 
     def test_unbounded_capacity_ends_at_the_demand_sum(self):
@@ -212,8 +212,9 @@ class TestSearchGrid:
         shared = grid.size
         for name in ("C", "G", "Qstar"):
             got, want = getattr(tables, name), getattr(tall, name)
-            assert got.tobytes() == want[:, :shared].tobytes(), name
-        assert not tall.Qstar[:, shared:].any()
+            assert (np.stack(got).tobytes()
+                    == np.stack(want)[:, :shared].tobytes()), name
+        assert not np.stack(tall.Qstar)[:, shared:].any()
 
 
 class TestKnownViolatorRegression:

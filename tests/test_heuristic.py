@@ -36,7 +36,7 @@ def run_by_run_bands(tables, period):
     """The pairs of a period whose ordering states run from exact_from up to
     a top state s_m, walked by the run-by-run oracle."""
     floor = tables.exact_from(period)
-    q = tables.Qstar[tables.row(period), tables.grid.index(floor):]
+    q = tables.Qstar[tables.row(period)][tables.column(period, floor):]
     ordering = np.flatnonzero(q > 0)
     if ordering.size == 0:
         return ()
@@ -158,9 +158,10 @@ class TestReadPolicy:
             for period in range(1, tables.instance.horizon + 1):
                 if period in policy.cop_violated:
                     continue
-                floor = tables.grid.index(tables.exact_from(period))
-                assert np.array_equal(orders[period - 1, floor:],
-                                      tables.Qstar[tables.row(period), floor:])
+                floor = tables.exact_from(period)
+                assert np.array_equal(
+                    orders[period - 1, tables.grid.index(floor):],
+                    tables.Qstar[tables.row(period)][tables.column(period, floor):])
                 checked += 1
         assert checked >= 400
 

@@ -1,7 +1,8 @@
 """Tier-1 twins of the workflow's perfbench steps.
 
 The tracer still finds every stage it spans but the two the package no
-longer has, and one bed point and one search batch, at the seed their
+longer has, a traced run misses no count beyond the ones the workflow's
+traced step allows, and one bed point and one search batch, at the seed their
 outputs were recorded at, pass the workload's own output check, which
 solves each violator the search finds again through the public solve.
 Each instance file, solved by the CLI on the default grid, gives the
@@ -44,6 +45,34 @@ def test_the_tracer_misses_only_the_stages_that_are_gone():
                                   "simulate.simulate_policy"]
     finally:
         tracer.uninstall()
+
+
+# the stages the workflow's traced step allows on its "missing stages"
+# line: the two the package no longer has, and the sdp.solve count, whose
+# hook reads ValueTables.C as one array where it is a tuple of rows
+EXPECTED_MISSING = {"policy.extract_thresholds", "simulate.simulate_policy",
+                    "sdp.solve count"}
+
+
+def test_a_traced_run_misses_only_the_expected_stages(workloads, tmp_path,
+                                                     monkeypatch):
+    # one unit of each workload under the tracer, so that every count hook
+    # runs on what the package returns
+    bed, search = workloads.Bed(), workloads.Search()
+    bed.setup(workloads.DEFAULT_SEED)
+    search.setup(workloads.DEFAULT_SEED)
+    monkeypatch.chdir(tmp_path)
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        bed.run_unit(next(bed.units()))
+        search.run_unit(next(search.units()))
+        assert cli.main(["solve", str(Path(INSTANCE_DIR, "lumpy_discounted.json")),
+                         "--out", "lumpy"]) == 0
+    finally:
+        tracer.uninstall()
+    assert set(tracer.missing) <= EXPECTED_MISSING
+    assert tracer.counts["files.to_csv.bytes"] > 0
 
 
 def test_one_bed_point_passes_its_check(workloads):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -103,12 +104,12 @@ class TestOrderPropertyCheck:
                                      pmf_empirical([1], [1.0])))
         tables = solve(instance)
         assert tables.exact_from(1) == -7 and tables.grid.x_min == -9
+        top = tables.grid.x_max
         assert check_cop(tables, 1, from_state=-7).holds
         for floor in (None, -8):
             with pytest.raises(ValueError, match=(
-                    r"^state -[98] lies below period 1's certified floor "
-                    r"exact_from\(1\) = -7, below which certified "
-                    r"tables hold no values$")):
+                    r"^state -[98] lies outside period 1's rows "
+                    rf"\[-7, {top}\]$")):
                 check_cop(tables, 1, from_state=floor)
         # the last period is solved from the tables' floor up
         assert check_cop(tables, 2).holds
@@ -205,8 +206,8 @@ class TestConvexityCheck:
             assert c_report.ok
 
     def test_certified_rows_are_checked_only_where_solved(self, monkeypatch):
-        # certified tables hold NaN below each row's solved states;
-        # NaN compares false, so a check that read it would pass it
+        # certified tables' C and G rows start at different states, and
+        # each is checked from its own first state
         rows = []
         check = policy_module._kb_convexity
 
@@ -225,7 +226,6 @@ class TestConvexityCheck:
             rows.clear()
             verify_kb_convexity(tables, period)
             g_row, c_row = rows
-            assert not np.isnan(g_row).any() and not np.isnan(c_row).any()
             assert g_row.size == grid.x_max - tables.g_solved_from(period) + 1
             assert c_row.size == grid.x_max - tables.exact_from(period) + 1
             sliding += tables.g_solved_from(period) > tables.exact_from(period)
@@ -288,19 +288,18 @@ class TestQceDiagnostics:
     def test_a_band_below_the_solved_g_row_is_refused(self):
         # period 2 of this instance is solved from R_2 = -2, its G row from
         # g_2 = 1 (Instance.cone); a band (-2, 0) there would read G at -1,
-        # a NaN of the fill, which passes every comparison
+        # below the G row
         instance = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
                             demands=(pmf_empirical([0, 3], [0.5, 0.5]),
                                      pmf_empirical([7], [1.0])))
         tables = solve(instance)
         assert (tables.exact_from(2), tables.g_solved_from(2)) == (-2, 1)
-        # the tables' own grid, which starts at the cone's lowest R_t
-        grid = tables.grid
+        # period 2's order row, from R_2 = -2 up
         row = tables.Qstar[1]
-        row[grid.index(-2):] = 0
-        row[grid.index(-2)] = 2
+        row[:] = 0
+        row[0] = 2
         with pytest.raises(ValueError, match=(
-                r"^period 2: G is solved only from 1, above s_m \+ 1 = -1$")):
+                r"^state -1 lies outside period 2's G row \[1, 8\]$")):
             qce_diagnostics(tables, 2)
 
     def test_nontrivial_implies_on_envelope(self, volatile_tables,
@@ -373,11 +372,14 @@ class TestUncertifiedPeriod:
     def test_order_at_the_floor(self):
         assert read_policy(self.tables_ordering_at(-2)).bands == (((-2, 2),), ())
 
-    def test_the_fill_below_the_floor_is_no_order(self):
-        # certified tables hold -1 below exact_from: nothing orders
-        tables = self.tables_ordering_at(3)
-        tables.Qstar[0, :tables.grid.index(-2)] = -1
-        tables.Qstar[0, tables.grid.index(3)] = 0
+    def test_a_row_that_starts_at_the_floor_orders_nothing_below_it(self):
+        # certified tables' rows start at exact_from: no state lies below
+        # it, so none orders there
+        whole = self.tables_ordering_at(3)
+        rows = (np.zeros(8, np.int64), np.zeros(11, np.int64))
+        tables = dataclasses.replace(whole, C=rows, G=rows, Qstar=rows,
+                                     cone=((-2, -2), (-5, -5)))
+        assert [tables.exact_from(t) for t in (1, 2)] == [-2, -5]
         assert read_policy(tables).bands == ((), ())
 
 
@@ -488,7 +490,8 @@ def assert_bands_walk_the_whole_interval(tables):
         if not (report.holds and report.ordering_set):
             continue
         lo, s_m = report.ordering_set[0]
-        q = tables.Qstar[tables.row(period), grid.index(lo):grid.index(s_m) + 1]
+        q = tables.Qstar[tables.row(period)][
+            tables.column(period, lo):tables.column(period, s_m) + 1]
         want = threshold_pairs_by_run(list(range(lo, s_m + 1)), q.tolist(),
                                       tables.instance.B, s_m)
         assert _read_period(tables, period, floor) == (tuple(want), True), period

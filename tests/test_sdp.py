@@ -18,9 +18,11 @@ from conftest import (FIXTURE_GRIDS, certifying_floor, instance_path,
                       run_fresh)
 from stochinv import (DEFAULT_GRID, CexSearchParams, Grid, GridSpanError,
                       Instance, ValueTables, build_design, check_cop, cli,
-                      load_instance, optimality_gap, pmf_empirical,
-                      pmf_parametric, random_instance, read_policy, sdp,
-                      search_grid, solve)
+                      expected_cost, load_instance, optimality_gap,
+                      pmf_empirical, pmf_parametric, qce_diagnostics,
+                      random_instance, read_policy, sdp, search_grid, solve,
+                      verify_kb_convexity)
+from stochinv.cex import v_monotonicity_report
 
 from oracle import (branchy_expected_continuation, brute_cost_to_go,
                     brute_single_period_loss, brute_slide_levels,
@@ -118,7 +120,7 @@ class TestDeterministicDemand:
         row = tables.row(1)
         g = tables.G[row]
         i = tables.grid.index(0)
-        assert tables.C[row, i] == approx(min(g[i], 1.0 + g[i:i + 11].min()))
+        assert tables.C[row][i] == approx(min(g[i], 1.0 + g[i:i + 11].min()))
 
     def test_order_must_beat_not_ordering_by_the_tie_tolerance(self):
         # demand 0 and h = p = 1 give G(y) = |y|; ordering up to 0 from -10
@@ -274,9 +276,10 @@ def assert_same_tables(monkeypatch, instance, grid, **references):
             patch.setattr(sdp, kernel, reference_kernel)
         reference = solve(instance, grid)
     for name in ("C", "G", "Qstar"):
-        got, want = getattr(tables, name), getattr(reference, name)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), name
+        for got, want in zip(getattr(tables, name), getattr(reference, name),
+                             strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestTablesMatchSlidingWindowKernel:
@@ -467,10 +470,11 @@ class TestTrimmedTop:
         shared = trimmed.grid.size
         for name in ("C", "G", "Qstar"):
             got, want = getattr(trimmed, name), getattr(tall, name)
-            assert got.tobytes() == want[:, :shared].tobytes(), name
+            assert (np.stack(got).tobytes()
+                    == np.stack(want)[:, :shared].tobytes()), name
         for t, level in enumerate(sdp._rise_levels(instance)):
             above = tall.grid.index(max(level, x_min))
-            assert not tall.Qstar[t, above:].any(), t + 1
+            assert not tall.Qstar[t][above:].any(), t + 1
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -494,7 +498,7 @@ class TestTrimmedTop:
                             demands=demands, discount=discount)
         tables = solve(instance, Grid(x_min, sdp._demand_ceiling(instance)))
         for t, level in enumerate(sdp._rise_levels(instance)):
-            rises = np.diff(tables.G[t, tables.grid.index(max(level, x_min)):])
+            rises = np.diff(tables.G[t][tables.grid.index(max(level, x_min)):])
             assert (rises > sdp._SLIDE_MARGIN).all(), (t + 1, level)
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
@@ -639,10 +643,10 @@ class TestStructuralBottom:
             kept = slice(deep.grid.index(lo), deep.grid.index(top) + 1)
             for name in ("C", "G", "Qstar"):
                 got, want = getattr(shallow, name), getattr(deep, name)
-                assert got[row, lo - floor:].tobytes() == \
-                    want[row, kept].tobytes(), (name, t)
+                assert got[row][lo - floor:].tobytes() == \
+                    want[row][kept].tobytes(), (name, t)
             first = deep.grid.index(deep.exact_from(t))
-            decisions = np.unique(deep.Qstar[row, first:deep.grid.index(level) + 1])
+            decisions = np.unique(deep.Qstar[row][first:deep.grid.index(level) + 1])
             assert decisions.size == 1 and decisions[0] in (0, B), (t, decisions)
             if a_t is not None and a_t >= deep.exact_from(t):
                 assert decisions[0] == B, (t, a_t)
@@ -674,8 +678,8 @@ class TestCertifiedOnly:
     Instance.top). There C, G and Qstar are, state for state, bit for bit
     those of the whole-row reference that folds it the same way over rows
     padded with the clamp (folded_whole_row_solve) on every grid that
-    certifies the cone, and below those starts they hold exactly NaN, NaN
-    and -1. Against the whole-row solve on such a grid, which adds the
+    certifies the cone, and each row holds only the states from its start
+    up. Against the whole-row solve on such a grid, which adds the
     closed-form loss row and sums the continuation point by point, Qstar
     is equal, C and G agree within 1e-13 of |value| + v max|x| wherever
     the exact rational tables do not show the whole-row solve itself off
@@ -739,29 +743,32 @@ class TestCertifiedOnly:
         for t in range(1, instance.horizon + 1):
             row = t - 1
             first, g_first = certified.exact_from(t), certified.g_solved_from(t)
+            # each certified row holds its cone's states alone, up to the top
+            assert (first, g_first) == cone[row]
+            assert (certified.C[row].size == certified.Qstar[row].size
+                    == top - first + 1)
+            assert certified.G[row].size == top - g_first + 1
             # the grid certifies the cone; at B = inf the cone is the
             # certified range of the grid's floor raised by depth
             assert full.exact_from(t) <= first <= g_first <= top
             if B == math.inf:
                 assert first == g_first == full.exact_from(t) + depth
             assert full.g_solved_from(t) == grid.x_min
-            # each table's column of the state, from the cone's starts up
+            # each whole-row table's column of the state, from the cone's
+            # starts up
             lo, g_lo = grid.index(first), grid.index(g_first)
             starts = {"C": lo, "G": g_lo, "Qstar": lo}
-            narrow_lo, narrow_g_lo = narrow.index(first), narrow.index(g_first)
-            narrow_starts = {"C": narrow_lo, "G": narrow_g_lo,
-                             "Qstar": narrow_lo}
             for name, start in starts.items():
-                got = getattr(certified, name)[row, narrow_starts[name]:]
+                got = getattr(certified, name)[row]
                 want = folded[name][row, start:end]
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), (name, t)
-            assert np.array_equal(certified.Qstar[row, narrow_lo:],
-                                  full.Qstar[row, lo:end]), t
+            assert np.array_equal(certified.Qstar[row],
+                                  full.Qstar[row][lo:end]), t
             for name in ("C", "G"):
                 start = starts[name]
-                got = getattr(certified, name)[row, narrow_starts[name]:]
-                want = getattr(full, name)[row, start:end]
+                got = getattr(certified, name)[row]
+                want = getattr(full, name)[row][start:end]
                 bound = 1e-13 * (np.abs(want) + purchase)
                 # past the bound only as far as the whole-row solve is
                 # itself off the exact value
@@ -773,29 +780,26 @@ class TestCertifiedOnly:
                     off = abs(Fraction(want[i]) - value)
                     assert (abs(Fraction(got[i]) - Fraction(want[i]))
                             <= Fraction(bound[i]) + off), (name, t, i)
-            assert np.isnan(certified.C[row, :narrow_lo]).all()
-            assert np.isnan(certified.G[row, :narrow_g_lo]).all()
-            assert (certified.Qstar[row, :narrow_lo] == -1).all()
         if B != math.inf:
-            # the fill changes no band, flag or gap: every state below R_t
-            # takes R_t's decision (Instance._levels). At B = inf the cone
+            # the states below R_t change no band, flag or gap: each takes
+            # R_t's decision (Instance._levels). At B = inf the cone
             # is the search grid's certified range, below which a period
             # may still order, and a deeper grid may read a band there
             assert policy_outcome(certified) == policy_outcome(full)
 
-    def test_readers_refuse_the_fill(self):
+    def test_readers_refuse_a_state_below_the_row(self):
         # the first Poisson bed point: period 1 is solved from R_1 = -25,
-        # on tables that start at -236; a read below R_1, on the tables or
-        # below them, would return the fill, NaN or -1, as a value
+        # on tables that start at -236 and end at the top, 560; its row
+        # holds no state below R_1, on the tables or below them
         instance = build_design(("poisson",))[0].instance
         tables = solve(instance)
         assert (tables.grid.x_min, tables.exact_from(1)) == (-236, -25)
-        for x in (-1317, -236, -26):
+        assert tables.C[0].size == tables.Qstar[0].size == 560 + 25 + 1
+        for x in (-1317, -236, -26, 561):
             for read in (tables.cost_at, tables.qstar_at):
                 with pytest.raises(ValueError, match=(
-                        rf"^state {x} lies below period 1's certified floor "
-                        r"exact_from\(1\) = -25, below which certified "
-                        r"tables hold no values$")):
+                        rf"^state {x} lies outside period 1's rows "
+                        r"\[-25, 560\]$")):
                     read(1, x)
         assert tables.qstar_at(1, -25) == instance.B
         assert math.isfinite(tables.cost_at(1, -25))
@@ -818,26 +822,100 @@ class TestCertifiedOnly:
         solve(instance, search_grid(instance))
         assert len(calls) == instance.horizon
 
-    def test_the_fill_is_never_written(self, tmp_path):
+    def test_certified_tables_are_never_written(self, tmp_path):
+        # their capacity slides hold C and Qstar but no G
         instance = Instance(horizon=2, K=5.0, v=1.0, h=1.0, p=4.0, B=4,
                             demands=(pmf_empirical([2], [1.0]),) * 2)
         tables = solve(instance)
-        with pytest.raises(ValueError, match="certified tables hold no values"):
+        assert tables.exact_from(1) < tables.g_solved_from(1)
+        with pytest.raises(ValueError, match="certified tables hold no G"):
             tables.to_csv(tmp_path / "certified.csv")
         assert not (tmp_path / "certified.csv").exists()
 
 
+def two_period_instance():
+    """TestGridValidation.test_cone's instance: its certified tables span
+    Grid(-2, 8), period 1's rows from R_1 = 0 (G from g_1 = 1), period 2's
+    from R_2 = -2 (G from g_2 = 1), and period 2's top band is (5, 7)."""
+    return Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
+                    demands=(pmf_empirical([0, 3], [0.5, 0.5]),
+                             pmf_empirical([7], [1.0])))
+
+
+def starting_at(tables, name, first):
+    """The tables with period 2's row of C, G or Qstar (name) cut to
+    start at the state first."""
+    rows = list(getattr(tables, name))
+    rows[1] = rows[1][first - (tables.grid.x_max + 1 - rows[1].size):]
+    return dataclasses.replace(tables, **{name: tuple(rows)})
+
+
+# each reader of period 2 (of period 1 for expected_cost, where the pass
+# starts), given tables and the state it is to read first, and the table
+# whose row a reader that takes no state reads from a floor of its own
+# (exact_from, the G row's start, s_m + 1)
+ROW_READERS = {
+    "cost_at": (None, lambda tables, x: tables.cost_at(2, x)),
+    "qstar_at": (None, lambda tables, x: tables.qstar_at(2, x)),
+    "check_cop": (None, lambda tables, x: check_cop(tables, 2, from_state=x)),
+    "expected_cost": (None, lambda tables, x: expected_cost(
+        tables.instance, tables.grid, tables.Qstar, x)),
+    "verify_kb_convexity": ("C", lambda tables, x: verify_kb_convexity(tables, 2)),
+    "v_monotonicity_report": ("C", lambda tables, x: v_monotonicity_report(
+        tables, 2)),
+    "qce_diagnostics": ("G", lambda tables, x: qce_diagnostics(tables, 2)),
+}
+
+
+class TestEveryReaderStaysInItsRow:
+    """On certified tables every reader raises for a state one below the
+    row it reads; on whole rows, which all start at x_min, the same
+    readers read from x_min."""
+
+    # the state each reader reads first on the certified tables: one below
+    # R_2 = -2, one below R_1 = 0, exact_from(2) = -2, g_2 = 1 and s_m + 1
+    BELOW = {"cost_at": -3, "qstar_at": -3, "check_cop": -3,
+             "expected_cost": -1, "verify_kb_convexity": -2,
+             "v_monotonicity_report": 1, "qce_diagnostics": 6}
+
+    @pytest.mark.parametrize("reader", sorted(ROW_READERS))
+    def test_certified_rows(self, reader):
+        tables = solve(two_period_instance())
+        assert tables.grid == Grid(-2, 8)
+        x = self.BELOW[reader]
+        if reader == "expected_cost":
+            message = (rf"^period 1 reads the state {x}, below its row of "
+                       rf"orders, which starts at {x + 1}$")
+        else:
+            row = "G row" if reader == "qce_diagnostics" else "rows"
+            message = rf"^state {x} lies outside period 2's {row} \[{x + 1}, 8\]$"
+        cut, read = ROW_READERS[reader]
+        if cut:
+            # the row starts one state above the reader's own floor
+            tables = starting_at(tables, cut, x + 1)
+        with pytest.raises(ValueError, match=message):
+            read(tables, x)
+
+    @pytest.mark.parametrize("reader", sorted(ROW_READERS))
+    def test_whole_rows(self, reader):
+        # the last period is certified from x_min: exact_from(2) = -6
+        tables = solve(two_period_instance(), Grid(-6, 10))
+        assert tables.exact_from(2) == tables.grid.x_min == -6
+        assert all(row.size == 17 for name in ("C", "G", "Qstar")
+                   for row in getattr(tables, name))
+        ROW_READERS[reader][1](tables, -6)
+
+
 def assert_cone_matches_folded(tables, grid):
-    """Certified tables hold from each row's cone starts up the bits of
-    folded_whole_row_solve on grid, a whole-row grid that certifies the
-    cone, state for state: C and Qstar from R_t, G from g_t, each read at
-    its own table's column, up to the certified tables' top."""
+    """Certified tables' rows hold the bits of folded_whole_row_solve on
+    grid, a whole-row grid that certifies the cone, state for state: C and
+    Qstar from R_t, G from g_t, up to the certified tables' top."""
     folded = dict(zip(("C", "G", "Qstar"),
                       folded_whole_row_solve(tables.instance, grid)))
     end = grid.index(tables.grid.x_max) + 1
     for row, (first, g_first) in enumerate(tables.cone):
         for name, start in (("C", first), ("G", g_first), ("Qstar", first)):
-            got = getattr(tables, name)[row, tables.grid.index(start):]
+            got = getattr(tables, name)[row]
             want = folded[name][row, grid.index(start):end]
             assert np.array_equal(got.view(np.int64),
                                   want.view(np.int64)), (name, row + 1)
@@ -891,10 +969,8 @@ class TestSlideCone:
         assert [(tables.exact_from(t), tables.g_solved_from(t))
                 for t in range(1, instance.horizon + 1)] == list(cone)
         assert_cone_matches_folded(tables, Grid(floor - depth, top))
-        narrow = tables.grid
         for row, (first, g_first) in enumerate(cone):
-            assert (tables.Qstar[row, narrow.index(first):narrow.index(g_first)]
-                    == B).all(), row + 1
+            assert (tables.Qstar[row][:g_first - first] == B).all(), row + 1
         deep = solve(instance, Grid(floor - 800, sdp._demand_ceiling(instance)))
         assert policy_outcome(tables) == policy_outcome(deep)
 
@@ -912,16 +988,15 @@ class TestSlideCone:
         assert_cone_matches_folded(
             tables, Grid(certifying_floor(instance) - depth, instance.top))
         for row, (first, g_first) in enumerate(cone):
-            # below the starts, the fill alone
-            assert np.isnan(tables.C[row, :narrow.index(first)]).all()
-            assert np.isnan(tables.G[row, :narrow.index(g_first)]).all()
-            assert (tables.Qstar[row, :narrow.index(first)] == -1).all()
-        # no column lies below the cone: the first column some row solved
-        # is the lowest R_t, and only the -1 that keeps 0 on the grid lies
-        # below it
-        solved = np.flatnonzero((tables.Qstar >= 0).any(axis=0))
-        assert narrow.x_min + int(solved[0]) == lowest
-        assert solved[0] == 0 or narrow.x_min == -1
+            # each row holds its own states alone, from its start to the top
+            assert tables.C[row].size == tables.Qstar[row].size == \
+                narrow.x_max - first + 1
+            assert tables.G[row].size == narrow.x_max - g_first + 1
+        # no state lies below the cone: the longest row starts at the
+        # lowest R_t, and only the -1 that keeps 0 on the grid lies below it
+        longest = max(row.size for row in tables.Qstar)
+        assert narrow.x_max + 1 - longest == lowest
+        assert longest == narrow.size or narrow.x_min == -1
 
 
 class TestExactTables:
@@ -973,14 +1048,15 @@ class TestExactTables:
                               grid.x_max + 1, dtype=np.float64)
             largest = max(largest, np.abs(v * states).max(),
                           np.maximum(h * reads, -p * reads).max(),
-                          np.abs(tables.C[row, lo:]).max(),
-                          np.abs(tables.G[row, g_lo:]).max())
+                          np.abs(tables.C[row]).max(),
+                          np.abs(tables.G[row]).max())
             bound = Fraction(self.ULPS * (n - t + 1) * np.finfo(float).eps
                              * largest)
             for name, start in (("C", lo), ("G", g_lo)):
-                got = getattr(tables, name)[row, start:].tolist()
+                got = getattr(tables, name)[row].tolist()
                 value = getattr(exact, name)
-                for x, entry in zip(grid.states[start:].tolist(), got):
+                for x, entry in zip(grid.states[start:].tolist(), got,
+                                    strict=True):
                     assert abs(Fraction(entry) - value(t, x)) <= bound, (
                         name, t, x)
 
@@ -998,7 +1074,7 @@ class TestUnboundedCapacity:
                        grid)
         for table in ("C", "G", "Qstar"):
             got, want = getattr(unbounded, table), getattr(widest, table)
-            assert got.tobytes() == want.tobytes(), table
+            assert np.stack(got).tobytes() == np.stack(want).tobytes(), table
 
 
 class TestActionTableSpikyDemand:
@@ -1140,13 +1216,25 @@ class TestGridValidation:
         tall = solve(inst, Grid(grid.x_min, grid.x_max + inst.B + 50))
         for name in ("C", "G", "Qstar"):
             got, want = getattr(tables, name), getattr(tall, name)
-            assert got.tobytes() == want[:, :grid.size].tobytes(), name
+            assert (np.stack(got).tobytes()
+                    == np.stack(want)[:, :grid.size].tobytes()), name
 
     def test_period_bounds(self, lumpy_tables):
         with pytest.raises(ValueError):
             lumpy_tables.row(0)
         with pytest.raises(ValueError):
             lumpy_tables.row(21)
+
+    @pytest.mark.parametrize("period", [True, 1.0, np.float64(1.0), "1"])
+    def test_period_must_be_an_integer(self, lumpy_tables, period):
+        # True would read period 1, and 1.0 a row of a float index
+        for read in (lambda: lumpy_tables.cost_at(period, 0),
+                     lambda: lumpy_tables.qstar_at(period, 0),
+                     lambda: check_cop(lumpy_tables, period)):
+            with pytest.raises(ValueError, match=(
+                    r"^period must be an integer in 1\.\.20, not ")):
+                read()
+        assert lumpy_tables.cost_at(np.int64(1), 0) == lumpy_tables.cost_at(1, 0)
 
     def test_exact_from(self):
         demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
@@ -1267,14 +1355,12 @@ class TestGridValidation:
         assert line_floors(inst) == [-3, -2]
         assert sdp._slide_levels(inst) == [-1, None]
         deep = solve(inst, Grid(-40, 10))
-        assert (deep.Qstar[0, :deep.grid.index(-1) + 1] == 3).all()
+        assert (deep.Qstar[0][:deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()
 
     def test_cone(self):
         # test_bottom's first instance: level_1 = a_1 = 0, level_2 = a_2 = 4
-        demands = (pmf_empirical([0, 3], [0.5, 0.5]), pmf_empirical([7], [1.0]))
-        inst = Instance(horizon=2, K=1.0, v=0.0, h=1.0, p=1.0, B=3,
-                        demands=demands)
+        inst = two_period_instance()
         # R_1 = min(0, level_1) = 0 <= a_1, so g_1 = min(0 + 3, 0 + 1) = 1;
         # R_2 = min(1 - 3, 4) = -2 <= a_2, so g_2 = min(-2 + 3, 4 + 1) = 1
         assert inst.cone == ((0, 1), (-2, 1))
@@ -1287,10 +1373,11 @@ class TestGridValidation:
         assert tables.grid == Grid(-2, 8)
         # the slides [R_t, g_t) order B and cost K + G(x + B) - v x
         assert tables.qstar_at(1, 0) == 3
-        assert tables.cost_at(1, 0) == 1.0 + tables.G[0, tables.grid.index(3)]
-        assert (tables.Qstar[1, tables.grid.index(-2):tables.grid.index(1)]
-                == 3).all()
-        assert np.isnan(tables.G[0, :tables.grid.index(1)]).all()
+        # G rows start at g_t = 1, so G(3) is entry 2 of period 1's
+        assert tables.cost_at(1, 0) == 1.0 + tables.G[0][2]
+        assert (tables.Qstar[1][:3] == 3).all()
+        assert [row.size for row in tables.G] == [8, 8]
+        assert [row.size for row in tables.Qstar] == [9, 11]
         whole = solve(inst, Grid(-6, 10))
         assert whole.grid == Grid(-6, 10) and whole.cone is None
         assert [(whole.exact_from(t), whole.g_solved_from(t))
@@ -1376,7 +1463,7 @@ def assert_csv_matches_rowwise(tables, directory):
     rowwise_tables_csv(tables, want)
     assert got.read_bytes() == want.read_bytes()
     fields = [line.split(",") for line in got.read_text().splitlines()[1:]]
-    for column, table in ((2, tables.C), (3, tables.G)):
+    for column, table in ((2, np.stack(tables.C)), (3, np.stack(tables.G))):
         parsed = np.array([float(f[column]) for f in fields]).reshape(table.shape)
         assert parsed.tobytes() == table.tobytes()
 
@@ -1440,7 +1527,7 @@ class TestCsvExport:
         period, x, c_val, g_val, q = lines[1].split(",")
         assert (period, x) == ("1", "-6")
         assert float(c_val) == approx(tables.cost_at(1, -6))
-        assert float(g_val) == approx(float(tables.G[0, 0]))
+        assert float(g_val) == approx(float(tables.G[0][0]))
         assert int(q) == tables.qstar_at(1, -6)
         assert text == path_b.read_text()
 

@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 from fractions import Fraction
 from typing import NamedTuple
@@ -145,18 +146,40 @@ class TestOptimalityGap:
 
 
 class TestNegativeOrders:
-    def test_the_fill_of_certified_only_tables_is_refused(self):
+    def test_a_read_below_a_certified_row_is_refused(self):
         # period 1 is solved from exact_from(1) = -7 up, on tables that
-        # start at the lowest R_t, -11, and an x0 below -7 reads the -1 fill
+        # start at the lowest R_t, -11: its row holds no order below -7
         instance = deterministic_instance()
         tables = solve(instance)
         grid = tables.grid
         assert tables.exact_from(1) == -7 and grid == Grid(-11, 20)
         cost = expected_cost(instance, grid, tables.Qstar, -7)
         assert cost == pytest.approx(tables.cost_at(1, -7))
-        with pytest.raises(ValueError,
-                           match=r"^period 1 reads the negative order -1: "):
-            expected_cost(instance, grid, tables.Qstar, -8)
+        for x0 in (-8, -11, -30):
+            with pytest.raises(ValueError, match=(
+                    rf"^period 1 reads the state {x0}, below its row of "
+                    r"orders, which starts at -7$")):
+                expected_cost(instance, grid, tables.Qstar, x0)
+
+
+class TestStartState:
+    @pytest.mark.parametrize("x0", [True, np.bool_(False), 0.5, 1e300,
+                                    np.float64(0.0), "0"])
+    def test_a_start_that_is_not_an_integer_is_refused(self, x0):
+        # True would price from state 1, 0.5 and 1e300 would fail on a
+        # slice index, each with no word about the start
+        instance = deterministic_instance(2)
+        tables = solve(instance)
+        heuristic = modified_ss_from_tables(tables)
+        message = rf"^state {re.escape(repr(x0))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            expected_cost(instance, tables.grid, tables.Qstar, x0)
+        with pytest.raises(ValueError, match=message):
+            optimality_gap(instance, tables, heuristic, x0)
+        # an integer of numpy's prices as the int does
+        assert expected_cost(instance, tables.grid, tables.Qstar,
+                             np.int64(1)) == \
+            expected_cost(instance, tables.grid, tables.Qstar, 1)
 
 
 class TestMismatchedGrid:
@@ -175,12 +198,28 @@ class TestMismatchedGrid:
                 r"^an order table of shape \(20, 1878\) does not fit 20 "
                 r"periods on the grid \[-1367, 610\] of 1978 states$")):
             expected_cost(instance, wider, tables.Qstar, 0)
-        # the certified tables' order table fits their own grid alone
+        # the certified tables' order rows fit their own grid alone
         certified = solve(instance)
         with pytest.raises(ValueError, match="does not fit"):
             expected_cost(instance, grid, certified.Qstar, 0)
         assert expected_cost(instance, certified.grid, certified.Qstar, 0) == \
             pytest.approx(4184.898467226087, abs=1e-9)
+        # a table of the grid's own width, as ThresholdPolicy.orders makes
+        with pytest.raises(ValueError, match=(
+                r"^an order table of shape \(20, 1878\) does not fit 20 "
+                r"periods on the grid \[-1367, 610\] of 1978 states$")):
+            expected_cost(instance, wider, np.stack(tables.Qstar), 0)
+
+    def test_rows_from_zero_fit_a_grid_from_minus_one(self):
+        # one period, R_1 = 0: the certified grid keeps -1 below its rows
+        instance = Instance(horizon=1, K=1.0, v=0.0, h=1.0, p=1.0, B=2,
+                            demands=(pmf_empirical([5], [1.0]),))
+        tables = solve(instance)
+        assert tables.grid == Grid(-1, 5) and tables.Qstar[0].size == 6
+        assert expected_cost(instance, tables.grid, tables.Qstar, 0) == \
+            pytest.approx(tables.cost_at(1, 0))
+        with pytest.raises(ValueError, match="does not fit"):
+            expected_cost(instance, Grid(-2, 5), tables.Qstar, 0)
 
 
 class TestZeroCostGap:
@@ -222,7 +261,7 @@ class TestExpectedCost:
             heuristic = modified_ss_from_tables(tables).orders(grid, instance.B)
 
             def table_rule(period, x, table=tables.Qstar):
-                return int(table[period - 1, min(max(x, grid.x_min), grid.x_max)
+                return int(table[period - 1][min(max(x, grid.x_min), grid.x_max)
                                  - grid.x_min])
 
             brute = brute_policy_cost(instance, table_rule)
