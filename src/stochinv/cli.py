@@ -151,11 +151,10 @@ def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
 
 
 def cmd_simulate(args) -> int:
-    instance = load_instance(args.instance)
-    tables = solve(instance)
+    tables = solve(load_instance(args.instance))
     # one checked forward pass; the optimal policy alone reads no bands
     policy = None if args.policy == "optimal" else read_policy(tables).top()
-    opt, heur = _price(instance, tables, policy, 0)
+    opt, heur = _price(tables, policy, 0)
     if args.policy != "modified-ss":
         print(f"optimal: expected cost {opt:.6f}")
     if heur is not None:

@@ -101,11 +101,11 @@ def _screen(q_row: np.ndarray, floor: int) -> CopReport:
     return CopReport(False, intervals, (gap_hi, order_lo))
 
 
-def _read_period(tables: ValueTables, period: int,
-                 floor: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+def _read_period(tables: ValueTables,
+                 period: int) -> tuple[tuple[tuple[int, int], ...], bool]:
     """One period's (s_k, S_k) bands, k ascending, read from its certified
-    floor exact_from, and whether the continuous order property holds
-    there.
+    floor tables.exact_from(period), and whether the continuous order
+    property holds there.
 
     Walking the ordering states, maximal runs with a common order-up-to
     level x + Q(x) are threshold bands: the top state of the run is s_k and
@@ -125,6 +125,7 @@ def _read_period(tables: ValueTables, period: int,
     MalformedTable for a band deeper than the capacity; the bands' order
     is left to the caller (_check_bands).
     """
+    floor = tables.exact_from(period)
     q_row = tables.Qstar[period - 1]
     below = tables.column(period, floor)   # the row's states under the floor
     row = q_row[below:]
@@ -226,13 +227,10 @@ def read_policy(tables: ValueTables) -> ThresholdPolicy:
     stand-in band. Raises GridSpanError if some period orders only below
     that floor, and MalformedTable for bands that are not well formed,
     each checked once."""
-    bands, flagged = [], []
-    for period in range(1, tables.instance.horizon + 1):
-        pairs, holds = _read_period(tables, period, tables.exact_from(period))
-        bands.append(pairs)
-        if not holds:
-            flagged.append(period)
-    return ThresholdPolicy(tuple(bands), tuple(flagged))
+    periods = range(1, tables.instance.horizon + 1)
+    bands, holds = zip(*(_read_period(tables, t) for t in periods))
+    flagged = tuple(t for t, ok in zip(periods, holds) if not ok)
+    return ThresholdPolicy(bands, flagged)
 
 
 def verify_kb_convexity(tables: ValueTables,
@@ -335,7 +333,7 @@ def qce_diagnostics(tables: ValueTables, period: int) -> list[QcePoint]:
     and also on the envelope (the left edge s_m counts: it sits strictly
     above everything in the interval).
     """
-    bands, _ = _read_period(tables, period, tables.exact_from(period))
+    bands, _ = _read_period(tables, period)
     _check_bands(period, bands)
     if not bands:
         return []

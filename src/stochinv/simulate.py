@@ -9,14 +9,14 @@ the inventory forward one period at a time and adds up each period's
 expected ordering cost, and its holding and shortage cost as one dot
 product over the end-of-period distribution that the next period starts
 from. _price, which optimality_gap and CLI simulate call, is the one
-pricing entry for solved tables: it prices tables.Qstar in one such
-pass, checks it against the solved value and, given a threshold policy,
-prices that too. The threshold policy shares the optimal pass for as
-long as both tables order alike at every state the distribution covers,
-and splits off in the first period where they do not, to continue alone
-from that period's shared state. Up to the split both passes take the
-same float operations on the same operands, so each price keeps the
-bits of its own expected_cost.
+pricing entry for solved tables: it prices tables.Qstar for the instance
+the tables carry in one such pass, checks it against the solved value
+and, given a threshold policy, prices that too. The threshold policy
+shares the optimal pass for as long as both tables order alike at every
+state the distribution covers, and splits off in the first period where
+they do not, to continue alone from that period's shared state. Up to
+the split both passes take the same float operations on the same
+operands, so each price keeps the bits of its own expected_cost.
 """
 
 from __future__ import annotations
@@ -116,11 +116,11 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
 
     Returns the cost and, given a rival order table, the state at the
     start of the first period where the rival orders differently at some
-    state the distribution covers, or None where it never does. Up to
-    that period a pass under the rival takes the same operations on the
-    same operands, so continuing it from the returned state gives the
-    rival's expected_cost bit for bit. Raises ValueError for orders that
-    do not fit the grid (expected_cost).
+    state the distribution covers, or None where it never does. Both
+    tables are read by one rule (_orders_at), so up to that period a pass
+    under the rival takes the same operations on the same operands, and
+    continuing it from there gives the rival's expected_cost bit for bit.
+    Raises ValueError for orders that do not fit the grid (expected_cost).
     """
     # the rows' grid: from the widest row's start, or -1 above it (solve)
     widest = max((row.size for row in orders), default=0)
@@ -141,15 +141,8 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
     for period in range(first, instance.horizon + 1):
         pmf = instance.demands[period - 1]
         xs = levels[lo - base:lo - base + dist.size]
-        row = orders[period - 1]
-        start = grid.x_max + 1 - row.size
-        if lo < start and row.size < grid.size:
-            raise ValueError(
-                f"period {period} reads the state {lo}, below its row of "
-                f"orders, which starts at {start}")
-        q = row.take(xs - start, mode="clip")
-        if rival is not None and (
-                q != rival[period - 1].take(xs - grid.x_min, mode="clip")).any():
+        q = _orders_at(orders, period, xs, grid)
+        if rival is not None and (q != _orders_at(rival, period, xs, grid)).any():
             fork = _PassState(period, lo, dist, total, factor)
             rival = None
         if q.min() < 0:
@@ -173,6 +166,17 @@ def _forward(instance: Instance, grid: Grid, orders: np.ndarray,
         total += factor * cost
         factor *= instance.discount
     return float(total), fork
+
+
+def _orders_at(orders: np.ndarray, period: int, xs: np.ndarray,
+               grid: Grid) -> np.ndarray:
+    """The period's orders at the rising states xs, by expected_cost's rule."""
+    row = orders[period - 1]
+    start = grid.x_max + 1 - row.size
+    if xs[0] < start and row.size < grid.size:
+        raise ValueError(f"period {period} reads the state {xs[0]}, below "
+                         f"its row of orders, which starts at {start}")
+    return row.take(xs - start, mode="clip")
 
 
 def _levels(lo: int, hi: int, instance: Instance
@@ -210,22 +214,22 @@ def _percent_gap(cost: float, optimum: float) -> float:
     return math.inf if optimum == 0 else 100.0 * (cost - optimum) / optimum
 
 
-def optimality_gap(instance: Instance, tables: ValueTables,
-                   heuristic: ThresholdPolicy, x0: int) -> float:
+def optimality_gap(tables: ValueTables, heuristic: ThresholdPolicy,
+                   x0: int) -> float:
     """Exact percent cost excess of a threshold policy over the optimal table.
 
-    Both policies are priced in one forward pass (_price), each to
-    expected_cost's bits; SimulationError is raised when the optimal price
-    does not reproduce the solved value.
+    Both policies are priced for tables.instance in one forward pass
+    (_price), each to expected_cost's bits; SimulationError is raised when
+    the optimal price does not reproduce the solved value.
     """
-    opt, heur = _price(instance, tables, heuristic, x0)
+    opt, heur = _price(tables, heuristic, x0)
     return _percent_gap(heur, opt)
 
 
-def _price(instance: Instance, tables: ValueTables,
-           policy: ThresholdPolicy | None, x0: int) -> tuple[float, float | None]:
-    """The exact costs of tables.Qstar and of a threshold policy from x0;
-    the second is None when no policy is given.
+def _price(tables: ValueTables, policy: ThresholdPolicy | None,
+           x0: int) -> tuple[float, float | None]:
+    """The exact costs for tables.instance of tables.Qstar and of a threshold
+    policy from x0; the second is None when no policy is given.
 
     Both are priced in one forward pass. It runs under tables.Qstar and
     carries the threshold policy's order table along while both tables
@@ -236,11 +240,11 @@ def _price(instance: Instance, tables: ValueTables,
     expected_cost's bit for bit, and a policy that never splits off costs
     exactly the optimum. The optimal price must equal the solved value at
     (first period, x0) within the solver's tie tolerance once per period
-    plus the same tolerance relative to the value; otherwise the tables do
-    not belong to the instance, or the grid edge reaches x0, and
-    SimulationError is raised before the threshold policy's pass goes on.
+    plus the same tolerance relative to the value; otherwise, as where the
+    grid edge reaches x0, SimulationError is raised before the threshold
+    policy's pass goes on.
     """
-    grid = tables.grid
+    instance, grid = tables.instance, tables.grid
     orders = None if policy is None else policy.orders(grid, instance.B)
     opt, fork = _forward(instance, grid, tables.Qstar, _start(x0), orders)
     dp_value = tables.cost_at(1, x0)

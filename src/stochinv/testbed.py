@@ -218,9 +218,9 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     way. The tables, and the heuristic's order table that prices against
     them, span only the cone, from its lowest state up to the structural
     top: over the 810 Poisson points the widest is 2,384 states, EMP4 with
-    B = 394. read_policy reads each
-    period from the tables' exact_from, the cone's first state, and
-    optimality_gap prices both policies on the tables' grid. Each G row,
+    B = 394. read_policy reads each period from the tables' exact_from,
+    the cone's first state, and optimality_gap prices both policies for
+    the instance the tables carry, on their grid. Each G row,
     the last included, takes the expected holding and shortage cost and
     the expected continuation together as one convolution (l alone on the
     last row): C and G are a whole-row solve's to rounding, not bit for
@@ -232,14 +232,13 @@ def _evaluate_point(point: DesignPoint) -> PointResult:
     reach the top, and the cone's first state R_1, the tables'
     exact_from(1), lies at or below x0 = 0.
     """
-    instance = point.instance
     try:
-        tables = solve(instance)
+        tables = solve(point.instance)
         policy = read_policy(tables)
         violated = policy.cop_violated
         max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                        if period not in violated), default=0)
-        gap = optimality_gap(instance, tables, policy.top(), 0)
+        gap = optimality_gap(tables, policy.top(), 0)
         return PointResult(point, gap, max_thr, violated, None)
     except (SimulationError, MalformedTable) as exc:
         # a point whose numerics the checks reject is data; any other

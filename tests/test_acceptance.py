@@ -84,9 +84,8 @@ def test_discounted_order_quantities_and_bands(lumpy_tables):
 
 @pytest.mark.parametrize("B,target", [(35, 0.000), (65, 0.123), (71, 0.192)])
 def test_heuristic_gap_estimates(seasonal_tables, B, target):
-    instance = seasonal_instance(B)
     tables = seasonal_tables[B]
-    gap = optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
+    gap = optimality_gap(tables, modified_ss_from_tables(tables), 0)
     assert gap == pytest.approx(target, abs=0.05)
 
 
@@ -215,7 +214,7 @@ def test_multi_band_policy_is_optimal_on_the_bed():
         tables = solve(point.instance, DEFAULT_GRID)
         policy = read_policy(tables)
         if not policy.cop_violated:
-            assert optimality_gap(point.instance, tables, policy, 0) == 0.0
+            assert optimality_gap(tables, policy, 0) == 0.0
             checked += 1
     assert checked >= 40
 

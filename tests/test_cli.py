@@ -712,12 +712,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().out == self.OPTIMAL
 
     def assert_optimum_refused(self, capsys, monkeypatch, policy):
-        # tables solved with twice the shortage cost cannot price the file's
-        # instance at their own optimum
-        def solve_other_instance(instance):
-            return solve(dataclasses.replace(instance, p=2 * instance.p))
+        # tables whose first C row was raised 10% do not hold the value that
+        # their own orders cost
+        def solve_perturbed(instance):
+            tables = solve(instance)
+            return dataclasses.replace(
+                tables, C=(tables.C[0] * 1.1, *tables.C[1:]))
 
-        monkeypatch.setattr(cli, "solve", solve_other_instance)
+        monkeypatch.setattr(cli, "solve", solve_perturbed)
         rc = main(self.ARGS + ["--policy", policy])
         assert rc == 3
         captured = capsys.readouterr()

@@ -393,6 +393,26 @@ class TestNeverOrdering:
         assert policy.cop_violated == ()
 
 
+class TestUnboundedBandLoss:
+    """At B = inf the cone starts each period at the search grid's plain
+    certified floor, below which no level bounds the decisions, so a
+    period whose ordering states all lie below it reads as never ordering
+    (ROADMAP item 17, step 1)."""
+
+    INSTANCE = Instance(horizon=2, K=6.0, v=0.0, h=1.0, p=1.0, B=math.inf,
+                        demands=(pmf_empirical([3], [1.0]),
+                                 pmf_empirical([0], [1.0])))
+    BANDS = (((-1, 3),), ((-7, 0),))
+
+    def test_whole_rows_read_both_bands(self):
+        assert read_policy(solve(self.INSTANCE, Grid(-20, 3))).bands == self.BANDS
+
+    @pytest.mark.xfail(strict=True, reason="the B = inf cone starts above "
+                       "both bands and reads ((), ())")
+    def test_certified_tables_read_both_bands(self):
+        assert read_policy(solve(self.INSTANCE)).bands == self.BANDS
+
+
 def well_formed(pairs, cap):
     """The band checks read_policy applies to its pairs."""
     rising = all(s_a < s_b and big_a < big_b
@@ -494,7 +514,7 @@ def assert_bands_walk_the_whole_interval(tables):
             tables.column(period, lo):tables.column(period, s_m) + 1]
         want = threshold_pairs_by_run(list(range(lo, s_m + 1)), q.tolist(),
                                       tables.instance.B, s_m)
-        assert _read_period(tables, period, floor) == (tuple(want), True), period
+        assert _read_period(tables, period) == (tuple(want), True), period
 
 
 class TestBandsWalkTheWholeInterval:

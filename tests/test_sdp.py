@@ -588,7 +588,7 @@ def policy_outcome(tables):
         policy = read_policy(tables)
     except GridSpanError:
         return "GridSpanError"
-    gap = optimality_gap(tables.instance, tables, policy.top(), 0)
+    gap = optimality_gap(tables, policy.top(), 0)
     return policy.bands, policy.cop_violated, gap
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import textwrap
@@ -102,9 +103,8 @@ class TestCommonRandomNumbers:
 
 class TestOptimalityGap:
     def test_seasonal_gap_is_small_and_nonnegative(self, seasonal_tables):
-        instance = seasonal_instance(65)
         tables = seasonal_tables[65]
-        gap = optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
+        gap = optimality_gap(tables, modified_ss_from_tables(tables), 0)
         assert -0.05 < gap < 5.0
 
     def test_gap_with_estimates_agrees(self, seasonal_tables):
@@ -122,27 +122,22 @@ class TestOptimalityGap:
         h_hi = heur.mean_cost + 3.0 * heur.half_width
         o_lo = opt.mean_cost - 3.0 * opt.half_width
         o_hi = opt.mean_cost + 3.0 * opt.half_width
-        exact = optimality_gap(instance, tables, heuristic, 0)
+        exact = optimality_gap(tables, heuristic, 0)
         assert 100.0 * (h_lo / o_hi - 1.0) <= exact <= 100.0 * (h_hi / o_lo - 1.0)
 
     def test_mismatched_tables_are_rejected(self, seasonal_tables):
-        instance = seasonal_instance(65)
-        wrong = Instance(
-            horizon=instance.horizon,
-            K=instance.K,
-            v=instance.v,
-            h=instance.h,
-            p=instance.p * 4,
-            B=instance.B,
-            demands=instance.demands,
-        )
-        tables = solve(wrong, Grid(-300, 600))
+        # tables whose first C row no longer holds the value that their own
+        # orders cost: the price carries no instance of its own to differ
+        # from them, so the check is against the tables alone
+        solved = seasonal_tables[65]
+        tables = dataclasses.replace(solved, C=(solved.C[0] * 1.1, *solved.C[1:]))
+        heuristic = modified_ss_from_tables(solved)
+        assert modified_ss_from_tables(tables) == heuristic
         with pytest.raises(SimulationError):
-            optimality_gap(instance, tables, modified_ss_from_tables(tables), 0)
+            optimality_gap(tables, heuristic, 0)
         config = SimulationConfig(base_seed=7, target_rel_error=1e-3)
         with pytest.raises(SimulationError):
-            gap_with_estimates(instance, tables, modified_ss_from_tables(tables),
-                               0, config)
+            gap_with_estimates(tables.instance, tables, heuristic, 0, config)
 
 
 class TestNegativeOrders:
@@ -175,7 +170,7 @@ class TestStartState:
         with pytest.raises(ValueError, match=message):
             expected_cost(instance, tables.grid, tables.Qstar, x0)
         with pytest.raises(ValueError, match=message):
-            optimality_gap(instance, tables, heuristic, x0)
+            optimality_gap(tables, heuristic, x0)
         # an integer of numpy's prices as the int does
         assert expected_cost(instance, tables.grid, tables.Qstar,
                              np.int64(1)) == \
@@ -236,7 +231,7 @@ class TestZeroCostGap:
         instance, tables = no_demand
         assert tables.cost_at(1, 0) == 0.0
         heuristic = modified_ss_from_tables(tables)
-        assert optimality_gap(instance, tables, heuristic, 0) == 0.0
+        assert optimality_gap(tables, heuristic, 0) == 0.0
         config = SimulationConfig(base_seed=1)
         gap, opt, heur = gap_with_estimates(instance, tables, heuristic, 0, config)
         assert (gap, opt.mean_cost, heur.mean_cost) == (0.0, 0.0, 0.0)
@@ -244,7 +239,7 @@ class TestZeroCostGap:
     def test_costly_policy_against_zero_optimum(self, no_demand):
         instance, tables = no_demand
         ordering = ThresholdPolicy((((0, 5),), ()))
-        assert optimality_gap(instance, tables, ordering, 0) == math.inf
+        assert optimality_gap(tables, ordering, 0) == math.inf
         config = SimulationConfig(base_seed=1)
         gap, opt, heur = gap_with_estimates(instance, tables, ordering, 0, config)
         assert opt.mean_cost == 0.0 and heur.mean_cost > 0.0
@@ -337,13 +332,14 @@ class TestExpectedCost:
 
 class PricedTables(NamedTuple):
     """What optimality_gap reads of ValueTables: the grid, the optimal
-    order table and the solved value at (1, x0), here the table's own
-    price, so that any table passes the optimal check from any start,
-    on or off the grid."""
+    order table, the instance and the solved value at (1, x0), here the
+    table's own price, so that any table passes the optimal check from
+    any start, on or off the grid."""
 
     grid: Grid
     Qstar: np.ndarray
     value: float
+    instance: Instance
 
     def cost_at(self, period, x):
         return self.value
@@ -415,7 +411,8 @@ class TestOnePassPricesBothPolicies:
             qstar[0 if fork == "first" else -1] += 1
         opt = expected_cost(instance, grid, qstar, x0)
         heur = expected_cost(instance, grid, orders, x0)
-        gap = optimality_gap(instance, PricedTables(grid, qstar, opt), policy, x0)
+        gap = optimality_gap(PricedTables(grid, qstar, opt, instance),
+                             policy, x0)
         assert gap.hex() == _percent_gap(heur, opt).hex()
         if fork == "never":
             assert gap == 0.0
@@ -437,7 +434,7 @@ class TestOnePassPricesBothPolicies:
         assert str(alone.value).startswith(f"period {negative} reads the "
                                            "negative order -1: ")
         with pytest.raises(ValueError) as joint:
-            optimality_gap(instance, PricedTables(grid, qstar, 0.0), policy, x0)
+            optimality_gap(PricedTables(grid, qstar, 0.0, instance), policy, x0)
         assert str(joint.value) == str(alone.value)
 
 

@@ -122,7 +122,7 @@ class TestSmallBenchmarkRun:
             assert 1 <= result.max_thresholds <= 5
 
     def test_simulation_error_is_a_point_error(self, two_points, monkeypatch):
-        def mismatched_gap(instance, tables, heuristic, x0):
+        def mismatched_gap(tables, heuristic, x0):
             raise SimulationError("exact optimal cost 1.0 differs from the "
                                   "solved value 2.0")
 
@@ -210,7 +210,7 @@ def direct_result(point, grid):
     violated = policy.cop_violated
     max_thr = max((len(pairs) for period, pairs in enumerate(policy.bands, 1)
                    if period not in violated), default=0)
-    gap = optimality_gap(point.instance, tables, policy.top(), 0)
+    gap = optimality_gap(tables, policy.top(), 0)
     return PointResult(point, gap, max_thr, violated, None)
 
 
