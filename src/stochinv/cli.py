@@ -12,14 +12,17 @@ asked for, and takes no seed.
 
 Exit codes: 0 success (including a solve whose policy violates the
 continuous order property, which is reported, or whose grid may miss a
-band, which is warned of on stderr); 2 usage, instance-file and
-output-file errors (a `solve` whose write fails removes the files it
-wrote); 3 grid, numerical or malformed-band errors: a grid that ends
-below the instance's structural top or whose certified floor
-exact_from(1) lies above its top (both refused before solving) and a
-period that orders only below its certified floor exact_from (`solve`
-then writes no file), and an optimal policy whose exact cost does not
-reproduce the solved value.
+band, which is warned of on stderr: at a finite capacity where a
+period's certified floor lies above its decision level, at B = inf with
+p > v where a period reads no band); 2 usage, instance-file and
+output-file errors (no subcommand leaves a partial output: a write that
+fails removes every file the run wrote, and search-cex refuses an --out
+that cannot be a directory before it searches); 3 grid, numerical or
+malformed-band errors: a grid that ends below the instance's structural
+top or whose certified floor exact_from(1) lies above its top (both
+refused before solving) and a period that orders only below its
+certified floor exact_from (`solve` then writes no file), and an optimal
+policy whose exact cost does not reproduce the solved value.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .cex import CexSearchParams, search_cop_violations
@@ -84,12 +88,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, write) -> None:
-    """write(path); an OSError naming no file (ENOSPC) is given the path."""
+def _write_all(writes) -> None:
+    """write(path) for each (path, write) pair, in order. On an OSError
+    every file the run wrote, the failing one included, is removed, so no
+    partial output stays, and an error naming no file (ENOSPC) is given
+    the failing path."""
+    written = []
     try:
-        write(path)
+        for path, write in writes:
+            written.append(path)
+            write(path)
     except OSError as exc:
-        exc.filename = exc.filename or path
+        exc.filename = exc.filename or written[-1]
+        for path in written:
+            Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -99,8 +111,7 @@ def cmd_solve(args) -> int:
     tables_path = out + "_tables.csv"
     thresholds_path = out + "_thresholds.csv"
     report_path = out + "_cop_report.txt"
-    outputs = (tables_path, thresholds_path, report_path)
-    for path in outputs:
+    for path in (tables_path, thresholds_path, report_path):
         Path(path).unlink(missing_ok=True)   # no earlier run's file stays
     tables = solve(instance, Grid(args.grid_min, args.grid_max))
     # grid errors stop the run before any write
@@ -114,26 +125,38 @@ def cmd_solve(args) -> int:
                       f"exact_from = {tables.exact_from(period)}, above its "
                       f"decision level {level}; its bands may be incomplete, "
                       "widen the grid downward", file=sys.stderr)
+    elif instance.p > instance.v:
+        # At B = inf with p > v every period orders at some state. For x <=
+        # dmin_n, G_n(x) = v x + p (mu_n - x), of slope v - p < 0, so G_n
+        # rises without bound as x falls. C_{t+1}(y) + v y >= min G_{t+1},
+        # finite by induction, so below dmin_t G_t(x) >= c_t + (v (1 -
+        # discount) - p) x, whose slope is negative too: G_t rises without
+        # bound as x falls, and far enough down it exceeds K + min G_t.
+        # Hence a period that orders nowhere on its certified range orders
+        # only below it, where its one band lies.
+        for period, pairs in enumerate(policy.bands, start=1):
+            if not pairs:
+                print(f"warning: period {period} orders at no state from "
+                      f"exact_from = {tables.exact_from(period)} up, but at "
+                      "B = inf with p > v it orders below; its band is "
+                      "missing, widen the grid downward", file=sys.stderr)
 
-    try:
-        _write(tables_path, tables.to_csv)
-        for period in policy.cop_violated:
-            print(f"warning: continuous order property violated, period {period}")
-        print(f"value tables: {tables_path}")
-        if len(policy.cop_violated) < instance.horizon:
-            _write(thresholds_path,
-                   lambda path: Path(path).write_text(thresholds_csv(policy)))
-            print(f"thresholds: {thresholds_path}")
-        if policy.cop_violated:   # each line describes the whole grid row
-            report = "".join(f"period {t}: {check_cop(tables, t).describe()}\n"
-                             for t in policy.cop_violated)
-            _write(report_path, lambda path: Path(path).write_text(report))
-            print(f"order-property report: {report_path}")
-    except OSError:
-        for path in outputs:
-            Path(path).unlink(missing_ok=True)   # nor a partly written one
-        raise
+    writes = {"value tables": (tables_path, tables.to_csv)}
+    if len(policy.cop_violated) < instance.horizon:
+        writes["thresholds"] = (
+            thresholds_path,
+            lambda path: Path(path).write_text(thresholds_csv(policy)))
+    if policy.cop_violated:   # each line describes the whole grid row
+        report = "".join(f"period {t}: {check_cop(tables, t).describe()}\n"
+                         for t in policy.cop_violated)
+        writes["order-property report"] = (
+            report_path, lambda path: Path(path).write_text(report))
+    _write_all(writes.values())
 
+    for period in policy.cop_violated:
+        print(f"warning: continuous order property violated, period {period}")
+    for label, (path, _) in writes.items():
+        print(f"{label}: {path}")
     print("period  (s_k, S_k) pairs")
     for period, pairs in enumerate(policy.bands, start=1):
         if period in policy.cop_violated:
@@ -170,17 +193,19 @@ def cmd_search_cex(args) -> int:
                                  equal_masses=args.equal_masses)
     except ValueError as exc:
         raise _flag_error(exc, {"seed": "--seed", "budget": "--budget"}) from None
+    # a --out that cannot be a directory fails here, before the search
+    os.makedirs(args.out, exist_ok=True)
     violations = search_cop_violations(params)
 
-    os.makedirs(args.out, exist_ok=True)
     manifest_path = os.path.join(args.out, "manifest.csv")
-    with open(manifest_path, "w") as handle:
-        handle.write("seed,index,period,witness_lo,witness_hi\n")
-        for v in violations:
-            lo, hi = v.report.violation_witness
-            handle.write(f"{args.seed},{v.index},{v.period},{lo},{hi}\n")
-            dump_instance(v.instance,
-                          os.path.join(args.out, f"violator_{v.index}.json"))
+    lines = ["seed,index,period,witness_lo,witness_hi\n"]
+    for v in violations:
+        lo, hi = v.report.violation_witness
+        lines.append(f"{args.seed},{v.index},{v.period},{lo},{hi}\n")
+    manifest = "".join(lines)
+    _write_all([(manifest_path, lambda path: Path(path).write_text(manifest)),
+                *((os.path.join(args.out, f"violator_{v.index}.json"),
+                   partial(dump_instance, v.instance)) for v in violations)])
 
     print(f"screened {args.budget} instances, {len(violations)} violation(s)")
     for v in violations:
@@ -196,7 +221,7 @@ def cmd_benchmark(args) -> int:
     # fail on an unwritable pivot path before pricing the bed, not after
     open(out, "a").close()
     report = run_benchmark(design)
-    report.to_csv(out)
+    _write_all([(out, report.to_csv)])
 
     gaps = [r.gap for r in report.results if r.error is None]
     print(f"{args.family}: {len(design)} instances, "

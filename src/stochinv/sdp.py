@@ -224,10 +224,10 @@ class Instance:
     @cached_property
     def _levels(self) -> tuple[tuple[int, int | None], ...]:
         """(level_t, a_t) for t = 1..n at a finite capacity, a_t None where
-        _slide_levels finds none: the level at and below which period t
-        takes one decision, and the level at and below which that decision
-        is the whole capacity. Derived once per instance, on its first read
-        by the cone or by CLI solve's floor warning.
+        none is found: the level at and below which period t takes one
+        decision, and the level at and below which that decision is the
+        whole capacity. Both come from one backward pass (_slide_levels), on
+        the first read by the cone or by CLI solve's floor warning.
 
         Let dmin_t be period t's smallest demand, F^G_n = dmin_n, F^C_t =
         F^G_t - B and F^G_t = dmin_t + min(0, F^C_{t+1}) (the line floors),
@@ -277,16 +277,7 @@ class Instance:
         to rounding, so only a saving -s B - K within rounding of the tie
         tolerance could be decided differently at different states.
         """
-        cap = int(self.B)
-        slides = _slide_levels(self)
-        levels = []
-        below = 0   # min(0, F^C_{t+1}), 0 after the last period
-        for t in range(self.horizon - 1, -1, -1):
-            line_c = self.demands[t].support[0] + below - cap
-            slide = slides[t]
-            levels.append((line_c if slide is None else max(line_c, slide), slide))
-            below = min(0, line_c)
-        return tuple(levels[::-1])
+        return _slide_levels(self)
 
     @cached_property
     def cone(self) -> tuple[tuple[int, int], ...]:
@@ -461,12 +452,13 @@ def _rise_levels(instance: Instance) -> list[int]:
     return levels
 
 
-def _slide_levels(instance: Instance) -> list[int | None]:
-    """a_t of Instance._levels for t = 1..n at a finite capacity, None where
-    none is found.
+def _slide_levels(instance: Instance) -> tuple[tuple[int, int | None], ...]:
+    """(level_t, a_t) of Instance._levels for t = 1..n at a finite capacity,
+    a_t None where none is found: one backward pass derives both.
 
     Works backward over the window [-B - 2 dmax, dmax + B + 1], dmax the
-    largest demand of any period, with u the bound u_t on the window and,
+    largest demand of any period, with u the bound u_t on the window (its
+    rises from one np.bincount of one mass a bin, so exact) and,
     from the period before the last, cv = discount (c_{t+1} + v). u is
     nondecreasing, so each condition is one binary search. On the 810
     Poisson bed points this window finds the same levels as one from
@@ -482,20 +474,23 @@ def _slide_levels(instance: Instance) -> list[int | None]:
     # K + tau: the tie tolerance plus a margin for rounding in the solved rows
     saving = K + _TIE_TOL + _SLIDE_MARGIN * max(1.0, K)
     sums = np.zeros(size + 1)   # sums[i] = u summed over the window's first i states
-    levels: list[int | None] = [None] * n
+    levels = [None] * n
+    below = 0   # min(0, F^C_{t+1}), 0 after the last period
     cv = None
     for t in range(n - 1, -1, -1):
         pmf = instance.demands[t]
-        rises = np.zeros(size)
-        rises[pmf.support_arr - lo] = pmf.probs_arr * (h + p)
-        u = rises.cumsum()
+        dmin = pmf.support[0]
+        line_c = dmin + below - cap
+        below = min(0, line_c)
+        u = np.bincount(pmf.support_arr - lo, weights=pmf.probs_arr * (h + p),
+                        minlength=size).cumsum()
         if cv is None:
             u += v - p
         else:
-            dmin = pmf.support[0]
             u += v - p - instance.discount * v
             u[:dmin] += cv[0]
             u[dmin:] += cv[:size - dmin]
+        slide = None
         # the window's first `candidates` states x have u(x + B - 1) < -sigma
         candidates = int(u.searchsorted(-_SLIDE_MARGIN)) - cap + 1
         if candidates > 0:
@@ -503,7 +498,8 @@ def _slide_levels(instance: Instance) -> list[int | None]:
             found = int((sums[cap:candidates + cap] - sums[:candidates])
                         .searchsorted(-saving))
             if found:
-                levels[t] = lo + found - 1
+                slide = lo + found - 1
+        levels[t] = (line_c if slide is None else max(line_c, slide), slide)
         if t:
             # c_t + v: u_t(x + B) up to the last x + B where u_t <= 0, then
             # max(u_t(x), 0)
@@ -513,7 +509,7 @@ def _slide_levels(instance: Instance) -> list[int | None]:
                 cv[:rising - cap] = u[cap:rising]
             if instance.discount != 1.0:
                 cv *= instance.discount
-    return levels
+    return tuple(levels)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from conftest import instance_path
 from stochinv import (InstanceFormatError, MalformedTable, ThresholdPolicy,
                       load_instance, parse_instance, read_policy,
                       serialize_instance, solve, thresholds_csv)
-from stochinv import cli, sdp, simulate
+from stochinv import cli, sdp, simulate, testbed
 from stochinv.cli import main
 
 FIXTURES = ("seasonal_poisson", "spiky_nonstationary", "lumpy_discounted",
@@ -211,6 +211,12 @@ WIDE_CAP = ('{"horizon": 1, "K": 1.0, "v": 0.0, "h": 1.0, "p": 5.0, "B": 5, '
             '"demands": [{"values": [0, 1], "probs": [0.5, 0.5]}]}\n')
 SEASONAL_INF_BANDS = (b"period,k,s,S\n1,1,15,67\n2,1,28,49\n3,1,55,109\n"
                       b"4,1,28,49\n")
+# the workflow's printf of a two-period file at B = inf whose last period
+# orders only below -6: from a floor of -4 it reads no band there, and
+# warns; from -7 it reads (-7,0)
+LOST_BAND = ('{"horizon": 2, "K": 6.0, "v": 0.0, "h": 1.0, "p": 1.0, '
+             '"B": "inf", "demands": [{"values": [3], "probs": [1.0]}, '
+             '{"values": [0], "probs": [1.0]}]}\n')
 
 # the workflow's three simulate steps and three pinned thresholds.csv steps,
 # run in-process: step -> (the instance file's text, the command and its
@@ -635,14 +641,55 @@ class TestSolveCommand:
         assert f"\n     1  {period_1}\n" in captured.out
 
     def test_unbounded_capacity_never_warns(self, tmp_path, capsys):
-        # no decision level is derived at B = inf: the run reads its
-        # bands from exact_from(1) = -3 without a warning
+        # at B = inf only a period that reads no band can warn: on the
+        # workflow's grid, and from -250 (exact_from(1) = -3), every period
+        # reads one
         path = tmp_path / "seasonal_inf.json"
         path.write_text(SEASONAL_INF)
-        rc = main(["solve", str(path), "--grid-min", "-250",
-                   "--out", str(tmp_path / "out")])
+        for grid in (["--grid-min", "-300", "--grid-max", "600"],
+                     ["--grid-min", "-250"]):
+            rc = main(["solve", str(path), *grid,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 0
+            assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid_min,warned,period_2", [
+        ("-4", True, "- never orders -"), ("-7", False, "(-7,0)")])
+    def test_unbounded_band_below_the_floor_warns(self, tmp_path, capsys,
+                                                  grid_min, warned, period_2):
+        # at B = inf with p > v every period orders at some state, so one
+        # that orders nowhere from its exact_from up orders only below it
+        path = tmp_path / "lost_band.json"
+        path.write_text(LOST_BAND)
+        out = tmp_path / "out"
+        rc = main(["solve", str(path), "--grid-min", grid_min, "--grid-max",
+                   "3", "--out", str(out)])
         assert rc == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: period 2 orders at no state from exact_from = "
+            f"{grid_min} up, but at B = inf with p > v it orders below; its "
+            "band is missing, widen the grid downward\n" if warned else "")
+        assert captured.out.endswith(f"\n     2  {period_2}\n")
+        assert (tmp_path / "out_thresholds.csv").exists()
+
+    def test_failed_second_write_removes_the_first(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the tables CSV is written, then the disk fills on the thresholds
+        def disk_full(policy):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "thresholds_csv", disk_full)
+        out = tmp_path / "seasonal"
+        rc = main(["solve", instance_path("seasonal_poisson.json"),
+                   "--grid-min", "-300", "--grid-max", "600", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        # nothing is announced for a file the run removed
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}_thresholds.csv: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateCommand:
@@ -827,6 +874,43 @@ class TestSearchCexCommand:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "manifest.csv", "violator_610.json"]
 
+    def test_existing_file_as_out_is_refused_before_the_search(
+            self, tmp_path, capsys, monkeypatch):
+        def must_not_search(params):
+            raise AssertionError("searched before --out was checked")
+
+        monkeypatch.setattr(cli, "search_cop_violations", must_not_search)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = main(["search-cex", "--seed", "3", "--budget", "1000",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}: "
+                                f"{os.strerror(errno.EEXIST)}\n")
+        assert out.read_text() == "not a directory\n"
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the disk fills while the seed-3 violator (index 886) is written,
+        # after the manifest
+        def disk_full(instance, path):
+            with open(path, "w") as handle:
+                handle.write("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "dump_instance", disk_full)
+        out = tmp_path / "cex"
+        rc = main(["search-cex", "--seed", "3", "--budget", "887",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out / 'violator_886.json'}: "
+            f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--seed", "--budget"])
     def test_negative_flag_is_named(self, tmp_path, capsys, flag):
         args = {"--seed": "0", "--budget": "2", flag: "-1"}
@@ -866,6 +950,24 @@ class TestBenchmarkCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {out}: ")
+
+    def test_failed_write_leaves_no_pivot(self, tmp_path, capsys,
+                                          monkeypatch):
+        def disk_full(report, path):
+            with open(path, "w") as handle:
+                handle.write("dimension,")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(testbed.BenchmarkReport, "to_csv", disk_full)
+        out = tmp_path / "pivot.csv"
+        rc = main(["benchmark", "--family", "poisson", "--scale", "0.001",
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

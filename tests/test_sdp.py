@@ -600,7 +600,8 @@ class TestStructuralBottom:
     grid the certified states at or below level_t = max(F^C_t, a_t)
     (Instance._levels) all take one decision, order B or never, and B at
     or below a_t; a line floor F^C_t may lie above the top. The slide
-    levels a_t are those of a state-by-state loop over the same bounds."""
+    levels a_t are those of a state-by-state loop over the same bounds, and
+    each level_t is max(F^C_t, a_t), or F^C_t where no a_t is found."""
 
     @given(points=st.lists(st.dictionaries(st.integers(0, 40),
                                            st.floats(1e-3, 1.0),
@@ -666,7 +667,11 @@ class TestStructuralBottom:
                                                       p, B, discount):
         instance = Instance(horizon=len(points), K=K, v=v, h=h, p=p, B=B,
                             demands=empirical_pmfs(points), discount=discount)
-        assert sdp._slide_levels(instance) == brute_slide_levels(instance)
+        levels = sdp._slide_levels(instance)
+        assert [a_t for _, a_t in levels] == brute_slide_levels(instance)
+        assert [level for level, _ in levels] == [
+            line_c if a_t is None else max(line_c, a_t)
+            for line_c, (_, a_t) in zip(line_floors(instance), levels)]
 
 
 
@@ -1321,8 +1326,7 @@ class TestGridValidation:
         # u_2(x + 3) = -1 up to 3, then 0 up to 6; u_1 = 2 F_1 - 1 + c_2 is
         # -2 below 0 and -1 on 0..2, so a_1 = 0 (u_1(2) < 0, and 3 > K)
         assert line_floors(inst) == [-3, 4]
-        assert sdp._slide_levels(inst) == [0, 4]
-        assert inst._levels == ((0, 0), (4, 4))
+        assert sdp._slide_levels(inst) == inst._levels == ((0, 0), (4, 4))
         # an integral float capacity, which Instance accepts, gives the same
         # int levels
         as_float = dataclasses.replace(inst, B=3.0)._levels
@@ -1338,11 +1342,11 @@ class TestGridValidation:
                         demands=(pmf_empirical([0], [1.0]),) * 2
                         + (pmf_empirical([9], [1.0]),))
         assert late.floors[2] == 0 and line_floors(late) == [-2, -1, 8]
-        assert sdp._slide_levels(late) == [-2, -1, None]
+        assert sdp._slide_levels(late) == ((-2, -2), (-1, -1), (8, None))
         # no demand at all: the bound's window, [-B, B + 1], holds no level
         idle = dataclasses.replace(late, demands=(pmf_empirical([0], [1.0]),) * 3)
         assert line_floors(idle) == [-3, -2, -1]
-        assert sdp._slide_levels(idle) == [None] * 3
+        assert sdp._slide_levels(idle) == ((-3, None), (-2, None), (-1, None))
         # two periods, each with one demand value: d_1 = 2, d_2 = 1, and
         # B p = 12 <= K = 13, so the last period never orders deep down
         inst = Instance(horizon=2, K=13.0, v=0.0, h=1.0, p=4.0, B=3,
@@ -1353,7 +1357,7 @@ class TestGridValidation:
         # then 0 up to 0. u_1(y) = 5 F_1(y) - 4 + c_2(y - 2) is -8 up to -1
         # and -4 at 0 and 1, so a_1 = -1: u_1(1) < 0, and 8 + 4 + 4 > K
         assert line_floors(inst) == [-3, -2]
-        assert sdp._slide_levels(inst) == [-1, None]
+        assert sdp._slide_levels(inst) == ((-1, -1), (-2, None))
         deep = solve(inst, Grid(-40, 10))
         assert (deep.Qstar[0][:deep.grid.index(-1) + 1] == 3).all()
         assert not deep.Qstar[1].any()
