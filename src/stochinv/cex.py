@@ -10,6 +10,8 @@ period from its exact_from up, finds the continuous order property
 violated, together with a monotonicity diagnostic on the order-advantage
 function V. The draw settings are the module constants below; a search is
 set only by its seed, its budget and its mass allocation (CexSearchParams).
+Its draws are built by demand._finalize, as every PMF the package generates
+is; pmf_empirical's checks are for outside input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import pmf_empirical
+from .demand import _finalize
 from .policy import CopReport, _state_runs, check_cop
 from .sdp import (_TIE_TOL, Grid, Instance, ValueTables, _demand_ceiling,
                   solve)
@@ -68,7 +70,8 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
 
     Each period's PMF has exactly one support point below B and the rest
     above it (but at most SUPPORT_MAX); masses are uniform draws normalized
-    to one, or exactly equal under params.equal_masses.
+    to one, or exactly equal under params.equal_masses. A mass drawn as
+    exactly 0.0 (probability 2**-53 a draw) drops its point.
     """
     k_fixed = rng.uniform(*K_RANGE)
     p_cost = rng.uniform(*P_RANGE)
@@ -86,7 +89,7 @@ def random_instance(params: CexSearchParams, rng: np.random.Generator) -> Instan
         else:
             masses = rng.random(POINTS_PER_PMF)
             masses /= masses.sum()
-        demands.append(pmf_empirical(values, masses))
+        demands.append(_finalize(values, masses))
     return Instance(horizon=HORIZON, K=k_fixed, v=0.0, h=1.0, p=p_cost,
                     B=cap, demands=tuple(demands))
 

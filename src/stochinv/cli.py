@@ -15,9 +15,10 @@ continuous order property, which is reported, or whose grid may miss a
 band, which is warned of on stderr: at a finite capacity where a
 period's certified floor lies above its decision level, at B = inf with
 p > v where a period reads no band); 2 usage, instance-file and
-output-file errors (no subcommand leaves a partial output: a write that
-fails removes every file the run wrote, and search-cex refuses an --out
-that cannot be a directory before it searches); 3 grid, numerical or
+output-file errors (no subcommand leaves a partial output: a run that
+fails or is interrupted removes every file and directory it made, and
+search-cex refuses an --out that cannot be a directory before it
+searches); 3 grid, numerical or
 malformed-band errors: a grid that ends below the instance's structural
 top or whose certified floor exact_from(1) lies above its top (both
 refused before solving) and a period that orders only below its
@@ -31,7 +32,9 @@ import argparse
 import math
 import os
 import sys
+from contextlib import suppress
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from .cex import CexSearchParams, search_cop_violations
@@ -88,24 +91,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_all(writes) -> None:
-    """write(path) for each (path, write) pair, in order. On an OSError
-    every file the run wrote, the failing one included, is removed, so no
-    partial output stays, and an error naming no file (ENOSPC) is given
-    the failing path."""
-    written = []
-    try:
+class _Outputs:
+    """The files and directories one run makes.
+
+    As the context of a command, it removes all of them, newest first,
+    when the run raises anything, KeyboardInterrupt included, and then
+    re-raises, so that no run leaves a partial output. A path that existed
+    before the run is left as it was unless the run writes it.
+    """
+
+    def __init__(self):
+        self._undo = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None:
+            for undo in reversed(self._undo):
+                # rmdir takes only an empty directory: never one the run
+                # found holding files
+                with suppress(OSError):
+                    undo()
+
+    def makedirs(self, path) -> None:
+        """os.makedirs(path, exist_ok=True), recording each directory it
+        makes."""
+        target = Path(path)
+        missing = takewhile(lambda d: not d.exists(), (target, *target.parents))
+        self._undo += [partial(os.rmdir, d) for d in reversed(list(missing))]
+        os.makedirs(path, exist_ok=True)
+
+    def probe(self, path) -> None:
+        """Open path to append and close it, so that an unwritable path
+        fails before the work; recorded only when the probe makes it."""
+        if not os.path.lexists(path):
+            self._undo.append(partial(os.unlink, path))
+        open(path, "a").close()
+
+    def write(self, writes) -> None:
+        """write(path) for each (path, write) pair, in order, recording
+        each file before it is written; an error naming no file (ENOSPC)
+        is given the failing path."""
         for path, write in writes:
-            written.append(path)
-            write(path)
-    except OSError as exc:
-        exc.filename = exc.filename or written[-1]
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
+            self._undo.append(partial(os.unlink, path))
+            try:
+                write(path)
+            except OSError as exc:
+                exc.filename = exc.filename or path
+                raise
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, outputs: _Outputs) -> int:
     instance = load_instance(args.instance)
     out = args.out if args.out is not None else os.path.splitext(args.instance)[0]
     tables_path = out + "_tables.csv"
@@ -151,7 +188,7 @@ def cmd_solve(args) -> int:
                          for t in policy.cop_violated)
         writes["order-property report"] = (
             report_path, lambda path: Path(path).write_text(report))
-    _write_all(writes.values())
+    outputs.write(writes.values())
 
     for period in policy.cop_violated:
         print(f"warning: continuous order property violated, period {period}")
@@ -173,7 +210,7 @@ def _flag_error(exc: ValueError, flags: dict[str, str]) -> ValueError:
     return ValueError(f"{flags[field]} {rule}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, outputs: _Outputs) -> int:
     tables = solve(load_instance(args.instance))
     # one checked forward pass; the optimal policy alone reads no bands
     policy = None if args.policy == "optimal" else read_policy(tables).top()
@@ -187,14 +224,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_search_cex(args) -> int:
+def cmd_search_cex(args, outputs: _Outputs) -> int:
     try:
         params = CexSearchParams(seed=args.seed, budget=args.budget,
                                  equal_masses=args.equal_masses)
     except ValueError as exc:
         raise _flag_error(exc, {"seed": "--seed", "budget": "--budget"}) from None
     # a --out that cannot be a directory fails here, before the search
-    os.makedirs(args.out, exist_ok=True)
+    outputs.makedirs(args.out)
     violations = search_cop_violations(params)
 
     manifest_path = os.path.join(args.out, "manifest.csv")
@@ -203,9 +240,9 @@ def cmd_search_cex(args) -> int:
         lo, hi = v.report.violation_witness
         lines.append(f"{args.seed},{v.index},{v.period},{lo},{hi}\n")
     manifest = "".join(lines)
-    _write_all([(manifest_path, lambda path: Path(path).write_text(manifest)),
-                *((os.path.join(args.out, f"violator_{v.index}.json"),
-                   partial(dump_instance, v.instance)) for v in violations)])
+    outputs.write([(manifest_path, lambda path: Path(path).write_text(manifest)),
+                   *((os.path.join(args.out, f"violator_{v.index}.json"),
+                      partial(dump_instance, v.instance)) for v in violations)])
 
     print(f"screened {args.budget} instances, {len(violations)} violation(s)")
     for v in violations:
@@ -215,13 +252,13 @@ def cmd_search_cex(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args, outputs: _Outputs) -> int:
     design = build_design((args.family,), scale=args.scale)
     out = args.out if args.out is not None else f"benchmark_{args.family}.csv"
     # fail on an unwritable pivot path before pricing the bed, not after
-    open(out, "a").close()
+    outputs.probe(out)
     report = run_benchmark(design)
-    _write_all([(out, report.to_csv)])
+    outputs.write([(out, report.to_csv)])
 
     gaps = [r.gap for r in report.results if r.error is None]
     print(f"{args.family}: {len(design)} instances, "
@@ -244,7 +281,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _Outputs() as outputs:
+            return _COMMANDS[args.command](args, outputs)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,11 +43,12 @@ class DemandPMF:
     Instances are immutable and safe to share across solver runs.
 
     The solver's views of the two fields are built once, at construction:
-    support_arr and probs_arr (the fields as int64 and float64 arrays),
-    cum_probs (P(d <= support[k]) at each k), cum_means (E[d; d <= support[k]]
-    at each k) and mean. dense, the mass at each value 0..max_value, is
-    built on its first read, as only the convolutions read it. Equality and
-    hashing read the two fields alone.
+    support_arr and probs_arr (the fields as int64 and float64 arrays) and
+    mean. dense, the mass at each value 0..max_value, is built on its first
+    read, as only the convolutions read it. The three arrays are read-only,
+    as one PMF serves every solve and pricing that holds it (the test bed
+    shares each of its PMFs across design points). Equality and hashing
+    read the two fields alone.
     """
 
     support: tuple[int, ...]
@@ -56,15 +57,13 @@ class DemandPMF:
     def __post_init__(self):
         support_arr = np.asarray(self.support, dtype=np.int64)
         probs_arr = np.asarray(self.probs, dtype=np.float64)
+        support_arr.flags.writeable = probs_arr.flags.writeable = False
         object.__setattr__(self, "support_arr", support_arr)
         object.__setattr__(self, "probs_arr", probs_arr)
-        object.__setattr__(self, "cum_probs", probs_arr.cumsum())
-        object.__setattr__(self, "cum_means", (probs_arr * support_arr).cumsum())
         object.__setattr__(self, "mean", float(probs_arr @ support_arr))
 
     @cached_property
     def dense(self) -> np.ndarray:
-        # read-only: one array serves every solve and pricing of the PMF
         dense = np.zeros(self.max_value + 1)
         dense[self.support_arr] = self.probs_arr
         dense.flags.writeable = False
@@ -81,7 +80,13 @@ class DemandPMF:
 
 
 def _finalize(values: np.ndarray, probs: np.ndarray) -> DemandPMF:
-    """Drop zero-mass points, sort by value, renormalize."""
+    """Drop zero-mass points, sort by value, renormalize.
+
+    Every PMF the package generates is built here: the parametric families
+    and the COP search's draws. pmf_empirical, with its checks, serves
+    outside input alone; on checked input with no zero mass it takes the
+    same steps (sort, sum, _normalized), so the two agree bit for bit.
+    """
     keep = probs > 0.0
     values = values[keep]
     probs = probs[keep]

@@ -372,7 +372,11 @@ class Grid:
 
     @cached_property
     def states(self) -> np.ndarray:
-        return np.arange(self.x_min, self.x_max + 1)
+        # read-only: one array serves every caller of the grid, and of
+        # DEFAULT_GRID across solves
+        states = np.arange(self.x_min, self.x_max + 1)
+        states.flags.writeable = False
+        return states
 
     def index(self, x: int) -> int:
         return _column(self.x_min, self.x_max, x, "the grid")
@@ -731,7 +735,8 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     bottom of the support up, the closed form reads the partial sums at
     the last support point at or below y, repeated over the run of states
     that lie between that point and the next; from the top of the support
-    up those are the full sums.
+    up those are the full sums. This row is the one reader of the partial
+    sums, so it takes them itself, as cumulative sums over the support.
     """
     mu = pmf.mean
     size = states.size
@@ -740,7 +745,8 @@ def _loss_row(states: np.ndarray, pmf: DemandPMF, h: float, p: float) -> np.ndar
     runs = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=runs[:-1])
     runs[-1] = size - starts[-1]
-    big_f, m1 = pmf.cum_probs.repeat(runs), pmf.cum_means.repeat(runs)
+    big_f = pmf.probs_arr.cumsum().repeat(runs)
+    m1 = (pmf.probs_arr * pmf.support_arr).cumsum().repeat(runs)
     lo = starts[0]
     out = np.empty(size)
     np.subtract(mu, states[:lo], out=out[:lo])

@@ -592,7 +592,7 @@ def _chunk_costs(instance, grid, orders, x0, base_seed, chunk_index, rows):
         pmf = instance.demands[period - 1]
         row = orders[period - 1]
         q = row.take(x - (grid.x_max + 1 - row.size), mode="clip")
-        cum = pmf.cum_probs
+        cum = pmf.probs_arr.cumsum()
         d_idx = np.minimum(np.searchsorted(cum, u[:, period - 1], side="right"),
                            cum.size - 1)
         d = pmf.support_arr[d_idx]

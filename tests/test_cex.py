@@ -101,6 +101,27 @@ class TestGeneratorContract:
             stream.update(json.dumps(doc).encode())
         assert stream.hexdigest() == digest
 
+    def test_a_zero_mass_drops_its_point(self):
+        # a uniform draw of exactly 0.0 leaves the point below B with no
+        # mass: the draw keeps the other three, and the search goes on
+        class ZeroBelow:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                return np.array([0.0, 0.25, 0.25, 0.5])
+
+        params = CexSearchParams(seed=5, budget=0)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+        instance = random_instance(params, ZeroBelow(rng))
+        for demand in instance.demands:
+            assert len(demand.support) == cex.POINTS_PER_PMF - 1
+            assert min(demand.support) > instance.B
+            assert sorted(demand.probs) == [0.25, 0.25, 0.5]
+
     def test_equal_masses_option(self):
         params = CexSearchParams(seed=5, budget=0, equal_masses=True)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))

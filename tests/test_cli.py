@@ -909,7 +909,8 @@ class TestSearchCexCommand:
         assert captured.err == (
             f"error: cannot write {out / 'violator_886.json'}: "
             f"{os.strerror(errno.ENOSPC)}\n")
-        assert list(out.iterdir()) == []
+        # the --out directory the run made goes with its files
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--seed", "--budget"])
     def test_negative_flag_is_named(self, tmp_path, capsys, flag):
@@ -982,6 +983,65 @@ class TestBenchmarkCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["benchmark", "--family", "poisson", flag, "1"])
         assert excinfo.value.code == 2
+
+
+class TestInterruptedRun:
+    """Ctrl-C during a run removes every file and directory the run made
+    and leaves each path that was there before as it was."""
+
+    @staticmethod
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def test_benchmark_removes_its_pivot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_benchmark", self.interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["benchmark", "--family", "poisson", "--scale", "0.001",
+                  "--out", str(tmp_path / "pivot.csv")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_benchmark_keeps_an_earlier_pivot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_benchmark", self.interrupt)
+        out = tmp_path / "pivot.csv"
+        out.write_text("dimension,level\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["benchmark", "--family", "poisson", "--scale", "0.001",
+                  "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "dimension,level\n"
+
+    def test_search_removes_the_directories_it_made(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "search_cop_violations", self.interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["search-cex", "--seed", "3", "--budget", "1000",
+                  "--out", str(tmp_path / "cex" / "seed3")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_search_keeps_an_earlier_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "search_cop_violations", self.interrupt)
+        out = tmp_path / "cex"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["search-cex", "--seed", "3", "--budget", "1000",
+                  "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == [out / "notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_solve_removes_a_partial_tables_csv(self, tmp_path, monkeypatch):
+        def interrupted(tables, path):
+            with open(path, "w") as handle:
+                handle.write("period,")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sdp.ValueTables, "to_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", instance_path("seasonal_poisson.json"),
+                  "--grid-min", "-300", "--grid-max", "600",
+                  "--out", str(tmp_path / "seasonal")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBedPivots:

@@ -1186,6 +1186,15 @@ class TestGridValidation:
     def test_numpy_integer_bounds(self):
         assert Grid(np.int64(-5), np.int32(5)).size == 11
 
+    def test_states_are_read_only(self):
+        # every caller of DEFAULT_GRID reads the one array
+        states = DEFAULT_GRID.states
+        with pytest.raises(ValueError, match="read-only"):
+            states[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            states -= 1
+        assert states[0] == DEFAULT_GRID.x_min
+
     def test_index_bounds(self):
         grid = Grid(-5, 5)
         assert grid.index(-5) == 0
